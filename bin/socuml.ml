@@ -1,199 +1,14 @@
 (* socuml — command-line front end for the UML-2.0-for-SoC toolchain.
 
-   Subcommands:
-     validate   check a model (.xmi) against the well-formedness rules
-     lint       whole-model static analysis (ASL, statecharts,
-                activities, components, generated HDL)
-     info       summarize a model's contents
-     gen        generate code (vhdl | verilog | systemc | c) from a model
-     simulate   run a state machine from the model on an event sequence
-                (--rtl: as compiled RTL on the discrete-event engine)
-     trace      like simulate, but dump the structured telemetry events
-     partition  partition a task graph extracted from an activity
-     inject     run a deterministic fault-injection campaign across the
-                RTL, statechart and token execution engines
-     pack       convert a model to a versioned binary snapshot (.sumb)
-     serve      long-running daemon: JSON requests over stdin or a Unix
-                socket, with a content-hash compiled-artifact cache
-     demo       build the demo SoC, write XMI + VHDL + VCD artifacts
-
-   The op bodies live in [Serve.Ops], shared verbatim with the serve
-   daemon so one-shot and daemon output are byte-identical; this file
-   is only cmdliner plumbing plus the two subcommands ([serve], [demo])
-   that are not model ops. *)
+   The model-op subcommands are generated from [Serve.Op_spec], the
+   table the serve daemon decodes its requests from, so one-shot and
+   daemon flags, defaults and output are identical by construction;
+   this file only adds the subcommands that are not model ops
+   ([rules], [serve], [demo]). *)
 
 open Cmdliner
 
-let sink = Serve.Ops.std_sink
-let guarded f = Serve.Ops.guarded sink f
-let with_model path f = Serve.Ops.with_artifacts sink Serve.Ops.load_artifacts path f
-
-let model_arg =
-  (* deliberately a plain string: existence and file-kind checks live in
-     [Serve.Load], so every subcommand reports bad paths the same way
-     (one line on stderr, exit 1) instead of cmdliner's exit 124 *)
-  let doc = "Input model in socuml XMI form." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the parallel phases.  Purely a throughput knob: \
-     every job count produces byte-identical output."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-(* --- validate ------------------------------------------------------- *)
-
-let format_arg =
-  let doc = "Output format: $(b,text) or $(b,json)." in
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-    & info [ "format" ] ~docv:"FORMAT" ~doc)
-
-let validate_cmd =
-  let run path format =
-    guarded @@ fun () ->
-    with_model path @@ Serve.Ops.validate sink ~format
-  in
-  let doc = "Check a model against UML and SoC-profile well-formedness rules." in
-  Cmd.v (Cmd.info "validate" ~doc) Term.(const run $ model_arg $ format_arg)
-
-(* --- lint ----------------------------------------------------------- *)
-
-let only_arg =
-  let doc =
-    "Run only the given rules (repeatable, comma-separable).  A value is \
-     a rule code like $(b,SC-03) or a family prefix like $(b,ASL)."
-  in
-  Arg.(value & opt_all string [] & info [ "only" ] ~docv:"RULES" ~doc)
-
-let disable_arg =
-  let doc = "Disable the given rules (repeatable, comma-separable)." in
-  Arg.(value & opt_all string [] & info [ "disable" ] ~docv:"RULES" ~doc)
-
-let no_hdl_arg =
-  let doc = "Skip deriving the HDL design (disables the HDL-* rules)." in
-  Arg.(value & flag & info [ "no-hdl" ] ~doc)
-
-let models_arg =
-  (* plain strings for the same reason as [model_arg] *)
-  let doc = "Input models in socuml XMI form (one or more)." in
-  Arg.(non_empty & pos_all string [] & info [] ~docv:"MODEL" ~doc)
-
-let lint_cmd =
-  let run paths format only disable no_hdl jobs =
-    guarded @@ fun () ->
-    Serve.Ops.lint sink ~format ~only ~disable ~no_hdl ~jobs
-      Serve.Ops.load_artifacts paths
-  in
-  let doc =
-    "Run whole-model static analysis: embedded ASL behaviors, statechart \
-     topology, activity token flow, component wiring, and the generated \
-     HDL design.  Accepts several models (linted in parallel with \
-     $(b,--jobs), reported in argument order).  Exits nonzero when any \
-     error-severity diagnostic is reported."
-  in
-  Cmd.v (Cmd.info "lint" ~doc)
-    Term.(
-      const run $ models_arg $ format_arg $ only_arg $ disable_arg
-      $ no_hdl_arg $ jobs_arg)
-
-(* --- info ----------------------------------------------------------- *)
-
-let info_cmd =
-  let run path =
-    guarded @@ fun () ->
-    with_model path @@ Serve.Ops.info sink
-  in
-  let doc = "Summarize a model's contents." in
-  Cmd.v (Cmd.info "info" ~doc) Term.(const run $ model_arg)
-
-(* --- gen ------------------------------------------------------------ *)
-
-let language_arg =
-  let doc = "Target language: vhdl, verilog, systemc or c." in
-  Arg.(
-    required
-    & pos 1 (some (enum [ ("vhdl", "vhdl"); ("verilog", "verilog");
-                          ("systemc", "systemc"); ("c", "c") ])) None
-    & info [] ~docv:"LANG" ~doc)
-
-let gen_cmd =
-  let run path lang =
-    guarded @@ fun () ->
-    with_model path @@ Serve.Ops.gen sink ~lang
-  in
-  let doc = "Run the PIM->PSM mapping and print the generated code." in
-  Cmd.v (Cmd.info "gen" ~doc) Term.(const run $ model_arg $ language_arg)
-
-(* --- simulate --------------------------------------------------------- *)
-
-let events_arg =
-  let doc = "Comma-separated event names to dispatch." in
-  Arg.(value & opt string "" & info [ "events" ] ~docv:"EVENTS" ~doc)
-
-let machine_arg =
-  let doc = "Name of the state machine to run (default: first)." in
-  Arg.(value & opt (some string) None & info [ "machine" ] ~docv:"NAME" ~doc)
-
-let metrics_arg =
-  let doc = "Collect telemetry and print the metrics report." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let metrics_reg metrics =
-  if metrics then Some (Telemetry.Metrics.create ()) else None
-
-let rtl_arg =
-  let doc =
-    "Compile the state machine to RTL and run it on the discrete-event \
-     simulator instead of the statechart engine."
-  in
-  Arg.(value & flag & info [ "rtl" ] ~doc)
-
-let simulate_cmd =
-  let run path machine events metrics rtl =
-    guarded @@ fun () ->
-    with_model path
-    @@ Serve.Ops.simulate sink ~machine ~events ~metrics:(metrics_reg metrics)
-         ~rtl
-  in
-  let doc =
-    "Execute a state machine of the model on an event sequence, either \
-     on the statechart engine or (with $(b,--rtl)) as compiled RTL on \
-     the discrete-event simulator."
-  in
-  Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(
-      const run $ model_arg $ machine_arg $ events_arg $ metrics_arg $ rtl_arg)
-
-(* --- trace ------------------------------------------------------------- *)
-
-let trace_cmd =
-  let run path machine events =
-    guarded @@ fun () ->
-    with_model path @@ Serve.Ops.trace sink ~machine ~events
-  in
-  let doc =
-    "Run a state machine (and the model's activities) like simulate, \
-     dumping the structured telemetry event log."
-  in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ model_arg $ machine_arg $ events_arg)
-
-(* --- partition --------------------------------------------------------- *)
-
-let budget_arg =
-  let doc = "Hardware area budget." in
-  Arg.(value & opt int 500 & info [ "budget" ] ~docv:"AREA" ~doc)
-
-let partition_cmd =
-  let run path budget =
-    guarded @@ fun () ->
-    with_model path @@ Serve.Ops.partition sink ~budget
-  in
-  let doc = "Extract a task graph from the model's first activity and partition it." in
-  Cmd.v (Cmd.info "partition" ~doc) Term.(const run $ model_arg $ budget_arg)
+let guarded f = Serve.Ops.guarded Serve.Ops.std_sink f
 
 (* --- demo ------------------------------------------------------------- *)
 
@@ -264,75 +79,6 @@ let demo_cmd =
   let doc = "Build the demo SoC and write XMI, VHDL and VCD artifacts." in
   Cmd.v (Cmd.info "demo" ~doc) Term.(const run $ out_dir_arg)
 
-(* --- analyze ------------------------------------------------------------ *)
-
-let analyze_cmd =
-  let run path metrics only disable jobs =
-    guarded @@ fun () ->
-    Serve.Ops.analyze sink ~metrics:(metrics_reg metrics) ~only ~disable
-      ~jobs Serve.Ops.load_artifacts path
-  in
-  let doc =
-    "Translate the model's activities to Petri nets and analyze them \
-     (boundedness, deadlocks, invariants, lint).  $(b,--only) and \
-     $(b,--disable) select the lint rules, as for $(b,socuml lint)."
-  in
-  Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(const run $ model_arg $ metrics_arg $ only_arg $ disable_arg
-          $ jobs_arg)
-
-(* --- inject ------------------------------------------------------------ *)
-
-let seed_arg =
-  let doc = "Campaign seed (fault plan and run choices derive from it)." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let faults_arg =
-  let doc = "Number of faults to plan across the model's domains." in
-  Arg.(value & opt int 12 & info [ "faults" ] ~docv:"N" ~doc)
-
-let inject_cmd =
-  let run path machine seed faults format metrics jobs =
-    guarded @@ fun () ->
-    with_model path
-    @@ Serve.Ops.inject sink ~machine ~seed ~faults ~format
-         ~metrics:(metrics_reg metrics) ~jobs
-  in
-  let doc =
-    "Run a deterministic fault-injection campaign against the model: a \
-     seeded fault plan perturbs RTL signals on the compiled \
-     discrete-event engine, the event stream feeding the statechart \
-     engine, and token markings of the activity/Petri engines; every \
-     injected run is classified masked / detected / silent / truncated \
-     against the golden run."
-  in
-  Cmd.v (Cmd.info "inject" ~doc)
-    Term.(
-      const run $ model_arg $ machine_arg $ seed_arg $ faults_arg $ format_arg
-      $ metrics_arg $ jobs_arg)
-
-(* --- pack ------------------------------------------------------------- *)
-
-let pack_out_arg =
-  let doc =
-    "Output snapshot path (default: the input path with its extension \
-     replaced by $(b,.sumb))."
-  in
-  Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"OUT" ~doc)
-
-let pack_cmd =
-  let run path out =
-    guarded @@ fun () ->
-    with_model path @@ Serve.Ops.pack sink ~out ~path
-  in
-  let doc =
-    "Pack a model into the versioned binary snapshot format \
-     ($(b,.sumb)).  Every subcommand auto-detects the format by magic \
-     bytes, so snapshots are accepted wherever an XMI model is; loading \
-     one skips the XML parse entirely."
-  in
-  Cmd.v (Cmd.info "pack" ~doc) Term.(const run $ model_arg $ pack_out_arg)
-
 let rules_cmd =
   let run format =
     guarded @@ fun () ->
@@ -346,7 +92,7 @@ let rules_cmd =
      The codes listed here are exactly the selectors accepted by \
      $(b,--only) and $(b,--disable)."
   in
-  Cmd.v (Cmd.info "rules" ~doc) Term.(const run $ format_arg)
+  Cmd.v (Cmd.info "rules" ~doc) Term.(const run $ Serve.Op_spec.format_term)
 
 (* --- serve ------------------------------------------------------------- *)
 
@@ -492,10 +238,7 @@ let main =
   let doc = "UML 2.0 modeling and MDA toolchain for SoC design" in
   Cmd.group
     (Cmd.info "socuml" ~version:"1.0.0" ~doc)
-    [
-      validate_cmd; lint_cmd; info_cmd; gen_cmd; simulate_cmd; trace_cmd;
-      partition_cmd; analyze_cmd; inject_cmd; pack_cmd; rules_cmd; serve_cmd;
-      demo_cmd;
-    ]
+    (List.map Serve.Op_spec.cmd Serve.Op_spec.table
+    @ [ rules_cmd; serve_cmd; demo_cmd ])
 
 let () = exit (Cmd.eval' main)

@@ -1,12 +1,8 @@
 type t = {
   cache : Cache.t;
-  registry : Telemetry.Metrics.t;
   deadline_ms : int option;
   max_queue : int;
   stop_requested : bool Atomic.t;
-  m_shed : Telemetry.Metrics.counter;
-  m_timeout : Telemetry.Metrics.counter;
-  m_degraded : Telemetry.Metrics.counter;
   mutable requests : int;
   mutable protocol_errors : int;
   mutable completed : int;
@@ -26,16 +22,11 @@ let create ?max_entries ?max_bytes ?persist_dir ?deadline_ms
      invalid_arg "Serve.Daemon.create: deadline_ms <= 0"
    | Some _ | None -> ());
   if max_queue < 1 then invalid_arg "Serve.Daemon.create: max_queue < 1";
-  let registry = Telemetry.Metrics.create () in
   {
     cache = Cache.create ?max_entries ?max_bytes ?persist_dir ();
-    registry;
     deadline_ms;
     max_queue;
     stop_requested = Atomic.make false;
-    m_shed = Telemetry.Metrics.counter registry "serve.shed";
-    m_timeout = Telemetry.Metrics.counter registry "serve.timeout";
-    m_degraded = Telemetry.Metrics.counter registry "serve.degraded";
     requests = 0;
     protocol_errors = 0;
     completed = 0;
@@ -69,7 +60,6 @@ let with_degradation t f =
   | v -> Ok v
   | exception (Out_of_memory | Stack_overflow) -> (
     t.degradations <- t.degradations + 1;
-    Telemetry.Metrics.incr t.m_degraded;
     Cache.clear t.cache;
     Asl.Compiled.clear_memo ();
     Gc.compact ();
@@ -85,117 +75,20 @@ let with_degradation t f =
 
 let ( let* ) = Result.bind
 
-(* A typo'd field would otherwise be silently ignored and the request
-   would run with a default the user never asked for — reject it. *)
-let check_fields ~op ~allowed members =
-  let rec loop ms =
-    match ms with
-    | [] -> Ok ()
-    | (key, _) :: rest ->
-      if List.mem key allowed then loop rest
-      else Error (Printf.sprintf "unknown field %S for op %S" key op)
-  in
-  loop members
-
-let req_str obj key =
-  match Json.member key obj with
-  | None -> Error (Printf.sprintf "missing %S field" key)
-  | Some v -> (
-    match Json.to_str v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "field %S must be a string" key))
-
-let opt_str obj key =
-  match Json.member key obj with
-  | None -> Ok None
-  | Some v -> (
-    match Json.to_str v with
-    | Some s -> Ok (Some s)
-    | None -> Error (Printf.sprintf "field %S must be a string" key))
-
-let str_field obj key ~default =
-  let* v = opt_str obj key in
-  Ok (Option.value v ~default)
-
-let int_field obj key ~default =
-  match Json.member key obj with
-  | None -> Ok default
-  | Some v -> (
-    match Json.to_int v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "field %S must be an integer" key))
-
-let opt_int obj key =
-  match Json.member key obj with
-  | None -> Ok None
-  | Some v -> (
-    match Json.to_int v with
-    | Some n -> Ok (Some n)
-    | None -> Error (Printf.sprintf "field %S must be an integer" key))
-
-let bool_field obj key ~default =
-  match Json.member key obj with
-  | None -> Ok default
-  | Some v -> (
-    match Json.to_bool v with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "field %S must be a boolean" key))
-
-let list_field obj key =
-  match Json.member key obj with
-  | None -> Ok []
-  | Some v -> (
-    match Json.str_list v with
-    | Some l -> Ok l
-    | None -> Error (Printf.sprintf "field %S must be a list of strings" key))
-
-let format_field obj =
-  let* s = str_field obj "format" ~default:"text" in
-  match s with
-  | "text" -> Ok `Text
-  | "json" -> Ok `Json
-  | other ->
-    Error
-      (Printf.sprintf "field \"format\" must be \"text\" or \"json\" (got %S)"
-         other)
-
-let lang_field obj =
-  let* lang = req_str obj "lang" in
-  match lang with
-  | "vhdl" | "verilog" | "systemc" | "c" -> Ok lang
-  | other ->
-    Error
-      (Printf.sprintf
-         "field \"lang\" must be one of vhdl, verilog, systemc, c (got %S)"
-         other)
-
-(* [lint] takes either ["models"] (a list) or ["model"]; every other
-   model op takes ["model"]. *)
-let models_field obj =
-  let* single = opt_str obj "model" in
-  let* many =
-    match Json.member "models" obj with
-    | None -> Ok None
-    | Some v -> (
-      match Json.str_list v with
-      | Some l -> Ok (Some l)
-      | None -> Error "field \"models\" must be a list of strings")
-  in
-  match (single, many) with
-  | Some _, Some _ -> Error "give either \"model\" or \"models\", not both"
-  | Some m, None -> Ok [ m ]
-  | None, Some [] -> Error "field \"models\" must not be empty"
-  | None, Some l -> Ok l
-  | None, None -> Error "missing \"model\" field"
-
-let id_of obj =
-  match Json.member "id" obj with
+(* The request envelope: the optional echo id and the op name.  Each
+   op's own fields are decoded by its [Op_spec] entry. *)
+let id_of members =
+  match List.assoc_opt "id" members with
   | None -> Ok None
   | Some (Json.Int _ as v) -> Ok (Some v)
   | Some (Json.Str _ as v) -> Ok (Some v)
   | Some (Json.Null | Json.Bool _ | Json.Float _ | Json.List _ | Json.Obj _)
     ->
     Error "field \"id\" must be a string or integer"
+
+let op_of members =
+  let* op = Op_spec.field Json.to_str "a string" members "op" in
+  Option.to_result op ~none:"missing \"op\" field"
 
 (* How a long-running op may be cancelled.  [fuel] (a deterministic
    checkpoint count, for tests and golden gates) beats the request's
@@ -207,9 +100,10 @@ type budget_spec =
   | B_fuel of int
   | B_deadline_ms of int
 
-let budget_spec_of obj =
-  let* fuel = opt_int obj "fuel" in
-  let* deadline = opt_int obj "deadline_ms" in
+let budget_spec_of members =
+  let int key = Op_spec.field Json.to_int "an integer" members key in
+  let* fuel = int "fuel" in
+  let* deadline = int "deadline_ms" in
   match (fuel, deadline) with
   | Some _, Some _ -> Error "give either \"fuel\" or \"deadline_ms\", not both"
   | Some n, None ->
@@ -251,13 +145,7 @@ type outcome = {
   oc_error : string;
 }
 
-type action =
-  | Ran of outcome
-  | Stats
-  | Health
-  | Quit
-
-(* Run one op body with buffer sinks.  Model paths are pre-resolved
+(* Run one decoded op with buffer sinks.  Model paths are pre-resolved
    through the cache sequentially, in request order, before the body
    runs — so the reported cache states (and the hit/miss counters) are
    deterministic even when the body fans the models out over a pool.
@@ -267,8 +155,9 @@ type action =
    The whole attempt (resolution included) runs under the degradation
    wrapper, and [Exec.Budget.Expired] from an engine checkpoint is
    answered as a typed timeout with whatever output the op produced
-   before the budget ran out — deterministic under fuel budgets. *)
-let run_op t ~op ~paths ~metrics ~budget_spec body =
+   before the budget ran out — deterministic under fuel budgets.  Each
+   attempt instantiates the op afresh, metrics registry included. *)
+let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
   let out = Buffer.create 1024 and err = Buffer.create 256 in
   let sink =
     { Ops.s_out = Buffer.add_string out; Ops.s_err = Buffer.add_string err }
@@ -279,7 +168,10 @@ let run_op t ~op ~paths ~metrics ~budget_spec body =
     Buffer.clear err;
     cache_info := [];
     let budget = budget_of_spec t budget_spec in
-    let resolved = List.map (fun p -> (p, Cache.load t.cache p)) paths in
+    let r = make () in
+    let resolved =
+      List.map (fun p -> (p, Cache.load t.cache p)) r.Op_spec.paths
+    in
     cache_info :=
       List.filter_map
         (fun (path, r) ->
@@ -296,17 +188,7 @@ let run_op t ~op ~paths ~metrics ~budget_spec body =
         | Ok (art, _key, _state) -> Ok art
         | Error msg -> Error msg)
     in
-    let run reg = Ops.guarded sink (fun () -> body ~budget sink loader reg) in
-    if metrics then begin
-      (* per-request isolation — the response reports this request's
-         counters only; the fork merges back so daemon-level totals
-         still accumulate *)
-      let child = Telemetry.Metrics.fork t.registry in
-      let code = run (Some child) in
-      Telemetry.Metrics.merge_into ~into:t.registry child;
-      code
-    end
-    else run None
+    Ops.guarded sink (fun () -> r.Op_spec.exec ~budget sink loader)
   in
   let finish ?code exit_code =
     {
@@ -326,191 +208,6 @@ let run_op t ~op ~paths ~metrics ~budget_spec body =
   | exception Exec.Budget.Expired msg ->
     Ops.errl sink msg;
     finish ~code:C_timeout 1
-
-let dispatch t obj members ~op =
-  let common = [ "op"; "id" ] in
-  let deadline_fields = [ "fuel"; "deadline_ms" ] in
-  match op with
-  | "validate" ->
-    let* () =
-      check_fields ~op ~allowed:(common @ [ "model"; "format" ]) members
-    in
-    let* model = req_str obj "model" in
-    let* format = format_field obj in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
-              Ops.with_artifacts sink loader model (Ops.validate sink ~format))))
-  | "lint" ->
-    let* () =
-      check_fields ~op
-        ~allowed:
-          (common
-          @ [ "model"; "models"; "format"; "only"; "disable"; "no_hdl";
-              "jobs" ])
-        members
-    in
-    let* models = models_field obj in
-    let* format = format_field obj in
-    let* only = list_field obj "only" in
-    let* disable = list_field obj "disable" in
-    let* no_hdl = bool_field obj "no_hdl" ~default:false in
-    let* jobs = int_field obj "jobs" ~default:1 in
-    (* mirror the CLI's ordering: unknown selectors are rejected before
-       any model is loaded, so don't pre-resolve (and fill the cache)
-       when the op will refuse to run *)
-    let paths =
-      match Ops.selection_of ~only ~disable with
-      | Ok _selection -> models
-      | Error _msg -> []
-    in
-    Ok
-      (Ran
-         (run_op t ~op ~paths ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
-              Ops.lint sink ~format ~only ~disable ~no_hdl ~jobs loader
-                models)))
-  | "info" ->
-    let* () = check_fields ~op ~allowed:(common @ [ "model" ]) members in
-    let* model = req_str obj "model" in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
-              Ops.with_artifacts sink loader model (Ops.info sink))))
-  | "gen" ->
-    let* () =
-      check_fields ~op ~allowed:(common @ [ "model"; "lang" ]) members
-    in
-    let* model = req_str obj "model" in
-    let* lang = lang_field obj in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
-              Ops.with_artifacts sink loader model (Ops.gen sink ~lang))))
-  | "simulate" ->
-    let* () =
-      check_fields ~op
-        ~allowed:
-          (common
-          @ [ "model"; "machine"; "events"; "metrics"; "rtl" ]
-          @ deadline_fields)
-        members
-    in
-    let* model = req_str obj "model" in
-    let* machine = opt_str obj "machine" in
-    let* events = str_field obj "events" ~default:"" in
-    let* metrics = bool_field obj "metrics" ~default:false in
-    let* rtl = bool_field obj "rtl" ~default:false in
-    let* budget_spec = budget_spec_of obj in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics ~budget_spec
-            (fun ~budget sink loader reg ->
-              Ops.with_artifacts sink loader model
-                (Ops.simulate ~budget sink ~machine ~events ~metrics:reg ~rtl))))
-  | "trace" ->
-    let* () =
-      check_fields ~op
-        ~allowed:(common @ [ "model"; "machine"; "events" ])
-        members
-    in
-    let* model = req_str obj "model" in
-    let* machine = opt_str obj "machine" in
-    let* events = str_field obj "events" ~default:"" in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
-              Ops.with_artifacts sink loader model
-                (Ops.trace sink ~machine ~events))))
-  | "partition" ->
-    let* () =
-      check_fields ~op ~allowed:(common @ [ "model"; "budget" ]) members
-    in
-    let* model = req_str obj "model" in
-    let* budget = int_field obj "budget" ~default:500 in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
-              Ops.with_artifacts sink loader model
-                (Ops.partition sink ~budget))))
-  | "analyze" ->
-    let* () =
-      check_fields ~op
-        ~allowed:
-          (common
-          @ [ "model"; "metrics"; "only"; "disable"; "jobs" ]
-          @ deadline_fields)
-        members
-    in
-    let* model = req_str obj "model" in
-    let* metrics = bool_field obj "metrics" ~default:false in
-    let* only = list_field obj "only" in
-    let* disable = list_field obj "disable" in
-    let* jobs = int_field obj "jobs" ~default:1 in
-    let* budget_spec = budget_spec_of obj in
-    let paths =
-      match Ops.selection_of ~only ~disable with
-      | Ok _selection -> [ model ]
-      | Error _msg -> []
-    in
-    Ok
-      (Ran
-         (run_op t ~op ~paths ~metrics ~budget_spec
-            (fun ~budget sink loader reg ->
-              Ops.analyze ~budget sink ~metrics:reg ~only ~disable ~jobs
-                loader model)))
-  | "inject" ->
-    let* () =
-      check_fields ~op
-        ~allowed:
-          (common
-          @ [ "model"; "machine"; "seed"; "faults"; "format"; "metrics";
-              "jobs" ]
-          @ deadline_fields)
-        members
-    in
-    let* model = req_str obj "model" in
-    let* machine = opt_str obj "machine" in
-    let* seed = int_field obj "seed" ~default:1 in
-    let* faults = int_field obj "faults" ~default:12 in
-    let* format = format_field obj in
-    let* metrics = bool_field obj "metrics" ~default:false in
-    let* jobs = int_field obj "jobs" ~default:1 in
-    let* budget_spec = budget_spec_of obj in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics ~budget_spec
-            (fun ~budget sink loader reg ->
-              Ops.with_artifacts sink loader model
-                (Ops.inject ~budget sink ~machine ~seed ~faults ~format
-                   ~metrics:reg ~jobs))))
-  | "pack" ->
-    let* () =
-      check_fields ~op ~allowed:(common @ [ "model"; "out" ]) members
-    in
-    let* model = req_str obj "model" in
-    let* out = opt_str obj "out" in
-    Ok
-      (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
-              Ops.with_artifacts sink loader model
-                (Ops.pack sink ~out ~path:model))))
-  | "stats" ->
-    let* () = check_fields ~op ~allowed:common members in
-    Ok Stats
-  | "health" ->
-    let* () = check_fields ~op ~allowed:common members in
-    Ok Health
-  | "quit" ->
-    let* () = check_fields ~op ~allowed:common members in
-    Ok Quit
-  | other -> Error (Printf.sprintf "unknown op %S" other)
 
 (* --- response assembly ------------------------------------------------ *)
 
@@ -532,7 +229,6 @@ let protocol_error t ~id msg =
 let shed_response t ~depth =
   t.requests <- t.requests + 1;
   t.sheds <- t.sheds + 1;
-  Telemetry.Metrics.incr t.m_shed;
   respond ~id:None
     [
       ("ok", Json.Bool false);
@@ -581,6 +277,23 @@ let outcome_response ~id oc =
         ("error", Json.Str oc.oc_error);
       ])
 
+(* Occupancy of both caches: what [health] reports, and the prefix of
+   the blocks [stats] extends with its counters. *)
+let cache_occupancy (c : Cache.stats) =
+  [
+    ("entries", Json.Int c.Cache.cs_entries);
+    ("bytes", Json.Int c.Cache.cs_bytes);
+    ("max_entries", Json.Int c.Cache.cs_max_entries);
+    ("max_bytes", Json.Int c.Cache.cs_max_bytes);
+  ]
+
+let memo_occupancy (a : Asl.Compiled.stats) =
+  [
+    ("guards", Json.Int a.Asl.Compiled.st_guards);
+    ("programs", Json.Int a.Asl.Compiled.st_programs);
+    ("cap", Json.Int a.Asl.Compiled.st_cap);
+  ]
+
 let stats_response t ~id =
   let c = Cache.stats t.cache in
   let a = Asl.Compiled.memo_stats () in
@@ -603,36 +316,29 @@ let stats_response t ~id =
           ] );
       ( "cache",
         Json.Obj
-          [
-            ("entries", Json.Int c.Cache.cs_entries);
-            ("bytes", Json.Int c.Cache.cs_bytes);
-            ("max_entries", Json.Int c.Cache.cs_max_entries);
-            ("max_bytes", Json.Int c.Cache.cs_max_bytes);
-            ("hits", Json.Int c.Cache.cs_hits);
-            ("misses", Json.Int c.Cache.cs_misses);
-            ("snap_refills", Json.Int c.Cache.cs_snap_refills);
-            ("evictions", Json.Int c.Cache.cs_evictions);
-            ("persisted", Json.Int c.Cache.cs_persisted);
-            ("quarantined", Json.Int c.Cache.cs_quarantined);
-          ] );
+          (cache_occupancy c
+          @ [
+              ("hits", Json.Int c.Cache.cs_hits);
+              ("misses", Json.Int c.Cache.cs_misses);
+              ("snap_refills", Json.Int c.Cache.cs_snap_refills);
+              ("evictions", Json.Int c.Cache.cs_evictions);
+              ("persisted", Json.Int c.Cache.cs_persisted);
+              ("quarantined", Json.Int c.Cache.cs_quarantined);
+            ]) );
       ( "asl_memo",
         Json.Obj
-          [
-            ("guards", Json.Int a.Asl.Compiled.st_guards);
-            ("programs", Json.Int a.Asl.Compiled.st_programs);
-            ("cap", Json.Int a.Asl.Compiled.st_cap);
-            ("hits", Json.Int a.Asl.Compiled.st_hits);
-            ("misses", Json.Int a.Asl.Compiled.st_misses);
-            ("evictions", Json.Int a.Asl.Compiled.st_evictions);
-          ] );
+          (memo_occupancy a
+          @ [
+              ("hits", Json.Int a.Asl.Compiled.st_hits);
+              ("misses", Json.Int a.Asl.Compiled.st_misses);
+              ("evictions", Json.Int a.Asl.Compiled.st_evictions);
+            ]) );
     ]
 
 (* The supervisor probe: protocol version, logical uptime (requests
    served so far — the daemon's only monotonic clock) and occupancy of
    both caches, cheap enough to answer under load. *)
 let health_response t ~id =
-  let c = Cache.stats t.cache in
-  let a = Asl.Compiled.memo_stats () in
   respond ~id
     [
       ("op", Json.Str "health");
@@ -643,21 +349,8 @@ let health_response t ~id =
       ( "deadline_ms",
         Json.Int (Option.value t.deadline_ms ~default:0) );
       ("max_queue", Json.Int t.max_queue);
-      ( "cache",
-        Json.Obj
-          [
-            ("entries", Json.Int c.Cache.cs_entries);
-            ("bytes", Json.Int c.Cache.cs_bytes);
-            ("max_entries", Json.Int c.Cache.cs_max_entries);
-            ("max_bytes", Json.Int c.Cache.cs_max_bytes);
-          ] );
-      ( "asl_memo",
-        Json.Obj
-          [
-            ("guards", Json.Int a.Asl.Compiled.st_guards);
-            ("programs", Json.Int a.Asl.Compiled.st_programs);
-            ("cap", Json.Int a.Asl.Compiled.st_cap);
-          ] );
+      ("cache", Json.Obj (cache_occupancy (Cache.stats t.cache)));
+      ("asl_memo", Json.Obj (memo_occupancy (Asl.Compiled.memo_stats ())));
     ]
 
 (* --- request processing ----------------------------------------------- *)
@@ -670,11 +363,40 @@ let health_response t ~id =
 let classify t oc =
   match oc.oc_code with
   | None -> t.completed <- t.completed + 1
-  | Some C_timeout ->
-    t.timeouts <- t.timeouts + 1;
-    Telemetry.Metrics.incr t.m_timeout
+  | Some C_timeout -> t.timeouts <- t.timeouts + 1
   | Some C_resource_exhausted ->
     t.resource_exhausted <- t.resource_exhausted + 1
+
+(* One decoded request to its response line and whether to keep
+   serving. *)
+let dispatch t ~id members ~op =
+  let control respond_with continue =
+    let* () = Op_spec.reject_unknown ~op [] members in
+    t.completed <- t.completed + 1;
+    Ok (respond_with (), continue)
+  in
+  match op with
+  | "stats" -> control (fun () -> stats_response t ~id) true
+  | "health" -> control (fun () -> health_response t ~id) true
+  | "quit" ->
+    control
+      (fun () ->
+        respond ~id
+          [
+            ("op", Json.Str "quit"); ("ok", Json.Bool true); ("exit", Json.Int 0);
+          ])
+      false
+  | _model_op -> (
+    match Op_spec.find op with
+    | None -> Error (Printf.sprintf "unknown op %S" op)
+    | Some spec ->
+      let* make = Op_spec.decode spec members in
+      let* budget_spec =
+        if Op_spec.budgeted spec then budget_spec_of members else Ok B_default
+      in
+      let oc = run_op t ~op ~budget_spec make in
+      classify t oc;
+      Ok (outcome_response ~id oc, true))
 
 let handle_line t line =
   if String.length line > max_line_bytes then begin
@@ -692,34 +414,16 @@ let handle_line t line =
       match Json.parse trimmed with
       | Error e ->
         (Some (protocol_error t ~id:None ("invalid request: " ^ e)), true)
-      | Ok (Json.Obj members as obj) -> (
-        match id_of obj with
+      | Ok (Json.Obj members) -> (
+        match id_of members with
         | Error msg -> (Some (protocol_error t ~id:None msg), true)
         | Ok id -> (
-          match req_str obj "op" with
+          match op_of members with
           | Error msg -> (Some (protocol_error t ~id msg), true)
           | Ok op -> (
-            match dispatch t obj members ~op with
+            match dispatch t ~id members ~op with
             | Error msg -> (Some (protocol_error t ~id msg), true)
-            | Ok (Ran oc) ->
-              classify t oc;
-              (Some (outcome_response ~id oc), true)
-            | Ok Stats ->
-              t.completed <- t.completed + 1;
-              (Some (stats_response t ~id), true)
-            | Ok Health ->
-              t.completed <- t.completed + 1;
-              (Some (health_response t ~id), true)
-            | Ok Quit ->
-              t.completed <- t.completed + 1;
-              ( Some
-                  (respond ~id
-                     [
-                       ("op", Json.Str "quit");
-                       ("ok", Json.Bool true);
-                       ("exit", Json.Int 0);
-                     ]),
-                false )
+            | Ok (response, continue) -> (Some response, continue)
             (* a bug below the protocol layer must not kill the daemon:
                answer an error line and keep serving *)
             | exception e ->

@@ -7,31 +7,14 @@
     byte-identical to the one-shot CLI, plus per-model cache outcomes
     from the daemon's content-hash {!Cache}.
 
-    Request shape (fields beyond these are rejected):
-
-    {v
-    {"op":"lint","models":["a.xmi","b.xmi"],"id":7,
-     "format":"json","only":["SOC-01"],"disable":[],"no_hdl":false,
-     "jobs":4,"metrics":true}
-    v}
-
-    - ["op"] (required): [validate], [lint], [info], [gen], [simulate],
-      [trace], [partition], [analyze], [inject], [pack], [stats],
-      [health], [quit].
-    - ["id"] (optional int or string): echoed verbatim in the response.
-    - Model ops take ["model"] (and [lint] alternatively ["models"]);
-      the remaining fields are the CLI flags of the same name —
-      ["format"], ["only"], ["disable"], ["no_hdl"], ["jobs"],
-      ["machine"], ["events"], ["rtl"], ["lang"], ["budget"], ["seed"],
-      ["faults"], ["out"] — with the CLI defaults.
-    - ["metrics"]: [true] forks the daemon registry for this request
-      and appends the fork's report to the output, then merges the fork
-      back — so each response carries that request's counters only and
-      identical requests report identical metrics (DESIGN.md §serve).
-    - [simulate], [analyze] and [inject] additionally take ["fuel"]
-      (non-negative checkpoint count, deterministic) or
-      ["deadline_ms"] (positive wall-clock budget) — mutually
-      exclusive; either overrides the server-wide [deadline_ms].
+    A request is one object: ["op"], an optional ["id"] (int or
+    string, echoed verbatim in the response) and the op's fields.  The
+    model ops and their fields are {!Op_spec.table} — the same table
+    the CLI subcommands are built from; [simulate], [analyze] and
+    [inject] also take ["fuel"] (non-negative checkpoint count) or
+    ["deadline_ms"] (positive wall-clock budget), overriding the
+    server-wide [deadline_ms].  Control ops: [stats], [health],
+    [quit].
 
     Executed ops answer
     [{"id"?,"op","ok","exit","cache":[{"path","key","state"}...],
@@ -73,8 +56,7 @@ val create :
   ?max_queue:int ->
   unit ->
   t
-(** A daemon with a fresh {!Cache} (same defaults) and a live metrics
-    registry.  [deadline_ms] (default: none) is the server-wide
+(** A daemon with a fresh {!Cache} (same defaults).  [deadline_ms] (default: none) is the server-wide
     wall-clock budget applied to [simulate]/[analyze]/[inject]
     requests that don't carry their own; [max_queue] (default 64)
     bounds the pending-line queue — lines past it are shed with an

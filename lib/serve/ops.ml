@@ -390,10 +390,11 @@ let analyze ?(budget = Exec.Budget.unlimited) sink ~metrics ~only ~disable
              outf sink "  bounded: NO (unbounded places: %s)\n"
                (String.concat ", " r.Petri.Coverability.unbounded_places)
            | None -> outf sink "  bounded: unknown (limit reached)\n");
-          let r =
-            Petri.Analysis.reachable ~limit:5000 ~metrics:reg ~budget ~pool
+          let s =
+            Petri.Analysis.explore ~limit:5000 ~metrics:reg ~budget ~pool
               ~compiled net m0
           in
+          let r = s.Petri.Analysis.sum_reach in
           outf sink "  reachable markings: %d%s, deadlocks: %d\n"
             r.Petri.Analysis.state_count
             (if r.Petri.Analysis.truncated then "+" else "")
@@ -402,14 +403,9 @@ let analyze ?(budget = Exec.Budget.unlimited) sink ~metrics ~only ~disable
           outf sink "  P-invariants: %d\n" (List.length invariants);
           (* dead-transition verdicts are only meaningful when the
              state space was fully explored *)
-          if not r.Petri.Analysis.truncated then begin
-            let dead =
-              Petri.Analysis.dead_transitions ~limit:5000 ~budget ~pool
-                ~compiled net m0
-            in
-            if dead <> [] then
-              outf sink "  dead transitions: %s\n" (String.concat ", " dead)
-          end)
+          let dead = s.Petri.Analysis.sum_dead_transitions in
+          if (not r.Petri.Analysis.truncated) && dead <> [] then
+            outf sink "  dead transitions: %s\n" (String.concat ", " dead))
         activities;
       let lint = Lint.Check.check_model ~selection ~metrics:reg m in
       if lint <> [] then begin

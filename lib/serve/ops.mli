@@ -59,8 +59,8 @@ val selection_of :
 
     [metrics] is the per-run registry: [None] means telemetry off;
     [Some reg] collects into [reg] and appends the rendered report to
-    the output stream (the CLI passes a fresh registry, the daemon a
-    fork of its own; see DESIGN.md §serve). *)
+    the output stream (the CLI and the daemon both pass a fresh one,
+    built by {!Op_spec}). *)
 
 val validate : sink -> format:format -> Artifacts.t -> int
 

@@ -484,8 +484,76 @@ let assert_differential d ~args ~request =
     (Printf.sprintf "stderr (%s)" (String.concat " " args))
     stderr (rstr "error" v)
 
+let req fmt = Printf.sprintf fmt
+
+(* One-shot argument lists and the equivalent requests; every op in
+   [Serve.Op_spec.table] has at least one (checked below). *)
+let op_cases ~model ~snap ~pack_out =
+  [
+    ([ "validate"; model ],
+     req {|{"op":"validate","model":%S}|} model);
+    ([ "validate"; "--format"; "json"; model ],
+     req {|{"op":"validate","model":%S,"format":"json"}|} model);
+    ([ "lint"; model ], req {|{"op":"lint","model":%S}|} model);
+    ([ "lint"; "--jobs"; "4"; "--format"; "json"; model; snap ],
+     req {|{"op":"lint","models":[%S,%S],"jobs":4,"format":"json"}|}
+       model snap);
+    ([ "lint"; "--only"; "SC"; "--no-hdl"; model ],
+     req {|{"op":"lint","model":%S,"only":["SC"],"no_hdl":true}|}
+       model);
+    ([ "info"; model ], req {|{"op":"info","model":%S}|} model);
+    ([ "gen"; model; "vhdl" ],
+     req {|{"op":"gen","model":%S,"lang":"vhdl"}|} model);
+    ([ "simulate"; "--events"; "toggle,toggle"; model ],
+     req {|{"op":"simulate","model":%S,"events":"toggle,toggle"}|}
+       model);
+    ([ "simulate"; "--rtl"; "--events"; "toggle"; snap ],
+     req {|{"op":"simulate","model":%S,"rtl":true,"events":"toggle"}|}
+       snap);
+    ([ "simulate"; "--metrics"; "--events"; "toggle"; model ],
+     req
+       {|{"op":"simulate","model":%S,"metrics":true,"events":"toggle"}|}
+       model);
+    ([ "trace"; "--events"; "toggle"; model ],
+     req {|{"op":"trace","model":%S,"events":"toggle"}|} model);
+    ([ "partition"; model ],
+     req {|{"op":"partition","model":%S}|} model);
+    ([ "partition"; "--budget"; "2"; model ],
+     req {|{"op":"partition","model":%S,"budget":2}|} model);
+    ([ "analyze"; "--metrics"; "--jobs"; "2"; model ],
+     req {|{"op":"analyze","model":%S,"metrics":true,"jobs":2}|}
+       model);
+    ([ "inject"; "--seed"; "3"; "--faults"; "5"; model ],
+     req {|{"op":"inject","model":%S,"seed":3,"faults":5}|} model);
+    ([ "inject"; "--format"; "json"; "--jobs"; "4"; model ],
+     req {|{"op":"inject","model":%S,"format":"json","jobs":4}|}
+       model);
+    ([ "trace"; "--machine"; "Power"; "--events"; "toggle"; model ],
+     req {|{"op":"trace","model":%S,"machine":"Power","events":"toggle"}|}
+       model);
+    ([ "pack"; model; "-o"; pack_out ],
+     req {|{"op":"pack","model":%S,"out":%S}|} model pack_out);
+  ]
+
+let failure_cases ~model ~missing ~garbage =
+  [
+    ([ "info"; missing ], req {|{"op":"info","model":%S}|} missing);
+    ([ "lint"; garbage; model ],
+     req {|{"op":"lint","models":[%S,%S]}|} garbage model);
+    ([ "lint"; "--only"; "NOPE"; model ],
+     req {|{"op":"lint","model":%S,"only":["NOPE"]}|} model);
+    ([ "analyze"; "--disable"; "BOGUS,SC"; model ],
+     req {|{"op":"analyze","model":%S,"disable":["BOGUS","SC"]}|}
+       model);
+    ([ "lint"; "--jobs"; "0"; model ],
+     req {|{"op":"lint","model":%S,"jobs":0}|} model);
+    ([ "simulate"; "--machine"; "NoSuch"; model ],
+     req {|{"op":"simulate","model":%S,"machine":"NoSuch"}|} model);
+    ([ "inject"; "--faults=-1"; model ],
+     req {|{"op":"inject","model":%S,"faults":-1}|} model);
+  ]
+
 let differential_tests =
-  let req fmt = Printf.sprintf fmt in
   [
     tc "model ops are byte-identical, cold and warm, at every job count"
       (fun () ->
@@ -493,46 +561,8 @@ let differential_tests =
         let snap = Lazy.force demo_snapshot in
         let d = Serve.Daemon.create () in
         let cases =
-          [
-            ([ "validate"; model ],
-             req {|{"op":"validate","model":%S}|} model);
-            ([ "validate"; "--format"; "json"; model ],
-             req {|{"op":"validate","model":%S,"format":"json"}|} model);
-            ([ "lint"; model ], req {|{"op":"lint","model":%S}|} model);
-            ([ "lint"; "--jobs"; "4"; "--format"; "json"; model; snap ],
-             req {|{"op":"lint","models":[%S,%S],"jobs":4,"format":"json"}|}
-               model snap);
-            ([ "lint"; "--only"; "SC"; "--no-hdl"; model ],
-             req {|{"op":"lint","model":%S,"only":["SC"],"no_hdl":true}|}
-               model);
-            ([ "info"; model ], req {|{"op":"info","model":%S}|} model);
-            ([ "gen"; model; "vhdl" ],
-             req {|{"op":"gen","model":%S,"lang":"vhdl"}|} model);
-            ([ "simulate"; "--events"; "toggle,toggle"; model ],
-             req {|{"op":"simulate","model":%S,"events":"toggle,toggle"}|}
-               model);
-            ([ "simulate"; "--rtl"; "--events"; "toggle"; snap ],
-             req {|{"op":"simulate","model":%S,"rtl":true,"events":"toggle"}|}
-               snap);
-            ([ "simulate"; "--metrics"; "--events"; "toggle"; model ],
-             req
-               {|{"op":"simulate","model":%S,"metrics":true,"events":"toggle"}|}
-               model);
-            ([ "trace"; "--events"; "toggle"; model ],
-             req {|{"op":"trace","model":%S,"events":"toggle"}|} model);
-            ([ "partition"; model ],
-             req {|{"op":"partition","model":%S}|} model);
-            ([ "partition"; "--budget"; "2"; model ],
-             req {|{"op":"partition","model":%S,"budget":2}|} model);
-            ([ "analyze"; "--metrics"; "--jobs"; "2"; model ],
-             req {|{"op":"analyze","model":%S,"metrics":true,"jobs":2}|}
-               model);
-            ([ "inject"; "--seed"; "3"; "--faults"; "5"; model ],
-             req {|{"op":"inject","model":%S,"seed":3,"faults":5}|} model);
-            ([ "inject"; "--format"; "json"; "--jobs"; "4"; model ],
-             req {|{"op":"inject","model":%S,"format":"json","jobs":4}|}
-               model);
-          ]
+          op_cases ~model ~snap
+            ~pack_out:(Filename.concat tmp "serve_diff_pack.sumb")
         in
         (* twice: first pass misses the daemon cache, second is all
            warm hits — both must match the one-shot CLI *)
@@ -551,22 +581,7 @@ let differential_tests =
         let d = Serve.Daemon.create () in
         List.iter
           (fun (args, request) -> assert_differential d ~args ~request)
-          [
-            ([ "info"; missing ], req {|{"op":"info","model":%S}|} missing);
-            ([ "lint"; garbage; model ],
-             req {|{"op":"lint","models":[%S,%S]}|} garbage model);
-            ([ "lint"; "--only"; "NOPE"; model ],
-             req {|{"op":"lint","model":%S,"only":["NOPE"]}|} model);
-            ([ "analyze"; "--disable"; "BOGUS,SC"; model ],
-             req {|{"op":"analyze","model":%S,"disable":["BOGUS","SC"]}|}
-               model);
-            ([ "lint"; "--jobs"; "0"; model ],
-             req {|{"op":"lint","model":%S,"jobs":0}|} model);
-            ([ "simulate"; "--machine"; "NoSuch"; model ],
-             req {|{"op":"simulate","model":%S,"machine":"NoSuch"}|} model);
-            ([ "inject"; "--faults=-1"; model ],
-             req {|{"op":"inject","model":%S,"faults":-1}|} model);
-          ]);
+          (failure_cases ~model ~missing ~garbage));
     tc "pack through the daemon writes identical snapshots" (fun () ->
         let model = Lazy.force demo_model in
         let out_cli = Filename.concat tmp "serve_diff_cli.sumb" in
@@ -581,6 +596,94 @@ let differential_tests =
         check Alcotest.bool "ok" true (rbool "ok" v);
         check Alcotest.string "identical snapshot bytes" (read_file out_cli)
           (read_file out_d));
+    tc "every op in the table has a differential case" (fun () ->
+        let covered =
+          List.map
+            (fun (args, _request) -> List.hd args)
+            (op_cases ~model:"m" ~snap:"s" ~pack_out:"o"
+            @ failure_cases ~model:"m" ~missing:"x" ~garbage:"g")
+        in
+        List.iter
+          (fun spec ->
+            let op = Serve.Op_spec.name spec in
+            check Alcotest.bool op true (List.mem op covered))
+          Serve.Op_spec.table);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Request decoding, generated from the op table                      *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
+(* The op's required fields with well-typed values, so a request built
+   on it fails only on the field under test. *)
+let base_request spec =
+  let op = Serve.Op_spec.name spec in
+  ("op", Serve.Json.Str op)
+  :: ("model", Serve.Json.Str "x.xmi")
+  ::
+  (if List.mem "lang" (Serve.Op_spec.json_fields spec) then
+     [ ("lang", Serve.Json.Str "vhdl") ]
+   else [])
+
+let request_fields spec =
+  Serve.Op_spec.json_fields spec
+  @ if Serve.Op_spec.budgeted spec then [ "fuel"; "deadline_ms" ] else []
+
+let op_table_tests =
+  [
+    tc "an ill-typed value for any field of any op is a protocol error"
+      (fun () ->
+        let d = Serve.Daemon.create () in
+        List.iter
+          (fun spec ->
+            List.iter
+              (fun field ->
+                let members =
+                  List.filter
+                    (fun (key, _v) ->
+                      key <> field && not (field = "models" && key = "model"))
+                    (base_request spec)
+                  @ [ (field, Serve.Json.Obj []) ]
+                in
+                let line = Serve.Json.to_string (Serve.Json.Obj members) in
+                let v, _ = send d line in
+                check Alcotest.bool
+                  (line ^ ": error names the field")
+                  true
+                  (contains (rstr "error" v) (Printf.sprintf "field %S" field));
+                assert_protocol_error d line)
+              (request_fields spec))
+          Serve.Op_spec.table);
+    tc "an unknown field is rejected by every op" (fun () ->
+        let d = Serve.Daemon.create () in
+        List.iter
+          (fun spec ->
+            let op = Serve.Op_spec.name spec in
+            (* budget fields are unknown to the ops that take no budget *)
+            let unknown =
+              "bogus_field"
+              ::
+              (if Serve.Op_spec.budgeted spec then []
+               else [ "fuel"; "deadline_ms" ])
+            in
+            List.iter
+              (fun field ->
+                let line =
+                  Serve.Json.to_string
+                    (Serve.Json.Obj
+                       (base_request spec @ [ (field, Serve.Json.Int 1) ]))
+                in
+                let v, _ = send d line in
+                check Alcotest.string line
+                  (Printf.sprintf "unknown field %S for op %S" field op)
+                  (rstr "error" v);
+                assert_protocol_error d line)
+              unknown)
+          Serve.Op_spec.table);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -859,6 +962,7 @@ let () =
       ("cache", cache_tests);
       ("daemon", daemon_tests);
       ("differential", differential_tests);
+      ("op table", op_table_tests);
       ("metrics", metrics_tests);
       ("resilience", resilience_tests @ [ qcheck_depth_cap; qcheck_line_cap ]);
     ]
