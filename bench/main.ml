@@ -1342,6 +1342,22 @@ let e19_warm line =
   e19_request daemon line;
   e18_time (fun () -> e19_request daemon line)
 
+(* Sleep until every file's mtime and ctime predate the serve cache's
+   racy window, so the next verification of their bytes makes the stat
+   memo trusted. *)
+let e19_settle paths =
+  let newest =
+    List.fold_left
+      (fun acc p ->
+        let st = Unix.stat p in
+        Float.max acc (Float.max st.Unix.st_mtime st.Unix.st_ctime))
+      0. paths
+  in
+  let wait =
+    newest +. Serve.Cache.racy_window_s +. 0.1 -. Unix.gettimeofday ()
+  in
+  if wait > 0. then Unix.sleepf wait
+
 let e19_model ~classes =
   let m = Workload.Gen_model.structural ~seed:7 ~classes in
   Uml.Model.add m
@@ -1365,6 +1381,9 @@ let e19_report () =
     Printf.sprintf
       {|{"op":"simulate","model":"%s","rtl":true,"events":"%s"}|} path events
   in
+  let shapes = [ ("lint-1000c", lint_line); ("simulate-rtl", sim_line) ] in
+  (* warm: timed right after the files were written, inside the racy
+     window, so every request re-reads and re-hashes the model *)
   List.iter
     (fun (shape, line_of) ->
       let t_cold_xmi = e19_cold (line_of xmi) in
@@ -1381,10 +1400,19 @@ let e19_report () =
       record_f (key "e19.warm_ms.%s") (1e3 *. t_warm);
       record_f (key "e19.warm_speedup.%s") (t_cold_xmi /. t_warm);
       record_f (key "e19.warm_rps.%s") (1. /. t_warm))
-    [
-      ("lint-1000c", lint_line);
-      ("simulate-rtl", sim_line);
-    ];
+    shapes;
+  (* settled: the files have been quiet past the window, so warm hits
+     are answered from the stat memo without opening the file *)
+  e19_settle [ xmi; snap ];
+  List.iter
+    (fun (shape, line_of) ->
+      let t_settled = e19_warm (line_of xmi) in
+      Printf.printf "%-14s settled warm %7.3f ms (%8.0f req/s)\n" shape
+        (1e3 *. t_settled) (1. /. t_settled);
+      record_f
+        (Printf.sprintf "e19.warm_settled_ms.%s" shape)
+        (1e3 *. t_settled))
+    shapes;
   Sys.remove xmi;
   Sys.remove snap
 

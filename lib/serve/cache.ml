@@ -28,9 +28,24 @@ type stats = {
   cs_quarantined : int;
 }
 
+(* What a path looked like when its bytes last hashed to [m_key]:
+   the racy-clean stat memo that lets a warm hit skip the re-read and
+   the hash.  [m_verified_at] is the wall clock taken before that
+   stat. *)
+type memo = {
+  m_dev : int;
+  m_ino : int;
+  m_size : int;
+  m_mtime : float;
+  m_ctime : float;
+  m_key : string;
+  m_verified_at : float;
+}
+
 type t = {
   lock : Mutex.t;
   table : (string, entry) Hashtbl.t;
+  memo : (string, memo) Hashtbl.t;  (** path -> last verified stat *)
   max_entries : int;
   max_bytes : int;
   persist_dir : string option;
@@ -58,6 +73,7 @@ let create ?(max_entries = 64) ?(max_bytes = 256 * 1024 * 1024) ?persist_dir
   {
     lock = Mutex.create ();
     table = Hashtbl.create 64;
+    memo = Hashtbl.create 64;
     max_entries;
     max_bytes;
     persist_dir;
@@ -74,6 +90,13 @@ let create ?(max_entries = 64) ?(max_bytes = 256 * 1024 * 1024) ?persist_dir
 let next_stamp t =
   t.tick <- t.tick + 1;
   t.tick
+
+(* A memo never outlives its entry: drop every path that resolved to
+   [key] once [key] leaves the table. *)
+let forget_key t key =
+  Hashtbl.filter_map_inplace
+    (fun _path m -> if m.m_key = key then None else Some m)
+    t.memo
 
 (* Evict least-recently-used entries until both bounds hold, but never
    the entry inserted by the current lookup — one oversized model must
@@ -98,6 +121,7 @@ let enforce_bounds t ~keep =
          | Some e -> t.bytes <- t.bytes - e.e_charge
          | None -> ());
         Hashtbl.remove t.table key;
+        forget_key t key;
         t.evictions <- t.evictions + 1;
         loop ()
       | None -> () (* only the protected entry remains *)
@@ -137,9 +161,9 @@ let try_refill t key =
           None))
 
 (* Write-through persistence, atomic against concurrent readers: write
-   to a dotfile sibling and rename into place.  Failures (full disk,
-   read-only dir) are swallowed — the cache must never turn a healthy
-   request into an error. *)
+   to a per-process dotfile sibling and rename into place.  Failures
+   (full disk, read-only dir) are swallowed — the cache must never turn
+   a healthy request into an error. *)
 let persist t key model =
   match t.persist_dir with
   | None -> ()
@@ -147,7 +171,13 @@ let persist t key model =
     let path = snap_path dir key in
     if not (Sys.file_exists path) then begin
       match
-        let tmp = Filename.concat dir ("." ^ key ^ ".tmp") in
+        (* the pid keeps two daemons that share the dir and miss the
+           same key from truncating the inode the other just renamed
+           into place *)
+        let tmp =
+          Filename.concat dir
+            (Printf.sprintf ".%s.%d.tmp" key (Unix.getpid ()))
+        in
         let oc = open_out_bin tmp in
         (match output_string oc (Snap.Write.to_string model) with
          | () -> close_out oc
@@ -160,17 +190,69 @@ let persist t key model =
       | exception _ -> ()
     end
 
-let load t path =
+(* git's racy-clean rule (https://git-scm.com/docs/racy-git): a stat
+   is only trusted once both its mtime and its ctime lie this many
+   seconds before the moment the bytes were verified.  An edit inside
+   one timestamp tick of the verifying read — kernel clock ticks,
+   FAT's 2 s resolution — may leave every stat field unchanged, so
+   such a memo re-hashes until the file has been quiet this long.
+   [utimes] can fake mtime but not ctime, hence both. *)
+let racy_window_s = 2.0
+
+let same_stat m (st : Unix.stats) =
+  m.m_dev = st.Unix.st_dev
+  && m.m_ino = st.Unix.st_ino
+  && m.m_size = st.Unix.st_size
+  && Float.equal m.m_mtime st.Unix.st_mtime
+  && Float.equal m.m_ctime st.Unix.st_ctime
+
+let settled m =
+  let horizon = m.m_verified_at -. racy_window_s in
+  m.m_mtime < horizon && m.m_ctime < horizon
+
+(* Under the lock: answer from a resident entry. *)
+let hit t e key =
+  e.e_stamp <- next_stamp t;
+  t.hits <- t.hits + 1;
+  Ok (e.e_artifacts, key, Hit)
+
+(* Under the lock: the hit a settled memo vouches for, if its key is
+   still resident. *)
+let memo_hit t path st =
+  match Hashtbl.find_opt t.memo path with
+  | Some m when same_stat m st && settled m -> (
+    match Hashtbl.find_opt t.table m.m_key with
+    | Some e -> Some (hit t e m.m_key)
+    | None -> None)
+  | Some _ | None -> None
+
+(* Under the lock, after the slow path: remember what the file looked
+   like before it was read, or forget the path when the read did not
+   produce a resident entry. *)
+let record_memo t path ~now stat result =
+  match (stat, result) with
+  | Some st, Ok (_art, key, _state) when Hashtbl.mem t.table key ->
+    Hashtbl.replace t.memo path
+      {
+        m_dev = st.Unix.st_dev;
+        m_ino = st.Unix.st_ino;
+        m_size = st.Unix.st_size;
+        m_mtime = st.Unix.st_mtime;
+        m_ctime = st.Unix.st_ctime;
+        m_key = key;
+        m_verified_at = now;
+      }
+  | (Some _ | None), (Ok _ | Error _) -> Hashtbl.remove t.memo path
+
+(* Read, hash, look up — and on a miss decode, insert and persist. *)
+let load_bytes t path =
   match Load.read_bytes path with
   | Error msg -> Error msg
   | Ok data ->
     let key = Digest.to_hex (Digest.string data) in
     locked t (fun () ->
         match Hashtbl.find_opt t.table key with
-        | Some e ->
-          e.e_stamp <- next_stamp t;
-          t.hits <- t.hits + 1;
-          Ok (e.e_artifacts, key, Hit)
+        | Some e -> hit t e key
         | None ->
           t.misses <- t.misses + 1;
           let refilled = try_refill t key in
@@ -202,6 +284,28 @@ let load t path =
                persist t key model;
              Ok (art, key, state)))
 
+(* Stat first: a regular file whose stat matches a settled memo is
+   answered from the table without opening it.  Anything else — no
+   memo, a changed or racy stat, a stat error, a non-regular file, an
+   evicted key — takes the read + hash path and then refreshes or
+   drops the memo.  [now] is taken before the stat, so the memo's
+   verification stamp never postdates the stat it vouches for. *)
+let load t path =
+  let now = Unix.gettimeofday () in
+  let stat =
+    match Unix.stat path with
+    | st when st.Unix.st_kind = Unix.S_REG -> Some st
+    | _st -> None
+    | exception Unix.Unix_error _ -> None
+  in
+  match Option.bind stat (fun st -> locked t (fun () -> memo_hit t path st))
+  with
+  | Some result -> result
+  | None ->
+    let result = load_bytes t path in
+    locked t (fun () -> record_memo t path ~now stat result);
+    result
+
 let stats t =
   locked t (fun () ->
       {
@@ -224,5 +328,6 @@ let clear t =
   locked t (fun () ->
       let n = Hashtbl.length t.table in
       Hashtbl.reset t.table;
+      Hashtbl.reset t.memo;
       t.bytes <- 0;
       t.evictions <- t.evictions + n)

@@ -1,12 +1,19 @@
 (** Content-hash-keyed LRU cache of loaded models and their derived
     artifacts — the heart of [socuml serve].
 
-    A lookup reads the file's bytes (cheap), hashes them, and returns
-    the resident {!Artifacts.t} on a hit — the parse and every memoized
-    lowering are skipped.  Keys are content digests, not paths: the
-    same model bytes at two paths share one entry, and editing a file
-    changes its key (stale entries age out by LRU, they are never
-    served).
+    A lookup stats the path first.  When a per-path stat memo says
+    the file is unchanged — same device, inode, size, mtime and ctime
+    as when its bytes were last hashed, both timestamps at least 2 s
+    older than that verification (git's racy-clean rule), and the key
+    still resident — the resident {!Artifacts.t} is returned without
+    opening the file.  Otherwise the lookup reads the file's bytes,
+    hashes them, and returns the resident entry on a hit — the parse
+    and every memoized lowering are skipped — then refreshes the memo.
+    Keys are content digests, not paths: the same model bytes at two
+    paths share one entry, touching a file re-hashes to the same key,
+    and editing a file changes its key (stale entries age out by LRU,
+    they are never served).  A memo entry is dropped with the cache
+    entry it points at.
 
     Capacity is bounded twice: a maximum entry count and a byte budget,
     where an entry is charged its source-file size (the observable,
@@ -33,6 +40,10 @@ type state =
   | Hit  (** resident in memory *)
   | Snap  (** miss, refilled from a persisted [<key>.sumb] snapshot *)
   | Miss  (** miss, parsed from the source bytes *)
+
+val racy_window_s : float
+(** 2 s: how long both of a file's timestamps must predate the
+    verification of its bytes before the stat memo is trusted. *)
 
 val state_name : state -> string
 (** ["hit"], ["snap"], ["miss"] — the protocol's wire spelling. *)

@@ -172,14 +172,27 @@ let info sink (art : Artifacts.t) =
   let m = art.Artifacts.model in
   outf sink "model %s: %d elements\n" (Uml.Model.name m) (Uml.Model.size m);
   let count label n = if n > 0 then outf sink "  %-16s %d\n" label n in
-  count "classifiers" (List.length (Uml.Model.classifiers m));
-  count "components" (List.length (Uml.Model.components m));
-  count "state machines" (List.length (Uml.Model.state_machines m));
-  count "activities" (List.length (Uml.Model.activities m));
-  count "interactions" (List.length (Uml.Model.interactions m));
-  count "use cases" (List.length (Uml.Model.use_cases m));
-  count "packages" (List.length (Uml.Model.packages m));
-  count "profiles" (List.length (Uml.Model.profiles m));
+  (* one walk over the elements; slot i counts labels.(i) *)
+  let labels =
+    [| "classifiers"; "components"; "state machines"; "activities";
+       "interactions"; "use cases"; "packages"; "profiles" |]
+  in
+  let n = Array.make (Array.length labels) 0 in
+  let bump i = n.(i) <- n.(i) + 1 in
+  Uml.Model.iter
+    (fun e ->
+      match e with
+      | Uml.Model.E_classifier _ -> bump 0
+      | Uml.Model.E_component _ -> bump 1
+      | Uml.Model.E_state_machine _ -> bump 2
+      | Uml.Model.E_activity _ -> bump 3
+      | Uml.Model.E_interaction _ -> bump 4
+      | Uml.Model.E_use_case _ -> bump 5
+      | Uml.Model.E_package _ -> bump 6
+      | Uml.Model.E_profile _ -> bump 7
+      | _other -> ())
+    m;
+  Array.iteri (fun i label -> count label n.(i)) labels;
   count "applications" (List.length (Uml.Model.applications m));
   count "diagrams" (List.length (Uml.Model.diagrams m));
   0

@@ -471,7 +471,7 @@ let daemon_tests =
 
 (* Run the same op one-shot and through a daemon; stdout, stderr and
    exit code must agree byte-for-byte. *)
-let assert_differential d ~args ~request =
+let differential d ~args ~request =
   let code, stdout, stderr = run_cli args in
   let v, _ = send d request in
   check Alcotest.int
@@ -482,7 +482,11 @@ let assert_differential d ~args ~request =
     stdout (rstr "output" v);
   check Alcotest.string
     (Printf.sprintf "stderr (%s)" (String.concat " " args))
-    stderr (rstr "error" v)
+    stderr (rstr "error" v);
+  v
+
+let assert_differential d ~args ~request =
+  ignore (differential d ~args ~request)
 
 let req fmt = Printf.sprintf fmt
 
@@ -608,6 +612,158 @@ let differential_tests =
             let op = Serve.Op_spec.name spec in
             check Alcotest.bool op true (List.mem op covered))
           Serve.Op_spec.table);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Racy-clean stat memo                                               *)
+
+(* [info] on one model through the daemon, byte-checked against the
+   one-shot CLI; the reported cache (state, key), or [None] when the
+   load failed and the response lists no cache entry. *)
+let memo_info d path =
+  let v =
+    differential d ~args:[ "info"; path ]
+      ~request:(req {|{"op":"info","model":%S}|} path)
+  in
+  match rmember "cache" v with
+  | Some (Serve.Json.List [ entry ]) ->
+    Some (rstr "state" entry, rstr "key" entry)
+  | Some (Serve.Json.List []) -> None
+  | Some _ | None -> Alcotest.fail "expected at most one cache entry"
+
+let memo_state d path =
+  match memo_info d path with
+  | Some (state, _key) -> state
+  | None -> Alcotest.failf "info %s: load failed" path
+
+(* Prime a fresh path: a miss, then a hit. *)
+let prime d path =
+  check Alcotest.string "cold" "miss" (memo_state d path);
+  check Alcotest.string "warm" "hit" (memo_state d path)
+
+let remove_path path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } -> Unix.rmdir path
+  | _st -> Sys.remove path
+  | exception Unix.Unix_error _ -> ()
+
+(* A tiny model stamped with a whole-second mtime, which [Unix.utimes]
+   can put back exactly (sub-second stamps lose their nanoseconds). *)
+let memo_model name path =
+  let p = tiny_model name path in
+  let stamp = Float.of_int (int_of_float (Unix.gettimeofday ())) in
+  Unix.utimes p stamp stamp;
+  p
+
+(* Rewrite in place (same inode, truncated) and stamp the previous
+   mtime back on, so only ctime can tell the edit apart. *)
+let rewrite_keeping_mtime path name =
+  let before = Unix.stat path in
+  ignore (tiny_model name path);
+  Unix.utimes path before.Unix.st_atime before.Unix.st_mtime;
+  let after = Unix.stat path in
+  check Alcotest.int "same inode" before.Unix.st_ino after.Unix.st_ino;
+  check Alcotest.int "same size" before.Unix.st_size after.Unix.st_size;
+  check (Alcotest.float 0.) "same mtime" before.Unix.st_mtime
+    after.Unix.st_mtime
+
+(* Model files whose mtime and ctime are already past the racy window,
+   so their memos are trusted from the second load on.  Built once:
+   the suite pays one sleep for every case that needs a settled file. *)
+let settled_dir =
+  lazy
+    (let dir = Filename.concat tmp "serve_memo_settled" in
+     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+     Array.iter (fun f -> remove_path (Filename.concat dir f))
+       (Sys.readdir dir);
+     List.iter
+       (fun name ->
+         ignore
+           (memo_model (name ^ "_1")
+              (Filename.concat dir (name ^ ".xmi"))))
+       [ "quiet"; "rename"; "touch"; "deleted"; "dir"; "clear"; "evict_a";
+         "evict_b" ];
+     Unix.sleepf (Serve.Cache.racy_window_s +. 0.1);
+     dir)
+
+let settled name = Filename.concat (Lazy.force settled_dir) (name ^ ".xmi")
+
+let memo_tests =
+  [
+    tc "same-size rewrite with the old mtime right after a hit" (fun () ->
+        let p =
+          memo_model "racy_1" (Filename.concat tmp "serve_memo_racy.xmi")
+        in
+        let d = Serve.Daemon.create () in
+        prime d p;
+        rewrite_keeping_mtime p "racy_2";
+        check Alcotest.string "new content" "miss" (memo_state d p));
+    tc "same-size rewrite with the old mtime after the window" (fun () ->
+        let p = settled "quiet" in
+        let d = Serve.Daemon.create () in
+        prime d p;
+        rewrite_keeping_mtime p "quiet_2";
+        check Alcotest.string "new content" "miss" (memo_state d p));
+    tc "atomic replace by rename answers the new content" (fun () ->
+        let p = settled "rename" in
+        let d = Serve.Daemon.create () in
+        prime d p;
+        let before = Unix.stat p in
+        let staged = tiny_model "rename_2" (p ^ ".new") in
+        Unix.utimes staged before.Unix.st_atime before.Unix.st_mtime;
+        Unix.rename staged p;
+        check Alcotest.string "new content" "miss" (memo_state d p));
+    tc "touch alone re-hashes to the same key" (fun () ->
+        let p = settled "touch" in
+        let d = Serve.Daemon.create () in
+        let key =
+          match (memo_info d p, memo_info d p) with
+          | Some ("miss", k1), Some ("hit", k2) when k1 = k2 -> k1
+          | _cold, _warm -> Alcotest.fail "expected miss then hit"
+        in
+        Unix.utimes p 0. 0.;
+        match memo_info d p with
+        | Some (state, k) ->
+          check Alcotest.string "state" "hit" state;
+          check Alcotest.string "key" key k
+        | None -> Alcotest.fail "touched file failed to load");
+    tc "a deleted file gives the standard diagnostic" (fun () ->
+        let p = settled "deleted" in
+        let d = Serve.Daemon.create () in
+        prime d p;
+        Sys.remove p;
+        check Alcotest.bool "no cache entry" true (memo_info d p = None));
+    tc "a file replaced by a directory gives the standard diagnostic"
+      (fun () ->
+        let p = settled "dir" in
+        let d = Serve.Daemon.create () in
+        prime d p;
+        Sys.remove p;
+        Unix.mkdir p 0o755;
+        check Alcotest.bool "no cache entry" true (memo_info d p = None));
+    tc "a cleared cache misses, never a stale hit" (fun () ->
+        let p = settled "clear" in
+        let d = Serve.Daemon.create () in
+        prime d p;
+        let crashes = ref 1 in
+        (match
+           Serve.Daemon.with_degradation d (fun () ->
+               if !crashes > 0 then begin
+                 decr crashes;
+                 raise Out_of_memory
+               end)
+         with
+         | Ok () -> ()
+         | Error e -> Alcotest.failf "expected recovery, got: %s" e);
+        check Alcotest.string "after clear" "miss" (memo_state d p);
+        check Alcotest.string "then resident" "hit" (memo_state d p));
+    tc "an evicted entry misses, never a stale hit" (fun () ->
+        let a = settled "evict_a" and b = settled "evict_b" in
+        let d = Serve.Daemon.create ~max_entries:1 () in
+        prime d a;
+        check Alcotest.string "b evicts a" "miss" (memo_state d b);
+        check Alcotest.string "a after eviction" "miss" (memo_state d a);
+        check Alcotest.string "then resident" "hit" (memo_state d a));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -962,6 +1118,7 @@ let () =
       ("cache", cache_tests);
       ("daemon", daemon_tests);
       ("differential", differential_tests);
+      ("stat memo", memo_tests);
       ("op table", op_table_tests);
       ("metrics", metrics_tests);
       ("resilience", resilience_tests @ [ qcheck_depth_cap; qcheck_line_cap ]);
