@@ -1279,6 +1279,11 @@ let e18_report () =
       let t_import =
         e18_time (fun () -> ignore (Xmi.Read.model_of_string xmi))
       in
+      (* the import split into its two layers: XML text to tree, tree to
+         model *)
+      let t_parse = e18_time (fun () -> ignore (Sxml.Parse.parse_string xmi)) in
+      let doc = Sxml.Parse.parse_string xmi in
+      let t_build = e18_time (fun () -> ignore (Xmi.Read.of_xml doc)) in
       let t_load =
         e18_time (fun () -> ignore (Snap.Read.model_of_string snap))
       in
@@ -1293,12 +1298,16 @@ let e18_report () =
       in
       let lossless = Uml.Model.equal m (Snap.Read.model_of_string snap) in
       Printf.printf
-        "%-6d classes: import %8.3f ms -> load %8.3f ms (%6.1fx, marshal \
-         floor %6.3f ms), %7d -> %6d bytes, lossless: %b\n"
-        classes (1e3 *. t_import) (1e3 *. t_load) (t_import /. t_load)
-        (1e3 *. t_marshal) (String.length xmi) (String.length snap) lossless;
+        "%-6d classes: import %8.3f ms (parse %7.3f + build %7.3f) -> load \
+         %8.3f ms (%6.1fx, marshal floor %6.3f ms), %7d -> %6d bytes, \
+         lossless: %b\n"
+        classes (1e3 *. t_import) (1e3 *. t_parse) (1e3 *. t_build)
+        (1e3 *. t_load) (t_import /. t_load) (1e3 *. t_marshal)
+        (String.length xmi) (String.length snap) lossless;
       let key fmt = Printf.sprintf fmt classes in
       record_f (key "e18.xmi_import_ms.classes%04d") (1e3 *. t_import);
+      record_f (key "e18.xmi_parse_ms.classes%04d") (1e3 *. t_parse);
+      record_f (key "e18.xmi_build_ms.classes%04d") (1e3 *. t_build);
       record_f (key "e18.snap_load_ms.classes%04d") (1e3 *. t_load);
       record_f (key "e18.load_speedup.classes%04d") (t_import /. t_load);
       record_f (key "e18.marshal_load_ms.classes%04d") (1e3 *. t_marshal);

@@ -34,16 +34,3 @@ let model_of_string data =
   | exception Invalid_argument msg ->
     (* duplicate element identifier from [Uml.Model.add] *)
     import_error "corrupt snapshot: %s" msg
-
-let read_file path =
-  let ic = open_in_bin path in
-  let data =
-    match really_input_string ic (in_channel_length ic) with
-    | data ->
-      close_in ic;
-      data
-    | exception e ->
-      close_in_noerr ic;
-      raise e
-  in
-  model_of_string data

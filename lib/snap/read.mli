@@ -15,5 +15,3 @@ val is_snapshot : string -> bool
 
 val model_of_string : string -> Uml.Model.t
 (** @raise Import_error on any malformed input. *)
-
-val read_file : string -> Uml.Model.t

@@ -17,7 +17,11 @@ let tag_of = function
   | Element e -> Some e.tag
   | Text _ -> None
 
-let attr e name = List.assoc_opt name e.attrs
+let rec assoc name = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k name then Some v else assoc name rest
+
+let attr e name = assoc name e.attrs
 
 let attr_exn e name =
   match attr e name with
@@ -31,8 +35,21 @@ let child_elements e =
       | Text _ -> None)
     e.children
 
-let find_child e tag = List.find_opt (fun c -> c.tag = tag) (child_elements e)
-let find_children e tag = List.filter (fun c -> c.tag = tag) (child_elements e)
+(* [find_child] and [find_children] walk [children] directly rather than
+   materializing [child_elements] first: XMI import calls them once per
+   element kind on every element. *)
+let rec first_tagged tag = function
+  | [] -> None
+  | Element c :: _ when String.equal c.tag tag -> Some c
+  | (Element _ | Text _) :: rest -> first_tagged tag rest
+
+let[@tail_mod_cons] rec all_tagged tag = function
+  | [] -> []
+  | Element c :: rest when String.equal c.tag tag -> c :: all_tagged tag rest
+  | (Element _ | Text _) :: rest -> all_tagged tag rest
+
+let find_child e tag = first_tagged tag e.children
+let find_children e tag = all_tagged tag e.children
 
 let text_content e =
   let buf = Buffer.create 16 in

@@ -600,10 +600,3 @@ let model_of_string s =
     match Sxml.Parse.error_message exn with
     | Some m -> raise (Import_error m)
     | None -> raise exn)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  model_of_string s

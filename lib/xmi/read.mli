@@ -12,5 +12,3 @@ val of_xml : Sxml.Doc.t -> Uml.Model.t
 val model_of_string : string -> Uml.Model.t
 (** Parse then {!of_xml}.
     @raise Import_error also on XML parse errors. *)
-
-val read_file : string -> Uml.Model.t

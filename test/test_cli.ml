@@ -101,6 +101,30 @@ let corrupt_fixture_tests =
              (Filename.concat tmp "socuml_cli_trunc.xmi")
              "<?xml version=\"1.0\"?>\n<xmi:XMI xmlns:xmi=\"http://www.omg\
               .org/XMI\"><uml:Model name=\"t"));
+    tc "elements nested past the depth limit" (fun () ->
+        (* 200 000 levels: well past the cap, so the rejection must come
+           from the cap (fast, one line) rather than the stack *)
+        let depth = 200_000 in
+        let path =
+          write_file
+            (Filename.concat tmp "socuml_cli_deep.xmi")
+            (String.concat ""
+               [
+                 "<xmi:XMI>";
+                 String.concat "" (List.init depth (fun _ -> "<a>"));
+                 String.concat "" (List.init depth (fun _ -> "</a>"));
+                 "</xmi:XMI>";
+               ])
+        in
+        assert_graceful "deep nesting" path;
+        let code, stderr = run_cli [ "validate"; path ] in
+        check Alcotest.int "exit" 1 code;
+        check Alcotest.string "diagnostic"
+          (Printf.sprintf
+             "cannot import %s: XML parse error at 1:3079: elements nested \
+              deeper than 1024 levels"
+             path)
+          (String.trim stderr));
     tc "well-formed xml that is not a model" (fun () ->
         assert_graceful "wrong schema"
           (write_file
