@@ -427,5 +427,5 @@ let () =
       ("parser", parser_tests);
       ("positions", position_tests);
       ("roundtrip", roundtrip_tests);
-      ("differential", differential_tests);
+      ("reference", differential_tests);
     ]
