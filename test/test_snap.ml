@@ -8,315 +8,8 @@ open Uml
 let tc name f = Alcotest.test_case name `Quick f
 let check = Alcotest.check
 
-(* Build a model exercising every metamodel corner the wire codec has a
-   branch for: all classifier kinds, all 10 pseudostate kinds, all
-   trigger and transition kinds, all 12 activity node kinds, both edge
-   kinds, all 6 message sorts, all 12 interaction operators, all vspec
-   literals, components with both connector kinds, all 3 deployment
-   node kinds, a stereotype extending all 16 metaclasses, and all 13
-   diagram kinds. *)
-let kitchen_sink () =
-  let m = Model.create "sink" in
-  let itf =
-    Classifier.make ~kind:Classifier.Interface
-      ~operations:
-        [
-          Classifier.operation
-            ~params:
-              [
-                Classifier.parameter "x" Dtype.Integer;
-                Classifier.parameter ~direction:Classifier.Return "r"
-                  Dtype.Boolean;
-              ]
-            "check";
-        ]
-      "IChecker"
-  in
-  Model.add m (Model.E_classifier itf);
-  let enum =
-    Classifier.make ~kind:(Classifier.Enumeration [ "Red"; "Green" ]) "Color"
-  in
-  Model.add m (Model.E_classifier enum);
-  let sig_cl = Classifier.make ~kind:Classifier.Signal "Ping" in
-  Model.add m (Model.E_classifier sig_cl);
-  Model.add m
-    (Model.E_classifier (Classifier.make ~kind:Classifier.Data_type "Fix16"));
-  Model.add m
-    (Model.E_classifier
-       (Classifier.make ~kind:Classifier.Primitive_type "word32"));
-  let actor = Classifier.make ~kind:Classifier.Actor_kind "User" in
-  Model.add m (Model.E_classifier actor);
-  let base = Classifier.make ~is_abstract:true "Base" in
-  Model.add m (Model.E_classifier base);
-  let cls =
-    Classifier.make ~is_active:true
-      ~attributes:
-        [
-          Classifier.property ~mult:Mult.optional ~default:(Vspec.of_int 3)
-            ~visibility:Classifier.Private ~is_static:true ~is_read_only:true
-            ~aggregation:Classifier.Composite "count" Dtype.Integer;
-          Classifier.property ~default:(Vspec.Real_literal 2.5)
-            ~aggregation:Classifier.Shared "gain" Dtype.Real;
-          Classifier.property ~default:(Vspec.Enum_literal "Red") "color"
-            (Dtype.Ref enum.Classifier.cl_id);
-          Classifier.property ~default:Vspec.Null_literal "label"
-            Dtype.String_type;
-          Classifier.property
-            ~default:(Vspec.Opaque_expression "a + b")
-            ~visibility:Classifier.Package_visibility "expr"
-            Dtype.Unlimited_natural;
-          Classifier.property ~default:(Vspec.of_bool true)
-            ~visibility:Classifier.Protected "flag" Dtype.Boolean;
-        ]
-      ~operations:
-        [
-          Classifier.operation ~visibility:Classifier.Protected ~is_query:true
-            ~body:"return 1;" "peek";
-        ]
-      ~receptions:
-        [
-          {
-            Classifier.recv_id = Ident.fresh ();
-            recv_signal = sig_cl.Classifier.cl_id;
-          };
-        ]
-      ~generals:[ base.Classifier.cl_id ]
-      ~realized:[ itf.Classifier.cl_id ]
-      "Widget"
-  in
-  Model.add m (Model.E_classifier cls);
-  Model.add m
-    (Model.E_association
-       (Classifier.binary_association ~name:"owns"
-          ~source:(cls.Classifier.cl_id, Mult.one, true)
-          ~target:(base.Classifier.cl_id, Mult.many, false)
-          ()));
-  Model.add m
-    (Model.E_package (Pkg.make ~owned:[ cls.Classifier.cl_id ] ~imports:[] "pkg"));
-  (* state machine with all pseudostate kinds *)
-  let mk_ps kind = Smachine.pseudostate kind in
-  let s1 =
-    Smachine.simple_state ~entry:"e();" ~exit_:"x();" ~do_:"d();"
-      ~deferred:[ Smachine.Signal_trigger "later" ]
-      "S1"
-  in
-  let s2 = Smachine.simple_state "S2" in
-  let inner_region =
-    Smachine.region ~name:"inner"
-      [ Smachine.State s2; Smachine.Pseudo (mk_ps Smachine.Shallow_history) ]
-      []
-  in
-  let comp = Smachine.composite_state "Comp" [ inner_region ] in
-  let init = mk_ps Smachine.Initial in
-  let fin = Smachine.final () in
-  let all_pseudos =
-    List.map mk_ps
-      [
-        Smachine.Deep_history; Smachine.Join; Smachine.Fork; Smachine.Junction;
-        Smachine.Choice; Smachine.Entry_point; Smachine.Exit_point;
-        Smachine.Terminate;
-      ]
-  in
-  let region =
-    Smachine.region ~name:"top"
-      (Smachine.Pseudo init :: Smachine.State s1 :: Smachine.State comp
-      :: Smachine.Final fin
-      :: List.map (fun p -> Smachine.Pseudo p) all_pseudos)
-      [
-        Smachine.transition ~source:init.Smachine.ps_id
-          ~target:s1.Smachine.st_id ();
-        Smachine.transition
-          ~triggers:
-            [
-              Smachine.Signal_trigger "go"; Smachine.Time_trigger 5;
-              Smachine.Any_trigger; Smachine.Completion;
-            ]
-          ~guard:"x > 0" ~effect:"x := x - 1;" ~kind:Smachine.Local
-          ~source:s1.Smachine.st_id ~target:comp.Smachine.st_id ();
-        Smachine.transition ~kind:Smachine.Internal ~guard:"x = 0"
-          ~source:s1.Smachine.st_id ~target:s1.Smachine.st_id ();
-      ]
-  in
-  Model.add m
-    (Model.E_state_machine
-       (Smachine.make ~context:cls.Classifier.cl_id "machine" [ region ]));
-  (* activity with every node kind *)
-  let nodes =
-    [
-      Activityg.initial ();
-      Activityg.action ~body:"x := 1;" "act";
-      Activityg.call_behavior ~behavior:(Ident.of_string "beh") "call";
-      Activityg.send_signal ~event:"ping" "send";
-      Activityg.accept_event ~event:"pong" "recv";
-      Activityg.object_node ~upper_bound:4 "buf" Dtype.Integer;
-      Activityg.fork "f";
-      Activityg.join "j";
-      Activityg.decision "d";
-      Activityg.merge "mg";
-      Activityg.flow_final ();
-      Activityg.activity_final ();
-    ]
-  in
-  let n0 = List.nth nodes 0 in
-  let n1 = List.nth nodes 1 in
-  let edges =
-    [
-      Activityg.edge ~guard:"ok" ~weight:2 ~kind:Activityg.Object_flow
-        ~source:(Activityg.node_id n0) ~target:(Activityg.node_id n1) ();
-      Activityg.edge ~kind:Activityg.Control_flow
-        ~source:(Activityg.node_id n1) ~target:(Activityg.node_id n0) ();
-    ]
-  in
-  Model.add m (Model.E_activity (Activityg.make "flow" nodes edges));
-  (* interaction: all message sorts and all combined-fragment operators *)
-  let l1 = Interaction.lifeline ~represents:cls.Classifier.cl_id "a" in
-  let l2 = Interaction.lifeline "b" in
-  let msg name sort =
-    Interaction.Message
-      (Interaction.message ~sort
-         ~arguments:[ Vspec.of_int 1; Vspec.of_string_value "s" ]
-         ~from_:l1.Interaction.ll_id ~to_:l2.Interaction.ll_id name)
-  in
-  let sorts =
-    [
-      Interaction.Synch_call; Interaction.Asynch_call;
-      Interaction.Asynch_signal; Interaction.Reply;
-      Interaction.Create_message; Interaction.Delete_message;
-    ]
-  in
-  let frag op body =
-    Interaction.Fragment
-      (Interaction.fragment op [ Interaction.operand ~guard:"g" body ])
-  in
-  let operators =
-    [
-      Interaction.Alt; Interaction.Opt; Interaction.Loop (1, Some 3);
-      Interaction.Loop (0, None); Interaction.Par; Interaction.Strict;
-      Interaction.Seq; Interaction.Break; Interaction.Critical;
-      Interaction.Neg; Interaction.Assert;
-      Interaction.Ignore [ "m1" ];
-      Interaction.Consider [ "m1"; "m2" ];
-    ]
-  in
-  let body =
-    List.mapi (fun i s -> msg (Printf.sprintf "m%d" i) s) sorts
-    @ List.map (fun op -> frag op [ msg "inner" Interaction.Reply ]) operators
-    @ [
-        Interaction.Fragment
-          (Interaction.fragment Interaction.Alt
-             [
-               Interaction.operand ~guard:"x > 0"
-                 [ frag Interaction.Opt [ msg "deep" Interaction.Synch_call ] ];
-               Interaction.operand [];
-             ]);
-      ]
-  in
-  Model.add m (Model.E_interaction (Interaction.make "seq" [ l1; l2 ] body));
-  (* use cases *)
-  let uc_base = Usecase.make "Login" in
-  Model.add m (Model.E_use_case uc_base);
-  Model.add m
-    (Model.E_use_case
-       (Usecase.make ~subject:cls.Classifier.cl_id
-          ~actors:[ actor.Classifier.cl_id ]
-          ~includes:[ uc_base.Usecase.uc_id ]
-          ~extends:[ Usecase.extend ~condition:"vip" uc_base.Usecase.uc_id ]
-          "Order"));
-  (* component with ports, parts, both connector kinds *)
-  let inner_port = Component.port ~provided:[ itf.Classifier.cl_id ] "pi" in
-  let inner_comp = Component.make ~ports:[ inner_port ] "Inner" in
-  Model.add m (Model.E_component inner_comp);
-  let outer_port =
-    Component.port ~required:[ itf.Classifier.cl_id ] ~is_behavior:true "po"
-  in
-  let p0 = Component.part "u0" inner_comp.Component.cmp_id in
-  let p1 = Component.part "u1" inner_comp.Component.cmp_id in
-  let deleg =
-    Component.delegation ~name:"d0" ~outer:outer_port.Component.port_id
-      ~inner:(Some p0.Component.part_id, inner_port.Component.port_id)
-      ()
-  in
-  let asm =
-    Component.assembly ~name:"a0"
-      ~from_:(Some p0.Component.part_id, inner_port.Component.port_id)
-      ~to_:(Some p1.Component.part_id, inner_port.Component.port_id)
-      ()
-  in
-  Model.add m
-    (Model.E_component
-       (Component.make ~ports:[ outer_port ] ~parts:[ p0; p1 ]
-          ~connectors:[ deleg; asm ] "Outer"));
-  (* instances and links *)
-  let i1 =
-    Instance.make ~classifier:cls.Classifier.cl_id
-      ~slots:
-        [
-          Instance.slot "count" [ Vspec.of_int 2 ];
-          Instance.slot "mixed"
-            [ Vspec.Real_literal (-0.5); Vspec.Bool_literal false;
-              Vspec.Null_literal ];
-        ]
-      "w1"
-  in
-  Model.add m (Model.E_instance i1);
-  let i2 = Instance.make "w2" in
-  Model.add m (Model.E_instance i2);
-  Model.add m
-    (Model.E_link (Instance.link i1.Instance.inst_id i2.Instance.inst_id));
-  (* deployment: all three node kinds *)
-  let dev = Deployment.node ~kind:Deployment.Device "board" in
-  Model.add m (Model.E_deployment_node dev);
-  let ee =
-    Deployment.node ~kind:Deployment.Execution_environment
-      ~nested:[ dev.Deployment.dn_id ] "rtos"
-  in
-  Model.add m (Model.E_deployment_node ee);
-  let host = Deployment.node ~kind:Deployment.Node "host" in
-  Model.add m (Model.E_deployment_node host);
-  let art = Deployment.artifact ~manifests:[ cls.Classifier.cl_id ] "fw.bin" in
-  Model.add m (Model.E_artifact art);
-  Model.add m
-    (Model.E_deployment
-       (Deployment.deploy ~artifact:art.Deployment.art_id
-          ~target:dev.Deployment.dn_id ()));
-  Model.add m
-    (Model.E_communication_path
-       (Deployment.communication_path dev.Deployment.dn_id
-          host.Deployment.dn_id));
-  (* profile: one stereotype extending every metaclass *)
-  let all_meta =
-    [
-      Profile.M_class; Profile.M_interface; Profile.M_component;
-      Profile.M_port; Profile.M_property; Profile.M_operation;
-      Profile.M_package; Profile.M_state_machine; Profile.M_state;
-      Profile.M_transition; Profile.M_activity; Profile.M_action;
-      Profile.M_node; Profile.M_artifact; Profile.M_connector; Profile.M_any;
-    ]
-  in
-  let ster =
-    Profile.stereotype ~extends:all_meta
-      ~tags:
-        [
-          Profile.tag ~default:(Vspec.of_int 1) "area" Dtype.Integer;
-          Profile.tag "note" Dtype.String_type;
-        ]
-      "hw"
-  in
-  Model.add m (Model.E_profile (Profile.make "soc" [ ster ]));
-  Model.add_application m
-    (Profile.apply
-       ~values:[ ("area", Vspec.of_int 42); ("note", Vspec.of_string_value "x") ]
-       ~stereotype:ster.Profile.ster_id ~element:cls.Classifier.cl_id ());
-  (* one diagram of every kind *)
-  List.iteri
-    (fun i k ->
-      Model.add_diagram m
-        (Diagram.make
-           ~elements:(if i = 0 then [ cls.Classifier.cl_id ] else [])
-           k
-           (Printf.sprintf "dg%d" i)))
-    Diagram.all_kinds;
-  m
+(* The kitchen-sink model is shared with [test_xmi]. *)
+let kitchen_sink = Fixtures.kitchen_sink
 
 let snap_roundtrip m = Snap.Read.model_of_string (Snap.Write.to_string m)
 let xmi_roundtrip m = Xmi.Read.model_of_string (Xmi.Write.to_string m)
@@ -564,10 +257,30 @@ let property_tests =
            | exception Snap.Read.Import_error _ -> true));
   ]
 
+(* The codec contract in {!Fixtures}: snapshot bytes of every pinned
+   model, and the exact diagnostic of every hostile snapshot. *)
+let contract_tests =
+  List.map
+    (fun (name, build, _xmi_md5, snap_md5) ->
+      tc name (fun () ->
+          check Alcotest.string "sumb md5" snap_md5
+            (Fixtures.hex (Snap.Write.to_string (Fixtures.fresh build)))))
+    Fixtures.pinned
+
+let hostile_tests =
+  List.map2
+    (fun (name, data) expected ->
+      tc name (fun () ->
+          check Alcotest.string "outcome" expected
+            (Fixtures.outcome Snap.Read.model_of_string data)))
+    Fixtures.hostile_sumb Fixtures.hostile_sumb_expected
+
 let () =
   Alcotest.run "snap"
     [
       ("roundtrip", basic_tests);
       ("wire", wire_tests);
       ("properties", property_tests);
+      ("contract", contract_tests);
+      ("hostile", hostile_tests);
     ]

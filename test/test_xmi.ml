@@ -6,244 +6,8 @@ open Uml
 let tc name f = Alcotest.test_case name `Quick f
 let check = Alcotest.check
 
-(* Build a model exercising every metamodel corner. *)
-let kitchen_sink () =
-  let m = Model.create "sink" in
-  (* classifiers of every kind *)
-  let itf =
-    Classifier.make ~kind:Classifier.Interface
-      ~operations:
-        [
-          Classifier.operation
-            ~params:
-              [
-                Classifier.parameter "x" Dtype.Integer;
-                Classifier.parameter ~direction:Classifier.Return "r"
-                  Dtype.Boolean;
-              ]
-            "check";
-        ]
-      "IChecker"
-  in
-  Model.add m (Model.E_classifier itf);
-  let enum =
-    Classifier.make ~kind:(Classifier.Enumeration [ "Red"; "Green" ]) "Color"
-  in
-  Model.add m (Model.E_classifier enum);
-  let sig_cl = Classifier.make ~kind:Classifier.Signal "Ping" in
-  Model.add m (Model.E_classifier sig_cl);
-  let actor = Classifier.make ~kind:Classifier.Actor_kind "User" in
-  Model.add m (Model.E_classifier actor);
-  let base = Classifier.make ~is_abstract:true "Base" in
-  Model.add m (Model.E_classifier base);
-  let cls =
-    Classifier.make ~is_active:true
-      ~attributes:
-        [
-          Classifier.property ~mult:Mult.optional
-            ~default:(Vspec.of_int 3) ~visibility:Classifier.Private
-            ~is_static:true ~is_read_only:true
-            ~aggregation:Classifier.Composite "count" Dtype.Integer;
-          Classifier.property "color" (Dtype.Ref enum.Classifier.cl_id);
-          Classifier.property "label" Dtype.String_type;
-        ]
-      ~operations:
-        [
-          Classifier.operation ~visibility:Classifier.Protected ~is_query:true
-            ~body:"return 1;" "peek";
-        ]
-      ~receptions:
-        [ { Classifier.recv_id = Ident.fresh ();
-            recv_signal = sig_cl.Classifier.cl_id } ]
-      ~generals:[ base.Classifier.cl_id ]
-      ~realized:[ itf.Classifier.cl_id ]
-      "Widget"
-  in
-  Model.add m (Model.E_classifier cls);
-  Model.add m
-    (Model.E_association
-       (Classifier.binary_association ~name:"owns"
-          ~source:(cls.Classifier.cl_id, Mult.one, true)
-          ~target:(base.Classifier.cl_id, Mult.many, false)
-          ()));
-  Model.add m
-    (Model.E_package
-       (Pkg.make
-          ~owned:[ cls.Classifier.cl_id ]
-          ~imports:[] "pkg"));
-  (* state machine with all pseudostate kinds *)
-  let mk_ps kind = Smachine.pseudostate kind in
-  let s1 =
-    Smachine.simple_state ~entry:"e();" ~exit_:"x();" ~do_:"d();"
-      ~deferred:[ Smachine.Signal_trigger "later" ]
-      "S1"
-  in
-  let s2 = Smachine.simple_state "S2" in
-  let inner_region =
-    Smachine.region ~name:"inner"
-      [ Smachine.State s2; Smachine.Pseudo (mk_ps Smachine.Shallow_history) ]
-      []
-  in
-  let comp = Smachine.composite_state "Comp" [ inner_region ] in
-  let init = mk_ps Smachine.Initial in
-  let fin = Smachine.final () in
-  let all_pseudos =
-    List.map mk_ps
-      [
-        Smachine.Deep_history; Smachine.Join; Smachine.Fork;
-        Smachine.Junction; Smachine.Choice; Smachine.Entry_point;
-        Smachine.Exit_point; Smachine.Terminate;
-      ]
-  in
-  let region =
-    Smachine.region ~name:"top"
-      (Smachine.Pseudo init :: Smachine.State s1 :: Smachine.State comp
-      :: Smachine.Final fin
-      :: List.map (fun p -> Smachine.Pseudo p) all_pseudos)
-      [
-        Smachine.transition ~source:init.Smachine.ps_id
-          ~target:s1.Smachine.st_id ();
-        Smachine.transition
-          ~triggers:
-            [
-              Smachine.Signal_trigger "go"; Smachine.Time_trigger 5;
-              Smachine.Any_trigger; Smachine.Completion;
-            ]
-          ~guard:"x > 0" ~effect:"x := x - 1;" ~kind:Smachine.Local
-          ~source:s1.Smachine.st_id ~target:comp.Smachine.st_id ();
-      ]
-  in
-  Model.add m
-    (Model.E_state_machine
-       (Smachine.make ~context:cls.Classifier.cl_id "machine" [ region ]));
-  (* activity with every node kind *)
-  let nodes =
-    [
-      Activityg.initial ();
-      Activityg.action ~body:"x := 1;" "act";
-      Activityg.call_behavior ~behavior:(Ident.of_string "beh") "call";
-      Activityg.send_signal ~event:"ping" "send";
-      Activityg.accept_event ~event:"pong" "recv";
-      Activityg.object_node ~upper_bound:4 "buf" Dtype.Integer;
-      Activityg.fork "f";
-      Activityg.join "j";
-      Activityg.decision "d";
-      Activityg.merge "mg";
-      Activityg.flow_final ();
-      Activityg.activity_final ();
-    ]
-  in
-  let n0 = List.nth nodes 0 in
-  let n1 = List.nth nodes 1 in
-  let edges =
-    [
-      Activityg.edge ~guard:"ok" ~weight:2 ~kind:Activityg.Object_flow
-        ~source:(Activityg.node_id n0) ~target:(Activityg.node_id n1) ();
-    ]
-  in
-  Model.add m (Model.E_activity (Activityg.make "flow" nodes edges));
-  (* interaction with fragments *)
-  let l1 = Interaction.lifeline ~represents:cls.Classifier.cl_id "a" in
-  let l2 = Interaction.lifeline "b" in
-  let msg name sort =
-    Interaction.Message
-      (Interaction.message ~sort
-         ~arguments:[ Vspec.of_int 1; Vspec.of_string_value "s" ]
-         ~from_:l1.Interaction.ll_id ~to_:l2.Interaction.ll_id name)
-  in
-  let body =
-    [
-      msg "m1" Interaction.Synch_call;
-      Interaction.Fragment
-        (Interaction.fragment
-           (Interaction.Loop (1, Some 3))
-           [
-             Interaction.operand ~guard:"x > 0"
-               [ msg "m2" Interaction.Reply ];
-           ]);
-      Interaction.Fragment
-        (Interaction.fragment
-           (Interaction.Consider [ "m1"; "m2" ])
-           [ Interaction.operand [] ]);
-    ]
-  in
-  Model.add m (Model.E_interaction (Interaction.make "seq" [ l1; l2 ] body));
-  (* use case *)
-  let uc_base = Usecase.make "Login" in
-  Model.add m (Model.E_use_case uc_base);
-  Model.add m
-    (Model.E_use_case
-       (Usecase.make
-          ~subject:cls.Classifier.cl_id
-          ~actors:[ actor.Classifier.cl_id ]
-          ~includes:[ uc_base.Usecase.uc_id ]
-          ~extends:[ Usecase.extend ~condition:"vip" uc_base.Usecase.uc_id ]
-          "Order"));
-  (* component with ports, parts, connectors *)
-  let inner_port = Component.port ~provided:[ itf.Classifier.cl_id ] "pi" in
-  let inner_comp = Component.make ~ports:[ inner_port ] "Inner" in
-  Model.add m (Model.E_component inner_comp);
-  let outer_port =
-    Component.port ~required:[ itf.Classifier.cl_id ] ~is_behavior:true "po"
-  in
-  let part = Component.part "u0" inner_comp.Component.cmp_id in
-  let conn =
-    Component.delegation ~name:"d0" ~outer:outer_port.Component.port_id
-      ~inner:(Some part.Component.part_id, inner_port.Component.port_id)
-      ()
-  in
-  Model.add m
-    (Model.E_component
-       (Component.make ~ports:[ outer_port ] ~parts:[ part ]
-          ~connectors:[ conn ] "Outer"));
-  (* instances and links *)
-  let i1 =
-    Instance.make ~classifier:cls.Classifier.cl_id
-      ~slots:[ Instance.slot "count" [ Vspec.of_int 2 ] ]
-      "w1"
-  in
-  Model.add m (Model.E_instance i1);
-  let i2 = Instance.make "w2" in
-  Model.add m (Model.E_instance i2);
-  Model.add m
-    (Model.E_link (Instance.link i1.Instance.inst_id i2.Instance.inst_id));
-  (* deployment *)
-  let node =
-    Deployment.node ~kind:Deployment.Device ~nested:[] "board"
-  in
-  Model.add m (Model.E_deployment_node node);
-  let art =
-    Deployment.artifact ~manifests:[ cls.Classifier.cl_id ] "fw.bin"
-  in
-  Model.add m (Model.E_artifact art);
-  Model.add m
-    (Model.E_deployment
-       (Deployment.deploy ~artifact:art.Deployment.art_id
-          ~target:node.Deployment.dn_id ()));
-  let node2 = Deployment.node "host" in
-  Model.add m (Model.E_deployment_node node2);
-  Model.add m
-    (Model.E_communication_path
-       (Deployment.communication_path node.Deployment.dn_id
-          node2.Deployment.dn_id));
-  (* profile + application *)
-  let ster =
-    Profile.stereotype ~extends:[ Profile.M_class ]
-      ~tags:[ Profile.tag ~default:(Vspec.of_int 1) "area" Dtype.Integer ]
-      "hw"
-  in
-  Model.add m (Model.E_profile (Profile.make "soc" [ ster ]));
-  Model.add_application m
-    (Profile.apply
-       ~values:[ ("area", Vspec.of_int 42) ]
-       ~stereotype:ster.Profile.ster_id ~element:cls.Classifier.cl_id ());
-  (* diagrams *)
-  Model.add_diagram m
-    (Diagram.make ~elements:[ cls.Classifier.cl_id ] Diagram.Class_diagram
-       "classes");
-  Model.add_diagram m
-    (Diagram.make Diagram.Timing_diagram "timing");
-  m
+(* The kitchen-sink model is shared with [test_snap]. *)
+let kitchen_sink = Fixtures.kitchen_sink
 
 let roundtrip m =
   Xmi.Read.model_of_string (Xmi.Write.to_string m)
@@ -349,6 +113,29 @@ let property_tests =
            Model.equal m (roundtrip m)));
   ]
 
+(* The codec contract in {!Fixtures}: XMI bytes of every pinned model,
+   and the exact diagnostic of every hostile document. *)
+let contract_tests =
+  List.map
+    (fun (name, build, xmi_md5, _snap_md5) ->
+      tc name (fun () ->
+          check Alcotest.string "xmi md5" xmi_md5
+            (Fixtures.hex (Xmi.Write.to_string (Fixtures.fresh build)))))
+    Fixtures.pinned
+
+let hostile_tests =
+  List.map2
+    (fun (name, data) expected ->
+      tc name (fun () ->
+          check Alcotest.string "outcome" expected
+            (Fixtures.outcome Xmi.Read.model_of_string data)))
+    Fixtures.hostile_xmi Fixtures.hostile_xmi_expected
+
 let () =
   Alcotest.run "xmi"
-    [ ("roundtrip", basic_tests); ("properties", property_tests) ]
+    [
+      ("roundtrip", basic_tests);
+      ("properties", property_tests);
+      ("contract", contract_tests);
+      ("hostile", hostile_tests);
+    ]
