@@ -1,954 +1,331 @@
-open Uml
+(* The binary encoder/decoder: compiles each [Xmi.Schema] node once into
+   closures over the {!Wire} primitives. *)
+
+open Xmi.Schema
+
+(* [Schema.fields] borrows the list syntax; here it means lists *)
+type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
 module Enc = Wire.Enc
 module Dec = Wire.Dec
 
-(* --- primitives -------------------------------------------------------- *)
+(* Decoder state: the input, and the flags byte of the record being
+   decoded.  One per [dec_model] call, so concurrent loads share
+   nothing. *)
+type st = { d : Dec.t; mutable flags : int }
 
-let enc_ident e id = Enc.str e (Ident.to_string id)
-let dec_ident d = Ident.of_string (Dec.str d)
-let enc_ident_pair e (a, b) = enc_ident e a; enc_ident e b
-let dec_ident_pair d =
-  let a = dec_ident d in
-  let b = dec_ident d in
-  (a, b)
+type 'a enc = Enc.t -> 'a -> unit
+type 'a dec = st -> 'a
+type 'a case_enc = E : ('a, 'p) case * (Enc.t -> int -> 'p -> unit) -> 'a case_enc
+type enc_memo = EM : 'a Type.Id.t * 'a enc ref -> enc_memo
+type dec_memo = DM : 'a Type.Id.t * 'a dec ref -> dec_memo
 
-(* Pure enums carry no payload, so their wire tag is the position in the
-   canonical [Xmi.Codec.all_*] list — one byte, and provably the same
-   inventory the XMI reader/writer uses.  [Stdlib.(=)] is safe here:
-   every canonical list holds constant constructors only. *)
-let tag_index all v =
-  let rec go i = function
-    | [] -> invalid_arg "Snap.Codec.enc_tag: value not in canonical list"
-    | x :: rest -> if x = v then i else go (i + 1) rest
-  in
-  go 0 all
+let enc_memo : (int, enc_memo) Hashtbl.t = Hashtbl.create 16
+let dec_memo : (int, dec_memo) Hashtbl.t = Hashtbl.create 16
 
-let enc_tag e all v = Enc.u8 e (tag_index all v)
+(* [Dec.list] for state-passing decoders: direct construction up to 4096
+   items, tail recursion beyond (hostile counts can reach the input
+   length). *)
+let rec list_direct st f k =
+  if k = 0 then []
+  else
+    let x = f st in
+    x :: list_direct st f (k - 1)
 
-(* The decoder indexes the canonical lists as arrays: tag decode sits on
-   the hot path of every record, and [List.nth_opt] both walks the list
-   and allocates an option per call. *)
-let dec_tag d what all =
-  let t = Dec.u8 d in
-  if t >= Array.length all then
-    Wire.decode_error "unknown %s tag %d" what t;
-  Array.unsafe_get all t
+let rec list_deep st f k acc =
+  if k = 0 then List.rev acc else list_deep st f (k - 1) (f st :: acc)
 
-let arr_visibilities = Array.of_list Xmi.Codec.all_visibilities
-let arr_aggregations = Array.of_list Xmi.Codec.all_aggregations
-let arr_directions = Array.of_list Xmi.Codec.all_directions
-let arr_transition_kinds = Array.of_list Xmi.Codec.all_transition_kinds
-let arr_pseudostate_kinds = Array.of_list Xmi.Codec.all_pseudostate_kinds
-let arr_edge_kinds = Array.of_list Xmi.Codec.all_edge_kinds
-let arr_message_sorts = Array.of_list Xmi.Codec.all_message_sorts
-let arr_connector_kinds = Array.of_list Xmi.Codec.all_connector_kinds
-let arr_node_kinds = Array.of_list Xmi.Codec.all_node_kinds
-let arr_metaclasses = Array.of_list Xmi.Codec.all_metaclasses
-let arr_diagram_kinds = Array.of_list Xmi.Codec.all_diagram_kinds
+let list st f =
+  let n = Dec.varint st.d in
+  if n = 0 then [] else if n <= 4096 then list_direct st f n else list_deep st f n []
 
-(* --- values, types, multiplicities ------------------------------------ *)
+let mask width = (1 lsl width) - 1
 
-let enc_vspec e (v : Vspec.t) =
-  match v with
-  | Vspec.Int_literal i -> Enc.u8 e 0; Enc.int e i
-  | Vspec.Real_literal r -> Enc.u8 e 1; Enc.float e r
-  | Vspec.Bool_literal b -> Enc.u8 e 2; Enc.bool e b
-  | Vspec.String_literal s -> Enc.u8 e 3; Enc.str e s
-  | Vspec.Enum_literal s -> Enc.u8 e 4; Enc.str e s
-  | Vspec.Null_literal -> Enc.u8 e 5
-  | Vspec.Opaque_expression s -> Enc.u8 e 6; Enc.str e s
+(* The payload encoder of each case, looked up from a value's view. *)
+let by_case (v : _ variant) compile =
+  let encs = Array.of_list (List.map compile v.cases) in
+  fun e x ->
+    let (V (c, p)) = v.view x in
+    let (E (c', f)) = Array.unsafe_get encs c.index in
+    let Type.Equal = same c.key c'.key in
+    f e c.index p
 
-let dec_vspec d : Vspec.t =
-  match Dec.u8 d with
-  | 0 -> Vspec.Int_literal (Dec.int d)
-  | 1 -> Vspec.Real_literal (Dec.float d)
-  | 2 -> Vspec.Bool_literal (Dec.bool d)
-  | 3 -> Vspec.String_literal (Dec.str d)
-  | 4 -> Vspec.Enum_literal (Dec.str d)
-  | 5 -> Vspec.Null_literal
-  | 6 -> Vspec.Opaque_expression (Dec.str d)
-  | n -> Wire.decode_error "unknown value tag %d" n
-
-let enc_dtype e (t : Dtype.t) =
-  match t with
-  | Dtype.Boolean -> Enc.u8 e 0
-  | Dtype.Integer -> Enc.u8 e 1
-  | Dtype.Real -> Enc.u8 e 2
-  | Dtype.Unlimited_natural -> Enc.u8 e 3
-  | Dtype.String_type -> Enc.u8 e 4
-  | Dtype.Void -> Enc.u8 e 5
-  | Dtype.Ref id -> Enc.u8 e 6; enc_ident e id
-
-let dec_dtype d : Dtype.t =
-  match Dec.u8 d with
-  | 0 -> Dtype.Boolean
-  | 1 -> Dtype.Integer
-  | 2 -> Dtype.Real
-  | 3 -> Dtype.Unlimited_natural
-  | 4 -> Dtype.String_type
-  | 5 -> Dtype.Void
-  | 6 -> Dtype.Ref (dec_ident d)
-  | n -> Wire.decode_error "unknown type tag %d" n
-
-let enc_mult e (m : Mult.t) =
-  Enc.int e m.Mult.lower;
-  match m.Mult.upper with
-  | Mult.Bounded n -> Enc.u8 e 0; Enc.int e n
-  | Mult.Unbounded -> Enc.u8 e 1
-
-let dec_mult d : Mult.t =
-  let lower = Dec.int d in
-  let upper =
-    match Dec.u8 d with
-    | 0 -> Mult.Bounded (Dec.int d)
-    | 1 -> Mult.Unbounded
-    | n -> Wire.decode_error "unknown multiplicity bound tag %d" n
-  in
-  { Mult.lower; upper }
-
-(* --- classifiers ------------------------------------------------------- *)
-
-(* Hot record types (properties, parameters, operations, classifiers —
-   the bulk of every structural model) pack their enum tags, booleans
-   and option/common-case markers into one flags byte instead of one
-   byte-read per field: record decode is call-bound, not byte-bound,
-   and this roughly halves the per-record primitive reads.  The decoder
-   rejects flag patterns outside the canonical inventories (and the
-   writer can never produce them), so hostile bytes still fail fast. *)
-
-let mult_1_1 : Mult.t = { Mult.lower = 1; upper = Mult.Bounded 1 }
-
-let enc_property e (p : Classifier.property) =
-  enc_ident e p.Classifier.prop_id;
-  Enc.str e p.Classifier.prop_name;
-  enc_dtype e p.Classifier.prop_type;
-  let flags =
-    tag_index Xmi.Codec.all_visibilities p.Classifier.prop_visibility
-    lor (if p.Classifier.prop_is_static then 0x04 else 0)
-    lor (if p.Classifier.prop_is_read_only then 0x08 else 0)
-    lor (tag_index Xmi.Codec.all_aggregations p.Classifier.prop_aggregation
-         lsl 4)
-    lor (match p.Classifier.prop_default with None -> 0 | Some _ -> 0x40)
-    lor (if Mult.equal p.Classifier.prop_mult mult_1_1 then 0 else 0x80)
-  in
-  Enc.u8 e flags;
-  if flags land 0x80 <> 0 then enc_mult e p.Classifier.prop_mult;
-  match p.Classifier.prop_default with
-  | None -> ()
-  | Some v -> enc_vspec e v
-
-let dec_property d =
-  let prop_id = dec_ident d in
-  let prop_name = Dec.str d in
-  let prop_type = dec_dtype d in
-  let flags = Dec.u8 d in
-  let aggr = (flags lsr 4) land 0x03 in
-  if aggr >= Array.length arr_aggregations then
-    Wire.decode_error "unknown aggregation tag %d" aggr;
-  let prop_mult = if flags land 0x80 <> 0 then dec_mult d else mult_1_1 in
-  let prop_default =
-    if flags land 0x40 <> 0 then Some (dec_vspec d) else None
-  in
-  { Classifier.prop_id; prop_name; prop_type; prop_mult; prop_default;
-    prop_visibility = Array.unsafe_get arr_visibilities (flags land 0x03);
-    prop_is_static = flags land 0x04 <> 0;
-    prop_is_read_only = flags land 0x08 <> 0;
-    prop_aggregation = Array.unsafe_get arr_aggregations aggr }
-
-let enc_parameter e (p : Classifier.parameter) =
-  enc_ident e p.Classifier.param_id;
-  Enc.str e p.Classifier.param_name;
-  enc_dtype e p.Classifier.param_type;
-  let flags =
-    tag_index Xmi.Codec.all_directions p.Classifier.param_direction
-    lor (match p.Classifier.param_default with None -> 0 | Some _ -> 0x04)
-  in
-  Enc.u8 e flags;
-  match p.Classifier.param_default with
-  | None -> ()
-  | Some v -> enc_vspec e v
-
-let dec_parameter d =
-  let param_id = dec_ident d in
-  let param_name = Dec.str d in
-  let param_type = dec_dtype d in
-  let flags = Dec.u8 d in
-  if flags land 0xf8 <> 0 then
-    Wire.decode_error "unknown parameter flag byte 0x%02x" flags;
-  let param_default =
-    if flags land 0x04 <> 0 then Some (dec_vspec d) else None
-  in
-  { Classifier.param_id; param_name; param_type;
-    param_direction = Array.unsafe_get arr_directions (flags land 0x03);
-    param_default }
-
-let enc_operation e (o : Classifier.operation) =
-  enc_ident e o.Classifier.op_id;
-  Enc.str e o.Classifier.op_name;
-  Enc.list e enc_parameter o.Classifier.op_params;
-  let flags =
-    tag_index Xmi.Codec.all_visibilities o.Classifier.op_visibility
-    lor (if o.Classifier.op_is_query then 0x04 else 0)
-    lor (if o.Classifier.op_is_abstract then 0x08 else 0)
-    lor (match o.Classifier.op_body with None -> 0 | Some _ -> 0x10)
-  in
-  Enc.u8 e flags;
-  match o.Classifier.op_body with
-  | None -> ()
-  | Some b -> Enc.str e b
-
-let dec_operation d =
-  let op_id = dec_ident d in
-  let op_name = Dec.str d in
-  let op_params = Dec.list d dec_parameter in
-  let flags = Dec.u8 d in
-  if flags land 0xe0 <> 0 then
-    Wire.decode_error "unknown operation flag byte 0x%02x" flags;
-  let op_body = if flags land 0x10 <> 0 then Some (Dec.str d) else None in
-  { Classifier.op_id; op_name; op_params;
-    op_visibility = Array.unsafe_get arr_visibilities (flags land 0x03);
-    op_is_query = flags land 0x04 <> 0;
-    op_is_abstract = flags land 0x08 <> 0; op_body }
-
-let classifier_kind_tag (k : Classifier.kind) =
-  match k with
-  | Classifier.Class -> 0
-  | Classifier.Interface -> 1
-  | Classifier.Data_type -> 2
-  | Classifier.Primitive_type -> 3
-  | Classifier.Enumeration _ -> 4
-  | Classifier.Signal -> 5
-  | Classifier.Actor_kind -> 6
-
-let enc_reception e (r : Classifier.reception) =
-  enc_ident e r.Classifier.recv_id;
-  enc_ident e r.Classifier.recv_signal
-
-let dec_reception d =
-  let recv_id = dec_ident d in
-  let recv_signal = dec_ident d in
-  { Classifier.recv_id; recv_signal }
-
-let enc_classifier e (c : Classifier.t) =
-  enc_ident e c.Classifier.cl_id;
-  Enc.str e c.Classifier.cl_name;
-  let flags =
-    classifier_kind_tag c.Classifier.cl_kind
-    lor (if c.Classifier.cl_is_abstract then 0x08 else 0)
-    lor (if c.Classifier.cl_is_active then 0x10 else 0)
-  in
-  Enc.u8 e flags;
-  (match c.Classifier.cl_kind with
-  | Classifier.Enumeration lits -> Enc.list e Enc.str lits
-  | Classifier.Class | Classifier.Interface | Classifier.Data_type
-  | Classifier.Primitive_type | Classifier.Signal | Classifier.Actor_kind ->
-    ());
-  Enc.list e enc_property c.Classifier.cl_attributes;
-  Enc.list e enc_operation c.Classifier.cl_operations;
-  Enc.list e enc_reception c.Classifier.cl_receptions;
-  Enc.list e enc_ident c.Classifier.cl_generals;
-  Enc.list e enc_ident c.Classifier.cl_realized;
-  Enc.list e enc_ident c.Classifier.cl_behaviors
-
-let dec_classifier d =
-  let cl_id = dec_ident d in
-  let cl_name = Dec.str d in
-  let flags = Dec.u8 d in
-  if flags land 0xe0 <> 0 then
-    Wire.decode_error "unknown classifier flag byte 0x%02x" flags;
-  let cl_kind : Classifier.kind =
-    match flags land 0x07 with
-    | 0 -> Classifier.Class
-    | 1 -> Classifier.Interface
-    | 2 -> Classifier.Data_type
-    | 3 -> Classifier.Primitive_type
-    | 4 -> Classifier.Enumeration (Dec.list d Dec.str)
-    | 5 -> Classifier.Signal
-    | 6 -> Classifier.Actor_kind
-    | n -> Wire.decode_error "unknown classifier kind tag %d" n
-  in
-  let cl_is_abstract = flags land 0x08 <> 0 in
-  let cl_is_active = flags land 0x10 <> 0 in
-  let cl_attributes = Dec.list d dec_property in
-  let cl_operations = Dec.list d dec_operation in
-  let cl_receptions = Dec.list d dec_reception in
-  let cl_generals = Dec.list d dec_ident in
-  let cl_realized = Dec.list d dec_ident in
-  let cl_behaviors = Dec.list d dec_ident in
-  { Classifier.cl_id; cl_name; cl_kind; cl_is_abstract; cl_is_active;
-    cl_attributes; cl_operations; cl_receptions; cl_generals; cl_realized;
-    cl_behaviors }
-
-let enc_association e (a : Classifier.association) =
-  enc_ident e a.Classifier.assoc_id;
-  Enc.str e a.Classifier.assoc_name;
-  Enc.list e
-    (fun e (en : Classifier.association_end) ->
-      enc_property e en.Classifier.end_property;
-      Enc.bool e en.Classifier.end_navigable)
-    a.Classifier.assoc_ends
-
-let dec_association d =
-  let assoc_id = dec_ident d in
-  let assoc_name = Dec.str d in
-  let assoc_ends =
-    Dec.list d (fun d ->
-        let end_property = dec_property d in
-        let end_navigable = Dec.bool d in
-        { Classifier.end_property; end_navigable })
-  in
-  { Classifier.assoc_id; assoc_name; assoc_ends }
-
-(* --- packages ---------------------------------------------------------- *)
-
-let enc_package e (p : Pkg.t) =
-  enc_ident e p.Pkg.pkg_id;
-  Enc.str e p.Pkg.pkg_name;
-  Enc.list e enc_ident p.Pkg.pkg_owned;
-  Enc.list e enc_ident p.Pkg.pkg_subpackages;
-  Enc.list e enc_ident p.Pkg.pkg_imports
-
-let dec_package d =
-  let pkg_id = dec_ident d in
-  let pkg_name = Dec.str d in
-  let pkg_owned = Dec.list d dec_ident in
-  let pkg_subpackages = Dec.list d dec_ident in
-  let pkg_imports = Dec.list d dec_ident in
-  { Pkg.pkg_id; pkg_name; pkg_owned; pkg_subpackages; pkg_imports }
-
-(* --- state machines ----------------------------------------------------- *)
-
-let enc_trigger e (t : Smachine.trigger) =
-  match t with
-  | Smachine.Signal_trigger s -> Enc.u8 e 0; Enc.str e s
-  | Smachine.Time_trigger n -> Enc.u8 e 1; Enc.int e n
-  | Smachine.Any_trigger -> Enc.u8 e 2
-  | Smachine.Completion -> Enc.u8 e 3
-
-let dec_trigger d : Smachine.trigger =
-  match Dec.u8 d with
-  | 0 -> Smachine.Signal_trigger (Dec.str d)
-  | 1 -> Smachine.Time_trigger (Dec.int d)
-  | 2 -> Smachine.Any_trigger
-  | 3 -> Smachine.Completion
-  | n -> Wire.decode_error "unknown trigger tag %d" n
-
-let enc_transition e (t : Smachine.transition) =
-  enc_ident e t.Smachine.tr_id;
-  enc_ident e t.Smachine.tr_source;
-  enc_ident e t.Smachine.tr_target;
-  Enc.list e enc_trigger t.Smachine.tr_triggers;
-  Enc.opt e Enc.str t.Smachine.tr_guard;
-  Enc.opt e Enc.str t.Smachine.tr_effect;
-  enc_tag e Xmi.Codec.all_transition_kinds t.Smachine.tr_kind
-
-let dec_transition d =
-  let tr_id = dec_ident d in
-  let tr_source = dec_ident d in
-  let tr_target = dec_ident d in
-  let tr_triggers = Dec.list d dec_trigger in
-  let tr_guard = Dec.opt d Dec.str in
-  let tr_effect = Dec.opt d Dec.str in
-  let tr_kind = dec_tag d "transition kind" arr_transition_kinds in
-  { Smachine.tr_id; tr_source; tr_target; tr_triggers; tr_guard; tr_effect;
-    tr_kind }
-
-let rec enc_region e (r : Smachine.region) =
-  enc_ident e r.Smachine.rg_id;
-  Enc.str e r.Smachine.rg_name;
-  Enc.list e enc_vertex r.Smachine.rg_vertices;
-  Enc.list e enc_transition r.Smachine.rg_transitions
-
-and enc_vertex e (v : Smachine.vertex) =
-  match v with
-  | Smachine.State s ->
-    Enc.u8 e 0;
-    enc_ident e s.Smachine.st_id;
-    Enc.str e s.Smachine.st_name;
-    Enc.list e enc_region s.Smachine.st_regions;
-    Enc.opt e Enc.str s.Smachine.st_entry;
-    Enc.opt e Enc.str s.Smachine.st_exit;
-    Enc.opt e Enc.str s.Smachine.st_do;
-    Enc.list e enc_trigger s.Smachine.st_deferred
-  | Smachine.Pseudo p ->
-    Enc.u8 e 1;
-    enc_ident e p.Smachine.ps_id;
-    Enc.str e p.Smachine.ps_name;
-    enc_tag e Xmi.Codec.all_pseudostate_kinds p.Smachine.ps_kind
-  | Smachine.Final f ->
-    Enc.u8 e 2;
-    enc_ident e f.Smachine.fs_id;
-    Enc.str e f.Smachine.fs_name
-
-let rec dec_region d =
-  let rg_id = dec_ident d in
-  let rg_name = Dec.str d in
-  let rg_vertices = Dec.list d dec_vertex in
-  let rg_transitions = Dec.list d dec_transition in
-  { Smachine.rg_id; rg_name; rg_vertices; rg_transitions }
-
-and dec_vertex d : Smachine.vertex =
-  match Dec.u8 d with
-  | 0 ->
-    let st_id = dec_ident d in
-    let st_name = Dec.str d in
-    let st_regions = Dec.list d dec_region in
-    let st_entry = Dec.opt d Dec.str in
-    let st_exit = Dec.opt d Dec.str in
-    let st_do = Dec.opt d Dec.str in
-    let st_deferred = Dec.list d dec_trigger in
-    Smachine.State
-      { Smachine.st_id; st_name; st_regions; st_entry; st_exit; st_do;
-        st_deferred }
-  | 1 ->
-    let ps_id = dec_ident d in
-    let ps_name = Dec.str d in
-    let ps_kind = dec_tag d "pseudostate kind" arr_pseudostate_kinds in
-    Smachine.Pseudo { Smachine.ps_id; ps_name; ps_kind }
-  | 2 ->
-    let fs_id = dec_ident d in
-    let fs_name = Dec.str d in
-    Smachine.Final { Smachine.fs_id; fs_name }
-  | n -> Wire.decode_error "unknown vertex tag %d" n
-
-let enc_state_machine e (sm : Smachine.t) =
-  enc_ident e sm.Smachine.sm_id;
-  Enc.str e sm.Smachine.sm_name;
-  Enc.list e enc_region sm.Smachine.sm_regions;
-  Enc.opt e enc_ident sm.Smachine.sm_context
-
-let dec_state_machine d =
-  let sm_id = dec_ident d in
-  let sm_name = Dec.str d in
-  let sm_regions = Dec.list d dec_region in
-  let sm_context = Dec.opt d dec_ident in
-  { Smachine.sm_id; sm_name; sm_regions; sm_context }
-
-(* --- activities --------------------------------------------------------- *)
-
-let enc_node_head e (h : Activityg.node_head) =
-  enc_ident e h.Activityg.nd_id;
-  Enc.str e h.Activityg.nd_name
-
-let dec_node_head d =
-  let nd_id = dec_ident d in
-  let nd_name = Dec.str d in
-  { Activityg.nd_id; nd_name }
-
-let enc_activity_node e (n : Activityg.node) =
-  match n with
-  | Activityg.Action a ->
-    Enc.u8 e 0;
-    enc_node_head e a.Activityg.act_head;
-    Enc.opt e Enc.str a.Activityg.act_body
-  | Activityg.Call_behavior c ->
-    Enc.u8 e 1;
-    enc_node_head e c.Activityg.cb_head;
-    enc_ident e c.Activityg.cb_behavior
-  | Activityg.Send_signal ev ->
-    Enc.u8 e 2;
-    enc_node_head e ev.Activityg.ev_head;
-    Enc.str e ev.Activityg.ev_event
-  | Activityg.Accept_event ev ->
-    Enc.u8 e 3;
-    enc_node_head e ev.Activityg.ev_head;
-    Enc.str e ev.Activityg.ev_event
-  | Activityg.Object_node o ->
-    Enc.u8 e 4;
-    enc_node_head e o.Activityg.on_head;
-    enc_dtype e o.Activityg.on_type;
-    Enc.opt e Enc.int o.Activityg.on_upper_bound
-  | Activityg.Initial_node h -> Enc.u8 e 5; enc_node_head e h
-  | Activityg.Activity_final h -> Enc.u8 e 6; enc_node_head e h
-  | Activityg.Flow_final h -> Enc.u8 e 7; enc_node_head e h
-  | Activityg.Fork_node h -> Enc.u8 e 8; enc_node_head e h
-  | Activityg.Join_node h -> Enc.u8 e 9; enc_node_head e h
-  | Activityg.Decision_node h -> Enc.u8 e 10; enc_node_head e h
-  | Activityg.Merge_node h -> Enc.u8 e 11; enc_node_head e h
-
-let dec_activity_node d : Activityg.node =
-  match Dec.u8 d with
-  | 0 ->
-    let act_head = dec_node_head d in
-    let act_body = Dec.opt d Dec.str in
-    Activityg.Action { Activityg.act_head; act_body }
-  | 1 ->
-    let cb_head = dec_node_head d in
-    let cb_behavior = dec_ident d in
-    Activityg.Call_behavior { Activityg.cb_head; cb_behavior }
-  | 2 ->
-    let ev_head = dec_node_head d in
-    let ev_event = Dec.str d in
-    Activityg.Send_signal { Activityg.ev_head; ev_event }
-  | 3 ->
-    let ev_head = dec_node_head d in
-    let ev_event = Dec.str d in
-    Activityg.Accept_event { Activityg.ev_head; ev_event }
-  | 4 ->
-    let on_head = dec_node_head d in
-    let on_type = dec_dtype d in
-    let on_upper_bound = Dec.opt d Dec.int in
-    Activityg.Object_node { Activityg.on_head; on_type; on_upper_bound }
-  | 5 -> Activityg.Initial_node (dec_node_head d)
-  | 6 -> Activityg.Activity_final (dec_node_head d)
-  | 7 -> Activityg.Flow_final (dec_node_head d)
-  | 8 -> Activityg.Fork_node (dec_node_head d)
-  | 9 -> Activityg.Join_node (dec_node_head d)
-  | 10 -> Activityg.Decision_node (dec_node_head d)
-  | 11 -> Activityg.Merge_node (dec_node_head d)
-  | n -> Wire.decode_error "unknown activity node tag %d" n
-
-let enc_activity_edge e (ed : Activityg.edge) =
-  enc_ident e ed.Activityg.ed_id;
-  enc_ident e ed.Activityg.ed_source;
-  enc_ident e ed.Activityg.ed_target;
-  Enc.opt e Enc.str ed.Activityg.ed_guard;
-  Enc.int e ed.Activityg.ed_weight;
-  enc_tag e Xmi.Codec.all_edge_kinds ed.Activityg.ed_kind
-
-let dec_activity_edge d =
-  let ed_id = dec_ident d in
-  let ed_source = dec_ident d in
-  let ed_target = dec_ident d in
-  let ed_guard = Dec.opt d Dec.str in
-  let ed_weight = Dec.int d in
-  let ed_kind = dec_tag d "edge kind" arr_edge_kinds in
-  { Activityg.ed_id; ed_source; ed_target; ed_guard; ed_weight; ed_kind }
-
-let enc_activity e (a : Activityg.t) =
-  enc_ident e a.Activityg.ac_id;
-  Enc.str e a.Activityg.ac_name;
-  Enc.list e enc_activity_node a.Activityg.ac_nodes;
-  Enc.list e enc_activity_edge a.Activityg.ac_edges;
-  Enc.opt e enc_ident a.Activityg.ac_context
-
-let dec_activity d =
-  let ac_id = dec_ident d in
-  let ac_name = Dec.str d in
-  let ac_nodes = Dec.list d dec_activity_node in
-  let ac_edges = Dec.list d dec_activity_edge in
-  let ac_context = Dec.opt d dec_ident in
-  { Activityg.ac_id; ac_name; ac_nodes; ac_edges; ac_context }
-
-(* --- interactions ------------------------------------------------------- *)
-
-let enc_operator e (op : Interaction.interaction_operator) =
-  match op with
-  | Interaction.Alt -> Enc.u8 e 0
-  | Interaction.Opt -> Enc.u8 e 1
-  | Interaction.Loop (mn, mx) ->
-    Enc.u8 e 2;
-    Enc.int e mn;
-    Enc.opt e Enc.int mx
-  | Interaction.Par -> Enc.u8 e 3
-  | Interaction.Strict -> Enc.u8 e 4
-  | Interaction.Seq -> Enc.u8 e 5
-  | Interaction.Break -> Enc.u8 e 6
-  | Interaction.Critical -> Enc.u8 e 7
-  | Interaction.Neg -> Enc.u8 e 8
-  | Interaction.Assert -> Enc.u8 e 9
-  | Interaction.Ignore names -> Enc.u8 e 10; Enc.list e Enc.str names
-  | Interaction.Consider names -> Enc.u8 e 11; Enc.list e Enc.str names
-
-let dec_operator d : Interaction.interaction_operator =
-  match Dec.u8 d with
-  | 0 -> Interaction.Alt
-  | 1 -> Interaction.Opt
-  | 2 ->
-    let mn = Dec.int d in
-    let mx = Dec.opt d Dec.int in
-    Interaction.Loop (mn, mx)
-  | 3 -> Interaction.Par
-  | 4 -> Interaction.Strict
-  | 5 -> Interaction.Seq
-  | 6 -> Interaction.Break
-  | 7 -> Interaction.Critical
-  | 8 -> Interaction.Neg
-  | 9 -> Interaction.Assert
-  | 10 -> Interaction.Ignore (Dec.list d Dec.str)
-  | 11 -> Interaction.Consider (Dec.list d Dec.str)
-  | n -> Wire.decode_error "unknown interaction operator tag %d" n
-
-let enc_message e (m : Interaction.message) =
-  enc_ident e m.Interaction.msg_id;
-  Enc.str e m.Interaction.msg_name;
-  enc_tag e Xmi.Codec.all_message_sorts m.Interaction.msg_sort;
-  enc_ident e m.Interaction.msg_from;
-  enc_ident e m.Interaction.msg_to;
-  Enc.list e enc_vspec m.Interaction.msg_arguments
-
-let dec_message d =
-  let msg_id = dec_ident d in
-  let msg_name = Dec.str d in
-  let msg_sort = dec_tag d "message sort" arr_message_sorts in
-  let msg_from = dec_ident d in
-  let msg_to = dec_ident d in
-  let msg_arguments = Dec.list d dec_vspec in
-  { Interaction.msg_id; msg_name; msg_sort; msg_from; msg_to; msg_arguments }
-
-let rec enc_interaction_element e (el : Interaction.element) =
-  match el with
-  | Interaction.Message m -> Enc.u8 e 0; enc_message e m
-  | Interaction.Fragment f ->
-    Enc.u8 e 1;
-    enc_ident e f.Interaction.fr_id;
-    enc_operator e f.Interaction.fr_operator;
-    Enc.list e
-      (fun e (o : Interaction.operand) ->
-        enc_ident e o.Interaction.opnd_id;
-        Enc.opt e Enc.str o.Interaction.opnd_guard;
-        Enc.list e enc_interaction_element o.Interaction.opnd_body)
-      f.Interaction.fr_operands
-
-let rec dec_interaction_element d : Interaction.element =
-  match Dec.u8 d with
-  | 0 -> Interaction.Message (dec_message d)
-  | 1 ->
-    let fr_id = dec_ident d in
-    let fr_operator = dec_operator d in
-    let fr_operands =
-      Dec.list d (fun d ->
-          let opnd_id = dec_ident d in
-          let opnd_guard = Dec.opt d Dec.str in
-          let opnd_body = Dec.list d dec_interaction_element in
-          { Interaction.opnd_id; opnd_guard; opnd_body })
+let rec encoder : type a. a t -> a enc = function
+  | Str -> Enc.str
+  | Ident -> fun e id -> Enc.str e (Uml.Ident.to_string id)
+  | Int -> Enc.int
+  | Bool -> Enc.bool
+  | Float -> Enc.float
+  | Enum en -> fun e v -> Enc.u8 e (enum_index en v)
+  | Opt a ->
+    let f = encoder a in
+    fun e v -> Enc.opt e f v
+  | List a ->
+    let f = encoder a in
+    fun e l -> Enc.list e f l
+  | Variant v ->
+    let f =
+      by_case v (fun (Any c) ->
+          let p = encoder c.payload in
+          E
+            ( c,
+              fun e tag x ->
+                Enc.u8 e tag;
+                p e x ))
     in
-    Interaction.Fragment { Interaction.fr_id; fr_operator; fr_operands }
-  | n -> Wire.decode_error "unknown interaction element tag %d" n
+    fun e x -> f e x
+  | Custom c -> encoder c.wire
+  | Rec r -> (
+    let uid = Type.Id.uid r.fix_key in
+    match Hashtbl.find_opt enc_memo uid with
+    | Some (EM (k, f)) ->
+      let Type.Equal = same k r.fix_key in
+      fun e v -> !f e v
+    | None ->
+      let f = ref (fun _ _ -> ()) in
+      Hashtbl.add enc_memo uid (EM (r.fix_key, f));
+      f := encoder (Lazy.force r.body);
+      fun e v -> !f e v)
+  | Record (R r) ->
+    let fields = field_list r.fields in
+    let flag_pos = flag_position fields in
+    let flags = flags_of fields in
+    let steps =
+      List.map
+        (fun (F (i, f)) ->
+          let payload = field_payload f in
+          if i = flag_pos then fun e v ->
+            Enc.u8 e (flags v);
+            payload e v
+          else payload)
+        fields
+    in
+    fun e v -> List.iter (fun step -> step e v) steps
 
-let enc_interaction e (i : Interaction.t) =
-  enc_ident e i.Interaction.in_id;
-  Enc.str e i.Interaction.in_name;
-  Enc.list e
-    (fun e (l : Interaction.lifeline) ->
-      enc_ident e l.Interaction.ll_id;
-      Enc.str e l.Interaction.ll_name;
-      Enc.opt e enc_ident l.Interaction.ll_represents)
-    i.Interaction.in_lifelines;
-  Enc.list e enc_interaction_element i.Interaction.in_body
+(* What a field writes in line: everything but the bits it keeps in the
+   flags byte. *)
+and field_payload : type r a. (r, a) field -> r enc =
+ fun f ->
+  match f.bits with
+  | Bytes ->
+    let p = encoder f.ty in
+    fun e r -> p e (f.get r)
+  | Bit _ -> fun _ _ -> ()
+  | Index _ -> (
+    match f.ty with
+    | Variant v ->
+      let p = by_case v (fun (Any c) ->
+          let p = encoder c.payload in
+          E (c, fun e _ x -> p e x))
+      in
+      fun e r -> p e (f.get r)
+    | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ | Record _
+    | Custom _ | Rec _ ->
+      fun _ _ -> ())
+  | Present _ -> (
+    match f.ty with
+    | Opt a ->
+      let p = encoder a in
+      fun e r -> Option.iter (p e) (f.get r)
+    | Enum _ | Record _ | Variant _ | Custom _ | Rec _ ->
+      invalid_arg "Snap.Codec: Present needs an option")
+  | Unless (_, d) ->
+    let p = encoder f.ty in
+    fun e r ->
+      let v = f.get r in
+      if v <> d then p e v
 
-let dec_interaction d =
-  let in_id = dec_ident d in
-  let in_name = Dec.str d in
-  let in_lifelines =
-    Dec.list d (fun d ->
-        let ll_id = dec_ident d in
-        let ll_name = Dec.str d in
-        let ll_represents = Dec.opt d dec_ident in
-        { Interaction.ll_id; ll_name; ll_represents })
+and flag_position : type r. r any_field list -> int =
+ fun fields ->
+  match
+    List.find_opt
+      (fun (F (_, f)) ->
+        match f.bits with
+        | Bytes -> false
+        | Bit _ | Index _ | Present _ | Unless _ -> true)
+      fields
+  with
+  | Some (F (i, _)) -> i
+  | None -> -1
+
+(* the flags byte of a record value *)
+and flags_of : type r. r any_field list -> r -> int =
+ fun fields ->
+  let bit : r any_field -> r -> int = function
+    | F (_, f) -> (
+      match f.bits with
+      | Bytes -> fun _ -> 0
+      | Bit b -> fun r -> if f.get r then 1 lsl b else 0
+      | Index (shift, _) -> (
+        match f.ty with
+        | Enum en -> fun r -> enum_index en (f.get r) lsl shift
+        | Variant v ->
+          fun r ->
+            let (V (c, _)) = v.view (f.get r) in
+            c.index lsl shift
+        | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _
+        | Custom _ | Rec _ ->
+          invalid_arg "Snap.Codec: Index needs an enum or variant")
+      | Present b -> fun r -> if Option.is_some (f.get r) then 1 lsl b else 0
+      | Unless (b, d) -> fun r -> if f.get r <> d then 1 lsl b else 0)
   in
-  let in_body = Dec.list d dec_interaction_element in
-  { Interaction.in_id; in_name; in_lifelines; in_body }
+  let bits = List.map bit fields in
+  fun r -> List.fold_left (fun acc b -> acc lor b r) 0 bits
 
-(* --- use cases ---------------------------------------------------------- *)
+let rec decoder : type a. a t -> a dec = function
+  | Str -> fun st -> Dec.str st.d
+  | Ident -> fun st -> Uml.Ident.of_string (Dec.str st.d)
+  | Int -> fun st -> Dec.int st.d
+  | Bool -> fun st -> Dec.bool st.d
+  | Float -> fun st -> Dec.float st.d
+  | Enum en ->
+    fun st ->
+      let t = Dec.u8 st.d in
+      if t >= Array.length en.all then
+        Wire.decode_error "unknown %s tag %d" en.what t;
+      Array.unsafe_get en.all t
+  | Opt a ->
+    let f = decoder a in
+    fun st -> if Dec.bool st.d then Some (f st) else None
+  | List a ->
+    let f = decoder a in
+    fun st -> list st f
+  | Variant v ->
+    let cases = case_decoders v in
+    fun st ->
+      let t = Dec.u8 st.d in
+      if t >= Array.length cases then
+        Wire.decode_error "unknown %s tag %d" v.vname t;
+      (Array.unsafe_get cases t) st
+  | Custom c -> decoder c.wire
+  | Rec r -> (
+    let uid = Type.Id.uid r.fix_key in
+    match Hashtbl.find_opt dec_memo uid with
+    | Some (DM (k, f)) ->
+      let Type.Equal = same k r.fix_key in
+      fun st -> !f st
+    | None ->
+      let f = ref (fun _ -> invalid_arg "Snap.Codec: unfinished schema") in
+      Hashtbl.add dec_memo uid (DM (r.fix_key, f));
+      f := decoder (Lazy.force r.body);
+      fun st -> !f st)
+  | Record (R r) ->
+    let fields = field_list r.fields in
+    let flag_pos = flag_position fields in
+    let read_flags = if flag_pos < 0 then ignore else flags_reader r.name fields in
+    decode_in_order
+      { on = (fun i f ->
+            let d = field_decoder f in
+            if i = flag_pos then fun st ->
+              read_flags st;
+              d st
+            else d) }
+      r.fields r.make
 
-let enc_use_case e (u : Usecase.t) =
-  enc_ident e u.Usecase.uc_id;
-  Enc.str e u.Usecase.uc_name;
-  Enc.opt e enc_ident u.Usecase.uc_subject;
-  Enc.list e enc_ident u.Usecase.uc_actors;
-  Enc.list e enc_ident u.Usecase.uc_includes;
-  Enc.list e
-    (fun e (x : Usecase.extend) ->
-      enc_ident e x.Usecase.ext_extended;
-      Enc.opt e Enc.str x.Usecase.ext_condition)
-    u.Usecase.uc_extends
+and case_decoders : type a. a variant -> a dec array =
+ fun v ->
+  Array.of_list
+    (List.map
+       (fun (Any c) ->
+         match constant c.payload with
+         | Some u ->
+           let v = c.inj u in
+           fun _ -> v
+         | None ->
+           let p = decoder c.payload in
+           fun st -> c.inj (p st))
+       v.cases)
 
-let dec_use_case d =
-  let uc_id = dec_ident d in
-  let uc_name = Dec.str d in
-  let uc_subject = Dec.opt d dec_ident in
-  let uc_actors = Dec.list d dec_ident in
-  let uc_includes = Dec.list d dec_ident in
-  let uc_extends =
-    Dec.list d (fun d ->
-        let ext_extended = dec_ident d in
-        let ext_condition = Dec.opt d Dec.str in
-        { Usecase.ext_extended; ext_condition })
-  in
-  { Usecase.uc_id; uc_name; uc_subject; uc_actors; uc_includes; uc_extends }
+and field_decoder : type r a. (r, a) field -> a dec =
+ fun f ->
+  match f.bits with
+  | Bytes -> decoder f.ty
+  | Bit b -> fun st -> st.flags land (1 lsl b) <> 0
+  | Index (shift, width) -> (
+    let m = mask width in
+    match f.ty with
+    | Enum en -> fun st -> Array.unsafe_get en.all ((st.flags lsr shift) land m)
+    | Variant v ->
+      let cases = case_decoders v in
+      fun st -> (Array.unsafe_get cases ((st.flags lsr shift) land m)) st
+    | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ | Custom _
+    | Rec _ ->
+      invalid_arg "Snap.Codec: Index needs an enum or variant")
+  | Present b -> (
+    match f.ty with
+    | Opt a ->
+      let p = decoder a in
+      fun st -> if st.flags land (1 lsl b) <> 0 then Some (p st) else None
+    | Enum _ | Record _ | Variant _ | Custom _ | Rec _ ->
+      invalid_arg "Snap.Codec: Present needs an option")
+  | Unless (b, d) ->
+    let p = decoder f.ty in
+    fun st -> if st.flags land (1 lsl b) <> 0 then p st else d
 
-(* --- components ---------------------------------------------------------- *)
-
-let enc_component e (c : Component.t) =
-  enc_ident e c.Component.cmp_id;
-  Enc.str e c.Component.cmp_name;
-  Enc.list e
-    (fun e (p : Component.port) ->
-      enc_ident e p.Component.port_id;
-      Enc.str e p.Component.port_name;
-      Enc.list e enc_ident p.Component.port_provided;
-      Enc.list e enc_ident p.Component.port_required;
-      Enc.bool e p.Component.port_is_behavior)
-    c.Component.cmp_ports;
-  Enc.list e
-    (fun e (p : Component.part) ->
-      enc_ident e p.Component.part_id;
-      Enc.str e p.Component.part_name;
-      enc_ident e p.Component.part_type;
-      enc_mult e p.Component.part_mult)
-    c.Component.cmp_parts;
-  Enc.list e
-    (fun e (conn : Component.connector) ->
-      enc_ident e conn.Component.conn_id;
-      Enc.str e conn.Component.conn_name;
-      enc_tag e Xmi.Codec.all_connector_kinds conn.Component.conn_kind;
-      Enc.list e
-        (fun e (en : Component.connector_end) ->
-          Enc.opt e enc_ident en.Component.cend_part;
-          enc_ident e en.Component.cend_port)
-        conn.Component.conn_ends)
-    c.Component.cmp_connectors;
-  Enc.list e enc_ident c.Component.cmp_realizations;
-  Enc.list e enc_ident c.Component.cmp_behaviors
-
-let dec_component d =
-  let cmp_id = dec_ident d in
-  let cmp_name = Dec.str d in
-  let cmp_ports =
-    Dec.list d (fun d ->
-        let port_id = dec_ident d in
-        let port_name = Dec.str d in
-        let port_provided = Dec.list d dec_ident in
-        let port_required = Dec.list d dec_ident in
-        let port_is_behavior = Dec.bool d in
-        { Component.port_id; port_name; port_provided; port_required;
-          port_is_behavior })
-  in
-  let cmp_parts =
-    Dec.list d (fun d ->
-        let part_id = dec_ident d in
-        let part_name = Dec.str d in
-        let part_type = dec_ident d in
-        let part_mult = dec_mult d in
-        { Component.part_id; part_name; part_type; part_mult })
-  in
-  let cmp_connectors =
-    Dec.list d (fun d ->
-        let conn_id = dec_ident d in
-        let conn_name = Dec.str d in
-        let conn_kind = dec_tag d "connector kind" arr_connector_kinds in
-        let conn_ends =
-          Dec.list d (fun d ->
-              let cend_part = Dec.opt d dec_ident in
-              let cend_port = dec_ident d in
-              { Component.cend_part; cend_port })
+(* Read and check a record's flags byte: no bit outside the declared
+   ones, no index past its inventory.  The flag fields must not hold a
+   flagged record themselves, since [st.flags] would be overwritten
+   before the outer record's later flag fields read it. *)
+and flags_reader : type r. string -> r any_field list -> st -> unit =
+ fun name fields ->
+  let used = ref 0 and checks = ref [] and last = ref (-1) in
+  List.iter
+    (fun (F (i, f)) ->
+      let claim b w = used := !used lor (mask w lsl b); last := i in
+      match f.bits with
+      | Bytes -> ()
+      | Bit b | Present b | Unless (b, _) -> claim b 1
+      | Index (shift, width) ->
+        claim shift width;
+        let what, count =
+          match f.ty with
+          | Enum en -> (en.what, Array.length en.all)
+          | Variant v -> (v.vname, List.length v.cases)
+          | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _
+          | Custom _ | Rec _ ->
+            invalid_arg "Snap.Codec: Index needs an enum or variant"
         in
-        { Component.conn_id; conn_name; conn_kind; conn_ends })
-  in
-  let cmp_realizations = Dec.list d dec_ident in
-  let cmp_behaviors = Dec.list d dec_ident in
-  { Component.cmp_id; cmp_name; cmp_ports; cmp_parts; cmp_connectors;
-    cmp_realizations; cmp_behaviors }
+        if count <= mask width then
+          checks :=
+            (fun flags ->
+              let t = (flags lsr shift) land mask width in
+              if t >= count then Wire.decode_error "unknown %s tag %d" what t)
+            :: !checks)
+    fields;
+  let first = flag_position fields in
+  List.iter
+    (fun (F (i, f)) ->
+      if i >= first && i <= !last && has_flags f.ty then
+        invalid_arg ("Snap.Codec: a flag field of " ^ name ^ " holds flags"))
+    fields;
+  let unused = lnot !used land 0xff and checks = List.rev !checks in
+  fun st ->
+    let flags = Dec.u8 st.d in
+    if flags land unused <> 0 then
+      Wire.decode_error "unknown %s flag byte 0x%02x" name flags;
+    List.iter (fun check -> check flags) checks;
+    st.flags <- flags
 
-(* --- instances ----------------------------------------------------------- *)
-
-let enc_instance e (i : Instance.t) =
-  enc_ident e i.Instance.inst_id;
-  Enc.str e i.Instance.inst_name;
-  Enc.opt e enc_ident i.Instance.inst_classifier;
-  Enc.list e
-    (fun e (s : Instance.slot) ->
-      Enc.str e s.Instance.slot_feature;
-      Enc.list e enc_vspec s.Instance.slot_values)
-    i.Instance.inst_slots
-
-let dec_instance d =
-  let inst_id = dec_ident d in
-  let inst_name = Dec.str d in
-  let inst_classifier = Dec.opt d dec_ident in
-  let inst_slots =
-    Dec.list d (fun d ->
-        let slot_feature = Dec.str d in
-        let slot_values = Dec.list d dec_vspec in
-        { Instance.slot_feature; slot_values })
-  in
-  { Instance.inst_id; inst_name; inst_classifier; inst_slots }
-
-let enc_link e (l : Instance.link) =
-  enc_ident e l.Instance.link_id;
-  Enc.opt e enc_ident l.Instance.link_association;
-  enc_ident_pair e l.Instance.link_ends
-
-let dec_link d =
-  let link_id = dec_ident d in
-  let link_association = Dec.opt d dec_ident in
-  let link_ends = dec_ident_pair d in
-  { Instance.link_id; link_association; link_ends }
-
-(* --- deployments ---------------------------------------------------------- *)
-
-let enc_deployment_node e (n : Deployment.node) =
-  enc_ident e n.Deployment.dn_id;
-  Enc.str e n.Deployment.dn_name;
-  enc_tag e Xmi.Codec.all_node_kinds n.Deployment.dn_kind;
-  Enc.list e enc_ident n.Deployment.dn_nested
-
-let dec_deployment_node d =
-  let dn_id = dec_ident d in
-  let dn_name = Dec.str d in
-  let dn_kind = dec_tag d "node kind" arr_node_kinds in
-  let dn_nested = Dec.list d dec_ident in
-  { Deployment.dn_id; dn_name; dn_kind; dn_nested }
-
-let enc_artifact e (a : Deployment.artifact) =
-  enc_ident e a.Deployment.art_id;
-  Enc.str e a.Deployment.art_name;
-  Enc.list e enc_ident a.Deployment.art_manifests
-
-let dec_artifact d =
-  let art_id = dec_ident d in
-  let art_name = Dec.str d in
-  let art_manifests = Dec.list d dec_ident in
-  { Deployment.art_id; art_name; art_manifests }
-
-let enc_deployment e (dep : Deployment.deployment) =
-  enc_ident e dep.Deployment.dep_id;
-  enc_ident e dep.Deployment.dep_artifact;
-  enc_ident e dep.Deployment.dep_target
-
-let dec_deployment d =
-  let dep_id = dec_ident d in
-  let dep_artifact = dec_ident d in
-  let dep_target = dec_ident d in
-  { Deployment.dep_id; dep_artifact; dep_target }
-
-let enc_communication_path e (c : Deployment.communication_path) =
-  enc_ident e c.Deployment.cpath_id;
-  enc_ident_pair e c.Deployment.cpath_ends
-
-let dec_communication_path d =
-  let cpath_id = dec_ident d in
-  let cpath_ends = dec_ident_pair d in
-  { Deployment.cpath_id; cpath_ends }
-
-(* --- profiles ------------------------------------------------------------ *)
-
-let enc_tag_definition e (t : Profile.tag_definition) =
-  Enc.str e t.Profile.tag_name;
-  enc_dtype e t.Profile.tag_type;
-  Enc.opt e enc_vspec t.Profile.tag_default
-
-let dec_tag_definition d =
-  let tag_name = Dec.str d in
-  let tag_type = dec_dtype d in
-  let tag_default = Dec.opt d dec_vspec in
-  { Profile.tag_name; tag_type; tag_default }
-
-let enc_profile e (p : Profile.t) =
-  enc_ident e p.Profile.prof_id;
-  Enc.str e p.Profile.prof_name;
-  Enc.list e
-    (fun e (s : Profile.stereotype) ->
-      enc_ident e s.Profile.ster_id;
-      Enc.str e s.Profile.ster_name;
-      Enc.list e (fun e mc -> enc_tag e Xmi.Codec.all_metaclasses mc)
-        s.Profile.ster_extends;
-      Enc.list e enc_tag_definition s.Profile.ster_tags)
-    p.Profile.prof_stereotypes
-
-let dec_profile d =
-  let prof_id = dec_ident d in
-  let prof_name = Dec.str d in
-  let prof_stereotypes =
-    Dec.list d (fun d ->
-        let ster_id = dec_ident d in
-        let ster_name = Dec.str d in
-        let ster_extends =
-          Dec.list d (fun d -> dec_tag d "metaclass" arr_metaclasses)
-        in
-        let ster_tags = Dec.list d dec_tag_definition in
-        { Profile.ster_id; ster_name; ster_extends; ster_tags })
-  in
-  { Profile.prof_id; prof_name; prof_stereotypes }
-
-let enc_application e (a : Profile.application) =
-  enc_ident e a.Profile.app_element;
-  enc_ident e a.Profile.app_stereotype;
-  Enc.list e
-    (fun e (name, v) ->
-      Enc.str e name;
-      enc_vspec e v)
-    a.Profile.app_values
-
-let dec_application d =
-  let app_element = dec_ident d in
-  let app_stereotype = dec_ident d in
-  let app_values =
-    Dec.list d (fun d ->
-        let name = Dec.str d in
-        let v = dec_vspec d in
-        (name, v))
-  in
-  { Profile.app_element; app_stereotype; app_values }
-
-(* --- diagrams ------------------------------------------------------------ *)
-
-let enc_diagram e (dg : Diagram.t) =
-  enc_ident e dg.Diagram.dg_id;
-  Enc.str e dg.Diagram.dg_name;
-  enc_tag e Xmi.Codec.all_diagram_kinds dg.Diagram.dg_kind;
-  Enc.list e enc_ident dg.Diagram.dg_elements
-
-let dec_diagram d =
-  let dg_id = dec_ident d in
-  let dg_name = Dec.str d in
-  let dg_kind = dec_tag d "diagram kind" arr_diagram_kinds in
-  let dg_elements = Dec.list d dec_ident in
-  { Diagram.dg_id; dg_name; dg_kind; dg_elements }
-
-(* --- top level ----------------------------------------------------------- *)
-
-let enc_element e (el : Model.element) =
-  match el with
-  | Model.E_classifier c -> Enc.u8 e 0; enc_classifier e c
-  | Model.E_association a -> Enc.u8 e 1; enc_association e a
-  | Model.E_package p -> Enc.u8 e 2; enc_package e p
-  | Model.E_state_machine sm -> Enc.u8 e 3; enc_state_machine e sm
-  | Model.E_activity a -> Enc.u8 e 4; enc_activity e a
-  | Model.E_interaction i -> Enc.u8 e 5; enc_interaction e i
-  | Model.E_use_case u -> Enc.u8 e 6; enc_use_case e u
-  | Model.E_component c -> Enc.u8 e 7; enc_component e c
-  | Model.E_instance i -> Enc.u8 e 8; enc_instance e i
-  | Model.E_link l -> Enc.u8 e 9; enc_link e l
-  | Model.E_deployment_node n -> Enc.u8 e 10; enc_deployment_node e n
-  | Model.E_artifact a -> Enc.u8 e 11; enc_artifact e a
-  | Model.E_deployment dep -> Enc.u8 e 12; enc_deployment e dep
-  | Model.E_communication_path c -> Enc.u8 e 13; enc_communication_path e c
-  | Model.E_profile p -> Enc.u8 e 14; enc_profile e p
-
-let dec_element d : Model.element =
-  match Dec.u8 d with
-  | 0 -> Model.E_classifier (dec_classifier d)
-  | 1 -> Model.E_association (dec_association d)
-  | 2 -> Model.E_package (dec_package d)
-  | 3 -> Model.E_state_machine (dec_state_machine d)
-  | 4 -> Model.E_activity (dec_activity d)
-  | 5 -> Model.E_interaction (dec_interaction d)
-  | 6 -> Model.E_use_case (dec_use_case d)
-  | 7 -> Model.E_component (dec_component d)
-  | 8 -> Model.E_instance (dec_instance d)
-  | 9 -> Model.E_link (dec_link d)
-  | 10 -> Model.E_deployment_node (dec_deployment_node d)
-  | 11 -> Model.E_artifact (dec_artifact d)
-  | 12 -> Model.E_deployment (dec_deployment d)
-  | 13 -> Model.E_communication_path (dec_communication_path d)
-  | 14 -> Model.E_profile (dec_profile d)
-  | n -> Wire.decode_error "unknown element tag %d" n
+let enc_element = encoder Xmi.Meta.element
+let enc_application = encoder Xmi.Meta.application
+let enc_diagram = encoder Xmi.Meta.diagram
+let dec_element = decoder Xmi.Meta.element
+let dec_application = decoder Xmi.Meta.application
+let dec_diagram = decoder Xmi.Meta.diagram
 
 let enc_model e m =
-  Enc.str e (Model.name m);
-  Enc.list e enc_element (Model.elements m);
-  Enc.list e enc_application (Model.applications m);
-  Enc.list e enc_diagram (Model.diagrams m)
+  Enc.str e (Uml.Model.name m);
+  Enc.list e enc_element (Uml.Model.elements m);
+  Enc.list e enc_application (Uml.Model.applications m);
+  Enc.list e enc_diagram (Uml.Model.diagrams m)
 
 let dec_model d =
+  let st = { d; flags = 0 } in
   let name = Dec.str d in
-  let elements = Dec.list d dec_element in
+  let elements = list st dec_element in
   (* element count is known before the first insert: pre-size the index
      so bulk load never pays a rehash chain *)
-  let m = Model.create ~capacity:(2 * List.length elements) name in
-  List.iter (Model.add m) elements;
-  List.iter (Model.add_application m) (Dec.list d dec_application);
-  List.iter (Model.add_diagram m) (Dec.list d dec_diagram);
+  let m = Uml.Model.create ~capacity:(2 * List.length elements) name in
+  List.iter (Uml.Model.add m) elements;
+  List.iter (Uml.Model.add_application m) (list st dec_application);
+  List.iter (Uml.Model.add_diagram m) (list st dec_diagram);
   m

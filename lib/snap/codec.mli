@@ -1,61 +1,14 @@
-(** Per-type binary codecs for the full {!Uml.Model} metamodel.
+(** The binary interpreter of the metamodel schemas.
 
-    Mirrors the structure of [Xmi.Codec]/[Xmi.Write]/[Xmi.Read]: one
-    [enc_]/[dec_] pair per metamodel type, composed bottom-up from the
-    {!Wire} primitives.  Variants with payloads carry an explicit one-byte
-    tag in declaration order; pure enums reuse the canonical
-    [Xmi.Codec.all_*] lists (wire tag = list position), so the binary and
-    XMI formats can never disagree on an enum inventory.  Decoders raise
-    {!Wire.Decode_error} on unknown tags; {!Read} wraps that (and the
-    duplicate-identifier [Invalid_argument] from [Uml.Model.add]) into its
-    own [Import_error]. *)
-
-val enc_ident : Wire.Enc.t -> Uml.Ident.t -> unit
-val dec_ident : Wire.Dec.t -> Uml.Ident.t
-val enc_vspec : Wire.Enc.t -> Uml.Vspec.t -> unit
-val dec_vspec : Wire.Dec.t -> Uml.Vspec.t
-val enc_dtype : Wire.Enc.t -> Uml.Dtype.t -> unit
-val dec_dtype : Wire.Dec.t -> Uml.Dtype.t
-val enc_mult : Wire.Enc.t -> Uml.Mult.t -> unit
-val dec_mult : Wire.Dec.t -> Uml.Mult.t
-val enc_property : Wire.Enc.t -> Uml.Classifier.property -> unit
-val dec_property : Wire.Dec.t -> Uml.Classifier.property
-val enc_operation : Wire.Enc.t -> Uml.Classifier.operation -> unit
-val dec_operation : Wire.Dec.t -> Uml.Classifier.operation
-val enc_classifier : Wire.Enc.t -> Uml.Classifier.t -> unit
-val dec_classifier : Wire.Dec.t -> Uml.Classifier.t
-val enc_association : Wire.Enc.t -> Uml.Classifier.association -> unit
-val dec_association : Wire.Dec.t -> Uml.Classifier.association
-val enc_package : Wire.Enc.t -> Uml.Pkg.t -> unit
-val dec_package : Wire.Dec.t -> Uml.Pkg.t
-val enc_trigger : Wire.Enc.t -> Uml.Smachine.trigger -> unit
-val dec_trigger : Wire.Dec.t -> Uml.Smachine.trigger
-val enc_vertex : Wire.Enc.t -> Uml.Smachine.vertex -> unit
-val dec_vertex : Wire.Dec.t -> Uml.Smachine.vertex
-val enc_state_machine : Wire.Enc.t -> Uml.Smachine.t -> unit
-val dec_state_machine : Wire.Dec.t -> Uml.Smachine.t
-val enc_activity : Wire.Enc.t -> Uml.Activityg.t -> unit
-val dec_activity : Wire.Dec.t -> Uml.Activityg.t
-val enc_interaction : Wire.Enc.t -> Uml.Interaction.t -> unit
-val dec_interaction : Wire.Dec.t -> Uml.Interaction.t
-val enc_use_case : Wire.Enc.t -> Uml.Usecase.t -> unit
-val dec_use_case : Wire.Dec.t -> Uml.Usecase.t
-val enc_component : Wire.Enc.t -> Uml.Component.t -> unit
-val dec_component : Wire.Dec.t -> Uml.Component.t
-val enc_instance : Wire.Enc.t -> Uml.Instance.t -> unit
-val dec_instance : Wire.Dec.t -> Uml.Instance.t
-val enc_link : Wire.Enc.t -> Uml.Instance.link -> unit
-val dec_link : Wire.Dec.t -> Uml.Instance.link
-val enc_deployment_node : Wire.Enc.t -> Uml.Deployment.node -> unit
-val dec_deployment_node : Wire.Dec.t -> Uml.Deployment.node
-val enc_profile : Wire.Enc.t -> Uml.Profile.t -> unit
-val dec_profile : Wire.Dec.t -> Uml.Profile.t
-val enc_application : Wire.Enc.t -> Uml.Profile.application -> unit
-val dec_application : Wire.Dec.t -> Uml.Profile.application
-val enc_diagram : Wire.Enc.t -> Uml.Diagram.t -> unit
-val dec_diagram : Wire.Dec.t -> Uml.Diagram.t
-val enc_element : Wire.Enc.t -> Uml.Model.element -> unit
-val dec_element : Wire.Dec.t -> Uml.Model.element
+    Compiles [Xmi.Meta]'s schemas once into encoder/decoder closures over
+    the {!Wire} primitives: fields in record order, variants as a
+    one-byte tag (case position) then the payload, enums as their
+    position in the canonical inventory, options as a presence byte,
+    lists as a count, and the hot records' flags bytes where their
+    schemas place them.  Decoders raise {!Wire.Decode_error} on unknown
+    tags and undeclared flag bits; {!Read} wraps that (and the
+    duplicate-identifier [Invalid_argument] from [Uml.Model.add]) into
+    its own [Import_error]. *)
 
 val enc_model : Wire.Enc.t -> Uml.Model.t -> unit
 (** Encode the whole model body (name, elements, applications,

@@ -1,631 +1,198 @@
-open Uml
+(* The XML encoder: compiles each {!Schema} node once into a closure that
+   adds attributes and children to the element under construction. *)
 
-let el = Sxml.Doc.element
-let id_attr id = ("xmi:id", Ident.to_string id)
-let name_attr name = ("name", name)
-let xtype ty = ("xmi:type", "uml:" ^ ty)
+open Schema
 
-(* --- classifiers ----------------------------------------------------- *)
+(* [Schema.fields] borrows the list syntax; here it means lists *)
+type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
 
-(* enum spellings are the canonical tables in {!Codec}, shared with
-   {!Read} and the binary snapshot codec *)
-let visibility_string = Codec.visibility_string
-let direction_string = Codec.direction_string
-let aggregation_string = Codec.aggregation_string
+(* An element under construction; lists are kept reversed.  [xmi:type]
+   is held apart because it is always written first. *)
+type out = {
+  mutable xtype : string option;
+  mutable attrs : Sxml.Doc.attribute list;
+  mutable children : Sxml.Doc.t list;
+}
 
-let property_xml tag (p : Classifier.property) =
+let fresh () = { xtype = None; attrs = []; children = [] }
+let add_attr o k v = o.attrs <- (k, v) :: o.attrs
+let add_child o c = o.children <- c :: o.children
+
+let finish tag o =
+  let attrs = List.rev o.attrs in
   let attrs =
-    [ id_attr p.Classifier.prop_id; name_attr p.Classifier.prop_name ]
-    @ Codec.dtype_attrs "type" p.Classifier.prop_type
-    @ Codec.mult_attrs p.Classifier.prop_mult
-    @ (match p.Classifier.prop_default with
-       | Some v -> Codec.vspec_attrs "default" v
-       | None -> [])
-    @ [ ("visibility", visibility_string p.Classifier.prop_visibility) ]
-    @ Codec.bool_attr "isStatic" p.Classifier.prop_is_static
-    @ Codec.bool_attr "isReadOnly" p.Classifier.prop_is_read_only
-    @
-    match p.Classifier.prop_aggregation with
-    | Classifier.No_aggregation -> []
-    | agg -> [ ("aggregation", aggregation_string agg) ]
+    match o.xtype with
+    | None -> attrs
+    | Some t -> ("xmi:type", "uml:" ^ t) :: attrs
   in
-  el ~attrs tag []
+  Sxml.Doc.element ~attrs tag (List.rev o.children)
 
-let parameter_xml (p : Classifier.parameter) =
-  let attrs =
-    [ id_attr p.Classifier.param_id; name_attr p.Classifier.param_name ]
-    @ Codec.dtype_attrs "type" p.Classifier.param_type
-    @ [ ("direction", direction_string p.Classifier.param_direction) ]
-    @
-    match p.Classifier.param_default with
-    | Some v -> Codec.vspec_attrs "default" v
-    | None -> []
-  in
-  el ~attrs "ownedParameter" []
+let element tag content v =
+  let o = fresh () in
+  content o v;
+  finish tag o
 
-let operation_xml (o : Classifier.operation) =
-  let attrs =
-    [ id_attr o.Classifier.op_id; name_attr o.Classifier.op_name ]
-    @ [ ("visibility", visibility_string o.Classifier.op_visibility) ]
-    @ Codec.bool_attr "isQuery" o.Classifier.op_is_query
-    @ Codec.bool_attr "isAbstract" o.Classifier.op_is_abstract
-    @ Codec.opt_attr "body" o.Classifier.op_body
-  in
-  el ~attrs "ownedOperation" (List.map parameter_xml o.Classifier.op_params)
+type 'a enc = out -> 'a -> unit
+type 'a case_enc = E : ('a, 'p) case * 'p enc -> 'a case_enc
+type memo = M : 'a Type.Id.t * 'a enc ref -> memo
 
-let classifier_kind_string = function
-  | Classifier.Class -> "Class"
-  | Classifier.Interface -> "Interface"
-  | Classifier.Data_type -> "DataType"
-  | Classifier.Primitive_type -> "PrimitiveType"
-  | Classifier.Enumeration _ -> "Enumeration"
-  | Classifier.Signal -> "Signal"
-  | Classifier.Actor_kind -> "Actor"
+let memo : (int, memo) Hashtbl.t = Hashtbl.create 16
 
-let classifier_xml (c : Classifier.t) =
-  let literal_children =
-    match c.Classifier.cl_kind with
-    | Classifier.Enumeration lits ->
-      List.map (fun l -> el ~attrs:[ name_attr l ] "ownedLiteral" []) lits
-    | Classifier.Class | Classifier.Interface | Classifier.Data_type
-    | Classifier.Primitive_type | Classifier.Signal | Classifier.Actor_kind ->
-      []
-  in
-  let refs tag ids =
-    List.map (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] tag []) ids
-  in
-  let children =
-    literal_children
-    @ List.map (property_xml "ownedAttribute") c.Classifier.cl_attributes
-    @ List.map operation_xml c.Classifier.cl_operations
-    @ List.map
-        (fun (r : Classifier.reception) ->
-          el
-            ~attrs:
-              [
-                id_attr r.Classifier.recv_id;
-                ("signal", Ident.to_string r.Classifier.recv_signal);
-              ]
-            "ownedReception" [])
-        c.Classifier.cl_receptions
-    @ refs "generalization" c.Classifier.cl_generals
-    @ refs "interfaceRealization" c.Classifier.cl_realized
-    @ refs "ownedBehavior" c.Classifier.cl_behaviors
-  in
-  let attrs =
-    [
-      xtype (classifier_kind_string c.Classifier.cl_kind);
-      id_attr c.Classifier.cl_id;
-      name_attr c.Classifier.cl_name;
-    ]
-    @ Codec.bool_attr "isAbstract" c.Classifier.cl_is_abstract
-    @ Codec.bool_attr "isActive" c.Classifier.cl_is_active
-  in
-  el ~attrs "packagedElement" children
+(* the attribute text of a scalar *)
+let rec text : type a. a t -> a -> string = function
+  | Str -> Fun.id
+  | Ident -> Uml.Ident.to_string
+  | Int -> string_of_int
+  | Bool -> string_of_bool
+  | Float -> Meta.float_text
+  | Enum en -> en.spell
+  | Custom c ->
+    let t = text c.xml in
+    fun v -> t (c.to_xml v)
+  | Opt _ | List _ | Record _ | Variant _ | Rec _ ->
+    invalid_arg "Xmi.Write: not an attribute value"
 
-let association_xml (a : Classifier.association) =
-  let end_xml (e : Classifier.association_end) =
-    el
-      ~attrs:(Codec.bool_attr "navigable" e.Classifier.end_navigable)
-      "memberEnd"
-      [ property_xml "endProperty" e.Classifier.end_property ]
-  in
-  el
-    ~attrs:
-      [
-        xtype "Association";
-        id_attr a.Classifier.assoc_id;
-        name_attr a.Classifier.assoc_name;
-      ]
-    "packagedElement"
-    (List.map end_xml a.Classifier.assoc_ends)
+(* Dispatch on a variant value: the compiled encoder of its case. *)
+let by_case (v : _ variant) (compile : _ any_case -> _ case_enc) =
+  let encs = Array.of_list (List.map compile v.cases) in
+  fun o x ->
+    let (V (c, p)) = v.view x in
+    let (E (c', f)) = Array.unsafe_get encs c.index in
+    let Type.Equal = same c.key c'.key in
+    f o p
 
-(* --- packages -------------------------------------------------------- *)
-
-let package_xml (p : Pkg.t) =
-  let refs tag ids =
-    List.map (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] tag []) ids
-  in
-  el
-    ~attrs:[ xtype "Package"; id_attr p.Pkg.pkg_id; name_attr p.Pkg.pkg_name ]
-    "packagedElement"
-    (refs "ownedMember" p.Pkg.pkg_owned
-    @ refs "nestedPackage" p.Pkg.pkg_subpackages
-    @ refs "packageImport" p.Pkg.pkg_imports)
-
-(* --- state machines --------------------------------------------------- *)
-
-let pseudostate_kind_string = Codec.pseudostate_kind_string
-
-let trigger_xml (tr : Smachine.trigger) =
-  let attrs =
-    match tr with
-    | Smachine.Signal_trigger n -> [ ("kind", "signal"); ("event", n) ]
-    | Smachine.Time_trigger d -> [ ("kind", "time"); ("after", string_of_int d) ]
-    | Smachine.Any_trigger -> [ ("kind", "any") ]
-    | Smachine.Completion -> [ ("kind", "completion") ]
-  in
-  el ~attrs "trigger" []
-
-let transition_xml (t : Smachine.transition) =
-  let kind = Codec.transition_kind_string t.Smachine.tr_kind in
-  let attrs =
-    [
-      id_attr t.Smachine.tr_id;
-      ("source", Ident.to_string t.Smachine.tr_source);
-      ("target", Ident.to_string t.Smachine.tr_target);
-      ("kind", kind);
-    ]
-    @ Codec.opt_attr "guard" t.Smachine.tr_guard
-    @ Codec.opt_attr "effect" t.Smachine.tr_effect
-  in
-  el ~attrs "transition" (List.map trigger_xml t.Smachine.tr_triggers)
-
-let rec region_xml (r : Smachine.region) =
-  el
-    ~attrs:[ id_attr r.Smachine.rg_id; name_attr r.Smachine.rg_name ]
-    "region"
-    (List.map vertex_xml r.Smachine.rg_vertices
-    @ List.map transition_xml r.Smachine.rg_transitions)
-
-and vertex_xml = function
-  | Smachine.State s ->
-    let attrs =
-      [ xtype "State"; id_attr s.Smachine.st_id; name_attr s.Smachine.st_name ]
-      @ Codec.opt_attr "entry" s.Smachine.st_entry
-      @ Codec.opt_attr "exit" s.Smachine.st_exit
-      @ Codec.opt_attr "doActivity" s.Smachine.st_do
+(* What a value writes into its own element. *)
+let rec content : type a. a t -> a enc = function
+  | Record (R r) ->
+    let steps = Array.of_list (List.map field (field_list r.fields)) in
+    let order =
+      match r.xmi_order with
+      | Some order -> order
+      | None -> List.init (Array.length steps) Fun.id
     in
-    el ~attrs "subvertex"
-      (List.map
-         (fun tr -> el "deferrableTrigger" [ trigger_xml tr ])
-         s.Smachine.st_deferred
-      @ List.map region_xml s.Smachine.st_regions)
-  | Smachine.Pseudo p ->
-    el
-      ~attrs:
-        [
-          xtype "Pseudostate";
-          id_attr p.Smachine.ps_id;
-          name_attr p.Smachine.ps_name;
-          ("kind", pseudostate_kind_string p.Smachine.ps_kind);
-        ]
-      "subvertex" []
-  | Smachine.Final f ->
-    el
-      ~attrs:
-        [ xtype "FinalState"; id_attr f.Smachine.fs_id;
-          name_attr f.Smachine.fs_name ]
-      "subvertex" []
+    let steps = List.map (Array.get steps) order in
+    fun o v -> List.iter (fun step -> step o v) steps
+  | Variant v -> (
+    match v.by with
+    | By_xmi_type ->
+      by_case v (fun (Any c) ->
+          let payload = place c.at c.payload ~default:None ~omit:false in
+          match c.spelling with
+          | None -> E (c, payload)
+          | Some s ->
+            E
+              ( c,
+                fun o p ->
+                  o.xtype <- Some s;
+                  payload o p ))
+    | By_attr a ->
+      by_case v (fun (Any c) ->
+          let payload = place c.at c.payload ~default:None ~omit:false in
+          let s = Option.get c.spelling in
+          E
+            ( c,
+              fun o p ->
+                add_attr o a s;
+                payload o p ))
+    | By_tag ->
+      (* one child element per value, tagged by its case *)
+      by_case v (fun (Any c) ->
+          let payload = place c.at c.payload ~default:None ~omit:false in
+          let tag = Option.get c.spelling in
+          E (c, fun o p -> add_child o (element tag payload p)))
+    | Kind_pair _ -> invalid_arg "Xmi.Write: a kind pair needs an attribute")
+  | Custom c ->
+    let f = content c.xml in
+    fun o v -> f o (c.to_xml v)
+  | Rec r -> (
+    let uid = Type.Id.uid r.fix_key in
+    match Hashtbl.find_opt memo uid with
+    | Some (M (k, f)) ->
+      let Type.Equal = same k r.fix_key in
+      fun o v -> !f o v
+    | None ->
+      let f = ref (fun _ _ -> ()) in
+      Hashtbl.add memo uid (M (r.fix_key, f));
+      f := content (Lazy.force r.body);
+      fun o v -> !f o v)
+  | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ ->
+    invalid_arg "Xmi.Write: a scalar or list needs a placement"
 
-let state_machine_xml (sm : Smachine.t) =
-  let attrs =
-    [ xtype "StateMachine"; id_attr sm.Smachine.sm_id;
-      name_attr sm.Smachine.sm_name ]
-    @
-    match sm.Smachine.sm_context with
-    | Some c -> [ ("context", Ident.to_string c) ]
-    | None -> []
-  in
-  el ~attrs "packagedElement" (List.map region_xml sm.Smachine.sm_regions)
+and field : type r. r any_field -> r enc = function
+  | F (_, f) ->
+    let enc = place f.place f.ty ~default:f.default ~omit:f.omit in
+    fun o r -> enc o (f.get r)
 
-(* --- activities ------------------------------------------------------- *)
+(* [fooKind] + [foo]: the case spelling and its scalar payload *)
+and kind_pair : type a. string -> a variant -> a enc =
+ fun prefix v ->
+  let kind = prefix ^ "Kind" in
+  by_case v (fun (Any c) ->
+      match c.spelling with
+      | None -> E (c, fun _ _ -> ())
+      | Some s when Option.is_some (constant c.payload) ->
+        E (c, fun o _ -> add_attr o kind s)
+      | Some s ->
+        let t = text c.payload in
+        E
+          ( c,
+            fun o p ->
+              add_attr o kind s;
+              add_attr o prefix (t p) ))
 
-let activity_node_xml (n : Activityg.node) =
-  let head kind extra children =
-    let h =
-      match n with
-      | Activityg.Action a -> a.Activityg.act_head
-      | Activityg.Call_behavior c -> c.Activityg.cb_head
-      | Activityg.Send_signal e | Activityg.Accept_event e ->
-        e.Activityg.ev_head
-      | Activityg.Object_node o -> o.Activityg.on_head
-      | Activityg.Initial_node h
-      | Activityg.Activity_final h
-      | Activityg.Flow_final h
-      | Activityg.Fork_node h
-      | Activityg.Join_node h
-      | Activityg.Decision_node h
-      | Activityg.Merge_node h ->
-        h
-    in
-    el
-      ~attrs:
-        ([ xtype kind; id_attr h.Activityg.nd_id;
-           name_attr h.Activityg.nd_name ]
-        @ extra)
-      "node" children
-  in
-  match n with
-  | Activityg.Action a ->
-    head "OpaqueAction" (Codec.opt_attr "body" a.Activityg.act_body) []
-  | Activityg.Call_behavior c ->
-    head "CallBehaviorAction"
-      [ ("behavior", Ident.to_string c.Activityg.cb_behavior) ]
-      []
-  | Activityg.Send_signal e ->
-    head "SendSignalAction" [ ("event", e.Activityg.ev_event) ] []
-  | Activityg.Accept_event e ->
-    head "AcceptEventAction" [ ("event", e.Activityg.ev_event) ] []
-  | Activityg.Object_node o ->
-    head "CentralBufferNode"
-      (Codec.dtype_attrs "type" o.Activityg.on_type
-      @
-      match o.Activityg.on_upper_bound with
-      | Some b -> [ ("upperBound", string_of_int b) ]
-      | None -> [])
-      []
-  | Activityg.Initial_node _ -> head "InitialNode" [] []
-  | Activityg.Activity_final _ -> head "ActivityFinalNode" [] []
-  | Activityg.Flow_final _ -> head "FlowFinalNode" [] []
-  | Activityg.Fork_node _ -> head "ForkNode" [] []
-  | Activityg.Join_node _ -> head "JoinNode" [] []
-  | Activityg.Decision_node _ -> head "DecisionNode" [] []
-  | Activityg.Merge_node _ -> head "MergeNode" [] []
+and place : type a. place -> a t -> default:a option -> omit:bool -> a enc =
+ fun at ty ~default ~omit ->
+  match (at, ty) with
+  | _, Custom c ->
+    let f = place at c.xml ~default:None ~omit:false in
+    fun o v -> f o (c.to_xml v)
+  | Attr n, Variant ({ by = Kind_pair _; _ } as v) -> kind_pair n v
+  | Attr n, Opt (Variant ({ by = Kind_pair _; _ } as v)) ->
+    let f = kind_pair n v in
+    fun o -> Option.iter (f o)
+  | Attr n, Opt s ->
+    let t = text s in
+    fun o -> Option.iter (fun x -> add_attr o n (t x))
+  | Attr n, _ -> (
+    let t = text ty in
+    match default with
+    | Some d when omit -> fun o v -> if v <> d then add_attr o n (t v)
+    | Some _ | None -> fun o v -> add_attr o n (t v))
+  | Xmi_type, Enum en -> fun o v -> o.xtype <- Some (en.spell v)
+  | (Xmi_type | Inline), _ -> content ty
+  | Each (tag, inner), List a ->
+    let item = place inner a ~default:None ~omit:false in
+    fun o l -> List.iter (fun x -> add_child o (element tag item x)) l
+  | Child tag, _ ->
+    let f = content ty in
+    fun o v -> add_child o (element tag f v)
+  | Tagged _, List a ->
+    let item = content a in
+    fun o l -> List.iter (item o) l
+  | (Each _ | Tagged _), _ -> invalid_arg "Xmi.Write: a list placement needs a list"
 
-let activity_edge_xml (e : Activityg.edge) =
-  let kind = Codec.edge_kind_string e.Activityg.ed_kind in
-  let attrs =
-    [
-      xtype kind;
-      id_attr e.Activityg.ed_id;
-      ("source", Ident.to_string e.Activityg.ed_source);
-      ("target", Ident.to_string e.Activityg.ed_target);
-      ("weight", string_of_int e.Activityg.ed_weight);
-    ]
-    @ Codec.opt_attr "guard" e.Activityg.ed_guard
-  in
-  el ~attrs "edge" []
-
-let activity_xml (a : Activityg.t) =
-  let attrs =
-    [ xtype "Activity"; id_attr a.Activityg.ac_id;
-      name_attr a.Activityg.ac_name ]
-    @
-    match a.Activityg.ac_context with
-    | Some c -> [ ("context", Ident.to_string c) ]
-    | None -> []
-  in
-  el ~attrs "packagedElement"
-    (List.map activity_node_xml a.Activityg.ac_nodes
-    @ List.map activity_edge_xml a.Activityg.ac_edges)
-
-(* --- interactions ------------------------------------------------------ *)
-
-let message_sort_string = Codec.message_sort_string
-
-let operator_attrs = function
-  | Interaction.Alt -> [ ("operator", "alt") ]
-  | Interaction.Opt -> [ ("operator", "opt") ]
-  | Interaction.Loop (mn, mx) ->
-    [ ("operator", "loop"); ("minint", string_of_int mn) ]
-    @ (match mx with
-       | Some m -> [ ("maxint", string_of_int m) ]
-       | None -> [])
-  | Interaction.Par -> [ ("operator", "par") ]
-  | Interaction.Strict -> [ ("operator", "strict") ]
-  | Interaction.Seq -> [ ("operator", "seq") ]
-  | Interaction.Break -> [ ("operator", "break") ]
-  | Interaction.Critical -> [ ("operator", "critical") ]
-  | Interaction.Neg -> [ ("operator", "neg") ]
-  | Interaction.Assert -> [ ("operator", "assert") ]
-  | Interaction.Ignore names ->
-    [ ("operator", "ignore"); ("messages", String.concat "," names) ]
-  | Interaction.Consider names ->
-    [ ("operator", "consider"); ("messages", String.concat "," names) ]
-
-let rec interaction_element_xml = function
-  | Interaction.Message m ->
-    let attrs =
-      [
-        id_attr m.Interaction.msg_id;
-        name_attr m.Interaction.msg_name;
-        ("sort", message_sort_string m.Interaction.msg_sort);
-        ("from", Ident.to_string m.Interaction.msg_from);
-        ("to", Ident.to_string m.Interaction.msg_to);
-      ]
-    in
-    el ~attrs "message"
-      (List.map
-         (fun v -> el ~attrs:(Codec.vspec_attrs "value" v) "argument" [])
-         m.Interaction.msg_arguments)
-  | Interaction.Fragment f ->
-    el
-      ~attrs:(id_attr f.Interaction.fr_id :: operator_attrs f.Interaction.fr_operator)
-      "fragment"
-      (List.map
-         (fun (o : Interaction.operand) ->
-           el
-             ~attrs:
-               (id_attr o.Interaction.opnd_id
-               :: Codec.opt_attr "guard" o.Interaction.opnd_guard)
-             "operand"
-             (List.map interaction_element_xml o.Interaction.opnd_body))
-         f.Interaction.fr_operands)
-
-let interaction_xml (i : Interaction.t) =
-  el
-    ~attrs:
-      [ xtype "Interaction"; id_attr i.Interaction.in_id;
-        name_attr i.Interaction.in_name ]
-    "packagedElement"
-    (List.map
-       (fun (l : Interaction.lifeline) ->
-         el
-           ~attrs:
-             ([ id_attr l.Interaction.ll_id; name_attr l.Interaction.ll_name ]
-             @
-             match l.Interaction.ll_represents with
-             | Some r -> [ ("represents", Ident.to_string r) ]
-             | None -> [])
-           "lifeline" [])
-       i.Interaction.in_lifelines
-    @ List.map interaction_element_xml i.Interaction.in_body)
-
-(* --- use cases ---------------------------------------------------------- *)
-
-let use_case_xml (u : Usecase.t) =
-  let refs tag ids =
-    List.map (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] tag []) ids
-  in
-  el
-    ~attrs:
-      ([ xtype "UseCase"; id_attr u.Usecase.uc_id; name_attr u.Usecase.uc_name ]
-      @
-      match u.Usecase.uc_subject with
-      | Some s -> [ ("subject", Ident.to_string s) ]
-      | None -> [])
-    "packagedElement"
-    (refs "actorRef" u.Usecase.uc_actors
-    @ refs "include" u.Usecase.uc_includes
-    @ List.map
-        (fun (e : Usecase.extend) ->
-          el
-            ~attrs:
-              (("extendedCase", Ident.to_string e.Usecase.ext_extended)
-              :: Codec.opt_attr "condition" e.Usecase.ext_condition)
-            "extend" [])
-        u.Usecase.uc_extends)
-
-(* --- components ---------------------------------------------------------- *)
-
-let component_xml (c : Component.t) =
-  let port_xml (p : Component.port) =
-    let refs tag ids =
-      List.map (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] tag []) ids
-    in
-    el
-      ~attrs:
-        ([ id_attr p.Component.port_id; name_attr p.Component.port_name ]
-        @ Codec.bool_attr "isBehavior" p.Component.port_is_behavior)
-      "ownedPort"
-      (refs "provided" p.Component.port_provided
-      @ refs "required" p.Component.port_required)
-  in
-  let part_xml (p : Component.part) =
-    el
-      ~attrs:
-        ([
-           id_attr p.Component.part_id;
-           name_attr p.Component.part_name;
-           ("type", Ident.to_string p.Component.part_type);
-         ]
-        @ Codec.mult_attrs p.Component.part_mult)
-      "ownedPart" []
-  in
-  let connector_xml (conn : Component.connector) =
-    let kind = Codec.connector_kind_string conn.Component.conn_kind in
-    el
-      ~attrs:
-        [
-          id_attr conn.Component.conn_id;
-          name_attr conn.Component.conn_name;
-          ("kind", kind);
-        ]
-      "ownedConnector"
-      (List.map
-         (fun (e : Component.connector_end) ->
-           el
-             ~attrs:
-               (("port", Ident.to_string e.Component.cend_port)
-               ::
-               (match e.Component.cend_part with
-                | Some p -> [ ("part", Ident.to_string p) ]
-                | None -> []))
-             "end" [])
-         conn.Component.conn_ends)
-  in
-  let refs tag ids =
-    List.map (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] tag []) ids
-  in
-  el
-    ~attrs:
-      [ xtype "Component"; id_attr c.Component.cmp_id;
-        name_attr c.Component.cmp_name ]
-    "packagedElement"
-    (List.map port_xml c.Component.cmp_ports
-    @ List.map part_xml c.Component.cmp_parts
-    @ List.map connector_xml c.Component.cmp_connectors
-    @ refs "realization" c.Component.cmp_realizations
-    @ refs "ownedBehavior" c.Component.cmp_behaviors)
-
-(* --- instances ----------------------------------------------------------- *)
-
-let instance_xml (i : Instance.t) =
-  el
-    ~attrs:
-      ([ xtype "InstanceSpecification"; id_attr i.Instance.inst_id;
-         name_attr i.Instance.inst_name ]
-      @
-      match i.Instance.inst_classifier with
-      | Some c -> [ ("classifier", Ident.to_string c) ]
-      | None -> [])
-    "packagedElement"
-    (List.map
-       (fun (s : Instance.slot) ->
-         el
-           ~attrs:[ ("feature", s.Instance.slot_feature) ]
-           "slot"
-           (List.map
-              (fun v -> el ~attrs:(Codec.vspec_attrs "value" v) "value" [])
-              s.Instance.slot_values))
-       i.Instance.inst_slots)
-
-let link_xml (l : Instance.link) =
-  let e1, e2 = l.Instance.link_ends in
-  el
-    ~attrs:
-      ([
-         xtype "Link";
-         id_attr l.Instance.link_id;
-         ("end1", Ident.to_string e1);
-         ("end2", Ident.to_string e2);
-       ]
-      @
-      match l.Instance.link_association with
-      | Some a -> [ ("association", Ident.to_string a) ]
-      | None -> [])
-    "packagedElement" []
-
-(* --- deployments ----------------------------------------------------------- *)
-
-let node_kind_string = Codec.node_kind_string
-
-let deployment_node_xml (n : Deployment.node) =
-  el
-    ~attrs:
-      [ xtype (node_kind_string n.Deployment.dn_kind);
-        id_attr n.Deployment.dn_id; name_attr n.Deployment.dn_name ]
-    "packagedElement"
-    (List.map
-       (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] "nestedNode" [])
-       n.Deployment.dn_nested)
-
-let artifact_xml (a : Deployment.artifact) =
-  el
-    ~attrs:
-      [ xtype "Artifact"; id_attr a.Deployment.art_id;
-        name_attr a.Deployment.art_name ]
-    "packagedElement"
-    (List.map
-       (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] "manifestation" [])
-       a.Deployment.art_manifests)
-
-let deployment_xml (d : Deployment.deployment) =
-  el
-    ~attrs:
-      [
-        xtype "Deployment";
-        id_attr d.Deployment.dep_id;
-        ("artifact", Ident.to_string d.Deployment.dep_artifact);
-        ("target", Ident.to_string d.Deployment.dep_target);
-      ]
-    "packagedElement" []
-
-let communication_path_xml (c : Deployment.communication_path) =
-  let n1, n2 = c.Deployment.cpath_ends in
-  el
-    ~attrs:
-      [
-        xtype "CommunicationPath";
-        id_attr c.Deployment.cpath_id;
-        ("end1", Ident.to_string n1);
-        ("end2", Ident.to_string n2);
-      ]
-    "packagedElement" []
-
-(* --- profiles ----------------------------------------------------------- *)
-
-let metaclass_string = Codec.metaclass_string
-
-let profile_xml (p : Profile.t) =
-  el
-    ~attrs:
-      [ xtype "Profile"; id_attr p.Profile.prof_id;
-        name_attr p.Profile.prof_name ]
-    "packagedElement"
-    (List.map
-       (fun (s : Profile.stereotype) ->
-         el
-           ~attrs:[ id_attr s.Profile.ster_id; name_attr s.Profile.ster_name ]
-           "ownedStereotype"
-           (List.map
-              (fun mc ->
-                el ~attrs:[ ("metaclass", metaclass_string mc) ] "extension" [])
-              s.Profile.ster_extends
-           @ List.map
-               (fun (t : Profile.tag_definition) ->
-                 el
-                   ~attrs:
-                     ([ name_attr t.Profile.tag_name ]
-                     @ Codec.dtype_attrs "type" t.Profile.tag_type
-                     @
-                     match t.Profile.tag_default with
-                     | Some v -> Codec.vspec_attrs "default" v
-                     | None -> [])
-                   "tagDefinition" [])
-               s.Profile.ster_tags))
-       p.Profile.prof_stereotypes)
-
-(* --- top level ------------------------------------------------------------- *)
-
-let element_xml = function
-  | Model.E_classifier c -> classifier_xml c
-  | Model.E_association a -> association_xml a
-  | Model.E_package p -> package_xml p
-  | Model.E_state_machine sm -> state_machine_xml sm
-  | Model.E_activity a -> activity_xml a
-  | Model.E_interaction i -> interaction_xml i
-  | Model.E_use_case u -> use_case_xml u
-  | Model.E_component c -> component_xml c
-  | Model.E_instance i -> instance_xml i
-  | Model.E_link l -> link_xml l
-  | Model.E_deployment_node n -> deployment_node_xml n
-  | Model.E_artifact a -> artifact_xml a
-  | Model.E_deployment d -> deployment_xml d
-  | Model.E_communication_path c -> communication_path_xml c
-  | Model.E_profile p -> profile_xml p
-
-let application_xml (a : Profile.application) =
-  el
-    ~attrs:
-      [
-        ("element", Ident.to_string a.Profile.app_element);
-        ("stereotype", Ident.to_string a.Profile.app_stereotype);
-      ]
-    "stereotypeApplication"
-    (List.map
-       (fun (name, v) ->
-         el ~attrs:(name_attr name :: Codec.vspec_attrs "value" v) "tagValue" [])
-       a.Profile.app_values)
-
-let diagram_kind_string = Codec.diagram_kind_string
-
-let diagram_xml (d : Diagram.t) =
-  el
-    ~attrs:
-      [
-        id_attr d.Diagram.dg_id;
-        name_attr d.Diagram.dg_name;
-        ("kind", diagram_kind_string d.Diagram.dg_kind);
-      ]
-    "diagram"
-    (List.map
-       (fun i -> el ~attrs:[ ("ref", Ident.to_string i) ] "elementRef" [])
-       d.Diagram.dg_elements)
+let element_enc = content Meta.element
+let application_enc = content Meta.application
+let diagram_enc = content Meta.diagram
 
 let to_xml m =
   let model_el =
-    el
-      ~attrs:[ ("name", Model.name m) ]
+    Sxml.Doc.element
+      ~attrs:[ ("name", Uml.Model.name m) ]
       "uml:Model"
-      (List.map element_xml (Model.elements m))
+      (List.map (element "packagedElement" element_enc) (Uml.Model.elements m))
   in
   let applications =
-    el "applications" (List.map application_xml (Model.applications m))
+    Sxml.Doc.element "applications"
+      (List.map
+         (element "stereotypeApplication" application_enc)
+         (Uml.Model.applications m))
   in
-  let diagrams = el "diagrams" (List.map diagram_xml (Model.diagrams m)) in
-  el
+  let diagrams =
+    Sxml.Doc.element "diagrams"
+      (List.map (element "diagram" diagram_enc) (Uml.Model.diagrams m))
+  in
+  Sxml.Doc.element
     ~attrs:
       [
         ("xmlns:xmi", "http://schema.omg.org/spec/XMI/2.1");
