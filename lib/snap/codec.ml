@@ -1,53 +1,25 @@
-(* The binary encoder/decoder: compiles each [Xmi.Schema] node once into
+(* The binary interpreter: compiles each [Xmi.Schema] node once into
    closures over the {!Wire} primitives. *)
 
 open Xmi.Schema
-
-(* [Schema.fields] borrows the list syntax; here it means lists *)
-type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
 module Enc = Wire.Enc
 module Dec = Wire.Dec
 
-(* Decoder state: the input, and the flags byte of the record being
-   decoded.  One per [dec_model] call, so concurrent loads share
-   nothing. *)
-type st = { d : Dec.t; mutable flags : int }
+(* [Schema.fields] borrows the list syntax; here it means lists *)
+type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
 
 type 'a enc = Enc.t -> 'a -> unit
-type 'a dec = st -> 'a
-type 'a case_enc = E : ('a, 'p) case * (Enc.t -> int -> 'p -> unit) -> 'a case_enc
+type 'a dec = Dec.t -> 'a
+type 'a case_enc = E : ('a, 'p) case * 'p enc -> 'a case_enc
 type enc_memo = EM : 'a Type.Id.t * 'a enc ref -> enc_memo
 type dec_memo = DM : 'a Type.Id.t * 'a dec ref -> dec_memo
 
 let enc_memo : (int, enc_memo) Hashtbl.t = Hashtbl.create 16
 let dec_memo : (int, dec_memo) Hashtbl.t = Hashtbl.create 16
-
-(* [Dec.list] for state-passing decoders: direct construction up to 4096
-   items, tail recursion beyond (hostile counts can reach the input
-   length). *)
-let rec list_direct st f k =
-  if k = 0 then []
-  else
-    let x = f st in
-    x :: list_direct st f (k - 1)
-
-let rec list_deep st f k acc =
-  if k = 0 then List.rev acc else list_deep st f (k - 1) (f st :: acc)
-
-let list st f =
-  let n = Dec.varint st.d in
-  if n = 0 then [] else if n <= 4096 then list_direct st f n else list_deep st f n []
-
 let mask width = (1 lsl width) - 1
-
-(* The payload encoder of each case, looked up from a value's view. *)
-let by_case (v : _ variant) compile =
-  let encs = Array.of_list (List.map compile v.cases) in
-  fun e x ->
-    let (V (c, p)) = v.view x in
-    let (E (c', f)) = Array.unsafe_get encs c.index in
-    let Type.Equal = same c.key c'.key in
-    f e c.index p
+let bit b flags = flags land (1 lsl b) <> 0
+let not_indexed () = invalid_arg "Snap.Codec: Index needs an enum or a variant"
+let not_optional () = invalid_arg "Snap.Codec: Present needs an option"
 
 let rec encoder : type a. a t -> a enc = function
   | Str -> Enc.str
@@ -62,17 +34,7 @@ let rec encoder : type a. a t -> a enc = function
   | List a ->
     let f = encoder a in
     fun e l -> Enc.list e f l
-  | Variant v ->
-    let f =
-      by_case v (fun (Any c) ->
-          let p = encoder c.payload in
-          E
-            ( c,
-              fun e tag x ->
-                Enc.u8 e tag;
-                p e x ))
-    in
-    fun e x -> f e x
+  | Variant v -> payloads v ~tag:true
   | Custom c -> encoder c.wire
   | Rec r -> (
     let uid = Type.Id.uid r.fix_key in
@@ -87,223 +49,192 @@ let rec encoder : type a. a t -> a enc = function
       fun e v -> !f e v)
   | Record (R r) ->
     let fields = field_list r.fields in
-    let flag_pos = flag_position fields in
-    let flags = flags_of fields in
+    let first = first_flag fields in
+    let bits = List.map flag_bits fields in
     let steps =
       List.map
         (fun (F (i, f)) ->
-          let payload = field_payload f in
-          if i = flag_pos then fun e v ->
-            Enc.u8 e (flags v);
-            payload e v
-          else payload)
+          let inline = in_line f in
+          if i <> first then inline
+          else fun e v ->
+            Enc.u8 e (List.fold_left (fun acc b -> acc lor b v) 0 bits);
+            inline e v)
         fields
     in
     fun e v -> List.iter (fun step -> step e v) steps
 
-(* What a field writes in line: everything but the bits it keeps in the
-   flags byte. *)
-and field_payload : type r a. (r, a) field -> r enc =
+(* a variant value's payload, after its case position when [tag] *)
+and payloads : type a. a variant -> tag:bool -> a enc =
+ fun v ~tag ->
+  let encs =
+    Array.of_list (List.map (fun (Any c) -> E (c, encoder c.payload)) v.cases)
+  in
+  fun e x ->
+    let (V (c, p)) = v.view x in
+    let (E (c', f)) = Array.unsafe_get encs c.index in
+    let Type.Equal = same c.key c'.key in
+    if tag then Enc.u8 e c.index;
+    f e p
+
+(* what a field writes outside the flags byte *)
+and in_line : type r a. (r, a) field -> r enc =
  fun f ->
-  match f.bits with
-  | Bytes ->
-    let p = encoder f.ty in
-    fun e r -> p e (f.get r)
-  | Bit _ -> fun _ _ -> ()
-  | Index _ -> (
-    match f.ty with
-    | Variant v ->
-      let p = by_case v (fun (Any c) ->
-          let p = encoder c.payload in
-          E (c, fun e _ x -> p e x))
-      in
-      fun e r -> p e (f.get r)
-    | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ | Record _
-    | Custom _ | Rec _ ->
-      fun _ _ -> ())
-  | Present _ -> (
-    match f.ty with
-    | Opt a ->
-      let p = encoder a in
-      fun e r -> Option.iter (p e) (f.get r)
-    | Enum _ | Record _ | Variant _ | Custom _ | Rec _ ->
-      invalid_arg "Snap.Codec: Present needs an option")
-  | Unless (_, d) ->
-    let p = encoder f.ty in
+  let get = f.get in
+  match (f.bits, f.ty) with
+  | Bytes, ty ->
+    let p = encoder ty in
+    fun e r -> p e (get r)
+  | Bit _, _ | Index _, Enum _ -> fun _ _ -> ()
+  | Index _, Variant v ->
+    let p = payloads v ~tag:false in
+    fun e r -> p e (get r)
+  | Index _, (Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _) ->
+    not_indexed ()
+  | Index _, (Custom _ | Rec _) -> not_indexed ()
+  | Present _, Opt a ->
+    let p = encoder a in
+    fun e r -> Option.iter (p e) (get r)
+  | Present _, (Enum _ | Record _ | Variant _ | Custom _ | Rec _) ->
+    not_optional ()
+  | Unless (_, d), ty ->
+    let p = encoder ty in
     fun e r ->
-      let v = f.get r in
+      let v = get r in
       if v <> d then p e v
 
-and flag_position : type r. r any_field list -> int =
- fun fields ->
-  match
-    List.find_opt
-      (fun (F (_, f)) ->
-        match f.bits with
-        | Bytes -> false
-        | Bit _ | Index _ | Present _ | Unless _ -> true)
-      fields
-  with
-  | Some (F (i, _)) -> i
-  | None -> -1
+(* a field's share of the flags byte *)
+and flag_bits : type r. r any_field -> r -> int = function
+  | F (_, f) -> (
+    let get = f.get in
+    match (f.bits, f.ty) with
+    | Bytes, _ -> fun _ -> 0
+    | Bit b, _ -> fun r -> if get r then 1 lsl b else 0
+    | Index (s, _), Enum en -> fun r -> enum_index en (get r) lsl s
+    | Index (s, _), Variant v ->
+      fun r ->
+        let (V (c, _)) = v.view (get r) in
+        c.index lsl s
+    | Index _, (Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _) ->
+      not_indexed ()
+    | Index _, (Custom _ | Rec _) -> not_indexed ()
+    | Present b, _ -> fun r -> if Option.is_some (get r) then 1 lsl b else 0
+    | Unless (b, d), _ -> fun r -> if get r <> d then 1 lsl b else 0)
 
-(* the flags byte of a record value *)
-and flags_of : type r. r any_field list -> r -> int =
- fun fields ->
-  let bit : r any_field -> r -> int = function
-    | F (_, f) -> (
-      match f.bits with
-      | Bytes -> fun _ -> 0
-      | Bit b -> fun r -> if f.get r then 1 lsl b else 0
-      | Index (shift, _) -> (
-        match f.ty with
-        | Enum en -> fun r -> enum_index en (f.get r) lsl shift
-        | Variant v ->
-          fun r ->
-            let (V (c, _)) = v.view (f.get r) in
-            c.index lsl shift
-        | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _
-        | Custom _ | Rec _ ->
-          invalid_arg "Snap.Codec: Index needs an enum or variant")
-      | Present b -> fun r -> if Option.is_some (f.get r) then 1 lsl b else 0
-      | Unless (b, d) -> fun r -> if f.get r <> d then 1 lsl b else 0)
-  in
-  let bits = List.map bit fields in
-  fun r -> List.fold_left (fun acc b -> acc lor b r) 0 bits
+and first_flag : type r. r any_field list -> int = function
+  | [] -> -1
+  | F (i, { bits = Bit _ | Index _ | Present _ | Unless _; _ }) :: _ -> i
+  | F (_, { bits = Bytes; _ }) :: rest -> first_flag rest
 
 let rec decoder : type a. a t -> a dec = function
-  | Str -> fun st -> Dec.str st.d
-  | Ident -> fun st -> Uml.Ident.of_string (Dec.str st.d)
-  | Int -> fun st -> Dec.int st.d
-  | Bool -> fun st -> Dec.bool st.d
-  | Float -> fun st -> Dec.float st.d
-  | Enum en ->
-    fun st ->
-      let t = Dec.u8 st.d in
-      if t >= Array.length en.all then
-        Wire.decode_error "unknown %s tag %d" en.what t;
-      Array.unsafe_get en.all t
+  | Str -> Dec.str
+  | Ident -> fun d -> Uml.Ident.of_string (Dec.str d)
+  | Int -> Dec.int
+  | Bool -> Dec.bool
+  | Float -> Dec.float
   | Opt a ->
     let f = decoder a in
-    fun st -> if Dec.bool st.d then Some (f st) else None
+    fun d -> Dec.opt d f
   | List a ->
     let f = decoder a in
-    fun st -> list st f
-  | Variant v ->
-    let cases = case_decoders v in
-    fun st ->
-      let t = Dec.u8 st.d in
+    fun d -> Dec.list d f
+  | (Enum _ | Variant _) as ty ->
+    let what, cases = indexed ty in
+    fun src ->
+      let t = Dec.u8 src in
       if t >= Array.length cases then
-        Wire.decode_error "unknown %s tag %d" v.vname t;
-      (Array.unsafe_get cases t) st
+        Wire.decode_error "unknown %s tag %d" what t;
+      (Array.unsafe_get cases t) src
   | Custom c -> decoder c.wire
   | Rec r -> (
     let uid = Type.Id.uid r.fix_key in
     match Hashtbl.find_opt dec_memo uid with
     | Some (DM (k, f)) ->
       let Type.Equal = same k r.fix_key in
-      fun st -> !f st
+      fun src -> !f src
     | None ->
       let f = ref (fun _ -> invalid_arg "Snap.Codec: unfinished schema") in
       Hashtbl.add dec_memo uid (DM (r.fix_key, f));
       f := decoder (Lazy.force r.body);
-      fun st -> !f st)
+      fun src -> !f src)
   | Record (R r) ->
     let fields = field_list r.fields in
-    let flag_pos = flag_position fields in
-    let read_flags = if flag_pos < 0 then ignore else flags_reader r.name fields in
+    let first = first_flag fields in
+    let read_flags = flags_reader r.name fields in
     decode_in_order
-      { on = (fun i f ->
-            let d = field_decoder f in
-            if i = flag_pos then fun st ->
-              read_flags st;
-              d st
-            else d) }
+      { on =
+          (fun i f ->
+            let d = from_flags f in
+            if i <> first then d
+            else fun src ->
+              read_flags src;
+              d src) }
       r.fields r.make
 
-and case_decoders : type a. a variant -> a dec array =
- fun v ->
-  Array.of_list
-    (List.map
-       (fun (Any c) ->
-         match constant c.payload with
-         | Some u ->
-           let v = c.inj u in
-           fun _ -> v
-         | None ->
-           let p = decoder c.payload in
-           fun st -> c.inj (p st))
-       v.cases)
+(* the name and the per-position decoders of an enum or a variant *)
+and indexed : type a. a t -> string * a dec array = function
+  | Enum en -> (en.what, Array.map (fun v _ -> v) en.all)
+  | Variant v ->
+    let case (Any c) =
+      match constant c.payload with
+      | Some u ->
+        let x = c.inj u in
+        fun _ -> x
+      | None ->
+        let p = decoder c.payload in
+        fun src -> c.inj (p src)
+    in
+    (v.vname, Array.of_list (List.map case v.cases))
+  | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ -> not_indexed ()
+  | Custom _ | Rec _ -> not_indexed ()
 
-and field_decoder : type r a. (r, a) field -> a dec =
+and from_flags : type r a. (r, a) field -> a dec =
  fun f ->
-  match f.bits with
-  | Bytes -> decoder f.ty
-  | Bit b -> fun st -> st.flags land (1 lsl b) <> 0
-  | Index (shift, width) -> (
-    let m = mask width in
-    match f.ty with
-    | Enum en -> fun st -> Array.unsafe_get en.all ((st.flags lsr shift) land m)
-    | Variant v ->
-      let cases = case_decoders v in
-      fun st -> (Array.unsafe_get cases ((st.flags lsr shift) land m)) st
-    | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ | Custom _
-    | Rec _ ->
-      invalid_arg "Snap.Codec: Index needs an enum or variant")
-  | Present b -> (
-    match f.ty with
-    | Opt a ->
-      let p = decoder a in
-      fun st -> if st.flags land (1 lsl b) <> 0 then Some (p st) else None
-    | Enum _ | Record _ | Variant _ | Custom _ | Rec _ ->
-      invalid_arg "Snap.Codec: Present needs an option")
-  | Unless (b, d) ->
-    let p = decoder f.ty in
-    fun st -> if st.flags land (1 lsl b) <> 0 then p st else d
+  match (f.bits, f.ty) with
+  | Bytes, ty -> decoder ty
+  | Bit b, _ -> fun src -> bit b (Dec.flags src)
+  | Index (s, w), ty ->
+    let _, cases = indexed ty in
+    fun src -> (Array.unsafe_get cases ((Dec.flags src lsr s) land mask w)) src
+  | Present b, Opt a ->
+    let p = decoder a in
+    fun src -> if bit b (Dec.flags src) then Some (p src) else None
+  | Present _, (Enum _ | Record _ | Variant _ | Custom _ | Rec _) ->
+    not_optional ()
+  | Unless (b, d), ty ->
+    let p = decoder ty in
+    fun src -> if bit b (Dec.flags src) then p src else d
 
 (* Read and check a record's flags byte: no bit outside the declared
-   ones, no index past its inventory.  The flag fields must not hold a
-   flagged record themselves, since [st.flags] would be overwritten
-   before the outer record's later flag fields read it. *)
-and flags_reader : type r. string -> r any_field list -> st -> unit =
+   ones, no index past its inventory.  No flag field may hold a flagged
+   record itself: it would overwrite the byte before the outer record's
+   later flag fields read it. *)
+and flags_reader : type r. string -> r any_field list -> Dec.t -> unit =
  fun name fields ->
-  let used = ref 0 and checks = ref [] and last = ref (-1) in
-  List.iter
-    (fun (F (i, f)) ->
-      let claim b w = used := !used lor (mask w lsl b); last := i in
-      match f.bits with
-      | Bytes -> ()
-      | Bit b | Present b | Unless (b, _) -> claim b 1
-      | Index (shift, width) ->
-        claim shift width;
-        let what, count =
-          match f.ty with
-          | Enum en -> (en.what, Array.length en.all)
-          | Variant v -> (v.vname, List.length v.cases)
-          | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _
-          | Custom _ | Rec _ ->
-            invalid_arg "Snap.Codec: Index needs an enum or variant"
-        in
-        if count <= mask width then
-          checks :=
-            (fun flags ->
-              let t = (flags lsr shift) land mask width in
-              if t >= count then Wire.decode_error "unknown %s tag %d" what t)
-            :: !checks)
-    fields;
-  let first = flag_position fields in
-  List.iter
-    (fun (F (i, f)) ->
-      if i >= first && i <= !last && has_flags f.ty then
-        invalid_arg ("Snap.Codec: a flag field of " ^ name ^ " holds flags"))
-    fields;
-  let unused = lnot !used land 0xff and checks = List.rev !checks in
-  fun st ->
-    let flags = Dec.u8 st.d in
+  let first = first_flag fields in
+  let last = first_flag (List.rev fields) in
+  let claim (used, checks) (F (i, f)) =
+    if i >= first && i <= last && has_flags f.ty then
+      invalid_arg ("Snap.Codec: a flag field of " ^ name ^ " nests flags");
+    match f.bits with
+    | Bytes -> (used, checks)
+    | Bit b | Present b | Unless (b, _) -> (used lor (1 lsl b), checks)
+    | Index (s, w) ->
+      let what, cases = indexed f.ty in
+      let check flags =
+        let t = (flags lsr s) land mask w in
+        if t >= Array.length cases then
+          Wire.decode_error "unknown %s tag %d" what t
+      in
+      (used lor (mask w lsl s), check :: checks)
+  in
+  let used, checks = List.fold_left claim (0, []) fields in
+  let unused = lnot used land 0xff and checks = List.rev checks in
+  fun src ->
+    let flags = Dec.u8 src in
     if flags land unused <> 0 then
       Wire.decode_error "unknown %s flag byte 0x%02x" name flags;
     List.iter (fun check -> check flags) checks;
-    st.flags <- flags
+    Dec.set_flags src flags
 
 let enc_element = encoder Xmi.Meta.element
 let enc_application = encoder Xmi.Meta.application
@@ -319,13 +250,12 @@ let enc_model e m =
   Enc.list e enc_diagram (Uml.Model.diagrams m)
 
 let dec_model d =
-  let st = { d; flags = 0 } in
   let name = Dec.str d in
-  let elements = list st dec_element in
+  let elements = Dec.list d dec_element in
   (* element count is known before the first insert: pre-size the index
      so bulk load never pays a rehash chain *)
   let m = Uml.Model.create ~capacity:(2 * List.length elements) name in
   List.iter (Uml.Model.add m) elements;
-  List.iter (Uml.Model.add_application m) (list st dec_application);
-  List.iter (Uml.Model.add_diagram m) (list st dec_diagram);
+  List.iter (Uml.Model.add_application m) (Dec.list d dec_application);
+  List.iter (Uml.Model.add_diagram m) (Dec.list d dec_diagram);
   m

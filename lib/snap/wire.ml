@@ -104,10 +104,15 @@ module Dec = struct
     len : int;
     mutable pos : int;
     mutable table : string array;
+    mutable flags : int;
   }
 
-  let make ?(pos = 0) data = { data; len = String.length data; pos; table = [||] }
+  let make ?(pos = 0) data =
+    { data; len = String.length data; pos; table = [||]; flags = 0 }
+
   let set_table d table = d.table <- table
+  let flags d = d.flags
+  let set_flags d b = d.flags <- b
   let pos d = d.pos
   let at_end d = d.pos >= d.len
 

@@ -57,6 +57,12 @@ module Dec : sig
 
   val make : ?pos:int -> string -> t
   val set_table : t -> string array -> unit
+
+  val flags : t -> int
+  val set_flags : t -> int -> unit
+  (** The flags byte of the record being decoded, kept here for the
+      fields that read their bits from it ([Codec]). *)
+
   val pos : t -> int
   val at_end : t -> bool
   val u8 : t -> int

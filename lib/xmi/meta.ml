@@ -1,142 +1,105 @@
 open Uml
 open Schema
 
-(* --- field shapes shared by most records --------------------------------- *)
+(* --- shapes shared by most records ----------------------------------------- *)
 
 let id get = field (Attr "xmi:id") Ident get
 let name get = field (Attr "name") Str get
-let ident_attr n get = field (Attr n) Ident get
+let ident n get = field (Attr n) Ident get
 let opt_str n get = field (Attr n) (Opt Str) get
 let opt_ident n get = field (Attr n) (Opt Ident) get
 let refs tag get = field (Each (tag, Attr "ref")) (List Ident) get
 let each tag ty get = field (Each (tag, Inline)) (List ty) get
 let flag ?bits n get = field ~default:false ~omit:true ?bits (Attr n) Bool get
-
-(* a payload-free case *)
 let tag spelling v = case (Some spelling) unit (fun () -> v)
 
-(* --- enums: canonical inventory (binary tag = position) and spelling ------ *)
+(* --- enums: canonical inventory (binary tag = position) and spelling -------- *)
 
 let visibility =
   enum "visibility"
-    [ Classifier.Public; Classifier.Private; Classifier.Protected;
-      Classifier.Package_visibility ]
+    Classifier.[ Public; Private; Protected; Package_visibility ]
     (function
-      | Classifier.Public -> "public"
-      | Classifier.Private -> "private"
-      | Classifier.Protected -> "protected"
-      | Classifier.Package_visibility -> "package")
+      | Classifier.Public -> "public" | Private -> "private"
+      | Protected -> "protected" | Package_visibility -> "package")
 
 let direction =
-  enum "direction"
-    [ Classifier.In; Classifier.Out; Classifier.Inout; Classifier.Return ]
-    (function
-      | Classifier.In -> "in"
-      | Classifier.Out -> "out"
-      | Classifier.Inout -> "inout"
-      | Classifier.Return -> "return")
+  enum "direction" Classifier.[ In; Out; Inout; Return ] (function
+    | Classifier.In -> "in" | Out -> "out" | Inout -> "inout"
+    | Return -> "return")
 
 let aggregation =
-  enum "aggregation"
-    [ Classifier.No_aggregation; Classifier.Shared; Classifier.Composite ]
-    (function
-      | Classifier.No_aggregation -> "none"
-      | Classifier.Shared -> "shared"
-      | Classifier.Composite -> "composite")
+  enum "aggregation" Classifier.[ No_aggregation; Shared; Composite ] (function
+    | Classifier.No_aggregation -> "none" | Shared -> "shared"
+    | Composite -> "composite")
 
 let pseudostate_kind =
   enum "pseudostate kind"
-    [ Smachine.Initial; Smachine.Deep_history; Smachine.Shallow_history;
-      Smachine.Join; Smachine.Fork; Smachine.Junction; Smachine.Choice;
-      Smachine.Entry_point; Smachine.Exit_point; Smachine.Terminate ]
+    Smachine.
+      [ Initial; Deep_history; Shallow_history; Join; Fork; Junction; Choice;
+        Entry_point; Exit_point; Terminate ]
     (function
-      | Smachine.Initial -> "initial"
-      | Smachine.Deep_history -> "deepHistory"
-      | Smachine.Shallow_history -> "shallowHistory"
-      | Smachine.Join -> "join"
-      | Smachine.Fork -> "fork"
-      | Smachine.Junction -> "junction"
-      | Smachine.Choice -> "choice"
-      | Smachine.Entry_point -> "entryPoint"
-      | Smachine.Exit_point -> "exitPoint"
-      | Smachine.Terminate -> "terminate")
+      | Smachine.Initial -> "initial" | Deep_history -> "deepHistory"
+      | Shallow_history -> "shallowHistory" | Join -> "join" | Fork -> "fork"
+      | Junction -> "junction" | Choice -> "choice"
+      | Entry_point -> "entryPoint" | Exit_point -> "exitPoint"
+      | Terminate -> "terminate")
 
 let transition_kind =
-  enum "transition kind"
-    [ Smachine.External; Smachine.Internal; Smachine.Local ]
-    (function
-      | Smachine.External -> "external"
-      | Smachine.Internal -> "internal"
-      | Smachine.Local -> "local")
+  enum "transition kind" Smachine.[ External; Internal; Local ] (function
+    | Smachine.External -> "external" | Internal -> "internal"
+    | Local -> "local")
 
 let edge_kind =
   enum ~xml_what:"edge type" "edge kind"
-    [ Activityg.Control_flow; Activityg.Object_flow ]
+    Activityg.[ Control_flow; Object_flow ]
     (function
-      | Activityg.Control_flow -> "ControlFlow"
-      | Activityg.Object_flow -> "ObjectFlow")
+      | Activityg.Control_flow -> "ControlFlow" | Object_flow -> "ObjectFlow")
 
 let message_sort =
   enum "message sort"
-    [ Interaction.Synch_call; Interaction.Asynch_call;
-      Interaction.Asynch_signal; Interaction.Reply;
-      Interaction.Create_message; Interaction.Delete_message ]
+    Interaction.
+      [ Synch_call; Asynch_call; Asynch_signal; Reply; Create_message;
+        Delete_message ]
     (function
-      | Interaction.Synch_call -> "synchCall"
-      | Interaction.Asynch_call -> "asynchCall"
-      | Interaction.Asynch_signal -> "asynchSignal"
-      | Interaction.Reply -> "reply"
-      | Interaction.Create_message -> "createMessage"
-      | Interaction.Delete_message -> "deleteMessage")
+      | Interaction.Synch_call -> "synchCall" | Asynch_call -> "asynchCall"
+      | Asynch_signal -> "asynchSignal" | Reply -> "reply"
+      | Create_message -> "createMessage" | Delete_message -> "deleteMessage")
 
 let connector_kind =
-  enum "connector kind"
-    [ Component.Assembly; Component.Delegation ]
-    (function
-      | Component.Assembly -> "assembly"
-      | Component.Delegation -> "delegation")
+  enum "connector kind" Component.[ Assembly; Delegation ] (function
+    | Component.Assembly -> "assembly" | Delegation -> "delegation")
 
 let node_kind =
-  enum "node kind"
-    [ Deployment.Node; Deployment.Device; Deployment.Execution_environment ]
-    (function
-      | Deployment.Node -> "Node"
-      | Deployment.Device -> "Device"
-      | Deployment.Execution_environment -> "ExecutionEnvironment")
+  enum "node kind" Deployment.[ Node; Device; Execution_environment ] (function
+    | Deployment.Node -> "Node" | Device -> "Device"
+    | Execution_environment -> "ExecutionEnvironment")
 
 let metaclass =
   enum "metaclass"
-    [ Profile.M_class; Profile.M_interface; Profile.M_component;
-      Profile.M_port; Profile.M_property; Profile.M_operation;
-      Profile.M_package; Profile.M_state_machine; Profile.M_state;
-      Profile.M_transition; Profile.M_activity; Profile.M_action;
-      Profile.M_node; Profile.M_artifact; Profile.M_connector;
-      Profile.M_any ]
+    Profile.
+      [ M_class; M_interface; M_component; M_port; M_property; M_operation;
+        M_package; M_state_machine; M_state; M_transition; M_activity;
+        M_action; M_node; M_artifact; M_connector; M_any ]
     Profile.metaclass_name
 
 let diagram_kind =
   enum "diagram kind" Diagram.all_kinds (function
-    | Diagram.Class_diagram -> "class"
-    | Diagram.Object_diagram -> "object"
-    | Diagram.Package_diagram -> "package"
-    | Diagram.Composite_structure_diagram -> "compositeStructure"
-    | Diagram.Component_diagram -> "component"
-    | Diagram.Deployment_diagram -> "deployment"
-    | Diagram.Use_case_diagram -> "useCase"
-    | Diagram.Activity_diagram -> "activity"
-    | Diagram.State_machine_diagram -> "stateMachine"
-    | Diagram.Sequence_diagram -> "sequence"
-    | Diagram.Communication_diagram -> "communication"
-    | Diagram.Interaction_overview_diagram -> "interactionOverview"
-    | Diagram.Timing_diagram -> "timing")
+    | Diagram.Class_diagram -> "class" | Object_diagram -> "object"
+    | Package_diagram -> "package"
+    | Composite_structure_diagram -> "compositeStructure"
+    | Component_diagram -> "component" | Deployment_diagram -> "deployment"
+    | Use_case_diagram -> "useCase" | Activity_diagram -> "activity"
+    | State_machine_diagram -> "stateMachine" | Sequence_diagram -> "sequence"
+    | Communication_diagram -> "communication"
+    | Interaction_overview_diagram -> "interactionOverview"
+    | Timing_diagram -> "timing")
 
-(* --- values, types, multiplicities --------------------------------------- *)
+(* --- values, types, multiplicities ------------------------------------------ *)
 
 let float_text r =
   let s = string_of_float r in
-  if Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float r)
-  then s
-  else Printf.sprintf "%.17g" r
+  let exact = Int64.bits_of_float (float_of_string s) = Int64.bits_of_float r in
+  if exact then s else Printf.sprintf "%.17g" r
 
 let vspec =
   let c_int = case (Some "int") Int (fun i -> Vspec.Int_literal i)
@@ -153,13 +116,14 @@ let vspec =
       Any c_opaque ]
     (function
       | Vspec.Int_literal i -> V (c_int, i)
-      | Vspec.Real_literal r -> V (c_real, r)
-      | Vspec.Bool_literal b -> V (c_bool, b)
-      | Vspec.String_literal s -> V (c_string, s)
-      | Vspec.Enum_literal s -> V (c_enum, s)
-      | Vspec.Null_literal -> V (c_null, ())
-      | Vspec.Opaque_expression s -> V (c_opaque, s))
+      | Real_literal r -> V (c_real, r)
+      | Bool_literal b -> V (c_bool, b)
+      | String_literal s -> V (c_string, s)
+      | Enum_literal s -> V (c_enum, s)
+      | Null_literal -> V (c_null, ())
+      | Opaque_expression s -> V (c_opaque, s))
 
+(* [Void] is written as no attributes at all *)
 let dtype =
   let c_boolean = tag "Boolean" Dtype.Boolean
   and c_integer = tag "Integer" Dtype.Integer
@@ -175,13 +139,15 @@ let dtype =
       Any c_void; Any c_ref ]
     (function
       | Dtype.Boolean -> V (c_boolean, ())
-      | Dtype.Integer -> V (c_integer, ())
-      | Dtype.Real -> V (c_real, ())
-      | Dtype.Unlimited_natural -> V (c_unlimited, ())
-      | Dtype.String_type -> V (c_string, ())
-      | Dtype.Void -> V (c_void, ())
-      | Dtype.Ref id -> V (c_ref, id))
+      | Integer -> V (c_integer, ())
+      | Real -> V (c_real, ())
+      | Unlimited_natural -> V (c_unlimited, ())
+      | String_type -> V (c_string, ())
+      | Void -> V (c_void, ())
+      | Ref id -> V (c_ref, id))
 
+(* XMI: [lower] and [upper] ("*" when unbounded) with their own
+   diagnostics, and 1..1 when either is missing *)
 let mult =
   let c_bounded = case None Int (fun n -> Mult.Bounded n)
   and c_unbounded = case None unit (fun () -> Mult.Unbounded) in
@@ -189,8 +155,7 @@ let mult =
     variant "multiplicity bound" By_tag "unknown multiplicity bound <%s>"
       [ Any c_bounded; Any c_unbounded ]
       (function
-        | Mult.Bounded n -> V (c_bounded, n)
-        | Mult.Unbounded -> V (c_unbounded, ()))
+        | Mult.Bounded n -> V (c_bounded, n) | Unbounded -> V (c_unbounded, ()))
   in
   let int_of what s =
     match int_of_string_opt s with
@@ -204,20 +169,19 @@ let mult =
          [ field Inline Int (fun m -> m.Mult.lower);
            field Inline bound (fun m -> m.Mult.upper) ])
     ~xml:(pair (Attr "lower") (Opt Str) (Attr "upper") (Opt Str))
-    (fun m ->
-      ( Some (string_of_int m.Mult.lower),
-        Some
-          (match m.Mult.upper with
-           | Mult.Bounded n -> string_of_int n
-           | Mult.Unbounded -> "*") ))
+    (fun { Mult.lower; upper } ->
+      let upper =
+        match upper with Mult.Bounded n -> string_of_int n | Unbounded -> "*"
+      in
+      (Some (string_of_int lower), Some upper))
     (function
+      | Some lo, Some "*" -> { Mult.lower = int_of "lower" lo; upper = Unbounded }
       | Some lo, Some up ->
         let lower = int_of "lower" lo in
-        if String.equal up "*" then { Mult.lower; upper = Mult.Unbounded }
-        else { Mult.lower; upper = Mult.Bounded (int_of "upper" up) }
+        { Mult.lower; upper = Bounded (int_of "upper" up) }
       | _missing1, _missing2 -> Mult.one)
 
-(* --- classifiers ----------------------------------------------------------- *)
+(* --- classifiers ------------------------------------------------------------- *)
 
 (* The hot records (properties, parameters, operations, classifiers: the
    bulk of every structural model) pack their enum tags, booleans and
@@ -242,7 +206,8 @@ let property =
       flag ~bits:(Bit 2) "isStatic" (fun p -> p.Classifier.prop_is_static);
       flag ~bits:(Bit 3) "isReadOnly" (fun p -> p.Classifier.prop_is_read_only);
       field ~default:Classifier.No_aggregation ~omit:true ~bits:(Index (4, 2))
-        (Attr "aggregation") aggregation (fun p -> p.Classifier.prop_aggregation) ]
+        (Attr "aggregation") aggregation (fun p -> p.Classifier.prop_aggregation)
+    ]
 
 let parameter =
   record "parameter"
@@ -277,7 +242,7 @@ let reception =
   record "reception"
     (fun recv_id recv_signal -> { Classifier.recv_id; recv_signal })
     [ id (fun r -> r.Classifier.recv_id);
-      ident_attr "signal" (fun r -> r.Classifier.recv_signal) ]
+      ident "signal" (fun r -> r.Classifier.recv_signal) ]
 
 let classifier_kind =
   let c_class = tag "Class" Classifier.Class
@@ -294,12 +259,12 @@ let classifier_kind =
       Any c_enumeration; Any c_signal; Any c_actor ]
     (function
       | Classifier.Class -> V (c_class, ())
-      | Classifier.Interface -> V (c_interface, ())
-      | Classifier.Data_type -> V (c_data_type, ())
-      | Classifier.Primitive_type -> V (c_primitive, ())
-      | Classifier.Enumeration lits -> V (c_enumeration, lits)
-      | Classifier.Signal -> V (c_signal, ())
-      | Classifier.Actor_kind -> V (c_actor, ()))
+      | Interface -> V (c_interface, ())
+      | Data_type -> V (c_data_type, ())
+      | Primitive_type -> V (c_primitive, ())
+      | Enumeration lits -> V (c_enumeration, lits)
+      | Signal -> V (c_signal, ())
+      | Actor_kind -> V (c_actor, ()))
 
 let classifier =
   record "classifier"
@@ -326,8 +291,7 @@ let association =
     record "association end"
       (fun end_property end_navigable ->
         { Classifier.end_property; end_navigable })
-      [ field (Child "endProperty") property (fun e ->
-            e.Classifier.end_property);
+      [ field (Child "endProperty") property (fun e -> e.Classifier.end_property);
         flag "navigable" (fun e -> e.Classifier.end_navigable) ]
   in
   record "association"
@@ -347,7 +311,7 @@ let package =
       refs "nestedPackage" (fun p -> p.Pkg.pkg_subpackages);
       refs "packageImport" (fun p -> p.Pkg.pkg_imports) ]
 
-(* --- state machines ------------------------------------------------------ *)
+(* --- state machines ----------------------------------------------------------- *)
 
 let trigger =
   let c_signal =
@@ -361,9 +325,9 @@ let trigger =
     [ Any c_signal; Any c_time; Any c_any; Any c_completion ]
     (function
       | Smachine.Signal_trigger n -> V (c_signal, n)
-      | Smachine.Time_trigger d -> V (c_time, d)
-      | Smachine.Any_trigger -> V (c_any, ())
-      | Smachine.Completion -> V (c_completion, ()))
+      | Time_trigger d -> V (c_time, d)
+      | Any_trigger -> V (c_any, ())
+      | Completion -> V (c_completion, ()))
 
 (* XMI wraps each deferred trigger in its own [<deferrableTrigger>] and
    reads back every trigger of every wrapper *)
@@ -378,8 +342,8 @@ let transition =
       { Smachine.tr_id; tr_source; tr_target; tr_triggers; tr_guard; tr_effect;
         tr_kind })
     [ id (fun t -> t.Smachine.tr_id);
-      ident_attr "source" (fun t -> t.Smachine.tr_source);
-      ident_attr "target" (fun t -> t.Smachine.tr_target);
+      ident "source" (fun t -> t.Smachine.tr_source);
+      ident "target" (fun t -> t.Smachine.tr_target);
       each "trigger" trigger (fun t -> t.Smachine.tr_triggers);
       opt_str "guard" (fun t -> t.Smachine.tr_guard);
       opt_str "effect" (fun t -> t.Smachine.tr_effect);
@@ -399,10 +363,8 @@ let region =
             opt_str "entry" (fun s -> s.Smachine.st_entry);
             opt_str "exit" (fun s -> s.Smachine.st_exit);
             opt_str "doActivity" (fun s -> s.Smachine.st_do);
-            field
-              (Each ("deferrableTrigger", Each ("trigger", Inline)))
-              deferred_triggers
-              (fun s -> s.Smachine.st_deferred) ]
+            field (Each ("deferrableTrigger", Each ("trigger", Inline)))
+              deferred_triggers (fun s -> s.Smachine.st_deferred) ]
       and pseudostate =
         record "pseudostate"
           (fun ps_id ps_name ps_kind -> { Smachine.ps_id; ps_name; ps_kind })
@@ -415,15 +377,16 @@ let region =
           [ id (fun f -> f.Smachine.fs_id); name (fun f -> f.Smachine.fs_name) ]
       in
       let c_state = case (Some "State") state (fun s -> Smachine.State s)
-      and c_pseudo = case (Some "Pseudostate") pseudostate (fun p -> Smachine.Pseudo p)
+      and c_pseudo =
+        case (Some "Pseudostate") pseudostate (fun p -> Smachine.Pseudo p)
       and c_final = case (Some "FinalState") final (fun f -> Smachine.Final f) in
       let vertex =
         variant "vertex" By_xmi_type "unknown vertex type %s"
           [ Any c_state; Any c_pseudo; Any c_final ]
           (function
             | Smachine.State s -> V (c_state, s)
-            | Smachine.Pseudo p -> V (c_pseudo, p)
-            | Smachine.Final f -> V (c_final, f))
+            | Pseudo p -> V (c_pseudo, p)
+            | Final f -> V (c_final, f))
       in
       record "region"
         (fun rg_id rg_name rg_vertices rg_transitions ->
@@ -442,83 +405,84 @@ let state_machine =
       each "region" region (fun s -> s.Smachine.sm_regions);
       opt_ident "context" (fun s -> s.Smachine.sm_context) ]
 
-(* --- activities --------------------------------------------------------- *)
+(* --- activities ----------------------------------------------------------------- *)
 
 let node_head =
   record "node head"
     (fun nd_id nd_name -> { Activityg.nd_id; nd_name })
     [ id (fun h -> h.Activityg.nd_id); name (fun h -> h.Activityg.nd_name) ]
 
+let head get = field Inline node_head get
+
 let activity_node =
   let action =
     record "action"
       (fun act_head act_body -> { Activityg.act_head; act_body })
-      [ field Inline node_head (fun a -> a.Activityg.act_head);
+      [ head (fun a -> a.Activityg.act_head);
         opt_str "body" (fun a -> a.Activityg.act_body) ]
   and call_behavior =
     record "call behavior"
       (fun cb_head cb_behavior -> { Activityg.cb_head; cb_behavior })
-      [ field Inline node_head (fun c -> c.Activityg.cb_head);
-        ident_attr "behavior" (fun c -> c.Activityg.cb_behavior) ]
+      [ head (fun c -> c.Activityg.cb_head);
+        ident "behavior" (fun c -> c.Activityg.cb_behavior) ]
   and event_action =
     record "event action"
       (fun ev_head ev_event -> { Activityg.ev_head; ev_event })
-      [ field Inline node_head (fun e -> e.Activityg.ev_head);
+      [ head (fun e -> e.Activityg.ev_head);
         field (Attr "event") Str (fun e -> e.Activityg.ev_event) ]
   and object_node =
     record "object node"
       (fun on_head on_type on_upper_bound ->
         { Activityg.on_head; on_type; on_upper_bound })
-      [ field Inline node_head (fun o -> o.Activityg.on_head);
+      [ head (fun o -> o.Activityg.on_head);
         field (Attr "type") dtype (fun o -> o.Activityg.on_type);
-        field (Attr "upperBound") (Opt Int) (fun o -> o.Activityg.on_upper_bound) ]
+        field (Attr "upperBound") (Opt Int) (fun o -> o.Activityg.on_upper_bound)
+      ]
   in
-  let c_action = case (Some "OpaqueAction") action (fun a -> Activityg.Action a)
+  let node spelling payload inj = case (Some spelling) payload inj in
+  let c_action = node "OpaqueAction" action (fun a -> Activityg.Action a)
   and c_call =
-    case (Some "CallBehaviorAction") call_behavior (fun c ->
-        Activityg.Call_behavior c)
+    node "CallBehaviorAction" call_behavior (fun c -> Activityg.Call_behavior c)
   and c_send =
-    case (Some "SendSignalAction") event_action (fun e -> Activityg.Send_signal e)
+    node "SendSignalAction" event_action (fun e -> Activityg.Send_signal e)
   and c_accept =
-    case (Some "AcceptEventAction") event_action (fun e ->
-        Activityg.Accept_event e)
+    node "AcceptEventAction" event_action (fun e -> Activityg.Accept_event e)
   and c_object =
-    case (Some "CentralBufferNode") object_node (fun o -> Activityg.Object_node o)
-  and c_initial = case (Some "InitialNode") node_head (fun h -> Activityg.Initial_node h)
+    node "CentralBufferNode" object_node (fun o -> Activityg.Object_node o)
+  and c_initial = node "InitialNode" node_head (fun h -> Activityg.Initial_node h)
   and c_final =
-    case (Some "ActivityFinalNode") node_head (fun h -> Activityg.Activity_final h)
-  and c_flow_final =
-    case (Some "FlowFinalNode") node_head (fun h -> Activityg.Flow_final h)
-  and c_fork = case (Some "ForkNode") node_head (fun h -> Activityg.Fork_node h)
-  and c_join = case (Some "JoinNode") node_head (fun h -> Activityg.Join_node h)
+    node "ActivityFinalNode" node_head (fun h -> Activityg.Activity_final h)
+  and c_flow_final = node "FlowFinalNode" node_head (fun h -> Activityg.Flow_final h)
+  and c_fork = node "ForkNode" node_head (fun h -> Activityg.Fork_node h)
+  and c_join = node "JoinNode" node_head (fun h -> Activityg.Join_node h)
   and c_decision =
-    case (Some "DecisionNode") node_head (fun h -> Activityg.Decision_node h)
-  and c_merge = case (Some "MergeNode") node_head (fun h -> Activityg.Merge_node h) in
+    node "DecisionNode" node_head (fun h -> Activityg.Decision_node h)
+  and c_merge = node "MergeNode" node_head (fun h -> Activityg.Merge_node h) in
   variant "activity node" By_xmi_type "unknown activity node type %s"
     [ Any c_action; Any c_call; Any c_send; Any c_accept; Any c_object;
       Any c_initial; Any c_final; Any c_flow_final; Any c_fork; Any c_join;
       Any c_decision; Any c_merge ]
     (function
       | Activityg.Action a -> V (c_action, a)
-      | Activityg.Call_behavior c -> V (c_call, c)
-      | Activityg.Send_signal e -> V (c_send, e)
-      | Activityg.Accept_event e -> V (c_accept, e)
-      | Activityg.Object_node o -> V (c_object, o)
-      | Activityg.Initial_node h -> V (c_initial, h)
-      | Activityg.Activity_final h -> V (c_final, h)
-      | Activityg.Flow_final h -> V (c_flow_final, h)
-      | Activityg.Fork_node h -> V (c_fork, h)
-      | Activityg.Join_node h -> V (c_join, h)
-      | Activityg.Decision_node h -> V (c_decision, h)
-      | Activityg.Merge_node h -> V (c_merge, h))
+      | Call_behavior c -> V (c_call, c)
+      | Send_signal e -> V (c_send, e)
+      | Accept_event e -> V (c_accept, e)
+      | Object_node o -> V (c_object, o)
+      | Initial_node h -> V (c_initial, h)
+      | Activity_final h -> V (c_final, h)
+      | Flow_final h -> V (c_flow_final, h)
+      | Fork_node h -> V (c_fork, h)
+      | Join_node h -> V (c_join, h)
+      | Decision_node h -> V (c_decision, h)
+      | Merge_node h -> V (c_merge, h))
 
 let activity_edge =
   record ~xmi_order:[ 0; 1; 2; 4; 3; 5 ] "edge"
     (fun ed_id ed_source ed_target ed_guard ed_weight ed_kind ->
       { Activityg.ed_id; ed_source; ed_target; ed_guard; ed_weight; ed_kind })
     [ id (fun e -> e.Activityg.ed_id);
-      ident_attr "source" (fun e -> e.Activityg.ed_source);
-      ident_attr "target" (fun e -> e.Activityg.ed_target);
+      ident "source" (fun e -> e.Activityg.ed_source);
+      ident "target" (fun e -> e.Activityg.ed_target);
       opt_str "guard" (fun e -> e.Activityg.ed_guard);
       field ~default:1 (Attr "weight") Int (fun e -> e.Activityg.ed_weight);
       field Xmi_type edge_kind (fun e -> e.Activityg.ed_kind) ]
@@ -533,23 +497,20 @@ let activity =
       each "edge" activity_edge (fun a -> a.Activityg.ac_edges);
       opt_ident "context" (fun a -> a.Activityg.ac_context) ]
 
-(* --- interactions --------------------------------------------------------- *)
+(* --- interactions ---------------------------------------------------------------- *)
 
 let message_names_text (names : string list) =
   match names with
   | [ "" ] -> "\\"
   | names ->
     let escape s =
-      if not (String.contains s ',' || String.contains s '\\') then s
-      else begin
-        let b = Buffer.create (String.length s + 4) in
-        String.iter
-          (fun c ->
-            if c = ',' || c = '\\' then Buffer.add_char b '\\';
-            Buffer.add_char b c)
-          s;
-        Buffer.contents b
-      end
+      let b = Buffer.create (String.length s) in
+      String.iter
+        (fun c ->
+          if c = ',' || c = '\\' then Buffer.add_char b '\\';
+          Buffer.add_char b c)
+        s;
+      Buffer.contents b
     in
     String.concat "," (List.map escape names)
 
@@ -558,8 +519,7 @@ let message_names_of_text s : string list =
   | "" -> []
   | "\\" -> [ "" ]
   | s ->
-    let n = String.length s in
-    let b = Buffer.create n in
+    let n = String.length s and b = Buffer.create (String.length s) in
     let rec go i (acc : string list) =
       if i >= n then List.rev (Buffer.contents b :: acc)
       else
@@ -577,15 +537,16 @@ let message_names_of_text s : string list =
     in
     go 0 []
 
-(* the [messages] attribute is optional on read, absent meaning none *)
+(* always written; optional on read, absent meaning none *)
 let message_names =
   custom ~wire:(List Str) ~xml:(Opt Str)
     (fun names -> Some (message_names_text names))
-    (function
-      | None -> []
-      | Some s -> message_names_of_text s)
+    (function None -> [] | Some s -> message_names_of_text s)
 
 let operator =
+  let names spelling inj =
+    case ~at:(Attr "messages") (Some spelling) message_names inj
+  in
   let c_alt = tag "alt" Interaction.Alt
   and c_opt = tag "opt" Interaction.Opt
   and c_loop =
@@ -599,13 +560,8 @@ let operator =
   and c_critical = tag "critical" Interaction.Critical
   and c_neg = tag "neg" Interaction.Neg
   and c_assert = tag "assert" Interaction.Assert
-  and c_ignore =
-    case ~at:(Attr "messages") (Some "ignore") message_names (fun l ->
-        Interaction.Ignore l)
-  and c_consider =
-    case ~at:(Attr "messages") (Some "consider") message_names (fun l ->
-        Interaction.Consider l)
-  in
+  and c_ignore = names "ignore" (fun l -> Interaction.Ignore l)
+  and c_consider = names "consider" (fun l -> Interaction.Consider l) in
   variant "interaction operator" (By_attr "operator")
     "unknown interaction operator %s"
     [ Any c_alt; Any c_opt; Any c_loop; Any c_par; Any c_strict; Any c_seq;
@@ -613,17 +569,17 @@ let operator =
       Any c_consider ]
     (function
       | Interaction.Alt -> V (c_alt, ())
-      | Interaction.Opt -> V (c_opt, ())
-      | Interaction.Loop (mn, mx) -> V (c_loop, (mn, mx))
-      | Interaction.Par -> V (c_par, ())
-      | Interaction.Strict -> V (c_strict, ())
-      | Interaction.Seq -> V (c_seq, ())
-      | Interaction.Break -> V (c_break, ())
-      | Interaction.Critical -> V (c_critical, ())
-      | Interaction.Neg -> V (c_neg, ())
-      | Interaction.Assert -> V (c_assert, ())
-      | Interaction.Ignore l -> V (c_ignore, l)
-      | Interaction.Consider l -> V (c_consider, l))
+      | Opt -> V (c_opt, ())
+      | Loop (mn, mx) -> V (c_loop, (mn, mx))
+      | Par -> V (c_par, ())
+      | Strict -> V (c_strict, ())
+      | Seq -> V (c_seq, ())
+      | Break -> V (c_break, ())
+      | Critical -> V (c_critical, ())
+      | Neg -> V (c_neg, ())
+      | Assert -> V (c_assert, ())
+      | Ignore l -> V (c_ignore, l)
+      | Consider l -> V (c_consider, l))
 
 let message =
   record "message"
@@ -632,8 +588,8 @@ let message =
     [ id (fun m -> m.Interaction.msg_id);
       name (fun m -> m.Interaction.msg_name);
       field (Attr "sort") message_sort (fun m -> m.Interaction.msg_sort);
-      ident_attr "from" (fun m -> m.Interaction.msg_from);
-      ident_attr "to" (fun m -> m.Interaction.msg_to);
+      ident "from" (fun m -> m.Interaction.msg_from);
+      ident "to" (fun m -> m.Interaction.msg_to);
       field (Each ("argument", Attr "value")) (List vspec) (fun m ->
           m.Interaction.msg_arguments) ]
 
@@ -663,7 +619,7 @@ let interaction_element =
         [ Any c_message; Any c_fragment ]
         (function
           | Interaction.Message m -> V (c_message, m)
-          | Interaction.Fragment f -> V (c_fragment, f)))
+          | Fragment f -> V (c_fragment, f)))
 
 let interaction =
   let lifeline =
@@ -683,13 +639,13 @@ let interaction =
       field (Tagged false) (List interaction_element) (fun i ->
           i.Interaction.in_body) ]
 
-(* --- use cases -------------------------------------------------------------- *)
+(* --- use cases, components, instances --------------------------------------------- *)
 
 let use_case =
   let extend =
     record "extend"
       (fun ext_extended ext_condition -> { Usecase.ext_extended; ext_condition })
-      [ ident_attr "extendedCase" (fun x -> x.Usecase.ext_extended);
+      [ ident "extendedCase" (fun x -> x.Usecase.ext_extended);
         opt_str "condition" (fun x -> x.Usecase.ext_condition) ]
   in
   record "use case"
@@ -701,8 +657,6 @@ let use_case =
       refs "actorRef" (fun u -> u.Usecase.uc_actors);
       refs "include" (fun u -> u.Usecase.uc_includes);
       each "extend" extend (fun u -> u.Usecase.uc_extends) ]
-
-(* --- components --------------------------------------------------------------- *)
 
 let component =
   let port =
@@ -721,13 +675,13 @@ let component =
         { Component.part_id; part_name; part_type; part_mult })
       [ id (fun p -> p.Component.part_id);
         name (fun p -> p.Component.part_name);
-        ident_attr "type" (fun p -> p.Component.part_type);
+        ident "type" (fun p -> p.Component.part_type);
         field Inline mult (fun p -> p.Component.part_mult) ]
   and connector_end =
     record ~xmi_order:[ 1; 0 ] "connector end"
       (fun cend_part cend_port -> { Component.cend_part; cend_port })
       [ opt_ident "part" (fun e -> e.Component.cend_part);
-        ident_attr "port" (fun e -> e.Component.cend_port) ]
+        ident "port" (fun e -> e.Component.cend_port) ]
   in
   let connector =
     record "connector"
@@ -751,8 +705,6 @@ let component =
       refs "realization" (fun c -> c.Component.cmp_realizations);
       refs "ownedBehavior" (fun c -> c.Component.cmp_behaviors) ]
 
-(* --- instances ------------------------------------------------------------------ *)
-
 let instance =
   let slot =
     record "slot"
@@ -769,7 +721,7 @@ let instance =
       opt_ident "classifier" (fun i -> i.Instance.inst_classifier);
       each "slot" slot (fun i -> i.Instance.inst_slots) ]
 
-let ends = pair (Attr "end1") Ident (Attr "end2") Ident
+let ends get = field Inline (pair (Attr "end1") Ident (Attr "end2") Ident) get
 
 let link =
   record ~xmi_order:[ 0; 2; 1 ] "link"
@@ -777,9 +729,9 @@ let link =
       { Instance.link_id; link_association; link_ends })
     [ id (fun l -> l.Instance.link_id);
       opt_ident "association" (fun l -> l.Instance.link_association);
-      field Inline ends (fun l -> l.Instance.link_ends) ]
+      ends (fun l -> l.Instance.link_ends) ]
 
-(* --- deployments ----------------------------------------------------------------- *)
+(* --- deployments, profiles, diagrams ------------------------------------------------- *)
 
 let deployment_node =
   record "deployment node"
@@ -803,16 +755,13 @@ let deployment =
     (fun dep_id dep_artifact dep_target ->
       { Deployment.dep_id; dep_artifact; dep_target })
     [ id (fun d -> d.Deployment.dep_id);
-      ident_attr "artifact" (fun d -> d.Deployment.dep_artifact);
-      ident_attr "target" (fun d -> d.Deployment.dep_target) ]
+      ident "artifact" (fun d -> d.Deployment.dep_artifact);
+      ident "target" (fun d -> d.Deployment.dep_target) ]
 
 let communication_path =
   record "communication path"
     (fun cpath_id cpath_ends -> { Deployment.cpath_id; cpath_ends })
-    [ id (fun c -> c.Deployment.cpath_id);
-      field Inline ends (fun c -> c.Deployment.cpath_ends) ]
-
-(* --- profiles ----------------------------------------------------------------- *)
+    [ id (fun c -> c.Deployment.cpath_id); ends (fun c -> c.Deployment.cpath_ends) ]
 
 let profile =
   let tag_definition =
@@ -844,13 +793,10 @@ let application =
   record "application"
     (fun app_element app_stereotype app_values ->
       { Profile.app_element; app_stereotype; app_values })
-    [ ident_attr "element" (fun a -> a.Profile.app_element);
-      ident_attr "stereotype" (fun a -> a.Profile.app_stereotype);
-      each "tagValue"
-        (pair (Attr "name") Str (Attr "value") vspec)
-        (fun a -> a.Profile.app_values) ]
-
-(* --- diagrams and the element union ---------------------------------------------- *)
+    [ ident "element" (fun a -> a.Profile.app_element);
+      ident "stereotype" (fun a -> a.Profile.app_stereotype);
+      each "tagValue" (pair (Attr "name") Str (Attr "value") vspec) (fun a ->
+          a.Profile.app_values) ]
 
 let diagram =
   record "diagram"
@@ -864,47 +810,46 @@ let diagram =
 (* Classifiers and deployment nodes spell their own [xmi:type] (their
    kind); every other element kind has one fixed spelling. *)
 let element =
+  let kind spelling payload inj = case (Some spelling) payload inj in
   let c_classifier = case None classifier (fun c -> Model.E_classifier c)
   and c_association =
-    case (Some "Association") association (fun a -> Model.E_association a)
-  and c_package = case (Some "Package") package (fun p -> Model.E_package p)
-  and c_state_machine =
-    case (Some "StateMachine") state_machine (fun s -> Model.E_state_machine s)
-  and c_activity = case (Some "Activity") activity (fun a -> Model.E_activity a)
+    kind "Association" association (fun a -> Model.E_association a)
+  and c_package = kind "Package" package (fun p -> Model.E_package p)
+  and c_machine =
+    kind "StateMachine" state_machine (fun s -> Model.E_state_machine s)
+  and c_activity = kind "Activity" activity (fun a -> Model.E_activity a)
   and c_interaction =
-    case (Some "Interaction") interaction (fun i -> Model.E_interaction i)
-  and c_use_case = case (Some "UseCase") use_case (fun u -> Model.E_use_case u)
-  and c_component =
-    case (Some "Component") component (fun c -> Model.E_component c)
+    kind "Interaction" interaction (fun i -> Model.E_interaction i)
+  and c_use_case = kind "UseCase" use_case (fun u -> Model.E_use_case u)
+  and c_component = kind "Component" component (fun c -> Model.E_component c)
   and c_instance =
-    case (Some "InstanceSpecification") instance (fun i -> Model.E_instance i)
-  and c_link = case (Some "Link") link (fun l -> Model.E_link l)
+    kind "InstanceSpecification" instance (fun i -> Model.E_instance i)
+  and c_link = kind "Link" link (fun l -> Model.E_link l)
   and c_node = case None deployment_node (fun n -> Model.E_deployment_node n)
-  and c_artifact = case (Some "Artifact") artifact (fun a -> Model.E_artifact a)
-  and c_deployment =
-    case (Some "Deployment") deployment (fun d -> Model.E_deployment d)
+  and c_artifact = kind "Artifact" artifact (fun a -> Model.E_artifact a)
+  and c_deployment = kind "Deployment" deployment (fun d -> Model.E_deployment d)
   and c_path =
-    case (Some "CommunicationPath") communication_path (fun c ->
+    kind "CommunicationPath" communication_path (fun c ->
         Model.E_communication_path c)
-  and c_profile = case (Some "Profile") profile (fun p -> Model.E_profile p) in
+  and c_profile = kind "Profile" profile (fun p -> Model.E_profile p) in
   variant "element" By_xmi_type "unknown element type uml:%s"
-    [ Any c_classifier; Any c_association; Any c_package; Any c_state_machine;
+    [ Any c_classifier; Any c_association; Any c_package; Any c_machine;
       Any c_activity; Any c_interaction; Any c_use_case; Any c_component;
       Any c_instance; Any c_link; Any c_node; Any c_artifact; Any c_deployment;
       Any c_path; Any c_profile ]
     (function
       | Model.E_classifier c -> V (c_classifier, c)
-      | Model.E_association a -> V (c_association, a)
-      | Model.E_package p -> V (c_package, p)
-      | Model.E_state_machine s -> V (c_state_machine, s)
-      | Model.E_activity a -> V (c_activity, a)
-      | Model.E_interaction i -> V (c_interaction, i)
-      | Model.E_use_case u -> V (c_use_case, u)
-      | Model.E_component c -> V (c_component, c)
-      | Model.E_instance i -> V (c_instance, i)
-      | Model.E_link l -> V (c_link, l)
-      | Model.E_deployment_node n -> V (c_node, n)
-      | Model.E_artifact a -> V (c_artifact, a)
-      | Model.E_deployment d -> V (c_deployment, d)
-      | Model.E_communication_path c -> V (c_path, c)
-      | Model.E_profile p -> V (c_profile, p))
+      | E_association a -> V (c_association, a)
+      | E_package p -> V (c_package, p)
+      | E_state_machine s -> V (c_machine, s)
+      | E_activity a -> V (c_activity, a)
+      | E_interaction i -> V (c_interaction, i)
+      | E_use_case u -> V (c_use_case, u)
+      | E_component c -> V (c_component, c)
+      | E_instance i -> V (c_instance, i)
+      | E_link l -> V (c_link, l)
+      | E_deployment_node n -> V (c_node, n)
+      | E_artifact a -> V (c_artifact, a)
+      | E_deployment d -> V (c_deployment, d)
+      | E_communication_path c -> V (c_path, c)
+      | E_profile p -> V (c_profile, p))

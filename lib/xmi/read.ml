@@ -112,10 +112,21 @@ let dispatch (cases : (string * 'a dec) list) unknown key =
 (* What a value reads from its own element. *)
 let rec content : type a. a t -> a dec = function
   | Record (R r) ->
-    (* last field first: the order the hand-written record literals
-       evaluated in, so that among several defects in one element the
-       reported one is unchanged *)
-    decode_last_first { on = (fun _ f -> field f) } r.fields r.make
+    let decode = decode_in_order { on = (fun _ f -> field f) } r.fields r.make in
+    (* On a defect, report the one met first when the fields are read
+       last to first, the order the hand-written reader ran in. *)
+    let checks =
+      List.rev_map
+        (fun (F (_, f)) ->
+          let d = field f in
+          fun e -> ignore (d e))
+        (field_list r.fields)
+    in
+    fun e ->
+      (try decode e
+       with Decode_error _ as exn ->
+         List.iter (fun check -> check e) checks;
+         raise exn)
   | Variant v -> (
     let payload (Any c) =
       match constant c.payload with

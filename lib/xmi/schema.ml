@@ -152,10 +152,6 @@ let constant : type a. a t -> a option = function
   | Variant _ | Custom _ | Rec _ ->
     None
 
-let rec fields_count : type r k. (r, k) fields -> int = function
-  | [] -> 0
-  | _ :: rest -> 1 + fields_count rest
-
 let rec has_flags : type a. a t -> bool = function
   | Str | Ident | Int | Bool | Float | Enum _ -> false
   | Opt a -> has_flags a
@@ -177,8 +173,8 @@ and fields_have_flags : type r k. (r, k) fields -> bool = function
 type ('r, 's) on_field = { on : 'a. int -> ('r, 'a) field -> 's -> 'a }
 
 (* Records decode without a partial application per field: up to 11
-   fields [make] is applied to all values at once, beyond that it is fed
-   one value at a time. *)
+   fields [make] is applied to all values at once (the hot binary
+   records), beyond that it is fed one value at a time. *)
 let rec in_order : type r s k. (r, s) on_field -> int -> (r, k) fields -> s -> k -> r =
  fun fn i fs ->
   match fs with
@@ -188,17 +184,6 @@ let rec in_order : type r s k. (r, s) on_field -> int -> (r, k) fields -> s -> k
     fun s k ->
       let v = d s in
       rest s (k v)
-
-let rec last_first : type r s k. (r, s) on_field -> int -> (r, k) fields -> s -> k -> r =
- fun fn i fs ->
-  match fs with
-  | [] -> fun _ k -> k
-  | f :: rest ->
-    let d = fn.on i f and rest = last_first fn (i + 1) rest in
-    fun s ->
-      let apply_rest = rest s in
-      let v = d s in
-      fun k -> apply_rest (k v)
 
 let decode_in_order (type r s k) (fn : (r, s) on_field) (fs : (r, k) fields)
     (make : k) : s -> r =
@@ -264,72 +249,6 @@ let decode_in_order (type r s k) (fn : (r, s) on_field) (fs : (r, k) fields)
       let j = j s in let k = k s in make a b c d e g h i j k (l s)
   | _ :: _ ->
     let go = in_order fn 0 fs in
-    fun s -> go s make
-
-let decode_last_first (type r s k) (fn : (r, s) on_field) (fs : (r, k) fields)
-    (make : k) : s -> r =
-  let f i x = fn.on i x in
-  match fs with
-  | [] -> fun _ -> make
-  | [ a ] ->
-    let a = f 0 a in
-    fun s -> make (a s)
-  | [ a; b ] ->
-    let a = f 0 a and b = f 1 b in
-    fun s -> let b = b s in make (a s) b
-  | [ a; b; c ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c in
-    fun s -> let c = c s in let b = b s in make (a s) b c
-  | [ a; b; c; d ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d in
-    fun s -> let d = d s in let c = c s in let b = b s in make (a s) b c d
-  | [ a; b; c; d; e ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e in
-    fun s ->
-      let e = e s in let d = d s in let c = c s in let b = b s in
-      make (a s) b c d e
-  | [ a; b; c; d; e; g ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
-    and g = f 5 g in
-    fun s ->
-      let g = g s in let e = e s in let d = d s in let c = c s in
-      let b = b s in make (a s) b c d e g
-  | [ a; b; c; d; e; g; h ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
-    and g = f 5 g and h = f 6 h in
-    fun s ->
-      let h = h s in let g = g s in let e = e s in let d = d s in
-      let c = c s in let b = b s in make (a s) b c d e g h
-  | [ a; b; c; d; e; g; h; i ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
-    and g = f 5 g and h = f 6 h and i = f 7 i in
-    fun s ->
-      let i = i s in let h = h s in let g = g s in let e = e s in
-      let d = d s in let c = c s in let b = b s in make (a s) b c d e g h i
-  | [ a; b; c; d; e; g; h; i; j ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
-    and g = f 5 g and h = f 6 h and i = f 7 i and j = f 8 j in
-    fun s ->
-      let j = j s in let i = i s in let h = h s in let g = g s in
-      let e = e s in let d = d s in let c = c s in let b = b s in
-      make (a s) b c d e g h i j
-  | [ a; b; c; d; e; g; h; i; j; k ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
-    and g = f 5 g and h = f 6 h and i = f 7 i and j = f 8 j and k = f 9 k in
-    fun s ->
-      let k = k s in let j = j s in let i = i s in let h = h s in
-      let g = g s in let e = e s in let d = d s in let c = c s in
-      let b = b s in make (a s) b c d e g h i j k
-  | [ a; b; c; d; e; g; h; i; j; k; l ] ->
-    let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
-    and g = f 5 g and h = f 6 h and i = f 7 i and j = f 8 j and k = f 9 k
-    and l = f 10 l in
-    fun s ->
-      let l = l s in let k = k s in let j = j s in let i = i s in
-      let h = h s in let g = g s in let e = e s in let d = d s in
-      let c = c s in let b = b s in make (a s) b c d e g h i j k l
-  | _ :: _ ->
-    let go = last_first fn 0 fs in
     fun s -> go s make
 
 type 'r any_field = F : int * ('r, 'a) field -> 'r any_field

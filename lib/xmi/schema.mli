@@ -193,8 +193,6 @@ val constant : 'a t -> 'a option
 (** The only value of a schema that carries no data (a record without
     fields, such as {!unit}). *)
 
-val fields_count : ('r, 'k) fields -> int
-
 val has_flags : 'a t -> bool
 (** Does decoding this value read a flags byte?  (Recursive schemas
     count as yes.) *)
@@ -206,9 +204,6 @@ val decode_in_order : ('r, 's) on_field -> ('r, 'k) fields -> 'k -> 's -> 'r
 (** Compile a record decoder that runs the field decoders first to last
     and applies [make] to all of them at once (no partial
     application up to 11 fields). *)
-
-val decode_last_first : ('r, 's) on_field -> ('r, 'k) fields -> 'k -> 's -> 'r
-(** Same, running the field decoders last to first. *)
 
 type 'r any_field = F : int * ('r, 'a) field -> 'r any_field
 
