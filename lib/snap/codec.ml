@@ -1,5 +1,5 @@
-(* The binary interpreter: compiles each [Xmi.Schema] node once into
-   closures over the {!Wire} primitives. *)
+(* The binary interpreter: compiles each [Xmi.Schema] node once into an
+   encoder and a decoder over the {!Wire} primitives. *)
 
 open Xmi.Schema
 module Enc = Wire.Enc
@@ -8,49 +8,69 @@ module Dec = Wire.Dec
 (* [Schema.fields] borrows the list syntax; here it means lists *)
 type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
 
-type 'a enc = Enc.t -> 'a -> unit
-type 'a dec = Dec.t -> 'a
-type 'a case_enc = E : ('a, 'p) case * 'p enc -> 'a case_enc
-type enc_memo = EM : 'a Type.Id.t * 'a enc ref -> enc_memo
-type dec_memo = DM : 'a Type.Id.t * 'a dec ref -> dec_memo
+type 'a codec = { enc : Enc.t -> 'a -> unit; dec : Dec.t -> 'a }
+type 'a case_enc = E : ('a, 'p) case * (Enc.t -> 'p -> unit) -> 'a case_enc
+type memo = M : 'a Type.Id.t * 'a codec ref -> memo
 
-let enc_memo : (int, enc_memo) Hashtbl.t = Hashtbl.create 16
-let dec_memo : (int, dec_memo) Hashtbl.t = Hashtbl.create 16
+let memo : (int, memo) Hashtbl.t = Hashtbl.create 16
 let mask width = (1 lsl width) - 1
 let bit b flags = flags land (1 lsl b) <> 0
 let not_indexed () = invalid_arg "Snap.Codec: Index needs an enum or a variant"
 let not_optional () = invalid_arg "Snap.Codec: Present needs an option"
 
-let rec encoder : type a. a t -> a enc = function
-  | Str -> Enc.str
-  | Ident -> fun e id -> Enc.str e (Uml.Ident.to_string id)
-  | Int -> Enc.int
-  | Bool -> Enc.bool
-  | Float -> Enc.float
-  | Enum en -> fun e v -> Enc.u8 e (enum_index en v)
+(* Which flags-byte field comes first (or last, on the reversed list);
+   [-1] for none. *)
+let rec first_flag : type r. r any_field list -> int = function
+  | [] -> -1
+  | F (i, { bits = Bit _ | Index _ | Present _ | Unless _; _ }) :: _ -> i
+  | F (_, { bits = Bytes; _ }) :: rest -> first_flag rest
+
+let rec codec : type a. a t -> a codec = function
+  | Str -> { enc = Enc.str; dec = Dec.str }
+  | Ident ->
+    { enc = (fun e id -> Enc.str e (Uml.Ident.to_string id));
+      dec = (fun d -> Uml.Ident.of_string (Dec.str d)) }
+  | Int -> { enc = Enc.int; dec = Dec.int }
+  | Bool -> { enc = Enc.bool; dec = Dec.bool }
+  | Float -> { enc = Enc.float; dec = Dec.float }
   | Opt a ->
-    let f = encoder a in
-    fun e v -> Enc.opt e f v
+    let { enc; dec } = codec a in
+    { enc = (fun e v -> Enc.opt e enc v); dec = (fun d -> Dec.opt d dec) }
   | List a ->
-    let f = encoder a in
-    fun e l -> Enc.list e f l
-  | Variant v -> payloads v ~tag:true
-  | Custom c -> encoder c.wire
+    let { enc; dec } = codec a in
+    { enc = (fun e l -> Enc.list e enc l); dec = (fun d -> Dec.list d dec) }
+  | (Enum _ | Variant _) as ty ->
+    let what, cases = indexed ty in
+    let dec d =
+      let t = Dec.u8 d in
+      if t >= Array.length cases then Wire.decode_error "unknown %s tag %d" what t;
+      (Array.unsafe_get cases t) d
+    in
+    let enc =
+      match ty with
+      | Enum en -> fun e v -> Enc.u8 e (enum_index en v)
+      | Variant v -> payloads v ~tag:true
+      | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ | Custom _
+      | Rec _ ->
+        not_indexed ()
+    in
+    { enc; dec }
+  | Custom c -> codec c.wire
   | Rec r -> (
     let uid = Type.Id.uid r.fix_key in
-    match Hashtbl.find_opt enc_memo uid with
-    | Some (EM (k, f)) ->
+    match Hashtbl.find_opt memo uid with
+    | Some (M (k, f)) ->
       let Type.Equal = same k r.fix_key in
-      fun e v -> !f e v
+      { enc = (fun e v -> !f.enc e v); dec = (fun d -> !f.dec d) }
     | None ->
-      let f = ref (fun _ _ -> ()) in
-      Hashtbl.add enc_memo uid (EM (r.fix_key, f));
-      f := encoder (Lazy.force r.body);
-      fun e v -> !f e v)
+      let f = ref { enc = (fun _ _ -> ()); dec = (fun _ -> invalid_arg "Snap.Codec") } in
+      Hashtbl.add memo uid (M (r.fix_key, f));
+      f := codec (Lazy.force r.body);
+      { enc = (fun e v -> !f.enc e v); dec = (fun d -> !f.dec d) })
   | Record (R r) ->
     let fields = field_list r.fields in
     let first = first_flag fields in
-    let bits = List.map flag_bits fields in
+    let read_flags = flags_reader r.name fields and bits = List.map flag_bits fields in
     let steps =
       List.map
         (fun (F (i, f)) ->
@@ -61,13 +81,21 @@ let rec encoder : type a. a t -> a enc = function
             inline e v)
         fields
     in
-    fun e v -> List.iter (fun step -> step e v) steps
+    let from_flags i f =
+      let d = from_flags f in
+      if i <> first then d
+      else fun src ->
+        read_flags src;
+        d src
+    in
+    { enc = (fun e v -> List.iter (fun step -> step e v) steps);
+      dec = decode_in_order { on = from_flags } r.fields r.make }
 
 (* a variant value's payload, after its case position when [tag] *)
-and payloads : type a. a variant -> tag:bool -> a enc =
+and payloads : type a. a variant -> tag:bool -> Enc.t -> a -> unit =
  fun v ~tag ->
   let encs =
-    Array.of_list (List.map (fun (Any c) -> E (c, encoder c.payload)) v.cases)
+    Array.of_list (List.map (fun (Any c) -> E (c, (codec c.payload).enc)) v.cases)
   in
   fun e x ->
     let (V (c, p)) = v.view x in
@@ -76,13 +104,31 @@ and payloads : type a. a variant -> tag:bool -> a enc =
     if tag then Enc.u8 e c.index;
     f e p
 
+(* the name and the per-position decoders of an enum or a variant *)
+and indexed : type a. a t -> string * (Dec.t -> a) array = function
+  | Enum en -> (en.what, Array.map (fun v _ -> v) en.all)
+  | Variant v ->
+    let case (Any c) =
+      match constant c.payload with
+      | Some u ->
+        let x = c.inj u in
+        fun _ -> x
+      | None ->
+        let p = (codec c.payload).dec in
+        fun d -> c.inj (p d)
+    in
+    (v.vname, Array.of_list (List.map case v.cases))
+  | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ | Custom _
+  | Rec _ ->
+    not_indexed ()
+
 (* what a field writes outside the flags byte *)
-and in_line : type r a. (r, a) field -> r enc =
+and in_line : type r a. (r, a) field -> Enc.t -> r -> unit =
  fun f ->
   let get = f.get in
   match (f.bits, f.ty) with
   | Bytes, ty ->
-    let p = encoder ty in
+    let p = (codec ty).enc in
     fun e r -> p e (get r)
   | Bit _, _ | Index _, Enum _ -> fun _ _ -> ()
   | Index _, Variant v ->
@@ -92,12 +138,12 @@ and in_line : type r a. (r, a) field -> r enc =
     not_indexed ()
   | Index _, (Custom _ | Rec _) -> not_indexed ()
   | Present _, Opt a ->
-    let p = encoder a in
+    let p = (codec a).enc in
     fun e r -> Option.iter (p e) (get r)
   | Present _, (Enum _ | Record _ | Variant _ | Custom _ | Rec _) ->
     not_optional ()
   | Unless (_, d), ty ->
-    let p = encoder ty in
+    let p = (codec ty).enc in
     fun e r ->
       let v = get r in
       if v <> d then p e v
@@ -120,88 +166,22 @@ and flag_bits : type r. r any_field -> r -> int = function
     | Present b, _ -> fun r -> if Option.is_some (get r) then 1 lsl b else 0
     | Unless (b, d), _ -> fun r -> if get r <> d then 1 lsl b else 0)
 
-and first_flag : type r. r any_field list -> int = function
-  | [] -> -1
-  | F (i, { bits = Bit _ | Index _ | Present _ | Unless _; _ }) :: _ -> i
-  | F (_, { bits = Bytes; _ }) :: rest -> first_flag rest
-
-let rec decoder : type a. a t -> a dec = function
-  | Str -> Dec.str
-  | Ident -> fun d -> Uml.Ident.of_string (Dec.str d)
-  | Int -> Dec.int
-  | Bool -> Dec.bool
-  | Float -> Dec.float
-  | Opt a ->
-    let f = decoder a in
-    fun d -> Dec.opt d f
-  | List a ->
-    let f = decoder a in
-    fun d -> Dec.list d f
-  | (Enum _ | Variant _) as ty ->
-    let what, cases = indexed ty in
-    fun src ->
-      let t = Dec.u8 src in
-      if t >= Array.length cases then
-        Wire.decode_error "unknown %s tag %d" what t;
-      (Array.unsafe_get cases t) src
-  | Custom c -> decoder c.wire
-  | Rec r -> (
-    let uid = Type.Id.uid r.fix_key in
-    match Hashtbl.find_opt dec_memo uid with
-    | Some (DM (k, f)) ->
-      let Type.Equal = same k r.fix_key in
-      fun src -> !f src
-    | None ->
-      let f = ref (fun _ -> invalid_arg "Snap.Codec: unfinished schema") in
-      Hashtbl.add dec_memo uid (DM (r.fix_key, f));
-      f := decoder (Lazy.force r.body);
-      fun src -> !f src)
-  | Record (R r) ->
-    let fields = field_list r.fields in
-    let first = first_flag fields in
-    let read_flags = flags_reader r.name fields in
-    decode_in_order
-      { on =
-          (fun i f ->
-            let d = from_flags f in
-            if i <> first then d
-            else fun src ->
-              read_flags src;
-              d src) }
-      r.fields r.make
-
-(* the name and the per-position decoders of an enum or a variant *)
-and indexed : type a. a t -> string * a dec array = function
-  | Enum en -> (en.what, Array.map (fun v _ -> v) en.all)
-  | Variant v ->
-    let case (Any c) =
-      match constant c.payload with
-      | Some u ->
-        let x = c.inj u in
-        fun _ -> x
-      | None ->
-        let p = decoder c.payload in
-        fun src -> c.inj (p src)
-    in
-    (v.vname, Array.of_list (List.map case v.cases))
-  | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ -> not_indexed ()
-  | Custom _ | Rec _ -> not_indexed ()
-
-and from_flags : type r a. (r, a) field -> a dec =
+(* how a field reads itself back, from the flags byte or in line *)
+and from_flags : type r a. (r, a) field -> Dec.t -> a =
  fun f ->
   match (f.bits, f.ty) with
-  | Bytes, ty -> decoder ty
+  | Bytes, ty -> (codec ty).dec
   | Bit b, _ -> fun src -> bit b (Dec.flags src)
   | Index (s, w), ty ->
     let _, cases = indexed ty in
     fun src -> (Array.unsafe_get cases ((Dec.flags src lsr s) land mask w)) src
   | Present b, Opt a ->
-    let p = decoder a in
+    let p = (codec a).dec in
     fun src -> if bit b (Dec.flags src) then Some (p src) else None
   | Present _, (Enum _ | Record _ | Variant _ | Custom _ | Rec _) ->
     not_optional ()
   | Unless (b, d), ty ->
-    let p = decoder ty in
+    let p = (codec ty).dec in
     fun src -> if bit b (Dec.flags src) then p src else d
 
 (* Read and check a record's flags byte: no bit outside the declared
@@ -210,8 +190,7 @@ and from_flags : type r a. (r, a) field -> a dec =
    later flag fields read it. *)
 and flags_reader : type r. string -> r any_field list -> Dec.t -> unit =
  fun name fields ->
-  let first = first_flag fields in
-  let last = first_flag (List.rev fields) in
+  let first = first_flag fields and last = first_flag (List.rev fields) in
   let claim (used, checks) (F (i, f)) =
     if i >= first && i <= last && has_flags f.ty then
       invalid_arg ("Snap.Codec: a flag field of " ^ name ^ " nests flags");
@@ -236,26 +215,23 @@ and flags_reader : type r. string -> r any_field list -> Dec.t -> unit =
     List.iter (fun check -> check flags) checks;
     Dec.set_flags src flags
 
-let enc_element = encoder Xmi.Meta.element
-let enc_application = encoder Xmi.Meta.application
-let enc_diagram = encoder Xmi.Meta.diagram
-let dec_element = decoder Xmi.Meta.element
-let dec_application = decoder Xmi.Meta.application
-let dec_diagram = decoder Xmi.Meta.diagram
+let element = codec Xmi.Meta.element
+let application = codec Xmi.Meta.application
+let diagram = codec Xmi.Meta.diagram
 
 let enc_model e m =
   Enc.str e (Uml.Model.name m);
-  Enc.list e enc_element (Uml.Model.elements m);
-  Enc.list e enc_application (Uml.Model.applications m);
-  Enc.list e enc_diagram (Uml.Model.diagrams m)
+  Enc.list e element.enc (Uml.Model.elements m);
+  Enc.list e application.enc (Uml.Model.applications m);
+  Enc.list e diagram.enc (Uml.Model.diagrams m)
 
 let dec_model d =
   let name = Dec.str d in
-  let elements = Dec.list d dec_element in
+  let elements = Dec.list d element.dec in
   (* element count is known before the first insert: pre-size the index
      so bulk load never pays a rehash chain *)
   let m = Uml.Model.create ~capacity:(2 * List.length elements) name in
   List.iter (Uml.Model.add m) elements;
-  List.iter (Uml.Model.add_application m) (Dec.list d dec_application);
-  List.iter (Uml.Model.add_diagram m) (Dec.list d dec_diagram);
+  List.iter (Uml.Model.add_application m) (Dec.list d application.dec);
+  List.iter (Uml.Model.add_diagram m) (Dec.list d diagram.dec);
   m

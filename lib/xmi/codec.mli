@@ -1,78 +1,23 @@
-(** Shared attribute encodings between {!Write} and {!Read}.
+(** The XML interpreter of the metamodel schemas.
 
-    Values and type references are stored as two attributes
-    ([fooKind] + [foo]) so that every {!Uml.Vspec.t} and {!Uml.Dtype.t}
-    round-trips exactly. *)
+    Compiles {!Meta}'s schemas once into closures: an encoder that adds
+    attributes and children to the element under construction, and a
+    decoder that reads the value back out of an element, both following
+    the {!Schema.place}ments.  {!Write} and {!Read} wrap them with the
+    document frame. *)
 
-exception Decode_error of string
+type out
+(** An element under construction. *)
 
-val decode_error : ('a, unit, string, 'b) format4 -> 'a
+type 'a codec = { enc : out -> 'a -> unit; dec : Sxml.Doc.element -> 'a }
+(** Decoders raise {!Schema.Decode_error} on malformed input. *)
 
-val bool_attr : string -> bool -> (string * string) list
-(** Empty when false (false is the default on decode). *)
-
-val opt_attr : string -> string option -> (string * string) list
-val int_attr : string -> int -> (string * string) list
-
-val vspec_attrs : string -> Uml.Vspec.t -> (string * string) list
-val vspec_of_attrs : string -> Sxml.Doc.element -> Uml.Vspec.t option
-(** @raise Decode_error on malformed payloads. *)
-
-val dtype_attrs : string -> Uml.Dtype.t -> (string * string) list
-val dtype_of_attrs : string -> Sxml.Doc.element -> Uml.Dtype.t
-(** Defaults to [Void] when absent. *)
-
-val mult_attrs : Uml.Mult.t -> (string * string) list
-val mult_of_attrs : Sxml.Doc.element -> Uml.Mult.t
+val element : string -> (out -> 'a -> unit) -> 'a -> Sxml.Doc.t
+(** [element tag enc v]: the element [<tag>] holding [v]. *)
 
 val get_attr : Sxml.Doc.element -> string -> string
-(** @raise Decode_error when missing. *)
+(** @raise Schema.Decode_error when the attribute is missing. *)
 
-val get_bool : Sxml.Doc.element -> string -> bool
-val get_int : Sxml.Doc.element -> string -> int
-val get_int_opt : Sxml.Doc.element -> string -> int option
-val get_opt : Sxml.Doc.element -> string -> string option
-
-(** {1 Canonical enum tables}
-
-    For every pure (payload-free) enum of the metamodel: the XMI
-    attribute spelling ([_string], an exhaustive match), the canonical
-    value list in declaration order ([all_]), and the derived inverse
-    ([_of_string], raising {!Decode_error} on unknown input).  {!Write}
-    and {!Read} share these, and the binary snapshot codec uses the
-    position in the [all_] list as its wire tag — so the three formats
-    can never disagree on an enum's encoding. *)
-
-val visibility_string : Uml.Classifier.visibility -> string
-val all_visibilities : Uml.Classifier.visibility list
-val visibility_of_string : string -> Uml.Classifier.visibility
-val direction_string : Uml.Classifier.direction -> string
-val all_directions : Uml.Classifier.direction list
-val direction_of_string : string -> Uml.Classifier.direction
-val aggregation_string : Uml.Classifier.aggregation -> string
-val all_aggregations : Uml.Classifier.aggregation list
-val aggregation_of_string : string -> Uml.Classifier.aggregation
-val pseudostate_kind_string : Uml.Smachine.pseudostate_kind -> string
-val all_pseudostate_kinds : Uml.Smachine.pseudostate_kind list
-val pseudostate_kind_of_string : string -> Uml.Smachine.pseudostate_kind
-val transition_kind_string : Uml.Smachine.transition_kind -> string
-val all_transition_kinds : Uml.Smachine.transition_kind list
-val transition_kind_of_string : string -> Uml.Smachine.transition_kind
-val edge_kind_string : Uml.Activityg.edge_kind -> string
-val all_edge_kinds : Uml.Activityg.edge_kind list
-val edge_kind_of_string : string -> Uml.Activityg.edge_kind
-val message_sort_string : Uml.Interaction.message_sort -> string
-val all_message_sorts : Uml.Interaction.message_sort list
-val message_sort_of_string : string -> Uml.Interaction.message_sort
-val connector_kind_string : Uml.Component.connector_kind -> string
-val all_connector_kinds : Uml.Component.connector_kind list
-val connector_kind_of_string : string -> Uml.Component.connector_kind
-val node_kind_string : Uml.Deployment.node_kind -> string
-val all_node_kinds : Uml.Deployment.node_kind list
-val node_kind_of_string : string -> Uml.Deployment.node_kind
-val metaclass_string : Uml.Profile.metaclass -> string
-val all_metaclasses : Uml.Profile.metaclass list
-val metaclass_of_string : string -> Uml.Profile.metaclass
-val diagram_kind_string : Uml.Diagram.kind -> string
-val all_diagram_kinds : Uml.Diagram.kind list
-val diagram_kind_of_string : string -> Uml.Diagram.kind
+val element_codec : Uml.Model.element codec
+val application_codec : Uml.Profile.application codec
+val diagram_codec : Uml.Diagram.t codec

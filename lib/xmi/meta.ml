@@ -228,8 +228,7 @@ let operation =
          op_body ->
       { Classifier.op_id; op_name; op_params; op_visibility; op_is_query;
         op_is_abstract; op_body })
-    [ id (fun o -> o.Classifier.op_id);
-      name (fun o -> o.Classifier.op_name);
+    [ id (fun o -> o.Classifier.op_id); name (fun o -> o.Classifier.op_name);
       each "ownedParameter" parameter (fun o -> o.Classifier.op_params);
       field ~default:Classifier.Public ~bits:(Index (0, 2)) (Attr "visibility")
         visibility (fun o -> o.Classifier.op_visibility);
@@ -273,8 +272,7 @@ let classifier =
       { Classifier.cl_id; cl_name; cl_kind; cl_is_abstract; cl_is_active;
         cl_attributes; cl_operations; cl_receptions; cl_generals; cl_realized;
         cl_behaviors })
-    [ id (fun c -> c.Classifier.cl_id);
-      name (fun c -> c.Classifier.cl_name);
+    [ id (fun c -> c.Classifier.cl_id); name (fun c -> c.Classifier.cl_name);
       field ~bits:(Index (0, 3)) Xmi_type classifier_kind (fun c ->
           c.Classifier.cl_kind);
       flag ~bits:(Bit 3) "isAbstract" (fun c -> c.Classifier.cl_is_abstract);
@@ -305,8 +303,7 @@ let package =
   record "package"
     (fun pkg_id pkg_name pkg_owned pkg_subpackages pkg_imports ->
       { Pkg.pkg_id; pkg_name; pkg_owned; pkg_subpackages; pkg_imports })
-    [ id (fun p -> p.Pkg.pkg_id);
-      name (fun p -> p.Pkg.pkg_name);
+    [ id (fun p -> p.Pkg.pkg_id); name (fun p -> p.Pkg.pkg_name);
       refs "ownedMember" (fun p -> p.Pkg.pkg_owned);
       refs "nestedPackage" (fun p -> p.Pkg.pkg_subpackages);
       refs "packageImport" (fun p -> p.Pkg.pkg_imports) ]
@@ -357,8 +354,7 @@ let region =
           (fun st_id st_name st_regions st_entry st_exit st_do st_deferred ->
             { Smachine.st_id; st_name; st_regions; st_entry; st_exit; st_do;
               st_deferred })
-          [ id (fun s -> s.Smachine.st_id);
-            name (fun s -> s.Smachine.st_name);
+          [ id (fun s -> s.Smachine.st_id); name (fun s -> s.Smachine.st_name);
             each "region" region (fun s -> s.Smachine.st_regions);
             opt_str "entry" (fun s -> s.Smachine.st_entry);
             opt_str "exit" (fun s -> s.Smachine.st_exit);
@@ -368,8 +364,7 @@ let region =
       and pseudostate =
         record "pseudostate"
           (fun ps_id ps_name ps_kind -> { Smachine.ps_id; ps_name; ps_kind })
-          [ id (fun p -> p.Smachine.ps_id);
-            name (fun p -> p.Smachine.ps_name);
+          [ id (fun p -> p.Smachine.ps_id); name (fun p -> p.Smachine.ps_name);
             field (Attr "kind") pseudostate_kind (fun p -> p.Smachine.ps_kind) ]
       and final =
         record "final state"
@@ -391,8 +386,7 @@ let region =
       record "region"
         (fun rg_id rg_name rg_vertices rg_transitions ->
           { Smachine.rg_id; rg_name; rg_vertices; rg_transitions })
-        [ id (fun r -> r.Smachine.rg_id);
-          name (fun r -> r.Smachine.rg_name);
+        [ id (fun r -> r.Smachine.rg_id); name (fun r -> r.Smachine.rg_name);
           each "subvertex" vertex (fun r -> r.Smachine.rg_vertices);
           each "transition" transition (fun r -> r.Smachine.rg_transitions) ])
 
@@ -400,8 +394,7 @@ let state_machine =
   record "state machine"
     (fun sm_id sm_name sm_regions sm_context ->
       { Smachine.sm_id; sm_name; sm_regions; sm_context })
-    [ id (fun s -> s.Smachine.sm_id);
-      name (fun s -> s.Smachine.sm_name);
+    [ id (fun s -> s.Smachine.sm_id); name (fun s -> s.Smachine.sm_name);
       each "region" region (fun s -> s.Smachine.sm_regions);
       opt_ident "context" (fun s -> s.Smachine.sm_context) ]
 
@@ -491,8 +484,7 @@ let activity =
   record "activity"
     (fun ac_id ac_name ac_nodes ac_edges ac_context ->
       { Activityg.ac_id; ac_name; ac_nodes; ac_edges; ac_context })
-    [ id (fun a -> a.Activityg.ac_id);
-      name (fun a -> a.Activityg.ac_name);
+    [ id (fun a -> a.Activityg.ac_id); name (fun a -> a.Activityg.ac_name);
       each "node" activity_node (fun a -> a.Activityg.ac_nodes);
       each "edge" activity_edge (fun a -> a.Activityg.ac_edges);
       opt_ident "context" (fun a -> a.Activityg.ac_context) ]
@@ -633,8 +625,7 @@ let interaction =
   record "interaction"
     (fun in_id in_name in_lifelines in_body ->
       { Interaction.in_id; in_name; in_lifelines; in_body })
-    [ id (fun i -> i.Interaction.in_id);
-      name (fun i -> i.Interaction.in_name);
+    [ id (fun i -> i.Interaction.in_id); name (fun i -> i.Interaction.in_name);
       each "lifeline" lifeline (fun i -> i.Interaction.in_lifelines);
       field (Tagged false) (List interaction_element) (fun i ->
           i.Interaction.in_body) ]
@@ -651,8 +642,7 @@ let use_case =
   record "use case"
     (fun uc_id uc_name uc_subject uc_actors uc_includes uc_extends ->
       { Usecase.uc_id; uc_name; uc_subject; uc_actors; uc_includes; uc_extends })
-    [ id (fun u -> u.Usecase.uc_id);
-      name (fun u -> u.Usecase.uc_name);
+    [ id (fun u -> u.Usecase.uc_id); name (fun u -> u.Usecase.uc_name);
       opt_ident "subject" (fun u -> u.Usecase.uc_subject);
       refs "actorRef" (fun u -> u.Usecase.uc_actors);
       refs "include" (fun u -> u.Usecase.uc_includes);
@@ -697,8 +687,7 @@ let component =
          cmp_behaviors ->
       { Component.cmp_id; cmp_name; cmp_ports; cmp_parts; cmp_connectors;
         cmp_realizations; cmp_behaviors })
-    [ id (fun c -> c.Component.cmp_id);
-      name (fun c -> c.Component.cmp_name);
+    [ id (fun c -> c.Component.cmp_id); name (fun c -> c.Component.cmp_name);
       each "ownedPort" port (fun c -> c.Component.cmp_ports);
       each "ownedPart" part (fun c -> c.Component.cmp_parts);
       each "ownedConnector" connector (fun c -> c.Component.cmp_connectors);
@@ -716,8 +705,7 @@ let instance =
   record "instance"
     (fun inst_id inst_name inst_classifier inst_slots ->
       { Instance.inst_id; inst_name; inst_classifier; inst_slots })
-    [ id (fun i -> i.Instance.inst_id);
-      name (fun i -> i.Instance.inst_name);
+    [ id (fun i -> i.Instance.inst_id); name (fun i -> i.Instance.inst_name);
       opt_ident "classifier" (fun i -> i.Instance.inst_classifier);
       each "slot" slot (fun i -> i.Instance.inst_slots) ]
 
@@ -737,8 +725,7 @@ let deployment_node =
   record "deployment node"
     (fun dn_id dn_name dn_kind dn_nested ->
       { Deployment.dn_id; dn_name; dn_kind; dn_nested })
-    [ id (fun n -> n.Deployment.dn_id);
-      name (fun n -> n.Deployment.dn_name);
+    [ id (fun n -> n.Deployment.dn_id); name (fun n -> n.Deployment.dn_name);
       field Xmi_type node_kind (fun n -> n.Deployment.dn_kind);
       refs "nestedNode" (fun n -> n.Deployment.dn_nested) ]
 
@@ -746,8 +733,7 @@ let artifact =
   record "artifact"
     (fun art_id art_name art_manifests ->
       { Deployment.art_id; art_name; art_manifests })
-    [ id (fun a -> a.Deployment.art_id);
-      name (fun a -> a.Deployment.art_name);
+    [ id (fun a -> a.Deployment.art_id); name (fun a -> a.Deployment.art_name);
       refs "manifestation" (fun a -> a.Deployment.art_manifests) ]
 
 let deployment =
@@ -776,8 +762,7 @@ let profile =
     record "stereotype"
       (fun ster_id ster_name ster_extends ster_tags ->
         { Profile.ster_id; ster_name; ster_extends; ster_tags })
-      [ id (fun s -> s.Profile.ster_id);
-        name (fun s -> s.Profile.ster_name);
+      [ id (fun s -> s.Profile.ster_id); name (fun s -> s.Profile.ster_name);
         field (Each ("extension", Attr "metaclass")) (List metaclass) (fun s ->
             s.Profile.ster_extends);
         each "tagDefinition" tag_definition (fun s -> s.Profile.ster_tags) ]
@@ -785,8 +770,7 @@ let profile =
   record "profile"
     (fun prof_id prof_name prof_stereotypes ->
       { Profile.prof_id; prof_name; prof_stereotypes })
-    [ id (fun p -> p.Profile.prof_id);
-      name (fun p -> p.Profile.prof_name);
+    [ id (fun p -> p.Profile.prof_id); name (fun p -> p.Profile.prof_name);
       each "ownedStereotype" stereotype (fun p -> p.Profile.prof_stereotypes) ]
 
 let application =
@@ -802,8 +786,7 @@ let diagram =
   record "diagram"
     (fun dg_id dg_name dg_kind dg_elements ->
       { Diagram.dg_id; dg_name; dg_kind; dg_elements })
-    [ id (fun d -> d.Diagram.dg_id);
-      name (fun d -> d.Diagram.dg_name);
+    [ id (fun d -> d.Diagram.dg_id); name (fun d -> d.Diagram.dg_name);
       field (Attr "kind") diagram_kind (fun d -> d.Diagram.dg_kind);
       refs "elementRef" (fun d -> d.Diagram.dg_elements) ]
 

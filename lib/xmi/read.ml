@@ -1,292 +1,11 @@
-(* The XML decoder: compiles each {!Schema} node once into a closure that
-   reads a value out of an element. *)
-
-open Schema
-
-(* [Schema.fields] borrows the list syntax; here it means lists *)
-type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
-
 exception Import_error of string
 
 let import_error fmt = Printf.ksprintf (fun m -> raise (Import_error m)) fmt
 
-type 'a dec = Sxml.Doc.element -> 'a
-type memo = M : 'a Type.Id.t * 'a dec ref -> memo
-
-let memo : (int, memo) Hashtbl.t = Hashtbl.create 16
-
-let get_attr e name =
-  match Sxml.Doc.attr e name with
-  | Some v -> v
-  | None -> decode_error "element <%s> missing attribute %s" e.Sxml.Doc.tag name
-
-let xmi_type e =
-  match Sxml.Doc.attr e "xmi:type" with
-  | Some t when String.length t > 4 && String.sub t 0 4 = "uml:" ->
-    String.sub t 4 (String.length t - 4)
-  | Some t -> t
-  | None -> decode_error "<%s> missing xmi:type" e.Sxml.Doc.tag
-
-let enum_of_text en s =
-  let rec go i =
-    if i >= Array.length en.all then decode_error "unknown %s %s" en.xml_what s
-    else
-      let v = Array.unsafe_get en.all i in
-      if String.equal (en.spell v) s then v else go (i + 1)
-  in
-  go 0
-
-(* The value of attribute [name] holding text [s]; [required] attributes
-   report a bad integer without echoing it, as they always have. *)
-let rec attr_value : type a. a t -> name:string -> required:bool -> string -> a =
- fun ty ~name ~required ->
-  match ty with
-  | Str -> Fun.id
-  | Ident -> Uml.Ident.of_string
-  | Int -> (
-    fun s ->
-      match int_of_string_opt s with
-      | Some i -> i
-      | None when required -> decode_error "bad integer attribute %s" name
-      | None -> decode_error "bad integer attribute %s=%s" name s)
-  | Bool -> (
-    function
-    | "true" -> true
-    | "false" -> false
-    | other -> decode_error "bad boolean attribute %s=%s" name other)
-  | Float -> (
-    fun s ->
-      match float_of_string_opt s with
-      | Some r -> r
-      | None -> decode_error "bad real attribute %s=%s" name s)
-  | Enum en -> enum_of_text en
-  | Custom c ->
-    let f = attr_value c.xml ~name ~required in
-    fun s -> c.of_xml (f s)
-  | Opt _ | List _ | Record _ | Variant _ | Rec _ ->
-    invalid_arg "Xmi.Read: not an attribute value"
-
-(* A kind-pair payload: [None] on malformed text. *)
-let literal : type a. a t -> string -> a option = function
-  | Str -> Option.some
-  | Ident -> fun s -> Some (Uml.Ident.of_string s)
-  | Int -> int_of_string_opt
-  | Float -> float_of_string_opt
-  | Bool -> (
-    function
-    | "true" -> Some true
-    | "false" -> Some false
-    | _other -> None)
-  | Enum _ | Opt _ | List _ | Record _ | Variant _ | Custom _ | Rec _ ->
-    invalid_arg "Xmi.Read: not a literal"
-
-(* every [xmi:type] spelling a value of this schema can carry *)
-let rec xmi_types : type a. a t -> string list = function
-  | Enum en -> Array.to_list (Array.map en.spell en.all)
-  | Variant v ->
-    List.concat_map
-      (fun (Any c) ->
-        match c.spelling with
-        | Some s -> [ s ]
-        | None -> xmi_types c.payload)
-      v.cases
-  | Record (R r) ->
-    List.concat_map
-      (fun (F (_, f)) ->
-        match f.place with
-        | Xmi_type -> xmi_types f.ty
-        | Attr _ | Inline | Each _ | Child _ | Tagged _ -> [])
-      (field_list r.fields)
-  | Str | Ident | Int | Bool | Float | Opt _ | List _ | Custom _ | Rec _ -> []
-
-(* Case decoders keyed by discriminator text. *)
-let dispatch (cases : (string * 'a dec) list) unknown key =
-  let table = Hashtbl.create 16 in
-  List.iter (fun (k, d) -> Hashtbl.replace table k d) cases;
-  fun e ->
-    let k = key e in
-    match Hashtbl.find_opt table k with
-    | Some d -> d e
-    | None -> raise (Decode_error (Printf.sprintf unknown k))
-
-(* What a value reads from its own element. *)
-let rec content : type a. a t -> a dec = function
-  | Record (R r) ->
-    let decode = decode_in_order { on = (fun _ f -> field f) } r.fields r.make in
-    (* On a defect, report the one met first when the fields are read
-       last to first, the order the hand-written reader ran in. *)
-    let checks =
-      List.rev_map
-        (fun (F (_, f)) ->
-          let d = field f in
-          fun e -> ignore (d e))
-        (field_list r.fields)
-    in
-    fun e ->
-      (try decode e
-       with Decode_error _ as exn ->
-         List.iter (fun check -> check e) checks;
-         raise exn)
-  | Variant v -> (
-    let payload (Any c) =
-      match constant c.payload with
-      | Some u ->
-        let v = c.inj u in
-        (c.spelling, Any c, fun _ -> v)
-      | None ->
-        let d = place c.at c.payload ~default:None in
-        (c.spelling, Any c, fun e -> c.inj (d e))
-    in
-    let cases = List.map payload v.cases in
-    match v.by with
-    | By_xmi_type ->
-      dispatch
-        (List.concat_map
-           (fun (spelling, Any c, d) ->
-             let spellings =
-               match spelling with
-               | Some s -> [ s ]
-               | None -> xmi_types c.payload
-             in
-             List.map (fun s -> (s, d)) spellings)
-           cases)
-        v.unknown xmi_type
-    | By_attr a ->
-      dispatch
-        (List.map (fun (s, _, d) -> (Option.get s, d)) cases)
-        v.unknown
-        (fun e -> get_attr e a)
-    | By_tag ->
-      dispatch
-        (List.map (fun (s, _, d) -> (Option.get s, d)) cases)
-        v.unknown
-        (fun e -> e.Sxml.Doc.tag)
-    | Kind_pair _ -> invalid_arg "Xmi.Read: a kind pair needs an attribute")
-  | Custom c ->
-    let f = content c.xml in
-    fun e -> c.of_xml (f e)
-  | Rec r -> (
-    let uid = Type.Id.uid r.fix_key in
-    match Hashtbl.find_opt memo uid with
-    | Some (M (k, f)) ->
-      let Type.Equal = same k r.fix_key in
-      fun e -> !f e
-    | None ->
-      let f = ref (fun _ -> invalid_arg "Xmi.Read: unfinished schema") in
-      Hashtbl.add memo uid (M (r.fix_key, f));
-      f := content (Lazy.force r.body);
-      fun e -> !f e)
-  | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ ->
-    invalid_arg "Xmi.Read: a scalar or list needs a placement"
-
-and field : type r a. (r, a) field -> a dec =
- fun f -> place f.place f.ty ~default:f.default
-
-(* [fooKind] + [foo]; [None] when [fooKind] is absent and no case is
-   written as absence *)
-and kind_pair : type a.
-    string -> (string -> string -> string) -> a variant -> a option dec =
- fun prefix missing v ->
-  let kind = prefix ^ "Kind" in
-  let absent = ref None in
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (Any c) ->
-      match c.spelling with
-      | None ->
-        let d = content c.payload in
-        absent := Some (fun e -> c.inj (d e))
-      | Some s when Option.is_some (constant c.payload) ->
-        let v = c.inj (Option.get (constant c.payload)) in
-        Hashtbl.replace table s (fun _ _ -> v)
-      | Some s ->
-        let lit = literal c.payload in
-        Hashtbl.replace table s (fun e k ->
-            let p =
-              match Sxml.Doc.attr e prefix with
-              | Some p -> p
-              | None -> raise (Decode_error (missing prefix k))
-            in
-            match lit p with
-            | Some x -> c.inj x
-            | None -> decode_error "bad %s literal %s" k p))
-    v.cases;
-  let absent = !absent in
-  fun e ->
-    match Sxml.Doc.attr e kind with
-    | None -> Option.map (fun d -> d e) absent
-    | Some k -> (
-      match Hashtbl.find_opt table k with
-      | Some d -> Some (d e k)
-      | None -> raise (Decode_error (Printf.sprintf v.unknown k)))
-
-and place : type a. place -> a t -> default:a option -> a dec =
- fun at ty ~default ->
-  match (at, ty) with
-  | _, Custom c ->
-    let f = place at c.xml ~default:None in
-    fun e -> c.of_xml (f e)
-  | Attr n, Variant ({ by = Kind_pair missing; _ } as v) ->
-    let f = kind_pair n missing v in
-    fun e -> (
-      match f e with
-      | Some x -> x
-      | None -> decode_error "%s without %s" e.Sxml.Doc.tag n)
-  | Attr n, Opt (Variant ({ by = Kind_pair missing; _ } as v)) ->
-    kind_pair n missing v
-  | Attr n, Opt s ->
-    let f = attr_value s ~name:n ~required:false in
-    fun e -> Option.map f (Sxml.Doc.attr e n)
-  | Attr n, _ -> (
-    match default with
-    | Some d ->
-      let f = attr_value ty ~name:n ~required:false in
-      fun e -> (
-        match Sxml.Doc.attr e n with
-        | Some s -> f s
-        | None -> d)
-    | None ->
-      let f = attr_value ty ~name:n ~required:true in
-      fun e -> f (get_attr e n))
-  | Xmi_type, Enum en -> fun e -> enum_of_text en (xmi_type e)
-  | (Xmi_type | Inline), _ -> content ty
-  | Each (tag, Attr n), List (Variant ({ by = Kind_pair missing; _ } as v)) ->
-    (* a list item that carries no value is skipped *)
-    let f = kind_pair n missing v in
-    fun e -> List.filter_map f (Sxml.Doc.find_children e tag)
-  | Each (tag, inner), List a ->
-    let item = place inner a ~default:None in
-    fun e -> List.map item (Sxml.Doc.find_children e tag)
-  | Child tag, _ -> (
-    let f = content ty in
-    fun e ->
-      match Sxml.Doc.find_child e tag with
-      | Some c -> f c
-      | None -> decode_error "%s without %s" e.Sxml.Doc.tag tag)
-  | Tagged strict, List a ->
-    let item = content a in
-    if strict then fun e -> List.map item (Sxml.Doc.child_elements e)
-    else
-      let tags = tags_of a in
-      fun e ->
-        List.map item
-          (List.filter
-             (fun c -> List.mem c.Sxml.Doc.tag tags)
-             (Sxml.Doc.child_elements e))
-  | (Each _ | Tagged _), _ -> invalid_arg "Xmi.Read: a list placement needs a list"
-
-and tags_of : type a. a t -> string list = function
-  | Variant v -> List.filter_map (fun (Any c) -> c.spelling) v.cases
-  | Rec r -> tags_of (Lazy.force r.body)
-  | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ | Record _
-  | Custom _ ->
-    invalid_arg "Xmi.Read: tagged children need a variant"
-
-let element_dec = content Meta.element
-let application_dec = content Meta.application
-let diagram_dec = content Meta.diagram
-
 let of_xml doc =
+  let each tag (c : _ Codec.codec) add parent =
+    List.iter (fun e -> add (c.dec e)) (Sxml.Doc.find_children parent tag)
+  in
   match
     let root =
       match doc with
@@ -300,26 +19,19 @@ let of_xml doc =
       | Some e -> e
       | None -> import_error "missing <uml:Model>"
     in
-    let m = Uml.Model.create (get_attr model_el "name") in
-    List.iter
-      (fun e -> Uml.Model.add m (element_dec e))
-      (Sxml.Doc.find_children model_el "packagedElement");
+    let m = Uml.Model.create (Codec.get_attr model_el "name") in
+    each "packagedElement" Codec.element_codec (Uml.Model.add m) model_el;
     Option.iter
-      (fun apps ->
-        List.iter
-          (fun a -> Uml.Model.add_application m (application_dec a))
-          (Sxml.Doc.find_children apps "stereotypeApplication"))
+      (each "stereotypeApplication" Codec.application_codec
+         (Uml.Model.add_application m))
       (Sxml.Doc.find_child root "applications");
     Option.iter
-      (fun ds ->
-        List.iter
-          (fun d -> Uml.Model.add_diagram m (diagram_dec d))
-          (Sxml.Doc.find_children ds "diagram"))
+      (each "diagram" Codec.diagram_codec (Uml.Model.add_diagram m))
       (Sxml.Doc.find_child root "diagrams");
     m
   with
   | m -> m
-  | exception Decode_error msg -> raise (Import_error msg)
+  | exception Schema.Decode_error msg -> raise (Import_error msg)
 
 let model_of_string s =
   match Sxml.Parse.parse_string s with

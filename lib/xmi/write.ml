@@ -1,197 +1,5 @@
-(* The XML encoder: compiles each {!Schema} node once into a closure that
-   adds attributes and children to the element under construction. *)
-
-open Schema
-
-(* [Schema.fields] borrows the list syntax; here it means lists *)
-type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
-
-(* An element under construction; lists are kept reversed.  [xmi:type]
-   is held apart because it is always written first. *)
-type out = {
-  mutable xtype : string option;
-  mutable attrs : Sxml.Doc.attribute list;
-  mutable children : Sxml.Doc.t list;
-}
-
-let fresh () = { xtype = None; attrs = []; children = [] }
-let add_attr o k v = o.attrs <- (k, v) :: o.attrs
-let add_child o c = o.children <- c :: o.children
-
-let finish tag o =
-  let attrs = List.rev o.attrs in
-  let attrs =
-    match o.xtype with
-    | None -> attrs
-    | Some t -> ("xmi:type", "uml:" ^ t) :: attrs
-  in
-  Sxml.Doc.element ~attrs tag (List.rev o.children)
-
-let element tag content v =
-  let o = fresh () in
-  content o v;
-  finish tag o
-
-type 'a enc = out -> 'a -> unit
-type 'a case_enc = E : ('a, 'p) case * 'p enc -> 'a case_enc
-type memo = M : 'a Type.Id.t * 'a enc ref -> memo
-
-let memo : (int, memo) Hashtbl.t = Hashtbl.create 16
-
-(* the attribute text of a scalar *)
-let rec text : type a. a t -> a -> string = function
-  | Str -> Fun.id
-  | Ident -> Uml.Ident.to_string
-  | Int -> string_of_int
-  | Bool -> string_of_bool
-  | Float -> Meta.float_text
-  | Enum en -> en.spell
-  | Custom c ->
-    let t = text c.xml in
-    fun v -> t (c.to_xml v)
-  | Opt _ | List _ | Record _ | Variant _ | Rec _ ->
-    invalid_arg "Xmi.Write: not an attribute value"
-
-(* Dispatch on a variant value: the compiled encoder of its case. *)
-let by_case (v : _ variant) (compile : _ any_case -> _ case_enc) =
-  let encs = Array.of_list (List.map compile v.cases) in
-  fun o x ->
-    let (V (c, p)) = v.view x in
-    let (E (c', f)) = Array.unsafe_get encs c.index in
-    let Type.Equal = same c.key c'.key in
-    f o p
-
-(* What a value writes into its own element. *)
-let rec content : type a. a t -> a enc = function
-  | Record (R r) ->
-    let steps = Array.of_list (List.map field (field_list r.fields)) in
-    let order =
-      match r.xmi_order with
-      | Some order -> order
-      | None -> List.init (Array.length steps) Fun.id
-    in
-    let steps = List.map (Array.get steps) order in
-    fun o v -> List.iter (fun step -> step o v) steps
-  | Variant v -> (
-    match v.by with
-    | By_xmi_type ->
-      by_case v (fun (Any c) ->
-          let payload = place c.at c.payload ~default:None ~omit:false in
-          match c.spelling with
-          | None -> E (c, payload)
-          | Some s ->
-            E
-              ( c,
-                fun o p ->
-                  o.xtype <- Some s;
-                  payload o p ))
-    | By_attr a ->
-      by_case v (fun (Any c) ->
-          let payload = place c.at c.payload ~default:None ~omit:false in
-          let s = Option.get c.spelling in
-          E
-            ( c,
-              fun o p ->
-                add_attr o a s;
-                payload o p ))
-    | By_tag ->
-      (* one child element per value, tagged by its case *)
-      by_case v (fun (Any c) ->
-          let payload = place c.at c.payload ~default:None ~omit:false in
-          let tag = Option.get c.spelling in
-          E (c, fun o p -> add_child o (element tag payload p)))
-    | Kind_pair _ -> invalid_arg "Xmi.Write: a kind pair needs an attribute")
-  | Custom c ->
-    let f = content c.xml in
-    fun o v -> f o (c.to_xml v)
-  | Rec r -> (
-    let uid = Type.Id.uid r.fix_key in
-    match Hashtbl.find_opt memo uid with
-    | Some (M (k, f)) ->
-      let Type.Equal = same k r.fix_key in
-      fun o v -> !f o v
-    | None ->
-      let f = ref (fun _ _ -> ()) in
-      Hashtbl.add memo uid (M (r.fix_key, f));
-      f := content (Lazy.force r.body);
-      fun o v -> !f o v)
-  | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ ->
-    invalid_arg "Xmi.Write: a scalar or list needs a placement"
-
-and field : type r. r any_field -> r enc = function
-  | F (_, f) ->
-    let enc = place f.place f.ty ~default:f.default ~omit:f.omit in
-    fun o r -> enc o (f.get r)
-
-(* [fooKind] + [foo]: the case spelling and its scalar payload *)
-and kind_pair : type a. string -> a variant -> a enc =
- fun prefix v ->
-  let kind = prefix ^ "Kind" in
-  by_case v (fun (Any c) ->
-      match c.spelling with
-      | None -> E (c, fun _ _ -> ())
-      | Some s when Option.is_some (constant c.payload) ->
-        E (c, fun o _ -> add_attr o kind s)
-      | Some s ->
-        let t = text c.payload in
-        E
-          ( c,
-            fun o p ->
-              add_attr o kind s;
-              add_attr o prefix (t p) ))
-
-and place : type a. place -> a t -> default:a option -> omit:bool -> a enc =
- fun at ty ~default ~omit ->
-  match (at, ty) with
-  | _, Custom c ->
-    let f = place at c.xml ~default:None ~omit:false in
-    fun o v -> f o (c.to_xml v)
-  | Attr n, Variant ({ by = Kind_pair _; _ } as v) -> kind_pair n v
-  | Attr n, Opt (Variant ({ by = Kind_pair _; _ } as v)) ->
-    let f = kind_pair n v in
-    fun o -> Option.iter (f o)
-  | Attr n, Opt s ->
-    let t = text s in
-    fun o -> Option.iter (fun x -> add_attr o n (t x))
-  | Attr n, _ -> (
-    let t = text ty in
-    match default with
-    | Some d when omit -> fun o v -> if v <> d then add_attr o n (t v)
-    | Some _ | None -> fun o v -> add_attr o n (t v))
-  | Xmi_type, Enum en -> fun o v -> o.xtype <- Some (en.spell v)
-  | (Xmi_type | Inline), _ -> content ty
-  | Each (tag, inner), List a ->
-    let item = place inner a ~default:None ~omit:false in
-    fun o l -> List.iter (fun x -> add_child o (element tag item x)) l
-  | Child tag, _ ->
-    let f = content ty in
-    fun o v -> add_child o (element tag f v)
-  | Tagged _, List a ->
-    let item = content a in
-    fun o l -> List.iter (item o) l
-  | (Each _ | Tagged _), _ -> invalid_arg "Xmi.Write: a list placement needs a list"
-
-let element_enc = content Meta.element
-let application_enc = content Meta.application
-let diagram_enc = content Meta.diagram
-
 let to_xml m =
-  let model_el =
-    Sxml.Doc.element
-      ~attrs:[ ("name", Uml.Model.name m) ]
-      "uml:Model"
-      (List.map (element "packagedElement" element_enc) (Uml.Model.elements m))
-  in
-  let applications =
-    Sxml.Doc.element "applications"
-      (List.map
-         (element "stereotypeApplication" application_enc)
-         (Uml.Model.applications m))
-  in
-  let diagrams =
-    Sxml.Doc.element "diagrams"
-      (List.map (element "diagram" diagram_enc) (Uml.Model.diagrams m))
-  in
+  let all tag (c : _ Codec.codec) l = List.map (Codec.element tag c.enc) l in
   Sxml.Doc.element
     ~attrs:
       [
@@ -200,7 +8,17 @@ let to_xml m =
         ("xmi:version", "2.1");
       ]
     "xmi:XMI"
-    [ model_el; applications; diagrams ]
+    [
+      Sxml.Doc.element
+        ~attrs:[ ("name", Uml.Model.name m) ]
+        "uml:Model"
+        (all "packagedElement" Codec.element_codec (Uml.Model.elements m));
+      Sxml.Doc.element "applications"
+        (all "stereotypeApplication" Codec.application_codec
+           (Uml.Model.applications m));
+      Sxml.Doc.element "diagrams"
+        (all "diagram" Codec.diagram_codec (Uml.Model.diagrams m));
+    ]
 
 let to_string m = Sxml.Doc.to_string (to_xml m) ^ "\n"
 

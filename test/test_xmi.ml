@@ -12,6 +12,42 @@ let kitchen_sink = Fixtures.kitchen_sink
 let roundtrip m =
   Xmi.Read.model_of_string (Xmi.Write.to_string m)
 
+let snap_roundtrip m = Snap.Read.model_of_string (Snap.Write.to_string m)
+
+(* the default of a one-attribute class, through [trip] *)
+let real_roundtrip trip r =
+  let m = Model.create "m" in
+  Model.add m
+    (Model.E_classifier
+       (Classifier.make
+          ~attributes:
+            [ Classifier.property ~default:(Vspec.Real_literal r) "x" Dtype.Real ]
+          "C"));
+  match Model.elements (trip m) with
+  | [ Model.E_classifier
+        { Classifier.cl_attributes =
+            [ { Classifier.prop_default = Some (Vspec.Real_literal x); _ } ];
+          _ } ] ->
+    x
+  | _other -> Alcotest.fail "real literal lost"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let real_corners =
+  [ 0.1 +. 0.2; 1. /. 3.; -0.; 0.; infinity; neg_infinity; max_float;
+    min_float; Float.epsilon; 5e-324; -1e300; 2.5; 1e22; 123456789.123456789 ]
+
+let operator_model op =
+  let m = Model.create "m" in
+  Model.add m
+    (Model.E_interaction
+       (Interaction.make "seq" []
+          [ Interaction.Fragment (Interaction.fragment op [ Interaction.operand [] ]) ]));
+  m
+
 let basic_tests =
   [
     tc "kitchen-sink model round-trips" (fun () ->
@@ -54,6 +90,23 @@ let basic_tests =
                   ]
                 "A"));
         check Alcotest.bool "equal" true (Model.equal m (roundtrip m)));
+    tc "real literals keep every bit" (fun () ->
+        List.iter
+          (fun r ->
+            check Alcotest.int64 (Printf.sprintf "%h" r) (Int64.bits_of_float r)
+              (Int64.bits_of_float (real_roundtrip roundtrip r)))
+          real_corners);
+    tc "message names with commas and backslashes survive" (fun () ->
+        List.iter
+          (fun names ->
+            let m = operator_model (Interaction.Ignore names) in
+            check Alcotest.bool (String.concat "|" names) true
+              (Model.equal m (roundtrip m)))
+          [ [ "a,b" ]; [ "" ]; [ ""; "" ]; [ "a\\" ]; [ "\\," ]; []; [ "a"; "" ] ]);
+    tc "plain message names keep their text" (fun () ->
+        let text = Xmi.Write.to_string (operator_model (Interaction.Consider [ "m1"; "m2" ])) in
+        check Alcotest.bool "messages=\"m1,m2\"" true
+          (contains text "messages=\"m1,m2\""));
     tc "import rejects non-XMI documents" (fun () ->
         match Xmi.Read.model_of_string "<foo/>" with
         | _m -> Alcotest.fail "expected Import_error"
@@ -111,6 +164,31 @@ let property_tests =
                 (Workload.Gen_activity.with_decisions ~seed ~size:15
                    ~max_width:3));
            Model.equal m (roundtrip m)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"real literals round-trip bit-exact" ~count:2000
+         QCheck.(oneof [ float; oneofl real_corners ])
+         (fun r ->
+           QCheck.assume (not (Float.is_nan r));
+           let bits = Int64.bits_of_float in
+           let x = real_roundtrip roundtrip r in
+           let s = real_roundtrip snap_roundtrip r in
+           Int64.equal (bits x) (bits r) && Int64.equal (bits x) (bits s)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"message lists agree with the snapshot path"
+         ~count:1000
+         QCheck.(
+           pair bool
+             (list_of_size (Gen.int_range 0 4)
+                (string_gen_of_size (Gen.int_range 0 3)
+                   (Gen.oneofl [ ','; '\\'; 'm'; '1' ]))))
+         (fun (ignore, names) ->
+           let op =
+             if ignore then Interaction.Ignore names
+             else Interaction.Consider names
+           in
+           let m = operator_model op in
+           Model.equal (roundtrip m) (snap_roundtrip m)
+           && Model.equal m (roundtrip m)));
   ]
 
 (* The codec contract in {!Fixtures}: XMI bytes of every pinned model,
