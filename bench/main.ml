@@ -1094,7 +1094,7 @@ let e15_tests () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* E16: multicore scaling of campaigns and reachability                *)
+(* E16: multicore scaling of fault campaigns                          *)
 
 (* Wall clock, not [Sys.time]: domain parallelism never shows up in
    CPU seconds.  Best of three to damp scheduler noise. *)
@@ -1116,15 +1116,9 @@ let e16_report () =
   let campaign pool = Fault.Campaign.run ?pool ~rtl:spec ~label:"bench" plan in
   let campaign_text = Fault.Campaign.to_text (campaign None) in
   let t_campaign_seq = e16_time (fun () -> ignore (campaign None)) in
-  let tnet, tm0 = e13_toggle_net 14 in
-  let reach pool = Petri.Analysis.explore ?pool ~limit:10_000 tnet tm0 in
-  let reach_base = reach None in
-  let t_reach_seq = e16_time (fun () -> ignore (reach None)) in
   record_f "e16.campaign_ms.jobs01" (1e3 *. t_campaign_seq);
-  record_f "e16.reach_ms.jobs01" (1e3 *. t_reach_seq);
-  Printf.printf
-    "jobs 1: campaign %6.1f ms, reach %6.1f ms (sequential baseline)\n"
-    (1e3 *. t_campaign_seq) (1e3 *. t_reach_seq);
+  Printf.printf "jobs 1: campaign %6.1f ms (sequential baseline)\n"
+    (1e3 *. t_campaign_seq);
   List.iter
     (fun jobs ->
       Exec.Pool.with_pool ~jobs (fun p ->
@@ -1133,38 +1127,16 @@ let e16_report () =
             String.equal campaign_text (Fault.Campaign.to_text (campaign pool))
           in
           let t_c = e16_time (fun () -> ignore (campaign pool)) in
-          let r = reach pool in
-          let r_agree =
-            r.Petri.Analysis.sum_reach.Petri.Analysis.state_count
-            = reach_base.Petri.Analysis.sum_reach.Petri.Analysis.state_count
-            && r.Petri.Analysis.sum_reach.Petri.Analysis.truncated
-               = reach_base.Petri.Analysis.sum_reach.Petri.Analysis.truncated
-            && List.for_all2 Petri.Marking.equal
-                 r.Petri.Analysis.sum_reach.Petri.Analysis.markings
-                 reach_base.Petri.Analysis.sum_reach.Petri.Analysis.markings
-            && r.Petri.Analysis.sum_dead_transitions
-               = reach_base.Petri.Analysis.sum_dead_transitions
-          in
-          let t_r = e16_time (fun () -> ignore (reach pool)) in
-          Printf.printf
-            "jobs %d: campaign %6.1f ms (%4.2fx, agree %b), reach %6.1f ms \
-             (%4.2fx, agree %b)\n"
-            jobs (1e3 *. t_c)
+          Printf.printf "jobs %d: campaign %6.1f ms (%4.2fx, agree %b)\n" jobs
+            (1e3 *. t_c)
             (t_campaign_seq /. (t_c +. 1e-9))
-            c_agree (1e3 *. t_r)
-            (t_reach_seq /. (t_r +. 1e-9))
-            r_agree;
+            c_agree;
           record_f (Printf.sprintf "e16.campaign_ms.jobs%02d" jobs)
             (1e3 *. t_c);
           record_f
             (Printf.sprintf "e16.campaign_speedup.jobs%02d" jobs)
             (t_campaign_seq /. (t_c +. 1e-9));
-          record_b (Printf.sprintf "e16.campaign_agree.jobs%02d" jobs) c_agree;
-          record_f (Printf.sprintf "e16.reach_ms.jobs%02d" jobs) (1e3 *. t_r);
-          record_f
-            (Printf.sprintf "e16.reach_speedup.jobs%02d" jobs)
-            (t_reach_seq /. (t_r +. 1e-9));
-          record_b (Printf.sprintf "e16.reach_agree.jobs%02d" jobs) r_agree))
+          record_b (Printf.sprintf "e16.campaign_agree.jobs%02d" jobs) c_agree))
     [ 2; 4; 8 ]
 
 let e16_tests () =
@@ -1174,14 +1146,10 @@ let e16_tests () =
   let flat = e10_flat 4 in
   let spec = e15_spec flat in
   let plan = e15_plan flat 8 in
-  let tnet, tm0 = e13_toggle_net 12 in
   [
     Bechamel.Test.make ~name:"e16/campaign-jobs4"
       (Bechamel.Staged.stage (fun () ->
            ignore (Fault.Campaign.run ~pool ~rtl:spec ~label:"bench" plan)));
-    Bechamel.Test.make ~name:"e16/reach-4096-jobs4"
-      (Bechamel.Staged.stage (fun () ->
-           ignore (Petri.Analysis.explore ~limit:4096 ~pool tnet tm0)));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -59,14 +59,14 @@ let reachable_reference ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
     deadlocks = List.rev deadlocks;
   }
 
-let explore ?limit ?metrics ?budget ?pool ?compiled net m0 =
+let explore ?limit ?metrics ?budget ?compiled net m0 =
   let c =
     match compiled with
     | Some c -> c
     | None -> Compiled.of_net net
   in
   let cm0, residue = Compiled.split c m0 in
-  let r = Compiled.reachable ?limit ?metrics ?budget ?pool c cm0 in
+  let r = Compiled.reachable ?limit ?metrics ?budget c cm0 in
   let export = Compiled.export c residue in
   let reach =
     {
@@ -100,8 +100,8 @@ let explore ?limit ?metrics ?budget ?pool ?compiled net m0 =
     sum_dead_transitions = dead;
   }
 
-let reachable ?limit ?metrics ?budget ?pool ?compiled net m0 =
-  (explore ?limit ?metrics ?budget ?pool ?compiled net m0).sum_reach
+let reachable ?limit ?metrics ?budget ?pool:_ ?compiled net m0 =
+  (explore ?limit ?metrics ?budget ?compiled net m0).sum_reach
 
 let is_deadlock_free ?limit net m0 = (explore ?limit net m0).sum_deadlock_free
 let bound ?limit net m0 = (explore ?limit net m0).sum_bound
@@ -132,5 +132,5 @@ let random_occurrence_sequence ~seed ~max_steps net m0 =
   in
   loop m0 0 []
 
-let dead_transitions ?limit ?budget ?pool ?compiled net m0 =
-  (explore ?limit ?budget ?pool ?compiled net m0).sum_dead_transitions
+let dead_transitions ?limit ?budget ?compiled net m0 =
+  (explore ?limit ?budget ?compiled net m0).sum_dead_transitions

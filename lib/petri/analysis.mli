@@ -27,7 +27,6 @@ val explore :
   ?limit:int ->
   ?metrics:Telemetry.Metrics.t ->
   ?budget:Exec.Budget.t ->
-  ?pool:Exec.Pool.t ->
   ?compiled:Compiled.t ->
   Net.t ->
   Marking.t ->
@@ -37,8 +36,7 @@ val explore :
     that need several of reachability, bounds, deadlock-freedom and
     dead transitions should call this once instead of one query
     function per answer.  [metrics] receives the
-    [petri.markings_explored] counter.  [pool] shards BFS levels across
-    domains with byte-identical results (see {!Compiled.reachable}).
+    [petri.markings_explored] counter.
     [budget] is checkpointed once per visited marking;
     {!Exec.Budget.Expired} propagates with no summary produced.
     [compiled] supplies a pre-interned form of [net] (it must be
@@ -54,7 +52,9 @@ val reachable :
   Net.t ->
   Marking.t ->
   reach_result
-(** The {!explore} reachability component. *)
+(** The {!explore} reachability component.  [pool] is accepted for
+    source compatibility and ignored: exploration is sequential (a
+    level-parallel BFS measured slower than this one on two cores). *)
 
 val reachable_reference :
   ?limit:int -> ?metrics:Telemetry.Metrics.t -> Net.t -> Marking.t ->
@@ -85,7 +85,6 @@ val random_occurrence_sequence :
 val dead_transitions :
   ?limit:int ->
   ?budget:Exec.Budget.t ->
-  ?pool:Exec.Pool.t ->
   ?compiled:Compiled.t ->
   Net.t ->
   Marking.t ->

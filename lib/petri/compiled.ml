@@ -127,7 +127,8 @@ module H = Hashtbl.Make (struct
   let hash = marking_hash
 end)
 
-let reachable_seq ~limit ~metrics ~budget c m0 =
+let reachable ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
+    ?(budget = Exec.Budget.unlimited) c m0 =
   let m_explored = Telemetry.Metrics.counter metrics "petri.markings_explored" in
   let nt = Array.length c.transition_ids in
   let fired = Array.make nt false in
@@ -178,89 +179,3 @@ let reachable_seq ~limit ~metrics ~budget c m0 =
     r_max_tokens = !max_tokens;
   }
 
-(* Pure per-marking work — everything the merge phase needs, computed
-   from the (read-only) compiled net and one marking, with no access to
-   the visited set.  [fired]/[succs] come back in transition order. *)
-let expand c nt m =
-  let any = ref false in
-  let fired_tis = ref [] in
-  let succs = ref [] in
-  for ti = nt - 1 downto 0 do
-    if Array.for_all (fun (p, w) -> m.slots.(p) >= w) c.pre.(ti) then begin
-      any := true;
-      fired_tis := ti :: !fired_tis;
-      succs := fire_enabled c m ti :: !succs
-    end
-  done;
-  let mt = Array.fold_left max 0 m.slots in
-  (!any, mt, !fired_tis, !succs)
-
-(* Level-synchronous parallel BFS.  The frontier (one BFS level, already
-   deduplicated) is expanded across the pool — that is the hot part:
-   enabling checks and marking construction.  The merge back into
-   [seen]/[order]/[fired] is sequential, in frontier order, which makes
-   the result equal to [reachable_seq]'s field for field: a FIFO queue
-   pops level k entirely before level k+1, and within a level in
-   enqueue order, which is exactly the frontier order reproduced here.
-   Truncation also matches: the sequential loop stops at the first pop
-   attempt past [limit], so a level is cut to [limit - visited] nodes
-   and the verdict is "truncated" iff nodes remained. *)
-let reachable_par ~limit ~metrics ~budget pool c m0 =
-  let m_explored = Telemetry.Metrics.counter metrics "petri.markings_explored" in
-  let nt = Array.length c.transition_ids in
-  let fired = Array.make nt false in
-  let seen = H.create 256 in
-  H.replace seen m0 ();
-  let order = ref [] in
-  let deadlocks = ref [] in
-  let visited = ref 0 in
-  let truncated = ref false in
-  let max_tokens = ref 0 in
-  let frontier = ref [| m0 |] in
-  while (not !truncated) && Array.length !frontier > 0 do
-    let level = !frontier in
-    let len = Array.length level in
-    let take = min len (limit - !visited) in
-    if take < len then truncated := true;
-    let results = Array.make take (false, 0, [], []) in
-    let chunk = max 1 (take / (Exec.Pool.jobs pool * 8)) in
-    Exec.Pool.parallel_for ~chunk pool ~n:take (fun i ->
-        results.(i) <- expand c nt level.(i));
-    let next = ref [] in
-    for i = 0 to take - 1 do
-      (* Budget checkpoints live in this sequential merge loop (caller
-         domain), not in the worker expansion, so fuel budgets stay
-         deterministic at every job count. *)
-      Exec.Budget.check budget;
-      let any, mt, fired_tis, succs = results.(i) in
-      incr visited;
-      Telemetry.Metrics.incr m_explored;
-      order := level.(i) :: !order;
-      if mt > !max_tokens then max_tokens := mt;
-      List.iter (fun ti -> fired.(ti) <- true) fired_tis;
-      List.iter
-        (fun m' ->
-          if not (H.mem seen m') then begin
-            H.replace seen m' ();
-            next := m' :: !next
-          end)
-        succs;
-      if not any then deadlocks := level.(i) :: !deadlocks
-    done;
-    frontier := Array.of_list (List.rev !next)
-  done;
-  {
-    r_order = List.rev !order;
-    r_state_count = !visited;
-    r_truncated = !truncated;
-    r_deadlocks = List.rev !deadlocks;
-    r_fired = fired;
-    r_max_tokens = !max_tokens;
-  }
-
-let reachable ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
-    ?(budget = Exec.Budget.unlimited) ?pool c m0 =
-  match pool with
-  | Some p when Exec.Pool.jobs p > 1 ->
-      reachable_par ~limit ~metrics ~budget p c m0
-  | Some _ | None -> reachable_seq ~limit ~metrics ~budget c m0

@@ -89,7 +89,6 @@ val reachable :
   ?limit:int ->
   ?metrics:Telemetry.Metrics.t ->
   ?budget:Exec.Budget.t ->
-  ?pool:Exec.Pool.t ->
   t ->
   marking ->
   reach
@@ -100,14 +99,6 @@ val reachable :
     the per-place token bound.  [metrics] receives the
     [petri.markings_explored] counter.
 
-    With [pool] (and more than one job) each BFS level is expanded
-    across the pool's domains and merged back into the visited set
-    sequentially, in frontier order — the result is equal to the
-    single-domain exploration field for field, including BFS order and
-    the truncation verdict (enforced by [test/test_parallel.ml]).
-
     [budget] (default {!Exec.Budget.unlimited}) is checkpointed once
-    per visited marking — in the sequential merge loop under [pool],
-    so fuel budgets expire at the same marking at every job count —
-    and {!Exec.Budget.Expired} propagates to the caller with the
-    exploration abandoned cleanly. *)
+    per visited marking, and {!Exec.Budget.Expired} propagates to the
+    caller with the exploration abandoned cleanly. *)

@@ -50,14 +50,18 @@ let with_artifacts sink (load : loader) path f =
     1
   | Ok art -> f art
 
-(* Validate --jobs and run the body with a pool (no worker domains when
-   [jobs = 1], so the sequential paths stay exactly as before). *)
-let with_jobs sink jobs f =
+(* Validate --jobs before running the body. *)
+let check_jobs sink jobs f =
   if jobs < 1 then begin
     errl sink "--jobs must be at least 1";
     1
   end
-  else Exec.Pool.with_pool ~jobs f
+  else f ()
+
+(* ... and run it with a pool (no worker domains when [jobs = 1], so the
+   sequential paths stay exactly as before). *)
+let with_jobs sink jobs f =
+  check_jobs sink jobs (fun () -> Exec.Pool.with_pool ~jobs f)
 
 let split_selectors values =
   List.concat_map
@@ -387,7 +391,8 @@ let analyze ?(budget = Exec.Budget.unlimited) sink ~metrics ~only ~disable
       errl sink "no activity in the model";
       1
     | activities ->
-      with_jobs sink jobs @@ fun pool ->
+      (* [jobs] is still validated, but exploration is sequential *)
+      check_jobs sink jobs @@ fun () ->
       let reg = metrics_reg metrics in
       List.iter
         (fun act ->
@@ -404,8 +409,8 @@ let analyze ?(budget = Exec.Budget.unlimited) sink ~metrics ~only ~disable
                (String.concat ", " r.Petri.Coverability.unbounded_places)
            | None -> outf sink "  bounded: unknown (limit reached)\n");
           let s =
-            Petri.Analysis.explore ~limit:5000 ~metrics:reg ~budget ~pool
-              ~compiled net m0
+            Petri.Analysis.explore ~limit:5000 ~metrics:reg ~budget ~compiled
+              net m0
           in
           let r = s.Petri.Analysis.sum_reach in
           outf sink "  reachable markings: %d%s, deadlocks: %d\n"

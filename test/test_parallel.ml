@@ -1,10 +1,9 @@
 (* Differential tests for the work-stealing domain pool (Exec.Pool):
    [--jobs] is a pure throughput knob, so every parallel fan-out in the
-   repo — fault campaigns, state-space exploration — must produce
-   byte-identical reports, summaries and metrics registries at every
-   job count.  Pool unit tests cover scheduling (order preservation,
-   stealing under skew, chunked claims) and the lowest-index exception
-   rule. *)
+   repo (fault campaigns, multi-model lint) must produce byte-identical
+   reports and metrics registries at every job count.  Pool unit tests
+   cover scheduling (order preservation, stealing under skew, chunked
+   claims) and the lowest-index exception rule. *)
 
 open Hdl
 
@@ -320,74 +319,6 @@ let campaign_pool_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Exploration differential: sharded BFS must reproduce the sequential
-   summary exactly — markings in the same BFS order, same truncation
-   verdict, bounds, deadlocks and dead transitions. *)
-
-let markings_equal a b =
-  List.length a = List.length b && List.for_all2 Petri.Marking.equal a b
-
-let summaries_equal (a : Petri.Analysis.summary) (b : Petri.Analysis.summary) =
-  markings_equal a.Petri.Analysis.sum_reach.Petri.Analysis.markings
-    b.Petri.Analysis.sum_reach.Petri.Analysis.markings
-  && a.Petri.Analysis.sum_reach.Petri.Analysis.state_count
-     = b.Petri.Analysis.sum_reach.Petri.Analysis.state_count
-  && a.Petri.Analysis.sum_reach.Petri.Analysis.truncated
-     = b.Petri.Analysis.sum_reach.Petri.Analysis.truncated
-  && markings_equal a.Petri.Analysis.sum_reach.Petri.Analysis.deadlocks
-       b.Petri.Analysis.sum_reach.Petri.Analysis.deadlocks
-  && a.Petri.Analysis.sum_bound = b.Petri.Analysis.sum_bound
-  && a.Petri.Analysis.sum_deadlock_free = b.Petri.Analysis.sum_deadlock_free
-  && a.Petri.Analysis.sum_dead_transitions
-     = b.Petri.Analysis.sum_dead_transitions
-
-let random_net seed =
-  let act =
-    if seed mod 2 = 0 then
-      Workload.Gen_activity.series_parallel ~seed ~size:10 ~max_width:4
-    else Workload.Gen_activity.with_decisions ~seed ~size:10 ~max_width:4
-  in
-  Activity.Translate.to_petri act
-
-let qcheck_explore_differential =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:30
-       ~name:"explore: pool sharding reproduces the sequential summary"
-       QCheck.(int_range 0 100_000)
-       (fun seed ->
-         let net, m0 = random_net seed in
-         let m1 =
-           Telemetry.Metrics.create ~clock:(Telemetry.Clock.counting ()) ()
-         in
-         let s1 = Petri.Analysis.explore ~metrics:m1 net m0 in
-         let m4 =
-           Telemetry.Metrics.create ~clock:(Telemetry.Clock.counting ()) ()
-         in
-         let s4, d4 =
-           Exec.Pool.with_pool ~jobs:4 (fun pool ->
-               ( Petri.Analysis.explore ~metrics:m4 ~pool net m0,
-                 Petri.Analysis.dead_transitions ~pool net m0 ))
-         in
-         summaries_equal s1 s4
-         && Petri.Analysis.dead_transitions net m0 = d4
-         && String.equal (Telemetry.Metrics.report m1)
-              (Telemetry.Metrics.report m4)))
-
-let qcheck_explore_truncation =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:30
-       ~name:"explore: truncation point identical under sharding"
-       QCheck.(pair (int_range 0 100_000) (int_range 1 9))
-       (fun (seed, limit) ->
-         let net, m0 = random_net seed in
-         let s1 = Petri.Analysis.explore ~limit net m0 in
-         let s4 =
-           Exec.Pool.with_pool ~jobs:4 (fun pool ->
-               Petri.Analysis.explore ~limit ~pool net m0)
-         in
-         summaries_equal s1 s4))
-
-(* ------------------------------------------------------------------ *)
 (* Cooperative cancellation budgets                                   *)
 
 let budget_tests =
@@ -459,34 +390,10 @@ let budget_tests =
             (Exec.Budget.expired b));
   ]
 
-let qcheck_budget_differential =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:30
-       ~name:"explore: fuel expiry point identical under sharding"
-       QCheck.(pair (int_range 0 100_000) (int_range 0 40))
-       (fun (seed, fuel) ->
-         let net, m0 = random_net seed in
-         let run jobs =
-           let budget = Exec.Budget.fuel fuel in
-           match
-             if jobs = 1 then Petri.Analysis.explore ~budget net m0
-             else
-               Exec.Pool.with_pool ~jobs (fun pool ->
-                   Petri.Analysis.explore ~budget ~pool net m0)
-           with
-           | s -> Ok s
-           | exception Exec.Budget.Expired msg -> Error msg
-         in
-         match (run 1, run 4) with
-         | Ok s1, Ok s4 -> summaries_equal s1 s4
-         | Error e1, Error e4 -> String.equal e1 e4
-         | Ok _, Error _ | Error _, Ok _ -> false))
-
 let () =
   Alcotest.run "parallel"
     [
       ("pool", pool_tests @ [ qcheck_map_determinism ]);
       ("campaign", campaign_pool_tests @ [ qcheck_campaign_differential ]);
-      ("explore", [ qcheck_explore_differential; qcheck_explore_truncation ]);
-      ("budget", budget_tests @ [ qcheck_budget_differential ]);
+      ("budget", budget_tests);
     ]
