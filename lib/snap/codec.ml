@@ -43,7 +43,8 @@ let rec codec : type a. a t -> a codec = function
     let what, cases = indexed ty in
     let dec d =
       let t = Dec.u8 d in
-      if t >= Array.length cases then Wire.decode_error "unknown %s tag %d" what t;
+      if t >= Array.length cases then
+        Wire.decode_error "unknown %s tag %d" what t;
       (Array.unsafe_get cases t) d
     in
     let enc =
@@ -63,14 +64,15 @@ let rec codec : type a. a t -> a codec = function
       let Type.Equal = same k r.fix_key in
       { enc = (fun e v -> !f.enc e v); dec = (fun d -> !f.dec d) }
     | None ->
-      let f = ref { enc = (fun _ _ -> ()); dec = (fun _ -> invalid_arg "Snap.Codec") } in
+      let f = ref { enc = (fun _ _ -> ()); dec = (fun _ -> assert false) } in
       Hashtbl.add memo uid (M (r.fix_key, f));
       f := codec (Lazy.force r.body);
       { enc = (fun e v -> !f.enc e v); dec = (fun d -> !f.dec d) })
   | Record (R r) ->
     let fields = field_list r.fields in
     let first = first_flag fields in
-    let read_flags = flags_reader r.name fields and bits = List.map flag_bits fields in
+    let read_flags = flags_reader r.name fields in
+    let bits = List.map flag_bits fields in
     let steps =
       List.map
         (fun (F (i, f)) ->
@@ -95,7 +97,8 @@ let rec codec : type a. a t -> a codec = function
 and payloads : type a. a variant -> tag:bool -> Enc.t -> a -> unit =
  fun v ~tag ->
   let encs =
-    Array.of_list (List.map (fun (Any c) -> E (c, (codec c.payload).enc)) v.cases)
+    Array.of_list
+      (List.map (fun (Any c) -> E (c, (codec c.payload).enc)) v.cases)
   in
   fun e x ->
     let (V (c, p)) = v.view x in
@@ -185,15 +188,10 @@ and from_flags : type r a. (r, a) field -> Dec.t -> a =
     fun src -> if bit b (Dec.flags src) then p src else d
 
 (* Read and check a record's flags byte: no bit outside the declared
-   ones, no index past its inventory.  No flag field may hold a flagged
-   record itself: it would overwrite the byte before the outer record's
-   later flag fields read it. *)
+   ones, no index past its inventory. *)
 and flags_reader : type r. string -> r any_field list -> Dec.t -> unit =
  fun name fields ->
-  let first = first_flag fields and last = first_flag (List.rev fields) in
-  let claim (used, checks) (F (i, f)) =
-    if i >= first && i <= last && has_flags f.ty then
-      invalid_arg ("Snap.Codec: a flag field of " ^ name ^ " nests flags");
+  let claim (used, checks) (F (_, f)) =
     match f.bits with
     | Bytes -> (used, checks)
     | Bit b | Present b | Unless (b, _) -> (used lor (1 lsl b), checks)

@@ -135,7 +135,7 @@ let custom ~wire ~xml to_xml of_xml = Custom { wire; xml; to_xml; of_xml }
 let enum_index en v =
   let rec go i =
     if i >= Array.length en.all then
-      invalid_arg ("Schema.enum_index: value outside the " ^ en.what ^ " inventory")
+      invalid_arg ("Schema.enum_index: not in the " ^ en.what ^ " inventory")
     else if Array.unsafe_get en.all i == v then i
     else go (i + 1)
   in
@@ -152,30 +152,14 @@ let constant : type a. a t -> a option = function
   | Variant _ | Custom _ | Rec _ ->
     None
 
-let rec has_flags : type a. a t -> bool = function
-  | Str | Ident | Int | Bool | Float | Enum _ -> false
-  | Opt a -> has_flags a
-  | List a -> has_flags a
-  | Custom c -> has_flags c.wire
-  | Rec _ -> true
-  | Variant v -> List.exists (fun (Any c) -> has_flags c.payload) v.cases
-  | Record (R r) -> fields_have_flags r.fields
-
-and fields_have_flags : type r k. (r, k) fields -> bool = function
-  | [] -> false
-  | f :: rest ->
-    (match f.bits with
-     | Bytes -> false
-     | Bit _ | Index _ | Present _ | Unless _ -> true)
-    || has_flags f.ty || fields_have_flags rest
-
 
 type ('r, 's) on_field = { on : 'a. int -> ('r, 'a) field -> 's -> 'a }
 
 (* Records decode without a partial application per field: up to 11
    fields [make] is applied to all values at once (the hot binary
    records), beyond that it is fed one value at a time. *)
-let rec in_order : type r s k. (r, s) on_field -> int -> (r, k) fields -> s -> k -> r =
+let rec in_order :
+    type r s k. (r, s) on_field -> int -> (r, k) fields -> s -> k -> r =
  fun fn i fs ->
   match fs with
   | [] -> fun _ k -> k
@@ -204,47 +188,40 @@ let decode_in_order (type r s k) (fn : (r, s) on_field) (fs : (r, k) fields)
     fun s -> let a = a s in let b = b s in let c = c s in make a b c (d s)
   | [ a; b; c; d; e ] ->
     let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e in
-    fun s ->
-      let a = a s in let b = b s in let c = c s in let d = d s in
+    fun s -> let a = a s in let b = b s in let c = c s in let d = d s in
       make a b c d (e s)
   | [ a; b; c; d; e; g ] ->
     let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
     and g = f 5 g in
-    fun s ->
-      let a = a s in let b = b s in let c = c s in let d = d s in
+    fun s -> let a = a s in let b = b s in let c = c s in let d = d s in
       let e = e s in make a b c d e (g s)
   | [ a; b; c; d; e; g; h ] ->
     let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
     and g = f 5 g and h = f 6 h in
-    fun s ->
-      let a = a s in let b = b s in let c = c s in let d = d s in
+    fun s -> let a = a s in let b = b s in let c = c s in let d = d s in
       let e = e s in let g = g s in make a b c d e g (h s)
   | [ a; b; c; d; e; g; h; i ] ->
     let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
     and g = f 5 g and h = f 6 h and i = f 7 i in
-    fun s ->
-      let a = a s in let b = b s in let c = c s in let d = d s in
+    fun s -> let a = a s in let b = b s in let c = c s in let d = d s in
       let e = e s in let g = g s in let h = h s in make a b c d e g h (i s)
   | [ a; b; c; d; e; g; h; i; j ] ->
     let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
     and g = f 5 g and h = f 6 h and i = f 7 i and j = f 8 j in
-    fun s ->
-      let a = a s in let b = b s in let c = c s in let d = d s in
+    fun s -> let a = a s in let b = b s in let c = c s in let d = d s in
       let e = e s in let g = g s in let h = h s in let i = i s in
       make a b c d e g h i (j s)
   | [ a; b; c; d; e; g; h; i; j; k ] ->
     let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
     and g = f 5 g and h = f 6 h and i = f 7 i and j = f 8 j and k = f 9 k in
-    fun s ->
-      let a = a s in let b = b s in let c = c s in let d = d s in
+    fun s -> let a = a s in let b = b s in let c = c s in let d = d s in
       let e = e s in let g = g s in let h = h s in let i = i s in
       let j = j s in make a b c d e g h i j (k s)
   | [ a; b; c; d; e; g; h; i; j; k; l ] ->
     let a = f 0 a and b = f 1 b and c = f 2 c and d = f 3 d and e = f 4 e
     and g = f 5 g and h = f 6 h and i = f 7 i and j = f 8 j and k = f 9 k
     and l = f 10 l in
-    fun s ->
-      let a = a s in let b = b s in let c = c s in let d = d s in
+    fun s -> let a = a s in let b = b s in let c = c s in let d = d s in
       let e = e s in let g = g s in let h = h s in let i = i s in
       let j = j s in let k = k s in make a b c d e g h i j k (l s)
   | _ :: _ ->

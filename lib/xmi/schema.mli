@@ -45,7 +45,8 @@ type place =
 (** Where a field sits in the flags byte of a binary record.  A record
     with any flag field writes one flags byte at its first flag field;
     decoders reject bits outside the declared ones and indices past an
-    inventory. *)
+    inventory.  The payload of a flag field must not itself hold a
+    flagged record: the decoder keeps one flags byte at a time. *)
 type _ bits =
   | Bytes : 'a bits  (** not in the flags byte: encoded in line *)
   | Bit : int -> bool bits  (** the value is this bit *)
@@ -192,10 +193,6 @@ val same : 'a Type.Id.t -> 'b Type.Id.t -> ('a, 'b) Type.eq
 val constant : 'a t -> 'a option
 (** The only value of a schema that carries no data (a record without
     fields, such as {!unit}). *)
-
-val has_flags : 'a t -> bool
-(** Does decoding this value read a flags byte?  (Recursive schemas
-    count as yes.) *)
 
 (** A per-field compiler, polymorphic in the field type. *)
 type ('r, 's) on_field = { on : 'a. int -> ('r, 'a) field -> 's -> 'a }
