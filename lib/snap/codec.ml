@@ -9,7 +9,7 @@ module Dec = Wire.Dec
 type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
 
 type 'a codec = { enc : Enc.t -> 'a -> unit; dec : Dec.t -> 'a }
-type 'a case_enc = E : ('a, 'p) case * (Enc.t -> 'p -> unit) -> 'a case_enc
+type 'a case_codec = C : ('a, 'p) case * 'p codec -> 'a case_codec
 type memo = M : 'a Type.Id.t * 'a codec ref -> memo
 
 let memo : (int, memo) Hashtbl.t = Hashtbl.create 16
@@ -18,12 +18,64 @@ let bit b flags = flags land (1 lsl b) <> 0
 let not_indexed () = invalid_arg "Snap.Codec: Index needs an enum or a variant"
 let not_optional () = invalid_arg "Snap.Codec: Present needs an option"
 
-(* Which flags-byte field comes first (or last, on the reversed list);
-   [-1] for none. *)
+(* Which flags-byte field comes first; [-1] for none. *)
 let rec first_flag : type r. r any_field list -> int = function
   | [] -> -1
   | F (i, { bits = Bit _ | Index _ | Present _ | Unless _; _ }) :: _ -> i
   | F (_, { bits = Bytes; _ }) :: rest -> first_flag rest
+
+(* the name and the size of an enum's or a variant's inventory *)
+let inventory : type a. a t -> string * int = function
+  | Enum en -> (en.what, Array.length en.all)
+  | Variant v -> (v.vname, List.length v.cases)
+  | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ | Custom _
+  | Rec _ ->
+    not_indexed ()
+
+(* Read and check a record's flags byte: no bit outside the declared
+   ones, no index past its inventory. *)
+let flags_reader name fields =
+  let claim (used, checks) (F (_, f)) =
+    match f.bits with
+    | Bytes -> (used, checks)
+    | Bit b | Present b | Unless (b, _) -> (used lor (1 lsl b), checks)
+    | Index (s, w) ->
+      let what, count = inventory f.ty in
+      let check flags =
+        let t = (flags lsr s) land mask w in
+        if t >= count then Wire.decode_error "unknown %s tag %d" what t
+      in
+      (used lor (mask w lsl s), check :: checks)
+  in
+  let used, checks = List.fold_left claim (0, []) fields in
+  let unused = lnot used land 0xff and checks = List.rev checks in
+  fun src ->
+    let flags = Dec.u8 src in
+    if flags land unused <> 0 then
+      Wire.decode_error "unknown %s flag byte 0x%02x" name flags;
+    List.iter (fun check -> check flags) checks;
+    Dec.set_flags src flags
+
+(* A variant value's payload encoder, after its case position when
+   [tag]. *)
+let payload_enc (v : _ variant) cases ~tag =
+  fun e x ->
+    let (V (c, p)) = v.view x in
+    let (C (c', k)) = Array.unsafe_get cases c.index in
+    let Type.Equal = same c.key c'.key in
+    if tag then Enc.u8 e c.index;
+    k.enc e p
+
+(* the decoder of each case, by position *)
+let case_decs cases =
+  Array.map
+    (fun (C (c, k)) ->
+      match constant c.payload with
+      | Some u ->
+        let x = c.inj u in
+        fun _ -> x
+      | None -> fun d -> c.inj (k.dec d))
+    cases
 
 let rec codec : type a. a t -> a codec = function
   | Str -> { enc = Enc.str; dec = Dec.str }
@@ -39,23 +91,13 @@ let rec codec : type a. a t -> a codec = function
   | List a ->
     let { enc; dec } = codec a in
     { enc = (fun e l -> Enc.list e enc l); dec = (fun d -> Dec.list d dec) }
-  | (Enum _ | Variant _) as ty ->
-    let what, cases = indexed ty in
-    let dec d =
-      let t = Dec.u8 d in
-      if t >= Array.length cases then
-        Wire.decode_error "unknown %s tag %d" what t;
-      (Array.unsafe_get cases t) d
-    in
-    let enc =
-      match ty with
-      | Enum en -> fun e v -> Enc.u8 e (enum_index en v)
-      | Variant v -> payloads v ~tag:true
-      | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ | Custom _
-      | Rec _ ->
-        not_indexed ()
-    in
-    { enc; dec }
+  | Enum en ->
+    { enc = (fun e v -> Enc.u8 e (enum_index en v));
+      dec = tagged en.what (Array.map (fun v _ -> v) en.all) }
+  | Variant v ->
+    let cases = cases v in
+    { enc = payload_enc v cases ~tag:true;
+      dec = tagged v.vname (case_decs cases) }
   | Custom c -> codec c.wire
   | Rec r -> (
     let uid = Type.Id.uid r.fix_key in
@@ -70,148 +112,85 @@ let rec codec : type a. a t -> a codec = function
       { enc = (fun e v -> !f.enc e v); dec = (fun d -> !f.dec d) })
   | Record (R r) ->
     let fields = field_list r.fields in
-    let first = first_flag fields in
+    let n = List.length fields and first = first_flag fields in
     let read_flags = flags_reader r.name fields in
-    let bits = List.map flag_bits fields in
-    let steps =
-      List.map
-        (fun (F (i, f)) ->
-          let inline = in_line f in
-          if i <> first then inline
-          else fun e v ->
-            Enc.u8 e (List.fold_left (fun acc b -> acc lor b v) 0 bits);
-            inline e v)
-        fields
-    in
-    let from_flags i f =
-      let d = from_flags f in
-      if i <> first then d
+    (* each field is compiled once, when the decoder asks for it *)
+    let encs = Array.make n (fun _ _ -> ()) and bits = Array.make n (fun _ -> 0) in
+    let on i f =
+      let enc, dec, flag = field f in
+      encs.(i) <- enc;
+      bits.(i) <- flag;
+      if i <> first then dec
       else fun src ->
         read_flags src;
-        d src
+        dec src
     in
-    { enc = (fun e v -> List.iter (fun step -> step e v) steps);
-      dec = decode_in_order { on = from_flags } r.fields r.make }
-
-(* a variant value's payload, after its case position when [tag] *)
-and payloads : type a. a variant -> tag:bool -> Enc.t -> a -> unit =
- fun v ~tag ->
-  let encs =
-    Array.of_list
-      (List.map (fun (Any c) -> E (c, (codec c.payload).enc)) v.cases)
-  in
-  fun e x ->
-    let (V (c, p)) = v.view x in
-    let (E (c', f)) = Array.unsafe_get encs c.index in
-    let Type.Equal = same c.key c'.key in
-    if tag then Enc.u8 e c.index;
-    f e p
-
-(* the name and the per-position decoders of an enum or a variant *)
-and indexed : type a. a t -> string * (Dec.t -> a) array = function
-  | Enum en -> (en.what, Array.map (fun v _ -> v) en.all)
-  | Variant v ->
-    let case (Any c) =
-      match constant c.payload with
-      | Some u ->
-        let x = c.inj u in
-        fun _ -> x
-      | None ->
-        let p = (codec c.payload).dec in
-        fun d -> c.inj (p d)
+    let dec = decode_in_order { on } r.fields r.make in
+    let bits = Array.to_list bits in
+    let flags v = List.fold_left (fun acc b -> acc lor b v) 0 bits in
+    let encs =
+      List.mapi
+        (fun i enc ->
+          if i <> first then enc
+          else fun e v ->
+            Enc.u8 e (flags v);
+            enc e v)
+        (Array.to_list encs)
     in
-    (v.vname, Array.of_list (List.map case v.cases))
-  | Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _ | Custom _
-  | Rec _ ->
-    not_indexed ()
+    { enc = (fun e v -> List.iter (fun enc -> enc e v) encs); dec }
 
-(* what a field writes outside the flags byte *)
-and in_line : type r a. (r, a) field -> Enc.t -> r -> unit =
+and tagged : type a. string -> (Dec.t -> a) array -> Dec.t -> a =
+ fun what cases d ->
+  let t = Dec.u8 d in
+  if t >= Array.length cases then Wire.decode_error "unknown %s tag %d" what t;
+  (Array.unsafe_get cases t) d
+
+and cases : type a. a variant -> a case_codec array =
+ fun v ->
+  Array.of_list (List.map (fun (Any c) -> C (c, codec c.payload)) v.cases)
+
+(* A field's encoder of what it writes outside the flags byte, its
+   decoder (from the flags byte or in line), and its share of the
+   flags byte. *)
+and field : type r a. (r, a) field -> (Enc.t -> r -> unit) * (Dec.t -> a) * (r -> int) =
  fun f ->
   let get = f.get in
+  let none _ = 0 and skip _ _ = () in
   match (f.bits, f.ty) with
   | Bytes, ty ->
-    let p = (codec ty).enc in
-    fun e r -> p e (get r)
-  | Bit _, _ | Index _, Enum _ -> fun _ _ -> ()
-  | Index _, Variant v ->
-    let p = payloads v ~tag:false in
-    fun e r -> p e (get r)
+    let { enc; dec } = codec ty in
+    ((fun e r -> enc e (get r)), dec, none)
+  | Bit b, _ ->
+    (skip, (fun src -> bit b (Dec.flags src)), fun r -> if get r then 1 lsl b else 0)
+  | Index (s, w), Enum en ->
+    ( skip,
+      (fun src -> Array.unsafe_get en.all ((Dec.flags src lsr s) land mask w)),
+      fun r -> enum_index en (get r) lsl s )
+  | Index (s, w), Variant v ->
+    let cases = cases v in
+    let enc = payload_enc v cases ~tag:false and decs = case_decs cases in
+    ( (fun e r -> enc e (get r)),
+      (fun src -> (Array.unsafe_get decs ((Dec.flags src lsr s) land mask w)) src),
+      fun r ->
+        let (V (c, _)) = v.view (get r) in
+        c.index lsl s )
   | Index _, (Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _) ->
     not_indexed ()
   | Index _, (Custom _ | Rec _) -> not_indexed ()
-  | Present _, Opt a ->
-    let p = (codec a).enc in
-    fun e r -> Option.iter (p e) (get r)
-  | Present _, (Enum _ | Record _ | Variant _ | Custom _ | Rec _) ->
-    not_optional ()
-  | Unless (_, d), ty ->
-    let p = (codec ty).enc in
-    fun e r ->
-      let v = get r in
-      if v <> d then p e v
-
-(* a field's share of the flags byte *)
-and flag_bits : type r. r any_field -> r -> int = function
-  | F (_, f) -> (
-    let get = f.get in
-    match (f.bits, f.ty) with
-    | Bytes, _ -> fun _ -> 0
-    | Bit b, _ -> fun r -> if get r then 1 lsl b else 0
-    | Index (s, _), Enum en -> fun r -> enum_index en (get r) lsl s
-    | Index (s, _), Variant v ->
-      fun r ->
-        let (V (c, _)) = v.view (get r) in
-        c.index lsl s
-    | Index _, (Str | Ident | Int | Bool | Float | Opt _ | List _ | Record _) ->
-      not_indexed ()
-    | Index _, (Custom _ | Rec _) -> not_indexed ()
-    | Present b, _ -> fun r -> if Option.is_some (get r) then 1 lsl b else 0
-    | Unless (b, d), _ -> fun r -> if get r <> d then 1 lsl b else 0)
-
-(* how a field reads itself back, from the flags byte or in line *)
-and from_flags : type r a. (r, a) field -> Dec.t -> a =
- fun f ->
-  match (f.bits, f.ty) with
-  | Bytes, ty -> (codec ty).dec
-  | Bit b, _ -> fun src -> bit b (Dec.flags src)
-  | Index (s, w), ty ->
-    let _, cases = indexed ty in
-    fun src -> (Array.unsafe_get cases ((Dec.flags src lsr s) land mask w)) src
   | Present b, Opt a ->
-    let p = (codec a).dec in
-    fun src -> if bit b (Dec.flags src) then Some (p src) else None
+    let { enc; dec } = codec a in
+    ( (fun e r -> Option.iter (enc e) (get r)),
+      (fun src -> if bit b (Dec.flags src) then Some (dec src) else None),
+      fun r -> if Option.is_some (get r) then 1 lsl b else 0 )
   | Present _, (Enum _ | Record _ | Variant _ | Custom _ | Rec _) ->
     not_optional ()
   | Unless (b, d), ty ->
-    let p = (codec ty).dec in
-    fun src -> if bit b (Dec.flags src) then p src else d
-
-(* Read and check a record's flags byte: no bit outside the declared
-   ones, no index past its inventory. *)
-and flags_reader : type r. string -> r any_field list -> Dec.t -> unit =
- fun name fields ->
-  let claim (used, checks) (F (_, f)) =
-    match f.bits with
-    | Bytes -> (used, checks)
-    | Bit b | Present b | Unless (b, _) -> (used lor (1 lsl b), checks)
-    | Index (s, w) ->
-      let what, cases = indexed f.ty in
-      let check flags =
-        let t = (flags lsr s) land mask w in
-        if t >= Array.length cases then
-          Wire.decode_error "unknown %s tag %d" what t
-      in
-      (used lor (mask w lsl s), check :: checks)
-  in
-  let used, checks = List.fold_left claim (0, []) fields in
-  let unused = lnot used land 0xff and checks = List.rev checks in
-  fun src ->
-    let flags = Dec.u8 src in
-    if flags land unused <> 0 then
-      Wire.decode_error "unknown %s flag byte 0x%02x" name flags;
-    List.iter (fun check -> check flags) checks;
-    Dec.set_flags src flags
+    let { enc; dec } = codec ty in
+    ( (fun e r ->
+        let v = get r in
+        if v <> d then enc e v),
+      (fun src -> if bit b (Dec.flags src) then dec src else d),
+      fun r -> if get r <> d then 1 lsl b else 0 )
 
 let element = codec Xmi.Meta.element
 let application = codec Xmi.Meta.application
