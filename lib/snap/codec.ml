@@ -41,24 +41,30 @@ let flags_reader name fields =
     | Bit b | Present b | Unless (b, _) -> (used lor (1 lsl b), checks)
     | Index (s, w) ->
       let what, count = inventory f.ty in
-      let check flags =
-        let t = (flags lsr s) land mask w in
-        if t >= count then Wire.decode_error "unknown %s tag %d" what t
-      in
-      (used lor (mask w lsl s), check :: checks)
+      (* an inventory that fills its bits needs no check *)
+      let checks = if count > mask w then checks else (s, w, what, count) :: checks in
+      (used lor (mask w lsl s), checks)
   in
   let used, checks = List.fold_left claim (0, []) fields in
   let unused = lnot used land 0xff and checks = List.rev checks in
+  let rec check flags = function
+    | [] -> ()
+    | (s, w, what, count) :: rest ->
+      let t = (flags lsr s) land mask w in
+      if t >= count then Wire.decode_error "unknown %s tag %d" what t;
+      check flags rest
+  in
   fun src ->
     let flags = Dec.u8 src in
     if flags land unused <> 0 then
       Wire.decode_error "unknown %s flag byte 0x%02x" name flags;
-    List.iter (fun check -> check flags) checks;
+    check flags checks;
     Dec.set_flags src flags
 
 (* A variant value's payload encoder, after its case position when
    [tag]. *)
 let payload_enc (v : _ variant) cases ~tag =
+  let cases = Array.copy cases in
   fun e x ->
     let (V (c, p)) = v.view x in
     let (C (c', k)) = Array.unsafe_get cases c.index in
@@ -74,14 +80,15 @@ let case_decs cases =
       | Some u ->
         let x = c.inj u in
         fun _ -> x
-      | None -> fun d -> c.inj (k.dec d))
+      | None ->
+        let inj = c.inj and dec = k.dec in
+        fun d -> inj (dec d))
     cases
 
 let rec codec : type a. a t -> a codec = function
   | Str -> { enc = Enc.str; dec = Dec.str }
-  | Ident ->
-    { enc = (fun e id -> Enc.str e (Uml.Ident.to_string id));
-      dec = (fun d -> Uml.Ident.of_string (Dec.str d)) }
+  (* identifiers are strings *)
+  | Ident -> { enc = Enc.str; dec = Dec.str }
   | Int -> { enc = Enc.int; dec = Dec.int }
   | Bool -> { enc = Enc.bool; dec = Dec.bool }
   | Float -> { enc = Enc.float; dec = Dec.float }
@@ -140,10 +147,12 @@ let rec codec : type a. a t -> a codec = function
     { enc = (fun e v -> List.iter (fun enc -> enc e v) encs); dec }
 
 and tagged : type a. string -> (Dec.t -> a) array -> Dec.t -> a =
- fun what cases d ->
-  let t = Dec.u8 d in
-  if t >= Array.length cases then Wire.decode_error "unknown %s tag %d" what t;
-  (Array.unsafe_get cases t) d
+ fun what cases ->
+  let n = Array.length cases in
+  fun d ->
+    let t = Dec.u8 d in
+    if t >= n then Wire.decode_error "unknown %s tag %d" what t;
+    (Array.unsafe_get cases t) d
 
 and cases : type a. a variant -> a case_codec array =
  fun v ->
