@@ -467,6 +467,10 @@ let activity =
 
 (* --- interactions ------------------------------------------------------- *)
 
+(* The [messages] attribute of [ignore]/[consider]: names joined with
+   ',', each '\\' and ',' escaped by a backslash; the list holding one
+   empty name is the lone text "\\".  On read, a backslash before any
+   other character is kept as written. *)
 let message_names_text (names : string list) =
   match names with
   | [ "" ] -> "\\" | names -> let escape s =

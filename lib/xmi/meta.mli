@@ -2,16 +2,15 @@
 
     Every {!Uml} type that travels in an interchange file has one schema
     here, giving its XMI placement and its binary layout together; the
-    XML interpreter ({!Read}/{!Write}) and the binary one
-    ([Snap.Codec]) are compiled from these values.  Adding a metamodel
-    field is one {!Schema.field} entry in its record.
+    XML interpreter ({!Codec}) and the binary one ([Snap.Codec]) are
+    compiled from these values.  Adding a metamodel field is one
+    {!Schema.field} entry in its record.
 
     Irregular XMI encodings ({!Schema.Custom}): multiplicities
     ([lower]/[upper] with their own diagnostics and a [1..1] fallback),
     deferrable triggers (one [<deferrableTrigger>] wrapper per trigger),
     and the [messages] attribute of [ignore]/[consider] fragments. *)
 
-val vspec : Uml.Vspec.t Schema.t
 val element : Uml.Model.element Schema.t
 val application : Uml.Profile.application Schema.t
 val diagram : Uml.Diagram.t Schema.t
@@ -19,12 +18,3 @@ val diagram : Uml.Diagram.t Schema.t
 val float_text : float -> string
 (** XMI spelling of a real literal: [string_of_float] when that reads
     back bit-exact, ["%.17g"] otherwise. *)
-
-val message_names_text : string list -> string
-(** XMI spelling of an [ignore]/[consider] message list: names joined
-    with [','], with [\\] and [','] escaped by a backslash; the list
-    holding one empty name is the lone text ["\\"]. *)
-
-val message_names_of_text : string -> string list
-(** Inverse of {!message_names_text}.  A backslash before any other
-    character is kept as written. *)
