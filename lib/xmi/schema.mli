@@ -5,10 +5,10 @@
     in both interchange formats: the XMI placement of every record field
     and variant case, and the flags-byte layout of the hot records in
     the binary snapshot.  Two interpreters compile a schema into
-    encoder/decoder closures once, at module initialisation: the XML one
-    behind {!Read}/{!Write}, and the binary one behind [Snap.Read] /
-    [Snap.Write].  Compiled codecs do no per-field dispatch on the
-    schema at run time.
+    encoder/decoder closures once, at module initialisation: {!Codec}
+    (XML, behind {!Read}/{!Write}) and [Snap.Codec] (binary, behind
+    [Snap.Read]/[Snap.Write]).  Compiled codecs do no per-field dispatch
+    on the schema at run time.
 
     The descriptions of the whole metamodel live in {!Meta}. *)
 

@@ -21,7 +21,10 @@ let real_roundtrip trip r =
     (Model.E_classifier
        (Classifier.make
           ~attributes:
-            [ Classifier.property ~default:(Vspec.Real_literal r) "x" Dtype.Real ]
+            [
+              Classifier.property ~default:(Vspec.Real_literal r) "x"
+                Dtype.Real;
+            ]
           "C"));
   match Model.elements (trip m) with
   | [ Model.E_classifier
@@ -33,7 +36,9 @@ let real_roundtrip trip r =
 
 let contains s sub =
   let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
   go 0
 
 let real_corners =
@@ -45,7 +50,10 @@ let operator_model op =
   Model.add m
     (Model.E_interaction
        (Interaction.make "seq" []
-          [ Interaction.Fragment (Interaction.fragment op [ Interaction.operand [] ]) ]));
+          [
+            Interaction.Fragment
+              (Interaction.fragment op [ Interaction.operand [] ]);
+          ]));
   m
 
 let basic_tests =
@@ -102,9 +110,13 @@ let basic_tests =
             let m = operator_model (Interaction.Ignore names) in
             check Alcotest.bool (String.concat "|" names) true
               (Model.equal m (roundtrip m)))
-          [ [ "a,b" ]; [ "" ]; [ ""; "" ]; [ "a\\" ]; [ "\\," ]; []; [ "a"; "" ] ]);
+          [
+            [ "a,b" ]; [ "" ]; [ ""; "" ]; [ "a\\" ]; [ "\\," ]; [];
+            [ "a"; "" ];
+          ]);
     tc "plain message names keep their text" (fun () ->
-        let text = Xmi.Write.to_string (operator_model (Interaction.Consider [ "m1"; "m2" ])) in
+        let m = operator_model (Interaction.Consider [ "m1"; "m2" ]) in
+        let text = Xmi.Write.to_string m in
         check Alcotest.bool "messages=\"m1,m2\"" true
           (contains text "messages=\"m1,m2\""));
     tc "import rejects non-XMI documents" (fun () ->
