@@ -1,299 +1,386 @@
-exception Decode_error of string
+(* The XML interpreter: compiles each {!Schema} node once into an encoder
+   that adds attributes and children to the element under construction,
+   and a decoder that reads the value back out of an element. *)
 
-let decode_error fmt = Printf.ksprintf (fun m -> raise (Decode_error m)) fmt
+open Schema
 
-let bool_attr name b = if b then [ (name, "true") ] else []
+(* [Schema.fields] borrows the list syntax; here it means lists *)
+type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
 
-let opt_attr name = function
-  | Some v -> [ (name, v) ]
-  | None -> []
+(* An element under construction; lists are kept reversed.  [xmi:type]
+   is held apart because it is always written first. *)
+type out = {
+  mutable xtype : string option;
+  mutable attrs : Sxml.Doc.attribute list;
+  mutable children : Sxml.Doc.t list;
+}
 
-let int_attr name i = [ (name, string_of_int i) ]
+type 'a codec = { enc : out -> 'a -> unit; dec : Sxml.Doc.element -> 'a }
+type 'a case_enc = E : ('a, 'p) case * (out -> 'p -> unit) -> 'a case_enc
+type memo = M : 'a Type.Id.t * 'a codec ref -> memo
 
-let vspec_attrs prefix (v : Uml.Vspec.t) =
-  let kind = prefix ^ "Kind" in
-  match v with
-  | Uml.Vspec.Int_literal i -> [ (kind, "int"); (prefix, string_of_int i) ]
-  | Uml.Vspec.Real_literal r -> [ (kind, "real"); (prefix, string_of_float r) ]
-  | Uml.Vspec.Bool_literal b -> [ (kind, "bool"); (prefix, string_of_bool b) ]
-  | Uml.Vspec.String_literal s -> [ (kind, "string"); (prefix, s) ]
-  | Uml.Vspec.Enum_literal s -> [ (kind, "enum"); (prefix, s) ]
-  | Uml.Vspec.Null_literal -> [ (kind, "null") ]
-  | Uml.Vspec.Opaque_expression s -> [ (kind, "opaque"); (prefix, s) ]
+let memo : (int, memo) Hashtbl.t = Hashtbl.create 16
+let add_attr o k v = o.attrs <- (k, v) :: o.attrs
+let add_child o c = o.children <- c :: o.children
 
-let vspec_of_attrs prefix e =
-  let kind = prefix ^ "Kind" in
-  match Sxml.Doc.attr e kind with
-  | None -> None
-  | Some k -> (
-    let payload () =
-      match Sxml.Doc.attr e prefix with
-      | Some p -> p
-      | None -> decode_error "missing %s payload for kind %s" prefix k
-    in
-    match k with
-    | "int" -> (
-      match int_of_string_opt (payload ()) with
-      | Some i -> Some (Uml.Vspec.Int_literal i)
-      | None -> decode_error "bad int literal %s" (payload ()))
-    | "real" -> (
-      match float_of_string_opt (payload ()) with
-      | Some r -> Some (Uml.Vspec.Real_literal r)
-      | None -> decode_error "bad real literal %s" (payload ()))
-    | "bool" -> (
-      match payload () with
-      | "true" -> Some (Uml.Vspec.Bool_literal true)
-      | "false" -> Some (Uml.Vspec.Bool_literal false)
-      | other -> decode_error "bad bool literal %s" other)
-    | "string" -> Some (Uml.Vspec.String_literal (payload ()))
-    | "enum" -> Some (Uml.Vspec.Enum_literal (payload ()))
-    | "null" -> Some Uml.Vspec.Null_literal
-    | "opaque" -> Some (Uml.Vspec.Opaque_expression (payload ()))
-    | other -> decode_error "unknown value kind %s" other)
-
-let dtype_attrs name (ty : Uml.Dtype.t) =
-  let kind = name ^ "Kind" in
-  match ty with
-  | Uml.Dtype.Boolean -> [ (kind, "Boolean") ]
-  | Uml.Dtype.Integer -> [ (kind, "Integer") ]
-  | Uml.Dtype.Real -> [ (kind, "Real") ]
-  | Uml.Dtype.Unlimited_natural -> [ (kind, "UnlimitedNatural") ]
-  | Uml.Dtype.String_type -> [ (kind, "String") ]
-  | Uml.Dtype.Void -> []
-  | Uml.Dtype.Ref id -> [ (kind, "ref"); (name, Uml.Ident.to_string id) ]
-
-let dtype_of_attrs name e =
-  let kind = name ^ "Kind" in
-  match Sxml.Doc.attr e kind with
-  | None -> Uml.Dtype.Void
-  | Some "Boolean" -> Uml.Dtype.Boolean
-  | Some "Integer" -> Uml.Dtype.Integer
-  | Some "Real" -> Uml.Dtype.Real
-  | Some "UnlimitedNatural" -> Uml.Dtype.Unlimited_natural
-  | Some "String" -> Uml.Dtype.String_type
-  | Some "ref" -> (
-    match Sxml.Doc.attr e name with
-    | Some id -> Uml.Dtype.Ref (Uml.Ident.of_string id)
-    | None -> decode_error "type ref without target")
-  | Some other -> decode_error "unknown type kind %s" other
-
-let mult_attrs (m : Uml.Mult.t) =
-  let upper =
-    match m.Uml.Mult.upper with
-    | Uml.Mult.Bounded n -> string_of_int n
-    | Uml.Mult.Unbounded -> "*"
+let element tag enc v =
+  let o = { xtype = None; attrs = []; children = [] } in
+  enc o v;
+  let attrs = List.rev o.attrs in
+  let attrs =
+    match o.xtype with
+    | None -> attrs
+    | Some t -> ("xmi:type", "uml:" ^ t) :: attrs
   in
-  [ ("lower", string_of_int m.Uml.Mult.lower); ("upper", upper) ]
+  Sxml.Doc.element ~attrs tag (List.rev o.children)
 
-let mult_of_attrs e =
-  match Sxml.Doc.attr e "lower", Sxml.Doc.attr e "upper" with
-  | Some lo, Some up -> (
-    let lower =
-      match int_of_string_opt lo with
-      | Some l -> l
-      | None -> decode_error "bad multiplicity lower %s" lo
-    in
-    match up with
-    | "*" -> { Uml.Mult.lower; upper = Uml.Mult.Unbounded }
-    | n -> (
-      match int_of_string_opt n with
-      | Some u -> { Uml.Mult.lower; upper = Uml.Mult.Bounded u }
-      | None -> decode_error "bad multiplicity upper %s" n))
-  | _missing1, _missing2 -> Uml.Mult.one
+let each tag enc =
+  let add o x = add_child o (element tag enc x) in
+  fun o l -> List.iter (add o) l
+
+let opt_string n =
+  { enc = (fun o -> Option.iter (add_attr o n));
+    dec = (fun e -> Sxml.Doc.attr e n) }
 
 let get_attr e name =
   match Sxml.Doc.attr e name with
   | Some v -> v
   | None -> decode_error "element <%s> missing attribute %s" e.Sxml.Doc.tag name
 
-let get_bool e name =
-  match Sxml.Doc.attr e name with
-  | Some "true" -> true
-  | Some "false" | None -> false
-  | Some other -> decode_error "bad boolean attribute %s=%s" name other
+let string n = { enc = (fun o -> add_attr o n); dec = (fun e -> get_attr e n) }
 
-let get_int e name =
-  match int_of_string_opt (get_attr e name) with
-  | Some i -> i
-  | None -> decode_error "bad integer attribute %s" name
+let xmi_type e =
+  match Sxml.Doc.attr e "xmi:type" with
+  | Some t when String.length t > 4 && String.sub t 0 4 = "uml:" ->
+    String.sub t 4 (String.length t - 4)
+  | Some t -> t
+  | None -> decode_error "<%s> missing xmi:type" e.Sxml.Doc.tag
 
-let get_int_opt e name =
-  match Sxml.Doc.attr e name with
-  | None -> None
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some i -> Some i
-    | None -> decode_error "bad integer attribute %s=%s" name v)
+let enum_of_text en s =
+  let rec go i =
+    if i >= Array.length en.all then decode_error "unknown %s %s" en.xml_what s
+    else
+      let v = Array.unsafe_get en.all i in
+      if String.equal (en.spell v) s then v else go (i + 1)
+  in
+  go 0
 
-let get_opt e name = Sxml.Doc.attr e name
+let not_a_value () = invalid_arg "Xmi.Codec: not an attribute value"
 
-(* --- canonical enum tables ------------------------------------------- *)
+(* A scalar's attribute text, and its parser for attribute [name]:
+   [required] attributes report a bad integer without echoing it. *)
+let rec text :
+    type a. a t -> name:string -> required:bool -> (a -> string) * (string -> a)
+    =
+ fun ty ~name ~required ->
+  match ty with
+  | Str -> (Fun.id, Fun.id)
+  (* identifiers are strings *)
+  | Ident -> (Fun.id, Fun.id)
+  | Int ->
+    ( string_of_int,
+      fun s ->
+        match int_of_string_opt s with
+        | Some i -> i
+        | None when required -> decode_error "bad integer attribute %s" name
+        | None -> decode_error "bad integer attribute %s=%s" name s )
+  | Bool ->
+    ( string_of_bool,
+      fun s ->
+        match bool_of_string_opt s with
+        | Some b -> b
+        | None -> decode_error "bad boolean attribute %s=%s" name s )
+  | Float ->
+    ( Meta.float_text,
+      fun s ->
+        match float_of_string_opt s with
+        | Some r -> r
+        | None -> decode_error "bad real attribute %s=%s" name s )
+  | Enum en -> (en.spell, enum_of_text en)
+  | Custom c ->
+    let print, parse = text c.xml ~name ~required in
+    ((fun v -> print (c.to_xml v)), fun s -> c.of_xml (parse s))
+  | Opt _ | List _ | Record _ | Variant _ | Rec _ -> not_a_value ()
 
-(* One exhaustive [_string] match per pure enum (the compiler checks
-   coverage), one canonical value list in declaration order, and a
-   derived inverse.  {!Read} uses the inverses, {!Write} the matches,
-   and the binary snapshot codec ([Snap.Codec]) uses list position as
-   its wire tag — a constructor added to the metamodel shows up here as
-   a non-exhaustive-match error, not a silent decode failure. *)
+(* every [xmi:type] spelling a value of this schema can carry *)
+let rec xmi_types : type a. a t -> string list = function
+  | Enum en -> Array.to_list (Array.map en.spell en.all)
+  | Variant v ->
+    List.concat_map
+      (fun (Any c) ->
+        match c.spelling with
+        | Some s -> [ s ]
+        | None -> xmi_types c.payload)
+      v.cases
+  | Record (R r) ->
+    List.concat_map
+      (fun (F (_, f)) ->
+        match f.place with
+        | Xmi_type -> xmi_types f.ty
+        | Attr _ | Inline | Each _ | Child _ | Tagged _ -> [])
+      (field_list r.fields)
+  | Str | Ident | Int | Bool | Float | Opt _ | List _ | Custom _ | Rec _ -> []
 
-let enum_of_string ~what ~to_string all s =
-  match List.find_opt (fun v -> String.equal (to_string v) s) all with
-  | Some v -> v
-  | None -> decode_error "unknown %s %s" what s
+(* A variant value's case, and the compiled encoder of its payload. *)
+let by_case (v : _ variant) encs =
+  let encs = Array.of_list encs in
+  fun o x ->
+    let (V (c, p)) = v.view x in
+    let (E (c', f)) = Array.unsafe_get encs c.index in
+    let Type.Equal = same c.key c'.key in
+    f o p
 
-let visibility_string = function
-  | Uml.Classifier.Public -> "public"
-  | Uml.Classifier.Private -> "private"
-  | Uml.Classifier.Protected -> "protected"
-  | Uml.Classifier.Package_visibility -> "package"
+(* Case decoders keyed by discriminator text. *)
+let dispatch cases unknown key =
+  let table = Hashtbl.create 16 in
+  List.iter (fun (k, d) -> Hashtbl.replace table k d) cases;
+  fun e ->
+    let k = key e in
+    match Hashtbl.find table k with
+    | d -> d e
+    | exception Not_found -> raise (Decode_error (Printf.sprintf unknown k))
 
-let all_visibilities =
-  [ Uml.Classifier.Public; Uml.Classifier.Private; Uml.Classifier.Protected;
-    Uml.Classifier.Package_visibility ]
+(* What a value writes into, and reads from, its own element. *)
+let rec content : type a. a t -> a codec = function
+  | Record (R r) ->
+    (* each field is compiled once, when the decoder asks for it *)
+    let n = List.length (field_list r.fields) in
+    let encs = Array.make n (fun _ _ -> ()) and checks = Array.make n ignore in
+    (* the position of the field whose decoder raised last *)
+    let failed = ref 0 in
+    let on i f =
+      let { enc; dec } = field f and get = f.get in
+      encs.(i) <- (fun o r -> enc o (get r));
+      checks.(i) <- (fun e -> ignore (dec e));
+      fun e ->
+        try dec e
+        with Decode_error _ as exn ->
+          failed := i;
+          raise exn
+    in
+    let decode = decode_in_order { on } r.fields r.make in
+    let order =
+      match r.xmi_order with
+      | Some order -> order
+      | None -> List.init n Fun.id
+    in
+    let encs = List.map (Array.get encs) order in
+    (* Of several defects in one element, report the one met first when
+       the fields are read last to first: the pinned XMI diagnostics
+       follow that order.  The fields after the one that raised have not
+       run yet; each is checked once, last first, so no subtree is
+       decoded twice. *)
+    { enc = (fun o v -> List.iter (fun enc -> enc o v) encs);
+      dec =
+        (fun e ->
+          try decode e
+          with Decode_error _ as exn ->
+            for i = n - 1 downto !failed + 1 do
+              checks.(i) e
+            done;
+            raise exn) }
+  | Variant v -> variant v
+  | Custom c ->
+    let k = content c.xml in
+    { enc = (fun o v -> k.enc o (c.to_xml v));
+      dec = (fun e -> c.of_xml (k.dec e)) }
+  | Rec r -> (
+    let uid = Type.Id.uid r.fix_key in
+    match Hashtbl.find_opt memo uid with
+    | Some (M (k, f)) ->
+      let Type.Equal = same k r.fix_key in
+      { enc = (fun o v -> !f.enc o v); dec = (fun e -> !f.dec e) }
+    | None ->
+      let f = ref { enc = (fun _ _ -> ()); dec = (fun _ -> assert false) } in
+      Hashtbl.add memo uid (M (r.fix_key, f));
+      f := content (Lazy.force r.body);
+      { enc = (fun o v -> !f.enc o v); dec = (fun e -> !f.dec e) })
+  | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ ->
+    invalid_arg "Xmi.Codec: a scalar or list needs a placement"
 
-let visibility_of_string s =
-  enum_of_string ~what:"visibility" ~to_string:visibility_string
-    all_visibilities s
+and field : type r a. (r, a) field -> a codec =
+ fun f -> place f.place f.ty ~default:f.default ~omit:f.omit
 
-let direction_string = function
-  | Uml.Classifier.In -> "in"
-  | Uml.Classifier.Out -> "out"
-  | Uml.Classifier.Inout -> "inout"
-  | Uml.Classifier.Return -> "return"
+and variant : type a. a variant -> a codec =
+ fun v ->
+  let cases =
+    List.map
+      (fun (Any c) ->
+        let payload = place c.at c.payload ~default:None ~omit:false in
+        let dec =
+          match constant c.payload with
+          | Some u ->
+            let x = c.inj u in
+            fun _ -> x
+          | None -> fun e -> c.inj (payload.dec e)
+        in
+        let spelling = Option.value c.spelling ~default:"" in
+        let enc =
+          match (v.by, c.spelling) with
+          | By_xmi_type, None -> payload.enc
+          | By_xmi_type, Some s ->
+            fun o p ->
+              o.xtype <- Some s;
+              payload.enc o p
+          | By_attr a, _ ->
+            fun o p ->
+              add_attr o a spelling;
+              payload.enc o p
+          (* one child element per value, tagged by its case *)
+          | By_tag, _ -> fun o p -> add_child o (element spelling payload.enc p)
+          | Kind_pair _, _ -> invalid_arg "Xmi.Codec: a kind pair is an Attr"
+        in
+        let spellings =
+          match c.spelling with
+          | Some s -> [ s ]
+          | None -> xmi_types c.payload
+        in
+        (List.map (fun s -> (s, dec)) spellings, E (c, enc)))
+      v.cases
+  in
+  let key =
+    match v.by with
+    | By_xmi_type -> xmi_type
+    | By_attr a -> fun e -> get_attr e a
+    | By_tag | Kind_pair _ -> fun e -> e.Sxml.Doc.tag
+  in
+  { enc = by_case v (List.map snd cases);
+    dec = dispatch (List.concat_map fst cases) v.unknown key }
 
-let all_directions =
-  [ Uml.Classifier.In; Uml.Classifier.Out; Uml.Classifier.Inout;
-    Uml.Classifier.Return ]
+(* [fooKind] + [foo]: the encoder, then the decoder of an optional value
+   ([None] when [fooKind] is absent and no case is written as absence)
+   and of a required one *)
+and kind_pair : type a.
+    string -> (string -> string -> string) -> a variant ->
+    (out -> a -> unit)
+    * (Sxml.Doc.element -> a option)
+    * (Sxml.Doc.element -> a) =
+ fun prefix missing v ->
+  let kind = prefix ^ "Kind" in
+  let absent = ref None and table = Hashtbl.create 8 in
+  let enc (Any c) =
+    match (c.spelling, constant c.payload) with
+    | None, _ ->
+      let x = Option.map c.inj (constant c.payload) in
+      absent := Option.map (fun x _ -> x) x;
+      E (c, fun _ _ -> ())
+    | Some s, Some u ->
+      let x = c.inj u in
+      Hashtbl.replace table s (fun _ _ -> x);
+      E (c, fun o _ -> add_attr o kind s)
+    | Some s, None ->
+      let print, parse = text c.payload ~name:prefix ~required:true in
+      Hashtbl.replace table s (fun e k ->
+          let p =
+            match Sxml.Doc.attr e prefix with
+            | Some p -> p
+            | None -> raise (Decode_error (missing prefix k))
+          in
+          match parse p with
+          | x -> c.inj x
+          | exception Decode_error _ -> decode_error "bad %s literal %s" k p);
+      E
+        ( c,
+          fun o p ->
+            add_attr o kind s;
+            add_attr o prefix (print p) )
+  in
+  let enc = by_case v (List.map enc v.cases) and absent = !absent in
+  let find e k =
+    match Hashtbl.find table k with
+    | d -> d e k
+    | exception Not_found -> raise (Decode_error (Printf.sprintf v.unknown k))
+  in
+  let opt e =
+    match Sxml.Doc.attr e kind with
+    | Some k -> Some (find e k)
+    | None -> Option.map (fun d -> d e) absent
+  and req e =
+    match (Sxml.Doc.attr e kind, absent) with
+    | Some k, _ -> find e k
+    | None, Some d -> d e
+    | None, None -> decode_error "%s without %s" e.Sxml.Doc.tag prefix
+  in
+  (enc, opt, req)
 
-let direction_of_string s =
-  enum_of_string ~what:"direction" ~to_string:direction_string all_directions s
+and place : type a. place -> a t -> default:a option -> omit:bool -> a codec =
+ fun at ty ~default ~omit ->
+  match (at, ty) with
+  | _, Custom c ->
+    let k = place at c.xml ~default:None ~omit:false in
+    { enc = (fun o v -> k.enc o (c.to_xml v));
+      dec = (fun e -> c.of_xml (k.dec e)) }
+  | Attr n, Variant ({ by = Kind_pair missing; _ } as v) ->
+    let enc, _, dec = kind_pair n missing v in
+    { enc; dec }
+  | Attr n, Opt (Variant ({ by = Kind_pair missing; _ } as v)) ->
+    let enc, dec, _ = kind_pair n missing v in
+    { enc = (fun o -> Option.iter (enc o)); dec }
+  (* the attribute is the value (identifiers are strings) *)
+  | Attr n, Opt Str -> opt_string n
+  | Attr n, Opt Ident -> opt_string n
+  | Attr n, Str when Option.is_none default -> string n
+  | Attr n, Ident when Option.is_none default -> string n
+  | Attr n, Opt s ->
+    let print, parse = text s ~name:n ~required:false in
+    { enc = (fun o -> Option.iter (fun x -> add_attr o n (print x)));
+      dec = (fun e -> Option.map parse (Sxml.Doc.attr e n)) }
+  | Attr n, _ -> (
+    let print, parse = text ty ~name:n ~required:(Option.is_none default) in
+    match default with
+    | Some d ->
+      { enc =
+          (fun o v -> if not (omit && v = d) then add_attr o n (print v));
+        dec =
+          (fun e ->
+            match Sxml.Doc.attr e n with
+            | Some s -> parse s
+            | None -> d) }
+    | None ->
+      { enc = (fun o v -> add_attr o n (print v));
+        dec = (fun e -> parse (get_attr e n)) })
+  | Xmi_type, Enum en ->
+    { enc = (fun o v -> o.xtype <- Some (en.spell v));
+      dec = (fun e -> enum_of_text en (xmi_type e)) }
+  | (Xmi_type | Inline), _ -> content ty
+  | Each (tag, Attr n), List (Variant ({ by = Kind_pair missing; _ } as v)) ->
+    (* a list item that carries no value is skipped *)
+    let enc, dec, _ = kind_pair n missing v in
+    { enc = each tag enc;
+      dec = (fun e -> List.filter_map dec (Sxml.Doc.find_children e tag)) }
+  | Each (tag, inner), List a ->
+    let item = place inner a ~default:None ~omit:false in
+    { enc = each tag item.enc;
+      dec = (fun e -> List.map item.dec (Sxml.Doc.find_children e tag)) }
+  | Child tag, _ ->
+    let k = content ty in
+    { enc = (fun o v -> add_child o (element tag k.enc v));
+      dec =
+        (fun e ->
+          match Sxml.Doc.find_child e tag with
+          | Some c -> k.dec c
+          | None -> decode_error "%s without %s" e.Sxml.Doc.tag tag) }
+  | Tagged strict, List a ->
+    let item = content a in
+    let children e = Sxml.Doc.child_elements e in
+    let children =
+      if strict then children
+      else
+        let tags = tags_of a in
+        fun e ->
+          List.filter (fun c -> List.mem c.Sxml.Doc.tag tags) (children e)
+    in
+    { enc = (fun o l -> List.iter (item.enc o) l);
+      dec = (fun e -> List.map item.dec (children e)) }
+  | (Each _ | Tagged _), _ -> invalid_arg "Xmi.Codec: not a list"
 
-let aggregation_string = function
-  | Uml.Classifier.No_aggregation -> "none"
-  | Uml.Classifier.Shared -> "shared"
-  | Uml.Classifier.Composite -> "composite"
+and tags_of : type a. a t -> string list = function
+  | Variant v -> List.filter_map (fun (Any c) -> c.spelling) v.cases
+  | Rec r -> tags_of (Lazy.force r.body)
+  | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ | Record _
+  | Custom _ ->
+    invalid_arg "Xmi.Codec: tagged children need a variant"
 
-let all_aggregations =
-  [ Uml.Classifier.No_aggregation; Uml.Classifier.Shared;
-    Uml.Classifier.Composite ]
-
-let aggregation_of_string s =
-  enum_of_string ~what:"aggregation" ~to_string:aggregation_string
-    all_aggregations s
-
-let pseudostate_kind_string = function
-  | Uml.Smachine.Initial -> "initial"
-  | Uml.Smachine.Deep_history -> "deepHistory"
-  | Uml.Smachine.Shallow_history -> "shallowHistory"
-  | Uml.Smachine.Join -> "join"
-  | Uml.Smachine.Fork -> "fork"
-  | Uml.Smachine.Junction -> "junction"
-  | Uml.Smachine.Choice -> "choice"
-  | Uml.Smachine.Entry_point -> "entryPoint"
-  | Uml.Smachine.Exit_point -> "exitPoint"
-  | Uml.Smachine.Terminate -> "terminate"
-
-let all_pseudostate_kinds =
-  [ Uml.Smachine.Initial; Uml.Smachine.Deep_history;
-    Uml.Smachine.Shallow_history; Uml.Smachine.Join; Uml.Smachine.Fork;
-    Uml.Smachine.Junction; Uml.Smachine.Choice; Uml.Smachine.Entry_point;
-    Uml.Smachine.Exit_point; Uml.Smachine.Terminate ]
-
-let pseudostate_kind_of_string s =
-  enum_of_string ~what:"pseudostate kind" ~to_string:pseudostate_kind_string
-    all_pseudostate_kinds s
-
-let transition_kind_string = function
-  | Uml.Smachine.External -> "external"
-  | Uml.Smachine.Internal -> "internal"
-  | Uml.Smachine.Local -> "local"
-
-let all_transition_kinds =
-  [ Uml.Smachine.External; Uml.Smachine.Internal; Uml.Smachine.Local ]
-
-let transition_kind_of_string s =
-  enum_of_string ~what:"transition kind" ~to_string:transition_kind_string
-    all_transition_kinds s
-
-let edge_kind_string = function
-  | Uml.Activityg.Control_flow -> "ControlFlow"
-  | Uml.Activityg.Object_flow -> "ObjectFlow"
-
-let all_edge_kinds = [ Uml.Activityg.Control_flow; Uml.Activityg.Object_flow ]
-
-let edge_kind_of_string s =
-  enum_of_string ~what:"edge type" ~to_string:edge_kind_string all_edge_kinds s
-
-let message_sort_string = function
-  | Uml.Interaction.Synch_call -> "synchCall"
-  | Uml.Interaction.Asynch_call -> "asynchCall"
-  | Uml.Interaction.Asynch_signal -> "asynchSignal"
-  | Uml.Interaction.Reply -> "reply"
-  | Uml.Interaction.Create_message -> "createMessage"
-  | Uml.Interaction.Delete_message -> "deleteMessage"
-
-let all_message_sorts =
-  [ Uml.Interaction.Synch_call; Uml.Interaction.Asynch_call;
-    Uml.Interaction.Asynch_signal; Uml.Interaction.Reply;
-    Uml.Interaction.Create_message; Uml.Interaction.Delete_message ]
-
-let message_sort_of_string s =
-  enum_of_string ~what:"message sort" ~to_string:message_sort_string
-    all_message_sorts s
-
-let connector_kind_string = function
-  | Uml.Component.Assembly -> "assembly"
-  | Uml.Component.Delegation -> "delegation"
-
-let all_connector_kinds = [ Uml.Component.Assembly; Uml.Component.Delegation ]
-
-let connector_kind_of_string s =
-  enum_of_string ~what:"connector kind" ~to_string:connector_kind_string
-    all_connector_kinds s
-
-let node_kind_string = function
-  | Uml.Deployment.Node -> "Node"
-  | Uml.Deployment.Device -> "Device"
-  | Uml.Deployment.Execution_environment -> "ExecutionEnvironment"
-
-let all_node_kinds =
-  [ Uml.Deployment.Node; Uml.Deployment.Device;
-    Uml.Deployment.Execution_environment ]
-
-let node_kind_of_string s =
-  enum_of_string ~what:"node kind" ~to_string:node_kind_string all_node_kinds s
-
-let metaclass_string = Uml.Profile.metaclass_name
-
-let all_metaclasses =
-  [ Uml.Profile.M_class; Uml.Profile.M_interface; Uml.Profile.M_component;
-    Uml.Profile.M_port; Uml.Profile.M_property; Uml.Profile.M_operation;
-    Uml.Profile.M_package; Uml.Profile.M_state_machine; Uml.Profile.M_state;
-    Uml.Profile.M_transition; Uml.Profile.M_activity; Uml.Profile.M_action;
-    Uml.Profile.M_node; Uml.Profile.M_artifact; Uml.Profile.M_connector;
-    Uml.Profile.M_any ]
-
-let metaclass_of_string s =
-  enum_of_string ~what:"metaclass" ~to_string:metaclass_string all_metaclasses
-    s
-
-let diagram_kind_string = function
-  | Uml.Diagram.Class_diagram -> "class"
-  | Uml.Diagram.Object_diagram -> "object"
-  | Uml.Diagram.Package_diagram -> "package"
-  | Uml.Diagram.Composite_structure_diagram -> "compositeStructure"
-  | Uml.Diagram.Component_diagram -> "component"
-  | Uml.Diagram.Deployment_diagram -> "deployment"
-  | Uml.Diagram.Use_case_diagram -> "useCase"
-  | Uml.Diagram.Activity_diagram -> "activity"
-  | Uml.Diagram.State_machine_diagram -> "stateMachine"
-  | Uml.Diagram.Sequence_diagram -> "sequence"
-  | Uml.Diagram.Communication_diagram -> "communication"
-  | Uml.Diagram.Interaction_overview_diagram -> "interactionOverview"
-  | Uml.Diagram.Timing_diagram -> "timing"
-
-let all_diagram_kinds = Uml.Diagram.all_kinds
-
-let diagram_kind_of_string s =
-  enum_of_string ~what:"diagram kind" ~to_string:diagram_kind_string
-    all_diagram_kinds s
+let element_codec = content Meta.element
+let application_codec = content Meta.application
+let diagram_codec = content Meta.diagram

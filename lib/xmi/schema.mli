@@ -45,8 +45,11 @@ type place =
 (** Where a field sits in the flags byte of a binary record.  A record
     with any flag field writes one flags byte at its first flag field;
     decoders reject bits outside the declared ones and indices past an
-    inventory.  The payload of a flag field must not itself hold a
-    flagged record: the decoder keeps one flags byte at a time. *)
+    inventory.  The decoder keeps one flags byte at a time, so from a
+    record's first flag field up to (not including) its last one, no
+    field, and no flag field's payload, may hold a flagged record at any
+    depth; [Snap.Codec] raises [Invalid_argument] at start-up if one
+    does. *)
 type _ bits =
   | Bytes : 'a bits  (** not in the flags byte: encoded in line *)
   | Bit : int -> bool bits  (** the value is this bit *)

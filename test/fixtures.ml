@@ -425,8 +425,14 @@ let act children = "<packagedElement xmi:type=\"uml:Activity\" xmi:id=\"a\" name
 let inter children = "<packagedElement xmi:type=\"uml:Interaction\" xmi:id=\"i\" name=\"i\">" ^ children ^ "</packagedElement>"
 let comp children = "<packagedElement xmi:type=\"uml:Component\" xmi:id=\"k\" name=\"k\">" ^ children ^ "</packagedElement>"
 
+(* [depth] levels of [wrap] around [core] *)
+let rec nest depth wrap core =
+  if depth = 0 then core else wrap (nest (depth - 1) wrap core)
+
 (* One malformed XMI document per distinct import diagnostic, with the
-   exact outcome recorded against the hand-written reader. *)
+   exact outcome recorded against the hand-written reader; the last two
+   nest their defect 200 elements deep, which a reader that decodes any
+   element more than once cannot finish. *)
 let hostile_xmi =
   [
     ("not xmi", "<foo/>");
@@ -478,6 +484,8 @@ let hostile_xmi =
     ("unknown metaclass", xmi "<packagedElement xmi:type=\"uml:Profile\" xmi:id=\"p\" name=\"p\"><ownedStereotype xmi:id=\"s\" name=\"s\"><extension metaclass=\"Gizmo\"/></ownedStereotype></packagedElement>");
     ("tagValue without value", "<xmi:XMI><uml:Model name=\"m\"/><applications><stereotypeApplication element=\"a\" stereotype=\"s\"><tagValue name=\"t\"/></stereotypeApplication></applications></xmi:XMI>");
     ("unknown diagram kind", "<xmi:XMI><uml:Model name=\"m\"/><diagrams><diagram xmi:id=\"d\" name=\"d\" kind=\"doodle\"/></diagrams></xmi:XMI>");
+    ("fragment nested 200 deep", xmi (inter (nest 200 (fun x -> "<fragment xmi:id=\"f\" operator=\"alt\"><operand xmi:id=\"o\">" ^ x ^ "</operand></fragment>") "<fragment operator=\"alt\"/>")));
+    ("state nested 200 deep", xmi (sm (nest 200 (fun x -> "<subvertex xmi:type=\"uml:State\" xmi:id=\"s\" name=\"s\"><region xmi:id=\"q\" name=\"q\">" ^ x ^ "</region></subvertex>") "<subvertex xmi:type=\"uml:State\" name=\"s\"/>")));
   ]
 
 (* Snapshot bodies are spelled out with the public [Snap.Wire.Enc]
@@ -651,6 +659,8 @@ let hostile_xmi_expected =
     "Import_error: unknown metaclass Gizmo";
     "Import_error: tagValue without value";
     "Import_error: unknown diagram kind doodle";
+    "Import_error: element <fragment> missing attribute xmi:id";
+    "Import_error: element <subvertex> missing attribute xmi:id";
   ]
 
 let hostile_sumb_expected =
