@@ -18,18 +18,21 @@ let bit b flags = flags land (1 lsl b) <> 0
 let not_indexed () = invalid_arg "Snap.Codec: Index needs an enum or a variant"
 let not_optional () = invalid_arg "Snap.Codec: Present needs an option"
 
+let is_flag (F (_, f)) =
+  match f.bits with
+  | Bytes -> false
+  | Bit _ | Index _ | Present _ | Unless _ -> true
+
 (* The positions of the first and the last flag field; [-1] for none. *)
 let flag_span fields =
   List.fold_left
-    (fun (first, last) (F (i, f)) ->
-      match f.bits with
-      | Bytes -> (first, last)
-      | Bit _ | Index _ | Present _ | Unless _ ->
-        ((if first < 0 then i else first), i))
+    (fun (first, last) (F (i, _) as f) ->
+      if not (is_flag f) then (first, last)
+      else ((if first < 0 then i else first), i))
     (-1, -1) fields
 
-(* Whether decoding a value of this schema reads a flags byte of its
-   own, at any depth. *)
+(* Whether decoding a value of this schema reads a flags byte, at any
+   depth. *)
 let flagged ty =
   let seen = Hashtbl.create 8 in
   let rec go : type a. a t -> bool = function
@@ -40,10 +43,7 @@ let flagged ty =
     | Variant v -> List.exists (fun (Any c) -> go c.payload) v.cases
     | Record (R r) ->
       List.exists
-        (fun (F (_, f)) ->
-          match f.bits with
-          | Bit _ | Index _ | Present _ | Unless _ -> true
-          | Bytes -> go f.ty)
+        (fun (F (_, f) as x) -> is_flag x || go f.ty)
         (field_list r.fields)
     | Rec r ->
       let uid = Type.Id.uid r.fix_key in
@@ -52,18 +52,6 @@ let flagged ty =
           go (Lazy.force r.body))
   in
   go ty
-
-(* The flags byte is read once, at the first flag field, and every later
-   flag field reads it back: nothing decoded in between may read a flags
-   byte of its own. *)
-let check_flags name fields (first, last) =
-  List.iter
-    (fun (F (i, f)) ->
-      if first <= i && i < last && flagged f.ty then
-        invalid_arg
-          ("Snap.Codec: a field of " ^ name
-         ^ " between its flag fields holds a flagged record"))
-    fields
 
 (* the name and the size of an enum's or a variant's inventory *)
 let inventory : type a. a t -> string * int = function
@@ -160,9 +148,16 @@ let rec codec : type a. a t -> a codec = function
       { enc = (fun e v -> !f.enc e v); dec = (fun d -> !f.dec d) })
   | Record (R r) ->
     let fields = field_list r.fields in
-    let n = List.length fields and span = flag_span fields in
-    check_flags r.name fields span;
-    let first = fst span in
+    let n = List.length fields and first, last = flag_span fields in
+    (* the flags byte is read once, at the first flag field, and read
+       back by the later ones: nothing decoded in between may replace it *)
+    List.iter
+      (fun (F (i, f)) ->
+        if first <= i && i < last && flagged f.ty then
+          invalid_arg
+            ("Snap.Codec: a flagged record between the flag fields of "
+           ^ r.name))
+      fields;
     let read_flags = flags_reader r.name fields in
     (* each field is compiled once, when the decoder asks for it *)
     let encs = Array.make n (fun _ _ -> ()) and bits = Array.make n (fun _ -> 0) in

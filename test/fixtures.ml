@@ -430,9 +430,10 @@ let rec nest depth wrap core =
   if depth = 0 then core else wrap (nest (depth - 1) wrap core)
 
 (* One malformed XMI document per distinct import diagnostic, with the
-   exact outcome recorded against the hand-written reader; the last two
-   nest their defect 200 elements deep, which a reader that decodes any
-   element more than once cannot finish. *)
+   exact outcome recorded against the hand-written reader.  Then
+   documents with two or three defects, which pin the one reported, and
+   two that nest their defect 200 elements deep, which a reader that
+   decodes any element more than once cannot finish. *)
 let hostile_xmi =
   [
     ("not xmi", "<foo/>");
@@ -484,6 +485,15 @@ let hostile_xmi =
     ("unknown metaclass", xmi "<packagedElement xmi:type=\"uml:Profile\" xmi:id=\"p\" name=\"p\"><ownedStereotype xmi:id=\"s\" name=\"s\"><extension metaclass=\"Gizmo\"/></ownedStereotype></packagedElement>");
     ("tagValue without value", "<xmi:XMI><uml:Model name=\"m\"/><applications><stereotypeApplication element=\"a\" stereotype=\"s\"><tagValue name=\"t\"/></stereotypeApplication></applications></xmi:XMI>");
     ("unknown diagram kind", "<xmi:XMI><uml:Model name=\"m\"/><diagrams><diagram xmi:id=\"d\" name=\"d\" kind=\"doodle\"/></diagrams></xmi:XMI>");
+    ("two defects: transition", xmi (sm "<transition xmi:id=\"t\" source=\"a\"><trigger kind=\"psychic\"/></transition>"));
+    ("two defects: transition kind", xmi (sm "<transition xmi:id=\"t\" target=\"a\" kind=\"sideways\"/>"));
+    ("two defects: property id", xmi (cls "<ownedAttribute name=\"a\" visibility=\"secret\"/>"));
+    ("two defects: property name", xmi (cls "<ownedAttribute xmi:id=\"a\" isStatic=\"yes\"/>"));
+    ("two defects: state", xmi (sm "<subvertex xmi:type=\"uml:State\" name=\"v\"><deferrableTrigger><trigger kind=\"psychic\"/></deferrableTrigger></subvertex>"));
+    ("two defects: fragment", xmi (inter "<fragment xmi:id=\"f\" operator=\"maybe\"><operand xmi:id=\"o\"><fragment operator=\"alt\"/></operand></fragment>"));
+    ("two defects: message", xmi (inter "<message xmi:id=\"g\" name=\"g\" sort=\"telepathy\" to=\"b\"/>"));
+    ("two defects: classifier", xmi "<packagedElement xmi:type=\"uml:Class\" name=\"C\"><ownedAttribute xmi:id=\"a\" name=\"a\" visibility=\"secret\"/></packagedElement>");
+    ("three defects: property", xmi (cls "<ownedAttribute name=\"a\" visibility=\"secret\" isStatic=\"yes\"/>"));
     ("fragment nested 200 deep", xmi (inter (nest 200 (fun x -> "<fragment xmi:id=\"f\" operator=\"alt\"><operand xmi:id=\"o\">" ^ x ^ "</operand></fragment>") "<fragment operator=\"alt\"/>")));
     ("state nested 200 deep", xmi (sm (nest 200 (fun x -> "<subvertex xmi:type=\"uml:State\" xmi:id=\"s\" name=\"s\"><region xmi:id=\"q\" name=\"q\">" ^ x ^ "</region></subvertex>") "<subvertex xmi:type=\"uml:State\" name=\"s\"/>")));
   ]
@@ -659,6 +669,15 @@ let hostile_xmi_expected =
     "Import_error: unknown metaclass Gizmo";
     "Import_error: tagValue without value";
     "Import_error: unknown diagram kind doodle";
+    "Import_error: unknown trigger kind psychic";
+    "Import_error: unknown transition kind sideways";
+    "Import_error: unknown visibility secret";
+    "Import_error: bad boolean attribute isStatic=yes";
+    "Import_error: unknown trigger kind psychic";
+    "Import_error: element <fragment> missing attribute xmi:id";
+    "Import_error: element <message> missing attribute from";
+    "Import_error: unknown visibility secret";
+    "Import_error: bad boolean attribute isStatic=yes";
     "Import_error: element <fragment> missing attribute xmi:id";
     "Import_error: element <subvertex> missing attribute xmi:id";
   ]
