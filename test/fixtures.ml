@@ -493,6 +493,7 @@ let hostile_xmi =
     ("two defects: fragment", xmi (inter "<fragment xmi:id=\"f\" operator=\"maybe\"><operand xmi:id=\"o\"><fragment operator=\"alt\"/></operand></fragment>"));
     ("two defects: message", xmi (inter "<message xmi:id=\"g\" name=\"g\" sort=\"telepathy\" to=\"b\"/>"));
     ("two defects: classifier", xmi "<packagedElement xmi:type=\"uml:Class\" name=\"C\"><ownedAttribute xmi:id=\"a\" name=\"a\" visibility=\"secret\"/></packagedElement>");
+    ("two defects: activity node", xmi (act "<node xmi:id=\"n\"/>"));
     ("three defects: property", xmi (cls "<ownedAttribute name=\"a\" visibility=\"secret\" isStatic=\"yes\"/>"));
     ("fragment nested 200 deep", xmi (inter (nest 200 (fun x -> "<fragment xmi:id=\"f\" operator=\"alt\"><operand xmi:id=\"o\">" ^ x ^ "</operand></fragment>") "<fragment operator=\"alt\"/>")));
     ("state nested 200 deep", xmi (sm (nest 200 (fun x -> "<subvertex xmi:type=\"uml:State\" xmi:id=\"s\" name=\"s\"><region xmi:id=\"q\" name=\"q\">" ^ x ^ "</region></subvertex>") "<subvertex xmi:type=\"uml:State\" name=\"s\"/>")));
@@ -677,6 +678,7 @@ let hostile_xmi_expected =
     "Import_error: element <fragment> missing attribute xmi:id";
     "Import_error: element <message> missing attribute from";
     "Import_error: unknown visibility secret";
+    "Import_error: <node> missing xmi:type";
     "Import_error: bad boolean attribute isStatic=yes";
     "Import_error: element <fragment> missing attribute xmi:id";
     "Import_error: element <subvertex> missing attribute xmi:id";
