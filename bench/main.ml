@@ -804,7 +804,7 @@ let e13_lint_reference net m0 =
 
 let e13_lint_compiled net m0 =
   let s = Petri.Analysis.explore ~limit:4096 net m0 in
-  ( List.length s.Petri.Analysis.sum_reach.Petri.Analysis.deadlocks,
+  ( List.length s.Petri.Analysis.sum_deadlocks,
     List.length s.Petri.Analysis.sum_dead_transitions )
 
 let e13_time f =

@@ -30,64 +30,75 @@ let transitions_of_node (ac : Activityg.t) node =
   | Activityg.Flow_final _ | Activityg.Fork_node _ | Activityg.Join_node _ ->
     [ Activity.Translate.transition_of_node id ]
 
-let check_activity (ac : Activityg.t) acc =
-  let element = ac.Activityg.ac_id in
-  match Activity.Translate.to_petri ac with
-  | exception Invalid_argument _ ->
-    (* structurally broken beyond edge resolution; Wfr territory *)
-    acc
-  | net, m0 ->
-    (* one state-space exploration per activity: ACT-01 (deadlocks) and
-       ACT-03 (dead transitions) both read off the same summary *)
-    let summary = Petri.Analysis.explore ~limit:state_limit net m0 in
-    let reach = summary.Petri.Analysis.sum_reach in
-    let acc =
-      if reach.Petri.Analysis.truncated then acc
-      else
-        let stuck =
-          List.filter
-            (fun mk ->
-              Petri.Marking.total mk > 0
-              && Petri.Marking.tokens mk Activity.Translate.done_place = 0)
-            reach.Petri.Analysis.deadlocks
-        in
-        if stuck = [] then acc
-        else
-          Model_info.diagf ~code:"ACT-01" ~element
-            "activity %s can deadlock: %d reachable marking%s leave%s \
-             tokens stuck without reaching a final node"
-            ac.Activityg.ac_name (List.length stuck)
-            (if List.length stuck = 1 then "" else "s")
-            (if List.length stuck = 1 then "s" else "")
-          :: acc
-    in
-    let acc =
-      match Petri.Coverability.is_bounded ~limit:state_limit net m0 with
-      | Some false ->
-        Model_info.diagf ~code:"ACT-02" ~element
-          "activity %s has unbounded token flow (tokens can accumulate \
-           without limit)"
-          ac.Activityg.ac_name
-        :: acc
-      | Some true | None -> acc
-    in
-    if reach.Petri.Analysis.truncated then acc
-    else
-      let dead = summary.Petri.Analysis.sum_dead_transitions in
-      List.fold_left
-        (fun acc node ->
-          let tns = transitions_of_node ac node in
-          if tns <> [] && List.for_all (fun tn -> List.mem tn dead) tns then
-            Model_info.diagf ~code:"ACT-03"
-              ~element:(Activityg.node_id node)
-              "node %s of activity %s can never fire"
-              (Activityg.node_name node) ac.Activityg.ac_name
-            :: acc
-          else acc)
-        acc ac.Activityg.ac_nodes
+(* The ACT rules' own exploration of an activity, to the Karp–Miller
+   default limit so that bounded activities of up to 10 000 markings
+   need no coverability tree for ACT-02. *)
+let explore ac =
+  let net, m0 = Activity.Translate.to_petri ac in
+  Petri.Analysis.exploration net m0
 
-let check m =
+let check_activity (ac : Activityg.t) ex acc =
+  let element = ac.Activityg.ac_id in
+  (* one state-space exploration per activity: ACT-01 (deadlocks) and
+     ACT-03 (dead transitions) both read off the same summary *)
+  let s = Petri.Analysis.summary ~limit:state_limit ex in
+  let acc =
+    if s.Petri.Analysis.sum_truncated then acc
+    else
+      let stuck =
+        List.filter
+          (fun mk ->
+            Petri.Marking.total mk > 0
+            && Petri.Marking.tokens mk Activity.Translate.done_place = 0)
+          s.Petri.Analysis.sum_deadlocks
+      in
+      if stuck = [] then acc
+      else
+        Model_info.diagf ~code:"ACT-01" ~element
+          "activity %s can deadlock: %d reachable marking%s leave%s \
+           tokens stuck without reaching a final node"
+          ac.Activityg.ac_name (List.length stuck)
+          (if List.length stuck = 1 then "" else "s")
+          (if List.length stuck = 1 then "s" else "")
+        :: acc
+  in
+  let acc =
+    match
+      Petri.Coverability.verdict
+        (Petri.Analysis.coverability ~limit:state_limit ex)
+    with
+    | Some false ->
+      Model_info.diagf ~code:"ACT-02" ~element
+        "activity %s has unbounded token flow (tokens can accumulate \
+         without limit)"
+        ac.Activityg.ac_name
+      :: acc
+    | Some true | None -> acc
+  in
+  if s.Petri.Analysis.sum_truncated then acc
+  else
+    let dead = s.Petri.Analysis.sum_dead_transitions in
+    List.fold_left
+      (fun acc node ->
+        let tns = transitions_of_node ac node in
+        if tns <> [] && List.for_all (fun tn -> List.mem tn dead) tns then
+          Model_info.diagf ~code:"ACT-03"
+            ~element:(Activityg.node_id node)
+            "node %s of activity %s can never fire"
+            (Activityg.node_name node) ac.Activityg.ac_name
+          :: acc
+        else acc)
+      acc ac.Activityg.ac_nodes
+
+let check ?(explore = explore) m =
   List.fold_left
-    (fun acc ac -> if resolves ac then check_activity ac acc else acc)
+    (fun acc ac ->
+      if not (resolves ac) then acc
+      else
+        match explore ac with
+        | exception Invalid_argument _ ->
+          (* structurally broken beyond edge resolution; Wfr territory *)
+          acc
+        | ex -> check_activity ac ex acc)
     []
     (Model.activities m)

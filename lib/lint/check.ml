@@ -5,12 +5,14 @@ let apply selection diags =
          Rules.enabled selection d.Uml.Wfr.diag_rule)
        diags)
 
-let model_diags ?metrics m =
-  Asl_pass.check m @ Sc_pass.check m @ Act_pass.check m @ Comp_pass.check m
+let model_diags ?metrics ?explore m =
+  Asl_pass.check m @ Sc_pass.check m
+  @ Act_pass.check ?explore m
+  @ Comp_pass.check m
   @ Df_pass.check_model ?metrics m
 
-let check_model ?(selection = Rules.default_selection) ?metrics m =
-  apply selection (model_diags ?metrics m)
+let check_model ?(selection = Rules.default_selection) ?metrics ?explore m =
+  apply selection (model_diags ?metrics ?explore m)
 
 let check_design ?(selection = Rules.default_selection) ?metrics design =
   apply selection

@@ -12,10 +12,12 @@
 val check_model :
   ?selection:Rules.selection ->
   ?metrics:Telemetry.Metrics.t ->
+  ?explore:(Uml.Activityg.t -> Petri.Analysis.exploration) ->
   Uml.Model.t ->
   Uml.Wfr.diagnostic list
 (** ASL, statechart, activity, component and model-level dataflow
-    passes over the model.  Sorted by (rule, element, message). *)
+    passes over the model.  Sorted by (rule, element, message).
+    [explore] is handed to {!Act_pass.check}. *)
 
 val check_design :
   ?selection:Rules.selection ->

@@ -6,10 +6,20 @@ type reach_result = {
 }
 
 type summary = {
-  sum_reach : reach_result;
+  sum_state_count : int;
+  sum_truncated : bool;
+  sum_deadlocks : Marking.t list;
   sum_bound : int option;
   sum_deadlock_free : bool option;
   sum_dead_transitions : string list;
+}
+
+type exploration = {
+  ex_compiled : Compiled.t;
+  ex_m0 : Marking.t;
+  ex_residue : (string * int) list;
+  ex_limit : int;
+  ex_reach : Compiled.reach;
 }
 
 module MSet = Set.Make (struct
@@ -59,49 +69,103 @@ let reachable_reference ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
     deadlocks = List.rev deadlocks;
   }
 
-let explore ?limit ?metrics ?budget ?compiled net m0 =
+let exploration ?(limit = 10_000) ?metered ?metrics ?budget ?compiled net m0 =
   let c =
     match compiled with
     | Some c -> c
     | None -> Compiled.of_net net
   in
   let cm0, residue = Compiled.split c m0 in
-  let r = Compiled.reachable ?limit ?metrics ?budget c cm0 in
-  let export = Compiled.export c residue in
-  let reach =
-    {
-      markings = List.map export r.Compiled.r_order;
-      state_count = r.Compiled.r_state_count;
-      truncated = r.Compiled.r_truncated;
-      deadlocks = List.map export r.Compiled.r_deadlocks;
-    }
+  {
+    ex_compiled = c;
+    ex_m0 = m0;
+    ex_residue = residue;
+    ex_limit = limit;
+    ex_reach = Compiled.reachable ~limit ?metered ?metrics ?budget c cm0;
+  }
+
+(* The exploration at [limit] visited the first [limit] markings of this
+   one, in the same order: every answer below is read off visit
+   indices. *)
+let summary ?limit ex =
+  let limit =
+    match limit with
+    | None -> ex.ex_limit
+    | Some l when l <= ex.ex_limit -> l
+    | Some l ->
+      invalid_arg
+        (Printf.sprintf "Analysis.summary: limit %d exceeds the exploration's %d"
+           l ex.ex_limit)
+  in
+  let r = ex.ex_reach in
+  let visited = max 0 (min r.Compiled.r_state_count limit) in
+  let truncated = r.Compiled.r_truncated || r.Compiled.r_state_count > limit in
+  let export = Compiled.export ex.ex_compiled ex.ex_residue in
+  let deadlocks =
+    List.filter_map
+      (fun (i, m) -> if i < visited then Some (export m) else None)
+      r.Compiled.r_deadlocks
   in
   (* Residue places never change, so they contribute a constant to the
      per-place bound of every visited marking. *)
   let residue_max =
-    List.fold_left (fun acc (_, n) -> max acc n) 0 residue
+    List.fold_left (fun acc (_, n) -> max acc n) 0 ex.ex_residue
   in
+  let c = ex.ex_compiled in
   let dead =
     List.filter_map
       (fun tn ->
         match Compiled.transition_index c tn.Net.tn_id with
-        | Some ti when not r.Compiled.r_fired.(ti) -> Some tn.Net.tn_id
+        | Some ti when r.Compiled.r_first_enabled.(ti) >= visited ->
+          Some tn.Net.tn_id
         | Some _ | None -> None)
-      net.Net.transitions
+      (Compiled.net c).Net.transitions
   in
   {
-    sum_reach = reach;
+    sum_state_count = visited;
+    sum_truncated = truncated;
+    sum_deadlocks = deadlocks;
     sum_bound =
-      (if reach.truncated then None
+      (if truncated then None
        else Some (max r.Compiled.r_max_tokens residue_max));
     sum_deadlock_free =
-      (if reach.truncated && reach.deadlocks = [] then None
-       else Some (reach.deadlocks = []));
+      (if truncated && deadlocks = [] then None else Some (deadlocks = []));
     sum_dead_transitions = dead;
   }
 
+let coverability ?(limit = 10_000) ex =
+  let r = ex.ex_reach in
+  let n = r.Compiled.r_state_count in
+  if r.Compiled.r_truncated || n = limit then
+    Coverability.analyse ~limit (Compiled.net ex.ex_compiled) ex.ex_m0
+  else
+    (* A complete exploration proves the net bounded, and Karp–Miller
+       never accelerates on a bounded net (a marking strictly covering
+       an ancestor repeats its path forever).  So it builds exactly the
+       [n] reachable markings, stopping at [limit] of them.  Only when
+       [n = limit] does its verdict hang on whether its depth-first walk
+       tries one more edge after the last node, hence the call above. *)
+    {
+      Coverability.nodes = max 0 (min n limit);
+      unbounded_places = [];
+      truncated = n > limit;
+    }
+
+let explore ?limit ?metrics ?budget ?compiled net m0 =
+  summary (exploration ?limit ?metrics ?budget ?compiled net m0)
+
 let reachable ?limit ?metrics ?budget ?pool:_ ?compiled net m0 =
-  (explore ?limit ?metrics ?budget ?compiled net m0).sum_reach
+  let ex = exploration ?limit ?metrics ?budget ?compiled net m0 in
+  let s = summary ex in
+  {
+    markings =
+      List.map
+        (Compiled.export ex.ex_compiled ex.ex_residue)
+        ex.ex_reach.Compiled.r_order;
+    state_count = s.sum_state_count;
+    truncated = s.sum_truncated;
+    deadlocks = s.sum_deadlocks;
+  }
 
 let is_deadlock_free ?limit net m0 = (explore ?limit net m0).sum_deadlock_free
 let bound ?limit net m0 = (explore ?limit net m0).sum_bound

@@ -115,8 +115,8 @@ type reach = {
   r_order : marking list;
   r_state_count : int;
   r_truncated : bool;
-  r_deadlocks : marking list;
-  r_fired : bool array;
+  r_deadlocks : (int * marking) list;
+  r_first_enabled : int array;
   r_max_tokens : int;
 }
 
@@ -127,11 +127,12 @@ module H = Hashtbl.Make (struct
   let hash = marking_hash
 end)
 
-let reachable ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
+let reachable ?(limit = 10_000) ?metered ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) c m0 =
+  let metered = Option.value metered ~default:limit in
   let m_explored = Telemetry.Metrics.counter metrics "petri.markings_explored" in
   let nt = Array.length c.transition_ids in
-  let fired = Array.make nt false in
+  let first_enabled = Array.make nt max_int in
   let seen = H.create 256 in
   let queue = Queue.create () in
   H.replace seen m0 ();
@@ -149,16 +150,19 @@ let reachable ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
       continue := false
     end
     else begin
-      Exec.Budget.check budget;
+      let index = !visited in
+      if index < metered then begin
+        Exec.Budget.check budget;
+        Telemetry.Metrics.incr m_explored
+      end;
       let m = Queue.pop queue in
       incr visited;
-      Telemetry.Metrics.incr m_explored;
       order := m :: !order;
       Array.iter (fun n -> if n > !max_tokens then max_tokens := n) m.slots;
       let any = ref false in
       for ti = 0 to nt - 1 do
         if Array.for_all (fun (p, w) -> m.slots.(p) >= w) c.pre.(ti) then begin
-          fired.(ti) <- true;
+          if first_enabled.(ti) = max_int then first_enabled.(ti) <- index;
           any := true;
           let m' = fire_enabled c m ti in
           if not (H.mem seen m') then begin
@@ -167,7 +171,7 @@ let reachable ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
           end
         end
       done;
-      if not !any then deadlocks := m :: !deadlocks
+      if not !any then deadlocks := (index, m) :: !deadlocks
     end
   done;
   {
@@ -175,7 +179,6 @@ let reachable ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
     r_state_count = !visited;
     r_truncated = !truncated;
     r_deadlocks = List.rev !deadlocks;
-    r_fired = fired;
+    r_first_enabled = first_enabled;
     r_max_tokens = !max_tokens;
   }
-

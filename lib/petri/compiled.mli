@@ -78,15 +78,18 @@ type reach = {
   r_order : marking list;  (** visited markings, BFS order *)
   r_state_count : int;
   r_truncated : bool;  (** stopped at the limit with work remaining *)
-  r_deadlocks : marking list;  (** visit order *)
-  r_fired : bool array;
-      (** per dense transition index: enabled at some visited marking *)
+  r_deadlocks : (int * marking) list;
+      (** deadlocks with their visit index, in visit order *)
+  r_first_enabled : int array;
+      (** per dense transition index: the visit index of the first
+          marking that enables it, [max_int] if none does *)
   r_max_tokens : int;
       (** max token count in any single place over visited markings *)
 }
 
 val reachable :
   ?limit:int ->
+  ?metered:int ->
   ?metrics:Telemetry.Metrics.t ->
   ?budget:Exec.Budget.t ->
   t ->
@@ -95,10 +98,16 @@ val reachable :
 (** Breadth-first exploration up to [limit] visited markings (default
     10_000), with the visited set marked at *enqueue* time so the
     frontier never holds duplicates.  One pass accumulates everything
-    downstream analyses need: deadlocks, the fired-transition bitset and
-    the per-place token bound.  [metrics] receives the
-    [petri.markings_explored] counter.
+    downstream analyses need: deadlocks, when each transition is first
+    enabled and the per-place token bound.
 
-    [budget] (default {!Exec.Budget.unlimited}) is checkpointed once
-    per visited marking, and {!Exec.Budget.Expired} propagates to the
-    caller with the exploration abandoned cleanly. *)
+    BFS order does not depend on [limit], so the first [l] visits of an
+    exploration are exactly the exploration with limit [l]: every
+    answer an exploration at a smaller limit would give can be read off
+    this one by visit index (see {!Analysis.summary}).
+
+    The first [metered] visits (default: all of them) are the metered
+    ones: each increments [metrics]' [petri.markings_explored] counter
+    and checkpoints [budget] (default {!Exec.Budget.unlimited}) once.
+    {!Exec.Budget.Expired} propagates to the caller with the
+    exploration abandoned cleanly. *)

@@ -111,11 +111,12 @@ let analyse ?(limit = 10_000) net m0 =
     truncated = !truncated;
   }
 
-let is_bounded ?limit net m0 =
-  let r = analyse ?limit net m0 in
+let verdict r =
   if r.unbounded_places <> [] then Some false
   else if r.truncated then None
   else Some true
+
+let is_bounded ?limit net m0 = verdict (analyse ?limit net m0)
 
 let covers (om : omega_marking) m =
   let covers_entry p n =

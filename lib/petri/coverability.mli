@@ -21,10 +21,13 @@ type result = {
 val analyse : ?limit:int -> Net.t -> Marking.t -> result
 (** Build the coverability set, up to [limit] nodes (default 10_000). *)
 
-val is_bounded : ?limit:int -> Net.t -> Marking.t -> bool option
+val verdict : result -> bool option
 (** [Some true] when the full coverability set is finite and ω-free,
     [Some false] when some place reaches ω, [None] when truncated
     without finding ω. *)
+
+val is_bounded : ?limit:int -> Net.t -> Marking.t -> bool option
+(** [verdict (analyse ?limit net m0)]. *)
 
 val covers : omega_marking -> Marking.t -> bool
 (** Does an ω-marking cover a concrete marking? *)

@@ -377,6 +377,9 @@ let partition sink ~budget (art : Artifacts.t) =
 
 (* --- analyze ------------------------------------------------------------ *)
 
+(* analyze's reachability report stops at this many markings *)
+let report_limit = 5000
+
 let analyze ?(budget = Exec.Budget.unlimited) sink ~metrics ~only ~disable
     ~jobs (load : loader) path =
   match selection_of ~only ~disable with
@@ -394,38 +397,59 @@ let analyze ?(budget = Exec.Budget.unlimited) sink ~metrics ~only ~disable
       (* [jobs] is still validated, but exploration is sequential *)
       check_jobs sink jobs @@ fun () ->
       let reg = metrics_reg metrics in
-      List.iter
-        (fun act ->
-          outf sink "activity %s:\n" act.Uml.Activityg.ac_name;
-          let net, m0, compiled = art.Artifacts.petri act in
-          outf sink "  net: %d places, %d transitions\n"
-            (Petri.Net.place_count net)
-            (Petri.Net.transition_count net);
-          (match Petri.Coverability.is_bounded net m0 with
-           | Some true -> outf sink "  bounded: yes\n"
-           | Some false ->
-             let r = Petri.Coverability.analyse net m0 in
-             outf sink "  bounded: NO (unbounded places: %s)\n"
-               (String.concat ", " r.Petri.Coverability.unbounded_places)
-           | None -> outf sink "  bounded: unknown (limit reached)\n");
-          let s =
-            Petri.Analysis.explore ~limit:5000 ~metrics:reg ~budget ~compiled
-              net m0
-          in
-          let r = s.Petri.Analysis.sum_reach in
-          outf sink "  reachable markings: %d%s, deadlocks: %d\n"
-            r.Petri.Analysis.state_count
-            (if r.Petri.Analysis.truncated then "+" else "")
-            (List.length r.Petri.Analysis.deadlocks);
-          let invariants = Petri.Invariant.p_invariants net in
-          outf sink "  P-invariants: %d\n" (List.length invariants);
-          (* dead-transition verdicts are only meaningful when the
-             state space was fully explored *)
-          let dead = s.Petri.Analysis.sum_dead_transitions in
-          if (not r.Petri.Analysis.truncated) && dead <> [] then
-            outf sink "  dead transitions: %s\n" (String.concat ", " dead))
-        activities;
-      let lint = Lint.Check.check_model ~selection ~metrics:reg m in
+      let bounded (r : Petri.Coverability.result) =
+        match Petri.Coverability.verdict r with
+        | Some true -> outf sink "  bounded: yes\n"
+        | Some false ->
+          outf sink "  bounded: NO (unbounded places: %s)\n"
+            (String.concat ", " r.Petri.Coverability.unbounded_places)
+        | None -> outf sink "  bounded: unknown (limit reached)\n"
+      in
+      (* One exploration per activity, to the Karp–Miller default limit:
+         the bounded verdict, the reachability report and the ACT lint
+         rules all read it.  The budget and [petri.markings_explored]
+         pay for the report's markings only. *)
+      let explorations =
+        List.map
+          (fun act ->
+            outf sink "activity %s:\n" act.Uml.Activityg.ac_name;
+            let net, m0, compiled = art.Artifacts.petri act in
+            outf sink "  net: %d places, %d transitions\n"
+              (Petri.Net.place_count net)
+              (Petri.Net.transition_count net);
+            let ex =
+              match
+                Petri.Analysis.exploration ~metered:report_limit ~metrics:reg
+                  ~budget ~compiled net m0
+              with
+              | ex -> ex
+              | exception (Exec.Budget.Expired _ as expired) ->
+                (* the bounded verdict is unbudgeted: a timed-out answer
+                   still carries it *)
+                bounded (Petri.Coverability.analyse net m0);
+                raise expired
+            in
+            bounded (Petri.Analysis.coverability ex);
+            let s = Petri.Analysis.summary ~limit:report_limit ex in
+            outf sink "  reachable markings: %d%s, deadlocks: %d\n"
+              s.Petri.Analysis.sum_state_count
+              (if s.Petri.Analysis.sum_truncated then "+" else "")
+              (List.length s.Petri.Analysis.sum_deadlocks);
+            let invariants = Petri.Invariant.p_invariants net in
+            outf sink "  P-invariants: %d\n" (List.length invariants);
+            (* dead-transition verdicts are only meaningful when the
+               state space was fully explored *)
+            let dead = s.Petri.Analysis.sum_dead_transitions in
+            if (not s.Petri.Analysis.sum_truncated) && dead <> [] then
+              outf sink "  dead transitions: %s\n" (String.concat ", " dead);
+            (act, ex))
+          activities
+      in
+      let lint =
+        Lint.Check.check_model ~selection ~metrics:reg
+          ~explore:(fun act -> List.assq act explorations)
+          m
+      in
       if lint <> [] then begin
         outf sink "lint:\n";
         List.iter (fun d -> outf sink "  %s\n" (Uml.Wfr.to_string d)) lint

@@ -97,18 +97,68 @@ let markings_equal a b =
 
 let agree ~limit net m0 =
   let ref_r = Petri.Analysis.reachable_reference ~limit net m0 in
+  let r = Petri.Analysis.reachable ~limit net m0 in
   let s = Petri.Analysis.explore ~limit net m0 in
-  let r = s.Petri.Analysis.sum_reach in
   r.Petri.Analysis.state_count = ref_r.Petri.Analysis.state_count
   && r.Petri.Analysis.truncated = ref_r.Petri.Analysis.truncated
   && markings_equal r.Petri.Analysis.markings ref_r.Petri.Analysis.markings
   && markings_equal r.Petri.Analysis.deadlocks ref_r.Petri.Analysis.deadlocks
+  && s.Petri.Analysis.sum_state_count = ref_r.Petri.Analysis.state_count
+  && s.Petri.Analysis.sum_truncated = ref_r.Petri.Analysis.truncated
+  && markings_equal s.Petri.Analysis.sum_deadlocks
+       ref_r.Petri.Analysis.deadlocks
   && s.Petri.Analysis.sum_bound = reference_bound ref_r
   && s.Petri.Analysis.sum_deadlock_free = reference_deadlock_free ref_r
   && s.Petri.Analysis.sum_dead_transitions = reference_dead net ref_r
 
+(* One exploration to [limit], asked at every limit in [limits]: each
+   answer must be what a separate exploration (the reference BFS, or
+   Karp–Miller itself) at that limit gives. *)
+let prefix_agrees ~limit net m0 =
+  let ex = Petri.Analysis.exploration ~limit net m0 in
+  let n = (Petri.Analysis.summary ex).Petri.Analysis.sum_state_count in
+  let limits =
+    List.sort_uniq compare
+      (List.filter
+         (fun l -> l >= 1 && l <= limit)
+         [ 1; 2; 3; n / 2; n - 1; n; n + 1; limit - 1; limit ])
+  in
+  List.for_all
+    (fun l ->
+      let s = Petri.Analysis.summary ~limit:l ex in
+      let ref_r = Petri.Analysis.reachable_reference ~limit:l net m0 in
+      s.Petri.Analysis.sum_state_count = ref_r.Petri.Analysis.state_count
+      && s.Petri.Analysis.sum_truncated = ref_r.Petri.Analysis.truncated
+      && markings_equal s.Petri.Analysis.sum_deadlocks
+           ref_r.Petri.Analysis.deadlocks
+      && s.Petri.Analysis.sum_bound = reference_bound ref_r
+      && s.Petri.Analysis.sum_deadlock_free = reference_deadlock_free ref_r
+      && s.Petri.Analysis.sum_dead_transitions = reference_dead net ref_r
+      && Petri.Analysis.coverability ~limit:l ex
+         = Petri.Coverability.analyse ~limit:l net m0
+      && Petri.Coverability.verdict (Petri.Analysis.coverability ~limit:l ex)
+         = Petri.Coverability.is_bounded ~limit:l net m0)
+    limits
+
 let petri_differential_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"answers at every limit = a separate exploration there"
+         ~count:150
+         QCheck.(int_range 1 100_000)
+         (fun seed ->
+           let net, m0 = random_net_and_marking seed in
+           prefix_agrees ~limit:120 net m0));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"answers at every limit = a separate exploration there \
+                (activity translations)"
+         ~count:40
+         QCheck.(int_range 1 10_000)
+         (fun seed ->
+           let net, m0 = activity_net seed in
+           prefix_agrees ~limit:600 net m0));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"compiled = reference on random nets (reach/bound/dead)"
