@@ -807,6 +807,85 @@ let e13_lint_compiled net m0 =
   ( List.length s.Petri.Analysis.sum_deadlocks,
     List.length s.Petri.Analysis.sum_dead_transitions )
 
+(* initial -> fork -> [branches] chains of [length] actions -> join ->
+   final: (length + 1)^branches + 4 reachable markings. *)
+let e13_fork_activity ~branches ~length =
+  let module A = Uml.Activityg in
+  let init = A.initial () and final = A.activity_final () in
+  let fork = A.fork "fork" and join = A.join "join" in
+  let edge a b = A.edge ~source:(A.node_id a) ~target:(A.node_id b) () in
+  let chains =
+    List.init branches (fun b ->
+        List.init length (fun i -> A.action (Printf.sprintf "a%d_%d" b i)))
+  in
+  let rec link from nodes =
+    match nodes with
+    | n :: rest -> edge from n :: link n rest
+    | [] -> [ edge from join ]
+  in
+  A.make "fork"
+    (init :: fork :: join :: final :: List.concat chains)
+    (edge init fork :: edge join final :: List.concat_map (link fork) chains)
+
+(* A merge-based loop around a fork: one more token per lap. *)
+let e13_pump_activity () =
+  let module A = Uml.Activityg in
+  let init = A.initial () and mg = A.merge "m" and a = A.action "a" in
+  let f = A.fork "f" and b = A.action "b" in
+  let edge s t = A.edge ~source:(A.node_id s) ~target:(A.node_id t) () in
+  A.make "pump" [ init; mg; a; f; b ]
+    [ edge init mg; edge mg a; edge a f; edge f mg; edge f b ]
+
+(* What an analyze request computes per activity: the bounded verdict
+   (Karp–Miller, 10 000 nodes), the reachability report at 5 000
+   markings, and the ACT rules' answers at 4 096.  The four-exploration
+   shape replays the way analyze used to compute them on this tree's
+   primitives: Karp–Miller (twice when unbounded, once more to list the
+   places), a 5 000-marking exploration exported to string maps, and
+   the lint pass's own exported 4 096-marking exploration and
+   Karp–Miller.  The one-exploration shape is the current analyze. *)
+let e13_analyze_four net m0 =
+  let bounded = Petri.Coverability.is_bounded net m0 in
+  let places =
+    if bounded = Some false then
+      (Petri.Coverability.analyse net m0).Petri.Coverability.unbounded_places
+    else []
+  in
+  let report = Petri.Analysis.reachable ~limit:5000 net m0 in
+  let act = Petri.Analysis.reachable ~limit:4096 net m0 in
+  ( (bounded, places),
+    ( report.Petri.Analysis.state_count,
+      List.length report.Petri.Analysis.deadlocks ),
+    ( List.length act.Petri.Analysis.deadlocks,
+      Petri.Coverability.is_bounded ~limit:4096 net m0 ) )
+
+let e13_analyze_one net m0 =
+  let ex = Petri.Analysis.exploration ~metered:5000 net m0 in
+  let cov = Petri.Analysis.coverability ex in
+  let report = Petri.Analysis.summary ~limit:5000 ex in
+  let act = Petri.Analysis.summary ~limit:4096 ex in
+  ( ( Petri.Coverability.verdict cov,
+      cov.Petri.Coverability.unbounded_places ),
+    ( report.Petri.Analysis.sum_state_count,
+      List.length report.Petri.Analysis.sum_deadlocks ),
+    ( List.length act.Petri.Analysis.sum_deadlocks,
+      Petri.Coverability.verdict (Petri.Analysis.coverability ~limit:4096 ex)
+    ) )
+
+(* The ACT pass alone on one activity, before (an exported 4 096-marking
+   exploration plus Karp–Miller at 4 096) and now (one exploration to
+   10 000, Karp–Miller only when that does not settle boundedness). *)
+let e13_act_before net m0 =
+  let r = Petri.Analysis.reachable ~limit:4096 net m0 in
+  ( List.length r.Petri.Analysis.deadlocks,
+    Petri.Coverability.is_bounded ~limit:4096 net m0 )
+
+let e13_act_now net m0 =
+  let ex = Petri.Analysis.exploration net m0 in
+  let s = Petri.Analysis.summary ~limit:4096 ex in
+  ( List.length s.Petri.Analysis.sum_deadlocks,
+    Petri.Coverability.verdict (Petri.Analysis.coverability ~limit:4096 ex) )
+
 let e13_time f =
   (* best of three to damp scheduler noise *)
   let best = ref infinity in
@@ -883,6 +962,38 @@ let e13_report () =
   record_f "e13.lint_shape_ms.compiled" (1e3 *. t_lcmp);
   record_b "e13.lint_shape_agree" (sanity_ref = sanity_cmp);
   record_f "e13.speedup.lint_shape" lint_speedup;
+  (* (b') the analyze request shape: four explorations vs one *)
+  List.iter
+    (fun (label, key, act) ->
+      let net, m0 = Activity.Translate.to_petri act in
+      let agree = e13_analyze_four net m0 = e13_analyze_one net m0 in
+      let t_four = e13_time (fun () -> ignore (e13_analyze_four net m0)) in
+      let t_one = e13_time (fun () -> ignore (e13_analyze_one net m0)) in
+      Printf.printf
+        "analyze shape, %-9s four explorations %7.1f ms   one %7.1f ms  \
+         %5.1fx  (agree: %b)\n"
+        label (1e3 *. t_four) (1e3 *. t_one)
+        (t_four /. (t_one +. 1e-9))
+        agree;
+      record_f ("e13.analyze_shape_ms.four." ^ key) (1e3 *. t_four);
+      record_f ("e13.analyze_shape_ms.one." ^ key) (1e3 *. t_one);
+      record_b ("e13.analyze_shape_agree." ^ key) agree;
+      let act_agree = e13_act_before net m0 = e13_act_now net m0 in
+      let t_before = e13_time (fun () -> ignore (e13_act_before net m0)) in
+      let t_now = e13_time (fun () -> ignore (e13_act_now net m0)) in
+      Printf.printf
+        "lint ACT,      %-9s to 4096 + KM      %7.1f ms   now %7.1f ms  \
+         %5.2fx  (agree: %b)\n"
+        label (1e3 *. t_before) (1e3 *. t_now)
+        (t_before /. (t_now +. 1e-9))
+        act_agree;
+      record_f ("e13.act_shape_ms.before." ^ key) (1e3 *. t_before);
+      record_f ("e13.act_shape_ms.now." ^ key) (1e3 *. t_now);
+      record_b ("e13.act_shape_agree." ^ key) act_agree)
+    [
+      ("fork 4x8", "fork_4x8", e13_fork_activity ~branches:4 ~length:8);
+      ("pump", "pump", e13_pump_activity ());
+    ];
   (* (c) a 10k-state reachability exploration *)
   let tnet, tm0 = e13_toggle_net 14 in
   let limit = 10_000 in

@@ -69,20 +69,29 @@ let reachable_reference ?(limit = 10_000) ?(metrics = Telemetry.Metrics.null)
     deadlocks = List.rev deadlocks;
   }
 
-let exploration ?(limit = 10_000) ?metered ?metrics ?budget ?compiled net m0 =
+(* The exploration and, apart, its visited markings: an exploration may
+   be held for a whole request (analyze keeps one per activity for the
+   lint pass), and summaries read visit indices only. *)
+let explore_markings ?(limit = 10_000) ?metered ?metrics ?budget ?compiled
+    net m0 =
   let c =
     match compiled with
     | Some c -> c
     | None -> Compiled.of_net net
   in
   let cm0, residue = Compiled.split c m0 in
-  {
-    ex_compiled = c;
-    ex_m0 = m0;
-    ex_residue = residue;
-    ex_limit = limit;
-    ex_reach = Compiled.reachable ~limit ?metered ?metrics ?budget c cm0;
-  }
+  let r = Compiled.reachable ~limit ?metered ?metrics ?budget c cm0 in
+  ( {
+      ex_compiled = c;
+      ex_m0 = m0;
+      ex_residue = residue;
+      ex_limit = limit;
+      ex_reach = { r with Compiled.r_order = [] };
+    },
+    r.Compiled.r_order )
+
+let exploration ?limit ?metered ?metrics ?budget ?compiled net m0 =
+  fst (explore_markings ?limit ?metered ?metrics ?budget ?compiled net m0)
 
 (* The exploration at [limit] visited the first [limit] markings of this
    one, in the same order: every answer below is read off visit
@@ -155,13 +164,10 @@ let explore ?limit ?metrics ?budget ?compiled net m0 =
   summary (exploration ?limit ?metrics ?budget ?compiled net m0)
 
 let reachable ?limit ?metrics ?budget ?pool:_ ?compiled net m0 =
-  let ex = exploration ?limit ?metrics ?budget ?compiled net m0 in
+  let ex, order = explore_markings ?limit ?metrics ?budget ?compiled net m0 in
   let s = summary ex in
   {
-    markings =
-      List.map
-        (Compiled.export ex.ex_compiled ex.ex_residue)
-        ex.ex_reach.Compiled.r_order;
+    markings = List.map (Compiled.export ex.ex_compiled ex.ex_residue) order;
     state_count = s.sum_state_count;
     truncated = s.sum_truncated;
     deadlocks = s.sum_deadlocks;

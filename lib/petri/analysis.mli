@@ -31,7 +31,8 @@ type summary = {
 type exploration
 (** One compiled breadth-first exploration, kept so that questions at
     any smaller limit are answered from it instead of exploring
-    again. *)
+    again.  It keeps its deadlocks but not the other visited
+    markings. *)
 
 val exploration :
   ?limit:int ->

@@ -80,16 +80,20 @@ let starved_join ?lengths name =
     (init :: d :: a1 :: a2 :: j :: final :: nodes)
     (edge d a1 :: edge d a2 :: edge a1 j :: edge a2 j :: edge j final :: edges)
 
+(* A named model and its builder.  Activities are thunks so that they are
+   built, and take their identifiers, in list order. *)
 let model name activities =
-  let m = Model.create name in
-  List.iter (fun act -> Model.add m (Model.E_activity (act ()))) activities;
-  m
+  ( name,
+    fun () ->
+      let m = Model.create name in
+      List.iter (fun act -> Model.add m (Model.E_activity (act ()))) activities;
+      m )
 
 let forks =
   List.map
     (fun (b, l) ->
       let name = Printf.sprintf "fork-%dx%d" b l in
-      (name, fun () -> model name [ (fun () -> fork_activity name (List.init b (fun _ -> l))) ]))
+      model name [ (fun () -> fork_activity name (List.init b (fun _ -> l))) ])
     [
       (2, 62); (2, 63); (2, 69); (2, 70); (2, 99); (2, 100);
       (3, 15); (3, 16); (3, 20); (3, 21); (4, 8);
@@ -100,54 +104,41 @@ let exact =
   List.map
     (fun (states, pre, lengths) ->
       let name = Printf.sprintf "fork-exact-%d" states in
-      (name, fun () -> model name [ (fun () -> fork_activity ~pre name lengths) ]))
+      model name [ (fun () -> fork_activity ~pre name lengths) ])
     [ (4096, 0, [ 61; 65 ]); (5000, 4, [ 63; 77 ]); (10000, 0, [ 97; 101 ]) ]
 
 let generated =
-  List.map
-    (fun (seed, size, width) ->
-      let name = Printf.sprintf "sp-%d-%d-%d" seed size width in
-      ( name,
-        fun () ->
-          model name
-            [ (fun () ->
-                Workload.Gen_activity.series_parallel ~seed ~size
-                  ~max_width:width) ] ))
+  let seeded prefix gen =
+    List.map (fun (seed, size, max_width) ->
+        model
+          (Printf.sprintf "%s-%d-%d-%d" prefix seed size max_width)
+          [ (fun () -> gen ~seed ~size ~max_width) ])
+  in
+  seeded "sp" Workload.Gen_activity.series_parallel
     [ (1, 12, 3); (2, 12, 3); (8, 12, 3); (3, 40, 4); (5, 24, 4); (8, 24, 4) ]
-  @ List.map
-      (fun (seed, size, width) ->
-        let name = Printf.sprintf "spd-%d-%d-%d" seed size width in
-        ( name,
-          fun () ->
-            model name
-              [ (fun () ->
-                  Workload.Gen_activity.with_decisions ~seed ~size
-                    ~max_width:width) ] ))
+  @ seeded "spd" Workload.Gen_activity.with_decisions
       [ (1, 40, 4); (2, 12, 3); (2, 24, 4); (5, 40, 4); (3, 40, 4); (8, 40, 4) ]
 
 let models =
   forks @ exact
   @ [
-      ("pump", fun () -> model "pump" [ (fun () -> pump "pump") ]);
-      ( "pump-behind-fork",
-        fun () -> model "pump-behind-fork" [ (fun () -> pump ~lengths:[ 6; 6; 6 ] "pbf") ] );
-      ("starved-join", fun () -> model "starved-join" [ (fun () -> starved_join "broken") ]);
+      model "pump" [ (fun () -> pump "pump") ];
+      model "pump-behind-fork" [ (fun () -> pump ~lengths:[ 6; 6; 6 ] "pbf") ];
+      model "starved-join" [ (fun () -> starved_join "broken") ];
       (* the stuck markings lie inside and beyond ACT's 4 096 limit *)
-      ( "starved-behind-fork-2x62",
-        fun () -> model "starved-behind-fork-2x62" [ (fun () -> starved_join ~lengths:[ 62; 62 ] "sbf") ] );
-      ( "starved-behind-fork-2x63",
-        fun () -> model "starved-behind-fork-2x63" [ (fun () -> starved_join ~lengths:[ 63; 63 ] "sbf") ] );
-      ( "several",
-        fun () ->
-          model "several"
-            [
-              (fun () -> fork_activity "wide" [ 63; 63 ]);
-              (fun () -> starved_join "broken");
-              (fun () -> pump "pump");
-              (fun () ->
-                Workload.Gen_activity.series_parallel ~seed:3 ~size:40
-                  ~max_width:4);
-            ] );
+      model "starved-behind-fork-2x62"
+        [ (fun () -> starved_join ~lengths:[ 62; 62 ] "sbf") ];
+      model "starved-behind-fork-2x63"
+        [ (fun () -> starved_join ~lengths:[ 63; 63 ] "sbf") ];
+      model "several"
+        [
+          (fun () -> fork_activity "wide" [ 63; 63 ]);
+          (fun () -> starved_join "broken");
+          (fun () -> pump "pump");
+          (fun () ->
+            Workload.Gen_activity.series_parallel ~seed:3 ~size:40
+              ~max_width:4);
+        ];
     ]
   @ generated
 
@@ -240,8 +231,10 @@ let fork_model =
   lazy
     (let path = Filename.temp_file "socuml_analyze" ".xmi" in
      Xmi.Write.write_file
-       (fresh (fun () ->
-            model "pipeline" [ (fun () -> fork_activity "pipeline" [ 8; 8; 8; 8 ]) ]))
+       (fresh
+          (snd
+             (model "pipeline"
+                [ (fun () -> fork_activity "pipeline" [ 8; 8; 8; 8 ]) ])))
        path;
      at_exit (fun () -> Sys.remove path);
      path)
