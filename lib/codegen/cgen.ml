@@ -1,15 +1,6 @@
 open Uml
 
-let sanitize name =
-  String.map
-    (fun c ->
-      if
-        (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-      then c
-      else '_')
-    name
+let sanitize = Hdl_text.sanitize
 
 let function_name ~class_name ~op = sanitize class_name ^ "_" ^ sanitize op
 
@@ -246,7 +237,7 @@ let struct_decl m (cl : Classifier.t) =
   Buffer.add_string buf "};\n";
   Buffer.contents buf
 
-let constructor m (cl : Classifier.t) =
+let constructor (cl : Classifier.t) =
   let name = sanitize cl.Classifier.cl_name in
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -262,32 +253,27 @@ let constructor m (cl : Classifier.t) =
            (default_value p.Classifier.prop_type p.Classifier.prop_default)))
     cl.Classifier.cl_attributes;
   Buffer.add_string buf "  return self;\n}\n";
-  let _ = m in
   Buffer.contents buf
+
+(* The C prototype of an operation, without the final [;] or body. *)
+let signature m (cl : Classifier.t) (op : Classifier.operation) =
+  Printf.sprintf "%s %s(struct %s *self%s)"
+    (String.trim (c_type_in m (Classifier.result_type op)))
+    (function_name ~class_name:cl.Classifier.cl_name ~op:op.Classifier.op_name)
+    (sanitize cl.Classifier.cl_name)
+    (String.concat ""
+       (List.filter_map
+          (fun (p : Classifier.parameter) ->
+            if p.Classifier.param_direction = Classifier.Return then None
+            else
+              Some
+                (Printf.sprintf ", %s %s"
+                   (String.trim (c_type_in m p.Classifier.param_type))
+                   (sanitize p.Classifier.param_name)))
+          op.Classifier.op_params))
 
 let operation_fn m info (cl : Classifier.t) (op : Classifier.operation) =
   let class_name = cl.Classifier.cl_name in
-  let result = Classifier.result_type op in
-  let value_params =
-    List.filter
-      (fun (p : Classifier.parameter) ->
-        p.Classifier.param_direction <> Classifier.Return)
-      op.Classifier.op_params
-  in
-  let signature =
-    Printf.sprintf "%s %s(struct %s *self%s)"
-      (let t = c_type_in m result in
-       if t = "void " then "void" else String.trim t)
-      (function_name ~class_name ~op:op.Classifier.op_name)
-      (sanitize class_name)
-      (String.concat ""
-         (List.map
-            (fun (p : Classifier.parameter) ->
-              Printf.sprintf ", %s %s"
-                (String.trim (c_type_in m p.Classifier.param_type))
-                (sanitize p.Classifier.param_name))
-            value_params))
-  in
   let body_lines =
     match op.Classifier.op_body with
     | None -> [ "  /* no body modeled */" ]
@@ -306,7 +292,7 @@ let operation_fn m info (cl : Classifier.t) (op : Classifier.operation) =
         | exception Untranslatable msg ->
           [ Printf.sprintf "  /* body not translated: %s */" msg ]))
   in
-  String.concat "\n" ((signature ^ " {") :: body_lines) ^ "\n}\n"
+  String.concat "\n" ((signature m cl op ^ " {") :: body_lines) ^ "\n}\n"
 
 let of_model m =
   let info = class_info_of_model m in
@@ -344,33 +330,14 @@ let of_model m =
       Buffer.add_string buf
         (Printf.sprintf "struct %s *%s_new(void);\n" name name);
       List.iter
-        (fun (op : Classifier.operation) ->
-          let result = String.trim (c_type_in m (Classifier.result_type op)) in
-          let result = if result = "" then "void" else result in
-          let value_params =
-            List.filter
-              (fun (p : Classifier.parameter) ->
-                p.Classifier.param_direction <> Classifier.Return)
-              op.Classifier.op_params
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%s %s(struct %s *self%s);\n" result
-               (function_name ~class_name:cl.Classifier.cl_name
-                  ~op:op.Classifier.op_name)
-               name
-               (String.concat ""
-                  (List.map
-                     (fun (p : Classifier.parameter) ->
-                       Printf.sprintf ", %s %s"
-                         (String.trim (c_type_in m p.Classifier.param_type))
-                         (sanitize p.Classifier.param_name))
-                     value_params))))
+        (fun op ->
+          Buffer.add_string buf (Printf.sprintf "%s;\n" (signature m cl op)))
         cl.Classifier.cl_operations)
     classes;
   Buffer.add_char buf '\n';
   List.iter
     (fun cl ->
-      Buffer.add_string buf (constructor m cl);
+      Buffer.add_string buf (constructor cl);
       Buffer.add_char buf '\n';
       List.iter
         (fun op ->

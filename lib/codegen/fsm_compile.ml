@@ -1,17 +1,7 @@
 open Hdl
 
-let sanitize name =
-  String.map
-    (fun c ->
-      if
-        (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-      then c
-      else '_')
-    name
-
-let state_name s = sanitize s
+let sanitize = Hdl_text.sanitize
+let state_name = sanitize
 let event_input e = "ev_" ^ sanitize e
 
 exception Not_compilable of string

@@ -1,15 +1,6 @@
 open Hdl
 
-let sanitize name =
-  String.map
-    (fun c ->
-      if
-        (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-      then c
-      else '_')
-    name
+let sanitize = Hdl_text.sanitize
 
 let cpp_type ty =
   match ty with
@@ -18,27 +9,11 @@ let cpp_type ty =
   | Htype.Unsigned w -> Printf.sprintf "sc_uint<%d>" w
   | Htype.Enum _ -> Printf.sprintf "sc_uint<%d>" (Htype.width ty)
 
-let binop_string = function
-  | Expr.And -> "&"
-  | Expr.Or -> "|"
-  | Expr.Xor -> "^"
-  | Expr.Add -> "+"
-  | Expr.Sub -> "-"
-  | Expr.Mul -> "*"
-  | Expr.Eq -> "=="
-  | Expr.Neq -> "!="
-  | Expr.Lt -> "<"
-  | Expr.Le -> "<="
-  | Expr.Gt -> ">"
-  | Expr.Ge -> ">="
-  | Expr.Shl -> "<<"
-  | Expr.Shr -> ">>"
-
 (* ports are read with .read(); internal signals are plain members *)
 let rec expr_string m (e : Expr.t) =
   match e with
   | Expr.Const (v, _ty) -> string_of_int v
-  | Expr.Enum_lit lit -> "S_" ^ sanitize lit
+  | Expr.Enum_lit lit -> Hdl_text.enum_literal lit
   | Expr.Ref name -> (
     match Module_.find_port m name with
     | Some _ -> Printf.sprintf "%s.read()" (sanitize name)
@@ -49,7 +24,7 @@ let rec expr_string m (e : Expr.t) =
   | Expr.Unop (Expr.Reduce_and, e1) ->
     Printf.sprintf "(%s.and_reduce())" (expr_string m e1)
   | Expr.Binop (op, e1, e2) ->
-    Printf.sprintf "(%s %s %s)" (expr_string m e1) (binop_string op)
+    Printf.sprintf "(%s %s %s)" (expr_string m e1) (Hdl_text.c_binop op)
       (expr_string m e2)
   | Expr.Mux (c, a, b) ->
     Printf.sprintf "(%s ? %s : %s)" (expr_string m c) (expr_string m a)
@@ -61,75 +36,34 @@ let rec expr_string m (e : Expr.t) =
     Printf.sprintf "(%s, %s)" (expr_string m e1) (expr_string m e2)
   | Expr.Resize (e1, _w) -> expr_string m e1
 
-let rec stmt_lines m indent (s : Stmt.t) =
-  let pad = String.make indent ' ' in
-  match s with
-  | Stmt.Null -> [ pad ^ ";" ]
-  | Stmt.Assign (target, e) -> (
-    let rhs = expr_string m e in
-    match Module_.find_port m target with
-    | Some _ ->
-      [ Printf.sprintf "%s%s.write(%s);" pad (sanitize target) rhs ]
-    | None -> [ Printf.sprintf "%s%s = %s;" pad (sanitize target) rhs ])
-  | Stmt.If (c, t_branch, e_branch) ->
-    let then_lines = List.concat_map (stmt_lines m (indent + 2)) t_branch in
-    let else_lines = List.concat_map (stmt_lines m (indent + 2)) e_branch in
-    (Printf.sprintf "%sif (%s) {" pad (expr_string m c) :: then_lines)
-    @ (if else_lines = [] then [ pad ^ "}" ]
-       else ((pad ^ "} else {") :: else_lines) @ [ pad ^ "}" ])
-  | Stmt.Case (sel, branches, default) ->
-    let branch_lines =
-      List.concat_map
-        (fun (choice, body) ->
-          let label =
-            match choice with
-            | Stmt.Ch_int i -> string_of_int i
-            | Stmt.Ch_enum lit -> "S_" ^ sanitize lit
-          in
-          (Printf.sprintf "%s  case %s: {" pad label
-          :: List.concat_map (stmt_lines m (indent + 4)) body)
-          @ [ pad ^ "  } break;" ])
-        branches
-    in
-    let default_lines =
-      match default with
-      | Some body ->
-        ((pad ^ "  default: {")
-        :: List.concat_map (stmt_lines m (indent + 4)) body)
-        @ [ pad ^ "  } break;" ]
-      | None -> [ pad ^ "  default: break;" ]
-    in
-    ((Printf.sprintf "%sswitch ((int)(%s)) {" pad (expr_string m sel))
-     :: branch_lines)
-    @ default_lines
-    @ [ pad ^ "}" ]
-
-let enum_constants m =
-  let tys =
-    List.map (fun p -> p.Module_.port_type) m.Module_.mod_ports
-    @ List.map (fun s -> s.Module_.sig_type) m.Module_.mod_signals
-  in
-  let lits =
-    List.concat_map
-      (fun ty ->
-        match ty with
-        | Htype.Enum lits -> List.mapi (fun i l -> (l, i)) lits
-        | Htype.Bit | Htype.Unsigned _ -> [])
-      tys
-  in
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun (l, _) ->
-      if Hashtbl.mem seen l then false
-      else begin
-        Hashtbl.add seen l ();
-        true
-      end)
-    lits
+(* ports are written with .write(); internal signals are assigned *)
+let syntax m =
+  let value = expr_string m in
+  {
+    Hdl_text.null = ";";
+    assign =
+      (fun target e ->
+        match Module_.find_port m target with
+        | Some _ -> Printf.sprintf "%s.write(%s);" (sanitize target) (value e)
+        | None -> Printf.sprintf "%s = %s;" (sanitize target) (value e));
+    cond = value;
+    value;
+    if_open = Printf.sprintf "if (%s) {";
+    if_else = "} else {";
+    if_close = "}";
+    case_open = Printf.sprintf "switch ((int)(%s)) {";
+    arm_open = Printf.sprintf "case %s: {";
+    arm_close = Some "} break;";
+    default_open = "default: {";
+    no_default = "default: break;";
+    case_close = "}";
+  }
 
 let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  let lines = List.iter (line "%s") in
+  let syn = syntax m in
   let name = sanitize m.Module_.mod_name in
   line "SC_MODULE(%s) {" name;
   List.iter
@@ -143,8 +77,9 @@ let of_module m =
         (sanitize p.Module_.port_name))
     m.Module_.mod_ports;
   List.iter
-    (fun (l, i) -> line "  static const int S_%s = %d;" (sanitize l) i)
-    (enum_constants m);
+    (fun (l, i, _width) ->
+      line "  static const int %s = %d;" (Hdl_text.enum_literal l) i)
+    (Hdl_text.enum_constants m);
   List.iter
     (fun (s : Module_.signal) ->
       line "  %s %s;" (cpp_type s.Module_.sig_type)
@@ -162,27 +97,13 @@ let of_module m =
       match p with
       | Module_.Comb cp ->
         line "  void %s() {" (sanitize cp.Module_.cp_name);
-        List.iter
-          (fun s -> List.iter (line "%s") (stmt_lines m 4 s))
-          cp.Module_.cp_body;
+        lines (Hdl_text.body syn 4 cp.Module_.cp_body);
         line "  }"
       | Module_.Seq sp ->
         line "  void %s() {" (sanitize sp.Module_.sp_name);
-        (match sp.Module_.sp_reset with
-         | Some (rst, reset_body) ->
-           line "    if (%s.read()) {" (sanitize rst);
-           List.iter
-             (fun s -> List.iter (line "%s") (stmt_lines m 6 s))
-             reset_body;
-           line "    } else {";
-           List.iter
-             (fun s -> List.iter (line "%s") (stmt_lines m 6 s))
-             sp.Module_.sp_body;
-           line "    }"
-         | None ->
-           List.iter
-             (fun s -> List.iter (line "%s") (stmt_lines m 4 s))
-             sp.Module_.sp_body);
+        lines
+          (Hdl_text.seq_body syn 4 sp ~reset_cond:(fun rst ->
+               sanitize rst ^ ".read()"));
         line "  }")
     m.Module_.mod_processes;
   line "";
@@ -228,23 +149,4 @@ let of_module m =
   Buffer.contents buf
 
 let of_design d =
-  let emitted = Hashtbl.create 8 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "#include <systemc.h>\n\n";
-  let rec emit name =
-    if not (Hashtbl.mem emitted name) then begin
-      Hashtbl.add emitted name ();
-      match Module_.find_module d name with
-      | None -> ()
-      | Some m ->
-        List.iter
-          (fun (i : Module_.instance) -> emit i.Module_.inst_module)
-          m.Module_.mod_instances;
-        Buffer.add_string buf (of_module m);
-        Buffer.add_char buf '\n'
-    end
-  in
-  List.iter
-    (fun (m : Module_.t) -> emit m.Module_.mod_name)
-    d.Module_.des_modules;
-  Buffer.contents buf
+  Hdl_text.design ~prelude:"#include <systemc.h>\n\n" of_module d

@@ -1,15 +1,6 @@
 open Hdl
 
-let sanitize name =
-  String.map
-    (fun c ->
-      if
-        (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-      then c
-      else '_')
-    name
+let sanitize = Hdl_text.sanitize
 
 let vhdl_for_fsm ?(clock_period_ns = 10) m ~events =
   let buf = Buffer.create 2048 in
@@ -26,18 +17,14 @@ let vhdl_for_fsm ?(clock_period_ns = 10) m ~events =
   line "architecture sim of %s_tb is" name;
   List.iter
     (fun (p : Module_.port) ->
-      let ty =
-        match p.Module_.port_type with
-        | Htype.Bit -> "std_logic"
-        | Htype.Unsigned w -> Printf.sprintf "unsigned(%d downto 0)" (w - 1)
-        | Htype.Enum _ -> Printf.sprintf "%s_state_t" name
-      in
       let init =
         match p.Module_.port_type with
         | Htype.Bit -> " := '0'"
         | Htype.Unsigned _ | Htype.Enum _ -> ""
       in
-      line "  signal %s : %s%s;" (sanitize p.Module_.port_name) ty init)
+      line "  signal %s : %s%s;" (sanitize p.Module_.port_name)
+        (Vhdl.type_string m p.Module_.port_type)
+        init)
     m.Module_.mod_ports;
   line "begin";
   line "  dut : entity work.%s" name;

@@ -1,74 +1,23 @@
 open Hdl
 
-let sanitize name =
-  String.map
-    (fun c ->
-      if
-        (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-      then c
-      else '_')
-    name
+let sanitize = Hdl_text.sanitize
 
 let range ty =
   let w = Htype.width ty in
   if w = 1 then "" else Printf.sprintf "[%d:0] " (w - 1)
-
-(* enum literals are localparams; collect them per module *)
-let enum_params m =
-  let tys =
-    List.map (fun p -> p.Module_.port_type) m.Module_.mod_ports
-    @ List.map (fun s -> s.Module_.sig_type) m.Module_.mod_signals
-  in
-  let lits =
-    List.concat_map
-      (fun ty ->
-        match ty with
-        | Htype.Enum lits ->
-          List.mapi (fun i l -> (l, i, Htype.width ty)) lits
-        | Htype.Bit | Htype.Unsigned _ -> [])
-      tys
-  in
-  (* dedup on literal name *)
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun (l, _, _) ->
-      if Hashtbl.mem seen l then false
-      else begin
-        Hashtbl.add seen l ();
-        true
-      end)
-    lits
-
-let binop_string = function
-  | Expr.And -> "&"
-  | Expr.Or -> "|"
-  | Expr.Xor -> "^"
-  | Expr.Add -> "+"
-  | Expr.Sub -> "-"
-  | Expr.Mul -> "*"
-  | Expr.Eq -> "=="
-  | Expr.Neq -> "!="
-  | Expr.Lt -> "<"
-  | Expr.Le -> "<="
-  | Expr.Gt -> ">"
-  | Expr.Ge -> ">="
-  | Expr.Shl -> "<<"
-  | Expr.Shr -> ">>"
 
 let rec expr_string (e : Expr.t) =
   match e with
   | Expr.Const (v, ty) ->
     let w = Htype.width ty in
     Printf.sprintf "%d'd%d" w v
-  | Expr.Enum_lit lit -> "S_" ^ sanitize lit
+  | Expr.Enum_lit lit -> Hdl_text.enum_literal lit
   | Expr.Ref name -> sanitize name
   | Expr.Unop (Expr.Not, e1) -> Printf.sprintf "(~%s)" (expr_string e1)
   | Expr.Unop (Expr.Reduce_or, e1) -> Printf.sprintf "(|%s)" (expr_string e1)
   | Expr.Unop (Expr.Reduce_and, e1) -> Printf.sprintf "(&%s)" (expr_string e1)
   | Expr.Binop (op, e1, e2) ->
-    Printf.sprintf "(%s %s %s)" (expr_string e1) (binop_string op)
+    Printf.sprintf "(%s %s %s)" (expr_string e1) (Hdl_text.c_binop op)
       (expr_string e2)
   | Expr.Mux (c, a, b) ->
     Printf.sprintf "(%s ? %s : %s)" (expr_string c) (expr_string a)
@@ -80,52 +29,31 @@ let rec expr_string (e : Expr.t) =
     Printf.sprintf "{%s, %s}" (expr_string e1) (expr_string e2)
   | Expr.Resize (e1, _w) -> expr_string e1
 
-let rec stmt_lines ~blocking indent (s : Stmt.t) =
-  let pad = String.make indent ' ' in
+(* Combinational processes assign with [=], clocked ones with [<=]. *)
+let syntax ~blocking =
   let arrow = if blocking then "=" else "<=" in
-  match s with
-  | Stmt.Null -> [ pad ^ ";" ]
-  | Stmt.Assign (target, e) ->
-    [ Printf.sprintf "%s%s %s %s;" pad (sanitize target) arrow (expr_string e) ]
-  | Stmt.If (c, t_branch, e_branch) ->
-    let then_lines =
-      List.concat_map (stmt_lines ~blocking (indent + 2)) t_branch
-    in
-    let else_lines =
-      List.concat_map (stmt_lines ~blocking (indent + 2)) e_branch
-    in
-    (Printf.sprintf "%sif (%s) begin" pad (expr_string c) :: then_lines)
-    @ (if else_lines = [] then [ pad ^ "end" ]
-       else ((pad ^ "end else begin") :: else_lines) @ [ pad ^ "end" ])
-  | Stmt.Case (sel, branches, default) ->
-    let branch_lines =
-      List.concat_map
-        (fun (choice, body) ->
-          let label =
-            match choice with
-            | Stmt.Ch_int i -> string_of_int i
-            | Stmt.Ch_enum lit -> "S_" ^ sanitize lit
-          in
-          (Printf.sprintf "%s  %s: begin" pad label
-          :: List.concat_map (stmt_lines ~blocking (indent + 4)) body)
-          @ [ pad ^ "  end" ])
-        branches
-    in
-    let default_lines =
-      match default with
-      | Some body ->
-        ((pad ^ "  default: begin")
-        :: List.concat_map (stmt_lines ~blocking (indent + 4)) body)
-        @ [ pad ^ "  end" ]
-      | None -> [ pad ^ "  default: ;" ]
-    in
-    ((Printf.sprintf "%scase (%s)" pad (expr_string sel)) :: branch_lines)
-    @ default_lines
-    @ [ pad ^ "endcase" ]
+  {
+    Hdl_text.null = ";";
+    assign =
+      (fun target e ->
+        Printf.sprintf "%s %s %s;" (sanitize target) arrow (expr_string e));
+    cond = expr_string;
+    value = expr_string;
+    if_open = Printf.sprintf "if (%s) begin";
+    if_else = "end else begin";
+    if_close = "end";
+    case_open = Printf.sprintf "case (%s)";
+    arm_open = Printf.sprintf "%s: begin";
+    arm_close = Some "end";
+    default_open = "default: begin";
+    no_default = "default: ;";
+    case_close = "endcase";
+  }
 
 let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  let lines = List.iter (line "%s") in
   let name = sanitize m.Module_.mod_name in
   let port_decl (p : Module_.port) =
     let dir =
@@ -142,8 +70,9 @@ let of_module m =
   line "";
   line ");";
   List.iter
-    (fun (l, i, w) -> line "  localparam S_%s = %d'd%d;" (sanitize l) w i)
-    (enum_params m);
+    (fun (l, i, w) ->
+      line "  localparam %s = %d'd%d;" (Hdl_text.enum_literal l) w i)
+    (Hdl_text.enum_constants m);
   List.iter
     (fun (s : Module_.signal) ->
       let init =
@@ -176,55 +105,18 @@ let of_module m =
         line "";
         line "  // %s" (sanitize cp.Module_.cp_name);
         line "  always @* begin";
-        List.iter
-          (fun s ->
-            List.iter (line "%s") (stmt_lines ~blocking:true 4 s))
-          cp.Module_.cp_body;
+        lines (Hdl_text.body (syntax ~blocking:true) 4 cp.Module_.cp_body);
         line "  end"
       | Module_.Seq sp ->
         line "";
         line "  // %s" (sanitize sp.Module_.sp_name);
         line "  always @(posedge %s) begin" (sanitize sp.Module_.sp_clock);
-        (match sp.Module_.sp_reset with
-         | Some (rst, reset_body) ->
-           line "    if (%s) begin" (sanitize rst);
-           List.iter
-             (fun s ->
-               List.iter (line "%s") (stmt_lines ~blocking:false 6 s))
-             reset_body;
-           line "    end else begin";
-           List.iter
-             (fun s ->
-               List.iter (line "%s") (stmt_lines ~blocking:false 6 s))
-             sp.Module_.sp_body;
-           line "    end"
-         | None ->
-           List.iter
-             (fun s ->
-               List.iter (line "%s") (stmt_lines ~blocking:false 4 s))
-             sp.Module_.sp_body);
+        lines
+          (Hdl_text.seq_body (syntax ~blocking:false) ~reset_cond:sanitize 4
+             sp);
         line "  end")
     m.Module_.mod_processes;
   line "endmodule";
   Buffer.contents buf
 
-let of_design d =
-  let emitted = Hashtbl.create 8 in
-  let buf = Buffer.create 4096 in
-  let rec emit name =
-    if not (Hashtbl.mem emitted name) then begin
-      Hashtbl.add emitted name ();
-      match Module_.find_module d name with
-      | None -> ()
-      | Some m ->
-        List.iter
-          (fun (i : Module_.instance) -> emit i.Module_.inst_module)
-          m.Module_.mod_instances;
-        Buffer.add_string buf (of_module m);
-        Buffer.add_char buf '\n'
-    end
-  in
-  List.iter
-    (fun (m : Module_.t) -> emit m.Module_.mod_name)
-    d.Module_.des_modules;
-  Buffer.contents buf
+let of_design d = Hdl_text.design of_module d

@@ -1,23 +1,13 @@
 open Hdl
 
-let sanitize name =
-  String.map
-    (fun c ->
-      if
-        (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-      then c
-      else '_')
-    name
+let sanitize = Hdl_text.sanitize
+let enum_literal = Hdl_text.enum_literal
 
 let type_string m ty =
   match ty with
   | Htype.Bit -> "std_logic"
   | Htype.Unsigned w -> Printf.sprintf "unsigned(%d downto 0)" (w - 1)
   | Htype.Enum _ -> sanitize m.Module_.mod_name ^ "_state_t"
-
-let enum_literal lit = "S_" ^ sanitize lit
 
 let const_string ty v =
   match ty with
@@ -44,129 +34,64 @@ let binop_string = function
   | Expr.Shl -> "sll"
   | Expr.Shr -> "srl"
 
-(* Expressions that syntactically yield booleans in VHDL must be wrapped
-   when used as values, and vice versa; [want_bool] tracks context. *)
+(* VHDL tells booleans from bits.  Where a condition is expected
+   ([want_bool]) a bit is compared with '1'; where a value is expected a
+   comparison goes through [b2sl]. *)
 let rec expr_string m ~want_bool (e : Expr.t) =
-  let as_value s = s in
-  match e with
-  | Expr.Const (v, ty) ->
-    let s = const_string ty v in
-    if want_bool then
-      (match ty with
-       | Htype.Bit -> Printf.sprintf "(%s = '1')" s
-       | Htype.Unsigned _ | Htype.Enum _ -> s)
-    else s
-  | Expr.Enum_lit lit -> enum_literal lit
-  | Expr.Ref name ->
-    let s = sanitize name in
-    if want_bool then
-      (match Module_.declared_type m name with
-       | Some Htype.Bit -> Printf.sprintf "(%s = '1')" s
-       | Some _ | None -> s)
-    else as_value s
-  | Expr.Unop (Expr.Not, e1) ->
-    if want_bool then
-      Printf.sprintf "(not %s)" (expr_string m ~want_bool:true e1)
-    else Printf.sprintf "(not %s)" (expr_string m ~want_bool:false e1)
-  | Expr.Unop (Expr.Reduce_or, e1) ->
-    let inner = expr_string m ~want_bool:false e1 in
-    if want_bool then Printf.sprintf "(or_reduce(%s) = '1')" inner
-    else Printf.sprintf "or_reduce(%s)" inner
-  | Expr.Unop (Expr.Reduce_and, e1) ->
-    let inner = expr_string m ~want_bool:false e1 in
-    if want_bool then Printf.sprintf "(and_reduce(%s) = '1')" inner
-    else Printf.sprintf "and_reduce(%s)" inner
-  | Expr.Binop (op, e1, e2) when Expr.is_boolean_op op ->
-    let s =
-      Printf.sprintf "(%s %s %s)"
-        (expr_string m ~want_bool:false e1)
-        (binop_string op)
-        (expr_string m ~want_bool:false e2)
-    in
-    if want_bool then s else Printf.sprintf "b2sl%s" s
-  | Expr.Binop (((Expr.And | Expr.Or | Expr.Xor) as op), e1, e2) ->
-    Printf.sprintf "(%s %s %s)"
-      (expr_string m ~want_bool e1)
-      (binop_string op)
-      (expr_string m ~want_bool e2)
-  | Expr.Binop (op, e1, e2) ->
-    Printf.sprintf "(%s %s %s)"
-      (expr_string m ~want_bool:false e1)
-      (binop_string op)
-      (expr_string m ~want_bool:false e2)
-  | Expr.Mux (c, a, b) ->
-    Printf.sprintf "(%s when %s else %s)"
-      (expr_string m ~want_bool:false a)
-      (expr_string m ~want_bool:true c)
-      (expr_string m ~want_bool:false b)
-  | Expr.Slice (e1, hi, lo) ->
-    if hi = lo then
-      Printf.sprintf "%s(%d)" (expr_string m ~want_bool:false e1) lo
-    else
-      Printf.sprintf "%s(%d downto %d)"
-        (expr_string m ~want_bool:false e1)
-        hi lo
-  | Expr.Concat (e1, e2) ->
-    Printf.sprintf "(%s & %s)"
-      (expr_string m ~want_bool:false e1)
-      (expr_string m ~want_bool:false e2)
-  | Expr.Resize (e1, w) ->
-    Printf.sprintf "resize(%s, %d)" (expr_string m ~want_bool:false e1) w
-
-let rec stmt_lines m indent (s : Stmt.t) =
-  let pad = String.make indent ' ' in
-  match s with
-  | Stmt.Null -> [ pad ^ "null;" ]
-  | Stmt.Assign (target, e) ->
-    [
-      Printf.sprintf "%s%s <= %s;" pad (sanitize target)
-        (expr_string m ~want_bool:false e);
-    ]
-  | Stmt.If (c, t_branch, e_branch) ->
-    let cond = expr_string m ~want_bool:true c in
-    let then_lines = List.concat_map (stmt_lines m (indent + 2)) t_branch in
-    let else_lines = List.concat_map (stmt_lines m (indent + 2)) e_branch in
-    (Printf.sprintf "%sif %s then" pad cond :: then_lines)
-    @ (if else_lines = [] then [] else (pad ^ "else") :: else_lines)
-    @ [ pad ^ "end if;" ]
-  | Stmt.Case (sel, branches, default) ->
-    let sel_s = expr_string m ~want_bool:false sel in
-    let branch_lines =
-      List.concat_map
-        (fun (choice, body) ->
-          let label =
-            match choice with
-            | Stmt.Ch_int i -> string_of_int i
-            | Stmt.Ch_enum lit -> enum_literal lit
-          in
-          (Printf.sprintf "%s  when %s =>" pad label)
-          :: List.concat_map (stmt_lines m (indent + 4)) body)
-        branches
-    in
-    let default_lines =
-      match default with
-      | Some body ->
-        (pad ^ "  when others =>")
-        :: List.concat_map (stmt_lines m (indent + 4)) body
-      | None -> [ pad ^ "  when others => null;" ]
-    in
-    ((Printf.sprintf "%scase %s is" pad sel_s) :: branch_lines)
-    @ default_lines
-    @ [ pad ^ "end case;" ]
-
-let enum_types m =
-  (* collect distinct enum types used by ports/signals *)
-  let tys =
-    List.map (fun p -> p.Module_.port_type) m.Module_.mod_ports
-    @ List.map (fun s -> s.Module_.sig_type) m.Module_.mod_signals
+  let value = expr_string m ~want_bool:false in
+  let bit s = if want_bool then Printf.sprintf "(%s = '1')" s else s in
+  let binop sub op e1 e2 =
+    Printf.sprintf "(%s %s %s)" (sub e1) (binop_string op) (sub e2)
   in
-  List.filter_map
-    (fun ty ->
-      match ty with
-      | Htype.Enum lits -> Some lits
-      | Htype.Bit | Htype.Unsigned _ -> None)
-    tys
-  |> List.sort_uniq compare
+  match e with
+  | Expr.Const (v, (Htype.Bit as ty)) -> bit (const_string ty v)
+  | Expr.Const (v, ((Htype.Unsigned _ | Htype.Enum _) as ty)) ->
+    const_string ty v
+  | Expr.Enum_lit lit -> enum_literal lit
+  | Expr.Ref name -> (
+    match Module_.declared_type m name with
+    | Some Htype.Bit -> bit (sanitize name)
+    | Some (Htype.Unsigned _ | Htype.Enum _) | None -> sanitize name)
+  | Expr.Unop (Expr.Not, e1) ->
+    Printf.sprintf "(not %s)" (expr_string m ~want_bool e1)
+  | Expr.Unop (Expr.Reduce_or, e1) ->
+    bit (Printf.sprintf "or_reduce(%s)" (value e1))
+  | Expr.Unop (Expr.Reduce_and, e1) ->
+    bit (Printf.sprintf "and_reduce(%s)" (value e1))
+  | Expr.Binop (op, e1, e2) when Expr.is_boolean_op op ->
+    let s = binop value op e1 e2 in
+    if want_bool then s else "b2sl" ^ s
+  | Expr.Binop (((Expr.And | Expr.Or | Expr.Xor) as op), e1, e2) ->
+    binop (expr_string m ~want_bool) op e1 e2
+  | Expr.Binop (op, e1, e2) -> binop value op e1 e2
+  | Expr.Mux (c, a, b) ->
+    Printf.sprintf "(%s when %s else %s)" (value a)
+      (expr_string m ~want_bool:true c)
+      (value b)
+  | Expr.Slice (e1, hi, lo) ->
+    if hi = lo then Printf.sprintf "%s(%d)" (value e1) lo
+    else Printf.sprintf "%s(%d downto %d)" (value e1) hi lo
+  | Expr.Concat (e1, e2) -> Printf.sprintf "(%s & %s)" (value e1) (value e2)
+  | Expr.Resize (e1, w) -> Printf.sprintf "resize(%s, %d)" (value e1) w
+
+let syntax m =
+  let value = expr_string m ~want_bool:false in
+  {
+    Hdl_text.null = "null;";
+    assign =
+      (fun target e -> Printf.sprintf "%s <= %s;" (sanitize target) (value e));
+    cond = expr_string m ~want_bool:true;
+    value;
+    if_open = Printf.sprintf "if %s then";
+    if_else = "else";
+    if_close = "end if;";
+    case_open = Printf.sprintf "case %s is";
+    arm_open = Printf.sprintf "when %s =>";
+    arm_close = None;
+    default_open = "when others =>";
+    no_default = "when others => null;";
+    case_close = "end case;";
+  }
 
 let port_line m (p : Module_.port) =
   let dir =
@@ -180,6 +105,8 @@ let port_line m (p : Module_.port) =
 let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  let lines = List.iter (line "%s") in
+  let syn = syntax m in
   let name = sanitize m.Module_.mod_name in
   line "library ieee;";
   line "use ieee.std_logic_1164.all;";
@@ -197,14 +124,11 @@ let of_module m =
   line "end entity %s;" name;
   line "";
   line "architecture rtl of %s is" name;
-  (match enum_types m with
-   | [] -> ()
-   | enums ->
-     List.iter
-       (fun lits ->
-         line "  type %s_state_t is (%s);" name
-           (String.concat ", " (List.map enum_literal lits)))
-       enums);
+  List.iter
+    (fun lits ->
+      line "  type %s_state_t is (%s);" name
+        (String.concat ", " (List.map enum_literal lits)))
+    (List.sort_uniq compare (Hdl_text.enum_types m));
   List.iter
     (fun (s : Module_.signal) ->
       let init =
@@ -239,9 +163,7 @@ let of_module m =
         line "";
         line "  %s : process (all)" (sanitize cp.Module_.cp_name);
         line "  begin";
-        List.iter
-          (fun s -> List.iter (line "%s") (stmt_lines m 4 s))
-          cp.Module_.cp_body;
+        lines (Hdl_text.body syn 4 cp.Module_.cp_body);
         line "  end process;"
       | Module_.Seq sp ->
         line "";
@@ -249,43 +171,13 @@ let of_module m =
           (sanitize sp.Module_.sp_clock);
         line "  begin";
         line "    if rising_edge(%s) then" (sanitize sp.Module_.sp_clock);
-        (match sp.Module_.sp_reset with
-         | Some (rst, reset_body) ->
-           line "      if %s = '1' then" (sanitize rst);
-           List.iter
-             (fun s -> List.iter (line "%s") (stmt_lines m 8 s))
-             reset_body;
-           line "      else";
-           List.iter
-             (fun s -> List.iter (line "%s") (stmt_lines m 8 s))
-             sp.Module_.sp_body;
-           line "      end if;"
-         | None ->
-           List.iter
-             (fun s -> List.iter (line "%s") (stmt_lines m 6 s))
-             sp.Module_.sp_body);
+        lines
+          (Hdl_text.seq_body syn 6 sp ~reset_cond:(fun rst ->
+               sanitize rst ^ " = '1'"));
         line "    end if;";
         line "  end process;")
     m.Module_.mod_processes;
   line "end architecture rtl;";
   Buffer.contents buf
 
-let of_design d =
-  (* dependencies first: topological order by instantiation *)
-  let emitted = Hashtbl.create 8 in
-  let buf = Buffer.create 4096 in
-  let rec emit name =
-    if not (Hashtbl.mem emitted name) then begin
-      Hashtbl.add emitted name ();
-      match Module_.find_module d name with
-      | None -> ()
-      | Some m ->
-        List.iter
-          (fun (i : Module_.instance) -> emit i.Module_.inst_module)
-          m.Module_.mod_instances;
-        Buffer.add_string buf (of_module m);
-        Buffer.add_char buf '\n'
-    end
-  in
-  List.iter (fun (m : Module_.t) -> emit m.Module_.mod_name) d.Module_.des_modules;
-  Buffer.contents buf
+let of_design d = Hdl_text.design of_module d

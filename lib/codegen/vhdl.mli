@@ -4,6 +4,10 @@
     per design.  Deterministic: identical designs produce byte-identical
     text. *)
 
+val type_string : Hdl.Module_.t -> Hdl.Htype.t -> string
+(** The VHDL spelling of a port or signal type of the module; an enum
+    is the module's [<name>_state_t]. *)
+
 val of_module : Hdl.Module_.t -> string
 val of_design : Hdl.Module_.design -> string
 (** All modules (dependencies first), each as entity + rtl
