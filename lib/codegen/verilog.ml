@@ -55,11 +55,26 @@ let of_module m =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let lines = List.iter (line "%s") in
   let name = sanitize m.Module_.mod_name in
+  (* an output is a reg only where a process assigns it; one driven by
+     an instance is a net *)
+  let assigned =
+    List.concat_map
+      (fun p ->
+        match p with
+        | Module_.Comb cp -> Stmt.assigned cp.Module_.cp_body
+        | Module_.Seq sp ->
+          Stmt.assigned
+            (Option.fold ~none:[] ~some:snd sp.Module_.sp_reset
+            @ sp.Module_.sp_body))
+      m.Module_.mod_processes
+  in
   let port_decl (p : Module_.port) =
     let dir =
       match p.Module_.port_dir with
       | Module_.Input -> "input"
-      | Module_.Output -> "output reg"
+      | Module_.Output ->
+        if List.mem p.Module_.port_name assigned then "output reg"
+        else "output"
     in
     Printf.sprintf "  %s %s%s" dir (range p.Module_.port_type)
       (sanitize p.Module_.port_name)

@@ -48,6 +48,12 @@ let counter_design () =
   in
   Module_.design ~top:"top" [ top; counter_module () ]
 
+let all_cores_soc () =
+  Iplib.Soc.design ~name:"soc_all"
+    (List.mapi
+       (fun i core -> (Printf.sprintf "i%d" i, core))
+       (Iplib.Cores.catalogue ()))
+
 let emitters_tests =
   [
     tc "vhdl has entity/architecture/process" (fun () ->
@@ -68,6 +74,14 @@ let emitters_tests =
         check Alcotest.bool "module" true (contains text "SC_MODULE(counter)");
         check Alcotest.bool "ctor" true (contains text "SC_CTOR(counter)");
         check Alcotest.bool "clock" true (contains text "sensitive << clk.pos()"));
+    tc "verilog outputs driven by an instance are nets" (fun () ->
+        let text = Codegen.Verilog.of_design (all_cores_soc ()) in
+        check Alcotest.bool "top output" true
+          (contains text "\n  output i0_tick,\n");
+        check Alcotest.bool "connected" true (contains text ".tick(i0_tick)");
+        check Alcotest.bool "no reg" false (contains text "output reg i0_");
+        check Alcotest.bool "timer assigns its tick" true
+          (contains text "\n  output reg tick,\n"));
     tc "of_design emits dependencies before users" (fun () ->
         let text = Codegen.Vhdl.of_design (counter_design ()) in
         let pos needle =
@@ -495,12 +509,6 @@ let fsm sm events =
 
 let c_text m = [ ("c", fun () -> Codegen.Cgen.of_model (m ())) ]
 
-let all_cores_soc () =
-  Iplib.Soc.design ~name:"soc_all"
-    (List.mapi
-       (fun i core -> (Printf.sprintf "i%d" i, core))
-       (Iplib.Cores.catalogue ()))
-
 let subjects =
   [
     ("counter", hdl_module counter_module);
@@ -587,7 +595,7 @@ let digests =
     ("core-watchdog.verilog", "009c96c5358289a9472f88de6101a7f0");
     ("core-watchdog.systemc", "c741543cd81a37737f0ffbed2a163c81");
     ("soc-all.vhdl", "81b50149758ed06de59e679217dad464");
-    ("soc-all.verilog", "18d5e31eb5dba9fcc47fe33c5abf1f95");
+    ("soc-all.verilog", "d9f9c1e1fd8f9e24ba9f48b2a9d74a59");
     ("soc-all.systemc", "051bc0fe903e25e9c6bdb75002d3e018");
     ("toggler.vhdl", "9245b943fdc8f8f954f2a3b13b8e326b");
     ("toggler.verilog", "c730250f6fb51323f8dc9c345fdfff0e");
