@@ -88,48 +88,53 @@ type syntax = {
   case_close : string;
 }
 
-let if_lines syn pad cond then_lines else_lines =
-  ((pad ^ syn.if_open cond) :: then_lines)
-  @ else_lines
-  @ [ pad ^ syn.if_close ]
+let line buf indent text =
+  for _ = 1 to indent do
+    Buffer.add_char buf ' '
+  done;
+  Buffer.add_string buf text;
+  Buffer.add_char buf '\n'
 
-let rec body syn indent stmts = List.concat_map (stmt syn indent) stmts
+let rec body syn buf indent stmts = List.iter (stmt syn buf indent) stmts
 
-and stmt syn indent (s : Stmt.t) =
-  let pad = String.make indent ' ' in
-  (* a case arm: header two columns in, statements four *)
-  let arm header stmts =
-    ((pad ^ "  " ^ header) :: body syn (indent + 4) stmts)
-    @ Option.to_list (Option.map (fun c -> pad ^ "  " ^ c) syn.arm_close)
-  in
+and stmt syn buf indent (s : Stmt.t) =
   match s with
-  | Stmt.Null -> [ pad ^ syn.null ]
-  | Stmt.Assign (target, e) -> [ pad ^ syn.assign target e ]
+  | Stmt.Null -> line buf indent syn.null
+  | Stmt.Assign (target, e) -> line buf indent (syn.assign target e)
   | Stmt.If (c, then_branch, else_branch) ->
-    if_lines syn pad (syn.cond c)
-      (body syn (indent + 2) then_branch)
-      (match else_branch with
-       | [] -> []
-       | stmts -> (pad ^ syn.if_else) :: body syn (indent + 2) stmts)
+    line buf indent (syn.if_open (syn.cond c));
+    body syn buf (indent + 2) then_branch;
+    (match else_branch with
+     | [] -> ()
+     | stmts ->
+       line buf indent syn.if_else;
+       body syn buf (indent + 2) stmts);
+    line buf indent syn.if_close
   | Stmt.Case (sel, branches, default) ->
-    let label = function
-      | Stmt.Ch_int i -> string_of_int i
-      | Stmt.Ch_enum lit -> enum_literal lit
+    (* an arm's header two columns in, its statements four *)
+    let arm header stmts =
+      line buf (indent + 2) header;
+      body syn buf (indent + 4) stmts;
+      Option.iter (line buf (indent + 2)) syn.arm_close
     in
-    ((pad ^ syn.case_open (syn.value sel))
-     :: List.concat_map
-          (fun (choice, stmts) -> arm (syn.arm_open (label choice)) stmts)
-          branches)
-    @ (match default with
-       | Some stmts -> arm syn.default_open stmts
-       | None -> [ pad ^ "  " ^ syn.no_default ])
-    @ [ pad ^ syn.case_close ]
+    line buf indent (syn.case_open (syn.value sel));
+    List.iter
+      (fun (choice, stmts) ->
+        match choice with
+        | Stmt.Ch_int i -> arm (syn.arm_open (string_of_int i)) stmts
+        | Stmt.Ch_enum lit -> arm (syn.arm_open (enum_literal lit)) stmts)
+      branches;
+    (match default with
+     | Some stmts -> arm syn.default_open stmts
+     | None -> line buf (indent + 2) syn.no_default);
+    line buf indent syn.case_close
 
-let seq_body syn ~reset_cond indent (sp : Module_.seq_process) =
+let seq_body syn buf ~reset_cond indent (sp : Module_.seq_process) =
   match sp.Module_.sp_reset with
   | Some (rst, reset_body) ->
-    let pad = String.make indent ' ' in
-    if_lines syn pad (reset_cond rst)
-      (body syn (indent + 2) reset_body)
-      ((pad ^ syn.if_else) :: body syn (indent + 2) sp.Module_.sp_body)
-  | None -> body syn indent sp.Module_.sp_body
+    line buf indent (syn.if_open (reset_cond rst));
+    body syn buf (indent + 2) reset_body;
+    line buf indent syn.if_else;
+    body syn buf (indent + 2) sp.Module_.sp_body;
+    line buf indent syn.if_close
+  | None -> body syn buf indent sp.Module_.sp_body

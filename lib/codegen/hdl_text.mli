@@ -47,17 +47,17 @@ type syntax = {
   no_default : string;  (** the one-line arm for a case without default *)
   case_close : string;
 }
-(** One language's statement syntax.  Lines carry no indentation; the
-    walker indents nested statements by two columns, case arms by two
-    and their statements by four. *)
+(** One language's statement syntax.  Texts carry no indentation or
+    newline; the walker indents nested statements by two columns, case
+    arms by two and their statements by four. *)
 
-val body : syntax -> int -> Hdl.Stmt.t list -> string list
-(** [body syn indent stmts]: one string per line, indented by
-    [indent] columns. *)
+val body : syntax -> Buffer.t -> int -> Hdl.Stmt.t list -> unit
+(** [body syn buf indent stmts] appends the statements to [buf], one
+    line each, indented by [indent] columns. *)
 
 val seq_body :
-  syntax -> reset_cond:(string -> string) -> int ->
-  Hdl.Module_.seq_process -> string list
+  syntax -> Buffer.t -> reset_cond:(string -> string) -> int ->
+  Hdl.Module_.seq_process -> unit
 (** A clocked process's statements at [indent]; with a synchronous
     reset, inside an if/else on [reset_cond reset_name] with the reset
     statements first. *)

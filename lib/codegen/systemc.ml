@@ -62,7 +62,6 @@ let syntax m =
 let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let lines = List.iter (line "%s") in
   let syn = syntax m in
   let name = sanitize m.Module_.mod_name in
   line "SC_MODULE(%s) {" name;
@@ -97,13 +96,12 @@ let of_module m =
       match p with
       | Module_.Comb cp ->
         line "  void %s() {" (sanitize cp.Module_.cp_name);
-        lines (Hdl_text.body syn 4 cp.Module_.cp_body);
+        Hdl_text.body syn buf 4 cp.Module_.cp_body;
         line "  }"
       | Module_.Seq sp ->
         line "  void %s() {" (sanitize sp.Module_.sp_name);
-        lines
-          (Hdl_text.seq_body syn 4 sp ~reset_cond:(fun rst ->
-               sanitize rst ^ ".read()"));
+        Hdl_text.seq_body syn buf 4 sp ~reset_cond:(fun rst ->
+            sanitize rst ^ ".read()");
         line "  }")
     m.Module_.mod_processes;
   line "";

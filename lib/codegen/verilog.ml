@@ -53,7 +53,6 @@ let syntax ~blocking =
 let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let lines = List.iter (line "%s") in
   let name = sanitize m.Module_.mod_name in
   (* an output is a reg only where a process assigns it; one driven by
      an instance is a net *)
@@ -120,15 +119,14 @@ let of_module m =
         line "";
         line "  // %s" (sanitize cp.Module_.cp_name);
         line "  always @* begin";
-        lines (Hdl_text.body (syntax ~blocking:true) 4 cp.Module_.cp_body);
+        Hdl_text.body (syntax ~blocking:true) buf 4 cp.Module_.cp_body;
         line "  end"
       | Module_.Seq sp ->
         line "";
         line "  // %s" (sanitize sp.Module_.sp_name);
         line "  always @(posedge %s) begin" (sanitize sp.Module_.sp_clock);
-        lines
-          (Hdl_text.seq_body (syntax ~blocking:false) ~reset_cond:sanitize 4
-             sp);
+        Hdl_text.seq_body (syntax ~blocking:false) buf ~reset_cond:sanitize 4
+          sp;
         line "  end")
     m.Module_.mod_processes;
   line "endmodule";

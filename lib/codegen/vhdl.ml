@@ -105,7 +105,6 @@ let port_line m (p : Module_.port) =
 let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let lines = List.iter (line "%s") in
   let syn = syntax m in
   let name = sanitize m.Module_.mod_name in
   line "library ieee;";
@@ -163,7 +162,7 @@ let of_module m =
         line "";
         line "  %s : process (all)" (sanitize cp.Module_.cp_name);
         line "  begin";
-        lines (Hdl_text.body syn 4 cp.Module_.cp_body);
+        Hdl_text.body syn buf 4 cp.Module_.cp_body;
         line "  end process;"
       | Module_.Seq sp ->
         line "";
@@ -171,9 +170,8 @@ let of_module m =
           (sanitize sp.Module_.sp_clock);
         line "  begin";
         line "    if rising_edge(%s) then" (sanitize sp.Module_.sp_clock);
-        lines
-          (Hdl_text.seq_body syn 6 sp ~reset_cond:(fun rst ->
-               sanitize rst ^ " = '1'"));
+        Hdl_text.seq_body syn buf 6 sp ~reset_cond:(fun rst ->
+            sanitize rst ^ " = '1'");
         line "    end if;";
         line "  end process;")
     m.Module_.mod_processes;
