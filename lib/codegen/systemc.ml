@@ -9,7 +9,8 @@ let cpp_type ty =
   | Htype.Unsigned w -> Printf.sprintf "sc_uint<%d>" w
   | Htype.Enum _ -> Printf.sprintf "sc_uint<%d>" (Htype.width ty)
 
-(* ports are read with .read(); internal signals are plain members *)
+(* ports are read with .read() and written with .write(); internal
+   signals are plain members *)
 let rec expr_string m (e : Expr.t) =
   match e with
   | Expr.Const (v, _ty) -> string_of_int v
@@ -36,7 +37,6 @@ let rec expr_string m (e : Expr.t) =
     Printf.sprintf "(%s, %s)" (expr_string m e1) (expr_string m e2)
   | Expr.Resize (e1, _w) -> expr_string m e1
 
-(* ports are written with .write(); internal signals are assigned *)
 let syntax m =
   let value = expr_string m in
   {

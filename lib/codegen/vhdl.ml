@@ -37,45 +37,46 @@ let binop_string = function
 (* VHDL tells booleans from bits.  Where a condition is expected
    ([want_bool]) a bit is compared with '1'; where a value is expected a
    comparison goes through [b2sl]. *)
+let bit ~want_bool s = if want_bool then Printf.sprintf "(%s = '1')" s else s
+let infix a op b = Printf.sprintf "(%s %s %s)" a (binop_string op) b
+
 let rec expr_string m ~want_bool (e : Expr.t) =
-  let value = expr_string m ~want_bool:false in
-  let bit s = if want_bool then Printf.sprintf "(%s = '1')" s else s in
-  let binop sub op e1 e2 =
-    Printf.sprintf "(%s %s %s)" (sub e1) (binop_string op) (sub e2)
-  in
   match e with
-  | Expr.Const (v, (Htype.Bit as ty)) -> bit (const_string ty v)
+  | Expr.Const (v, (Htype.Bit as ty)) -> bit ~want_bool (const_string ty v)
   | Expr.Const (v, ((Htype.Unsigned _ | Htype.Enum _) as ty)) ->
     const_string ty v
   | Expr.Enum_lit lit -> enum_literal lit
   | Expr.Ref name -> (
     match Module_.declared_type m name with
-    | Some Htype.Bit -> bit (sanitize name)
+    | Some Htype.Bit -> bit ~want_bool (sanitize name)
     | Some (Htype.Unsigned _ | Htype.Enum _) | None -> sanitize name)
   | Expr.Unop (Expr.Not, e1) ->
     Printf.sprintf "(not %s)" (expr_string m ~want_bool e1)
   | Expr.Unop (Expr.Reduce_or, e1) ->
-    bit (Printf.sprintf "or_reduce(%s)" (value e1))
+    bit ~want_bool (Printf.sprintf "or_reduce(%s)" (value m e1))
   | Expr.Unop (Expr.Reduce_and, e1) ->
-    bit (Printf.sprintf "and_reduce(%s)" (value e1))
+    bit ~want_bool (Printf.sprintf "and_reduce(%s)" (value m e1))
   | Expr.Binop (op, e1, e2) when Expr.is_boolean_op op ->
-    let s = binop value op e1 e2 in
+    let s = infix (value m e1) op (value m e2) in
     if want_bool then s else "b2sl" ^ s
   | Expr.Binop (((Expr.And | Expr.Or | Expr.Xor) as op), e1, e2) ->
-    binop (expr_string m ~want_bool) op e1 e2
-  | Expr.Binop (op, e1, e2) -> binop value op e1 e2
+    infix (expr_string m ~want_bool e1) op (expr_string m ~want_bool e2)
+  | Expr.Binop (op, e1, e2) -> infix (value m e1) op (value m e2)
   | Expr.Mux (c, a, b) ->
-    Printf.sprintf "(%s when %s else %s)" (value a)
+    Printf.sprintf "(%s when %s else %s)" (value m a)
       (expr_string m ~want_bool:true c)
-      (value b)
+      (value m b)
   | Expr.Slice (e1, hi, lo) ->
-    if hi = lo then Printf.sprintf "%s(%d)" (value e1) lo
-    else Printf.sprintf "%s(%d downto %d)" (value e1) hi lo
-  | Expr.Concat (e1, e2) -> Printf.sprintf "(%s & %s)" (value e1) (value e2)
-  | Expr.Resize (e1, w) -> Printf.sprintf "resize(%s, %d)" (value e1) w
+    if hi = lo then Printf.sprintf "%s(%d)" (value m e1) lo
+    else Printf.sprintf "%s(%d downto %d)" (value m e1) hi lo
+  | Expr.Concat (e1, e2) ->
+    Printf.sprintf "(%s & %s)" (value m e1) (value m e2)
+  | Expr.Resize (e1, w) -> Printf.sprintf "resize(%s, %d)" (value m e1) w
+
+and value m e = expr_string m ~want_bool:false e
 
 let syntax m =
-  let value = expr_string m ~want_bool:false in
+  let value = value m in
   {
     Hdl_text.null = "null;";
     assign =
