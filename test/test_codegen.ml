@@ -525,6 +525,8 @@ let subjects =
       ("toggler", fsm simple_machine [ "go"; "bogus"; "back" ]);
       ("counterfsm", fsm counting_machine [ "inc"; "check"; "inc" ]);
     ]
+  (* 5 to 7 states: with a power-of-two count, Prng.int draws targets
+     from the seed's low bits only and different seeds collide *)
   @ List.init 10 (fun i ->
         let seed = i + 1 in
         ( Printf.sprintf "flat-%d" seed,
@@ -549,7 +551,9 @@ let subjects =
       [ 1; 2; 3 ]
 
 (* ("subject.kind", MD5 of the generated text), pinned before the three
-   printers shared one statement walker. *)
+   printers shared one statement walker.  soc-all.verilog alone was
+   re-recorded when Verilog stopped declaring outputs driven by an
+   instance as reg. *)
 let digests =
   [
     ("counter.vhdl", "06d0fa0744ebeac1d5e405ef9c060337");
