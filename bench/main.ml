@@ -703,6 +703,46 @@ let e12_model classes =
        (Workload.Gen_activity.with_decisions ~seed:7 ~size:14 ~max_width:3));
   m
 
+(* best of three runs of [f], in CPU seconds, to damp scheduler noise *)
+let best_of_3 f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Sys.time () in
+    ignore (Sys.opaque_identity (f ()));
+    let dt = Sys.time () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best
+
+(* `validate`'s three checks on structural models, bare and with SoC/RT
+   stereotypes on every feature (Workload.Gen_model.stereotyped) *)
+let e12_validate_report () =
+  Printf.printf "\nvalidate checks, best of 3 (ms):\n";
+  Printf.printf "%-12s %-8s %-8s %10s %10s %10s %10s\n" "model" "classes"
+    "apps" "wfr" "soc" "rt" "total";
+  List.iter
+    (fun (kind, gen) ->
+      List.iter
+        (fun classes ->
+          Uml.Ident.reset_counter ();
+          let m = gen ~seed:7 ~classes in
+          let wfr = best_of_3 (fun () -> Uml.Wfr.check m) in
+          let soc = best_of_3 (fun () -> Profiles.Soc_profile.check m) in
+          let rt = best_of_3 (fun () -> Profiles.Rt_profile.check m) in
+          let total = 1e3 *. (wfr +. soc +. rt) in
+          Printf.printf "%-12s %-8d %-8d %10.2f %10.2f %10.2f %10.2f\n" kind
+            classes
+            (List.length (Uml.Model.applications m))
+            (1e3 *. wfr) (1e3 *. soc) (1e3 *. rt) total;
+          record_f
+            (Printf.sprintf "e12.validate_ms.%s.classes%03d" kind classes)
+            total)
+        [ 100; 300; 1000 ])
+    [
+      ("bare", Workload.Gen_model.structural);
+      ("stereotyped", Workload.Gen_model.stereotyped);
+    ]
+
 let e12_report () =
   sep "E12  whole-model lint wall-time vs model size";
   Printf.printf "%-8s %-10s %-12s %10s %14s\n" "classes" "elements"
@@ -712,22 +752,16 @@ let e12_report () =
       let m = e12_model classes in
       let elements = Mda.Generate.model_element_count m in
       let diags = Lint.Check.check_model m in
-      (* best of three runs to damp scheduler noise *)
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let t0 = Sys.time () in
-        ignore (Lint.Check.check_model m);
-        let dt = Sys.time () -. t0 in
-        if dt < !best then best := dt
-      done;
+      let best = best_of_3 (fun () -> Lint.Check.check_model m) in
       Printf.printf "%-8d %-10d %-12d %10.2f %14.1f\n" classes elements
-        (List.length diags) (1e3 *. !best)
-        (1e6 *. !best /. float_of_int elements);
+        (List.length diags) (1e3 *. best)
+        (1e6 *. best /. float_of_int elements);
       record_f (Printf.sprintf "e12.lint_ms.classes%03d" classes)
-        (1e3 *. !best);
+        (1e3 *. best);
       record_i (Printf.sprintf "e12.diagnostics.classes%03d" classes)
         (List.length diags))
-    [ 10; 50; 200; 500 ]
+    [ 10; 50; 200; 500 ];
+  e12_validate_report ()
 
 let e12_tests () =
   let m = e12_model 200 in
