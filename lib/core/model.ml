@@ -16,17 +16,23 @@ type element =
   | E_profile of Profile.t
 [@@deriving eq, show]
 
+(* [profs] and [apps_of] answer stereotype queries without a model
+   scan.  Only the mutators below write them, eagerly, so a loaded model
+   can be read from several domains at once. *)
 type t = {
   mutable model_name : string;
   mutable order : Ident.t list;  (** reverse insertion order *)
   index : (Ident.t, element) Hashtbl.t;
+  mutable profs : Profile.t list;  (** profile elements, element order *)
   mutable apps : Profile.application list;  (** reverse order *)
+  apps_of : (Ident.t, Profile.application list) Hashtbl.t;
+      (** applications by element, each list in reverse order *)
   mutable diags : Diagram.t list;  (** reverse order *)
 }
 
 let create ?(capacity = 64) name =
   { model_name = name; order = []; index = Hashtbl.create capacity;
-    apps = []; diags = [] }
+    profs = []; apps = []; apps_of = Hashtbl.create 16; diags = [] }
 
 let name m = m.model_name
 let set_name m n = m.model_name <- n
@@ -99,20 +105,10 @@ let add m e =
   Hashtbl.replace m.index id e;
   if Hashtbl.length m.index = before then
     invalid_arg (Printf.sprintf "Model.add: duplicate identifier %s" id);
-  m.order <- id :: m.order
-
-let replace m e =
-  let id = element_id e in
-  if Hashtbl.mem m.index id then Hashtbl.replace m.index id e else add m e
-
-let remove m id =
-  if Hashtbl.mem m.index id then begin
-    Hashtbl.remove m.index id;
-    m.order <- List.filter (fun i -> not (Ident.equal i id)) m.order
-  end
-
-let find m id = Hashtbl.find_opt m.index id
-let mem m id = Hashtbl.mem m.index id
+  m.order <- id :: m.order;
+  match e with
+  | E_profile p -> m.profs <- m.profs @ [ p ]
+  | _e -> ()
 
 let elements m =
   let collect acc id =
@@ -122,11 +118,37 @@ let elements m =
   in
   List.fold_left collect [] m.order
 
+let project pick m = List.filter_map pick (elements m)
+
+let is_profile = function E_profile _ -> true | _e -> false
+
+(* A replaced or removed profile keeps or loses its place in element
+   order; both are rare, so rescan rather than splice. *)
+let reindex_profiles m =
+  m.profs <- project (function E_profile p -> Some p | _e -> None) m
+
+let replace m e =
+  let id = element_id e in
+  match Hashtbl.find_opt m.index id with
+  | None -> add m e
+  | Some old ->
+    Hashtbl.replace m.index id e;
+    if is_profile old || is_profile e then reindex_profiles m
+
+let remove m id =
+  match Hashtbl.find_opt m.index id with
+  | None -> ()
+  | Some old ->
+    Hashtbl.remove m.index id;
+    m.order <- List.filter (fun i -> not (Ident.equal i id)) m.order;
+    if is_profile old then reindex_profiles m
+
+let find m id = Hashtbl.find_opt m.index id
+let mem m id = Hashtbl.mem m.index id
+
 let size m = Hashtbl.length m.index
 let iter f m = List.iter f (elements m)
 let fold f init m = List.fold_left f init (elements m)
-
-let project pick m = List.filter_map pick (elements m)
 
 let classifiers m =
   project (function E_classifier c -> Some c | _e -> None) m
@@ -146,7 +168,7 @@ let interactions m =
   project (function E_interaction i -> Some i | _e -> None) m
 
 let use_cases m = project (function E_use_case u -> Some u | _e -> None) m
-let profiles m = project (function E_profile p -> Some p | _e -> None) m
+let profiles m = m.profs
 let instances m = project (function E_instance i -> Some i | _e -> None) m
 
 let associations m =
@@ -178,11 +200,18 @@ let classifier_named m n =
 let component_named m n =
   List.find_opt (fun c -> c.Component.cmp_name = n) (components m)
 
-let add_application m app = m.apps <- app :: m.apps
+let add_application m app =
+  let id = app.Profile.app_element in
+  m.apps <- app :: m.apps;
+  Hashtbl.replace m.apps_of id
+    (app :: Option.value ~default:[] (Hashtbl.find_opt m.apps_of id))
+
 let applications m = List.rev m.apps
 
 let applications_of m id =
-  List.filter (fun a -> Ident.equal a.Profile.app_element id) (applications m)
+  match Hashtbl.find_opt m.apps_of id with
+  | Some apps -> List.rev apps
+  | None -> []
 
 let stereotype_named m n =
   let in_profile p =
@@ -190,17 +219,24 @@ let stereotype_named m n =
     | Some s -> Some (p, s)
     | None -> None
   in
-  List.find_map in_profile (profiles m)
+  List.find_map in_profile m.profs
 
-let has_stereotype m elt n =
-  match stereotype_named m n with
-  | None -> false
-  | Some (_, ster) ->
-    List.exists
-      (fun a ->
-        Ident.equal a.Profile.app_element elt
-        && Ident.equal a.Profile.app_stereotype ster.Profile.ster_id)
-      m.apps
+let application m elt n =
+  match Hashtbl.find_opt m.apps_of elt with
+  | None -> None
+  | Some apps -> (
+    match stereotype_named m n with
+    | None -> None
+    | Some (_, ster) ->
+      (* [apps] is newest first, so the last match was applied first *)
+      let pick found a =
+        if Ident.equal a.Profile.app_stereotype ster.Profile.ster_id then
+          Some (ster, a)
+        else found
+      in
+      List.fold_left pick None apps)
+
+let has_stereotype m elt n = Option.is_some (application m elt n)
 
 let add_diagram m d = m.diags <- d :: m.diags
 let diagrams m = List.rev m.diags
@@ -216,7 +252,9 @@ let copy m =
     model_name = m.model_name;
     order = m.order;
     index = Hashtbl.copy m.index;
+    profs = m.profs;
     apps = m.apps;
+    apps_of = Hashtbl.copy m.apps_of;
     diags = m.diags;
   }
 

@@ -77,16 +77,28 @@ val find_activity : t -> Ident.t -> Activityg.t option
 val classifier_named : t -> string -> Classifier.t option
 val component_named : t -> string -> Component.t option
 
+(** Stereotype queries read an index that [add], [replace], [remove]
+    and [add_application] keep up to date: the profile elements in
+    element order, and each element's applications in application
+    order.  A query costs O(profiles + applications on the element). *)
+
 val add_application : t -> Profile.application -> unit
 val applications : t -> Profile.application list
 val applications_of : t -> Ident.t -> Profile.application list
-(** Stereotype applications attached to the given element. *)
-
-val has_stereotype : t -> Ident.t -> string -> bool
-(** [has_stereotype m elt name]: is a stereotype called [name] (from any
-    applied profile) applied to element [elt]? *)
+(** Stereotype applications attached to the given element, in
+    application order. *)
 
 val stereotype_named : t -> string -> (Profile.t * Profile.stereotype) option
+(** The first stereotype called [name] of the first profile, in element
+    order, that declares one. *)
+
+val application :
+  t -> Ident.t -> string -> (Profile.stereotype * Profile.application) option
+(** [application m elt name]: the first application, in application
+    order, on [elt] of the stereotype [stereotype_named m name]. *)
+
+val has_stereotype : t -> Ident.t -> string -> bool
+(** [has_stereotype m elt name]: is [application m elt name] defined? *)
 
 val add_diagram : t -> Diagram.t -> unit
 val diagrams : t -> Diagram.t list

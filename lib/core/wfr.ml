@@ -609,24 +609,26 @@ let metaclass_of_element = function
   | Model.E_communication_path _ | Model.E_profile _ ->
     Profile.M_any
 
-let check_application m features acc (app : Profile.application) =
-  let stereotypes =
-    List.concat_map
-      (fun p -> List.map (fun s -> (p, s)) p.Profile.prof_stereotypes)
-      (Model.profiles m)
+(* Stereotypes by id; where profiles share an id, the first in element
+   order wins. *)
+let stereotype_ids m =
+  let tbl = Hashtbl.create 16 in
+  let add (s : Profile.stereotype) =
+    if not (Hashtbl.mem tbl s.Profile.ster_id) then
+      Hashtbl.add tbl s.Profile.ster_id s
   in
-  let found =
-    List.find_opt
-      (fun (_, s) -> Ident.equal s.Profile.ster_id app.Profile.app_stereotype)
-      stereotypes
-  in
-  match found with
+  List.iter (fun p -> List.iter add p.Profile.prof_stereotypes)
+    (Model.profiles m);
+  tbl
+
+let check_application m stereotypes features acc (app : Profile.application) =
+  match Hashtbl.find_opt stereotypes app.Profile.app_stereotype with
   | None ->
     error "PR-01" (Some app.Profile.app_element)
       "application references unknown stereotype %s"
       app.Profile.app_stereotype
     :: acc
-  | Some (_, ster) -> (
+  | Some ster -> (
     let acc =
       (* declared tags only *)
       List.fold_left
@@ -738,8 +740,11 @@ let check m =
   in
   let acc = Model.fold per_element acc m in
   let features = Model.feature_index m in
+  let stereotypes = stereotype_ids m in
   let acc =
-    List.fold_left (check_application m features) acc (Model.applications m)
+    List.fold_left
+      (check_application m stereotypes features)
+      acc (Model.applications m)
   in
   let acc = List.fold_left (check_diagram m) acc (Model.diagrams m) in
   List.rev acc

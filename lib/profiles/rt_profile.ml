@@ -47,24 +47,6 @@ let diag rule element message =
     diag_message = message;
   }
 
-let int_value m ster_name element tagname =
-  match Model.stereotype_named m ster_name with
-  | None -> None
-  | Some (_, ster) -> (
-    let app =
-      List.find_opt
-        (fun a ->
-          Ident.equal a.Profile.app_element element
-          && Ident.equal a.Profile.app_stereotype ster.Profile.ster_id)
-        (Model.applications m)
-    in
-    match app with
-    | None -> None
-    | Some app -> (
-      match Profile.tag_value ster app tagname with
-      | Some (Vspec.Int_literal i) -> Some i
-      | Some _ | None -> None))
-
 let check m =
   let check_capsule acc (cl : Classifier.t) =
     if
@@ -80,30 +62,30 @@ let check m =
   let check_periodic acc (cl : Classifier.t) =
     List.fold_left
       (fun acc (op : Classifier.operation) ->
-        if not (Model.has_stereotype m op.Classifier.op_id "periodic") then acc
-        else
-          let period = int_value m "periodic" op.Classifier.op_id "period" in
-          let deadline =
-            int_value m "periodic" op.Classifier.op_id "deadline"
-          in
-          let acc =
-            match period with
-            | Some p when p <= 0 ->
-              diag "RT-02" op.Classifier.op_id
-                (Printf.sprintf "«periodic» %s has non-positive period"
-                   op.Classifier.op_name)
-              :: acc
-            | Some _ | None -> acc
-          in
-          match period, deadline with
-          | Some p, Some d when d > p ->
-            diag "RT-03" op.Classifier.op_id
-              (Printf.sprintf "«periodic» %s deadline %d exceeds period %d"
-                 op.Classifier.op_name d p)
+        let tag =
+          Soc_profile.tag_int m ~element:op.Classifier.op_id
+            ~stereotype:"periodic"
+        in
+        let period = tag "period" and deadline = tag "deadline" in
+        let acc =
+          match period with
+          | Some p when p <= 0 ->
+            diag "RT-02" op.Classifier.op_id
+              (Printf.sprintf "«periodic» %s has non-positive period"
+                 op.Classifier.op_name)
             :: acc
-          | _other1, _other2 -> acc)
+          | Some _ | None -> acc
+        in
+        match period, deadline with
+        | Some p, Some d when d > p ->
+          diag "RT-03" op.Classifier.op_id
+            (Printf.sprintf "«periodic» %s deadline %d exceeds period %d"
+               op.Classifier.op_name d p)
+          :: acc
+        | _other1, _other2 -> acc)
       acc cl.Classifier.cl_operations
   in
-  let acc = List.fold_left check_capsule [] (Model.classifiers m) in
-  let acc = List.fold_left check_periodic acc (Model.classifiers m) in
+  let classifiers = Model.classifiers m in
+  let acc = List.fold_left check_capsule [] classifiers in
+  let acc = List.fold_left check_periodic acc classifiers in
   List.rev acc

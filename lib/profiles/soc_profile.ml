@@ -102,22 +102,12 @@ let sw_tasks m =
     (Model.classifiers m)
 
 let tag_int m ~element ~stereotype tagname =
-  match Model.stereotype_named m stereotype with
+  match Model.application m element stereotype with
+  | Some (ster, app) -> (
+    match Profile.tag_value ster app tagname with
+    | Some (Vspec.Int_literal i) -> Some i
+    | Some _ | None -> None)
   | None -> None
-  | Some (_, ster) -> (
-    let app =
-      List.find_opt
-        (fun a ->
-          Ident.equal a.Profile.app_element element
-          && Ident.equal a.Profile.app_stereotype ster.Profile.ster_id)
-        (Model.applications m)
-    in
-    match app with
-    | None -> None
-    | Some app -> (
-      match Profile.tag_value ster app tagname with
-      | Some (Vspec.Int_literal i) -> Some i
-      | Some _ | None -> None))
 
 (* --- profile-specific WFRs ------------------------------------------ *)
 
@@ -130,18 +120,17 @@ let diag rule element message =
   }
 
 let check m =
-  let port_has m port_id name = Model.has_stereotype m port_id name in
   let check_hw_module acc (c : Component.t) =
     if not (Model.has_stereotype m c.Component.cmp_id "hwModule") then acc
     else begin
       let clocks =
         List.filter
-          (fun p -> port_has m p.Component.port_id "clock")
+          (fun p -> Model.has_stereotype m p.Component.port_id "clock")
           c.Component.cmp_ports
       in
       let resets =
         List.filter
-          (fun p -> port_has m p.Component.port_id "reset")
+          (fun p -> Model.has_stereotype m p.Component.port_id "reset")
           c.Component.cmp_ports
       in
       let acc =
@@ -163,32 +152,25 @@ let check m =
   let check_hw_ports acc (c : Component.t) =
     List.fold_left
       (fun acc (p : Component.port) ->
-        if not (port_has m p.Component.port_id "hwPort") then acc
-        else
-          match
-            tag_int m ~element:p.Component.port_id ~stereotype:"hwPort"
-              "width"
-          with
-          | Some w when w <= 0 ->
-            diag "SOC-03" p.Component.port_id
-              (Printf.sprintf "«hwPort» %s has non-positive width %d"
-                 p.Component.port_name w)
-            :: acc
-          | Some _ | None -> acc)
+        match
+          tag_int m ~element:p.Component.port_id ~stereotype:"hwPort" "width"
+        with
+        | Some w when w <= 0 ->
+          diag "SOC-03" p.Component.port_id
+            (Printf.sprintf "«hwPort» %s has non-positive width %d"
+               p.Component.port_name w)
+          :: acc
+        | Some _ | None -> acc)
       acc c.Component.cmp_ports
   in
   let check_registers acc (cl : Classifier.t) =
     let addressed =
       List.filter_map
         (fun (p : Classifier.property) ->
-          if Model.has_stereotype m p.Classifier.prop_id "register" then
-            match
-              tag_int m ~element:p.Classifier.prop_id ~stereotype:"register"
-                "address"
-            with
-            | Some a -> Some (p.Classifier.prop_name, a)
-            | None -> None
-          else None)
+          Option.map
+            (fun a -> (p.Classifier.prop_name, a))
+            (tag_int m ~element:p.Classifier.prop_id ~stereotype:"register"
+               "address"))
         cl.Classifier.cl_attributes
     in
     let sorted = List.sort (fun (_, a) (_, b) -> compare a b) addressed in
@@ -209,20 +191,19 @@ let check m =
     collide acc sorted
   in
   let check_bus acc (c : Component.t) =
-    if not (Model.has_stereotype m c.Component.cmp_id "bus") then acc
-    else
-      match
-        tag_int m ~element:c.Component.cmp_id ~stereotype:"bus" "dataWidth"
-      with
-      | Some w when w <= 0 ->
-        diag "SOC-05" c.Component.cmp_id
-          (Printf.sprintf "«bus» %s has non-positive dataWidth"
-             c.Component.cmp_name)
-        :: acc
-      | Some _ | None -> acc
+    match
+      tag_int m ~element:c.Component.cmp_id ~stereotype:"bus" "dataWidth"
+    with
+    | Some w when w <= 0 ->
+      diag "SOC-05" c.Component.cmp_id
+        (Printf.sprintf "«bus» %s has non-positive dataWidth"
+           c.Component.cmp_name)
+      :: acc
+    | Some _ | None -> acc
   in
-  let acc = List.fold_left check_hw_module [] (Model.components m) in
-  let acc = List.fold_left check_hw_ports acc (Model.components m) in
+  let components = Model.components m in
+  let acc = List.fold_left check_hw_module [] components in
+  let acc = List.fold_left check_hw_ports acc components in
   let acc = List.fold_left check_registers acc (Model.classifiers m) in
-  let acc = List.fold_left check_bus acc (Model.components m) in
+  let acc = List.fold_left check_bus acc components in
   List.rev acc

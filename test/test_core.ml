@@ -599,6 +599,152 @@ let model_tests =
            Model.size m = n && List.length (Model.elements m) = n));
   ]
 
+(* --- stereotype index vs the list-scan oracle ------------------------- *)
+
+type op =
+  | Add of Model.element
+  | Replace of Model.element
+  | Remove of Ident.t
+  | Apply of Profile.application
+
+let show_op = function
+  | Add e -> "add " ^ Model.show_element e
+  | Replace e -> "replace " ^ Model.show_element e
+  | Remove id -> "remove " ^ id
+  | Apply a -> "apply " ^ Profile.show_application a
+
+(* Few identifiers, so profiles share stereotype names and ids, elements
+   are replaced by profiles and back, and applications pile up on one
+   element; "e5" is never added. *)
+let element_ids = [ "e0"; "e1"; "e2"; "e3"; "e4" ]
+let ster_ids = [ "s0"; "s1"; "s2"; "s3" ]
+let ster_names = [ "a"; "b"; "c" ]
+
+let gen_op =
+  let open QCheck.Gen in
+  let stereotype =
+    let* id = oneofl ster_ids and* name = oneofl ster_names in
+    let* default = opt (int_range (-1) 2) in
+    let tag = Profile.tag ?default:(Option.map Vspec.of_int default) in
+    return (Profile.stereotype ~id ~tags:[ tag "t" Dtype.Integer ] name)
+  in
+  let element =
+    let* id = oneofl element_ids in
+    frequency
+      [
+        (2, return (Model.E_classifier (Classifier.make ~id "K")));
+        ( 3,
+          map
+            (fun sters -> Model.E_profile (Profile.make ~id "P" sters))
+            (list_size (int_bound 3) stereotype) );
+      ]
+  in
+  let application =
+    let* element = oneofl ("e5" :: element_ids)
+    and* stereotype = oneofl ster_ids
+    and* values =
+      oneofl
+        [
+          [];
+          [ ("t", Vspec.of_int 0) ];
+          [ ("t", Vspec.of_int 7) ];
+          [ ("t", Vspec.String_literal "x") ];
+        ]
+    in
+    return (Profile.apply ~values ~stereotype ~element ())
+  in
+  frequency
+    [
+      (3, map (fun e -> Add e) element);
+      (2, map (fun e -> Replace e) element);
+      (1, map (fun id -> Remove id) (oneofl element_ids));
+      (5, map (fun a -> Apply a) application);
+    ]
+
+let arb_ops =
+  QCheck.make
+    ~print:(QCheck.Print.list show_op)
+    QCheck.Gen.(list_size (int_bound 40) gen_op)
+
+let run_op m = function
+  | Add e -> if not (Model.mem m (Model.element_id e)) then Model.add m e
+  | Replace e -> Model.replace m e
+  | Remove id -> Model.remove m id
+  | Apply a -> Model.add_application m a
+
+type queries = {
+  profiles : Model.t -> Profile.t list;
+  named : Model.t -> string -> (Profile.t * Profile.stereotype) option;
+  has : Model.t -> Ident.t -> string -> bool;
+  apps_of : Model.t -> Ident.t -> Profile.application list;
+  app :
+    Model.t -> Ident.t -> string ->
+    (Profile.stereotype * Profile.application) option;
+  tag : Model.t -> element:Ident.t -> stereotype:string -> string -> int option;
+}
+
+let indexed =
+  {
+    profiles = Model.profiles;
+    named = Model.stereotype_named;
+    has = Model.has_stereotype;
+    apps_of = Model.applications_of;
+    app = Model.application;
+    tag = Profiles.Soc_profile.tag_int;
+  }
+
+let oracle =
+  {
+    profiles = Stereotype_ref.profiles;
+    named = Stereotype_ref.stereotype_named;
+    has = Stereotype_ref.has_stereotype;
+    apps_of = Stereotype_ref.applications_of;
+    app = Stereotype_ref.application;
+    tag = Stereotype_ref.tag_int;
+  }
+
+(* every query on every element and name, compared structurally *)
+let answers q m =
+  let names = "z" :: ster_names in
+  let per_name e n =
+    (q.has m e n, q.app m e n, q.tag m ~element:e ~stereotype:n "t")
+  in
+  ( q.profiles m,
+    List.map (q.named m) names,
+    List.map
+      (fun e -> (q.apps_of m e, List.map (per_name e) names))
+      ("e5" :: element_ids) )
+
+let agrees m = answers indexed m = answers oracle m
+
+let index_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"index answers = list scan after every edit"
+         ~count:300 arb_ops (fun ops ->
+           let m = Model.create "m" in
+           List.for_all
+             (fun op ->
+               run_op m op;
+               agrees m)
+             ops));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"edits to a copy or its original stay apart"
+         ~count:200 (QCheck.triple arb_ops arb_ops arb_ops)
+         (fun (common, mine, theirs) ->
+           let m = Model.create "m" in
+           List.iter (run_op m) common;
+           let c = Model.copy m in
+           let copied = answers indexed c in
+           List.iter (run_op m) mine;
+           let copy_unchanged = answers indexed c = copied in
+           let edited = answers indexed m in
+           List.iter (run_op c) theirs;
+           copy_unchanged
+           && answers indexed m = edited
+           && agrees m && agrees c));
+  ]
+
 let () =
   Alcotest.run "core"
     [
@@ -616,4 +762,5 @@ let () =
       ("diagram", diagram_tests);
       ("profile", profile_tests);
       ("model", model_tests);
+      ("stereotype index", index_tests);
     ]
