@@ -54,8 +54,9 @@ let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let name = sanitize m.Module_.mod_name in
-  (* an output is a reg only where a process assigns it; one driven by
-     an instance is a net *)
+  (* an output or internal signal is a reg only where a process assigns
+     it (or, for a signal, where it has an initial value: a net cannot
+     carry one); one driven by an instance is a net *)
   let assigned =
     List.concat_map
       (fun p ->
@@ -94,7 +95,11 @@ let of_module m =
         | Some v -> Printf.sprintf " = %d" v
         | None -> ""
       in
-      line "  reg %s%s%s;" (range s.Module_.sig_type)
+      let kind =
+        if init <> "" || List.mem s.Module_.sig_name assigned then "reg"
+        else "wire"
+      in
+      line "  %s %s%s%s;" kind (range s.Module_.sig_type)
         (sanitize s.Module_.sig_name)
         init)
     m.Module_.mod_signals;

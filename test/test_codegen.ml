@@ -82,6 +82,11 @@ let emitters_tests =
         check Alcotest.bool "no reg" false (contains text "output reg i0_");
         check Alcotest.bool "timer assigns its tick" true
           (contains text "\n  output reg tick,\n"));
+    tc "verilog internal signals driven by an instance are nets" (fun () ->
+        let text = Codegen.Verilog.of_design (counter_design ()) in
+        check Alcotest.bool "wire" true (contains text "\n  wire [3:0] q0;\n");
+        check Alcotest.bool "counter assigns its q" true
+          (contains text "\n  output reg [3:0] q\n"));
     tc "of_design emits dependencies before users" (fun () ->
         let text = Codegen.Vhdl.of_design (counter_design ()) in
         let pos needle =
@@ -551,16 +556,17 @@ let subjects =
       [ 1; 2; 3 ]
 
 (* ("subject.kind", MD5 of the generated text), pinned before the three
-   printers shared one statement walker.  soc-all.verilog alone was
+   printers shared one statement walker.  soc-all.verilog was
    re-recorded when Verilog stopped declaring outputs driven by an
-   instance as reg. *)
+   instance as reg, and counter-top.verilog when it did the same for
+   internal signals (q0 became a wire). *)
 let digests =
   [
     ("counter.vhdl", "06d0fa0744ebeac1d5e405ef9c060337");
     ("counter.verilog", "e7280d1d8708e40b8062598576e27c1c");
     ("counter.systemc", "5789b70550088fd683df2797bb8b81bd");
     ("counter-top.vhdl", "f25b5f604f4618af3d97005fd8121b19");
-    ("counter-top.verilog", "7cd529f4f282ffe8a115971d2463ade6");
+    ("counter-top.verilog", "cdcd015e640291acc5ec698b81dce947");
     ("counter-top.systemc", "d6969ae7ba2c6dc65a3d817deed6bc92");
     ("constructs.vhdl", "56c757c9a3f3893f6d86ef04b596966c");
     ("constructs.verilog", "5a9b375aba01830fb9a7edb2cef3d3af");
