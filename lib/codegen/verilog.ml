@@ -90,14 +90,11 @@ let of_module m =
     (Hdl_text.enum_constants m);
   List.iter
     (fun (s : Module_.signal) ->
-      let init =
+      let kind, init =
         match s.Module_.sig_init with
-        | Some v -> Printf.sprintf " = %d" v
-        | None -> ""
-      in
-      let kind =
-        if init <> "" || List.mem s.Module_.sig_name assigned then "reg"
-        else "wire"
+        | Some v -> ("reg", Printf.sprintf " = %d" v)
+        | None ->
+          ((if List.mem s.Module_.sig_name assigned then "reg" else "wire"), "")
       in
       line "  %s %s%s%s;" kind (range s.Module_.sig_type)
         (sanitize s.Module_.sig_name)

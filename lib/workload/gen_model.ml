@@ -138,12 +138,6 @@ let stereotyped ~seed ~classes =
         ~values:[ ("dataWidth", int (if k mod 4 = 0 then 0 else 32)) ]
         "bus" id
   in
-  let classes = ref 0 and components = ref 0 in
-  let next r = let i = !r in incr r; i in
-  List.iter
-    (function
-      | Model.E_classifier c -> stereotype_classifier (next classes) c
-      | Model.E_component c -> stereotype_component (next components) c
-      | _other -> ())
-    (Model.elements m);
+  List.iteri stereotype_classifier (Model.classifiers m);
+  List.iteri stereotype_component (Model.components m);
   m
