@@ -254,15 +254,22 @@ let twice () =
   List.iter
     (fun (p, widths) ->
       List.iter
-        (fun w -> soc_apply m soc ~values:[ ("width", int w) ] "hwPort" (port c p))
+        (fun w ->
+          soc_apply m soc ~values:[ ("width", int w) ] "hwPort" (port c p))
         widths)
     [ ("p1", [ 0; 4 ]); ("p2", [ 4; 0 ]) ];
-  let cl = classifier m ~attributes:[ "r1"; "r2" ] ~operations:[ "f"; "g" ] "Regs" in
+  let cl =
+    classifier m ~attributes:[ "r1"; "r2" ] ~operations:[ "f"; "g" ] "Regs"
+  in
+  let register (p : Classifier.property) a =
+    soc_apply m soc ~values:[ ("address", int a) ] "register"
+      p.Classifier.prop_id
+  in
   (match cl.Classifier.cl_attributes with
    | [ r1; r2 ] ->
-     soc_apply m soc ~values:[ ("address", int 4) ] "register" r1.Classifier.prop_id;
-     soc_apply m soc ~values:[ ("address", int 4) ] "register" r2.Classifier.prop_id;
-     soc_apply m soc ~values:[ ("address", int 8) ] "register" r2.Classifier.prop_id
+     register r1 4;
+     register r2 4;
+     register r2 8
    | _ -> assert false);
   (match cl.Classifier.cl_operations with
    | [ f; g ] ->
