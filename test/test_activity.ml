@@ -240,10 +240,208 @@ let conformance_tests =
            Activity.Exec.finished engine));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Differential property against [Activity_exec_ref], the edge-scanning
+   engine the firing templates replaced.  Generated activities are
+   guard-free, so [decorate] adds what the engine evaluates
+   dynamically: edge guards over a store counter, action bodies that
+   bump it, weight-2 edges, bounded object nodes, accept events (gated
+   on some runs) and signal sends. *)
+
+let guards = [| "n < 2"; "n >= 1"; "n < 4"; "true"; "false"; "ghost > 0" |]
+let bodies = [| "n := n + 1;"; "n := 0;"; "n := n + 2;"; "send tick();" |]
+
+let decorate rng (act : Activityg.t) =
+  let open Activityg in
+  let pick a = a.(Workload.Prng.int rng (Array.length a)) in
+  let node n =
+    match n with
+    | Action a -> (
+      match Workload.Prng.int rng 8 with
+      | 0 ->
+        Object_node
+          {
+            on_head = a.act_head;
+            on_type = Dtype.Integer;
+            on_upper_bound =
+              (if Workload.Prng.bool rng then Some 1 else None);
+          }
+      | 1 -> Accept_event { ev_head = a.act_head; ev_event = "go" }
+      | 2 -> Send_signal { ev_head = a.act_head; ev_event = "irq" }
+      | _ -> Action { a with act_body = Some (pick bodies) })
+    | Call_behavior _ | Send_signal _ | Accept_event _ | Object_node _
+    | Initial_node _ | Activity_final _ | Flow_final _ | Fork_node _
+    | Join_node _ | Decision_node _ | Merge_node _ ->
+      n
+  in
+  let edge e =
+    match Workload.Prng.int rng 10 with
+    | 0 | 1 | 2 -> { e with ed_guard = Some (pick guards) }
+    | 3 -> { e with ed_weight = 2 }
+    | _ -> e
+  in
+  let nodes = List.map node act.ac_nodes in
+  { act with ac_nodes = nodes; ac_edges = List.map edge act.ac_edges }
+
+(* Fault targets: every place of the translated net (empty ones
+   included) plus names the net does not know, sorting before, between
+   and after the net's own. *)
+let fault_places act =
+  let net, _m0 = Activity.Translate.to_petri act in
+  Array.of_list
+    (List.map (fun p -> p.Petri.Net.pl_id) net.Petri.Net.places
+    @ [ "a_ghost"; "p_ghost"; "zz_ghost" ])
+
+let random_faults rng places ~steps ~count =
+  List.init count (fun _ ->
+      let place = places.(Workload.Prng.int rng (Array.length places)) in
+      let step = Workload.Prng.int rng steps in
+      if Workload.Prng.bool rng then
+        Fault.Plan.Lose_token { lt_place = place; lt_step = step }
+      else Fault.Plan.Dup_token { dt_place = place; dt_step = step })
+
+let fault_deltas step faults =
+  List.filter_map
+    (fun f ->
+      match f with
+      | Fault.Plan.Lose_token { lt_place; lt_step } ->
+        if lt_step = step then Some (lt_place, -1) else None
+      | Fault.Plan.Dup_token { dt_place; dt_step } ->
+        if dt_step = step then Some (dt_place, 1) else None)
+    faults
+
+let metrics_text reg =
+  Telemetry.Metrics.report reg
+  ^ String.concat "\n"
+      (List.map Telemetry.Metrics.render_event (Telemetry.Metrics.events reg))
+
+(* Step both engines in lockstep under the same faults, choices, event
+   offers and one probe of a label that is never enabled; any
+   observable difference is a failure. *)
+let lockstep_agrees ~gen_seed ~decisions ~run_seed =
+  let gen =
+    if decisions then Workload.Gen_activity.with_decisions
+    else Workload.Gen_activity.series_parallel
+  in
+  let rng = Workload.Prng.create run_seed in
+  let act = decorate rng (gen ~seed:gen_seed ~size:12 ~max_width:3) in
+  let faults = random_faults rng (fault_places act) ~steps:30 ~count:6 in
+  let gating = Workload.Prng.int rng 3 = 0 in
+  let reg = Telemetry.Metrics.create () in
+  let reg_ref = Telemetry.Metrics.create () in
+  let x = Activity.Exec.create ~metrics:reg act in
+  let r = Activity_exec_ref.create ~metrics:reg_ref act in
+  Activity.Exec.set_event_gating x gating;
+  Activity_exec_ref.set_event_gating r gating;
+  let same_state () =
+    Activity.Exec.tokens x = Activity_exec_ref.tokens r
+    && Activity.Exec.finished x = Activity_exec_ref.finished r
+  in
+  let rec loop step =
+    List.iter
+      (fun (p, d) ->
+        Activity.Exec.adjust_tokens x p d;
+        Activity_exec_ref.adjust_tokens r p d)
+      (fault_deltas step faults);
+    if step mod 4 = 1 then begin
+      Activity.Exec.offer_event x "go";
+      Activity_exec_ref.offer_event r "go"
+    end;
+    let labels = Activity.Exec.enabled_firings x in
+    let ok =
+      same_state ()
+      && labels = Activity_exec_ref.enabled_firings r
+      && Activity.Exec.stuck x = Activity_exec_ref.stuck r
+    in
+    if not ok then false
+    else if step = 7 then
+      Activity.Exec.fire x "t_never" = Activity_exec_ref.fire r "t_never"
+      && loop (step + 1)
+    else
+      match labels with
+      | [] -> true
+      | _ when step >= 40 -> true
+      | _ ->
+        let label = Workload.Prng.pick rng labels in
+        Activity.Exec.fire x label = Activity_exec_ref.fire r label
+        && same_state () && loop (step + 1)
+  in
+  loop 0
+  && Activity.Exec.sent_signals x = Activity_exec_ref.sent_signals r
+  && Activity.Exec.output_of x = Activity_exec_ref.output_of r
+  && metrics_text reg = metrics_text reg_ref
+
+(* The campaign's step loop, as it was, over the reference engine. *)
+let act_run_ref ~metrics (spec : Fault.Campaign.act_spec) faults =
+  let exec =
+    Activity_exec_ref.create ~metrics spec.Fault.Campaign.ac_activity
+  in
+  let rng = Workload.Prng.create spec.Fault.Campaign.ac_choice_seed in
+  let rec loop step acc =
+    List.iter
+      (fun (p, d) -> Activity_exec_ref.adjust_tokens exec p d)
+      (fault_deltas step faults);
+    if step >= spec.Fault.Campaign.ac_max_steps then
+      (List.rev acc, "exhausted")
+    else
+      match Activity_exec_ref.enabled_firings exec with
+      | [] ->
+        ( List.rev acc,
+          if Activity_exec_ref.finished exec then "completed" else "stuck" )
+      | labels -> (
+        let label = Workload.Prng.pick rng labels in
+        match Activity_exec_ref.fire exec label with
+        | Ok () -> loop (step + 1) (label :: acc)
+        | Error msg -> (List.rev acc, Printf.sprintf "internal: %s" msg))
+  in
+  let labels, stop = loop 0 [] in
+  {
+    Fault.Campaign.ar_labels = labels;
+    ar_tokens = Activity_exec_ref.tokens exec;
+    ar_stop = stop;
+  }
+
+let act_run_agrees ~gen_seed ~decisions ~run_seed =
+  let gen =
+    if decisions then Workload.Gen_activity.with_decisions
+    else Workload.Gen_activity.series_parallel
+  in
+  let rng = Workload.Prng.create run_seed in
+  let act = decorate rng (gen ~seed:gen_seed ~size:12 ~max_width:3) in
+  let faults = random_faults rng (fault_places act) ~steps:20 ~count:3 in
+  let spec =
+    {
+      Fault.Campaign.ac_activity = act;
+      ac_choice_seed = run_seed;
+      ac_max_steps = 10 + Workload.Prng.int rng 30;
+    }
+  in
+  let reg = Telemetry.Metrics.create () in
+  let reg_ref = Telemetry.Metrics.create () in
+  Fault.Campaign.act_run ~metrics:reg spec faults
+  = act_run_ref ~metrics:reg_ref spec faults
+  && metrics_text reg = metrics_text reg_ref
+
+let reference_tests =
+  let seeds = QCheck.(triple (int_range 1 5000) bool (int_range 1 5000)) in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"engine steps agree with the reference engine" ~count:150
+         seeds (fun (gen_seed, decisions, run_seed) ->
+           lockstep_agrees ~gen_seed ~decisions ~run_seed));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"act_run agrees with the reference engine" ~count:150 seeds
+         (fun (gen_seed, decisions, run_seed) ->
+           act_run_agrees ~gen_seed ~decisions ~run_seed));
+  ]
+
 let () =
   Alcotest.run "activity"
     [
       ("engine", engine_tests);
       ("translation", translation_tests);
       ("conformance", conformance_tests);
+      ("reference", reference_tests);
     ]

@@ -256,6 +256,114 @@ let petri_unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Fault-campaign Petri runs against [Net_run_ref], the string-keyed
+   loop they replaced.  Initial markings may hold residue places the
+   net does not know; faults hit net places (empty ones included),
+   residue places and unknown names.                                   *)
+
+let net_campaign seed =
+  let net, m0 = random_net_and_marking seed in
+  let rng = Workload.Prng.create (seed + 1) in
+  let residue =
+    List.filter
+      (fun _ -> Workload.Prng.bool rng)
+      [ ("a_residue", 1); ("q_residue", 2) ]
+  in
+  let m0 = Petri.Marking.of_list (Petri.Marking.to_list m0 @ residue) in
+  let targets =
+    Array.of_list
+      (List.map (fun p -> p.Petri.Net.pl_id) net.Petri.Net.places
+      @ List.map fst residue
+      @ [ "a_ghost"; "p_ghost"; "z_ghost" ])
+  in
+  let fault () =
+    let place = targets.(Workload.Prng.int rng (Array.length targets)) in
+    let step = Workload.Prng.int rng 12 in
+    if Workload.Prng.bool rng then
+      Fault.Plan.Lose_token { lt_place = place; lt_step = step }
+    else Fault.Plan.Dup_token { dt_place = place; dt_step = step }
+  in
+  let spec =
+    {
+      Fault.Campaign.np_net = net;
+      np_marking = m0;
+      np_choice_seed = seed;
+      np_max_steps = Workload.Prng.range rng 4 40;
+    }
+  in
+  let fault_set () = List.init (Workload.Prng.range rng 1 3) (fun _ -> fault ()) in
+  (spec, List.init 4 (fun _ -> fault_set ()))
+
+let net_run_agrees seed =
+  let spec, fault_sets = net_campaign seed in
+  let run faults =
+    let reg = Telemetry.Metrics.create () in
+    let reg_ref = Telemetry.Metrics.create () in
+    let r = Fault.Campaign.net_run ~metrics:reg spec faults in
+    let r_ref = Net_run_ref.net_run ~metrics:reg_ref spec faults in
+    (r, r_ref, Telemetry.Metrics.report reg = Telemetry.Metrics.report reg_ref)
+  in
+  let golden, golden_ref, golden_metrics = run [] in
+  golden = golden_ref && golden_metrics
+  && List.for_all
+       (fun faults ->
+         let r, r_ref, metrics = run faults in
+         r.Fault.Campaign.nr_fired = r_ref.Fault.Campaign.nr_fired
+         && r.Fault.Campaign.nr_markings = r_ref.Fault.Campaign.nr_markings
+         && r.Fault.Campaign.nr_final = r_ref.Fault.Campaign.nr_final
+         && r.Fault.Campaign.nr_deadlocked = r_ref.Fault.Campaign.nr_deadlocked
+         && r.Fault.Campaign.nr_truncated = r_ref.Fault.Campaign.nr_truncated
+         && metrics
+         && Fault.Campaign.classify_net spec ~golden r
+            = Net_run_ref.classify_net spec ~golden:golden_ref r_ref)
+       fault_sets
+
+(* The whole campaign, sequential and sharded: each Petri run's outcome
+   must be the reference loop's, classified by the reference. *)
+let campaign_agrees pool seed =
+  let spec, fault_sets = net_campaign seed in
+  let faults = List.concat fault_sets in
+  let golden = Net_run_ref.net_run spec [] in
+  let expected =
+    List.map
+      (fun f ->
+        Net_run_ref.classify_net spec ~golden (Net_run_ref.net_run spec [ f ]))
+      faults
+  in
+  let plan =
+    {
+      Fault.Plan.seed;
+      faults = List.map (fun f -> Fault.Plan.F_token f) faults;
+    }
+  in
+  let report = Fault.Campaign.run ~pool ~net:spec ~label:"net" plan in
+  List.map
+    (fun r -> r.Fault.Campaign.run_outcome)
+    report.Fault.Campaign.rp_runs
+  = expected
+
+let net_run_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"net_run = the string-keyed reference loop"
+         ~count:200
+         QCheck.(int_range 1 100_000)
+         net_run_agrees);
+    tc "campaign Petri outcomes = the reference, at jobs 1 and 3"
+      (fun () ->
+        List.iter
+          (fun jobs ->
+            Exec.Pool.with_pool ~jobs (fun pool ->
+                for i = 0 to 59 do
+                  let seed = 1 + (i * 1663) in
+                  check Alcotest.bool
+                    (Printf.sprintf "seed %d, jobs %d" seed jobs)
+                    true (campaign_agrees pool seed)
+                done))
+          [ 1; 3 ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* ASL compilation: memo behavior and guard differential              *)
 
 let asl_tests =
@@ -427,6 +535,7 @@ let () =
     [
       ("petri-differential", petri_differential_tests);
       ("petri-unit", petri_unit_tests);
+      ("net-run", net_run_tests);
       ("asl", asl_tests);
       ("engines", engine_tests);
     ]
