@@ -1,10 +1,56 @@
 open Uml
 
+module SM = Map.Make (String)
+
+(* One edge as a firing template reads it: the slot of its place. *)
+type arc = {
+  a_slot : int;
+  a_weight : int;
+  a_guard : string option;
+}
+
+type shape =
+  | S_initial of int  (** slot of the start place *)
+  | S_decision of string array  (** branch label per outgoing edge *)
+  | S_merge of string array  (** branch label per incoming edge *)
+  | S_final
+  | S_flow_final
+  | S_accept of string  (** event name *)
+  | S_object of int option  (** buffer capacity *)
+  | S_plain  (** actions, calls, sends, forks and joins *)
+
+(* Everything about a node that does not change while the engine runs,
+   built once at [create]: its edges in activity order, their places
+   interned to slots, and its labels. *)
+type template = {
+  tp_node : Activityg.node;
+  tp_label : string;
+  tp_ins : arc array;
+  tp_outs : arc array;
+  tp_in_weight : int;  (** tokens consumed from all incoming edges *)
+  tp_shape : shape;
+}
+
+(* A firing is a template plus, for decisions and merges, the index of
+   the chosen edge. *)
+type firing = {
+  fr_tp : template;
+  fr_branch : int;
+  fr_label : string;
+}
+
 type t = {
   act : Activityg.t;
   exec_interp : Asl.Interp.t;
   self_ : Asl.Value.t;
-  mutable marking : int Map.Make(String).t;
+  templates : template array;  (** node order *)
+  place_names : string array;  (** slot -> place name *)
+  place_slots : (string, int) Hashtbl.t;
+  sorted_slots : int array;  (** slots in place-name order *)
+  done_slot : int;
+  slots : int array;  (** the marking over the translated net's places *)
+  mutable residue : int SM.t;
+      (** tokens [adjust_tokens] put on places the net does not know *)
   mutable done_ : bool;
   mutable gating : bool;
   mutable pending_events : string list;
@@ -13,17 +59,6 @@ type t = {
   m_firings : Telemetry.Metrics.counter;
   m_token_moves : Telemetry.Metrics.counter;
 }
-
-module SM = Map.Make (String)
-
-let tokens_at t p =
-  match SM.find_opt p t.marking with
-  | Some n -> n
-  | None -> 0
-
-let add_tokens t p n =
-  let v = tokens_at t p + n in
-  t.marking <- (if v = 0 then SM.remove p t.marking else SM.add p v t.marking)
 
 (* Parse all edge guards and action bodies once at engine construction;
    firing then runs on the memoized compiled forms (parse errors stay
@@ -49,6 +84,73 @@ let precompile_behaviors (act : Activityg.t) =
         ())
     act.Activityg.ac_nodes
 
+(* Places are interned by name, in the translated net's place order
+   (edges, then start places, then done), so two edges whose places
+   share a name share a slot, exactly as they share a map key. *)
+let intern_places (act : Activityg.t) =
+  let open Activityg in
+  let table = Hashtbl.create 64 in
+  let names = ref [] in
+  let intern name =
+    match Hashtbl.find_opt table name with
+    | Some slot -> slot
+    | None ->
+      let slot = Hashtbl.length table in
+      Hashtbl.add table name slot;
+      names := name :: !names;
+      slot
+  in
+  List.iter (fun e -> ignore (intern (Translate.place_of_edge e.ed_id)))
+    act.ac_edges;
+  List.iter
+    (fun n ->
+      match n with
+      | Initial_node h -> ignore (intern (Translate.start_place h.nd_id))
+      | Action _ | Call_behavior _ | Send_signal _ | Accept_event _
+      | Object_node _ | Activity_final _ | Flow_final _ | Fork_node _
+      | Join_node _ | Decision_node _ | Merge_node _ ->
+        ())
+    act.ac_nodes;
+  ignore (intern Translate.done_place);
+  (table, Array.of_list (List.rev !names))
+
+let template_of_node (act : Activityg.t) slot_of n =
+  let open Activityg in
+  let id = node_id n in
+  let arc e =
+    {
+      a_slot = slot_of (Translate.place_of_edge e.ed_id);
+      a_weight = e.ed_weight;
+      a_guard = e.ed_guard;
+    }
+  in
+  let ins = incoming act id in
+  let outs = outgoing act id in
+  let branches label edges =
+    Array.of_list (List.map (fun e -> label id e.ed_id) edges)
+  in
+  let shape =
+    match n with
+    | Initial_node h -> S_initial (slot_of (Translate.start_place h.nd_id))
+    | Decision_node _ -> S_decision (branches Translate.decision_branch outs)
+    | Merge_node _ -> S_merge (branches Translate.merge_branch ins)
+    | Activity_final _ -> S_final
+    | Flow_final _ -> S_flow_final
+    | Accept_event ev -> S_accept ev.ev_event
+    | Object_node o -> S_object o.on_upper_bound
+    | Action _ | Call_behavior _ | Send_signal _ | Fork_node _ | Join_node _
+      ->
+      S_plain
+  in
+  {
+    tp_node = n;
+    tp_label = Translate.transition_of_node id;
+    tp_ins = Array.of_list (List.map arc ins);
+    tp_outs = Array.of_list (List.map arc outs);
+    tp_in_weight = List.fold_left (fun acc e -> acc + e.ed_weight) 0 ins;
+    tp_shape = shape;
+  }
+
 let create ?interp ?(self_ = Asl.Value.V_null)
     ?(metrics = Telemetry.Metrics.null) act =
   precompile_behaviors act;
@@ -57,36 +159,65 @@ let create ?interp ?(self_ = Asl.Value.V_null)
     | Some i -> i
     | None -> Asl.Interp.create ~metrics (Asl.Store.create ())
   in
-  let t =
-    {
-      act;
-      exec_interp;
-      self_;
-      marking = SM.empty;
-      done_ = false;
-      gating = false;
-      pending_events = [];
-      signals = [];
-      x_metrics = metrics;
-      m_firings = Telemetry.Metrics.counter metrics "activity.firings";
-      m_token_moves = Telemetry.Metrics.counter metrics "activity.token_moves";
-    }
+  let place_slots, place_names = intern_places act in
+  let slot_of = Hashtbl.find place_slots in
+  let sorted_slots = Array.init (Array.length place_names) Fun.id in
+  Array.stable_sort
+    (fun a b -> String.compare place_names.(a) place_names.(b))
+    sorted_slots;
+  let templates =
+    Array.of_list
+      (List.map (template_of_node act slot_of) act.Activityg.ac_nodes)
   in
-  List.iter
-    (fun n ->
-      match n with
-      | Activityg.Initial_node h ->
-        add_tokens t (Translate.start_place h.Activityg.nd_id) 1
-      | _other -> ())
-    act.Activityg.ac_nodes;
-  t
+  let slots = Array.make (Array.length place_names) 0 in
+  Array.iter
+    (fun tp ->
+      match tp.tp_shape with
+      | S_initial sp -> slots.(sp) <- slots.(sp) + 1
+      | S_decision _ | S_merge _ | S_final | S_flow_final | S_accept _
+      | S_object _ | S_plain ->
+        ())
+    templates;
+  {
+    act;
+    exec_interp;
+    self_;
+    templates;
+    place_names;
+    place_slots;
+    sorted_slots;
+    done_slot = slot_of Translate.done_place;
+    slots;
+    residue = SM.empty;
+    done_ = false;
+    gating = false;
+    pending_events = [];
+    signals = [];
+    x_metrics = metrics;
+    m_firings = Telemetry.Metrics.counter metrics "activity.firings";
+    m_token_moves = Telemetry.Metrics.counter metrics "activity.token_moves";
+  }
 
 let activity t = t.act
 let interp t = t.exec_interp
 let metrics t = t.x_metrics
 
+(* Non-zero slots in place-name order, merged with the residue. *)
 let tokens t =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) (SM.bindings t.marking)
+  let net =
+    Array.fold_right
+      (fun slot acc ->
+        let n = t.slots.(slot) in
+        if n = 0 then acc else (t.place_names.(slot), n) :: acc)
+      t.sorted_slots []
+  in
+  let rec merge a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | ((pa, _) as x) :: ra, ((pb, _) as y) :: rb ->
+      if String.compare pa pb < 0 then x :: merge ra b else y :: merge a rb
+  in
+  merge net (SM.bindings t.residue)
 
 let finished t = t.done_
 let set_event_gating t b = t.gating <- b
@@ -102,155 +233,63 @@ let guard_passes t = function
     | b -> b
     | exception Asl.Interp.Runtime_error _ -> false)
 
-(* Enabled firings with the inputs/outputs they would consume/produce. *)
-type firing = {
-  fr_label : string;
-  fr_node : Activityg.node;
-  fr_consume : (string * int) list;
-  fr_produce : string list;  (** one token each *)
-  fr_is_final : bool;
-}
+let offers t a = t.slots.(a.a_slot) >= a.a_weight
 
-let firings_of_node t n =
-  let open Activityg in
-  let id = node_id n in
-  let ins = incoming t.act id in
-  let outs = outgoing t.act id in
-  let in_ok () =
-    List.for_all
-      (fun e -> tokens_at t (Translate.place_of_edge e.ed_id) >= e.ed_weight)
-      ins
-    && List.for_all (fun e -> guard_passes t e.ed_guard) ins
-  in
-  let consume_all =
-    List.map (fun e -> (Translate.place_of_edge e.ed_id, e.ed_weight)) ins
-  in
-  let produce_all = List.map (fun e -> Translate.place_of_edge e.ed_id) outs in
-  match n with
-  | Initial_node h ->
-    let sp = Translate.start_place h.nd_id in
-    if tokens_at t sp >= 1 then
-      [
-        {
-          fr_label = Translate.transition_of_node id;
-          fr_node = n;
-          fr_consume = [ (sp, 1) ];
-          fr_produce = produce_all;
-          fr_is_final = false;
-        };
-      ]
-    else []
-  | Decision_node _ ->
-    if ins = [] || not (in_ok ()) then []
-    else
-      List.filter_map
-        (fun out_e ->
-          if guard_passes t out_e.ed_guard then
-            Some
-              {
-                fr_label = Translate.decision_branch id out_e.ed_id;
-                fr_node = n;
-                fr_consume = consume_all;
-                fr_produce = [ Translate.place_of_edge out_e.ed_id ];
-                fr_is_final = false;
-              }
-          else None)
-        outs
-  | Merge_node _ ->
-    List.filter_map
-      (fun in_e ->
-        if
-          tokens_at t (Translate.place_of_edge in_e.ed_id) >= in_e.ed_weight
-          && guard_passes t in_e.ed_guard
-        then
-          Some
-            {
-              fr_label = Translate.merge_branch id in_e.ed_id;
-              fr_node = n;
-              fr_consume =
-                [ (Translate.place_of_edge in_e.ed_id, in_e.ed_weight) ];
-              fr_produce = produce_all;
-              fr_is_final = false;
-            }
-        else None)
-      ins
-  | Activity_final _ ->
-    if ins <> [] && in_ok () then
-      [
-        {
-          fr_label = Translate.transition_of_node id;
-          fr_node = n;
-          fr_consume = consume_all;
-          fr_produce = [ Translate.done_place ];
-          fr_is_final = true;
-        };
-      ]
-    else []
-  | Flow_final _ ->
-    if ins <> [] && in_ok () then
-      [
-        {
-          fr_label = Translate.transition_of_node id;
-          fr_node = n;
-          fr_consume = consume_all;
-          fr_produce = [];
-          fr_is_final = false;
-        };
-      ]
-    else []
-  | Accept_event ev ->
-    let event_ready =
-      (not t.gating) || List.mem ev.ev_event t.pending_events
-    in
-    if ins <> [] && in_ok () && event_ready then
-      [
-        {
-          fr_label = Translate.transition_of_node id;
-          fr_node = n;
-          fr_consume = consume_all;
-          fr_produce = produce_all;
-          fr_is_final = false;
-        };
-      ]
-    else []
-  | Object_node o ->
+(* Every incoming edge offers its weight, then every incoming guard
+   passes: tokens before guards, each stopping at the first failure. *)
+let in_ok t tp =
+  Array.for_all (offers t) tp.tp_ins
+  && Array.for_all (fun a -> guard_passes t a.a_guard) tp.tp_ins
+
+let firing tp label = { fr_tp = tp; fr_branch = -1; fr_label = label }
+
+(* The firings a template enables, consed onto [acc] in reverse. *)
+let firings_of_template t tp acc =
+  let has_ins = Array.length tp.tp_ins > 0 in
+  match tp.tp_shape with
+  | S_initial sp -> if t.slots.(sp) >= 1 then firing tp tp.tp_label :: acc else acc
+  | S_decision labels ->
+    if (not has_ins) || not (in_ok t tp) then acc
+    else begin
+      let acc = ref acc in
+      Array.iteri
+        (fun i a ->
+          if guard_passes t a.a_guard then
+            acc := { fr_tp = tp; fr_branch = i; fr_label = labels.(i) } :: !acc)
+        tp.tp_outs;
+      !acc
+    end
+  | S_merge labels ->
+    let acc = ref acc in
+    Array.iteri
+      (fun i a ->
+        if offers t a && guard_passes t a.a_guard then
+          acc := { fr_tp = tp; fr_branch = i; fr_label = labels.(i) } :: !acc)
+      tp.tp_ins;
+    !acc
+  | S_accept event ->
+    let event_ready = (not t.gating) || List.mem event t.pending_events in
+    if has_ins && in_ok t tp && event_ready then firing tp tp.tp_label :: acc
+    else acc
+  | S_object bound ->
     let capacity_ok =
-      match o.on_upper_bound with
+      match bound with
       | None -> true
       | Some b ->
         (* tokens buffered downstream of this node *)
-        List.fold_left
-          (fun acc e -> acc + tokens_at t (Translate.place_of_edge e.ed_id))
-          0 outs
-        < b
+        Array.fold_left (fun n a -> n + t.slots.(a.a_slot)) 0 tp.tp_outs < b
     in
-    if ins <> [] && in_ok () && capacity_ok then
-      [
-        {
-          fr_label = Translate.transition_of_node id;
-          fr_node = n;
-          fr_consume = consume_all;
-          fr_produce = produce_all;
-          fr_is_final = false;
-        };
-      ]
-    else []
-  | Action _ | Call_behavior _ | Send_signal _ | Fork_node _ | Join_node _ ->
-    if ins <> [] && in_ok () then
-      [
-        {
-          fr_label = Translate.transition_of_node id;
-          fr_node = n;
-          fr_consume = consume_all;
-          fr_produce = produce_all;
-          fr_is_final = false;
-        };
-      ]
-    else []
+    if has_ins && in_ok t tp && capacity_ok then firing tp tp.tp_label :: acc
+    else acc
+  | S_final | S_flow_final | S_plain ->
+    if has_ins && in_ok t tp then firing tp tp.tp_label :: acc else acc
 
 let all_firings t =
   if t.done_ then []
-  else List.concat_map (firings_of_node t) t.act.Activityg.ac_nodes
+  else
+    List.rev
+      (Array.fold_left (fun acc tp -> firings_of_template t tp acc) []
+         t.templates)
 
 let enabled_firings t = List.map (fun f -> f.fr_label) (all_firings t)
 let stuck t = (not t.done_) && all_firings t = []
@@ -289,33 +328,61 @@ let run_node_behavior t n =
     ()
 
 let apply_firing t f =
+  let tp = f.fr_tp in
+  let fan_out = Array.length tp.tp_outs in
+  let consumed, produced =
+    match tp.tp_shape with
+    | S_initial _ -> (1, fan_out)
+    | S_decision _ | S_final -> (tp.tp_in_weight, 1)
+    | S_merge _ -> (tp.tp_ins.(f.fr_branch).a_weight, fan_out)
+    | S_flow_final -> (tp.tp_in_weight, 0)
+    | S_accept _ | S_object _ | S_plain -> (tp.tp_in_weight, fan_out)
+  in
   Telemetry.Metrics.incr t.m_firings;
-  let consumed = List.fold_left (fun acc (_, w) -> acc + w) 0 f.fr_consume in
-  Telemetry.Metrics.incr ~by:(consumed + List.length f.fr_produce)
-    t.m_token_moves;
+  Telemetry.Metrics.incr ~by:(consumed + produced) t.m_token_moves;
   if Telemetry.Metrics.live t.x_metrics then
     Telemetry.Metrics.event t.x_metrics ~scope:"activity" "fire"
       [
         ("label", Telemetry.Metrics.F_str f.fr_label);
         ("consumed", Telemetry.Metrics.F_int consumed);
-        ("produced", Telemetry.Metrics.F_int (List.length f.fr_produce));
+        ("produced", Telemetry.Metrics.F_int produced);
       ];
-  List.iter (fun (p, w) -> add_tokens t p (-w)) f.fr_consume;
-  run_node_behavior t f.fr_node;
-  List.iter (fun p -> add_tokens t p 1) f.fr_produce;
-  if f.fr_is_final then t.done_ <- true
+  let take a = t.slots.(a.a_slot) <- t.slots.(a.a_slot) - a.a_weight in
+  let put slot = t.slots.(slot) <- t.slots.(slot) + 1 in
+  (match tp.tp_shape with
+   | S_initial sp -> t.slots.(sp) <- t.slots.(sp) - 1
+   | S_merge _ -> take tp.tp_ins.(f.fr_branch)
+   | S_decision _ | S_final | S_flow_final | S_accept _ | S_object _
+   | S_plain ->
+     Array.iter take tp.tp_ins);
+  run_node_behavior t tp.tp_node;
+  match tp.tp_shape with
+  | S_decision _ -> put tp.tp_outs.(f.fr_branch).a_slot
+  | S_final ->
+    put t.done_slot;
+    t.done_ <- true
+  | S_flow_final -> ()
+  | S_initial _ | S_merge _ | S_accept _ | S_object _ | S_plain ->
+    Array.iter (fun a -> put a.a_slot) tp.tp_outs
 
 let fire t label =
-  match List.find_opt (fun f -> f.fr_label = label) (all_firings t) with
+  match
+    List.find_opt (fun f -> String.equal f.fr_label label) (all_firings t)
+  with
   | Some f ->
     apply_firing t f;
     Ok ()
   | None -> Error (Printf.sprintf "firing %s not enabled" label)
 
+(* Clamped at zero; places the net does not know live in the residue. *)
 let adjust_tokens t place delta =
-  let v = max 0 (tokens_at t place + delta) in
-  t.marking <-
-    (if v = 0 then SM.remove place t.marking else SM.add place v t.marking)
+  match Hashtbl.find_opt t.place_slots place with
+  | Some slot -> t.slots.(slot) <- max 0 (t.slots.(slot) + delta)
+  | None ->
+    let have = Option.value (SM.find_opt place t.residue) ~default:0 in
+    let v = max 0 (have + delta) in
+    t.residue <-
+      (if v = 0 then SM.remove place t.residue else SM.add place v t.residue)
 
 let run_status ?(seed = 1) ?(max_steps = 10_000) t =
   let state = ref (seed land 0x3FFFFFFF) in
