@@ -266,50 +266,115 @@ type net_run = {
   nr_truncated : bool;
 }
 
-let net_run ?(metrics = Telemetry.Metrics.null)
-    ?(budget = Exec.Budget.unlimited) spec faults =
+(* A net spec compiled once per campaign and shared read-only by every
+   run, on any domain: the compiled net, the initial marking split into
+   slots and a residue of places the net does not know, the slots in
+   [Marking.to_list] (place-name) order, and the P-invariants
+   [classify_net] checks. *)
+type net_ctx = {
+  nx_spec : net_spec;
+  nx_compiled : Petri.Compiled.t;
+  nx_m0 : Petri.Compiled.marking;
+  nx_residue : Petri.Marking.t;
+  nx_sorted : int array;
+  nx_invariants : (string * int) list list;
+}
+
+let net_ctx ~invariants spec =
+  let c = Petri.Compiled.of_net spec.np_net in
+  let m0, residue = Petri.Compiled.split c spec.np_marking in
+  let sorted = Array.init (Petri.Compiled.place_count c) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      String.compare (Petri.Compiled.place_id c a) (Petri.Compiled.place_id c b))
+    sorted;
+  {
+    nx_spec = spec;
+    nx_compiled = c;
+    nx_m0 = m0;
+    nx_residue = Petri.Marking.of_list residue;
+    nx_sorted = sorted;
+    nx_invariants =
+      (if invariants then Petri.Invariant.p_invariants spec.np_net else []);
+  }
+
+(* [Marking.to_list] of slots plus residue: non-zero entries, by name. *)
+let net_marking_list ctx m residue =
+  let c = ctx.nx_compiled in
+  let slots =
+    Array.fold_right
+      (fun p acc ->
+        let n = Petri.Compiled.tokens m p in
+        if n = 0 then acc else (Petri.Compiled.place_id c p, n) :: acc)
+      ctx.nx_sorted []
+  in
+  let rec merge a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | ((pa, _) as x) :: ra, ((pb, _) as y) :: rb ->
+      if String.compare pa pb < 0 then x :: merge ra b else y :: merge a rb
+  in
+  merge slots (Petri.Marking.to_list residue)
+
+let net_run_ctx ~metrics ~budget ctx faults =
+  let spec = ctx.nx_spec and c = ctx.nx_compiled in
   let fired_counter = Telemetry.Metrics.counter metrics "petri.fired" in
   let rng = Workload.Prng.create spec.np_choice_seed in
-  let marking = ref spec.np_marking in
-  let inject step =
-    inject_tokens
-      (fun place delta ->
-        if delta > 0 || Petri.Marking.tokens !marking place > 0 then
-          marking := Petri.Marking.add !marking place delta)
-      step faults
+  let marking = ref ctx.nx_m0 in
+  let residue = ref ctx.nx_residue in
+  (* a lost token is a no-op on an empty place *)
+  let adjust place delta =
+    match Petri.Compiled.place_index c place with
+    | Some p ->
+      if delta > 0 || Petri.Compiled.tokens !marking p > 0 then
+        marking := Petri.Compiled.add_tokens !marking p delta
+    | None ->
+      if delta > 0 || Petri.Marking.tokens !residue place > 0 then
+        residue := Petri.Marking.add !residue place delta
   in
+  let nt = Petri.Compiled.transition_count c in
   let rec loop step fired markings =
     Exec.Budget.check budget;
-    inject step;
-    if step >= spec.np_max_steps then (List.rev fired, List.rev markings, false, true)
+    inject_tokens adjust step faults;
+    if step >= spec.np_max_steps then
+      (List.rev fired, List.rev markings, false, true)
     else
-      match Petri.Marking.enabled_transitions spec.np_net !marking with
+      (* enabled transitions in net order, so [pick] chooses as it did
+         over [Marking.enabled_transitions] *)
+      let enabled = ref [] in
+      for ti = nt - 1 downto 0 do
+        if Petri.Compiled.enabled c !marking ti then enabled := ti :: !enabled
+      done;
+      match !enabled with
       | [] -> (List.rev fired, List.rev markings, true, false)
       | enabled -> (
-        let tn = Workload.Prng.pick rng enabled in
-        match Petri.Marking.fire spec.np_net !marking tn.Petri.Net.tn_id with
+        let ti = Workload.Prng.pick rng enabled in
+        match Petri.Compiled.fire c !marking ti with
         | None -> (List.rev fired, List.rev markings, true, false)
         | Some m' ->
           Telemetry.Metrics.incr fired_counter;
           marking := m';
           loop (step + 1)
-            (tn.Petri.Net.tn_id :: fired)
-            (Petri.Marking.to_list m' :: markings))
+            (Petri.Compiled.transition_id c ti :: fired)
+            (net_marking_list ctx m' !residue :: markings))
   in
   let fired, markings, deadlocked, truncated = loop 0 [] [] in
   {
     nr_fired = fired;
     nr_markings = markings;
-    nr_final = Petri.Marking.to_list !marking;
+    nr_final = net_marking_list ctx !marking !residue;
     nr_deadlocked = deadlocked;
     nr_truncated = truncated;
   }
 
-let classify_net spec ~golden injected =
+let net_run ?(metrics = Telemetry.Metrics.null)
+    ?(budget = Exec.Budget.unlimited) spec faults =
+  net_run_ctx ~metrics ~budget (net_ctx ~invariants:false spec) faults
+
+let classify_net_ctx ctx ~golden injected =
   if injected.nr_truncated then Truncated "step budget exhausted"
   else if golden.nr_final = injected.nr_final then Masked
   else begin
-    let invariants = Petri.Invariant.p_invariants spec.np_net in
     let g = Petri.Marking.of_list golden.nr_final in
     let i = Petri.Marking.of_list injected.nr_final in
     if
@@ -317,12 +382,15 @@ let classify_net spec ~golden injected =
         (fun inv ->
           Petri.Invariant.invariant_value inv g
           <> Petri.Invariant.invariant_value inv i)
-        invariants
+        ctx.nx_invariants
     then Detected "p-invariant violated"
     else if injected.nr_deadlocked && not golden.nr_deadlocked then
       Detected "deadlock surfaced"
     else Silent
   end
+
+let classify_net spec ~golden injected =
+  classify_net_ctx (net_ctx ~invariants:true spec) ~golden injected
 
 (* --- orchestration ---------------------------------------------------- *)
 
@@ -412,10 +480,11 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
        acc := note "activity" outcome !acc);
     (match golden_net with
      | None -> ()
-     | Some (spec, golden) ->
+     | Some (ctx, golden) ->
        let outcome =
          Telemetry.Metrics.span metrics "fault/run" (fun () ->
-             classify_net spec ~golden (net_run ~metrics ~budget spec [ f ]))
+             classify_net_ctx ctx ~golden
+               (net_run_ctx ~metrics ~budget ctx [ f ]))
        in
        acc := note "petri" outcome !acc);
     if !acc = [] then FR_skipped "no token domain in this campaign"
@@ -439,8 +508,23 @@ let run ?(metrics = Telemetry.Metrics.null)
   let golden_act =
     Option.map (fun s -> (s, act_run ~metrics ~budget s [])) activity
   in
-  let golden_net = Option.map (fun s -> (s, net_run ~metrics ~budget s [])) net in
   let faults = Array.of_list plan.Plan.faults in
+  (* compiled once, with the P-invariants when some run may need them,
+     here on the caller's domain before any sharding *)
+  let golden_net =
+    Option.map
+      (fun s ->
+        let invariants =
+          Array.exists
+            (function
+              | Plan.F_token _ -> true
+              | Plan.F_rtl _ | Plan.F_statechart _ -> false)
+            faults
+        in
+        let ctx = net_ctx ~invariants s in
+        (ctx, net_run_ctx ~metrics ~budget ctx []))
+      net
+  in
   let n = Array.length faults in
   let results = Array.make n (FR_skipped "") in
   (match pool with

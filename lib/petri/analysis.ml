@@ -86,7 +86,7 @@ let explore_markings ?(limit = 10_000) ?metered ?metrics ?budget ?compiled
       ex_m0 = m0;
       ex_residue = residue;
       ex_limit = limit;
-      ex_reach = { r with Compiled.r_order = [] };
+      ex_reach = { r with Compiled.r_order = [||] };
     },
     r.Compiled.r_order )
 
@@ -167,7 +167,10 @@ let reachable ?limit ?metrics ?budget ?pool:_ ?compiled net m0 =
   let ex, order = explore_markings ?limit ?metrics ?budget ?compiled net m0 in
   let s = summary ex in
   {
-    markings = List.map (Compiled.export ex.ex_compiled ex.ex_residue) order;
+    markings =
+      Array.fold_right
+        (fun m acc -> Compiled.export ex.ex_compiled ex.ex_residue m :: acc)
+        order [];
     state_count = s.sum_state_count;
     truncated = s.sum_truncated;
     deadlocks = s.sum_deadlocks;

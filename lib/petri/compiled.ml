@@ -6,6 +6,9 @@ type t = {
   transition_idx : (string, int) Hashtbl.t;
   pre : (int * int) array array;  (** transition -> (place, weight) *)
   post : (int * int) array array;
+  place_weight : int array;
+      (** [31^(places-1-p)]: what one token at [p] adds to a marking's
+          hash, so firing updates the hash without rescanning *)
 }
 
 type marking = {
@@ -14,8 +17,11 @@ type marking = {
 }
 
 let hash_slots slots =
-  Array.fold_left (fun h n -> (h * 31) + n + 1) (Array.length slots) slots
-  land max_int
+  let h = ref (Array.length slots) in
+  for i = 0 to Array.length slots - 1 do
+    h := (!h * 31) + slots.(i) + 1
+  done;
+  !h land max_int
 
 let make_marking slots = { slots; hash = hash_slots slots }
 
@@ -57,6 +63,13 @@ let of_net (net : Net.t) =
     transition_idx;
     pre = finalize pre_acc;
     post = finalize post_acc;
+    place_weight =
+      (let np = Array.length place_ids in
+       let w = Array.make np 1 in
+       for p = np - 2 downto 0 do
+         w.(p) <- w.(p + 1) * 31
+       done;
+       w);
   }
 
 let net c = c.source
@@ -65,6 +78,7 @@ let transition_count c = Array.length c.transition_ids
 let transition_id c i = c.transition_ids.(i)
 let transition_index c id = Hashtbl.find_opt c.transition_idx id
 let place_id c i = c.place_ids.(i)
+let place_index c id = Hashtbl.find_opt c.place_idx id
 let pre_arcs c ti = c.pre.(ti)
 let post_arcs c ti = c.post.(ti)
 
@@ -89,20 +103,55 @@ let export c residue m =
   Marking.of_list (base @ residue)
 
 let tokens m i = m.slots.(i)
-let marking_equal m1 m2 = m1.hash = m2.hash && m1.slots = m2.slots
+
+let add_tokens m i delta =
+  let slots = Array.copy m.slots in
+  slots.(i) <- slots.(i) + delta;
+  make_marking slots
+let marking_equal m1 m2 =
+  m1.hash = m2.hash
+  &&
+  let a = m1.slots and b = m2.slots in
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
 let marking_hash m = m.hash
+
+(* A plain loop over the input arcs: no closure per transition. *)
+let pre_enabled pre slots =
+  let rec go i =
+    i < 0
+    ||
+    let p, w = pre.(i) in
+    slots.(p) >= w && go (i - 1)
+  in
+  go (Array.length pre - 1)
 
 let enabled c m ti =
   ti >= 0
   && ti < Array.length c.transition_ids
-  && Array.for_all (fun (p, w) -> m.slots.(p) >= w) c.pre.(ti)
+  && pre_enabled c.pre.(ti) m.slots
 
-(* Firing an already-checked transition: copy, subtract, add. *)
+(* Firing an already-checked transition: copy, subtract, add.  The
+   hash is polynomial in the slots, so each arc moves it by its weight
+   times the place's coefficient (all modulo [max_int + 1]). *)
 let fire_enabled c m ti =
   let slots = Array.copy m.slots in
-  Array.iter (fun (p, w) -> slots.(p) <- slots.(p) - w) c.pre.(ti);
-  Array.iter (fun (p, w) -> slots.(p) <- slots.(p) + w) c.post.(ti);
-  make_marking slots
+  let pre = c.pre.(ti) and post = c.post.(ti) in
+  let h = ref m.hash in
+  for i = 0 to Array.length pre - 1 do
+    let p, w = pre.(i) in
+    slots.(p) <- slots.(p) - w;
+    h := !h - (w * c.place_weight.(p))
+  done;
+  for i = 0 to Array.length post - 1 do
+    let p, w = post.(i) in
+    slots.(p) <- slots.(p) + w;
+    h := !h + (w * c.place_weight.(p))
+  done;
+  { slots; hash = !h land max_int }
 
 let fire c m ti = if enabled c m ti then Some (fire_enabled c m ti) else None
 
@@ -112,7 +161,7 @@ let fire_by_id c m id =
   | None -> None
 
 type reach = {
-  r_order : marking list;
+  r_order : marking array;
   r_state_count : int;
   r_truncated : bool;
   r_deadlocks : (int * marking) list;
@@ -120,31 +169,79 @@ type reach = {
   r_max_tokens : int;
 }
 
-module H = Hashtbl.Make (struct
-  type t = marking
+(* The visited set: open addressing with linear probing, so a successor
+   is looked up and, when new, inserted in one probe sequence.  Starts
+   small and doubles at half load. *)
+module Seen = struct
+  type t = {
+    mutable keys : marking array;
+    mutable count : int;
+  }
 
-  let equal = marking_equal
-  let hash = marking_hash
-end)
+  let vacant = { slots = [||]; hash = -1 }
+  let create () = { keys = Array.make 256 vacant; count = 0 }
 
+  (* Multiply, then fold the high bits down: hashes of neighbouring
+     markings differ in their low bits only, which linear probing would
+     turn into long runs. *)
+  let home keys m =
+    let h = m.hash * 0x1E3779B97F4A7C15 in
+    (h lxor (h lsr 32)) land (Array.length keys - 1)
+
+  let insert keys m =
+    let mask = Array.length keys - 1 in
+    let rec probe i =
+      let k = keys.(i) in
+      if k == vacant then begin
+        keys.(i) <- m;
+        true
+      end
+      else if marking_equal k m then false
+      else probe ((i + 1) land mask)
+    in
+    probe (home keys m)
+
+  let add_new s m =
+    insert s.keys m
+    && begin
+      s.count <- s.count + 1;
+      if 2 * s.count > Array.length s.keys then begin
+        let old = s.keys in
+        s.keys <- Array.make (2 * Array.length old) vacant;
+        Array.iter (fun k -> if k != vacant then ignore (insert s.keys k)) old
+      end;
+      true
+    end
+end
+
+(* The BFS queue is an array that only grows: everything pushed stays,
+   so its first [visited] entries are the visit order. *)
 let reachable ?(limit = 10_000) ?metered ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) c m0 =
   let metered = Option.value metered ~default:limit in
   let m_explored = Telemetry.Metrics.counter metrics "petri.markings_explored" in
   let nt = Array.length c.transition_ids in
   let first_enabled = Array.make nt max_int in
-  let seen = H.create 256 in
-  let queue = Queue.create () in
-  H.replace seen m0 ();
-  Queue.push m0 queue;
-  let order = ref [] in
+  let seen = Seen.create () in
+  let queue = ref (Array.make 256 m0) in
+  let tail = ref 1 in
+  let push m =
+    if !tail = Array.length !queue then begin
+      let bigger = Array.make (2 * !tail) m0 in
+      Array.blit !queue 0 bigger 0 !tail;
+      queue := bigger
+    end;
+    !queue.(!tail) <- m;
+    incr tail
+  in
+  ignore (Seen.add_new seen m0);
   let deadlocks = ref [] in
   let visited = ref 0 in
   let truncated = ref false in
   let max_tokens = ref 0 in
   let continue = ref true in
   while !continue do
-    if Queue.is_empty queue then continue := false
+    if !visited = !tail then continue := false
     else if !visited >= limit then begin
       truncated := true;
       continue := false
@@ -155,27 +252,26 @@ let reachable ?(limit = 10_000) ?metered ?(metrics = Telemetry.Metrics.null)
         Exec.Budget.check budget;
         Telemetry.Metrics.incr m_explored
       end;
-      let m = Queue.pop queue in
+      let m = !queue.(index) in
       incr visited;
-      order := m :: !order;
-      Array.iter (fun n -> if n > !max_tokens then max_tokens := n) m.slots;
+      let slots = m.slots in
+      for p = 0 to Array.length slots - 1 do
+        if slots.(p) > !max_tokens then max_tokens := slots.(p)
+      done;
       let any = ref false in
       for ti = 0 to nt - 1 do
-        if Array.for_all (fun (p, w) -> m.slots.(p) >= w) c.pre.(ti) then begin
+        if pre_enabled c.pre.(ti) slots then begin
           if first_enabled.(ti) = max_int then first_enabled.(ti) <- index;
           any := true;
           let m' = fire_enabled c m ti in
-          if not (H.mem seen m') then begin
-            H.replace seen m' ();
-            Queue.push m' queue
-          end
+          if Seen.add_new seen m' then push m'
         end
       done;
       if not !any then deadlocks := (index, m) :: !deadlocks
     end
   done;
   {
-    r_order = List.rev !order;
+    r_order = Array.sub !queue 0 !visited;
     r_state_count = !visited;
     r_truncated = !truncated;
     r_deadlocks = List.rev !deadlocks;

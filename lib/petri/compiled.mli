@@ -41,6 +41,9 @@ val transition_index : t -> string -> int option
 val place_id : t -> int -> string
 (** Dense index (in [Net.t.places] order) back to the string id. *)
 
+val place_index : t -> string -> int option
+(** String id to dense index; [None] for places the net does not know. *)
+
 val pre_arcs : t -> int -> (int * int) array
 (** Input [(place, weight)] pairs of a transition (by dense index), in
     the net's arc order.  Callers must not mutate the array. *)
@@ -61,6 +64,10 @@ val export : t -> (string * int) list -> marking -> Marking.t
 val tokens : marking -> int -> int
 (** Token count at a dense place index. *)
 
+val add_tokens : marking -> int -> int -> marking
+(** [add_tokens m i delta]: [m] with [delta] (may be negative) added at
+    dense place index [i], unclamped — the token-fault hook. *)
+
 val marking_equal : marking -> marking -> bool
 val marking_hash : marking -> int
 
@@ -75,7 +82,9 @@ val fire_by_id : t -> marking -> string -> marking option
     (mirrors {!Marking.fire}). *)
 
 type reach = {
-  r_order : marking list;  (** visited markings, BFS order *)
+  r_order : marking array;
+      (** visited markings, BFS order: the exploration's queue, which
+          keeps everything pushed, trimmed to the visited prefix *)
   r_state_count : int;
   r_truncated : bool;  (** stopped at the limit with work remaining *)
   r_deadlocks : (int * marking) list;
