@@ -247,7 +247,8 @@ let firing tp label = { fr_tp = tp; fr_branch = -1; fr_label = label }
 let firings_of_template t tp acc =
   let has_ins = Array.length tp.tp_ins > 0 in
   match tp.tp_shape with
-  | S_initial sp -> if t.slots.(sp) >= 1 then firing tp tp.tp_label :: acc else acc
+  | S_initial sp ->
+    if t.slots.(sp) >= 1 then firing tp tp.tp_label :: acc else acc
   | S_decision labels ->
     if (not has_ins) || not (in_ok t tp) then acc
     else begin

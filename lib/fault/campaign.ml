@@ -284,10 +284,8 @@ let net_ctx ~invariants spec =
   let c = Petri.Compiled.of_net spec.np_net in
   let m0, residue = Petri.Compiled.split c spec.np_marking in
   let sorted = Array.init (Petri.Compiled.place_count c) Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      String.compare (Petri.Compiled.place_id c a) (Petri.Compiled.place_id c b))
-    sorted;
+  let name = Petri.Compiled.place_id c in
+  Array.stable_sort (fun a b -> String.compare (name a) (name b)) sorted;
   {
     nx_spec = spec;
     nx_compiled = c;

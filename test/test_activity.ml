@@ -244,12 +244,25 @@ let conformance_tests =
 (* Differential property against [Activity_exec_ref], the edge-scanning
    engine the firing templates replaced.  Generated activities are
    guard-free, so [decorate] adds what the engine evaluates
-   dynamically: edge guards over a store counter, action bodies that
-   bump it, weight-2 edges, bounded object nodes, accept events (gated
-   on some runs) and signal sends. *)
+   dynamically: edge guards over an attribute of [self] (each read
+   counts in [asl.store_reads], so the metrics pin how often and in
+   which order guards run), action bodies that bump it, weight-2
+   edges, bounded object nodes, accept events (gated on some runs) and
+   signal sends. *)
 
-let guards = [| "n < 2"; "n >= 1"; "n < 4"; "true"; "false"; "ghost > 0" |]
-let bodies = [| "n := n + 1;"; "n := 0;"; "n := n + 2;"; "send tick();" |]
+let guards =
+  [|
+    "self.n < 2"; "self.n >= 1"; "self.n < 4"; "true"; "false";
+    "self.ghost > 0";
+  |]
+
+let bodies =
+  [|
+    "self.n := self.n + 1;";
+    "self.n := 0;";
+    "print(self.n); self.n := self.n + 2;";
+    "send tick();";
+  |]
 
 let decorate rng (act : Activityg.t) =
   let open Activityg in
@@ -257,7 +270,7 @@ let decorate rng (act : Activityg.t) =
   let node n =
     match n with
     | Action a -> (
-      match Workload.Prng.int rng 8 with
+      match Workload.Prng.int rng 6 with
       | 0 ->
         Object_node
           {
@@ -276,8 +289,8 @@ let decorate rng (act : Activityg.t) =
   in
   let edge e =
     match Workload.Prng.int rng 10 with
-    | 0 | 1 | 2 -> { e with ed_guard = Some (pick guards) }
-    | 3 -> { e with ed_weight = 2 }
+    | 0 | 1 | 2 | 3 -> { e with ed_guard = Some (pick guards) }
+    | 4 -> { e with ed_weight = 2 }
     | _ -> e
   in
   let nodes = List.map node act.ac_nodes in
@@ -326,11 +339,24 @@ let lockstep_agrees ~gen_seed ~decisions ~run_seed =
   let rng = Workload.Prng.create run_seed in
   let act = decorate rng (gen ~seed:gen_seed ~size:12 ~max_width:3) in
   let faults = random_faults rng (fault_places act) ~steps:30 ~count:6 in
-  let gating = Workload.Prng.int rng 3 = 0 in
-  let reg = Telemetry.Metrics.create () in
-  let reg_ref = Telemetry.Metrics.create () in
-  let x = Activity.Exec.create ~metrics:reg act in
-  let r = Activity_exec_ref.create ~metrics:reg_ref act in
+  let gating = Workload.Prng.bool rng in
+  let engine_parts () =
+    let metrics = Telemetry.Metrics.create () in
+    let store = Asl.Store.create () in
+    let self_ =
+      Asl.Value.V_obj
+        (Asl.Store.alloc store ~class_name:"C"
+           ~attrs:[ ("n", Asl.Value.V_int 0) ])
+    in
+    (metrics, Asl.Interp.create ~metrics store, self_)
+  in
+  let reg, interp, self_ = engine_parts () in
+  let reg_ref, interp_ref, self_ref = engine_parts () in
+  let x = Activity.Exec.create ~interp ~self_ ~metrics:reg act in
+  let r =
+    Activity_exec_ref.create ~interp:interp_ref ~self_:self_ref
+      ~metrics:reg_ref act
+  in
   Activity.Exec.set_event_gating x gating;
   Activity_exec_ref.set_event_gating r gating;
   let same_state () =
@@ -343,7 +369,7 @@ let lockstep_agrees ~gen_seed ~decisions ~run_seed =
         Activity.Exec.adjust_tokens x p d;
         Activity_exec_ref.adjust_tokens r p d)
       (fault_deltas step faults);
-    if step mod 4 = 1 then begin
+    if step mod 5 = 4 then begin
       Activity.Exec.offer_event x "go";
       Activity_exec_ref.offer_event r "go"
     end;
@@ -427,7 +453,7 @@ let reference_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
-         ~name:"engine steps agree with the reference engine" ~count:150
+         ~name:"engine steps agree with the reference engine" ~count:400
          seeds (fun (gen_seed, decisions, run_seed) ->
            lockstep_agrees ~gen_seed ~decisions ~run_seed));
     QCheck_alcotest.to_alcotest

@@ -291,7 +291,9 @@ let net_campaign seed =
       np_max_steps = Workload.Prng.range rng 4 40;
     }
   in
-  let fault_set () = List.init (Workload.Prng.range rng 1 3) (fun _ -> fault ()) in
+  let fault_set () =
+    List.init (Workload.Prng.range rng 1 3) (fun _ -> fault ())
+  in
   (spec, List.init 4 (fun _ -> fault_set ()))
 
 let net_run_agrees seed =
