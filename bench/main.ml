@@ -1228,6 +1228,63 @@ let e15_report () =
         (Fault.Campaign.coverage t))
     [ 4; 8; 16 ]
 
+(* The token domains on the 4x8 fork activity perfbench's [verify]
+   injects into: one 12-token-fault campaign per backend, repeated to
+   get past the CPU clock's resolution, best of three. *)
+let e15_token_report () =
+  let act = e13_fork_activity ~branches:4 ~length:8 in
+  let net, m0 = Activity.Translate.to_petri act in
+  let surface =
+    {
+      Fault.Plan.su_signals = [];
+      su_cycles = 0;
+      su_events = [];
+      su_length = 0;
+      su_places = List.map (fun p -> p.Petri.Net.pl_id) net.Petri.Net.places;
+      su_steps = 32;
+    }
+  in
+  let plan = Fault.Plan.generate ~seed:0x15 ~count:12 surface in
+  let activity =
+    {
+      Fault.Campaign.ac_activity = act;
+      ac_choice_seed = 0x15;
+      ac_max_steps = 10_000;
+    }
+  in
+  let net_spec =
+    {
+      Fault.Campaign.np_net = net;
+      np_marking = m0;
+      np_choice_seed = 0x15;
+      np_max_steps = 10_000;
+    }
+  in
+  List.iter
+    (fun (domain, campaign) ->
+      let reps = 20 in
+      let t = Fault.Campaign.totals (campaign ()) in
+      let dt =
+        e13_time (fun () ->
+            for _ = 1 to reps do
+              ignore (campaign ())
+            done)
+      in
+      (* golden run + one run per injected fault, per repetition *)
+      let runs = reps * (1 + t.Fault.Campaign.t_injected) in
+      let runs_per_s = float_of_int runs /. (dt +. 1e-9) in
+      Printf.printf
+        "token %-8s: %2d faults -> %8.1f runs/s \
+         (masked %d, detected %d, silent %d, truncated %d)\n"
+        domain t.Fault.Campaign.t_injected runs_per_s
+        t.Fault.Campaign.t_masked t.Fault.Campaign.t_detected
+        t.Fault.Campaign.t_silent t.Fault.Campaign.t_truncated;
+      record_f ("e15.token_runs_per_s." ^ domain) runs_per_s)
+    [
+      ("activity", fun () -> Fault.Campaign.run ~activity ~label:"bench" plan);
+      ("petri", fun () -> Fault.Campaign.run ~net:net_spec ~label:"bench" plan);
+    ]
+
 let e15_tests () =
   let flat = e10_flat 4 in
   let spec = e15_spec flat in
@@ -1693,6 +1750,7 @@ let () =
   e13_report ();
   e14_report ();
   e15_report ();
+  e15_token_report ();
   e16_report ();
   e17_report ();
   e18_report ();

@@ -211,13 +211,9 @@ let tokens t =
         if n = 0 then acc else (t.place_names.(slot), n) :: acc)
       t.sorted_slots []
   in
-  let rec merge a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | ((pa, _) as x) :: ra, ((pb, _) as y) :: rb ->
-      if String.compare pa pb < 0 then x :: merge ra b else y :: merge a rb
-  in
-  merge net (SM.bindings t.residue)
+  List.merge
+    (fun (a, _) (b, _) -> String.compare a b)
+    net (SM.bindings t.residue)
 
 let finished t = t.done_
 let set_event_gating t b = t.gating <- b
@@ -241,14 +237,15 @@ let in_ok t tp =
   Array.for_all (offers t) tp.tp_ins
   && Array.for_all (fun a -> guard_passes t a.a_guard) tp.tp_ins
 
-let firing tp label = { fr_tp = tp; fr_branch = -1; fr_label = label }
+let firing tp = { fr_tp = tp; fr_branch = -1; fr_label = tp.tp_label }
+let branch tp labels i = { fr_tp = tp; fr_branch = i; fr_label = labels.(i) }
 
 (* The firings a template enables, consed onto [acc] in reverse. *)
 let firings_of_template t tp acc =
   let has_ins = Array.length tp.tp_ins > 0 in
   match tp.tp_shape with
   | S_initial sp ->
-    if t.slots.(sp) >= 1 then firing tp tp.tp_label :: acc else acc
+    if t.slots.(sp) >= 1 then firing tp :: acc else acc
   | S_decision labels ->
     if (not has_ins) || not (in_ok t tp) then acc
     else begin
@@ -256,7 +253,7 @@ let firings_of_template t tp acc =
       Array.iteri
         (fun i a ->
           if guard_passes t a.a_guard then
-            acc := { fr_tp = tp; fr_branch = i; fr_label = labels.(i) } :: !acc)
+            acc := branch tp labels i :: !acc)
         tp.tp_outs;
       !acc
     end
@@ -265,12 +262,12 @@ let firings_of_template t tp acc =
     Array.iteri
       (fun i a ->
         if offers t a && guard_passes t a.a_guard then
-          acc := { fr_tp = tp; fr_branch = i; fr_label = labels.(i) } :: !acc)
+          acc := branch tp labels i :: !acc)
       tp.tp_ins;
     !acc
   | S_accept event ->
     let event_ready = (not t.gating) || List.mem event t.pending_events in
-    if has_ins && in_ok t tp && event_ready then firing tp tp.tp_label :: acc
+    if has_ins && in_ok t tp && event_ready then firing tp :: acc
     else acc
   | S_object bound ->
     let capacity_ok =
@@ -280,10 +277,10 @@ let firings_of_template t tp acc =
         (* tokens buffered downstream of this node *)
         Array.fold_left (fun n a -> n + t.slots.(a.a_slot)) 0 tp.tp_outs < b
     in
-    if has_ins && in_ok t tp && capacity_ok then firing tp tp.tp_label :: acc
+    if has_ins && in_ok t tp && capacity_ok then firing tp :: acc
     else acc
   | S_final | S_flow_final | S_plain ->
-    if has_ins && in_ok t tp then firing tp tp.tp_label :: acc else acc
+    if has_ins && in_ok t tp then firing tp :: acc else acc
 
 let all_firings t =
   if t.done_ then []

@@ -268,19 +268,17 @@ type net_run = {
 
 (* A net spec compiled once per campaign and shared read-only by every
    run, on any domain: the compiled net, the initial marking split into
-   slots and a residue of places the net does not know, the slots in
-   [Marking.to_list] (place-name) order, and the P-invariants
-   [classify_net] checks. *)
+   slots and a residue of places the net does not know, and the slots
+   in [Marking.to_list] (place-name) order. *)
 type net_ctx = {
   nx_spec : net_spec;
   nx_compiled : Petri.Compiled.t;
   nx_m0 : Petri.Compiled.marking;
   nx_residue : Petri.Marking.t;
   nx_sorted : int array;
-  nx_invariants : (string * int) list list;
 }
 
-let net_ctx ~invariants spec =
+let net_ctx spec =
   let c = Petri.Compiled.of_net spec.np_net in
   let m0, residue = Petri.Compiled.split c spec.np_marking in
   let sorted = Array.init (Petri.Compiled.place_count c) Fun.id in
@@ -292,8 +290,6 @@ let net_ctx ~invariants spec =
     nx_m0 = m0;
     nx_residue = Petri.Marking.of_list residue;
     nx_sorted = sorted;
-    nx_invariants =
-      (if invariants then Petri.Invariant.p_invariants spec.np_net else []);
   }
 
 (* [Marking.to_list] of slots plus residue: non-zero entries, by name. *)
@@ -306,13 +302,10 @@ let net_marking_list ctx m residue =
         if n = 0 then acc else (Petri.Compiled.place_id c p, n) :: acc)
       ctx.nx_sorted []
   in
-  let rec merge a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | ((pa, _) as x) :: ra, ((pb, _) as y) :: rb ->
-      if String.compare pa pb < 0 then x :: merge ra b else y :: merge a rb
-  in
-  merge slots (Petri.Marking.to_list residue)
+  List.merge
+    (fun (a, _) (b, _) -> String.compare a b)
+    slots
+    (Petri.Marking.to_list residue)
 
 let net_run_ctx ~metrics ~budget ctx faults =
   let spec = ctx.nx_spec and c = ctx.nx_compiled in
@@ -367,9 +360,9 @@ let net_run_ctx ~metrics ~budget ctx faults =
 
 let net_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
-  net_run_ctx ~metrics ~budget (net_ctx ~invariants:false spec) faults
+  net_run_ctx ~metrics ~budget (net_ctx spec) faults
 
-let classify_net_ctx ctx ~golden injected =
+let classify_net_with invariants ~golden injected =
   if injected.nr_truncated then Truncated "step budget exhausted"
   else if golden.nr_final = injected.nr_final then Masked
   else begin
@@ -380,7 +373,7 @@ let classify_net_ctx ctx ~golden injected =
         (fun inv ->
           Petri.Invariant.invariant_value inv g
           <> Petri.Invariant.invariant_value inv i)
-        ctx.nx_invariants
+        invariants
     then Detected "p-invariant violated"
     else if injected.nr_deadlocked && not golden.nr_deadlocked then
       Detected "deadlock surfaced"
@@ -388,7 +381,7 @@ let classify_net_ctx ctx ~golden injected =
   end
 
 let classify_net spec ~golden injected =
-  classify_net_ctx (net_ctx ~invariants:true spec) ~golden injected
+  classify_net_with (Petri.Invariant.p_invariants spec.np_net) ~golden injected
 
 (* --- orchestration ---------------------------------------------------- *)
 
@@ -478,10 +471,10 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
        acc := note "activity" outcome !acc);
     (match golden_net with
      | None -> ()
-     | Some (ctx, golden) ->
+     | Some (ctx, invariants, golden) ->
        let outcome =
          Telemetry.Metrics.span metrics "fault/run" (fun () ->
-             classify_net_ctx ctx ~golden
+             classify_net_with invariants ~golden
                (net_run_ctx ~metrics ~budget ctx [ f ]))
        in
        acc := note "petri" outcome !acc);
@@ -507,20 +500,15 @@ let run ?(metrics = Telemetry.Metrics.null)
     Option.map (fun s -> (s, act_run ~metrics ~budget s [])) activity
   in
   let faults = Array.of_list plan.Plan.faults in
-  (* compiled once, with the P-invariants when some run may need them,
-     here on the caller's domain before any sharding *)
+  (* the net compiled and its P-invariants computed once, here on the
+     caller's domain, before any sharding *)
   let golden_net =
     Option.map
       (fun s ->
-        let invariants =
-          Array.exists
-            (function
-              | Plan.F_token _ -> true
-              | Plan.F_rtl _ | Plan.F_statechart _ -> false)
-            faults
-        in
-        let ctx = net_ctx ~invariants s in
-        (ctx, net_run_ctx ~metrics ~budget ctx []))
+        let ctx = net_ctx s in
+        ( ctx,
+          Petri.Invariant.p_invariants s.np_net,
+          net_run_ctx ~metrics ~budget ctx [] ))
       net
   in
   let n = Array.length faults in

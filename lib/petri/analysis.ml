@@ -86,9 +86,9 @@ let explore_markings ?(limit = 10_000) ?metered ?metrics ?budget ?compiled
       ex_m0 = m0;
       ex_residue = residue;
       ex_limit = limit;
-      ex_reach = { r with Compiled.r_order = [||] };
+      ex_reach = { r with Compiled.r_queue = [||] };
     },
-    r.Compiled.r_order )
+    r.Compiled.r_queue )
 
 let exploration ?limit ?metered ?metrics ?budget ?compiled net m0 =
   fst (explore_markings ?limit ?metered ?metrics ?budget ?compiled net m0)
@@ -164,13 +164,12 @@ let explore ?limit ?metrics ?budget ?compiled net m0 =
   summary (exploration ?limit ?metrics ?budget ?compiled net m0)
 
 let reachable ?limit ?metrics ?budget ?pool:_ ?compiled net m0 =
-  let ex, order = explore_markings ?limit ?metrics ?budget ?compiled net m0 in
+  let ex, queue = explore_markings ?limit ?metrics ?budget ?compiled net m0 in
   let s = summary ex in
   {
     markings =
-      Array.fold_right
-        (fun m acc -> Compiled.export ex.ex_compiled ex.ex_residue m :: acc)
-        order [];
+      List.init s.sum_state_count (fun i ->
+          Compiled.export ex.ex_compiled ex.ex_residue queue.(i));
     state_count = s.sum_state_count;
     truncated = s.sum_truncated;
     deadlocks = s.sum_deadlocks;

@@ -17,11 +17,8 @@ type marking = {
 }
 
 let hash_slots slots =
-  let h = ref (Array.length slots) in
-  for i = 0 to Array.length slots - 1 do
-    h := (!h * 31) + slots.(i) + 1
-  done;
-  !h land max_int
+  Array.fold_left (fun h n -> (h * 31) + n + 1) (Array.length slots) slots
+  land max_int
 
 let make_marking slots = { slots; hash = hash_slots slots }
 
@@ -108,15 +105,8 @@ let add_tokens m i delta =
   let slots = Array.copy m.slots in
   slots.(i) <- slots.(i) + delta;
   make_marking slots
-let marking_equal m1 m2 =
-  m1.hash = m2.hash
-  &&
-  let a = m1.slots and b = m2.slots in
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+
+let marking_equal m1 m2 = m1.hash = m2.hash && m1.slots = m2.slots
 let marking_hash m = m.hash
 
 (* A plain loop over the input arcs: no closure per transition. *)
@@ -161,7 +151,7 @@ let fire_by_id c m id =
   | None -> None
 
 type reach = {
-  r_order : marking array;
+  r_queue : marking array;
   r_state_count : int;
   r_truncated : bool;
   r_deadlocks : (int * marking) list;
@@ -215,7 +205,8 @@ module Seen = struct
 end
 
 (* The BFS queue is an array that only grows: everything pushed stays,
-   so its first [visited] entries are the visit order. *)
+   so its first [visited] entries are the visit order, at no cost to
+   callers that do not read it. *)
 let reachable ?(limit = 10_000) ?metered ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) c m0 =
   let metered = Option.value metered ~default:limit in
@@ -271,7 +262,7 @@ let reachable ?(limit = 10_000) ?metered ?(metrics = Telemetry.Metrics.null)
     end
   done;
   {
-    r_order = Array.sub !queue 0 !visited;
+    r_queue = !queue;
     r_state_count = !visited;
     r_truncated = !truncated;
     r_deadlocks = List.rev !deadlocks;

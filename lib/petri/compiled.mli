@@ -82,9 +82,10 @@ val fire_by_id : t -> marking -> string -> marking option
     (mirrors {!Marking.fire}). *)
 
 type reach = {
-  r_order : marking array;
-      (** visited markings, BFS order: the exploration's queue, which
-          keeps everything pushed, trimmed to the visited prefix *)
+  r_queue : marking array;
+      (** the exploration's queue, which keeps everything it pushed: its
+          first [r_state_count] entries are the visited markings in BFS
+          order; entries past the last marking pushed are filler *)
   r_state_count : int;
   r_truncated : bool;  (** stopped at the limit with work remaining *)
   r_deadlocks : (int * marking) list;
