@@ -298,27 +298,20 @@ let net_campaign seed =
 
 let net_run_agrees seed =
   let spec, fault_sets = net_campaign seed in
-  let run faults =
+  let golden = Fault.Campaign.net_run spec [] in
+  let golden_ref = Net_run_ref.net_run spec [] in
+  let agrees faults =
     let reg = Telemetry.Metrics.create () in
     let reg_ref = Telemetry.Metrics.create () in
     let r = Fault.Campaign.net_run ~metrics:reg spec faults in
     let r_ref = Net_run_ref.net_run ~metrics:reg_ref spec faults in
-    (r, r_ref, Telemetry.Metrics.report reg = Telemetry.Metrics.report reg_ref)
+    (* record equality: every [nr_*] field *)
+    r = r_ref
+    && Telemetry.Metrics.report reg = Telemetry.Metrics.report reg_ref
+    && Fault.Campaign.classify_net spec ~golden r
+       = Net_run_ref.classify_net spec ~golden:golden_ref r_ref
   in
-  let golden, golden_ref, golden_metrics = run [] in
-  golden = golden_ref && golden_metrics
-  && List.for_all
-       (fun faults ->
-         let r, r_ref, metrics = run faults in
-         r.Fault.Campaign.nr_fired = r_ref.Fault.Campaign.nr_fired
-         && r.Fault.Campaign.nr_markings = r_ref.Fault.Campaign.nr_markings
-         && r.Fault.Campaign.nr_final = r_ref.Fault.Campaign.nr_final
-         && r.Fault.Campaign.nr_deadlocked = r_ref.Fault.Campaign.nr_deadlocked
-         && r.Fault.Campaign.nr_truncated = r_ref.Fault.Campaign.nr_truncated
-         && metrics
-         && Fault.Campaign.classify_net spec ~golden r
-            = Net_run_ref.classify_net spec ~golden:golden_ref r_ref)
-       fault_sets
+  agrees [] && List.for_all agrees fault_sets
 
 (* The whole campaign, sequential and sharded: each Petri run's outcome
    must be the reference loop's, classified by the reference. *)
