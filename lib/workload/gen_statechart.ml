@@ -101,3 +101,56 @@ let hierarchical ~seed ~depth ~breadth ~events =
   Smachine.make
     (Printf.sprintf "hier_d%d_b%d_e%d" depth breadth events)
     [ top ]
+
+let asl_heavy ~seed ~states ~events =
+  let rng = Prng.create seed in
+  let names = event_names events in
+  let sts =
+    Array.init states (fun i -> Smachine.simple_state (Printf.sprintf "A%d" i))
+  in
+  let init = Smachine.pseudostate Smachine.Initial in
+  (* seeded constants, fixed trip counts: the text varies with the
+     seed, the loop shape does not *)
+  let effect () =
+    Printf.sprintf
+      "var s := %d; for i := 1 to 20 do s := s + i * %d; end; var k := 0; \
+       while k < 12 do k := k + 1; s := s - %d; end;"
+      (Prng.range rng 0 99) (Prng.range rng 2 9) (Prng.range rng 1 9)
+  in
+  let transitions =
+    List.concat_map
+      (fun (s : Smachine.state) ->
+        List.concat_map
+          (fun ev ->
+            let guard =
+              Printf.sprintf "(%d * %d + %d) mod 7 < %d and event = \"%s\""
+                (Prng.range rng 2 50) (Prng.range rng 2 50)
+                (Prng.range rng 0 6) (Prng.range rng 1 6) ev
+            in
+            let target () = sts.(Prng.int rng states).Smachine.st_id in
+            [
+              Smachine.transition
+                ~triggers:[ Smachine.Signal_trigger ev ]
+                ~guard ~effect:(effect ()) ~source:s.Smachine.st_id
+                ~target:(target ()) ();
+              Smachine.transition
+                ~triggers:[ Smachine.Signal_trigger ev ]
+                ~guard:(Printf.sprintf "not (%s)" guard)
+                ~effect:(effect ()) ~source:s.Smachine.st_id
+                ~target:(target ()) ();
+            ])
+          names)
+      (Array.to_list sts)
+  in
+  let init_tr =
+    Smachine.transition ~source:init.Smachine.ps_id
+      ~target:sts.(0).Smachine.st_id ()
+  in
+  Smachine.make
+    (Printf.sprintf "asl_s%d_e%d" states events)
+    [
+      Smachine.region
+        (Smachine.Pseudo init
+        :: List.map (fun s -> Smachine.State s) (Array.to_list sts))
+        (init_tr :: transitions);
+    ]

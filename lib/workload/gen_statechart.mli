@@ -16,6 +16,13 @@ val hierarchical :
     shared events exercise conflict priority.  No orthogonal regions or
     history (flattenable). *)
 
+val asl_heavy : seed:int -> states:int -> events:int -> Uml.Smachine.t
+(** A flat machine whose behaviors exercise the ASL tier: two
+    complementary guarded transitions per (state, event), each effect
+    running a [for] and a [while] loop over seeded constants, so every
+    guard and effect text is distinct.  [states * events * 2] looping
+    effects in all. *)
+
 val event_names : int -> string list
 (** [ev0 .. evN-1] — the event alphabet used by the generators. *)
 

@@ -442,9 +442,9 @@ let integration_tests =
 
 (* Random ASL programs over a tiny variable pool: the analysis must be
    total (never raise) and deterministic (same result on every run). *)
-let gen_program =
+let gen_program_over pool =
   let open QCheck.Gen in
-  let var = oneofl [ "a"; "b"; "c" ] in
+  let var = oneofl pool in
   let gen_expr =
     fix
       (fun self depth ->
@@ -516,6 +516,8 @@ let gen_program =
   in
   QCheck.Gen.list_size (int_bound 8) gen_stmt
 
+let gen_program = gen_program_over [ "a"; "b"; "c" ]
+
 let analysis_fingerprint (r : Dataflow.Absint.result) =
   ( r.Dataflow.Absint.res_uninit,
     r.Dataflow.Absint.res_dead,
@@ -555,6 +557,313 @@ let property_tests =
            && sorted r.Dataflow.Absint.res_exit_assigned));
   ]
 
+(* --- reference differential ---------------------------------------- *)
+
+(* [Absint_ref] is the map-based interpreter the slot-based engine
+   replaced; both must return the same [result] record, field for
+   field, on every input.  Entry bindings and extra definitions are
+   drawn from the program's pool plus names it never mentions (the
+   machine environment's, an operation parameter), so the path for
+   bound-but-unread names is exercised too. *)
+let ref_pool = [ "a"; "b"; "c"; "d"; "e"; "f" ]
+
+let ref_outside = [ "e1"; "event"; "p"; "zz" ]
+
+let gen_reference_case =
+  let open QCheck.Gen in
+  let names = list_size (int_bound 5) (oneofl (ref_pool @ ref_outside)) in
+  quad (gen_program_over ref_pool) names names
+    (oneofl [ Dataflow.Absint.Live_none; Dataflow.Absint.Live_all ])
+
+let print_reference_case (prog, assigned, extra_defs, liveout) =
+  Printf.sprintf "%s\nassigned=[%s] extra_defs=[%s] liveout=%s"
+    (Asl.Ast.show_program prog)
+    (String.concat ";" assigned)
+    (String.concat ";" extra_defs)
+    (match liveout with
+     | Dataflow.Absint.Live_none -> "none"
+     | Dataflow.Absint.Live_all -> "all")
+
+let agrees_with_reference ~assigned ~extra_defs ~liveout cfg =
+  Dataflow.Absint.analyze ~assigned ~extra_defs ~liveout cfg
+  = Absint_ref.analyze ~assigned ~extra_defs ~liveout cfg
+
+(* The statechart engine's effect environment, as [Asl_flow] binds it. *)
+let machine_env =
+  [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "event" ]
+
+let asl_heavy_effects seed =
+  Ident.reset_counter ();
+  let sm = Workload.Gen_statechart.asl_heavy ~seed ~states:12 ~events:6 in
+  List.filter_map
+    (fun (tr : Smachine.transition) -> tr.Smachine.tr_effect)
+    (Smachine.all_transitions sm)
+
+let reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"slot engine matches the map-based oracle"
+         ~count:3000
+         (QCheck.make ~print:print_reference_case gen_reference_case)
+         (fun (prog, assigned, extra_defs, liveout) ->
+           agrees_with_reference ~assigned ~extra_defs ~liveout
+             (Dataflow.Cfg.of_program prog)));
+    tc "ASL-heavy machine effects match the oracle" (fun () ->
+        let effects = asl_heavy_effects 1 in
+        Alcotest.(check int) "12 states x 6 events x 2 effects" 144
+          (List.length effects);
+        List.iter
+          (fun src ->
+            let cfg = Dataflow.Cfg.of_program (parse src) in
+            List.iter
+              (fun (assigned, liveout) ->
+                if
+                  not
+                    (agrees_with_reference ~assigned ~extra_defs:[] ~liveout
+                       cfg)
+                then Alcotest.failf "effect %S disagrees" src)
+              [
+                (machine_env, Dataflow.Absint.Live_none);
+                (machine_env, Dataflow.Absint.Live_all);
+                ([], Dataflow.Absint.Live_none);
+                ([ "s"; "e1" ], Dataflow.Absint.Live_all);
+              ])
+          effects);
+  ]
+
+(* --- Asl_flow digests -------------------------------------------------- *)
+
+(* Seeded ASL text over [pool]: assignments, sends, loops, branches on
+   constant and variable conditions and early returns, so DF-01, DF-02
+   and DF-03 all fire somewhere in the models below. *)
+let rec asl_text rng ~pool depth =
+  let module P = Workload.Prng in
+  let var () = P.pick rng pool in
+  let atom () =
+    if P.int rng 3 = 0 then string_of_int (P.range rng (-3) 9) else var ()
+  in
+  let expr () =
+    match P.int rng 4 with
+    | 0 -> atom ()
+    | 1 -> Printf.sprintf "%s + %s" (atom ()) (atom ())
+    | 2 -> Printf.sprintf "%s * %s" (atom ()) (atom ())
+    | _ -> Printf.sprintf "%s - %s" (atom ()) (atom ())
+  in
+  let cond () =
+    match P.int rng 5 with
+    | 0 -> "1 > 2"
+    | 1 -> Printf.sprintf "%s = %s" (atom ()) (atom ())
+    | 2 -> Printf.sprintf "%s <= %s" (atom ()) (atom ())
+    | _ -> Printf.sprintf "%s < %s" (atom ()) (atom ())
+  in
+  let block () = asl_text rng ~pool (depth - 1) in
+  let stmt () =
+    match P.int rng (if depth = 0 then 6 else 9) with
+    | 0 -> Printf.sprintf "var %s := %s;" (var ()) (expr ())
+    | 1 | 2 -> Printf.sprintf "%s := %s;" (var ()) (expr ())
+    | 3 -> Printf.sprintf "send ping(%s);" (expr ())
+    | 4 ->
+      if P.int rng 4 = 0 then Printf.sprintf "return %s;" (expr ())
+      else Printf.sprintf "%s := %s;" (var ()) (expr ())
+    | 5 -> "skip;"
+    | 6 ->
+      Printf.sprintf "if %s then %s else %s end;" (cond ()) (block ())
+        (block ())
+    | 7 -> Printf.sprintf "while %s do %s end;" (cond ()) (block ())
+    | _ ->
+      Printf.sprintf "for %s := %s to %s do %s end;" (var ()) (atom ())
+        (atom ()) (block ())
+  in
+  String.concat " " (List.init (1 + P.int rng 4) (fun _ -> stmt ()))
+
+let text_model name add =
+  Ident.reset_counter ();
+  let m = Model.create name in
+  add m;
+  m
+
+let asl_heavy_model seed =
+  text_model "asl" (fun m ->
+      Model.add m
+        (Model.E_state_machine
+           (Workload.Gen_statechart.asl_heavy ~seed ~states:12 ~events:6)))
+
+(* Classes whose operations read their parameters [p]/[q] and locals
+   the body may or may not assign first. *)
+let operations_model seed =
+  let rng = Workload.Prng.create seed in
+  text_model "ops" (fun m ->
+      for c = 0 to 3 do
+        let operations =
+          List.init 4 (fun o ->
+              Classifier.operation
+                ~params:
+                  [ Classifier.parameter "p" Dtype.Integer;
+                    Classifier.parameter "q" Dtype.Integer;
+                    Classifier.parameter ~direction:Classifier.Return "r"
+                      Dtype.Integer ]
+                ~body:(asl_text rng ~pool:[ "p"; "q"; "r"; "x"; "y" ] 2)
+                (Printf.sprintf "op%d" o))
+        in
+        Model.add m
+          (Model.E_classifier
+             (Classifier.make ~operations (Printf.sprintf "C%d" c)))
+      done)
+
+(* initial -> a0 -> decision -[guards]-> a1 | a2 -> merge -> fork ->
+   a3 | a4 -> join -> a5 -> final, every action body reading and
+   writing one shared pool: what one action defines on one decision
+   arm is uninitialized on the other (DF-01). *)
+let activity_model_seeded seed =
+  let rng = Workload.Prng.create seed in
+  text_model "act" (fun m ->
+      let module G = Activityg in
+      let body () = asl_text rng ~pool:[ "x"; "y"; "z"; "w" ] 1 in
+      let act i = G.action ~body:(body ()) (Printf.sprintf "a%d" i) in
+      let a = Array.init 6 act in
+      let start = G.initial () and stop = G.activity_final () in
+      let dec = G.decision "dec" and mrg = G.merge "mrg" in
+      let fork = G.fork "fork" and join = G.join "join" in
+      let e ?guard src dst =
+        G.edge ?guard ~source:(G.node_id src) ~target:(G.node_id dst) ()
+      in
+      let guard = Workload.Prng.pick rng [ "x > 0"; "y = 1"; "z < w"; "1 < 2" ] in
+      let edges =
+        [ e start a.(0); e a.(0) dec; e ~guard dec a.(1);
+          e ~guard:(Printf.sprintf "not (%s)" guard) dec a.(2);
+          e a.(1) mrg; e a.(2) mrg; e mrg fork; e fork a.(3); e fork a.(4);
+          e a.(3) join; e a.(4) join; e ~guard:"w >= 0" join a.(5);
+          e a.(5) stop ]
+      in
+      Model.add m
+        (Model.E_activity
+           (G.make "Act"
+              ([ start; dec; mrg; fork; join; stop ] @ Array.to_list a)
+              edges)))
+
+(* A four-state ring whose entry behaviors, guards and effects are
+   seeded text reading the machine environment ([e1], [event]) beside
+   locals. *)
+let ring_machine_model seed =
+  let rng = Workload.Prng.create seed in
+  text_model "ring" (fun m ->
+      let body () = asl_text rng ~pool:[ "x"; "y"; "e1"; "event" ] 2 in
+      let sts =
+        Array.init 4 (fun i ->
+            Smachine.simple_state ~entry:(body ()) (Printf.sprintf "R%d" i))
+      in
+      let init = Smachine.pseudostate Smachine.Initial in
+      let trs =
+        List.init 4 (fun i ->
+            Smachine.transition
+              ~triggers:[ Smachine.Signal_trigger "go" ]
+              ~guard:(if i mod 2 = 0 then "e1 > 0" else "1 < 2")
+              ~effect:(body ()) ~source:sts.(i).Smachine.st_id
+              ~target:sts.((i + 1) mod 4).Smachine.st_id ())
+      in
+      Model.add m
+        (Model.E_state_machine
+           (Smachine.make "Ring"
+              [
+                Smachine.region
+                  (Smachine.Pseudo init
+                  :: List.map (fun s -> Smachine.State s) (Array.to_list sts))
+                  (Smachine.transition ~source:init.Smachine.ps_id
+                     ~target:sts.(0).Smachine.st_id ()
+                  :: trs);
+              ])))
+
+(* A generated decision/fork activity of ~[size] actions, each given a
+   seeded body over one shared pool: merges and joins with many
+   predecessors drive the cross-action must-defined fixpoint. *)
+let bodied_activity_model seed ~size =
+  let rng = Workload.Prng.create seed in
+  text_model "spd" (fun m ->
+      let ac =
+        Workload.Gen_activity.with_decisions ~seed ~size ~max_width:3
+      in
+      let with_body node =
+        match node with
+        | Activityg.Action a ->
+          Activityg.Action
+            {
+              a with
+              Activityg.act_body =
+                Some (asl_text rng ~pool:[ "x"; "y"; "z"; "w"; "v" ] 1);
+            }
+        | Activityg.Call_behavior _ | Activityg.Send_signal _
+        | Activityg.Accept_event _ | Activityg.Object_node _
+        | Activityg.Initial_node _ | Activityg.Activity_final _
+        | Activityg.Flow_final _ | Activityg.Fork_node _
+        | Activityg.Join_node _ | Activityg.Decision_node _
+        | Activityg.Merge_node _ ->
+          node
+      in
+      Model.add m
+        (Model.E_activity
+           { ac with Activityg.ac_nodes = List.map with_body ac.Activityg.ac_nodes }))
+
+let findings_digest m =
+  let fs = Dataflow.Asl_flow.check m in
+  ( List.length fs,
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.map
+               (fun (f : Dataflow.Finding.t) ->
+                 Printf.sprintf "%s|%s|%s" f.Dataflow.Finding.f_code
+                   (Option.value ~default:"-" f.Dataflow.Finding.f_element)
+                   f.Dataflow.Finding.f_message)
+               fs))) )
+
+(* (model, finding count, MD5 of the (code, element, message) lines),
+   recorded on the map-based engine; never re-record a row to make a
+   change pass. *)
+let digest_table =
+  [
+    ("asl-heavy seed 1", (fun () -> asl_heavy_model 1),
+      (0, "d41d8cd98f00b204e9800998ecf8427e"));
+    ("asl-heavy seed 2", (fun () -> asl_heavy_model 2),
+      (0, "d41d8cd98f00b204e9800998ecf8427e"));
+    ("ring machine seed 1", (fun () -> ring_machine_model 1),
+      (14, "cae0697cf99879182975820e2b53ac4d"));
+    ("ring machine seed 2", (fun () -> ring_machine_model 2),
+      (15, "bcdf76f88346d556331aca501fa8254d"));
+    ("operations seed 1", (fun () -> operations_model 1),
+      (26, "67967cb0de7e939826da3665b91bf2aa"));
+    ("operations seed 2", (fun () -> operations_model 2),
+      (35, "d29977f6df5bb938cead330b865e3d83"));
+    ("operations seed 3", (fun () -> operations_model 3),
+      (33, "f010cc48ce1e110fc595128a50a6d084"));
+    ("activity seed 1", (fun () -> activity_model_seeded 1),
+      (13, "84c65a31d08f5ba04bb42137f9a11bcd"));
+    ("activity seed 2", (fun () -> activity_model_seeded 2),
+      (10, "fd0363818410f2dd6f5fa8897b0fd44c"));
+    ("activity seed 3", (fun () -> activity_model_seeded 3),
+      (7, "9d5cd3a4039ddb572f28b76001a6fb46"));
+    ("activity seed 4", (fun () -> activity_model_seeded 4),
+      (13, "195da167c4c35b347a5735f657114f9f"));
+    ("activity seed 5", (fun () -> activity_model_seeded 5),
+      (9, "73f487210d5bdb733a7caed41669e1d1"));
+    ("activity seed 6", (fun () -> activity_model_seeded 6),
+      (4, "ee4c38936d725839eb15d96a705926c2"));
+    ("bodied activity 40 seed 1", (fun () -> bodied_activity_model 1 ~size:40),
+      (68, "82dd509c88d576a4002268a53749d7dd"));
+    ("bodied activity 40 seed 2", (fun () -> bodied_activity_model 2 ~size:40),
+      (85, "ba22f248898e5b3892febd537295fed8"));
+    ("bodied activity 120 seed 3", (fun () -> bodied_activity_model 3 ~size:120),
+      (216, "6747ea2898855b8125fdbc52e5c44a78"));
+  ]
+
+let digest_tests =
+  List.map
+    (fun (name, model, (count, md5)) ->
+      tc name (fun () ->
+          let got_count, got_md5 = findings_digest (model ()) in
+          Alcotest.(check int) "finding count" count got_count;
+          Alcotest.(check string) "findings digest" md5 got_md5))
+    digest_table
+
 let () =
   Alcotest.run "dataflow"
     [
@@ -567,4 +876,6 @@ let () =
       ("netlist", netlist_tests);
       ("integration", integration_tests);
       ("properties", property_tests);
+      ("reference", reference_tests);
+      ("digests", digest_tests);
     ]
