@@ -599,8 +599,60 @@ let asl_heavy_effects seed =
     (fun (tr : Smachine.transition) -> tr.Smachine.tr_effect)
     (Smachine.all_transitions sm)
 
+(* A loop that shifts a constant down a chain of [len] variables, one
+   step per iteration, so the loop head's interval state converges after
+   about [len] visits; past eight visits widening sends the chain to
+   [Top] and the final [if] is no longer provably dead.  Undeclared
+   links start unbound.  With [local], the body ends in an [if] whose
+   arms reach the head separately, and on the first iteration the
+   second arrival changes nothing but [t], from unbound to [Top]: that
+   must count as a visit, and it shifts the one where widening starts. *)
+let chain_program ~len ~init ~local =
+  let x i = Printf.sprintf "x%d" i in
+  let decls =
+    List.init len (fun i ->
+        if init || i mod 2 = 0 then Printf.sprintf "var %s := 0;" (x (i + 1))
+        else "")
+  in
+  let shifts =
+    List.init (len - 1) (fun i -> Printf.sprintf "%s := %s;" (x (i + 1)) (x (i + 2)))
+  in
+  String.concat " "
+    (decls
+    @ [ "while e1 < 3 do" ]
+    @ shifts
+    @ [ Printf.sprintf "%s := 1;" (x len) ]
+    @ (if local then [ "if e1 < 2 then else var t := 0; end;" ] else [])
+    @ [ "end; if x1 > 1 then skip; end;" ])
+
 let reference_tests =
   [
+    tc "widening point matches the oracle" (fun () ->
+        let outcomes =
+          List.concat_map
+            (fun len ->
+              List.concat_map
+                (fun init ->
+                  List.map
+                    (fun local ->
+                      let src = chain_program ~len ~init ~local in
+                      let cfg = Dataflow.Cfg.of_program (parse src) in
+                      if
+                        not
+                          (agrees_with_reference ~assigned:machine_env
+                             ~extra_defs:[] ~liveout:Dataflow.Absint.Live_none
+                             cfg)
+                      then Alcotest.failf "chain %S disagrees" src;
+                      (Dataflow.Absint.analyze ~assigned:machine_env cfg)
+                        .Dataflow.Absint.res_unreachable
+                      = [])
+                    [ false; true ])
+                [ false; true ])
+            (List.init 12 (fun i -> i + 1))
+        in
+        Alcotest.(check bool)
+          "short chains converge, long ones widen" true
+          (List.mem true outcomes && List.mem false outcomes));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"slot engine matches the map-based oracle"
          ~count:3000
