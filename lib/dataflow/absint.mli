@@ -68,3 +68,7 @@ val analyze :
     actions of the same activity define); a read of a name in neither
     set is the typechecker's unbound-variable territory (ASL-02), not
     a dataflow finding.  [liveout] defaults to {!Live_none}. *)
+
+val exit_assigned : Cfg.t -> string list
+(** [(analyze cfg).res_exit_assigned] from the forward pass alone,
+    without the DF-01/02/03 collection or liveness. *)

@@ -146,9 +146,8 @@ let check_activity ~ctx (ac : Activityg.t) acc =
           | Ok prog ->
             let id = a.Activityg.act_head.Activityg.nd_id in
             let cfg = Cfg.of_program prog in
-            let r = Absint.analyze cfg in
             Hashtbl.replace cfgs id (a, cfg);
-            Hashtbl.replace own id (SSet.of_list r.Absint.res_exit_assigned)))
+            Hashtbl.replace own id (SSet.of_list (Absint.exit_assigned cfg))))
       | Activityg.Call_behavior _ | Activityg.Send_signal _
       | Activityg.Accept_event _ | Activityg.Object_node _
       | Activityg.Initial_node _ | Activityg.Activity_final _
@@ -166,15 +165,21 @@ let check_activity ~ctx (ac : Activityg.t) acc =
       (fun u node -> SSet.union u (own_of (Activityg.node_id node)))
       SSet.empty ac.Activityg.ac_nodes
   in
-  let known = List.map Activityg.node_id ac.Activityg.ac_nodes in
-  let preds id =
-    List.filter_map
-      (fun (e : Activityg.edge) ->
-        if e.Activityg.ed_target = id && List.mem e.Activityg.ed_source known
-        then Some e.Activityg.ed_source
-        else None)
-      ac.Activityg.ac_edges
-  in
+  (* each node's predecessors among the activity's nodes, in edge order *)
+  let known = Hashtbl.create 64 in
+  List.iter
+    (fun node -> Hashtbl.replace known (Activityg.node_id node) ())
+    ac.Activityg.ac_nodes;
+  let pred_lists = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Activityg.edge) ->
+      if Hashtbl.mem known e.Activityg.ed_source then
+        Hashtbl.replace pred_lists e.Activityg.ed_target
+          (e.Activityg.ed_source
+          :: Option.value ~default:[]
+               (Hashtbl.find_opt pred_lists e.Activityg.ed_target)))
+    (List.rev ac.Activityg.ac_edges);
+  let preds id = Option.value ~default:[] (Hashtbl.find_opt pred_lists id) in
   (* must-defined before each node: intersection over predecessors of
      (defined-before-pred ∪ pred's own definite defs), greatest
      fixpoint from the full universe. *)
