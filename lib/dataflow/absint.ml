@@ -1,5 +1,11 @@
 module A = Asl.Ast
 
+(* Integer [min]/[max]: the polymorphic ones go through the runtime's
+   generic comparison on every interval join. *)
+let min (a : int) b = if a <= b then a else b
+
+let max (a : int) b = if a >= b then a else b
+
 type aval =
   | Top
   | A_int of int * int
