@@ -166,7 +166,6 @@ type lowered = {
   names : string array;  (** slot -> variable *)
   slot_of : string -> int option;
   ops : op array;
-  succs : int array array;
   uses : int array array;  (** slots read at each node, each once *)
   defs : int array;  (** slot each node assigns, or -1 *)
   defined : bool array;  (** per slot: some node assigns it *)
@@ -224,7 +223,6 @@ let lower (cfg : Cfg.t) =
     names;
     slot_of;
     ops;
-    succs = Array.map (fun node -> Array.of_list node.Cfg.n_succs) cfg.Cfg.nodes;
     uses;
     defs;
     defined;
@@ -268,7 +266,9 @@ let join_into ~widen old st w wv ws =
         match !fresh with
         | Some f -> f
         | None ->
-          let f = { vals = Array.copy old.vals; status = Array.copy old.status } in
+          let f =
+            { vals = Array.copy old.vals; status = Array.copy old.status }
+          in
           fresh := Some f;
           f
       in
@@ -328,22 +328,23 @@ let forward p ~assigned (cfg : Cfg.t) =
     match states.(i) with
     | None -> ()
     | Some st -> (
-      let succs = p.succs.(i) in
+      let succs = cfg.Cfg.nodes.(i).Cfg.n_succs in
       match p.ops.(i) with
-      | Pass -> Array.iter (merge st (-1) Top unbound) succs
-      | Set (x, e) -> Array.iter (merge st x (eval st.vals e) assigned_) succs
+      | Pass -> List.iter (merge st (-1) Top unbound) succs
+      | Set (x, e) -> List.iter (merge st x (eval st.vals e) assigned_) succs
       | Test c ->
         let b = known_bool (eval st.vals c) in
-        Array.iteri
+        List.iteri
           (fun k sid ->
             match (b, k) with
             | Some false, 0 -> () (* then edge dead *)
             | Some true, 1 -> () (* else edge dead *)
-            | (Some true | Some false | None), _ -> merge st (-1) Top unbound sid)
+            | (Some true | Some false | None), _ ->
+              merge st (-1) Top unbound sid)
           succs
       | Loop (x, lo, hi) ->
         let bounds = (as_int (eval st.vals lo), as_int (eval st.vals hi)) in
-        Array.iteri
+        List.iteri
           (fun k sid ->
             if k = 0 then (
               (* body edge: dead when the bounds are provably inverted *)
@@ -493,12 +494,12 @@ let analyze ?(assigned = []) ?(extra_defs = []) ?(liveout = Live_none) cfg =
   let live_out i =
     if i = cfg.Cfg.exit_ then Array.blit exit_live 0 out 0 w
     else Array.fill out 0 w 0;
-    Array.iter
+    List.iter
       (fun s ->
         for k = 0 to w - 1 do
           out.(k) <- out.(k) lor live_in.((s * w) + k)
         done)
-      p.succs.(i)
+      cfg.Cfg.nodes.(i).Cfg.n_succs
   in
   let changed = ref true in
   while !changed do
@@ -506,7 +507,8 @@ let analyze ?(assigned = []) ?(extra_defs = []) ?(liveout = Live_none) cfg =
     for i = n - 1 downto 0 do
       live_out i;
       let d = p.defs.(i) in
-      if d >= 0 then out.(d / word_bits) <- out.(d / word_bits) land lnot (bit d);
+      if d >= 0 then
+        out.(d / word_bits) <- out.(d / word_bits) land lnot (bit d);
       Array.iter (add_bit out) p.uses.(i);
       for k = 0 to w - 1 do
         if out.(k) <> live_in.((i * w) + k) then begin

@@ -615,7 +615,8 @@ let chain_program ~len ~init ~local =
         else "")
   in
   let shifts =
-    List.init (len - 1) (fun i -> Printf.sprintf "%s := %s;" (x (i + 1)) (x (i + 2)))
+    List.init (len - 1) (fun i ->
+        Printf.sprintf "%s := %s;" (x (i + 1)) (x (i + 2)))
   in
   String.concat " "
     (decls
@@ -779,7 +780,9 @@ let activity_model_seeded seed =
       let e ?guard src dst =
         G.edge ?guard ~source:(G.node_id src) ~target:(G.node_id dst) ()
       in
-      let guard = Workload.Prng.pick rng [ "x > 0"; "y = 1"; "z < w"; "1 < 2" ] in
+      let guard =
+        Workload.Prng.pick rng [ "x > 0"; "y = 1"; "z < w"; "1 < 2" ]
+      in
       let edges =
         [ e start a.(0); e a.(0) dec; e ~guard dec a.(1);
           e ~guard:(Printf.sprintf "not (%s)" guard) dec a.(2);
@@ -853,7 +856,10 @@ let bodied_activity_model seed ~size =
       in
       Model.add m
         (Model.E_activity
-           { ac with Activityg.ac_nodes = List.map with_body ac.Activityg.ac_nodes }))
+           {
+             ac with
+             Activityg.ac_nodes = List.map with_body ac.Activityg.ac_nodes;
+           }))
 
 let findings_digest m =
   let fs = Dataflow.Asl_flow.check m in
@@ -899,11 +905,14 @@ let digest_table =
       (9, "73f487210d5bdb733a7caed41669e1d1"));
     ("activity seed 6", (fun () -> activity_model_seeded 6),
       (4, "ee4c38936d725839eb15d96a705926c2"));
-    ("bodied activity 40 seed 1", (fun () -> bodied_activity_model 1 ~size:40),
+    ("bodied activity 40 seed 1",
+      (fun () -> bodied_activity_model 1 ~size:40),
       (68, "82dd509c88d576a4002268a53749d7dd"));
-    ("bodied activity 40 seed 2", (fun () -> bodied_activity_model 2 ~size:40),
+    ("bodied activity 40 seed 2",
+      (fun () -> bodied_activity_model 2 ~size:40),
       (85, "ba22f248898e5b3892febd537295fed8"));
-    ("bodied activity 120 seed 3", (fun () -> bodied_activity_model 3 ~size:120),
+    ("bodied activity 120 seed 3",
+      (fun () -> bodied_activity_model 3 ~size:120),
       (216, "6747ea2898855b8125fdbc52e5c44a78"));
   ]
 
