@@ -1390,6 +1390,31 @@ let e17_report () =
         (Printf.sprintf "e17.model_findings.classes%03d" classes)
         (List.length diags))
     [ 10; 20; 40 ];
+  (* loops are the normal case for action bodies: 144 effects that each
+     run a [for] and a [while], and a large body-less activity for the
+     cross-action must-defined fixpoint *)
+  List.iter
+    (fun (key, label, element) ->
+      Uml.Ident.reset_counter ();
+      let m = Uml.Model.create "e17" in
+      Uml.Model.add m element;
+      let diags = Lint.Df_pass.check_model m in
+      let t = e16_time (fun () -> ignore (Lint.Df_pass.check_model m)) in
+      Printf.printf "%s %s: %7.2f ms, %d findings\n" key label (1e3 *. t)
+        (List.length diags);
+      record_f (Printf.sprintf "e17.%s_ms.%s" key label) (1e3 *. t);
+      record_i
+        (Printf.sprintf "e17.%s_findings.%s" key label)
+        (List.length diags))
+    [
+      ( "asl_machine", "states12",
+        Uml.Model.E_state_machine
+          (Workload.Gen_statechart.asl_heavy ~seed:17 ~states:12 ~events:6) );
+      ( "activity", "size1000",
+        Uml.Model.E_activity
+          (Workload.Gen_activity.series_parallel ~seed:17 ~size:1000
+             ~max_width:3) );
+    ];
   List.iter
     (fun ips ->
       let design = Iplib.Soc.design ~name:"soc" (soc_instances ips) in

@@ -170,16 +170,14 @@ let check_activity ~ctx (ac : Activityg.t) acc =
   List.iter
     (fun node -> Hashtbl.replace known (Activityg.node_id node) ())
     ac.Activityg.ac_nodes;
-  let pred_lists = Hashtbl.create 64 in
+  let pred_table = Hashtbl.create 64 in
+  (* added last edge first: [find_all] returns the latest binding first *)
   List.iter
     (fun (e : Activityg.edge) ->
       if Hashtbl.mem known e.Activityg.ed_source then
-        Hashtbl.replace pred_lists e.Activityg.ed_target
-          (e.Activityg.ed_source
-          :: Option.value ~default:[]
-               (Hashtbl.find_opt pred_lists e.Activityg.ed_target)))
+        Hashtbl.add pred_table e.Activityg.ed_target e.Activityg.ed_source)
     (List.rev ac.Activityg.ac_edges);
-  let preds id = Option.value ~default:[] (Hashtbl.find_opt pred_lists id) in
+  let preds = Hashtbl.find_all pred_table in
   (* must-defined before each node: intersection over predecessors of
      (defined-before-pred ∪ pred's own definite defs), greatest
      fixpoint from the full universe. *)
