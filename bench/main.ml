@@ -140,18 +140,18 @@ let e2_equivalent seed =
     match Codegen.Fsm_compile.compile flat with
     | Error _ -> false
     | Ok hmod ->
-      let sim = Dsim.Sim.create hmod in
-      Dsim.Sim.set_input sim "rst" 1;
-      Dsim.Sim.clock_edge sim "clk";
-      Dsim.Sim.set_input sim "rst" 0;
+      let sim = Oracles.Sim.create hmod in
+      Oracles.Sim.set_input sim "rst" 1;
+      Oracles.Sim.clock_edge sim "clk";
+      Oracles.Sim.set_input sim "rst" 0;
       let rtl_trace =
         List.map
           (fun ev ->
             let port = Codegen.Fsm_compile.event_input ev in
-            Dsim.Sim.set_input sim port 1;
-            Dsim.Sim.clock_edge sim "clk";
-            Dsim.Sim.set_input sim port 0;
-            Dsim.Sim.get_enum sim "state")
+            Oracles.Sim.set_input sim port 1;
+            Oracles.Sim.clock_edge sim "clk";
+            Oracles.Sim.set_input sim port 0;
+            Oracles.Sim.get_enum sim "state")
           events
       in
       rtl_trace = flat_trace)
@@ -189,16 +189,16 @@ let e2_tests () =
              events));
     Bechamel.Test.make ~name:"e2/rtl-100-cycles"
       (Bechamel.Staged.stage (fun () ->
-           let sim = Dsim.Sim.create hmod in
-           Dsim.Sim.set_input sim "rst" 1;
-           Dsim.Sim.clock_edge sim "clk";
-           Dsim.Sim.set_input sim "rst" 0;
+           let sim = Oracles.Sim.create hmod in
+           Oracles.Sim.set_input sim "rst" 1;
+           Oracles.Sim.clock_edge sim "clk";
+           Oracles.Sim.set_input sim "rst" 0;
            List.iter
              (fun ev ->
                let port = Codegen.Fsm_compile.event_input ev in
-               Dsim.Sim.set_input sim port 1;
-               Dsim.Sim.clock_edge sim "clk";
-               Dsim.Sim.set_input sim port 0)
+               Oracles.Sim.set_input sim port 1;
+               Oracles.Sim.clock_edge sim "clk";
+               Oracles.Sim.set_input sim port 0)
              events));
   ]
 
@@ -302,9 +302,9 @@ let e3_report () =
           Workload.Gen_activity.with_decisions ~seed ~size:(width * 4)
             ~max_width:width
         in
-        let r = Activity.Conform.run_and_check ~seed act in
-        if r.Activity.Conform.conforms then incr conforming;
-        steps := !steps + r.Activity.Conform.steps
+        let r = Oracles.Conform.run_and_check ~seed act in
+        if r.Oracles.Conform.conforms then incr conforming;
+        steps := !steps + r.Oracles.Conform.steps
       done;
       Printf.printf
         "width %-3d: 10/10 activities, %d total firings, conforming runs: %d/10\n"
@@ -324,7 +324,7 @@ let e3_tests () =
     Bechamel.Test.make ~name:"e3/petri-replay"
       (Bechamel.Staged.stage (fun () ->
            ignore
-             (Petri.Analysis.random_occurrence_sequence ~seed:3 ~max_steps:200
+             (Oracles.Petri_ref.random_occurrence_sequence ~seed:3 ~max_steps:200
                 net m0)));
   ]
 
@@ -816,9 +816,9 @@ let e13_toggle_net pairs =
    discovered marking. *)
 let e13_lint_reference net m0 =
   let limit = 4096 in
-  let r1 = Petri.Analysis.reachable_reference ~limit net m0 in
+  let r1 = Oracles.Petri_ref.reachable ~limit net m0 in
   let deadlocks = List.length r1.Petri.Analysis.deadlocks in
-  let r2 = Petri.Analysis.reachable_reference ~limit net m0 in
+  let r2 = Oracles.Petri_ref.reachable ~limit net m0 in
   let module S = Set.Make (String) in
   let fired =
     List.fold_left
@@ -837,7 +837,9 @@ let e13_lint_reference net m0 =
   (deadlocks, List.length dead)
 
 let e13_lint_compiled net m0 =
-  let s = Petri.Analysis.explore ~limit:4096 net m0 in
+  let s =
+    Petri.Analysis.summary (Petri.Analysis.exploration ~limit:4096 net m0)
+  in
   ( List.length s.Petri.Analysis.sum_deadlocks,
     List.length s.Petri.Analysis.sum_dead_transitions )
 
@@ -1034,7 +1036,7 @@ let e13_report () =
   let r_ref = ref 0 and r_cmp = ref 0 in
   let t_rref =
     e13_time (fun () ->
-        let r = Petri.Analysis.reachable_reference ~limit tnet tm0 in
+        let r = Oracles.Petri_ref.reachable ~limit tnet tm0 in
         r_ref := r.Petri.Analysis.state_count)
   in
   let t_rcmp =
@@ -1075,7 +1077,7 @@ let e13_tests () =
       (Bechamel.Staged.stage (fun () -> ignore (e13_lint_compiled net m0)));
     Bechamel.Test.make ~name:"e13/reach-1024-reference"
       (Bechamel.Staged.stage (fun () ->
-           ignore (Petri.Analysis.reachable_reference ~limit:2000 tnet tm0)));
+           ignore (Oracles.Petri_ref.reachable ~limit:2000 tnet tm0)));
     Bechamel.Test.make ~name:"e13/reach-1024-compiled"
       (Bechamel.Staged.stage (fun () ->
            ignore (Petri.Analysis.reachable ~limit:2000 tnet tm0)));
@@ -1085,13 +1087,13 @@ let e13_tests () =
 (* E14: compiled netlist engine vs reference interpreter               *)
 
 let e14_run_ref flat cycles =
-  let sim = Dsim.Sim.create flat in
-  Dsim.Sim.set_input sim "rst" 1;
-  Dsim.Sim.clock_edge sim "clk";
-  Dsim.Sim.set_input sim "rst" 0;
+  let sim = Oracles.Sim.create flat in
+  Oracles.Sim.set_input sim "rst" 1;
+  Oracles.Sim.clock_edge sim "clk";
+  Oracles.Sim.set_input sim "rst" 0;
   let t0 = Sys.time () in
-  Dsim.Sim.run sim ~clock:"clk" ~cycles;
-  (Sys.time () -. t0, Dsim.Sim.snapshot sim)
+  Oracles.Sim.run sim ~clock:"clk" ~cycles;
+  (Sys.time () -. t0, Oracles.Sim.snapshot sim)
 
 let e14_run_fast flat cycles =
   let sim = Dsim.Fast.create flat in
@@ -1129,8 +1131,8 @@ let e14_tests () =
   [
     Bechamel.Test.make ~name:"e14/8ip-100-cycles-reference"
       (Bechamel.Staged.stage (fun () ->
-           let sim = Dsim.Sim.create flat in
-           Dsim.Sim.run sim ~clock:"clk" ~cycles:100));
+           let sim = Oracles.Sim.create flat in
+           Oracles.Sim.run sim ~clock:"clk" ~cycles:100));
     Bechamel.Test.make ~name:"e14/8ip-100-cycles-compiled"
       (Bechamel.Staged.stage (fun () ->
            let sim = Dsim.Fast.create flat in

@@ -60,7 +60,7 @@ let demo_cmd =
     close_out oc;
     let flat = Hdl.Elaborate.flatten d in
     let sim = Dsim.Fast.create flat in
-    let vcd = Dsim.Vcd.create_fast sim in
+    let vcd = Dsim.Vcd.create sim in
     Dsim.Fast.set_input sim "rst" 1;
     Dsim.Fast.clock_edge sim "clk";
     Dsim.Fast.set_input sim "rst" 0;

@@ -55,7 +55,7 @@ let () =
   Dsim.Fast.set_input sim "tx_data" byte;
   Dsim.Fast.set_input sim "tx_start" 1;
   let timing =
-    Dsim.Timing.create_fast
+    Dsim.Timing.create
       ~signals:[ "tx_txd"; "tx_busy"; "rx_valid"; "rx_data" ]
       sim
   in

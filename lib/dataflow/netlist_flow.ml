@@ -165,7 +165,7 @@ let check ?(metrics = Telemetry.Metrics.null) design =
     | exception Hdl.Elaborate.Elaboration_error _ -> []
     | flat -> (
       match N.compile flat with
-      | exception Dsim.Sim.Simulation_error _ -> []
+      | exception Dsim.Netlist.Simulation_error _ -> []
       | nl ->
         Telemetry.Metrics.incr
           ~by:(Array.length nl.N.nl_seq)

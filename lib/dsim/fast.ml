@@ -1,6 +1,6 @@
 open Hdl
 
-let err fmt = Printf.ksprintf (fun m -> raise (Sim.Simulation_error m)) fmt
+let err fmt = Printf.ksprintf (fun m -> raise (Netlist.Simulation_error m)) fmt
 
 type t = {
   nl : Netlist.t;

@@ -1,7 +1,6 @@
 (** Compiled event-driven simulator for flat RTL modules.
 
-    Drop-in replacement for the reference interpreter {!Sim} (same
-    surface, same [Sim.Simulation_error]), built on {!Netlist}: the
+    The production RTL engine, built on {!Netlist}: the
     module is lowered once to an integer-indexed netlist, and settling
     is sensitivity-driven — a signal→fanout map feeds only the
     combinational processes whose read set actually changed, instead of
@@ -11,9 +10,10 @@
     graphs fall back to bounded worklist iteration with the same
     1000-round divergence guard as the reference.
 
-    {!Sim} remains in-tree as the differential-testing oracle:
-    [test/test_dsim_fast.ml] asserts byte-equal {!snapshot}s between
-    the two engines under random stimulus, and E14 (bench) measures the
+    The string-keyed interpreter it replaced lives on as the
+    differential-testing oracle [test/oracles/sim.ml]:
+    [test/test_dsim_fast.ml] and [test/test_iplib.ml] assert byte-equal
+    {!snapshot}s between the two engines, and E14 (bench) measures the
     throughput gap.
 
     {2 Telemetry semantics}
@@ -46,13 +46,13 @@ val create :
     receives the [dsim.events], [dsim.delta_cycles] and
     [dsim.skipped_evals] counters.  [settle_budget] (default 1000)
     bounds the worklist-fallback rounds per settle for cyclic comb
-    graphs; exceeding it raises a [Sim.Simulation_error] that names the
+    graphs; exceeding it raises a [Netlist.Simulation_error] that names the
     still-unstable signals.  [budget] (default
     {!Exec.Budget.unlimited}) is checkpointed once per settle pass —
     every [set_input]/[clock_edge]/[cycle] step, and the initial
     settle — so a cancelled simulation unwinds with
     {!Exec.Budget.Expired} before the next pass starts.
-    @raise Sim.Simulation_error when the module has unresolved names or
+    @raise Netlist.Simulation_error when the module has unresolved names or
     unknown enum literals (reported eagerly, at compile time), or when
     a combinational loop prevents settling within the budget.
     @raise Invalid_argument when [settle_budget <= 0]. *)
@@ -68,7 +68,7 @@ val of_netlist :
     netlist is shared, never mutated: simulator state lives in a
     private copy of the value array, so any number of simulators can
     run over one compiled netlist.
-    @raise Sim.Simulation_error when a combinational loop prevents the
+    @raise Netlist.Simulation_error when a combinational loop prevents the
     initial settle within the budget.
     @raise Invalid_argument when [settle_budget <= 0]. *)
 
@@ -76,7 +76,7 @@ val module_of : t -> Hdl.Module_.t
 
 val get : t -> string -> int
 (** Current value of a signal or port.
-    @raise Sim.Simulation_error for unknown names. *)
+    @raise Netlist.Simulation_error for unknown names. *)
 
 val get_enum : t -> string -> string
 (** Current value of an enum-typed signal, as its literal name. *)
@@ -91,7 +91,7 @@ val force : t -> string -> int -> unit
     on a comb-driven signal only survives until its driver re-evaluates
     — transient-fault semantics.  Forcing a register flips stored state
     until the next clock edge overwrites it.
-    @raise Sim.Simulation_error for unknown names. *)
+    @raise Netlist.Simulation_error for unknown names. *)
 
 val clock_edge : t -> string -> unit
 (** One rising edge of the named clock: run all sequential processes on
@@ -124,8 +124,8 @@ val signals : t -> (string * Hdl.Htype.t) list
 (** All simulated signals (ports first), declaration order. *)
 
 val snapshot : t -> (string * int) list
-(** All current values, sorted by name — byte-compatible with
-    {!Sim.snapshot}. *)
+(** All current values, sorted by name — byte-compatible with the
+    reference interpreter's [snapshot]. *)
 
 val probe : t -> Probe.t
 (** Read-only view for the {!Vcd} and {!Timing} renderers. *)

@@ -1,6 +1,8 @@
 open Hdl
 
-let err fmt = Printf.ksprintf (fun m -> raise (Sim.Simulation_error m)) fmt
+exception Simulation_error of string
+
+let err fmt = Printf.ksprintf (fun m -> raise (Simulation_error m)) fmt
 
 type body = int array -> (int -> int -> unit) -> unit
 
@@ -36,7 +38,7 @@ type t = {
 
 (* OCaml's native int has 63 value bits; [1 lsl w] overflows the sign
    for w >= 62, so wide signals use the identity mask (raw ints), the
-   same rule as [Sim.mask]. *)
+   same rule as the reference interpreter's [mask]. *)
 let mask_bits w = if w >= 62 then -1 else (1 lsl w) - 1
 
 (* Interning environment threaded through compilation. *)
@@ -63,8 +65,9 @@ let enum_index env lit =
   | Some i -> i
   | None -> err "unknown enum literal %s" lit
 
-(* Static replica of [Sim.type_of]: same joins, same [None] cases, so
-   the compiled masks match the interpreter's dynamic ones exactly. *)
+(* Static replica of the reference interpreter's [type_of]: same joins,
+   same [None] cases, so the compiled masks match its dynamic ones
+   exactly. *)
 let rec static_type env (e : Expr.t) =
   match e with
   | Expr.Const (_, ty) -> Some ty

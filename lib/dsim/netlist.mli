@@ -1,10 +1,7 @@
 (** Integer-indexed compiled form of a flat RTL module.
 
-    {!Sim} is fully interpretive: every [Expr.Ref] is a string-keyed
-    hash lookup, [type_of] re-walks the expression tree on every [eval]
-    to recover widths, and settling re-evaluates every combinational
-    process per delta cycle.  This module performs the whole of that
-    work {e once}, at compile time:
+    A string-keyed interpreter pays on every evaluation for what this
+    module does {e once}, at compile time:
 
     - signals and ports are interned to dense integer indices
       (declaration order, ports first), with per-signal write masks;
@@ -21,13 +18,18 @@
       their own outputs) yields [None] and the engine falls back to
       bounded worklist iteration.
 
-    Value semantics are locked to the reference interpreter: the
-    differential qcheck suite in [test/test_dsim_fast.ml] asserts
-    byte-equal snapshots between {!Sim} and {!Fast} under random
-    stimulus.  Compilation is stricter only about errors: names and
-    enum literals that the interpreter would reject lazily at first
-    evaluation are rejected eagerly at compile time
-    (raising {!Sim.Simulation_error}). *)
+    Value semantics are locked to the reference interpreter in
+    [test/oracles/sim.ml]: the differential qcheck suite in
+    [test/test_dsim_fast.ml] asserts byte-equal snapshots between it
+    and {!Fast} under random stimulus.  Compilation is stricter only
+    about errors: names and enum literals that the interpreter rejects
+    lazily at first evaluation are rejected eagerly at compile time
+    (raising {!Simulation_error}). *)
+
+exception Simulation_error of string
+(** The RTL engines' one failure: an unresolved name, an unknown enum
+    literal, an assignment to an undeclared target, or combinational
+    logic that does not settle.  The message says which. *)
 
 type body = int array -> (int -> int -> unit) -> unit
 (** A compiled statement list: [body vals write] evaluates over the
@@ -81,7 +83,7 @@ val mask_bits : int -> int
     [w >= 62] where the shift would overflow OCaml's native int. *)
 
 val compile : Hdl.Module_.t -> t
-(** @raise Sim.Simulation_error on unresolved signal names, unknown
+(** @raise Simulation_error on unresolved signal names, unknown
     enum literals, or assignments to undeclared targets — the same
     failures the interpreter reports, surfaced eagerly.  Callers must
     treat every array of the result as read-only. *)

@@ -27,8 +27,7 @@ let of_probe ?signals probe =
   in
   { probe; tracked; samples = [] }
 
-let create ?signals sim = of_probe ?signals (Sim.probe sim)
-let create_fast ?signals fast = of_probe ?signals (Fast.probe fast)
+let create ?signals sim = of_probe ?signals (Fast.probe sim)
 
 let sample t =
   let snapshot =

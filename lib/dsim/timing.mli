@@ -4,9 +4,8 @@
     Records selected signals cycle by cycle and renders an ASCII timing
     diagram: bit signals as waveform lanes, vectors as value lanes with
     transitions marked.  Rendering reads through an engine-neutral
-    {!Probe}, so the reference interpreter ({!Sim}) and the compiled
-    engine ({!Fast}) produce byte-identical diagrams for identical
-    simulated values.
+    {!Probe}, so two engines produce byte-identical diagrams for
+    identical simulated values.
 
     {v
       clk   : _#_#_#_#
@@ -16,12 +15,9 @@
 
 type t
 
-val create : ?signals:string list -> Sim.t -> t
+val create : ?signals:string list -> Fast.t -> t
 (** Track the given signals (default: all ports, declaration order).
-    @raise Sim.Simulation_error for unknown names. *)
-
-val create_fast : ?signals:string list -> Fast.t -> t
-(** Same, over the compiled engine. *)
+    @raise Netlist.Simulation_error for unknown names. *)
 
 val of_probe : ?signals:string list -> Probe.t -> t
 (** Same, over any probe. *)

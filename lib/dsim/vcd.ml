@@ -23,8 +23,7 @@ let of_probe probe =
   in
   { probe; ids; last = []; changes = [] }
 
-let create sim = of_probe (Sim.probe sim)
-let create_fast fast = of_probe (Fast.probe fast)
+let create sim = of_probe (Fast.probe sim)
 
 let sample t ~time =
   let current =

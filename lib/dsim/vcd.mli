@@ -2,18 +2,13 @@
 
     Records snapshots of a running simulation per timestep and renders
     the standard VCD text format accepted by GTKWave and friends.  The
-    writer reads through an engine-neutral {!Probe}, so it works
-    identically over the reference interpreter ({!Sim}) and the
-    compiled engine ({!Fast}) — two engines simulating the same values
-    render byte-identical dumps. *)
+    writer reads through an engine-neutral {!Probe}, so two engines
+    simulating the same values render byte-identical dumps. *)
 
 type t
 
-val create : Sim.t -> t
-(** Register every signal of the reference simulator. *)
-
-val create_fast : Fast.t -> t
-(** Register every signal of the compiled simulator. *)
+val create : Fast.t -> t
+(** Register every signal of the simulator. *)
 
 val of_probe : Probe.t -> t
 (** Register every signal visible through the probe. *)

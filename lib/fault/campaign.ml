@@ -45,10 +45,10 @@ let rtl_run ?(metrics = Telemetry.Metrics.null)
     Dsim.Fast.create ~metrics ~settle_budget:spec.rs_settle_budget ~budget
       spec.rs_module
   with
-  | exception Dsim.Sim.Simulation_error msg ->
+  | exception Dsim.Netlist.Simulation_error msg ->
     { rr_snapshots = []; rr_vcd = ""; rr_error = Some msg }
   | sim ->
-    let vcd = Dsim.Vcd.create_fast sim in
+    let vcd = Dsim.Vcd.create sim in
     let snapshots = ref [] in
     let error = ref None in
     (try
@@ -72,7 +72,7 @@ let rtl_run ?(metrics = Telemetry.Metrics.null)
          Dsim.Vcd.sample vcd ~time:cycle;
          incr c
        done
-     with Dsim.Sim.Simulation_error msg -> error := Some msg);
+     with Dsim.Netlist.Simulation_error msg -> error := Some msg);
     {
       rr_snapshots = List.rev !snapshots;
       rr_vcd = Dsim.Vcd.render vcd;

@@ -1,9 +1,9 @@
-(** Behavioral analysis: reachability, boundedness, deadlocks, and
-    occurrence sequences.
+(** Behavioral analysis: reachability, boundedness, deadlocks and dead
+    transitions.
 
     All state-space queries run on the integer-indexed {!Compiled}
-    engine; {!reachable_reference} keeps the original string-keyed BFS
-    as the differential-testing oracle. *)
+    engine.  The original string-keyed BFS is the differential-testing
+    oracle in [test/oracles/petri_ref.ml]. *)
 
 type reach_result = {
   markings : Marking.t list;  (** discovered markings, BFS order *)
@@ -64,18 +64,6 @@ val coverability : ?limit:int -> exploration -> Coverability.result
     otherwise the net is bounded and the result follows from the
     marking count. *)
 
-val explore :
-  ?limit:int ->
-  ?metrics:Telemetry.Metrics.t ->
-  ?budget:Exec.Budget.t ->
-  ?compiled:Compiled.t ->
-  Net.t ->
-  Marking.t ->
-  summary
-(** [summary (exploration ...)]: one exploration answering every
-    per-net question at once, for clients that need several of
-    reachability, bounds, deadlock-freedom and dead transitions. *)
-
 val reachable :
   ?limit:int ->
   ?metrics:Telemetry.Metrics.t ->
@@ -89,39 +77,3 @@ val reachable :
     {!Marking.t}.  [pool] is accepted for source compatibility and
     ignored: exploration is sequential (a level-parallel BFS measured
     slower than this one on two cores). *)
-
-val reachable_reference :
-  ?limit:int -> ?metrics:Telemetry.Metrics.t -> Net.t -> Marking.t ->
-  reach_result
-(** The original map/set-based BFS over string-keyed markings, kept as
-    the reference semantics for differential tests and benchmarks.
-    Agrees with {!reachable} exactly (same markings, same BFS order,
-    same deadlocks and truncation verdict). *)
-
-val is_deadlock_free : ?limit:int -> Net.t -> Marking.t -> bool option
-(** [Some b] when the state space was fully explored, [None] when
-    truncated. *)
-
-val bound : ?limit:int -> Net.t -> Marking.t -> int option
-(** Maximum tokens observed in any single place over the explored state
-    space; [None] when exploration was truncated (the net may be
-    unbounded). *)
-
-val is_k_bounded : ?limit:int -> int -> Net.t -> Marking.t -> bool option
-
-val random_occurrence_sequence :
-  seed:int -> max_steps:int -> Net.t -> Marking.t -> string list
-(** A deterministic pseudo-random firing sequence (for differential
-    testing against the activity engine): repeatedly fires the
-    [seed]-selected enabled transition until none is enabled or
-    [max_steps] were taken. *)
-
-val dead_transitions :
-  ?limit:int ->
-  ?budget:Exec.Budget.t ->
-  ?compiled:Compiled.t ->
-  Net.t ->
-  Marking.t ->
-  string list
-(** Transitions never enabled in the explored state space (L0-live
-    check); conservative when truncated. *)

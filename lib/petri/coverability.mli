@@ -1,9 +1,9 @@
 (** Coverability analysis (Karp–Miller).
 
-    Decides boundedness where plain reachability ({!Analysis.bound}) can
-    only give up: the coverability tree accelerates strictly growing
-    paths to ω, so unbounded places are identified exactly (up to the
-    node limit safeguard). *)
+    Decides boundedness where plain reachability (the [sum_bound] of an
+    {!Analysis.summary}) can only give up: the coverability tree
+    accelerates strictly growing paths to ω, so unbounded places are
+    identified exactly (up to the node limit safeguard). *)
 
 type count =
   | Fin of int

@@ -22,8 +22,8 @@ type t = private {
       (** Flatten the machine, compile it to an FSM module and lower
           that to a compiled netlist; successes memoize per machine
           name.  [Error] carries the flatten/FSM-compile reason;
-          lowering failures raise [Dsim.Sim.Simulation_error] exactly
-          like the uncached path (and are not memoized). *)
+          lowering failures raise [Dsim.Netlist.Simulation_error]
+          exactly like the uncached path (and are not memoized). *)
   petri : Uml.Activityg.t -> Petri.Net.t * Petri.Marking.t * Petri.Compiled.t;
       (** The activity's Petri translation plus its compiled form;
           memoized per activity (physical equality — activities come

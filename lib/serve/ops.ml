@@ -17,7 +17,7 @@ let guarded sink f =
   | exception Xmi.Read.Import_error msg ->
     errl sink msg;
     1
-  | exception Dsim.Sim.Simulation_error msg ->
+  | exception Dsim.Netlist.Simulation_error msg ->
     errl sink msg;
     1
   | exception Statechart.Engine.Model_error msg ->
@@ -302,7 +302,7 @@ let run_rtl_exn sink reg ~budget (art : Artifacts.t) sm names =
 let run_rtl sink reg ~budget art sm names =
   match run_rtl_exn sink reg ~budget art sm names with
   | ok -> ok
-  | exception Dsim.Sim.Simulation_error msg ->
+  | exception Dsim.Netlist.Simulation_error msg ->
     errl sink msg;
     false
 

@@ -7,7 +7,7 @@ type report = {
 (* Replays run on the compiled net: labels are interned once and each
    firing is array arithmetic instead of arc-list scans. *)
 let check_trace act labels =
-  let net, m0 = Translate.to_petri act in
+  let net, m0 = Activity.Translate.to_petri act in
   let c = Petri.Compiled.of_net net in
   let cm0, _residue = Petri.Compiled.split c m0 in
   let rec replay m n = function
@@ -28,9 +28,9 @@ let check_trace act labels =
     }
 
 let run_and_check ?seed ?max_steps act =
-  let engine = Exec.create act in
-  let labels = Exec.run ?seed ?max_steps engine in
-  let net, m0 = Translate.to_petri act in
+  let engine = Activity.Exec.create act in
+  let labels = Activity.Exec.run ?seed ?max_steps engine in
+  let net, m0 = Activity.Translate.to_petri act in
   let c = Petri.Compiled.of_net net in
   let cm0, residue = Petri.Compiled.split c m0 in
   let rec replay m = function
@@ -52,7 +52,7 @@ let run_and_check ?seed ?max_steps act =
       Petri.Marking.to_list
         (Petri.Compiled.export c residue final_compiled_marking)
     in
-    let engine_marking = Exec.tokens engine in
+    let engine_marking = Activity.Exec.tokens engine in
     if net_marking = engine_marking then
       { steps = List.length labels; conforms = true; mismatch = None }
     else

@@ -1,9 +1,11 @@
-(** Differential oracle: activity engine runs vs the translated net.
+(** Differential oracle: activity engine runs vs the translated net
+    (used by [test_activity], [test_compiled] and bench E3).
 
-    Because {!Exec} labels every firing with the {!Translate} transition
-    name, an engine run conforms to UML-token-semantics-as-Petri-nets
-    iff the label sequence is an occurrence sequence of the translated
-    net and both sides end in the same marking. *)
+    Because [Activity.Exec] labels every firing with the
+    [Activity.Translate] transition name, an engine run conforms to
+    UML-token-semantics-as-Petri-nets iff the label sequence is an
+    occurrence sequence of the translated net and both sides end in the
+    same marking. *)
 
 type report = {
   steps : int;

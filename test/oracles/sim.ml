@@ -1,8 +1,7 @@
 open Hdl
 
-exception Simulation_error of string
-
-let err fmt = Printf.ksprintf (fun m -> raise (Simulation_error m)) fmt
+let err fmt =
+  Printf.ksprintf (fun m -> raise (Dsim.Netlist.Simulation_error m)) fmt
 
 type t = {
   m : Module_.t;
@@ -312,7 +311,7 @@ let snapshot t =
 
 let probe t =
   {
-    Probe.pr_module = t.m;
+    Dsim.Probe.pr_module = t.m;
     pr_get = (fun name -> declared_value t name);
     pr_signals = t.order;
   }

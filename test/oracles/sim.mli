@@ -1,4 +1,6 @@
-(** Discrete-event simulator for flat RTL modules.
+(** Reference interpreter for flat RTL modules: the oracle that
+    [Dsim.Fast] is differentially tested against ([test_dsim_fast],
+    [test_iplib]) and timed against (bench E14).
 
     Executes the output of {!Hdl.Elaborate.flatten}: combinational
     processes settle through delta cycles (re-evaluated until no signal
@@ -7,15 +9,15 @@
     assignment.
 
     The simulator counts events (process evaluations and effective
-    signal updates) for the performance experiments. *)
-
-exception Simulation_error of string
+    signal updates) for the performance experiments.  Every failure
+    raises [Dsim.Netlist.Simulation_error], the production engine's
+    exception, so differentials compare errors as well as values. *)
 
 type t
 
 val create : ?metrics:Telemetry.Metrics.t -> Hdl.Module_.t -> t
-(** @raise Simulation_error when the module has unresolved names or a
-    combinational loop prevents settling.  [metrics] (default
+(** @raise Dsim.Netlist.Simulation_error when the module has unresolved
+    names or a combinational loop prevents settling.  [metrics] (default
     {!Telemetry.Metrics.null}) receives the [dsim.events] and
     [dsim.delta_cycles] counters. *)
 
@@ -23,7 +25,7 @@ val module_of : t -> Hdl.Module_.t
 
 val get : t -> string -> int
 (** Current value of a signal or port.
-    @raise Simulation_error for unknown names. *)
+    @raise Dsim.Netlist.Simulation_error for unknown names. *)
 
 val get_enum : t -> string -> string
 (** Current value of an enum-typed signal, as its literal name. *)
@@ -57,5 +59,6 @@ val snapshot : t -> (string * int) list
 (** All current values, sorted by name (order precomputed at creation,
     so each call is a single linear walk). *)
 
-val probe : t -> Probe.t
-(** Read-only view for the {!Vcd} and {!Timing} renderers. *)
+val probe : t -> Dsim.Probe.t
+(** Read-only view for the [Dsim.Vcd] and [Dsim.Timing] renderers
+    ([of_probe]). *)

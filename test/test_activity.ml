@@ -199,14 +199,14 @@ let translation_tests =
 let conformance_tests =
   [
     tc "linear run conforms" (fun () ->
-        let r = Activity.Conform.run_and_check ~seed:1 (linear ()) in
-        check Alcotest.bool "conforms" true r.Activity.Conform.conforms);
+        let r = Oracles.Conform.run_and_check ~seed:1 (linear ()) in
+        check Alcotest.bool "conforms" true r.Oracles.Conform.conforms);
     tc "forked run conforms" (fun () ->
-        let r = Activity.Conform.run_and_check ~seed:7 (forked ()) in
-        check Alcotest.bool "conforms" true r.Activity.Conform.conforms);
+        let r = Oracles.Conform.run_and_check ~seed:7 (forked ()) in
+        check Alcotest.bool "conforms" true r.Oracles.Conform.conforms);
     tc "bogus trace is rejected" (fun () ->
-        let r = Activity.Conform.check_trace (linear ()) [ "t_nonsense" ] in
-        check Alcotest.bool "rejected" false r.Activity.Conform.conforms);
+        let r = Oracles.Conform.check_trace (linear ()) [ "t_nonsense" ] in
+        check Alcotest.bool "rejected" false r.Oracles.Conform.conforms);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"engine runs are occurrence sequences of the net" ~count:40
@@ -215,8 +215,8 @@ let conformance_tests =
            let act =
              Workload.Gen_activity.series_parallel ~seed ~size:14 ~max_width:3
            in
-           let r = Activity.Conform.run_and_check ~seed:run_seed act in
-           r.Activity.Conform.conforms));
+           let r = Oracles.Conform.run_and_check ~seed:run_seed act in
+           r.Oracles.Conform.conforms));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"decision-bearing activities also conform"
          ~count:40
@@ -225,8 +225,8 @@ let conformance_tests =
            let act =
              Workload.Gen_activity.with_decisions ~seed ~size:14 ~max_width:3
            in
-           let r = Activity.Conform.run_and_check ~seed:run_seed act in
-           r.Activity.Conform.conforms));
+           let r = Oracles.Conform.run_and_check ~seed:run_seed act in
+           r.Oracles.Conform.conforms));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"series-parallel activities always finish" ~count:40
@@ -241,7 +241,7 @@ let conformance_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential property against [Activity_exec_ref], the edge-scanning
+(* Differential property against [Oracles.Activity_exec_ref], the edge-scanning
    engine the firing templates replaced.  Generated activities are
    guard-free, so [decorate] adds what the engine evaluates
    dynamically: edge guards over an attribute of [self] (each read
@@ -354,34 +354,34 @@ let lockstep_agrees ~gen_seed ~decisions ~run_seed =
   let reg_ref, interp_ref, self_ref = engine_parts () in
   let x = Activity.Exec.create ~interp ~self_ ~metrics:reg act in
   let r =
-    Activity_exec_ref.create ~interp:interp_ref ~self_:self_ref
+    Oracles.Activity_exec_ref.create ~interp:interp_ref ~self_:self_ref
       ~metrics:reg_ref act
   in
   Activity.Exec.set_event_gating x gating;
-  Activity_exec_ref.set_event_gating r gating;
+  Oracles.Activity_exec_ref.set_event_gating r gating;
   let same_state () =
-    Activity.Exec.tokens x = Activity_exec_ref.tokens r
-    && Activity.Exec.finished x = Activity_exec_ref.finished r
+    Activity.Exec.tokens x = Oracles.Activity_exec_ref.tokens r
+    && Activity.Exec.finished x = Oracles.Activity_exec_ref.finished r
   in
   let rec loop step =
     List.iter
       (fun (p, d) ->
         Activity.Exec.adjust_tokens x p d;
-        Activity_exec_ref.adjust_tokens r p d)
+        Oracles.Activity_exec_ref.adjust_tokens r p d)
       (fault_deltas step faults);
     if step mod 5 = 4 then begin
       Activity.Exec.offer_event x "go";
-      Activity_exec_ref.offer_event r "go"
+      Oracles.Activity_exec_ref.offer_event r "go"
     end;
     let labels = Activity.Exec.enabled_firings x in
     let ok =
       same_state ()
-      && labels = Activity_exec_ref.enabled_firings r
-      && Activity.Exec.stuck x = Activity_exec_ref.stuck r
+      && labels = Oracles.Activity_exec_ref.enabled_firings r
+      && Activity.Exec.stuck x = Oracles.Activity_exec_ref.stuck r
     in
     if not ok then false
     else if step = 7 then
-      Activity.Exec.fire x "t_never" = Activity_exec_ref.fire r "t_never"
+      Activity.Exec.fire x "t_never" = Oracles.Activity_exec_ref.fire r "t_never"
       && loop (step + 1)
     else
       match labels with
@@ -389,41 +389,41 @@ let lockstep_agrees ~gen_seed ~decisions ~run_seed =
       | _ when step >= 40 -> true
       | _ ->
         let label = Workload.Prng.pick rng labels in
-        Activity.Exec.fire x label = Activity_exec_ref.fire r label
+        Activity.Exec.fire x label = Oracles.Activity_exec_ref.fire r label
         && same_state () && loop (step + 1)
   in
   loop 0
-  && Activity.Exec.sent_signals x = Activity_exec_ref.sent_signals r
-  && Activity.Exec.output_of x = Activity_exec_ref.output_of r
+  && Activity.Exec.sent_signals x = Oracles.Activity_exec_ref.sent_signals r
+  && Activity.Exec.output_of x = Oracles.Activity_exec_ref.output_of r
   && metrics_text reg = metrics_text reg_ref
 
 (* The campaign's step loop, as it was, over the reference engine. *)
 let act_run_ref ~metrics (spec : Fault.Campaign.act_spec) faults =
   let exec =
-    Activity_exec_ref.create ~metrics spec.Fault.Campaign.ac_activity
+    Oracles.Activity_exec_ref.create ~metrics spec.Fault.Campaign.ac_activity
   in
   let rng = Workload.Prng.create spec.Fault.Campaign.ac_choice_seed in
   let rec loop step acc =
     List.iter
-      (fun (p, d) -> Activity_exec_ref.adjust_tokens exec p d)
+      (fun (p, d) -> Oracles.Activity_exec_ref.adjust_tokens exec p d)
       (fault_deltas step faults);
     if step >= spec.Fault.Campaign.ac_max_steps then
       (List.rev acc, "exhausted")
     else
-      match Activity_exec_ref.enabled_firings exec with
+      match Oracles.Activity_exec_ref.enabled_firings exec with
       | [] ->
         ( List.rev acc,
-          if Activity_exec_ref.finished exec then "completed" else "stuck" )
+          if Oracles.Activity_exec_ref.finished exec then "completed" else "stuck" )
       | labels -> (
         let label = Workload.Prng.pick rng labels in
-        match Activity_exec_ref.fire exec label with
+        match Oracles.Activity_exec_ref.fire exec label with
         | Ok () -> loop (step + 1) (label :: acc)
         | Error msg -> (List.rev acc, Printf.sprintf "internal: %s" msg))
   in
   let labels, stop = loop 0 [] in
   {
     Fault.Campaign.ar_labels = labels;
-    ar_tokens = Activity_exec_ref.tokens exec;
+    ar_tokens = Oracles.Activity_exec_ref.tokens exec;
     ar_stop = stop;
   }
 

@@ -167,23 +167,23 @@ let fsm_tests =
         match Codegen.Fsm_compile.compile flat with
         | Error m -> Alcotest.fail m
         | Ok hmod ->
-          let sim = Dsim.Sim.create hmod in
-          Dsim.Sim.set_input sim "rst" 1;
-          Dsim.Sim.clock_edge sim "clk";
-          Dsim.Sim.set_input sim "rst" 0;
+          let sim = Oracles.Sim.create hmod in
+          Oracles.Sim.set_input sim "rst" 1;
+          Oracles.Sim.clock_edge sim "clk";
+          Oracles.Sim.set_input sim "rst" 0;
           let events = [ "go"; "back"; "go"; "zzz"; "back" ] in
           let rtl_trace =
             List.filter_map
               (fun ev ->
                 let port = Codegen.Fsm_compile.event_input ev in
-                (match Dsim.Sim.get sim port with
-                 | _known -> Dsim.Sim.set_input sim port 1
-                 | exception Dsim.Sim.Simulation_error _ -> ());
-                Dsim.Sim.clock_edge sim "clk";
-                (match Dsim.Sim.get sim port with
-                 | _known -> Dsim.Sim.set_input sim port 0
-                 | exception Dsim.Sim.Simulation_error _ -> ());
-                Some (Dsim.Sim.get_enum sim "state"))
+                (match Oracles.Sim.get sim port with
+                 | _known -> Oracles.Sim.set_input sim port 1
+                 | exception Dsim.Netlist.Simulation_error _ -> ());
+                Oracles.Sim.clock_edge sim "clk";
+                (match Oracles.Sim.get sim port with
+                 | _known -> Oracles.Sim.set_input sim port 0
+                 | exception Dsim.Netlist.Simulation_error _ -> ());
+                Some (Oracles.Sim.get_enum sim "state"))
               events
           in
           let flat_trace = Statechart.Flatten.simulate flat events in
@@ -195,40 +195,40 @@ let fsm_tests =
         | Ok hmod ->
           check Alcotest.bool "n is a port" true
             (Hdl.Module_.find_port hmod "n" <> None);
-          let sim = Dsim.Sim.create hmod in
-          Dsim.Sim.set_input sim "rst" 1;
-          Dsim.Sim.clock_edge sim "clk";
-          Dsim.Sim.set_input sim "rst" 0;
-          Dsim.Sim.set_input sim (Codegen.Fsm_compile.event_input "go") 1;
-          Dsim.Sim.clock_edge sim "clk";
-          check Alcotest.int "n=1 after go" 1 (Dsim.Sim.get sim "n"));
+          let sim = Oracles.Sim.create hmod in
+          Oracles.Sim.set_input sim "rst" 1;
+          Oracles.Sim.clock_edge sim "clk";
+          Oracles.Sim.set_input sim "rst" 0;
+          Oracles.Sim.set_input sim (Codegen.Fsm_compile.event_input "go") 1;
+          Oracles.Sim.clock_edge sim "clk";
+          check Alcotest.int "n=1 after go" 1 (Oracles.Sim.get sim "n"));
     tc "guards over effect variables work in hardware" (fun () ->
         let flat = flat_of (counting_machine ()) in
         match Codegen.Fsm_compile.compile flat with
         | Error m -> Alcotest.fail m
         | Ok hmod ->
-          let sim = Dsim.Sim.create hmod in
-          Dsim.Sim.set_input sim "rst" 1;
-          Dsim.Sim.clock_edge sim "clk";
-          Dsim.Sim.set_input sim "rst" 0;
+          let sim = Oracles.Sim.create hmod in
+          Oracles.Sim.set_input sim "rst" 1;
+          Oracles.Sim.clock_edge sim "clk";
+          Oracles.Sim.set_input sim "rst" 0;
           let pulse ev =
             let port = Codegen.Fsm_compile.event_input ev in
-            Dsim.Sim.set_input sim port 1;
-            Dsim.Sim.clock_edge sim "clk";
-            Dsim.Sim.set_input sim port 0
+            Oracles.Sim.set_input sim port 1;
+            Oracles.Sim.clock_edge sim "clk";
+            Oracles.Sim.set_input sim port 0
           in
           pulse "check";
           check Alcotest.string "guard blocks at n=0" "A"
-            (Dsim.Sim.get_enum sim "state");
+            (Oracles.Sim.get_enum sim "state");
           pulse "inc";
           pulse "check";
           check Alcotest.string "guard blocks at n=1" "A"
-            (Dsim.Sim.get_enum sim "state");
+            (Oracles.Sim.get_enum sim "state");
           pulse "inc";
           pulse "check";
           check Alcotest.string "guard passes at n=2" "B"
-            (Dsim.Sim.get_enum sim "state");
-          check Alcotest.int "n output" 2 (Dsim.Sim.get sim "n"));
+            (Oracles.Sim.get_enum sim "state");
+          check Alcotest.int "n output" 2 (Oracles.Sim.get sim "n"));
     tc "unsupported effects are a clean error" (fun () ->
         let a = Smachine.simple_state "A" in
         let init = Smachine.pseudostate Smachine.Initial in
@@ -263,10 +263,10 @@ let fsm_tests =
            match Codegen.Fsm_compile.compile flat with
            | Error _m -> false
            | Ok hmod ->
-             let sim = Dsim.Sim.create hmod in
-             Dsim.Sim.set_input sim "rst" 1;
-             Dsim.Sim.clock_edge sim "clk";
-             Dsim.Sim.set_input sim "rst" 0;
+             let sim = Oracles.Sim.create hmod in
+             Oracles.Sim.set_input sim "rst" 1;
+             Oracles.Sim.clock_edge sim "clk";
+             Oracles.Sim.set_input sim "rst" 0;
              let events =
                Workload.Gen_statechart.event_sequence ~seed:ev_seed
                  ~length:12 3
@@ -275,10 +275,10 @@ let fsm_tests =
                List.map
                  (fun ev ->
                    let port = Codegen.Fsm_compile.event_input ev in
-                   Dsim.Sim.set_input sim port 1;
-                   Dsim.Sim.clock_edge sim "clk";
-                   Dsim.Sim.set_input sim port 0;
-                   Dsim.Sim.get_enum sim "state")
+                   Oracles.Sim.set_input sim port 1;
+                   Oracles.Sim.clock_edge sim "clk";
+                   Oracles.Sim.set_input sim port 0;
+                   Oracles.Sim.get_enum sim "state")
                  events
              in
              rtl_trace = Statechart.Flatten.simulate flat events));

@@ -1,7 +1,7 @@
 (* Differential tests for the compiled execution core: the
-   integer-indexed Petri engine (Petri.Compiled / Analysis.explore)
+   integer-indexed Petri engine (Petri.Compiled / Analysis.exploration)
    must agree exactly with the string-keyed reference BFS
-   (Analysis.reachable_reference), and the memoized ASL compilation
+   (Oracles.Petri_ref.reachable), and the memoized ASL compilation
    must leave engine traces byte-identical. *)
 
 let tc name f = Alcotest.test_case name `Quick f
@@ -96,9 +96,9 @@ let markings_equal a b =
   List.length a = List.length b && List.for_all2 Petri.Marking.equal a b
 
 let agree ~limit net m0 =
-  let ref_r = Petri.Analysis.reachable_reference ~limit net m0 in
+  let ref_r = Oracles.Petri_ref.reachable ~limit net m0 in
   let r = Petri.Analysis.reachable ~limit net m0 in
-  let s = Petri.Analysis.explore ~limit net m0 in
+  let s = Petri.Analysis.summary (Petri.Analysis.exploration ~limit net m0) in
   r.Petri.Analysis.state_count = ref_r.Petri.Analysis.state_count
   && r.Petri.Analysis.truncated = ref_r.Petri.Analysis.truncated
   && markings_equal r.Petri.Analysis.markings ref_r.Petri.Analysis.markings
@@ -126,7 +126,7 @@ let prefix_agrees ~limit net m0 =
   List.for_all
     (fun l ->
       let s = Petri.Analysis.summary ~limit:l ex in
-      let ref_r = Petri.Analysis.reachable_reference ~limit:l net m0 in
+      let ref_r = Oracles.Petri_ref.reachable ~limit:l net m0 in
       s.Petri.Analysis.sum_state_count = ref_r.Petri.Analysis.state_count
       && s.Petri.Analysis.sum_truncated = ref_r.Petri.Analysis.truncated
       && markings_equal s.Petri.Analysis.sum_deadlocks
@@ -182,7 +182,7 @@ let petri_differential_tests =
          (fun seed ->
            let net, m0 = random_net_and_marking seed in
            let labels =
-             Petri.Analysis.random_occurrence_sequence ~seed ~max_steps:60 net
+             Oracles.Petri_ref.random_occurrence_sequence ~seed ~max_steps:60 net
                m0
            in
            let c = Petri.Compiled.of_net net in
@@ -207,7 +207,7 @@ let petri_differential_tests =
          QCheck.(int_range 1 100_000)
          (fun seed ->
            let net, m0 = random_net_and_marking seed in
-           let r = Petri.Analysis.reachable_reference ~limit:2000 net m0 in
+           let r = Oracles.Petri_ref.reachable ~limit:2000 net m0 in
            match Petri.Coverability.is_bounded ~limit:50_000 net m0 with
            | Some false ->
              (* unbounded nets must overflow plain reachability *)
@@ -235,7 +235,7 @@ let petri_unit_tests =
         let r = Petri.Analysis.reachable ~limit:1 net m0 in
         check Alcotest.bool "not truncated" false r.Petri.Analysis.truncated;
         check Alcotest.int "one state" 1 r.Petri.Analysis.state_count;
-        let r_ref = Petri.Analysis.reachable_reference ~limit:1 net m0 in
+        let r_ref = Oracles.Petri_ref.reachable ~limit:1 net m0 in
         check Alcotest.bool "reference agrees" false
           r_ref.Petri.Analysis.truncated);
     tc "marking survives the compiled round-trip" (fun () ->
@@ -256,7 +256,7 @@ let petri_unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault-campaign Petri runs against [Net_run_ref], the string-keyed
+(* Fault-campaign Petri runs against [Oracles.Net_run_ref], the string-keyed
    loop they replaced.  Initial markings may hold residue places the
    net does not know; faults hit net places (empty ones included),
    residue places and unknown names.                                   *)
@@ -299,17 +299,17 @@ let net_campaign seed =
 let net_run_agrees seed =
   let spec, fault_sets = net_campaign seed in
   let golden = Fault.Campaign.net_run spec [] in
-  let golden_ref = Net_run_ref.net_run spec [] in
+  let golden_ref = Oracles.Net_run_ref.net_run spec [] in
   let agrees faults =
     let reg = Telemetry.Metrics.create () in
     let reg_ref = Telemetry.Metrics.create () in
     let r = Fault.Campaign.net_run ~metrics:reg spec faults in
-    let r_ref = Net_run_ref.net_run ~metrics:reg_ref spec faults in
+    let r_ref = Oracles.Net_run_ref.net_run ~metrics:reg_ref spec faults in
     (* record equality: every [nr_*] field *)
     r = r_ref
     && Telemetry.Metrics.report reg = Telemetry.Metrics.report reg_ref
     && Fault.Campaign.classify_net spec ~golden r
-       = Net_run_ref.classify_net spec ~golden:golden_ref r_ref
+       = Oracles.Net_run_ref.classify_net spec ~golden:golden_ref r_ref
   in
   agrees [] && List.for_all agrees fault_sets
 
@@ -318,11 +318,11 @@ let net_run_agrees seed =
 let campaign_agrees pool seed =
   let spec, fault_sets = net_campaign seed in
   let faults = List.concat fault_sets in
-  let golden = Net_run_ref.net_run spec [] in
+  let golden = Oracles.Net_run_ref.net_run spec [] in
   let expected =
     List.map
       (fun f ->
-        Net_run_ref.classify_net spec ~golden (Net_run_ref.net_run spec [ f ]))
+        Oracles.Net_run_ref.classify_net spec ~golden (Oracles.Net_run_ref.net_run spec [ f ]))
       faults
   in
   let plan =
@@ -509,8 +509,8 @@ let engine_tests =
            let act =
              Workload.Gen_activity.with_decisions ~seed ~size:12 ~max_width:3
            in
-           let r = Activity.Conform.run_and_check ~seed act in
-           r.Activity.Conform.conforms));
+           let r = Oracles.Conform.run_and_check ~seed act in
+           r.Oracles.Conform.conforms));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"activity engine runs are replayable" ~count:40
          QCheck.(int_range 1 10_000)

@@ -695,12 +695,12 @@ let indexed =
 
 let oracle =
   {
-    profiles = Stereotype_ref.profiles;
-    named = Stereotype_ref.stereotype_named;
-    has = Stereotype_ref.has_stereotype;
-    apps_of = Stereotype_ref.applications_of;
-    app = Stereotype_ref.application;
-    tag = Stereotype_ref.tag_int;
+    profiles = Oracles.Stereotype_ref.profiles;
+    named = Oracles.Stereotype_ref.stereotype_named;
+    has = Oracles.Stereotype_ref.has_stereotype;
+    apps_of = Oracles.Stereotype_ref.applications_of;
+    app = Oracles.Stereotype_ref.application;
+    tag = Oracles.Stereotype_ref.tag_int;
   }
 
 (* every query on every element and name, compared structurally *)

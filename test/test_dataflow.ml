@@ -559,7 +559,7 @@ let property_tests =
 
 (* --- reference differential ---------------------------------------- *)
 
-(* [Absint_ref] is the map-based interpreter the slot-based engine
+(* [Oracles.Absint_ref] is the map-based interpreter the slot-based engine
    replaced; both must return the same [result] record, field for
    field, on every input.  Entry bindings and extra definitions are
    drawn from the program's pool plus names it never mentions (the
@@ -586,7 +586,7 @@ let print_reference_case (prog, assigned, extra_defs, liveout) =
 
 let agrees_with_reference ~assigned ~extra_defs ~liveout cfg =
   Dataflow.Absint.analyze ~assigned ~extra_defs ~liveout cfg
-  = Absint_ref.analyze ~assigned ~extra_defs ~liveout cfg
+  = Oracles.Absint_ref.analyze ~assigned ~extra_defs ~liveout cfg
 
 (* The statechart engine's effect environment, as [Asl_flow] binds it. *)
 let machine_env =

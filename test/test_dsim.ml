@@ -33,38 +33,38 @@ let counter_module () =
 let sim_tests =
   [
     tc "counter counts when enabled" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        Dsim.Sim.set_input sim "en" 1;
-        Dsim.Sim.run sim ~clock:"clk" ~cycles:5;
-        check Alcotest.int "q" 5 (Dsim.Sim.get sim "q"));
+        let sim = Oracles.Sim.create (counter_module ()) in
+        Oracles.Sim.set_input sim "en" 1;
+        Oracles.Sim.run sim ~clock:"clk" ~cycles:5;
+        check Alcotest.int "q" 5 (Oracles.Sim.get sim "q"));
     tc "counter holds when disabled" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        Dsim.Sim.set_input sim "en" 1;
-        Dsim.Sim.run sim ~clock:"clk" ~cycles:3;
-        Dsim.Sim.set_input sim "en" 0;
-        Dsim.Sim.run sim ~clock:"clk" ~cycles:4;
-        check Alcotest.int "q" 3 (Dsim.Sim.get sim "q"));
+        let sim = Oracles.Sim.create (counter_module ()) in
+        Oracles.Sim.set_input sim "en" 1;
+        Oracles.Sim.run sim ~clock:"clk" ~cycles:3;
+        Oracles.Sim.set_input sim "en" 0;
+        Oracles.Sim.run sim ~clock:"clk" ~cycles:4;
+        check Alcotest.int "q" 3 (Oracles.Sim.get sim "q"));
     tc "synchronous reset wins" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        Dsim.Sim.set_input sim "en" 1;
-        Dsim.Sim.run sim ~clock:"clk" ~cycles:3;
-        Dsim.Sim.set_input sim "rst" 1;
-        Dsim.Sim.clock_edge sim "clk";
-        check Alcotest.int "reset" 0 (Dsim.Sim.get sim "q"));
+        let sim = Oracles.Sim.create (counter_module ()) in
+        Oracles.Sim.set_input sim "en" 1;
+        Oracles.Sim.run sim ~clock:"clk" ~cycles:3;
+        Oracles.Sim.set_input sim "rst" 1;
+        Oracles.Sim.clock_edge sim "clk";
+        check Alcotest.int "reset" 0 (Oracles.Sim.get sim "q"));
     tc "width wrap-around" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        Dsim.Sim.set_input sim "en" 1;
-        Dsim.Sim.run sim ~clock:"clk" ~cycles:17;
-        check Alcotest.int "wrapped" 1 (Dsim.Sim.get sim "q"));
+        let sim = Oracles.Sim.create (counter_module ()) in
+        Oracles.Sim.set_input sim "en" 1;
+        Oracles.Sim.run sim ~clock:"clk" ~cycles:17;
+        check Alcotest.int "wrapped" 1 (Oracles.Sim.get sim "q"));
     tc "inputs are masked to port width" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        Dsim.Sim.set_input sim "en" 0xFF;
-        check Alcotest.int "bit" 1 (Dsim.Sim.get sim "en"));
+        let sim = Oracles.Sim.create (counter_module ()) in
+        Oracles.Sim.set_input sim "en" 0xFF;
+        check Alcotest.int "bit" 1 (Oracles.Sim.get sim "en"));
     tc "unknown signal raises" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        match Dsim.Sim.get sim "ghost" with
+        let sim = Oracles.Sim.create (counter_module ()) in
+        match Oracles.Sim.get sim "ghost" with
         | _v -> Alcotest.fail "expected Simulation_error"
-        | exception Dsim.Sim.Simulation_error _ -> ());
+        | exception Dsim.Netlist.Simulation_error _ -> ());
     tc "comb chains settle through deltas" (fun () ->
         (* a -> b -> c combinational chain *)
         let m =
@@ -81,9 +81,9 @@ let sim_tests =
               ]
             "chain"
         in
-        let sim = Dsim.Sim.create m in
-        Dsim.Sim.set_input sim "a" 1;
-        check Alcotest.int "propagated" 1 (Dsim.Sim.get sim "c"));
+        let sim = Oracles.Sim.create m in
+        Oracles.Sim.set_input sim "a" 1;
+        check Alcotest.int "propagated" 1 (Oracles.Sim.get sim "c"));
     tc "unstable comb loop raises" (fun () ->
         let m =
           Module_.make
@@ -95,9 +95,9 @@ let sim_tests =
               ]
             "osc"
         in
-        match Dsim.Sim.create m with
+        match Oracles.Sim.create m with
         | _sim -> Alcotest.fail "expected Simulation_error"
-        | exception Dsim.Sim.Simulation_error _ -> ());
+        | exception Dsim.Netlist.Simulation_error _ -> ());
     tc "enum signals read back as literals" (fun () ->
         let ty = Htype.Enum [ "IDLE"; "BUSY" ] in
         let m =
@@ -111,10 +111,10 @@ let sim_tests =
               ]
             "fsm"
         in
-        let sim = Dsim.Sim.create m in
-        check Alcotest.string "idle" "IDLE" (Dsim.Sim.get_enum sim "st");
-        Dsim.Sim.clock_edge sim "clk";
-        check Alcotest.string "busy" "BUSY" (Dsim.Sim.get_enum sim "st"));
+        let sim = Oracles.Sim.create m in
+        check Alcotest.string "idle" "IDLE" (Oracles.Sim.get_enum sim "st");
+        Oracles.Sim.clock_edge sim "clk";
+        check Alcotest.string "busy" "BUSY" (Oracles.Sim.get_enum sim "st"));
     tc "case and mux evaluate" (fun () ->
         let m =
           Module_.make
@@ -138,12 +138,12 @@ let sim_tests =
               ]
             "muxy"
         in
-        let sim = Dsim.Sim.create m in
-        check Alcotest.int "sel0" 3 (Dsim.Sim.get sim "y");
-        Dsim.Sim.set_input sim "sel" 1;
-        check Alcotest.int "sel1" 7 (Dsim.Sim.get sim "y");
-        Dsim.Sim.set_input sim "sel" 2;
-        check Alcotest.int "default" 15 (Dsim.Sim.get sim "y"));
+        let sim = Oracles.Sim.create m in
+        check Alcotest.int "sel0" 3 (Oracles.Sim.get sim "y");
+        Oracles.Sim.set_input sim "sel" 1;
+        check Alcotest.int "sel1" 7 (Oracles.Sim.get sim "y");
+        Oracles.Sim.set_input sim "sel" 2;
+        check Alcotest.int "default" 15 (Oracles.Sim.get sim "y"));
     tc "slice and concat" (fun () ->
         let m =
           Module_.make
@@ -167,27 +167,27 @@ let sim_tests =
               ]
             "slicer"
         in
-        let sim = Dsim.Sim.create m in
-        Dsim.Sim.set_input sim "w" 0xA5;
-        check Alcotest.int "hi nibble" 0xA (Dsim.Sim.get sim "hi");
-        check Alcotest.int "swapped" 0x5A (Dsim.Sim.get sim "swapped"));
+        let sim = Oracles.Sim.create m in
+        Oracles.Sim.set_input sim "w" 0xA5;
+        check Alcotest.int "hi nibble" 0xA (Oracles.Sim.get sim "hi");
+        check Alcotest.int "swapped" 0x5A (Oracles.Sim.get sim "swapped"));
     tc "event counters increase" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        let e0 = Dsim.Sim.events sim in
-        Dsim.Sim.set_input sim "en" 1;
-        Dsim.Sim.run sim ~clock:"clk" ~cycles:10;
-        check Alcotest.bool "more events" true (Dsim.Sim.events sim > e0);
-        check Alcotest.bool "deltas counted" true (Dsim.Sim.delta_cycles sim > 0));
+        let sim = Oracles.Sim.create (counter_module ()) in
+        let e0 = Oracles.Sim.events sim in
+        Oracles.Sim.set_input sim "en" 1;
+        Oracles.Sim.run sim ~clock:"clk" ~cycles:10;
+        check Alcotest.bool "more events" true (Oracles.Sim.events sim > e0);
+        check Alcotest.bool "deltas counted" true (Oracles.Sim.delta_cycles sim > 0));
   ]
 
 let vcd_tests =
   [
     tc "vcd has definitions and changes" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        let vcd = Dsim.Vcd.create sim in
-        Dsim.Sim.set_input sim "en" 1;
+        let sim = Oracles.Sim.create (counter_module ()) in
+        let vcd = Dsim.Vcd.of_probe (Oracles.Sim.probe sim) in
+        Oracles.Sim.set_input sim "en" 1;
         for t = 0 to 3 do
-          Dsim.Sim.clock_edge sim "clk";
+          Oracles.Sim.clock_edge sim "clk";
           Dsim.Vcd.sample vcd ~time:t
         done;
         let text = Dsim.Vcd.render vcd in
@@ -208,12 +208,14 @@ let vcd_tests =
 let timing_tests =
   [
     tc "timing lanes show bit waveforms" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        let tm = Dsim.Timing.create ~signals:[ "en"; "q" ] sim in
-        Dsim.Sim.set_input sim "en" 1;
+        let sim = Oracles.Sim.create (counter_module ()) in
+        let tm =
+          Dsim.Timing.of_probe ~signals:[ "en"; "q" ] (Oracles.Sim.probe sim)
+        in
+        Oracles.Sim.set_input sim "en" 1;
         for _ = 1 to 4 do
           Dsim.Timing.sample tm;
-          Dsim.Sim.clock_edge sim "clk"
+          Oracles.Sim.clock_edge sim "clk"
         done;
         Dsim.Timing.sample tm;
         check Alcotest.int "5 samples" 5 (Dsim.Timing.length tm);
@@ -230,12 +232,14 @@ let timing_tests =
           check Alcotest.bool "q values" true (String.contains lane '|')
         | None -> Alcotest.fail "q lane missing");
     tc "unchanged vectors leave blank cells" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        let tm = Dsim.Timing.create ~signals:[ "q" ] sim in
+        let sim = Oracles.Sim.create (counter_module ()) in
+        let tm =
+          Dsim.Timing.of_probe ~signals:[ "q" ] (Oracles.Sim.probe sim)
+        in
         (* en=0: q never changes -> exactly one |0 cell *)
         for _ = 1 to 3 do
           Dsim.Timing.sample tm;
-          Dsim.Sim.clock_edge sim "clk"
+          Oracles.Sim.clock_edge sim "clk"
         done;
         let text = Dsim.Timing.render tm in
         let pipes =
@@ -243,10 +247,12 @@ let timing_tests =
         in
         check Alcotest.int "one transition cell" 1 pipes);
     tc "unknown signals are rejected" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        match Dsim.Timing.create ~signals:[ "ghost" ] sim with
+        let sim = Oracles.Sim.create (counter_module ()) in
+        match
+          Dsim.Timing.of_probe ~signals:[ "ghost" ] (Oracles.Sim.probe sim)
+        with
         | _tm -> Alcotest.fail "expected Simulation_error"
-        | exception Dsim.Sim.Simulation_error _ -> ());
+        | exception Dsim.Netlist.Simulation_error _ -> ());
   ]
 
 let () =

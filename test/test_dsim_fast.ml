@@ -147,7 +147,7 @@ let conflicting_writers_module seed =
    counters throughout. *)
 let differential_run seed m steps =
   let rng = Workload.Prng.create (seed lxor 0x5f5f) in
-  let sim = Dsim.Sim.create m in
+  let sim = Oracles.Sim.create m in
   let fast = Dsim.Fast.create m in
   let inputs =
     List.filter_map
@@ -161,17 +161,17 @@ let differential_run seed m steps =
   in
   let last = ref (0, 0, 0) in
   let monotone = ref true in
-  if Dsim.Sim.snapshot sim <> Dsim.Fast.snapshot fast then
+  if Oracles.Sim.snapshot sim <> Dsim.Fast.snapshot fast then
     Alcotest.failf "snapshots diverge at create (seed %d)" seed;
   for step = 1 to steps do
     (match Workload.Prng.int rng 3 with
      | 0 ->
        let name = Workload.Prng.pick rng inputs in
        let v = Workload.Prng.int rng 65536 in
-       Dsim.Sim.set_input sim name v;
+       Oracles.Sim.set_input sim name v;
        Dsim.Fast.set_input fast name v
      | 1 ->
-       Dsim.Sim.clock_edge sim "clk";
+       Oracles.Sim.clock_edge sim "clk";
        Dsim.Fast.clock_edge fast "clk"
      | _n ->
        let drive =
@@ -182,9 +182,9 @@ let differential_run seed m steps =
              else None)
            inputs
        in
-       Dsim.Sim.cycle ~inputs:drive sim "clk";
+       Oracles.Sim.cycle ~inputs:drive sim "clk";
        Dsim.Fast.cycle ~inputs:drive fast "clk");
-    if Dsim.Sim.snapshot sim <> Dsim.Fast.snapshot fast then
+    if Oracles.Sim.snapshot sim <> Dsim.Fast.snapshot fast then
       Alcotest.failf "snapshots diverge at step %d (seed %d)" step seed;
     let now =
       ( Dsim.Fast.events fast,
@@ -231,7 +231,7 @@ let qcheck_fsm_modules =
            match Codegen.Fsm_compile.compile flat with
            | Error _ -> true
            | Ok hmod ->
-             let sim = Dsim.Sim.create hmod in
+             let sim = Oracles.Sim.create hmod in
              let fast = Dsim.Fast.create hmod in
              let strobe engine_set edge engine_clr ev =
                let port = Codegen.Fsm_compile.event_input ev in
@@ -239,24 +239,24 @@ let qcheck_fsm_modules =
                edge ();
                engine_clr port 0
              in
-             Dsim.Sim.set_input sim "rst" 1;
+             Oracles.Sim.set_input sim "rst" 1;
              Dsim.Fast.set_input fast "rst" 1;
-             Dsim.Sim.clock_edge sim "clk";
+             Oracles.Sim.clock_edge sim "clk";
              Dsim.Fast.clock_edge fast "clk";
-             Dsim.Sim.set_input sim "rst" 0;
+             Oracles.Sim.set_input sim "rst" 0;
              Dsim.Fast.set_input fast "rst" 0;
              List.iter
                (fun ev ->
-                 strobe (Dsim.Sim.set_input sim)
-                   (fun () -> Dsim.Sim.clock_edge sim "clk")
-                   (Dsim.Sim.set_input sim) ev;
+                 strobe (Oracles.Sim.set_input sim)
+                   (fun () -> Oracles.Sim.clock_edge sim "clk")
+                   (Oracles.Sim.set_input sim) ev;
                  strobe (Dsim.Fast.set_input fast)
                    (fun () -> Dsim.Fast.clock_edge fast "clk")
                    (Dsim.Fast.set_input fast) ev;
-                 if Dsim.Sim.snapshot sim <> Dsim.Fast.snapshot fast then
+                 if Oracles.Sim.snapshot sim <> Dsim.Fast.snapshot fast then
                    Alcotest.failf "FSM snapshots diverge (seed %d)" seed;
                  if
-                   Dsim.Sim.get_enum sim "state"
+                   Oracles.Sim.get_enum sim "state"
                    <> Dsim.Fast.get_enum fast "state"
                  then Alcotest.failf "FSM states diverge (seed %d)" seed)
                (Workload.Gen_statechart.event_sequence ~seed ~length:25 3);
@@ -308,14 +308,14 @@ let engine_tests =
             (Iplib.Soc.design ~name:"soc"
                [ ("tx", Iplib.Cores.uart_tx ()); ("rx", Iplib.Cores.uart_rx ()) ])
         in
-        let sim = Dsim.Sim.create flat in
+        let sim = Oracles.Sim.create flat in
         let fast = Dsim.Fast.create flat in
         let both_set name v =
-          Dsim.Sim.set_input sim name v;
+          Oracles.Sim.set_input sim name v;
           Dsim.Fast.set_input fast name v
         in
         let both_edge () =
-          Dsim.Sim.clock_edge sim "clk";
+          Oracles.Sim.clock_edge sim "clk";
           Dsim.Fast.clock_edge fast "clk"
         in
         both_set "rst" 1;
@@ -326,13 +326,13 @@ let engine_tests =
         both_set "tx_data" 0xA5;
         both_set "tx_start" 1;
         for _ = 1 to 16 do
-          both_set "rx_rxd" (Dsim.Sim.get sim "tx_txd");
+          both_set "rx_rxd" (Oracles.Sim.get sim "tx_txd");
           both_edge ();
           both_set "tx_start" 0
         done;
         check
           Alcotest.(list (pair string int))
-          "snapshots" (Dsim.Sim.snapshot sim) (Dsim.Fast.snapshot fast));
+          "snapshots" (Oracles.Sim.snapshot sim) (Dsim.Fast.snapshot fast));
     tc "latch-style self-reading comb falls back and still agrees"
       (fun () ->
         (* q reads itself: the comb dependency graph has a self-loop,
@@ -355,18 +355,18 @@ let engine_tests =
               ]
             "latch"
         in
-        let sim = Dsim.Sim.create m in
+        let sim = Oracles.Sim.create m in
         let fast = Dsim.Fast.create m in
         check Alcotest.bool "not levelized" false (Dsim.Fast.levelized fast);
         List.iter
           (fun (en, d) ->
-            Dsim.Sim.set_input sim "en" en;
+            Oracles.Sim.set_input sim "en" en;
             Dsim.Fast.set_input fast "en" en;
-            Dsim.Sim.set_input sim "d" d;
+            Oracles.Sim.set_input sim "d" d;
             Dsim.Fast.set_input fast "d" d;
             check
               Alcotest.(list (pair string int))
-              "latch snapshot" (Dsim.Sim.snapshot sim)
+              "latch snapshot" (Oracles.Sim.snapshot sim)
               (Dsim.Fast.snapshot fast))
           [ (1, 5); (0, 9); (1, 9); (1, 3); (0, 12) ]);
     tc "unstable comb loop raises on both engines" (fun () ->
@@ -380,12 +380,12 @@ let engine_tests =
               ]
             "osc"
         in
-        (match Dsim.Sim.create m with
+        (match Oracles.Sim.create m with
          | _sim -> Alcotest.fail "reference should not settle"
-         | exception Dsim.Sim.Simulation_error _ -> ());
+         | exception Dsim.Netlist.Simulation_error _ -> ());
         match Dsim.Fast.create m with
         | _fast -> Alcotest.fail "fast engine should not settle"
-        | exception Dsim.Sim.Simulation_error _ -> ());
+        | exception Dsim.Netlist.Simulation_error _ -> ());
     tc "settle budget is configurable and names unstable signals" (fun () ->
         let m =
           Module_.make
@@ -399,7 +399,7 @@ let engine_tests =
         in
         (match Dsim.Fast.create ~settle_budget:7 m with
          | _fast -> Alcotest.fail "should not settle"
-         | exception Dsim.Sim.Simulation_error msg ->
+         | exception Dsim.Netlist.Simulation_error msg ->
            let contains needle =
              let nh = String.length msg and nn = String.length needle in
              let rec at i =
@@ -425,7 +425,7 @@ let engine_tests =
         in
         (match Dsim.Fast.create ghost_read with
          | _fast -> Alcotest.fail "expected Simulation_error"
-         | exception Dsim.Sim.Simulation_error _ -> ());
+         | exception Dsim.Netlist.Simulation_error _ -> ());
         let ghost_lit =
           Module_.make
             ~signals:[ Module_.signal "y" (Htype.Enum [ "A"; "B" ]) ]
@@ -438,7 +438,7 @@ let engine_tests =
         in
         match Dsim.Fast.create ghost_lit with
         | _fast -> Alcotest.fail "expected Simulation_error"
-        | exception Dsim.Sim.Simulation_error _ -> ());
+        | exception Dsim.Netlist.Simulation_error _ -> ());
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -469,10 +469,10 @@ let wide_tests =
   in
   [
     tc "62-bit resize of 0-1 is all-ones on the reference engine" (fun () ->
-        let sim = Dsim.Sim.create m in
-        Dsim.Sim.set_input sim "b" 1;
-        check Alcotest.int "resize" (-1) (Dsim.Sim.get sim "res");
-        check Alcotest.int "slice" (-1) (Dsim.Sim.get sim "sli"));
+        let sim = Oracles.Sim.create m in
+        Oracles.Sim.set_input sim "b" 1;
+        check Alcotest.int "resize" (-1) (Oracles.Sim.get sim "res");
+        check Alcotest.int "slice" (-1) (Oracles.Sim.get sim "sli"));
     tc "62-bit resize of 0-1 is all-ones on the fast engine" (fun () ->
         let fast = Dsim.Fast.create m in
         Dsim.Fast.set_input fast "b" 1;
@@ -498,28 +498,30 @@ let render_tests =
             sample t
           done
         in
-        let sim = Dsim.Sim.create (counter_module ()) in
-        let vref = Dsim.Vcd.create sim in
-        drive (Dsim.Sim.set_input sim)
-          (fun () -> Dsim.Sim.clock_edge sim "clk")
+        let sim = Oracles.Sim.create (counter_module ()) in
+        let vref = Dsim.Vcd.of_probe (Oracles.Sim.probe sim) in
+        drive (Oracles.Sim.set_input sim)
+          (fun () -> Oracles.Sim.clock_edge sim "clk")
           (fun t -> Dsim.Vcd.sample vref ~time:t);
         let fast = Dsim.Fast.create (counter_module ()) in
-        let vfast = Dsim.Vcd.create_fast fast in
+        let vfast = Dsim.Vcd.create fast in
         drive (Dsim.Fast.set_input fast)
           (fun () -> Dsim.Fast.clock_edge fast "clk")
           (fun t -> Dsim.Vcd.sample vfast ~time:t);
         check Alcotest.string "vcd" (Dsim.Vcd.render vref)
           (Dsim.Vcd.render vfast));
     tc "timing diagrams are byte-identical across engines" (fun () ->
-        let sim = Dsim.Sim.create (counter_module ()) in
-        let tref = Dsim.Timing.create ~signals:[ "en"; "q" ] sim in
-        Dsim.Sim.set_input sim "en" 1;
+        let sim = Oracles.Sim.create (counter_module ()) in
+        let tref =
+          Dsim.Timing.of_probe ~signals:[ "en"; "q" ] (Oracles.Sim.probe sim)
+        in
+        Oracles.Sim.set_input sim "en" 1;
         for _ = 1 to 5 do
           Dsim.Timing.sample tref;
-          Dsim.Sim.clock_edge sim "clk"
+          Oracles.Sim.clock_edge sim "clk"
         done;
         let fast = Dsim.Fast.create (counter_module ()) in
-        let tfast = Dsim.Timing.create_fast ~signals:[ "en"; "q" ] fast in
+        let tfast = Dsim.Timing.create ~signals:[ "en"; "q" ] fast in
         Dsim.Fast.set_input fast "en" 1;
         for _ = 1 to 5 do
           Dsim.Timing.sample tfast;
@@ -529,9 +531,9 @@ let render_tests =
           (Dsim.Timing.render tfast));
     tc "timing rejects unknown signals on the fast engine" (fun () ->
         let fast = Dsim.Fast.create (counter_module ()) in
-        match Dsim.Timing.create_fast ~signals:[ "ghost" ] fast with
+        match Dsim.Timing.create ~signals:[ "ghost" ] fast with
         | _tm -> Alcotest.fail "expected Simulation_error"
-        | exception Dsim.Sim.Simulation_error _ -> ());
+        | exception Dsim.Netlist.Simulation_error _ -> ());
   ]
 
 (* ------------------------------------------------------------------ *)

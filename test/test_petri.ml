@@ -103,6 +103,10 @@ let marking_tests =
           (Petri.Marking.fire_sequence net m0 [ "t2" ] = None));
   ]
 
+(* Every per-net answer of one exploration. *)
+let summary ?limit net m0 =
+  Petri.Analysis.summary (Petri.Analysis.exploration ?limit net m0)
+
 let analysis_tests =
   [
     tc "cycle has two reachable markings" (fun () ->
@@ -124,17 +128,20 @@ let analysis_tests =
         check Alcotest.int "one deadlock" 1
           (List.length r.Petri.Analysis.deadlocks);
         check Alcotest.bool "flagged" true
-          (Petri.Analysis.is_deadlock_free net
-             (Petri.Marking.of_list [ ("p", 1) ])
+          ((summary net (Petri.Marking.of_list [ ("p", 1) ]))
+             .Petri.Analysis.sum_deadlock_free
           = Some false));
     tc "cycle is 1-bounded" (fun () ->
         let net = cycle_net () in
         check Alcotest.bool "bound 1" true
-          (Petri.Analysis.bound net (Petri.Marking.of_list [ ("p1", 1) ])
+          ((summary net (Petri.Marking.of_list [ ("p1", 1) ]))
+             .Petri.Analysis.sum_bound
           = Some 1);
         check Alcotest.bool "1-bounded" true
-          (Petri.Analysis.is_k_bounded 1 net
-             (Petri.Marking.of_list [ ("p1", 1) ])
+          (Option.map
+             (fun b -> b <= 1)
+             (summary net (Petri.Marking.of_list [ ("p1", 1) ]))
+               .Petri.Analysis.sum_bound
           = Some true));
     tc "unbounded net hits the limit" (fun () ->
         let net = weighted_net () in
@@ -143,21 +150,24 @@ let analysis_tests =
         in
         check Alcotest.bool "truncated" true r.Petri.Analysis.truncated;
         check Alcotest.bool "bound unknown" true
-          (Petri.Analysis.bound ~limit:50 net Petri.Marking.empty = None));
+          ((summary ~limit:50 net Petri.Marking.empty).Petri.Analysis.sum_bound
+          = None));
     tc "dead transitions reported" (fun () ->
         let net = cycle_net () in
-        let dead = Petri.Analysis.dead_transitions net Petri.Marking.empty in
+        let dead =
+          (summary net Petri.Marking.empty).Petri.Analysis.sum_dead_transitions
+        in
         check Alcotest.int "both dead (no tokens)" 2 (List.length dead);
         let live =
-          Petri.Analysis.dead_transitions net
-            (Petri.Marking.of_list [ ("p1", 1) ])
+          (summary net (Petri.Marking.of_list [ ("p1", 1) ]))
+            .Petri.Analysis.sum_dead_transitions
         in
         check Alcotest.int "none dead" 0 (List.length live));
     tc "random occurrence sequence is valid" (fun () ->
         let net = cycle_net () in
         let m0 = Petri.Marking.of_list [ ("p1", 1) ] in
         let seq =
-          Petri.Analysis.random_occurrence_sequence ~seed:7 ~max_steps:20 net
+          Oracles.Petri_ref.random_occurrence_sequence ~seed:7 ~max_steps:20 net
             m0
         in
         check Alcotest.int "length" 20 (List.length seq);
@@ -205,7 +215,7 @@ let invariant_tests =
            | [ inv ] ->
              let v0 = Petri.Invariant.invariant_value inv m0 in
              let seq =
-               Petri.Analysis.random_occurrence_sequence ~seed ~max_steps:30
+               Oracles.Petri_ref.random_occurrence_sequence ~seed ~max_steps:30
                  net m0
              in
              let rec walk m = function

@@ -317,7 +317,7 @@ let roundtrip_tests =
   ]
 
 (* Differential property: the parser against the reference oracle in
-   [Sxml_parse_ref], on mutated XMI and on a fixture that touches every
+   [Oracles.Sxml_parse_ref], on mutated XMI and on a fixture that touches every
    construct the grammar knows.  Each case applies up to four random
    byte edits (insert, delete, replace, truncate) drawn from the XML
    metacharacters, then demands the same tree or the same error record
@@ -379,7 +379,7 @@ let outcome_of parse_with src =
   | doc -> Tree doc
   | exception Sxml.Parse.Error { line; column; message } ->
     Failed (line, column, message)
-  | exception Sxml_parse_ref.Error { line; column; message } ->
+  | exception Oracles.Sxml_parse_ref.Error { line; column; message } ->
     Failed (line, column, message)
 
 let differential_tests =
@@ -415,7 +415,7 @@ let differential_tests =
              (fun keep_whitespace ->
                outcome_of (Sxml.Parse.parse_string ~keep_whitespace) src
                = outcome_of
-                   (Sxml_parse_ref.parse_string ~keep_whitespace)
+                   (Oracles.Sxml_parse_ref.parse_string ~keep_whitespace)
                    src)
              [ false; true ]));
   ]
