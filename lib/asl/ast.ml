@@ -70,7 +70,3 @@ let binop_name = function
   | And -> "and"
   | Or -> "or"
   | Concat -> "&"
-
-let unop_name = function
-  | Neg -> "-"
-  | Not -> "not"

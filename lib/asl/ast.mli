@@ -79,4 +79,3 @@ type stmt =
 type program = stmt list [@@deriving eq, ord, show]
 
 val binop_name : binop -> string
-val unop_name : unop -> string

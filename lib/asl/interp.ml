@@ -320,4 +320,3 @@ let drain_signals t =
   out
 
 let output t = List.rev t.out_lines
-let clear_output t = t.out_lines <- []

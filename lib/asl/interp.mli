@@ -84,5 +84,3 @@ val drain_signals : t -> signal_out list
 
 val output : t -> string list
 (** [print] lines so far, oldest first. *)
-
-val clear_output : t -> unit

@@ -17,19 +17,6 @@ let to_string = function
   | V_null -> "null"
   | V_obj r -> Printf.sprintf "<obj %d>" r
 
-let of_vspec s =
-  match int_of_string_opt s with
-  | Some i -> Some (V_int i)
-  | None -> (
-    match float_of_string_opt s with
-    | Some r -> Some (V_real r)
-    | None -> (
-      match s with
-      | "true" -> Some (V_bool true)
-      | "false" -> Some (V_bool false)
-      | "null" -> Some V_null
-      | _other -> None))
-
 let type_name = function
   | V_int _ -> "Integer"
   | V_real _ -> "Real"

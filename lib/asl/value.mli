@@ -13,8 +13,4 @@ type t =
 
 val to_string : t -> string
 
-val of_vspec : string -> t option
-(** Interpret a literal rendered by {!Uml.Vspec.to_string}-style text:
-    ints, floats, [true]/[false], [null]; anything else is [None]. *)
-
 val type_name : t -> string

@@ -189,11 +189,6 @@ let find_state_machine m id =
   | Some (E_state_machine s) -> Some s
   | Some _ | None -> None
 
-let find_activity m id =
-  match find m id with
-  | Some (E_activity a) -> Some a
-  | Some _ | None -> None
-
 let classifier_named m n =
   List.find_opt (fun c -> c.Classifier.cl_name = n) (classifiers m)
 

@@ -72,7 +72,6 @@ val associations : t -> Classifier.association list
 val find_classifier : t -> Ident.t -> Classifier.t option
 val find_component : t -> Ident.t -> Component.t option
 val find_state_machine : t -> Ident.t -> Smachine.t option
-val find_activity : t -> Ident.t -> Activityg.t option
 
 val classifier_named : t -> string -> Classifier.t option
 val component_named : t -> string -> Component.t option

@@ -24,7 +24,6 @@ let make lower upper =
 let one = { lower = 1; upper = Bounded 1 }
 let optional = { lower = 0; upper = Bounded 1 }
 let many = { lower = 0; upper = Unbounded }
-let at_least_one = { lower = 1; upper = Unbounded }
 
 let admits m n =
   n >= m.lower

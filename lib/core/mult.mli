@@ -25,9 +25,6 @@ val optional : t
 val many : t
 (** [0..*]. *)
 
-val at_least_one : t
-(** [1..*]. *)
-
 val is_valid : t -> bool
 (** Well-formedness: [0 <= lower] and [lower <= upper]. *)
 

@@ -23,10 +23,5 @@ let make ?id ?(owned = []) ?(subpackages = []) ?(imports = []) name =
 
 let add_owned p id = { p with pkg_owned = p.pkg_owned @ [ id ] }
 
-let add_subpackage p id =
-  { p with pkg_subpackages = p.pkg_subpackages @ [ id ] }
-
-let add_import p id = { p with pkg_imports = p.pkg_imports @ [ id ] }
-
 let qualified_name ~parents p =
   String.concat "::" (parents @ [ p.pkg_name ])

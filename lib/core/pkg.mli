@@ -22,8 +22,6 @@ val make :
   t
 
 val add_owned : t -> Ident.t -> t
-val add_subpackage : t -> Ident.t -> t
-val add_import : t -> Ident.t -> t
 
 val qualified_name : parents:string list -> t -> string
 (** ["A::B::C"]-style qualified name given ancestor package names. *)

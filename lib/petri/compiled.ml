@@ -107,7 +107,6 @@ let add_tokens m i delta =
   make_marking slots
 
 let marking_equal m1 m2 = m1.hash = m2.hash && m1.slots = m2.slots
-let marking_hash m = m.hash
 
 (* A plain loop over the input arcs: no closure per transition. *)
 let pre_enabled pre slots =

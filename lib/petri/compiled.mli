@@ -69,7 +69,6 @@ val add_tokens : marking -> int -> int -> marking
     dense place index [i], unclamped — the token-fault hook. *)
 
 val marking_equal : marking -> marking -> bool
-val marking_hash : marking -> int
 
 val enabled : t -> marking -> int -> bool
 (** Is the transition (by dense index) enabled? *)

@@ -80,20 +80,6 @@ let post net tn =
       | T_to_p _ | P_to_t _ -> None)
     net.arcs
 
-let place_pre net p =
-  List.filter_map
-    (function
-      | T_to_p (tn, p', w) when p' = p -> Some (tn, w)
-      | T_to_p _ | P_to_t _ -> None)
-    net.arcs
-
-let place_post net p =
-  List.filter_map
-    (function
-      | P_to_t (p', tn, w) when p' = p -> Some (tn, w)
-      | P_to_t _ | T_to_p _ -> None)
-    net.arcs
-
 let find_transition net id =
   List.find_opt (fun tn -> tn.tn_id = id) net.transitions
 

@@ -44,11 +44,6 @@ val pre : t -> string -> (string * int) list
 val post : t -> string -> (string * int) list
 (** Output places of a transition with weights. *)
 
-val place_pre : t -> string -> (string * int) list
-(** Input transitions of a place. *)
-
-val place_post : t -> string -> (string * int) list
-
 val find_transition : t -> string -> transition option
 val place_count : t -> int
 val transition_count : t -> int

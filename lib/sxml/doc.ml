@@ -13,20 +13,11 @@ and element = {
 let element ?(attrs = []) tag children = Element { tag; attrs; children }
 let text s = Text s
 
-let tag_of = function
-  | Element e -> Some e.tag
-  | Text _ -> None
-
 let rec assoc name = function
   | [] -> None
   | (k, v) :: rest -> if String.equal k name then Some v else assoc name rest
 
 let attr e name = assoc name e.attrs
-
-let attr_exn e name =
-  match attr e name with
-  | Some v -> v
-  | None -> raise Not_found
 
 let child_elements e =
   List.filter_map

@@ -19,12 +19,7 @@ and element = {
 val element : ?attrs:attribute list -> string -> t list -> t
 val text : string -> t
 
-val tag_of : t -> string option
-(** The tag of an element node, [None] for text. *)
-
 val attr : element -> string -> string option
-val attr_exn : element -> string -> string
-(** @raise Not_found when absent. *)
 
 val child_elements : element -> element list
 val find_child : element -> string -> element option
