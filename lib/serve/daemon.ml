@@ -1,16 +1,40 @@
+(* How a request line ended.  Every non-blank line ends in exactly one
+   outcome, counted in the ledger under [ledger_key]; the typed failures
+   also answer a response [code] — the protocol's error-code table
+   (DESIGN.md §5). *)
+type outcome =
+  | Completed
+  | Protocol_error
+  | Timeout
+  | Resource_exhausted
+  | Shed
+  | Drained
+
+let code_name o =
+  match o with
+  | Completed | Protocol_error -> None
+  | Timeout -> Some "timeout"
+  | Resource_exhausted -> Some "resource_exhausted"
+  | Shed -> Some "overloaded"
+  | Drained -> Some "shutting_down"
+
+let ledger_key o =
+  match o with
+  | Completed -> "completed"
+  | Protocol_error -> "protocol_errors"
+  | Timeout -> "timeouts"
+  | Resource_exhausted -> "resource_exhausted"
+  | Shed -> "sheds"
+  | Drained -> "drained"
+
 type t = {
   cache : Cache.t;
   deadline_ms : int option;
   max_queue : int;
   stop_requested : bool Atomic.t;
   mutable requests : int;
-  mutable protocol_errors : int;
-  mutable completed : int;
-  mutable timeouts : int;
-  mutable resource_exhausted : int;
+  ledger : (outcome, int) Hashtbl.t;  (** lines per outcome *)
   mutable degradations : int;
-  mutable sheds : int;
-  mutable drained : int;
 }
 
 let protocol_version = 1
@@ -28,14 +52,17 @@ let create ?max_entries ?max_bytes ?persist_dir ?deadline_ms
     max_queue;
     stop_requested = Atomic.make false;
     requests = 0;
-    protocol_errors = 0;
-    completed = 0;
-    timeouts = 0;
-    resource_exhausted = 0;
+    ledger = Hashtbl.create 8;
     degradations = 0;
-    sheds = 0;
-    drained = 0;
   }
+
+(* Ledger rule: every counter update happens before the response line
+   is rendered, so a [stats] response reports a ledger that includes
+   itself and always reconciles: [requests] is the sum of the outcome
+   counters. *)
+let count t o = Option.value (Hashtbl.find_opt t.ledger o) ~default:0
+let record t o = Hashtbl.replace t.ledger o (count t o + 1)
+let ledger_entry t o = (ledger_key o, Json.Int (count t o))
 
 let request_stop t = Atomic.set t.stop_requested true
 let stop_requested t = Atomic.get t.stop_requested
@@ -125,21 +152,10 @@ let budget_of_spec t spec =
 
 (* --- op execution ----------------------------------------------------- *)
 
-(* Typed failure classes with their own response [code] field — the
-   protocol's error-code table (DESIGN.md §5). *)
-type code =
-  | C_timeout
-  | C_resource_exhausted
-
-let code_name c =
-  match c with
-  | C_timeout -> "timeout"
-  | C_resource_exhausted -> "resource_exhausted"
-
-type outcome = {
+type op_result = {
   oc_op : string;
   oc_exit : int;
-  oc_code : code option;
+  oc_outcome : outcome;  (** [Completed], [Timeout] or [Resource_exhausted] *)
   oc_cache : (string * string * Cache.state) list;
   oc_output : string;
   oc_error : string;
@@ -190,11 +206,11 @@ let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
     in
     Ops.guarded sink (fun () -> r.Op_spec.exec ~budget sink loader)
   in
-  let finish ?code exit_code =
+  let finish ?(outcome = Completed) exit_code =
     {
       oc_op = op;
       oc_exit = exit_code;
-      oc_code = code;
+      oc_outcome = outcome;
       oc_cache = !cache_info;
       oc_output = Buffer.contents out;
       oc_error = Buffer.contents err;
@@ -204,10 +220,10 @@ let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
   | Ok exit_code -> finish exit_code
   | Error msg ->
     Ops.errl sink msg;
-    finish ~code:C_resource_exhausted 1
+    finish ~outcome:Resource_exhausted 1
   | exception Exec.Budget.Expired msg ->
     Ops.errl sink msg;
-    finish ~code:C_timeout 1
+    finish ~outcome:Timeout 1
 
 (* --- response assembly ------------------------------------------------ *)
 
@@ -219,48 +235,38 @@ let respond ~id fields =
   in
   Json.to_string (Json.Obj (prefix @ fields))
 
+let code_field o =
+  match code_name o with
+  | Some c -> [ ("code", Json.Str c) ]
+  | None -> []
+
 let protocol_error t ~id msg =
-  t.protocol_errors <- t.protocol_errors + 1;
+  record t Protocol_error;
   respond ~id [ ("ok", Json.Bool false); ("error", Json.Str msg) ]
 
 (* Fast-path refusals for lines the daemon never parses: shed under
    overload, drained at shutdown.  Counted as requests (one response
    per line, always) under their own ledger columns. *)
-let shed_response t ~depth =
+let refusal t o msg =
   t.requests <- t.requests + 1;
-  t.sheds <- t.sheds + 1;
+  record t o;
   respond ~id:None
-    [
-      ("ok", Json.Bool false);
-      ("code", Json.Str "overloaded");
-      ( "error",
-        Json.Str
-          (Printf.sprintf "server overloaded: %d requests pending" depth) );
-    ]
+    (("ok", Json.Bool false) :: code_field o @ [ ("error", Json.Str msg) ])
 
-let drain_response t =
-  t.requests <- t.requests + 1;
-  t.drained <- t.drained + 1;
-  respond ~id:None
-    [
-      ("ok", Json.Bool false);
-      ("code", Json.Str "shutting_down");
-      ("error", Json.Str "daemon is shutting down");
-    ]
+let shed_response t ~depth =
+  refusal t Shed
+    (Printf.sprintf "server overloaded: %d requests pending" depth)
+
+let drain_response t = refusal t Drained "daemon is shutting down"
 
 let outcome_response ~id oc =
-  let code_field =
-    match oc.oc_code with
-    | Some c -> [ ("code", Json.Str (code_name c)) ]
-    | None -> []
-  in
   respond ~id
     ([
        ("op", Json.Str oc.oc_op);
        ("ok", Json.Bool (oc.oc_exit = 0));
        ("exit", Json.Int oc.oc_exit);
      ]
-    @ code_field
+    @ code_field oc.oc_outcome
     @ [
         ( "cache",
           Json.List
@@ -303,16 +309,16 @@ let stats_response t ~id =
       ("ok", Json.Bool true);
       ("exit", Json.Int 0);
       ("requests", Json.Int t.requests);
-      ("protocol_errors", Json.Int t.protocol_errors);
+      ledger_entry t Protocol_error;
       ( "serve",
         Json.Obj
           [
-            ("completed", Json.Int t.completed);
-            ("timeouts", Json.Int t.timeouts);
-            ("resource_exhausted", Json.Int t.resource_exhausted);
+            ledger_entry t Completed;
+            ledger_entry t Timeout;
+            ledger_entry t Resource_exhausted;
             ("degradations", Json.Int t.degradations);
-            ("sheds", Json.Int t.sheds);
-            ("drained", Json.Int t.drained);
+            ledger_entry t Shed;
+            ledger_entry t Drained;
           ] );
       ( "cache",
         Json.Obj
@@ -355,24 +361,12 @@ let health_response t ~id =
 
 (* --- request processing ----------------------------------------------- *)
 
-(* Ledger rule: every counter update happens before the response line
-   is rendered, so a [stats] response reports a ledger that includes
-   itself and always reconciles:
-   requests = protocol_errors + completed + timeouts
-            + resource_exhausted + sheds + drained. *)
-let classify t oc =
-  match oc.oc_code with
-  | None -> t.completed <- t.completed + 1
-  | Some C_timeout -> t.timeouts <- t.timeouts + 1
-  | Some C_resource_exhausted ->
-    t.resource_exhausted <- t.resource_exhausted + 1
-
 (* One decoded request to its response line and whether to keep
    serving. *)
 let dispatch t ~id members ~op =
   let control respond_with continue =
     let* () = Op_spec.reject_unknown ~op [] members in
-    t.completed <- t.completed + 1;
+    record t Completed;
     Ok (respond_with (), continue)
   in
   match op with
@@ -395,7 +389,7 @@ let dispatch t ~id members ~op =
         if Op_spec.budgeted spec then budget_spec_of members else Ok B_default
       in
       let oc = run_op t ~op ~budget_spec make in
-      classify t oc;
+      record t oc.oc_outcome;
       Ok (outcome_response ~id oc, true))
 
 let handle_line t line =
