@@ -2,11 +2,23 @@
 
     A campaign executes a golden (fault-free) run per engine family,
     then one injected variant per planned fault, and classifies each
-    variant against the golden artifacts using the same differential
-    machinery the test suite trusts: byte-compared {!Dsim.Fast}
-    snapshots and VCD dumps for RTL, configuration signatures for
-    statecharts, markings and firing labels for the token engines, and
-    P-invariants of the translated Petri net as the runtime monitor.
+    variant against the golden run from its final state and how it
+    stopped:
+
+    - RTL ({!classify_rtl}): the simulation diagnostic ([rr_error]),
+      then the last {!Dsim.Fast} snapshot;
+    - statecharts ({!classify_sc}): the model error, the dispatch
+      budget flag, the final status, then the last configuration
+      signature;
+    - activities ({!classify_act}): the stop reason ([ar_stop]) and
+      the final marking ([ar_tokens]);
+    - Petri nets ({!classify_net}): the step budget flag, the final
+      marking, the net's P-invariants evaluated on both final markings
+      (the runtime monitor), then the deadlock flag.
+
+    No classifier reads the other recorded fields: earlier snapshots
+    and the VCD dump, earlier signatures, firing labels, intermediate
+    markings.
 
     {2 Outcome taxonomy}
 
@@ -74,6 +86,8 @@ val rtl_run :
     [rr_error]. *)
 
 val classify_rtl : golden:rtl_run -> rtl_run -> outcome
+(** [Detected] when [rr_error] is set, else [Masked] when the last
+    snapshots are equal, else [Silent]. *)
 
 (** {1 Statechart campaigns — event-stream perturbation} *)
 
@@ -130,6 +144,9 @@ val act_run :
     [budget] is checkpointed once per step. *)
 
 val classify_act : golden:act_run -> act_run -> outcome
+(** [Truncated] when the injected run [exhausted] its steps, [Detected]
+    when it got [stuck] where the golden run [completed], [Masked] when
+    [ar_tokens] and [ar_stop] both match, else [Silent]. *)
 
 (** {1 Token campaigns — Petri net} *)
 
