@@ -256,8 +256,8 @@ let petri_unit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault-campaign Petri runs against [Oracles.Net_run_ref], the string-keyed
-   loop they replaced.  Initial markings may hold residue places the
+(* Fault-campaign Petri runs against [Oracles.Net_run_ref], the
+   string-keyed loop they replaced.  Initial markings may hold residue places the
    net does not know; faults hit net places (empty ones included),
    residue places and unknown names.                                   *)
 

@@ -1,4 +1,5 @@
-(* Tests for the discrete-event simulator. *)
+(* Tests for the reference discrete-event interpreter (Oracles.Sim) and
+   the VCD and timing renderers over its probe. *)
 
 open Hdl
 

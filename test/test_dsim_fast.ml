@@ -1,6 +1,6 @@
 (* Differential tests for the compiled discrete-event engine: under
    identical stimulus, Dsim.Fast must agree with the reference
-   interpreter Dsim.Sim value-for-value (byte-equal snapshots), the
+   interpreter Oracles.Sim value-for-value (byte-equal snapshots), the
    waveform renderers must produce byte-identical output over either
    engine, and the engine's telemetry counters must stay monotone. *)
 
@@ -105,7 +105,7 @@ let random_module seed =
    process declaration order decides the winner in both engines, and
    the commit phase must walk declaration order — not hash-table
    internals — or the engines drift apart (regression for the
-   [Sim.clock_edge] commit-order bug). *)
+   [Oracles.Sim.clock_edge] commit-order bug). *)
 let conflicting_writers_module seed =
   let rng = Workload.Prng.create (seed lxor 0x7a11) in
   let inputs =

@@ -317,8 +317,8 @@ let roundtrip_tests =
   ]
 
 (* Differential property: the parser against the reference oracle in
-   [Oracles.Sxml_parse_ref], on mutated XMI and on a fixture that touches every
-   construct the grammar knows.  Each case applies up to four random
+   [Oracles.Sxml_parse_ref], on mutated XMI and on a fixture that
+   touches every construct the grammar knows.  Each case applies up to four random
    byte edits (insert, delete, replace, truncate) drawn from the XML
    metacharacters, then demands the same tree or the same error record
    under both [keep_whitespace] settings. *)
