@@ -242,8 +242,8 @@ let conformance_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Differential property against [Oracles.Activity_exec_ref], the
-   edge-scanning engine the firing templates replaced.  Generated activities are
-   guard-free, so [decorate] adds what the engine evaluates
+   edge-scanning engine the firing templates replaced.  Generated
+   activities are guard-free, so [decorate] adds what the engine evaluates
    dynamically: edge guards over an attribute of [self] (each read
    counts in [asl.store_reads], so the metrics pin how often and in
    which order guards run), action bodies that bump it, weight-2

@@ -257,9 +257,9 @@ let petri_unit_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Fault-campaign Petri runs against [Oracles.Net_run_ref], the
-   string-keyed loop they replaced.  Initial markings may hold residue places the
-   net does not know; faults hit net places (empty ones included),
-   residue places and unknown names.                                   *)
+   string-keyed loop they replaced.  Initial markings may hold residue
+   places the net does not know; faults hit net places (empty ones
+   included), residue places and unknown names.                        *)
 
 let net_campaign seed =
   let net, m0 = random_net_and_marking seed in
@@ -322,7 +322,8 @@ let campaign_agrees pool seed =
   let expected =
     List.map
       (fun f ->
-        Oracles.Net_run_ref.classify_net spec ~golden (Oracles.Net_run_ref.net_run spec [ f ]))
+        Oracles.Net_run_ref.classify_net spec ~golden
+          (Oracles.Net_run_ref.net_run spec [ f ]))
       faults
   in
   let plan =

@@ -560,8 +560,8 @@ let property_tests =
 (* --- reference differential ---------------------------------------- *)
 
 (* [Oracles.Absint_ref] is the map-based interpreter the slot-based
-   engine replaced; both must return the same [result] record, field for
-   field, on every input.  Entry bindings and extra definitions are
+   engine replaced; both must return the same [result] record, field
+   for field, on every input.  Entry bindings and extra definitions are
    drawn from the program's pool plus names it never mentions (the
    machine environment's, an operation parameter), so the path for
    bound-but-unread names is exercised too. *)

@@ -318,10 +318,10 @@ let roundtrip_tests =
 
 (* Differential property: the parser against the reference oracle in
    [Oracles.Sxml_parse_ref], on mutated XMI and on a fixture that
-   touches every construct the grammar knows.  Each case applies up to four random
-   byte edits (insert, delete, replace, truncate) drawn from the XML
-   metacharacters, then demands the same tree or the same error record
-   under both [keep_whitespace] settings. *)
+   touches every construct the grammar knows.  Each case applies up to
+   four random byte edits (insert, delete, replace, truncate) drawn from
+   the XML metacharacters, then demands the same tree or the same error
+   record under both [keep_whitespace] settings. *)
 
 let fixture =
   "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\r\n\
