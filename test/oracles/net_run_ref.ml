@@ -3,9 +3,20 @@
    string-keyed [Petri.Marking], and [classify_net] recomputing the
    P-invariants per call, kept verbatim (bar module paths), so any
    drift in choices, markings, fault handling or outcomes shows up as
-   a counterexample. *)
+   a counterexample.  The run keeps its own full trace (fired ids and
+   the marking after every step); the production run keeps only the
+   final marking and the stop flags, and the differential compares it
+   with this record's projection. *)
 
 open Fault.Campaign
+
+type net_run = {
+  nr_fired : string list;  (** transition ids, firing order *)
+  nr_markings : (string * int) list list;  (** marking after each step *)
+  nr_final : (string * int) list;
+  nr_deadlocked : bool;
+  nr_truncated : bool;
+}
 
 let inject_tokens adjust step faults =
   List.iter

@@ -397,7 +397,15 @@ let lockstep_agrees ~gen_seed ~decisions ~run_seed =
   && Activity.Exec.output_of x = Oracles.Activity_exec_ref.output_of r
   && metrics_text reg = metrics_text reg_ref
 
-(* The campaign's step loop, as it was, over the reference engine. *)
+(* The campaign's step loop, as it was, over the reference engine.  It
+   keeps its own full trace (the firing labels too); the production run
+   keeps only the final marking and the stop reason. *)
+type act_trace = {
+  ar_labels : string list;  (** firing labels, order taken *)
+  ar_tokens : (string * int) list;
+  ar_stop : string;
+}
+
 let act_run_ref ~metrics (spec : Fault.Campaign.act_spec) faults =
   let exec =
     Oracles.Activity_exec_ref.create ~metrics spec.Fault.Campaign.ac_activity
@@ -422,7 +430,7 @@ let act_run_ref ~metrics (spec : Fault.Campaign.act_spec) faults =
   in
   let labels, stop = loop 0 [] in
   {
-    Fault.Campaign.ar_labels = labels;
+    ar_labels = labels;
     ar_tokens = Oracles.Activity_exec_ref.tokens exec;
     ar_stop = stop;
   }
@@ -444,8 +452,10 @@ let act_run_agrees ~gen_seed ~decisions ~run_seed =
   in
   let reg = Telemetry.Metrics.create () in
   let reg_ref = Telemetry.Metrics.create () in
-  Fault.Campaign.act_run ~metrics:reg spec faults
-  = act_run_ref ~metrics:reg_ref spec faults
+  let r = Fault.Campaign.act_run ~metrics:reg spec faults in
+  let o = act_run_ref ~metrics:reg_ref spec faults in
+  r.Fault.Campaign.ar_tokens = o.ar_tokens
+  && r.Fault.Campaign.ar_stop = o.ar_stop
   && metrics_text reg = metrics_text reg_ref
 
 let reference_tests =

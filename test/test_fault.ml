@@ -191,6 +191,9 @@ let plan_tests =
 (* Empty-plan identity: a run with no faults reproduces the golden
    artifacts byte-for-byte, engine family by engine family. *)
 
+(* The snapshots and the waveform are recorded only by the oracle
+   ([Oracles.Campaign_ref]); the production run is checked on what it
+   keeps. *)
 let qcheck_identity_rtl =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:40
@@ -198,13 +201,17 @@ let qcheck_identity_rtl =
        QCheck.(int_range 0 100_000)
        (fun seed ->
          let spec = rtl_spec_of_module seed (random_module seed) in
+         let golden_ref = Oracles.Campaign_ref.rtl_run spec [] in
+         let injected_ref = Oracles.Campaign_ref.rtl_run spec [] in
          let golden = Fault.Campaign.rtl_run spec [] in
          let injected = Fault.Campaign.rtl_run spec [] in
-         golden.Fault.Campaign.rr_snapshots
-         = injected.Fault.Campaign.rr_snapshots
-         && String.equal golden.Fault.Campaign.rr_vcd
-              injected.Fault.Campaign.rr_vcd
-         && golden.Fault.Campaign.rr_error = injected.Fault.Campaign.rr_error
+         golden_ref.Oracles.Campaign_ref.rr_snapshots
+         = injected_ref.Oracles.Campaign_ref.rr_snapshots
+         && String.equal golden_ref.Oracles.Campaign_ref.rr_vcd
+              injected_ref.Oracles.Campaign_ref.rr_vcd
+         && golden_ref.Oracles.Campaign_ref.rr_error
+            = injected_ref.Oracles.Campaign_ref.rr_error
+         && golden = injected
          && Fault.Campaign.equal_outcome Fault.Campaign.Masked
               (Fault.Campaign.classify_rtl ~golden injected)))
 
@@ -267,11 +274,221 @@ let qcheck_identity_tokens =
          let ai = Fault.Campaign.act_run aspec [] in
          let ng = Fault.Campaign.net_run nspec [] in
          let ni = Fault.Campaign.net_run nspec [] in
-         ag = ai && ng = ni
+         (* firings and intermediate markings: the oracle records them *)
+         Oracles.Net_run_ref.net_run nspec []
+         = Oracles.Net_run_ref.net_run nspec []
+         && ag = ai && ng = ni
          && Fault.Campaign.equal_outcome Fault.Campaign.Masked
               (Fault.Campaign.classify_act ~golden:ag ai)
          && Fault.Campaign.equal_outcome Fault.Campaign.Masked
               (Fault.Campaign.classify_net nspec ~golden:ng ni)))
+
+(* ------------------------------------------------------------------ *)
+(* Production runs against the recording oracle [Oracles.Campaign_ref]:
+   each run must equal the projection of the oracle's trace (the last
+   snapshot or signature, [[]] or [""] when there is none; the error,
+   status and flags), record the same metrics and classify the same
+   against the matching golden run. *)
+
+let rtl_final (r : Fault.Campaign.rtl_run) =
+  match List.rev r.Fault.Campaign.rr_snapshots with
+  | last :: _earlier -> last
+  | [] -> []
+
+let sc_final (r : Fault.Campaign.sc_run) =
+  match List.rev r.Fault.Campaign.sc_signatures with
+  | last :: _earlier -> last
+  | [] -> ""
+
+(* [x := x xor en] settles while [en] is low and oscillates past the
+   settle budget once it is raised: an error in mid-run, after some
+   cycles have completed. *)
+let loop_module () =
+  Module_.make
+    ~ports:
+      [
+        Module_.input "clk" Htype.Bit;
+        Module_.input "rst" Htype.Bit;
+        Module_.input "en" Htype.Bit;
+      ]
+    ~signals:
+      [
+        Module_.signal ~init:0 "x" Htype.Bit;
+        Module_.signal ~init:0 "r" (Htype.Unsigned 4);
+      ]
+    ~processes:
+      [
+        Module_.seq_process
+          ~reset:("rst", [ Stmt.Assign ("r", Expr.of_int ~width:4 0) ])
+          ~name:"p_r" ~clock:"clk"
+          [ Stmt.Assign ("r", Expr.(Ref "r" +: of_int 1)) ];
+        Module_.comb_process ~name:"p_x"
+          [ Stmt.Assign ("x", Expr.Binop (Expr.Xor, Expr.Ref "x", Expr.Ref "en")) ];
+      ]
+    "loop"
+
+(* Lowering fails: [y] reads a name the module never declares. *)
+let unresolved_module () =
+  Module_.make
+    ~ports:[ Module_.input "clk" Htype.Bit; Module_.input "rst" Htype.Bit ]
+    ~signals:[ Module_.signal "y" (Htype.Unsigned 4) ]
+    ~processes:
+      [ Module_.comb_process ~name:"p_y" [ Stmt.Assign ("y", Expr.Ref "ghost") ] ]
+    "unresolved"
+
+(* Bit flips and stuck-ats on the module's names and one it does not
+   have, at cycles in and past the run. *)
+let random_rtl_faults rng (m : Module_.t) =
+  let names =
+    "ghost"
+    :: List.map (fun (p : Module_.port) -> p.Module_.port_name) m.Module_.mod_ports
+    @ List.map (fun (s : Module_.signal) -> s.Module_.sig_name) m.Module_.mod_signals
+  in
+  List.init (Workload.Prng.int rng 4) (fun _ ->
+      let signal = Workload.Prng.pick rng names in
+      let cycle = Workload.Prng.int rng 14 in
+      if Workload.Prng.bool rng then
+        Fault.Plan.Bit_flip
+          { fb_signal = signal; fb_cycle = cycle; fb_bit = Workload.Prng.int rng 16 }
+      else
+        Fault.Plan.Stuck_at
+          { sa_signal = signal; sa_value = Workload.Prng.int rng 2; sa_from = cycle })
+
+let rtl_agrees seed =
+  let m =
+    match seed mod 8 with
+    | 0 -> unresolved_module ()
+    | 1 | 2 -> loop_module ()
+    | _ -> random_module seed
+  in
+  let spec = rtl_spec_of_module seed m in
+  (* the loop module raises [en] at a seeded cycle, or never *)
+  let spec =
+    match seed mod 8 with
+    | 1 | 2 ->
+      { spec with Fault.Campaign.rs_stimulus = [ (seed / 8 mod 16, [ ("en", 1) ]) ] }
+    | _ -> spec
+  in
+  let rng = Workload.Prng.create (seed + 1) in
+  let golden = Fault.Campaign.rtl_run spec [] in
+  let golden_ref = Oracles.Campaign_ref.rtl_run spec [] in
+  let agrees faults =
+    let reg = Telemetry.Metrics.create () in
+    let reg_ref = Telemetry.Metrics.create () in
+    let r = Fault.Campaign.rtl_run ~metrics:reg spec faults in
+    let o = Oracles.Campaign_ref.rtl_run ~metrics:reg_ref spec faults in
+    rtl_final r = Oracles.Campaign_ref.final_snapshot o
+    && r.Fault.Campaign.rr_error = o.Oracles.Campaign_ref.rr_error
+    && Telemetry.Metrics.report reg = Telemetry.Metrics.report reg_ref
+    && Fault.Campaign.classify_rtl ~golden r
+       = Oracles.Campaign_ref.classify_rtl ~golden:golden_ref o
+  in
+  agrees [] && List.for_all agrees (List.init 4 (fun _ -> random_rtl_faults rng m))
+
+(* The transitions of every top-level region, rewritten by [f]. *)
+let map_top_transitions f (sm : Uml.Smachine.t) =
+  {
+    sm with
+    Uml.Smachine.sm_regions =
+      List.map
+        (fun (r : Uml.Smachine.region) ->
+          { r with Uml.Smachine.rg_transitions = List.mapi f r.Uml.Smachine.rg_transitions })
+        sm.Uml.Smachine.sm_regions;
+  }
+
+(* Flat and hierarchical machines; a flat one whose [k]-th transition
+   runs an effect reading an unbound variable (a [Model_error] in
+   mid-stream, wherever it first fires); and one with no initial
+   transition (a [Model_error] in [start]). *)
+let sc_machine seed =
+  let flat () = Workload.Gen_statechart.flat ~seed ~states:4 ~events:3 in
+  match seed mod 4 with
+  | 0 -> flat ()
+  | 1 -> Workload.Gen_statechart.hierarchical ~seed ~depth:2 ~breadth:2 ~events:3
+  | 2 ->
+    let k = 1 + (seed / 4 mod 12) in
+    map_top_transitions
+      (fun i (tr : Uml.Smachine.transition) ->
+        if i = k then { tr with Uml.Smachine.tr_effect = Some "var y := nosuch;" }
+        else tr)
+      (flat ())
+  | _ ->
+    let sm = flat () in
+    {
+      sm with
+      Uml.Smachine.sm_regions =
+        List.map
+          (fun (r : Uml.Smachine.region) ->
+            {
+              r with
+              Uml.Smachine.rg_transitions =
+                List.filter
+                  (fun (tr : Uml.Smachine.transition) ->
+                    tr.Uml.Smachine.tr_triggers <> [])
+                  r.Uml.Smachine.rg_transitions;
+            })
+          sm.Uml.Smachine.sm_regions;
+    }
+
+(* Drops, duplicates and spurious events (an unknown one included) at
+   indices in and past the stimulus; one set in six drops every event. *)
+let random_sc_faults rng n =
+  if Workload.Prng.int rng 6 = 0 then
+    List.init n (fun i -> Fault.Plan.Drop_event { de_index = i })
+  else
+    List.init (Workload.Prng.int rng 4) (fun _ ->
+        let i = Workload.Prng.int rng (n + 2) in
+        match Workload.Prng.int rng 3 with
+        | 0 -> Fault.Plan.Drop_event { de_index = i }
+        | 1 -> Fault.Plan.Dup_event { du_index = i }
+        | _ ->
+          Fault.Plan.Spurious_event
+            { sp_index = i; sp_event = Workload.Prng.pick rng [ "ev0"; "ev2"; "zz" ] })
+
+let sc_agrees seed =
+  let rng = Workload.Prng.create (seed + 1) in
+  let events =
+    Workload.Gen_statechart.event_sequence ~seed ~length:(1 + (seed mod 15)) 3
+  in
+  let spec =
+    {
+      Fault.Campaign.ss_machine = sc_machine seed;
+      ss_events = events;
+      ss_budget = (if seed mod 7 = 0 then 0 else 1000);
+    }
+  in
+  let golden = Fault.Campaign.sc_run spec [] in
+  let golden_ref = Oracles.Campaign_ref.sc_run spec [] in
+  let agrees faults =
+    let reg = Telemetry.Metrics.create () in
+    let reg_ref = Telemetry.Metrics.create () in
+    let r = Fault.Campaign.sc_run ~metrics:reg spec faults in
+    let o = Oracles.Campaign_ref.sc_run ~metrics:reg_ref spec faults in
+    sc_final r = Oracles.Campaign_ref.final_signature o
+    && r.Fault.Campaign.sc_status = o.Oracles.Campaign_ref.sc_status
+    && r.Fault.Campaign.sc_error = o.Oracles.Campaign_ref.sc_error
+    && r.Fault.Campaign.sc_truncated = o.Oracles.Campaign_ref.sc_truncated
+    && Telemetry.Metrics.report reg = Telemetry.Metrics.report reg_ref
+    && Fault.Campaign.classify_sc ~golden r
+       = Oracles.Campaign_ref.classify_sc ~golden:golden_ref o
+  in
+  agrees []
+  && List.for_all agrees
+       (List.init 4 (fun _ -> random_sc_faults rng (List.length events)))
+
+let reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"rtl_run = the recording oracle's projection"
+         QCheck.(int_range 0 100_000)
+         rtl_agrees);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"sc_run = the recording oracle's projection"
+         QCheck.(int_range 0 100_000)
+         sc_agrees);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaign determinism and accounting *)
@@ -440,16 +657,14 @@ let classify_tests =
     tc "rtl bit flip on the counter register is silent corruption" (fun () ->
         let spec = counter_spec () in
         let golden = Fault.Campaign.rtl_run spec [] in
-        let injected =
-          Fault.Campaign.rtl_run spec
-            [
-              Fault.Plan.Bit_flip
-                { fb_signal = "cnt"; fb_cycle = 3; fb_bit = 3 };
-            ]
+        let flip =
+          [ Fault.Plan.Bit_flip { fb_signal = "cnt"; fb_cycle = 3; fb_bit = 3 } ]
         in
+        let injected = Fault.Campaign.rtl_run spec flip in
         check Alcotest.bool "snapshots differ" false
-          (golden.Fault.Campaign.rr_snapshots
-          = injected.Fault.Campaign.rr_snapshots);
+          ((Oracles.Campaign_ref.rtl_run spec []).Oracles.Campaign_ref.rr_snapshots
+          = (Oracles.Campaign_ref.rtl_run spec flip)
+              .Oracles.Campaign_ref.rr_snapshots);
         check Alcotest.bool "silent" true
           (Fault.Campaign.equal_outcome Fault.Campaign.Silent
              (Fault.Campaign.classify_rtl ~golden injected)));
@@ -458,32 +673,34 @@ let classify_tests =
            mask, the canonical masked single-event upset *)
         let spec = counter_spec () in
         let golden = Fault.Campaign.rtl_run spec [] in
-        let injected =
-          Fault.Campaign.rtl_run spec
-            [
-              Fault.Plan.Bit_flip { fb_signal = "en"; fb_cycle = 2; fb_bit = 1 };
-            ]
+        let flip =
+          [ Fault.Plan.Bit_flip { fb_signal = "en"; fb_cycle = 2; fb_bit = 1 } ]
         in
+        let injected = Fault.Campaign.rtl_run spec flip in
         check Alcotest.bool "vcd identical" true
-          (String.equal golden.Fault.Campaign.rr_vcd
-             injected.Fault.Campaign.rr_vcd);
+          (String.equal
+             (Oracles.Campaign_ref.rtl_run spec []).Oracles.Campaign_ref.rr_vcd
+             (Oracles.Campaign_ref.rtl_run spec flip).Oracles.Campaign_ref.rr_vcd);
         check Alcotest.bool "masked" true
           (Fault.Campaign.equal_outcome Fault.Campaign.Masked
              (Fault.Campaign.classify_rtl ~golden injected)));
     tc "stuck-at-0 on the counter register is detected or silent" (fun () ->
         let spec = counter_spec () in
         let golden = Fault.Campaign.rtl_run spec [] in
-        let injected =
-          Fault.Campaign.rtl_run spec
-            [
-              Fault.Plan.Stuck_at
-                { sa_signal = "cnt"; sa_value = 0; sa_from = 0 };
-            ]
+        let stuck =
+          [ Fault.Plan.Stuck_at { sa_signal = "cnt"; sa_value = 0; sa_from = 0 } ]
         in
+        let injected = Fault.Campaign.rtl_run spec stuck in
         check Alcotest.bool "final count frozen" true
-          (match List.rev injected.Fault.Campaign.rr_snapshots with
+          (match
+             List.rev
+               (Oracles.Campaign_ref.rtl_run spec stuck)
+                 .Oracles.Campaign_ref.rr_snapshots
+           with
            | last :: _ -> List.assoc "cnt" last = 0
            | [] -> false);
+        check Alcotest.int "production final count frozen" 0
+          (List.assoc "cnt" (rtl_final injected));
         check Alcotest.bool "silent" true
           (Fault.Campaign.equal_outcome Fault.Campaign.Silent
              (Fault.Campaign.classify_rtl ~golden injected)));
@@ -561,7 +778,10 @@ let classify_tests =
         in
         let injected = Fault.Campaign.sc_run spec faults in
         check Alcotest.int "no events delivered" 0
-          (List.length injected.Fault.Campaign.sc_signatures);
+          (List.length
+             (Oracles.Campaign_ref.sc_run spec faults)
+               .Oracles.Campaign_ref.sc_signatures);
+        check Alcotest.string "no final signature" "" (sc_final injected);
         match Fault.Campaign.classify_sc ~golden injected with
         | Fault.Campaign.Masked | Fault.Campaign.Silent -> ()
         | Fault.Campaign.Detected d -> Alcotest.failf "detected: %s" d
@@ -625,7 +845,7 @@ let () =
           qcheck_identity_rtl; qcheck_identity_statechart;
           qcheck_identity_tokens;
         ] );
-      ("campaign", campaign_tests);
+      ("campaign", campaign_tests @ reference_tests);
       ("classify", classify_tests);
       ("perturb", perturb_tests);
     ]
