@@ -17,8 +17,7 @@ type rtl_spec = {
 }
 
 type rtl_run = {
-  rr_snapshots : (string * int) list list;
-  rr_vcd : string;
+  rr_final : (string * int) list;
   rr_error : string option;
 }
 
@@ -39,56 +38,52 @@ let inject_rtl sim cycle faults =
           Dsim.Fast.force sim sa_signal (if sa_value = 0 then 0 else -1))
     faults
 
+(* The module lowered once, or the diagnostic that every run reports. *)
+let lower spec =
+  match Dsim.Netlist.compile spec.rs_module with
+  | nl -> Ok nl
+  | exception Dsim.Netlist.Simulation_error msg -> Error msg
+
+let rtl_exec ~metrics ~budget spec netlist faults =
+  let final = ref [] in
+  let error =
+    match netlist with
+    | Error msg -> Some msg
+    | Ok nl -> (
+      try
+        let sim =
+          Dsim.Fast.of_netlist ~metrics ~settle_budget:spec.rs_settle_budget
+            ~budget nl
+        in
+        (match spec.rs_reset with
+         | Some r ->
+           Dsim.Fast.set_input sim r 1;
+           Dsim.Fast.clock_edge sim spec.rs_clock;
+           Dsim.Fast.set_input sim r 0
+         | None -> ());
+        for cycle = 0 to spec.rs_cycles - 1 do
+          Exec.Budget.check budget;
+          (match List.assoc_opt cycle spec.rs_stimulus with
+           | Some inputs ->
+             List.iter (fun (n, v) -> Dsim.Fast.set_input sim n v) inputs
+           | None -> ());
+          Dsim.Fast.clock_edge sim spec.rs_clock;
+          inject_rtl sim cycle faults;
+          final := Dsim.Fast.snapshot sim
+        done;
+        None
+      with Dsim.Netlist.Simulation_error msg -> Some msg)
+  in
+  { rr_final = !final; rr_error = error }
+
 let rtl_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
-  match
-    Dsim.Fast.create ~metrics ~settle_budget:spec.rs_settle_budget ~budget
-      spec.rs_module
-  with
-  | exception Dsim.Netlist.Simulation_error msg ->
-    { rr_snapshots = []; rr_vcd = ""; rr_error = Some msg }
-  | sim ->
-    let vcd = Dsim.Vcd.create sim in
-    let snapshots = ref [] in
-    let error = ref None in
-    (try
-       (match spec.rs_reset with
-        | Some r ->
-          Dsim.Fast.set_input sim r 1;
-          Dsim.Fast.clock_edge sim spec.rs_clock;
-          Dsim.Fast.set_input sim r 0
-        | None -> ());
-       let c = ref 0 in
-       while !c < spec.rs_cycles && !error = None do
-         Exec.Budget.check budget;
-         let cycle = !c in
-         (match List.assoc_opt cycle spec.rs_stimulus with
-          | Some inputs ->
-            List.iter (fun (n, v) -> Dsim.Fast.set_input sim n v) inputs
-          | None -> ());
-         Dsim.Fast.clock_edge sim spec.rs_clock;
-         inject_rtl sim cycle faults;
-         snapshots := Dsim.Fast.snapshot sim :: !snapshots;
-         Dsim.Vcd.sample vcd ~time:cycle;
-         incr c
-       done
-     with Dsim.Netlist.Simulation_error msg -> error := Some msg);
-    {
-      rr_snapshots = List.rev !snapshots;
-      rr_vcd = Dsim.Vcd.render vcd;
-      rr_error = !error;
-    }
-
-let final_snapshot r =
-  match List.rev r.rr_snapshots with
-  | last :: _earlier -> last
-  | [] -> []
+  rtl_exec ~metrics ~budget spec (lower spec) faults
 
 let classify_rtl ~golden injected =
   match injected.rr_error with
   | Some msg -> Detected msg
-  | None ->
-    if final_snapshot golden = final_snapshot injected then Masked else Silent
+  | None -> if golden.rr_final = injected.rr_final then Masked else Silent
 
 (* --- statechart ------------------------------------------------------- *)
 
@@ -99,7 +94,7 @@ type sc_spec = {
 }
 
 type sc_run = {
-  sc_signatures : string list;
+  sc_final : string;
   sc_status : string;
   sc_error : string option;
   sc_truncated : bool;
@@ -149,7 +144,7 @@ let sc_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
   let events = perturb_events faults spec.ss_events in
   let engine = Statechart.Engine.create ~metrics spec.ss_machine in
-  let signatures = ref [] in
+  let final = ref "" in
   let truncated = ref false in
   let error = ref None in
   (try
@@ -162,22 +157,17 @@ let sc_run ?(metrics = Telemetry.Metrics.null)
          (match Statechart.Engine.run_bounded engine ~budget:spec.ss_budget with
           | `Quiescent _n -> ()
           | `Exhausted -> truncated := true);
-         signatures := Statechart.Engine.signature engine :: !signatures;
+         final := Statechart.Engine.signature engine;
          if not !truncated then deliver rest
      in
      deliver events
    with Statechart.Engine.Model_error msg -> error := Some msg);
   {
-    sc_signatures = List.rev !signatures;
+    sc_final = !final;
     sc_status = status_string engine;
     sc_error = !error;
     sc_truncated = !truncated;
   }
-
-let final_signature r =
-  match List.rev r.sc_signatures with
-  | last :: _earlier -> last
-  | [] -> ""
 
 let classify_sc ~golden injected =
   match injected.sc_error with
@@ -188,7 +178,7 @@ let classify_sc ~golden injected =
       Detected
         (Printf.sprintf "status diverged: golden %s, injected %s"
            golden.sc_status injected.sc_status)
-    else if final_signature golden = final_signature injected then Masked
+    else if golden.sc_final = injected.sc_final then Masked
     else Silent
 
 (* --- token: activity engine ------------------------------------------- *)
@@ -200,7 +190,6 @@ type act_spec = {
 }
 
 type act_run = {
-  ar_labels : string list;
   ar_tokens : (string * int) list;
   ar_stop : string;
 }
@@ -219,26 +208,23 @@ let act_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
   let exec = Activity.Exec.create ~metrics spec.ac_activity in
   let rng = Workload.Prng.create spec.ac_choice_seed in
-  let rec loop step acc =
+  let rec loop step =
     Exec.Budget.check budget;
     inject_tokens (Activity.Exec.adjust_tokens exec) step faults;
-    if step >= spec.ac_max_steps then (List.rev acc, "exhausted")
+    if step >= spec.ac_max_steps then "exhausted"
     else
       match Activity.Exec.enabled_firings exec with
-      | [] ->
-        ( List.rev acc,
-          if Activity.Exec.finished exec then "completed" else "stuck" )
+      | [] -> if Activity.Exec.finished exec then "completed" else "stuck"
       | labels -> (
-        let label = Workload.Prng.pick rng labels in
-        match Activity.Exec.fire exec label with
-        | Ok () -> loop (step + 1) (label :: acc)
+        match Activity.Exec.fire exec (Workload.Prng.pick rng labels) with
+        | Ok () -> loop (step + 1)
         | Error msg ->
           (* unreachable: the label was just enabled; surface it rather
              than loop *)
-          (List.rev acc, Printf.sprintf "internal: %s" msg))
+          Printf.sprintf "internal: %s" msg)
   in
-  let labels, stop = loop 0 [] in
-  { ar_labels = labels; ar_tokens = Activity.Exec.tokens exec; ar_stop = stop }
+  let stop = loop 0 in
+  { ar_tokens = Activity.Exec.tokens exec; ar_stop = stop }
 
 let classify_act ~golden injected =
   if injected.ar_stop = "exhausted" then Truncated "step budget exhausted"
@@ -259,53 +245,30 @@ type net_spec = {
 }
 
 type net_run = {
-  nr_fired : string list;
-  nr_markings : (string * int) list list;
   nr_final : (string * int) list;
   nr_deadlocked : bool;
   nr_truncated : bool;
 }
 
 (* A net spec compiled once per campaign and shared read-only by every
-   run, on any domain: the compiled net, the initial marking split into
-   slots and a residue of places the net does not know, and the slots
-   in [Marking.to_list] (place-name) order. *)
+   run, on any domain: the compiled net, and the initial marking split
+   into slots and a residue of places the net does not know. *)
 type net_ctx = {
   nx_spec : net_spec;
   nx_compiled : Petri.Compiled.t;
   nx_m0 : Petri.Compiled.marking;
   nx_residue : Petri.Marking.t;
-  nx_sorted : int array;
 }
 
 let net_ctx spec =
   let c = Petri.Compiled.of_net spec.np_net in
   let m0, residue = Petri.Compiled.split c spec.np_marking in
-  let sorted = Array.init (Petri.Compiled.place_count c) Fun.id in
-  let name = Petri.Compiled.place_id c in
-  Array.stable_sort (fun a b -> String.compare (name a) (name b)) sorted;
   {
     nx_spec = spec;
     nx_compiled = c;
     nx_m0 = m0;
     nx_residue = Petri.Marking.of_list residue;
-    nx_sorted = sorted;
   }
-
-(* [Marking.to_list] of slots plus residue: non-zero entries, by name. *)
-let net_marking_list ctx m residue =
-  let c = ctx.nx_compiled in
-  let slots =
-    Array.fold_right
-      (fun p acc ->
-        let n = Petri.Compiled.tokens m p in
-        if n = 0 then acc else (Petri.Compiled.place_id c p, n) :: acc)
-      ctx.nx_sorted []
-  in
-  List.merge
-    (fun (a, _) (b, _) -> String.compare a b)
-    slots
-    (Petri.Marking.to_list residue)
 
 let net_run_ctx ~metrics ~budget ctx faults =
   let spec = ctx.nx_spec and c = ctx.nx_compiled in
@@ -324,11 +287,11 @@ let net_run_ctx ~metrics ~budget ctx faults =
         residue := Petri.Marking.add !residue place delta
   in
   let nt = Petri.Compiled.transition_count c in
-  let rec loop step fired markings =
+  (* [(deadlocked, truncated)] *)
+  let rec loop step =
     Exec.Budget.check budget;
     inject_tokens adjust step faults;
-    if step >= spec.np_max_steps then
-      (List.rev fired, List.rev markings, false, true)
+    if step >= spec.np_max_steps then (false, true)
     else
       (* enabled transitions in net order, so [pick] chooses as it did
          over [Marking.enabled_transitions] *)
@@ -337,23 +300,21 @@ let net_run_ctx ~metrics ~budget ctx faults =
         if Petri.Compiled.enabled c !marking ti then enabled := ti :: !enabled
       done;
       match !enabled with
-      | [] -> (List.rev fired, List.rev markings, true, false)
+      | [] -> (true, false)
       | enabled -> (
         let ti = Workload.Prng.pick rng enabled in
         match Petri.Compiled.fire c !marking ti with
-        | None -> (List.rev fired, List.rev markings, true, false)
+        | None -> (true, false)
         | Some m' ->
           Telemetry.Metrics.incr fired_counter;
           marking := m';
-          loop (step + 1)
-            (Petri.Compiled.transition_id c ti :: fired)
-            (net_marking_list ctx m' !residue :: markings))
+          loop (step + 1))
   in
-  let fired, markings, deadlocked, truncated = loop 0 [] [] in
+  let deadlocked, truncated = loop 0 in
   {
-    nr_fired = fired;
-    nr_markings = markings;
-    nr_final = net_marking_list ctx !marking !residue;
+    nr_final =
+      Petri.Marking.to_list
+        (Petri.Compiled.export c (Petri.Marking.to_list !residue) !marking);
     nr_deadlocked = deadlocked;
     nr_truncated = truncated;
   }
@@ -425,7 +386,9 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
     fault =
   Exec.Budget.check budget;
   let m_injected = Telemetry.Metrics.counter metrics "fault.injected" in
-  let note domain outcome acc =
+  (* one injected run, timed and counted: its domain and outcome *)
+  let inject domain classify =
+    let outcome = Telemetry.Metrics.span metrics "fault/run" classify in
     Telemetry.Metrics.incr m_injected;
     Telemetry.Metrics.incr
       (Telemetry.Metrics.counter metrics
@@ -438,48 +401,46 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
           ( "outcome",
             Telemetry.Metrics.F_str (outcome_counter_suffix outcome) );
         ];
-    (domain, outcome) :: acc
+    (domain, outcome)
   in
   match fault with
   | Plan.F_rtl f -> (
     match golden_rtl with
     | None -> FR_skipped "no rtl domain in this campaign"
-    | Some (spec, golden) ->
-      let outcome =
-        Telemetry.Metrics.span metrics "fault/run" (fun () ->
-            classify_rtl ~golden (rtl_run ~metrics ~budget spec [ f ]))
-      in
-      FR_runs (List.rev (note "rtl" outcome [])))
+    | Some (spec, netlist, golden) ->
+      FR_runs
+        [
+          inject "rtl" (fun () ->
+              classify_rtl ~golden (rtl_exec ~metrics ~budget spec netlist [ f ]));
+        ])
   | Plan.F_statechart f -> (
     match golden_sc with
     | None -> FR_skipped "no statechart domain in this campaign"
     | Some (spec, golden) ->
-      let outcome =
-        Telemetry.Metrics.span metrics "fault/run" (fun () ->
-            classify_sc ~golden (sc_run ~metrics ~budget spec [ f ]))
-      in
-      FR_runs (List.rev (note "statechart" outcome [])))
-  | Plan.F_token f ->
-    let acc = ref [] in
-    (match golden_act with
-     | None -> ()
-     | Some (spec, golden) ->
-       let outcome =
-         Telemetry.Metrics.span metrics "fault/run" (fun () ->
-             classify_act ~golden (act_run ~metrics ~budget spec [ f ]))
-       in
-       acc := note "activity" outcome !acc);
-    (match golden_net with
-     | None -> ()
-     | Some (ctx, invariants, golden) ->
-       let outcome =
-         Telemetry.Metrics.span metrics "fault/run" (fun () ->
-             classify_net_with invariants ~golden
-               (net_run_ctx ~metrics ~budget ctx [ f ]))
-       in
-       acc := note "petri" outcome !acc);
-    if !acc = [] then FR_skipped "no token domain in this campaign"
-    else FR_runs (List.rev !acc)
+      FR_runs
+        [
+          inject "statechart" (fun () ->
+              classify_sc ~golden (sc_run ~metrics ~budget spec [ f ]));
+        ])
+  | Plan.F_token f -> (
+    let act =
+      Option.map
+        (fun (spec, golden) ->
+          inject "activity" (fun () ->
+              classify_act ~golden (act_run ~metrics ~budget spec [ f ])))
+        golden_act
+    in
+    let net =
+      Option.map
+        (fun (ctx, invariants, golden) ->
+          inject "petri" (fun () ->
+              classify_net_with invariants ~golden
+                (net_run_ctx ~metrics ~budget ctx [ f ])))
+        golden_net
+    in
+    match List.filter_map Fun.id [ act; net ] with
+    | [] -> FR_skipped "no token domain in this campaign"
+    | runs -> FR_runs runs)
 
 let run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) ?pool ?rtl ?statechart ?activity ?net
@@ -489,9 +450,14 @@ let run ?(metrics = Telemetry.Metrics.null)
     Telemetry.Metrics.counter metrics "fault.injected"
   in
   (* golden runs: once per supplied spec, before any injection, always
-     on the caller's domain and registry *)
+     on the caller's domain and registry; the module is lowered here,
+     once, and every run starts from that netlist *)
   let golden_rtl =
-    Option.map (fun s -> (s, rtl_run ~metrics ~budget s [])) rtl
+    Option.map
+      (fun s ->
+        let netlist = lower s in
+        (s, netlist, rtl_exec ~metrics ~budget s netlist []))
+      rtl
   in
   let golden_sc =
     Option.map (fun s -> (s, sc_run ~metrics ~budget s [])) statechart

@@ -3,22 +3,18 @@
     A campaign executes a golden (fault-free) run per engine family,
     then one injected variant per planned fault, and classifies each
     variant against the golden run from its final state and how it
-    stopped:
+    stopped.  A run returns exactly what its classifier reads:
 
-    - RTL ({!classify_rtl}): the simulation diagnostic ([rr_error]),
-      then the last {!Dsim.Fast} snapshot;
-    - statecharts ({!classify_sc}): the model error, the dispatch
-      budget flag, the final status, then the last configuration
-      signature;
-    - activities ({!classify_act}): the stop reason ([ar_stop]) and
-      the final marking ([ar_tokens]);
-    - Petri nets ({!classify_net}): the step budget flag, the final
-      marking, the net's P-invariants evaluated on both final markings
-      (the runtime monitor), then the deadlock flag.
-
-    No classifier reads the other recorded fields: earlier snapshots
-    and the VCD dump, earlier signatures, firing labels, intermediate
-    markings.
+    - RTL ({!rtl_run}, {!classify_rtl}): the simulation diagnostic,
+      then the {!Dsim.Fast} snapshot after the last completed cycle;
+    - statecharts ({!sc_run}, {!classify_sc}): the model error, the
+      dispatch budget flag, the final status, then the configuration
+      signature after the last delivered event;
+    - activities ({!act_run}, {!classify_act}): the stop reason and
+      the final marking;
+    - Petri nets ({!net_run}, {!classify_net}): the step budget flag,
+      the final marking, the net's P-invariants evaluated on both final
+      markings (the runtime monitor), then the deadlock flag.
 
     {2 Outcome taxonomy}
 
@@ -64,9 +60,10 @@ type rtl_spec = {
 }
 
 type rtl_run = {
-  rr_snapshots : (string * int) list list;
-      (** full snapshot after each clocked edge, cycle order *)
-  rr_vcd : string;  (** rendered waveform over the run *)
+  rr_final : (string * int) list;
+      (** {!Dsim.Fast.snapshot} after the last completed cycle; [[]]
+          when no cycle completed (lowering failed, an error on the
+          reset edge or in the first cycle, zero cycles) *)
   rr_error : string option;
       (** simulation diagnostic that stopped the run, if any *)
 }
@@ -78,7 +75,8 @@ val rtl_run :
   Plan.rtl_fault list ->
   rtl_run
 (** Execute the stimulus with the given faults injected ([[]] = golden
-    run).  Bit flips are forced once after the target edge; stuck-at
+    run), lowering [rs_module] first ({!run} lowers it once per
+    campaign).  Bit flips are forced once after the target edge; stuck-at
     faults are re-forced after every edge from their start cycle.
     [budget] (default {!Exec.Budget.unlimited}) is checkpointed once
     per cycle (and per settle pass inside the simulator);
@@ -86,7 +84,7 @@ val rtl_run :
     [rr_error]. *)
 
 val classify_rtl : golden:rtl_run -> rtl_run -> outcome
-(** [Detected] when [rr_error] is set, else [Masked] when the last
+(** [Detected] when [rr_error] is set, else [Masked] when the final
     snapshots are equal, else [Silent]. *)
 
 (** {1 Statechart campaigns — event-stream perturbation} *)
@@ -98,8 +96,10 @@ type sc_spec = {
 }
 
 type sc_run = {
-  sc_signatures : string list;
-      (** {!Statechart.Engine.signature} after each delivered event *)
+  sc_final : string;
+      (** {!Statechart.Engine.signature} after the last delivered event;
+          [""] when none was delivered (every event dropped, or a
+          [Model_error] in [start] or in the first event) *)
   sc_status : string;  (** final engine status, rendered *)
   sc_error : string option;  (** [Model_error] diagnostic, if raised *)
   sc_truncated : bool;  (** a dispatch exhausted [ss_budget] *)
@@ -128,7 +128,6 @@ type act_spec = {
 }
 
 type act_run = {
-  ar_labels : string list;  (** firing labels, order taken *)
   ar_tokens : (string * int) list;  (** final marking, sorted *)
   ar_stop : string;  (** ["completed"], ["stuck"] or ["exhausted"] *)
 }
@@ -158,9 +157,7 @@ type net_spec = {
 }
 
 type net_run = {
-  nr_fired : string list;  (** transition ids, firing order *)
-  nr_markings : (string * int) list list;  (** marking after each step *)
-  nr_final : (string * int) list;
+  nr_final : (string * int) list;  (** final marking, sorted *)
   nr_deadlocked : bool;  (** ended with no transition enabled *)
   nr_truncated : bool;
 }

@@ -290,16 +290,6 @@ let qcheck_identity_tokens =
    status and flags), record the same metrics and classify the same
    against the matching golden run. *)
 
-let rtl_final (r : Fault.Campaign.rtl_run) =
-  match List.rev r.Fault.Campaign.rr_snapshots with
-  | last :: _earlier -> last
-  | [] -> []
-
-let sc_final (r : Fault.Campaign.sc_run) =
-  match List.rev r.Fault.Campaign.sc_signatures with
-  | last :: _earlier -> last
-  | [] -> ""
-
 (* [x := x xor en] settles while [en] is low and oscillates past the
    settle budget once it is raised: an error in mid-run, after some
    cycles have completed. *)
@@ -377,7 +367,7 @@ let rtl_agrees seed =
     let reg_ref = Telemetry.Metrics.create () in
     let r = Fault.Campaign.rtl_run ~metrics:reg spec faults in
     let o = Oracles.Campaign_ref.rtl_run ~metrics:reg_ref spec faults in
-    rtl_final r = Oracles.Campaign_ref.final_snapshot o
+    r.Fault.Campaign.rr_final = Oracles.Campaign_ref.final_snapshot o
     && r.Fault.Campaign.rr_error = o.Oracles.Campaign_ref.rr_error
     && Telemetry.Metrics.report reg = Telemetry.Metrics.report reg_ref
     && Fault.Campaign.classify_rtl ~golden r
@@ -464,7 +454,7 @@ let sc_agrees seed =
     let reg_ref = Telemetry.Metrics.create () in
     let r = Fault.Campaign.sc_run ~metrics:reg spec faults in
     let o = Oracles.Campaign_ref.sc_run ~metrics:reg_ref spec faults in
-    sc_final r = Oracles.Campaign_ref.final_signature o
+    r.Fault.Campaign.sc_final = Oracles.Campaign_ref.final_signature o
     && r.Fault.Campaign.sc_status = o.Oracles.Campaign_ref.sc_status
     && r.Fault.Campaign.sc_error = o.Oracles.Campaign_ref.sc_error
     && r.Fault.Campaign.sc_truncated = o.Oracles.Campaign_ref.sc_truncated
@@ -700,7 +690,7 @@ let classify_tests =
            | last :: _ -> List.assoc "cnt" last = 0
            | [] -> false);
         check Alcotest.int "production final count frozen" 0
-          (List.assoc "cnt" (rtl_final injected));
+          (List.assoc "cnt" injected.Fault.Campaign.rr_final);
         check Alcotest.bool "silent" true
           (Fault.Campaign.equal_outcome Fault.Campaign.Silent
              (Fault.Campaign.classify_rtl ~golden injected)));
@@ -781,7 +771,8 @@ let classify_tests =
           (List.length
              (Oracles.Campaign_ref.sc_run spec faults)
                .Oracles.Campaign_ref.sc_signatures);
-        check Alcotest.string "no final signature" "" (sc_final injected);
+        check Alcotest.string "no final signature" ""
+          injected.Fault.Campaign.sc_final;
         match Fault.Campaign.classify_sc ~golden injected with
         | Fault.Campaign.Masked | Fault.Campaign.Silent -> ()
         | Fault.Campaign.Detected d -> Alcotest.failf "detected: %s" d
