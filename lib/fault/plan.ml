@@ -213,3 +213,5 @@ let generate ~seed ~count s =
       List.init (max 0 count) (fun i -> (List.nth gens (i mod n_gens)) rng s)
     in
     { seed; faults }
+
+let max_count = 100_000

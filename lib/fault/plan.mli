@@ -98,4 +98,10 @@ val surface_domains : surface -> string list
 val generate : seed:int -> count:int -> surface -> t
 (** [count] faults drawn round-robin across the enabled domains with a
     {!Workload.Prng} seeded by [seed].  Deterministic: same seed and
-    surface, same plan.  An all-empty surface yields {!empty}. *)
+    surface, same plan.  An all-empty surface yields {!empty}.  The
+    plan is built whole, so memory grows with [count]. *)
+
+val max_count : int
+(** The largest [count] that [socuml inject] and the serve daemon
+    accept (100 000); larger counts are refused with a diagnostic
+    before {!generate} runs. *)

@@ -462,28 +462,18 @@ let analyze ?(budget = Exec.Budget.unlimited) sink ~metrics ~only ~disable
 (* The signal-trigger alphabet of a machine, sorted and deduplicated —
    the stimulus events a fault campaign perturbs. *)
 let machine_event_alphabet (sm : Uml.Smachine.t) =
-  let rec region_events (r : Uml.Smachine.region) =
-    List.concat_map
-      (fun (tr : Uml.Smachine.transition) ->
-        List.filter_map
-          (fun trg ->
-            match trg with
-            | Uml.Smachine.Signal_trigger name -> Some name
-            | Uml.Smachine.Time_trigger _ | Uml.Smachine.Any_trigger
-            | Uml.Smachine.Completion ->
-              None)
-          tr.Uml.Smachine.tr_triggers)
-      r.Uml.Smachine.rg_transitions
-    @ List.concat_map
-        (fun v ->
-          match v with
-          | Uml.Smachine.State s ->
-            List.concat_map region_events s.Uml.Smachine.st_regions
-          | Uml.Smachine.Pseudo _ | Uml.Smachine.Final _ -> [])
-        r.Uml.Smachine.rg_vertices
-  in
   List.sort_uniq String.compare
-    (List.concat_map region_events sm.Uml.Smachine.sm_regions)
+    (List.concat_map
+       (fun (tr : Uml.Smachine.transition) ->
+         List.filter_map
+           (fun trg ->
+             match trg with
+             | Uml.Smachine.Signal_trigger name -> Some name
+             | Uml.Smachine.Time_trigger _ | Uml.Smachine.Any_trigger
+             | Uml.Smachine.Completion ->
+               None)
+           tr.Uml.Smachine.tr_triggers)
+       (Uml.Smachine.all_transitions sm))
 
 (* Fault targets of a flat RTL module: every port and signal except the
    clock and reset, with bit widths for bit-flip positions. *)
@@ -507,20 +497,24 @@ let inject ?(budget = Exec.Budget.unlimited) sink ~machine ~seed ~faults
     errl sink "--faults must be non-negative";
     1
   end
+  else if faults > Fault.Plan.max_count then begin
+    errl sink
+      (Printf.sprintf "--faults must be at most %d" Fault.Plan.max_count);
+    1
+  end
   else begin
     with_jobs sink jobs @@ fun pool ->
     let reg = metrics_reg metrics in
     let stimulus_length = 16 in
-    (* statechart + RTL domains from the chosen state machine *)
-    let sm =
+    (* statechart + RTL domains from the chosen state machine, when it
+       has signal triggers to perturb *)
+    let sm, alphabet =
       match choose_machine m machine with
-      | Some sm when machine_event_alphabet sm <> [] -> Some sm
-      | Some _ | None -> None
-    in
-    let alphabet =
-      match sm with
-      | Some sm -> machine_event_alphabet sm
-      | None -> []
+      | Some sm -> (
+        match machine_event_alphabet sm with
+        | [] -> (None, [])
+        | alphabet -> (Some sm, alphabet))
+      | None -> (None, [])
     in
     let events =
       match alphabet with

@@ -225,6 +225,26 @@ let demo_roundtrip_tests =
             [ "analyze"; model ];
             [ "inject"; model; "--seed"; "1"; "--faults"; "3" ];
           ]);
+    tc "inject refuses fault counts past the plan limit" (fun () ->
+        let out = Filename.concat tmp "socuml_cli_demo" in
+        let code =
+          Sys.command
+            (Printf.sprintf "%s demo --out %s >/dev/null 2>&1"
+               (Filename.quote exe) (Filename.quote out))
+        in
+        check Alcotest.int "demo exit" 0 code;
+        let model = Filename.concat out "demo_soc.xmi" in
+        List.iter
+          (fun count ->
+            let code, stderr = run_cli [ "inject"; "--faults"; count; model ] in
+            check Alcotest.int ("exit at " ^ count) 1 code;
+            check Alcotest.string ("diagnostic at " ^ count)
+              "--faults must be at most 100000\n" stderr)
+          [ "100001"; "200000000" ];
+        let code, stderr = run_cli [ "inject"; "--faults=-1"; model ] in
+        check Alcotest.int "negative exit" 1 code;
+        check Alcotest.string "negative diagnostic"
+          "--faults must be non-negative\n" stderr);
   ]
 
 (* Rule-selector hygiene: bogus --only/--disable strings are typos and
@@ -346,6 +366,41 @@ let serve_tests =
             check Alcotest.bool "every response is a JSON object" true
               (String.length l > 0 && l.[0] = '{'))
           lines);
+    tc "an over-limit inject is refused and the daemon keeps serving"
+      (fun () ->
+        let out = Filename.concat tmp "socuml_cli_serve_demo" in
+        let code =
+          Sys.command
+            (Printf.sprintf "%s demo --out %s >/dev/null 2>&1"
+               (Filename.quote exe) (Filename.quote out))
+        in
+        check Alcotest.int "demo exit" 0 code;
+        let model = Filename.concat out "demo_soc.xmi" in
+        let code, lines =
+          run_serve
+            [
+              Printf.sprintf {|{"op":"inject","model":%S,"faults":200000000}|}
+                model;
+              Printf.sprintf {|{"op":"inject","model":%S,"faults":3}|} model;
+              {|{"op":"quit"}|};
+            ]
+        in
+        check Alcotest.int "daemon exit" 0 code;
+        let contains hay needle =
+          let nh = String.length hay and nn = String.length needle in
+          let rec at i =
+            i + nn <= nh && (String.sub hay i nn = needle || at (i + 1))
+          in
+          at 0
+        in
+        match lines with
+        | [ refused; served; _quit ] ->
+          check Alcotest.bool "refused with the limit" true
+            (contains refused {|"exit":1|}
+            && contains refused "--faults must be at most 100000");
+          check Alcotest.bool "next request served" true
+            (contains served {|"exit":0|})
+        | _ -> Alcotest.failf "want 3 responses, got %d" (List.length lines));
     tc "EOF without quit ends the loop cleanly" (fun () ->
         let code, lines = run_serve [ {|{"op":"stats"}|} ] in
         check Alcotest.int "daemon exit" 0 code;
