@@ -1,5 +1,7 @@
-(* Tests for the reference discrete-event interpreter (Oracles.Sim) and
-   the VCD and timing renderers over its probe. *)
+(* Tests for the RTL engines and the VCD and timing renderers: every
+   case drives the production engine (Dsim.Fast) and the reference
+   interpreter (Oracles.Sim) in lockstep through [Oracles.Both], which
+   checks that they agree, expected errors included. *)
 
 open Hdl
 
@@ -34,36 +36,36 @@ let counter_module () =
 let sim_tests =
   [
     tc "counter counts when enabled" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        Oracles.Sim.set_input sim "en" 1;
-        Oracles.Sim.run sim ~clock:"clk" ~cycles:5;
-        check Alcotest.int "q" 5 (Oracles.Sim.get sim "q"));
+        let sim = Oracles.Both.create (counter_module ()) in
+        Oracles.Both.set_input sim "en" 1;
+        Oracles.Both.run sim ~clock:"clk" ~cycles:5;
+        check Alcotest.int "q" 5 (Oracles.Both.get sim "q"));
     tc "counter holds when disabled" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        Oracles.Sim.set_input sim "en" 1;
-        Oracles.Sim.run sim ~clock:"clk" ~cycles:3;
-        Oracles.Sim.set_input sim "en" 0;
-        Oracles.Sim.run sim ~clock:"clk" ~cycles:4;
-        check Alcotest.int "q" 3 (Oracles.Sim.get sim "q"));
+        let sim = Oracles.Both.create (counter_module ()) in
+        Oracles.Both.set_input sim "en" 1;
+        Oracles.Both.run sim ~clock:"clk" ~cycles:3;
+        Oracles.Both.set_input sim "en" 0;
+        Oracles.Both.run sim ~clock:"clk" ~cycles:4;
+        check Alcotest.int "q" 3 (Oracles.Both.get sim "q"));
     tc "synchronous reset wins" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        Oracles.Sim.set_input sim "en" 1;
-        Oracles.Sim.run sim ~clock:"clk" ~cycles:3;
-        Oracles.Sim.set_input sim "rst" 1;
-        Oracles.Sim.clock_edge sim "clk";
-        check Alcotest.int "reset" 0 (Oracles.Sim.get sim "q"));
+        let sim = Oracles.Both.create (counter_module ()) in
+        Oracles.Both.set_input sim "en" 1;
+        Oracles.Both.run sim ~clock:"clk" ~cycles:3;
+        Oracles.Both.set_input sim "rst" 1;
+        Oracles.Both.clock_edge sim "clk";
+        check Alcotest.int "reset" 0 (Oracles.Both.get sim "q"));
     tc "width wrap-around" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        Oracles.Sim.set_input sim "en" 1;
-        Oracles.Sim.run sim ~clock:"clk" ~cycles:17;
-        check Alcotest.int "wrapped" 1 (Oracles.Sim.get sim "q"));
+        let sim = Oracles.Both.create (counter_module ()) in
+        Oracles.Both.set_input sim "en" 1;
+        Oracles.Both.run sim ~clock:"clk" ~cycles:17;
+        check Alcotest.int "wrapped" 1 (Oracles.Both.get sim "q"));
     tc "inputs are masked to port width" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        Oracles.Sim.set_input sim "en" 0xFF;
-        check Alcotest.int "bit" 1 (Oracles.Sim.get sim "en"));
+        let sim = Oracles.Both.create (counter_module ()) in
+        Oracles.Both.set_input sim "en" 0xFF;
+        check Alcotest.int "bit" 1 (Oracles.Both.get sim "en"));
     tc "unknown signal raises" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        match Oracles.Sim.get sim "ghost" with
+        let sim = Oracles.Both.create (counter_module ()) in
+        match Oracles.Both.get sim "ghost" with
         | _v -> Alcotest.fail "expected Simulation_error"
         | exception Dsim.Netlist.Simulation_error _ -> ());
     tc "comb chains settle through deltas" (fun () ->
@@ -82,9 +84,9 @@ let sim_tests =
               ]
             "chain"
         in
-        let sim = Oracles.Sim.create m in
-        Oracles.Sim.set_input sim "a" 1;
-        check Alcotest.int "propagated" 1 (Oracles.Sim.get sim "c"));
+        let sim = Oracles.Both.create m in
+        Oracles.Both.set_input sim "a" 1;
+        check Alcotest.int "propagated" 1 (Oracles.Both.get sim "c"));
     tc "unstable comb loop raises" (fun () ->
         let m =
           Module_.make
@@ -96,7 +98,7 @@ let sim_tests =
               ]
             "osc"
         in
-        match Oracles.Sim.create m with
+        match Oracles.Both.create m with
         | _sim -> Alcotest.fail "expected Simulation_error"
         | exception Dsim.Netlist.Simulation_error _ -> ());
     tc "enum signals read back as literals" (fun () ->
@@ -112,10 +114,10 @@ let sim_tests =
               ]
             "fsm"
         in
-        let sim = Oracles.Sim.create m in
-        check Alcotest.string "idle" "IDLE" (Oracles.Sim.get_enum sim "st");
-        Oracles.Sim.clock_edge sim "clk";
-        check Alcotest.string "busy" "BUSY" (Oracles.Sim.get_enum sim "st"));
+        let sim = Oracles.Both.create m in
+        check Alcotest.string "idle" "IDLE" (Oracles.Both.get_enum sim "st");
+        Oracles.Both.clock_edge sim "clk";
+        check Alcotest.string "busy" "BUSY" (Oracles.Both.get_enum sim "st"));
     tc "case and mux evaluate" (fun () ->
         let m =
           Module_.make
@@ -139,12 +141,12 @@ let sim_tests =
               ]
             "muxy"
         in
-        let sim = Oracles.Sim.create m in
-        check Alcotest.int "sel0" 3 (Oracles.Sim.get sim "y");
-        Oracles.Sim.set_input sim "sel" 1;
-        check Alcotest.int "sel1" 7 (Oracles.Sim.get sim "y");
-        Oracles.Sim.set_input sim "sel" 2;
-        check Alcotest.int "default" 15 (Oracles.Sim.get sim "y"));
+        let sim = Oracles.Both.create m in
+        check Alcotest.int "sel0" 3 (Oracles.Both.get sim "y");
+        Oracles.Both.set_input sim "sel" 1;
+        check Alcotest.int "sel1" 7 (Oracles.Both.get sim "y");
+        Oracles.Both.set_input sim "sel" 2;
+        check Alcotest.int "default" 15 (Oracles.Both.get sim "y"));
     tc "slice and concat" (fun () ->
         let m =
           Module_.make
@@ -168,27 +170,29 @@ let sim_tests =
               ]
             "slicer"
         in
-        let sim = Oracles.Sim.create m in
-        Oracles.Sim.set_input sim "w" 0xA5;
-        check Alcotest.int "hi nibble" 0xA (Oracles.Sim.get sim "hi");
-        check Alcotest.int "swapped" 0x5A (Oracles.Sim.get sim "swapped"));
+        let sim = Oracles.Both.create m in
+        Oracles.Both.set_input sim "w" 0xA5;
+        check Alcotest.int "hi nibble" 0xA (Oracles.Both.get sim "hi");
+        check Alcotest.int "swapped" 0x5A (Oracles.Both.get sim "swapped"));
     tc "event counters increase" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        let e0 = Oracles.Sim.events sim in
-        Oracles.Sim.set_input sim "en" 1;
-        Oracles.Sim.run sim ~clock:"clk" ~cycles:10;
-        check Alcotest.bool "more events" true (Oracles.Sim.events sim > e0);
-        check Alcotest.bool "deltas counted" true (Oracles.Sim.delta_cycles sim > 0));
+        let sim = Oracles.Both.create (counter_module ()) in
+        let e0_fast, e0_ref = Oracles.Both.events sim in
+        Oracles.Both.set_input sim "en" 1;
+        Oracles.Both.run sim ~clock:"clk" ~cycles:10;
+        let e_fast, e_ref = Oracles.Both.events sim in
+        check Alcotest.bool "more events" true (e_fast > e0_fast && e_ref > e0_ref);
+        let d_fast, d_ref = Oracles.Both.delta_cycles sim in
+        check Alcotest.bool "deltas counted" true (d_fast > 0 && d_ref > 0));
   ]
 
 let vcd_tests =
   [
     tc "vcd has definitions and changes" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
-        let vcd = Dsim.Vcd.of_probe (Oracles.Sim.probe sim) in
-        Oracles.Sim.set_input sim "en" 1;
+        let sim = Oracles.Both.create (counter_module ()) in
+        let vcd = Dsim.Vcd.of_probe (Oracles.Both.probe sim) in
+        Oracles.Both.set_input sim "en" 1;
         for t = 0 to 3 do
-          Oracles.Sim.clock_edge sim "clk";
+          Oracles.Both.clock_edge sim "clk";
           Dsim.Vcd.sample vcd ~time:t
         done;
         let text = Dsim.Vcd.render vcd in
@@ -209,14 +213,14 @@ let vcd_tests =
 let timing_tests =
   [
     tc "timing lanes show bit waveforms" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
+        let sim = Oracles.Both.create (counter_module ()) in
         let tm =
-          Dsim.Timing.of_probe ~signals:[ "en"; "q" ] (Oracles.Sim.probe sim)
+          Dsim.Timing.of_probe ~signals:[ "en"; "q" ] (Oracles.Both.probe sim)
         in
-        Oracles.Sim.set_input sim "en" 1;
+        Oracles.Both.set_input sim "en" 1;
         for _ = 1 to 4 do
           Dsim.Timing.sample tm;
-          Oracles.Sim.clock_edge sim "clk"
+          Oracles.Both.clock_edge sim "clk"
         done;
         Dsim.Timing.sample tm;
         check Alcotest.int "5 samples" 5 (Dsim.Timing.length tm);
@@ -233,14 +237,14 @@ let timing_tests =
           check Alcotest.bool "q values" true (String.contains lane '|')
         | None -> Alcotest.fail "q lane missing");
     tc "unchanged vectors leave blank cells" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
+        let sim = Oracles.Both.create (counter_module ()) in
         let tm =
-          Dsim.Timing.of_probe ~signals:[ "q" ] (Oracles.Sim.probe sim)
+          Dsim.Timing.of_probe ~signals:[ "q" ] (Oracles.Both.probe sim)
         in
         (* en=0: q never changes -> exactly one |0 cell *)
         for _ = 1 to 3 do
           Dsim.Timing.sample tm;
-          Oracles.Sim.clock_edge sim "clk"
+          Oracles.Both.clock_edge sim "clk"
         done;
         let text = Dsim.Timing.render tm in
         let pipes =
@@ -248,9 +252,9 @@ let timing_tests =
         in
         check Alcotest.int "one transition cell" 1 pipes);
     tc "unknown signals are rejected" (fun () ->
-        let sim = Oracles.Sim.create (counter_module ()) in
+        let sim = Oracles.Both.create (counter_module ()) in
         match
-          Dsim.Timing.of_probe ~signals:[ "ghost" ] (Oracles.Sim.probe sim)
+          Dsim.Timing.of_probe ~signals:[ "ghost" ] (Oracles.Both.probe sim)
         with
         | _tm -> Alcotest.fail "expected Simulation_error"
         | exception Dsim.Netlist.Simulation_error _ -> ());

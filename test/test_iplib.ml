@@ -8,38 +8,7 @@ let check = Alcotest.check
 (* Every scenario drives the production engine and the reference
    interpreter in lockstep: each read first checks that the two
    engines' full snapshots agree, then returns the production value. *)
-module Both = struct
-  type t = {
-    fast : Dsim.Fast.t;
-    sim : Oracles.Sim.t;
-  }
-
-  let create m = { fast = Dsim.Fast.create m; sim = Oracles.Sim.create m }
-
-  let set_input t name v =
-    Dsim.Fast.set_input t.fast name v;
-    Oracles.Sim.set_input t.sim name v
-
-  let clock_edge t clock =
-    Dsim.Fast.clock_edge t.fast clock;
-    Oracles.Sim.clock_edge t.sim clock
-
-  let cycle ?inputs t clock =
-    Dsim.Fast.cycle ?inputs t.fast clock;
-    Oracles.Sim.cycle ?inputs t.sim clock
-
-  let run t ~clock ~cycles =
-    Dsim.Fast.run t.fast ~clock ~cycles;
-    Oracles.Sim.run t.sim ~clock ~cycles
-
-  let get t name =
-    check
-      Alcotest.(list (pair string int))
-      "engines agree"
-      (Oracles.Sim.snapshot t.sim)
-      (Dsim.Fast.snapshot t.fast);
-    Dsim.Fast.get t.fast name
-end
+module Both = Oracles.Both
 
 let sim_of core =
   let sim = Both.create core.Iplib.Core.ip_module in
