@@ -411,7 +411,8 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
       FR_runs
         [
           inject "rtl" (fun () ->
-              classify_rtl ~golden (rtl_exec ~metrics ~budget spec netlist [ f ]));
+              classify_rtl ~golden
+                (rtl_exec ~metrics ~budget spec netlist [ f ]));
         ])
   | Plan.F_statechart f -> (
     match golden_sc with

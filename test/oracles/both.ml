@@ -11,7 +11,8 @@ type t = {
 }
 
 let show snapshot =
-  String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) snapshot)
+  String.concat " "
+    (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) snapshot)
 
 let both what f g =
   let attempt h =
@@ -19,11 +20,14 @@ let both what f g =
     | v -> Ok v
     | exception Dsim.Netlist.Simulation_error msg -> Error msg
   in
-  match (attempt f, attempt g) with
+  let a = attempt f in
+  let b = attempt g in
+  match (a, b) with
   | Ok a, Ok b -> (a, b)
   | Error msg, Error _ -> raise (Dsim.Netlist.Simulation_error msg)
   | Ok _, Error msg ->
-    failwith (Printf.sprintf "%s: only the reference engine raised: %s" what msg)
+    failwith
+      (Printf.sprintf "%s: only the reference engine raised: %s" what msg)
   | Error msg, Ok _ ->
     failwith (Printf.sprintf "%s: only Dsim.Fast raised: %s" what msg)
 
@@ -42,7 +46,8 @@ let agree t =
 
 let read what f g =
   let a, b = both what f g in
-  if a <> b then failwith (Printf.sprintf "%s: engines read different values" what);
+  if a <> b then
+    failwith (Printf.sprintf "%s: engines read different values" what);
   a
 
 let step what f g =

@@ -366,6 +366,10 @@ let serve_tests =
             check Alcotest.bool "every response is a JSON object" true
               (String.length l > 0 && l.[0] = '{'))
           lines);
+    tc "EOF without quit ends the loop cleanly" (fun () ->
+        let code, lines = run_serve [ {|{"op":"stats"}|} ] in
+        check Alcotest.int "daemon exit" 0 code;
+        check Alcotest.int "one response" 1 (List.length lines));
     tc "an over-limit inject is refused and the daemon keeps serving"
       (fun () ->
         let out = Filename.concat tmp "socuml_cli_serve_demo" in
@@ -401,10 +405,6 @@ let serve_tests =
           check Alcotest.bool "next request served" true
             (contains served {|"exit":0|})
         | _ -> Alcotest.failf "want 3 responses, got %d" (List.length lines));
-    tc "EOF without quit ends the loop cleanly" (fun () ->
-        let code, lines = run_serve [ {|{"op":"stats"}|} ] in
-        check Alcotest.int "daemon exit" 0 code;
-        check Alcotest.int "one response" 1 (List.length lines));
   ]
 
 (* ------------------------------------------------------------------ *)

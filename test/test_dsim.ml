@@ -180,7 +180,8 @@ let sim_tests =
         Oracles.Both.set_input sim "en" 1;
         Oracles.Both.run sim ~clock:"clk" ~cycles:10;
         let e_fast, e_ref = Oracles.Both.events sim in
-        check Alcotest.bool "more events" true (e_fast > e0_fast && e_ref > e0_ref);
+        check Alcotest.bool "more events" true
+          (e_fast > e0_fast && e_ref > e0_ref);
         let d_fast, d_ref = Oracles.Both.delta_cycles sim in
         check Alcotest.bool "deltas counted" true (d_fast > 0 && d_ref > 0));
   ]

@@ -313,7 +313,10 @@ let loop_module () =
           ~name:"p_r" ~clock:"clk"
           [ Stmt.Assign ("r", Expr.(Ref "r" +: of_int 1)) ];
         Module_.comb_process ~name:"p_x"
-          [ Stmt.Assign ("x", Expr.Binop (Expr.Xor, Expr.Ref "x", Expr.Ref "en")) ];
+          [
+            Stmt.Assign
+              ("x", Expr.Binop (Expr.Xor, Expr.Ref "x", Expr.Ref "en"));
+          ];
       ]
     "loop"
 
@@ -323,7 +326,10 @@ let unresolved_module () =
     ~ports:[ Module_.input "clk" Htype.Bit; Module_.input "rst" Htype.Bit ]
     ~signals:[ Module_.signal "y" (Htype.Unsigned 4) ]
     ~processes:
-      [ Module_.comb_process ~name:"p_y" [ Stmt.Assign ("y", Expr.Ref "ghost") ] ]
+      [
+        Module_.comb_process ~name:"p_y"
+          [ Stmt.Assign ("y", Expr.Ref "ghost") ];
+      ]
     "unresolved"
 
 (* Bit flips and stuck-ats on the module's names and one it does not
@@ -331,18 +337,30 @@ let unresolved_module () =
 let random_rtl_faults rng (m : Module_.t) =
   let names =
     "ghost"
-    :: List.map (fun (p : Module_.port) -> p.Module_.port_name) m.Module_.mod_ports
-    @ List.map (fun (s : Module_.signal) -> s.Module_.sig_name) m.Module_.mod_signals
+    :: List.map
+         (fun (p : Module_.port) -> p.Module_.port_name)
+         m.Module_.mod_ports
+    @ List.map
+        (fun (s : Module_.signal) -> s.Module_.sig_name)
+        m.Module_.mod_signals
   in
   List.init (Workload.Prng.int rng 4) (fun _ ->
       let signal = Workload.Prng.pick rng names in
       let cycle = Workload.Prng.int rng 14 in
       if Workload.Prng.bool rng then
         Fault.Plan.Bit_flip
-          { fb_signal = signal; fb_cycle = cycle; fb_bit = Workload.Prng.int rng 16 }
+          {
+            fb_signal = signal;
+            fb_cycle = cycle;
+            fb_bit = Workload.Prng.int rng 16;
+          }
       else
         Fault.Plan.Stuck_at
-          { sa_signal = signal; sa_value = Workload.Prng.int rng 2; sa_from = cycle })
+          {
+            sa_signal = signal;
+            sa_value = Workload.Prng.int rng 2;
+            sa_from = cycle;
+          })
 
 let rtl_agrees seed =
   let m =
@@ -356,7 +374,10 @@ let rtl_agrees seed =
   let spec =
     match seed mod 8 with
     | 1 | 2 ->
-      { spec with Fault.Campaign.rs_stimulus = [ (seed / 8 mod 16, [ ("en", 1) ]) ] }
+      {
+        spec with
+        Fault.Campaign.rs_stimulus = [ (seed / 8 mod 16, [ ("en", 1) ]) ];
+      }
     | _ -> spec
   in
   let rng = Workload.Prng.create (seed + 1) in
@@ -373,16 +394,20 @@ let rtl_agrees seed =
     && Fault.Campaign.classify_rtl ~golden r
        = Oracles.Campaign_ref.classify_rtl ~golden:golden_ref o
   in
-  agrees [] && List.for_all agrees (List.init 4 (fun _ -> random_rtl_faults rng m))
+  agrees []
+  && List.for_all agrees (List.init 4 (fun _ -> random_rtl_faults rng m))
 
-(* The transitions of every top-level region, rewritten by [f]. *)
-let map_top_transitions f (sm : Uml.Smachine.t) =
+(* [sm] with [f] applied to each top-level region's transition list. *)
+let with_top_transitions f (sm : Uml.Smachine.t) =
   {
     sm with
     Uml.Smachine.sm_regions =
       List.map
         (fun (r : Uml.Smachine.region) ->
-          { r with Uml.Smachine.rg_transitions = List.mapi f r.Uml.Smachine.rg_transitions })
+          {
+            r with
+            Uml.Smachine.rg_transitions = f r.Uml.Smachine.rg_transitions;
+          })
         sm.Uml.Smachine.sm_regions;
   }
 
@@ -391,34 +416,23 @@ let map_top_transitions f (sm : Uml.Smachine.t) =
    mid-stream, wherever it first fires); and one with no initial
    transition (a [Model_error] in [start]). *)
 let sc_machine seed =
-  let flat () = Workload.Gen_statechart.flat ~seed ~states:4 ~events:3 in
+  let flat = Workload.Gen_statechart.flat ~seed ~states:4 ~events:3 in
   match seed mod 4 with
-  | 0 -> flat ()
-  | 1 -> Workload.Gen_statechart.hierarchical ~seed ~depth:2 ~breadth:2 ~events:3
+  | 0 -> flat
+  | 1 ->
+    Workload.Gen_statechart.hierarchical ~seed ~depth:2 ~breadth:2 ~events:3
   | 2 ->
     let k = 1 + (seed / 4 mod 12) in
-    map_top_transitions
-      (fun i (tr : Uml.Smachine.transition) ->
-        if i = k then { tr with Uml.Smachine.tr_effect = Some "var y := nosuch;" }
-        else tr)
-      (flat ())
+    with_top_transitions
+      (List.mapi (fun i (tr : Uml.Smachine.transition) ->
+           if i <> k then tr
+           else { tr with Uml.Smachine.tr_effect = Some "var y := nosuch;" }))
+      flat
   | _ ->
-    let sm = flat () in
-    {
-      sm with
-      Uml.Smachine.sm_regions =
-        List.map
-          (fun (r : Uml.Smachine.region) ->
-            {
-              r with
-              Uml.Smachine.rg_transitions =
-                List.filter
-                  (fun (tr : Uml.Smachine.transition) ->
-                    tr.Uml.Smachine.tr_triggers <> [])
-                  r.Uml.Smachine.rg_transitions;
-            })
-          sm.Uml.Smachine.sm_regions;
-    }
+    with_top_transitions
+      (List.filter (fun (tr : Uml.Smachine.transition) ->
+           tr.Uml.Smachine.tr_triggers <> []))
+      flat
 
 (* Drops, duplicates and spurious events (an unknown one included) at
    indices in and past the stimulus; one set in six drops every event. *)
@@ -433,7 +447,10 @@ let random_sc_faults rng n =
         | 1 -> Fault.Plan.Dup_event { du_index = i }
         | _ ->
           Fault.Plan.Spurious_event
-            { sp_index = i; sp_event = Workload.Prng.pick rng [ "ev0"; "ev2"; "zz" ] })
+            {
+              sp_index = i;
+              sp_event = Workload.Prng.pick rng [ "ev0"; "ev2"; "zz" ];
+            })
 
 let sc_agrees seed =
   let rng = Workload.Prng.create (seed + 1) in
@@ -648,13 +665,17 @@ let classify_tests =
         let spec = counter_spec () in
         let golden = Fault.Campaign.rtl_run spec [] in
         let flip =
-          [ Fault.Plan.Bit_flip { fb_signal = "cnt"; fb_cycle = 3; fb_bit = 3 } ]
+          [
+            Fault.Plan.Bit_flip { fb_signal = "cnt"; fb_cycle = 3; fb_bit = 3 };
+          ]
         in
         let injected = Fault.Campaign.rtl_run spec flip in
+        let snapshots faults =
+          (Oracles.Campaign_ref.rtl_run spec faults)
+            .Oracles.Campaign_ref.rr_snapshots
+        in
         check Alcotest.bool "snapshots differ" false
-          ((Oracles.Campaign_ref.rtl_run spec []).Oracles.Campaign_ref.rr_snapshots
-          = (Oracles.Campaign_ref.rtl_run spec flip)
-              .Oracles.Campaign_ref.rr_snapshots);
+          (snapshots [] = snapshots flip);
         check Alcotest.bool "silent" true
           (Fault.Campaign.equal_outcome Fault.Campaign.Silent
              (Fault.Campaign.classify_rtl ~golden injected)));
@@ -667,10 +688,11 @@ let classify_tests =
           [ Fault.Plan.Bit_flip { fb_signal = "en"; fb_cycle = 2; fb_bit = 1 } ]
         in
         let injected = Fault.Campaign.rtl_run spec flip in
+        let vcd faults =
+          (Oracles.Campaign_ref.rtl_run spec faults).Oracles.Campaign_ref.rr_vcd
+        in
         check Alcotest.bool "vcd identical" true
-          (String.equal
-             (Oracles.Campaign_ref.rtl_run spec []).Oracles.Campaign_ref.rr_vcd
-             (Oracles.Campaign_ref.rtl_run spec flip).Oracles.Campaign_ref.rr_vcd);
+          (String.equal (vcd []) (vcd flip));
         check Alcotest.bool "masked" true
           (Fault.Campaign.equal_outcome Fault.Campaign.Masked
              (Fault.Campaign.classify_rtl ~golden injected)));
@@ -678,7 +700,10 @@ let classify_tests =
         let spec = counter_spec () in
         let golden = Fault.Campaign.rtl_run spec [] in
         let stuck =
-          [ Fault.Plan.Stuck_at { sa_signal = "cnt"; sa_value = 0; sa_from = 0 } ]
+          [
+            Fault.Plan.Stuck_at
+              { sa_signal = "cnt"; sa_value = 0; sa_from = 0 };
+          ]
         in
         let injected = Fault.Campaign.rtl_run spec stuck in
         check Alcotest.bool "final count frozen" true

@@ -586,24 +586,6 @@ let differential_tests =
         List.iter
           (fun (args, request) -> assert_differential d ~args ~request)
           (failure_cases ~model ~missing ~garbage));
-    tc "an over-limit fault count is refused and the daemon serves on"
-      (fun () ->
-        let model = Lazy.force demo_model in
-        let d = Serve.Daemon.create () in
-        let v =
-          differential d
-            ~args:[ "inject"; "--faults"; "200000000"; model ]
-            ~request:
-              (req {|{"op":"inject","model":%S,"faults":200000000}|} model)
-        in
-        check Alcotest.int "refused" 1 (rint "exit" v);
-        check Alcotest.string "one-line diagnostic"
-          "--faults must be at most 100000\n" (rstr "error" v);
-        let v, continue =
-          send d (req {|{"op":"inject","model":%S,"faults":3}|} model)
-        in
-        check Alcotest.int "next request served" 0 (rint "exit" v);
-        check Alcotest.bool "loop continues" true continue);
     tc "pack through the daemon writes identical snapshots" (fun () ->
         let model = Lazy.force demo_model in
         let out_cli = Filename.concat tmp "serve_diff_cli.sumb" in
@@ -630,6 +612,24 @@ let differential_tests =
             let op = Serve.Op_spec.name spec in
             check Alcotest.bool op true (List.mem op covered))
           Serve.Op_spec.table);
+    tc "an over-limit fault count is refused and the daemon serves on"
+      (fun () ->
+        let model = Lazy.force demo_model in
+        let d = Serve.Daemon.create () in
+        let v =
+          differential d
+            ~args:[ "inject"; "--faults"; "200000000"; model ]
+            ~request:
+              (req {|{"op":"inject","model":%S,"faults":200000000}|} model)
+        in
+        check Alcotest.int "refused" 1 (rint "exit" v);
+        check Alcotest.string "one-line diagnostic"
+          "--faults must be at most 100000\n" (rstr "error" v);
+        let v, continue =
+          send d (req {|{"op":"inject","model":%S,"faults":3}|} model)
+        in
+        check Alcotest.int "next request served" 0 (rint "exit" v);
+        check Alcotest.bool "loop continues" true continue);
   ]
 
 (* ------------------------------------------------------------------ *)
