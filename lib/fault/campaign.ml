@@ -386,9 +386,7 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
     fault =
   Exec.Budget.check budget;
   let m_injected = Telemetry.Metrics.counter metrics "fault.injected" in
-  (* one injected run, timed and counted: its domain and outcome *)
-  let inject domain classify =
-    let outcome = Telemetry.Metrics.span metrics "fault/run" classify in
+  let note domain outcome acc =
     Telemetry.Metrics.incr m_injected;
     Telemetry.Metrics.incr
       (Telemetry.Metrics.counter metrics
@@ -401,47 +399,49 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
           ( "outcome",
             Telemetry.Metrics.F_str (outcome_counter_suffix outcome) );
         ];
-    (domain, outcome)
+    (domain, outcome) :: acc
   in
   match fault with
   | Plan.F_rtl f -> (
     match golden_rtl with
     | None -> FR_skipped "no rtl domain in this campaign"
     | Some (spec, netlist, golden) ->
-      FR_runs
-        [
-          inject "rtl" (fun () ->
-              classify_rtl ~golden
-                (rtl_exec ~metrics ~budget spec netlist [ f ]));
-        ])
+      let outcome =
+        Telemetry.Metrics.span metrics "fault/run" (fun () ->
+            classify_rtl ~golden
+              (rtl_exec ~metrics ~budget spec netlist [ f ]))
+      in
+      FR_runs (List.rev (note "rtl" outcome [])))
   | Plan.F_statechart f -> (
     match golden_sc with
     | None -> FR_skipped "no statechart domain in this campaign"
     | Some (spec, golden) ->
-      FR_runs
-        [
-          inject "statechart" (fun () ->
-              classify_sc ~golden (sc_run ~metrics ~budget spec [ f ]));
-        ])
-  | Plan.F_token f -> (
-    let act =
-      Option.map
-        (fun (spec, golden) ->
-          inject "activity" (fun () ->
-              classify_act ~golden (act_run ~metrics ~budget spec [ f ])))
-        golden_act
-    in
-    let net =
-      Option.map
-        (fun (ctx, invariants, golden) ->
-          inject "petri" (fun () ->
-              classify_net_with invariants ~golden
-                (net_run_ctx ~metrics ~budget ctx [ f ])))
-        golden_net
-    in
-    match List.filter_map Fun.id [ act; net ] with
-    | [] -> FR_skipped "no token domain in this campaign"
-    | runs -> FR_runs runs)
+      let outcome =
+        Telemetry.Metrics.span metrics "fault/run" (fun () ->
+            classify_sc ~golden (sc_run ~metrics ~budget spec [ f ]))
+      in
+      FR_runs (List.rev (note "statechart" outcome [])))
+  | Plan.F_token f ->
+    let acc = ref [] in
+    (match golden_act with
+     | None -> ()
+     | Some (spec, golden) ->
+       let outcome =
+         Telemetry.Metrics.span metrics "fault/run" (fun () ->
+             classify_act ~golden (act_run ~metrics ~budget spec [ f ]))
+       in
+       acc := note "activity" outcome !acc);
+    (match golden_net with
+     | None -> ()
+     | Some (ctx, invariants, golden) ->
+       let outcome =
+         Telemetry.Metrics.span metrics "fault/run" (fun () ->
+             classify_net_with invariants ~golden
+               (net_run_ctx ~metrics ~budget ctx [ f ]))
+       in
+       acc := note "petri" outcome !acc);
+    if !acc = [] then FR_skipped "no token domain in this campaign"
+    else FR_runs (List.rev !acc)
 
 let run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) ?pool ?rtl ?statechart ?activity ?net

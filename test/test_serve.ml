@@ -553,6 +553,8 @@ let failure_cases ~model ~missing ~garbage =
      req {|{"op":"lint","model":%S,"jobs":0}|} model);
     ([ "simulate"; "--machine"; "NoSuch"; model ],
      req {|{"op":"simulate","model":%S,"machine":"NoSuch"}|} model);
+    ([ "inject"; "--faults"; "200000000"; model ],
+     req {|{"op":"inject","model":%S,"faults":200000000}|} model);
     ([ "inject"; "--faults=-1"; model ],
      req {|{"op":"inject","model":%S,"faults":-1}|} model);
   ]
@@ -612,24 +614,6 @@ let differential_tests =
             let op = Serve.Op_spec.name spec in
             check Alcotest.bool op true (List.mem op covered))
           Serve.Op_spec.table);
-    tc "an over-limit fault count is refused and the daemon serves on"
-      (fun () ->
-        let model = Lazy.force demo_model in
-        let d = Serve.Daemon.create () in
-        let v =
-          differential d
-            ~args:[ "inject"; "--faults"; "200000000"; model ]
-            ~request:
-              (req {|{"op":"inject","model":%S,"faults":200000000}|} model)
-        in
-        check Alcotest.int "refused" 1 (rint "exit" v);
-        check Alcotest.string "one-line diagnostic"
-          "--faults must be at most 100000\n" (rstr "error" v);
-        let v, continue =
-          send d (req {|{"op":"inject","model":%S,"faults":3}|} model)
-        in
-        check Alcotest.int "next request served" 0 (rint "exit" v);
-        check Alcotest.bool "loop continues" true continue);
   ]
 
 (* ------------------------------------------------------------------ *)
