@@ -628,6 +628,19 @@ let gen_op =
     let tag = Profile.tag ?default:(Option.map Vspec.of_int default) in
     return (Profile.stereotype ~id ~tags:[ tag "t" Dtype.Integer ] name)
   in
+  (* the other element kinds, so every projection sees replacements
+     across kinds; two names make a same-kind replace visible *)
+  let other id =
+    let* name = oneofl [ "K"; "L" ] in
+    oneofl
+      [
+        Model.E_component (Component.make ~id name);
+        Model.E_state_machine (Smachine.make ~id name []);
+        Model.E_activity (Activityg.make ~id name [] []);
+        Model.E_use_case (Usecase.make ~id name);
+        Model.E_instance (Instance.make ~id name);
+      ]
+  in
   let element =
     let* id = oneofl element_ids in
     frequency
@@ -637,6 +650,7 @@ let gen_op =
           map
             (fun sters -> Model.E_profile (Profile.make ~id "P" sters))
             (list_size (int_bound 3) stereotype) );
+        (2, other id);
       ]
   in
   let application =
@@ -717,32 +731,79 @@ let answers q m =
 
 let agrees m = answers indexed m = answers oracle m
 
+(* The element-order shadow: the same edits on [Oracles.Model_ref]. *)
+let run_ref r = function
+  | Add e ->
+    if not (Hashtbl.mem r.Oracles.Model_ref.index (Model.element_id e)) then
+      Oracles.Model_ref.add r e
+  | Replace e -> Oracles.Model_ref.replace r e
+  | Remove id -> Oracles.Model_ref.remove r id
+  | Apply _ -> ()
+
+let run_both m r op =
+  run_op m op;
+  run_ref r op
+
+(* elements, iter, fold, size and every kind projection, read off the
+   model, against the same read off the shadow's element list *)
+let same_order m r =
+  let es = Oracles.Model_ref.elements r in
+  let pick f = List.filter_map f es in
+  let iterated = ref [] in
+  Model.iter (fun e -> iterated := e :: !iterated) m;
+  Model.elements m = es
+  && List.rev !iterated = es
+  && Model.fold (fun acc e -> e :: acc) [] m = List.rev es
+  && Model.size m = Oracles.Model_ref.size r
+  && Model.size m = List.length es
+  && Model.classifiers m
+     = pick (function Model.E_classifier c -> Some c | _e -> None)
+  && Model.components m
+     = pick (function Model.E_component c -> Some c | _e -> None)
+  && Model.state_machines m
+     = pick (function Model.E_state_machine s -> Some s | _e -> None)
+  && Model.activities m
+     = pick (function Model.E_activity a -> Some a | _e -> None)
+  && Model.use_cases m
+     = pick (function Model.E_use_case u -> Some u | _e -> None)
+  && Model.profiles m
+     = pick (function Model.E_profile p -> Some p | _e -> None)
+  && Model.instances m
+     = pick (function Model.E_instance i -> Some i | _e -> None)
+
 let index_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"index answers = list scan after every edit"
          ~count:300 arb_ops (fun ops ->
            let m = Model.create "m" in
+           let r = Oracles.Model_ref.create () in
            List.for_all
              (fun op ->
-               run_op m op;
-               agrees m)
+               run_both m r op;
+               agrees m && same_order m r)
              ops));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"edits to a copy or its original stay apart"
          ~count:200 (QCheck.triple arb_ops arb_ops arb_ops)
          (fun (common, mine, theirs) ->
            let m = Model.create "m" in
-           List.iter (run_op m) common;
+           let r = Oracles.Model_ref.create () in
+           List.iter (run_both m r) common;
            let c = Model.copy m in
+           let rc = Oracles.Model_ref.copy r in
            let copied = answers indexed c in
-           List.iter (run_op m) mine;
+           List.iter (run_both m r) mine;
            let copy_unchanged = answers indexed c = copied in
+           let copy_order = same_order c rc in
            let edited = answers indexed m in
-           List.iter (run_op c) theirs;
-           copy_unchanged
+           (* a replace made on the copy alone, on top of its edits *)
+           List.iter (run_both c rc)
+             (theirs
+             @ [ Replace (Model.E_component (Component.make ~id:"e0" "C")) ]);
+           copy_unchanged && copy_order
            && answers indexed m = edited
-           && agrees m && agrees c));
+           && agrees m && agrees c && same_order m r && same_order c rc));
   ]
 
 let () =

@@ -154,6 +154,13 @@ let json_tests =
         check Alcotest.(option (list string)) "single str as list"
           (Some [ "solo" ])
           (Serve.Json.str_list (Serve.Json.Str "solo")));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"string escape = per-char reference escaper"
+         ~count:500
+         QCheck.(string_gen_of_size Gen.(int_bound 200) Gen.char)
+         (fun s ->
+           Serve.Json.to_string (Serve.Json.Str s)
+           = Oracles.Json_escape_ref.quoted s));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -537,9 +544,19 @@ let op_cases ~model ~snap ~pack_out =
        model);
     ([ "pack"; model; "-o"; pack_out ],
      req {|{"op":"pack","model":%S,"out":%S}|} model pack_out);
+    ([ "gen"; model; "verilog" ],
+     req {|{"op":"gen","model":%S,"lang":"verilog"}|} model);
+    ([ "gen"; model; "systemc" ],
+     req {|{"op":"gen","model":%S,"lang":"systemc"}|} model);
+    ([ "gen"; model; "c" ], req {|{"op":"gen","model":%S,"lang":"c"}|} model);
+    ([ "gen"; snap; "verilog" ],
+     req {|{"op":"gen","model":%S,"lang":"verilog"}|} snap);
+    ([ "gen"; snap; "systemc" ],
+     req {|{"op":"gen","model":%S,"lang":"systemc"}|} snap);
+    ([ "gen"; snap; "c" ], req {|{"op":"gen","model":%S,"lang":"c"}|} snap);
   ]
 
-let failure_cases ~model ~missing ~garbage =
+let failure_cases ~model ~missing ~garbage ~no_fsm =
   [
     ([ "info"; missing ], req {|{"op":"info","model":%S}|} missing);
     ([ "lint"; garbage; model ],
@@ -557,6 +574,12 @@ let failure_cases ~model ~missing ~garbage =
      req {|{"op":"inject","model":%S,"faults":200000000}|} model);
     ([ "inject"; "--faults=-1"; model ],
      req {|{"op":"inject","model":%S,"faults":-1}|} model);
+    (* no compilable state machine: the failed render answers the same
+       from the cold derivation and from the warm entry *)
+    ([ "gen"; no_fsm; "vhdl" ],
+     req {|{"op":"gen","model":%S,"lang":"vhdl"}|} no_fsm);
+    ([ "gen"; no_fsm; "vhdl" ],
+     req {|{"op":"gen","model":%S,"lang":"vhdl"}|} no_fsm);
   ]
 
 let differential_tests =
@@ -584,10 +607,13 @@ let differential_tests =
         let garbage =
           write_file (Filename.concat tmp "serve_diff_garbage.xmi") "not xml"
         in
+        let no_fsm =
+          tiny_model "no_fsm" (Filename.concat tmp "serve_diff_no_fsm.xmi")
+        in
         let d = Serve.Daemon.create () in
         List.iter
           (fun (args, request) -> assert_differential d ~args ~request)
-          (failure_cases ~model ~missing ~garbage));
+          (failure_cases ~model ~missing ~garbage ~no_fsm));
     tc "pack through the daemon writes identical snapshots" (fun () ->
         let model = Lazy.force demo_model in
         let out_cli = Filename.concat tmp "serve_diff_cli.sumb" in
@@ -607,13 +633,30 @@ let differential_tests =
           List.map
             (fun (args, _request) -> List.hd args)
             (op_cases ~model:"m" ~snap:"s" ~pack_out:"o"
-            @ failure_cases ~model:"m" ~missing:"x" ~garbage:"g")
+            @ failure_cases ~model:"m" ~missing:"x" ~garbage:"g"
+                ~no_fsm:"n")
         in
         List.iter
           (fun spec ->
             let op = Serve.Op_spec.name spec in
             check Alcotest.bool op true (List.mem op covered))
           Serve.Op_spec.table);
+    tc "gen answers each language from one entry, in any order" (fun () ->
+        let model = Lazy.force demo_model in
+        let d = Serve.Daemon.create () in
+        List.iter
+          (fun lang ->
+            let v =
+              differential d ~args:[ "gen"; model; lang ]
+                ~request:
+                  (req {|{"op":"gen","model":%S,"lang":%S}|} model lang)
+            in
+            match rmember "cache" v with
+            | Some (Serve.Json.List [ entry ]) ->
+              check Alcotest.bool "one warm entry after the first" true
+                (lang = "vhdl" || rstr "state" entry = "hit")
+            | _other -> Alcotest.fail "expected one cache entry")
+          [ "vhdl"; "verilog"; "vhdl" ]);
   ]
 
 (* ------------------------------------------------------------------ *)
