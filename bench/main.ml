@@ -1577,7 +1577,7 @@ let e19_model ~classes =
 
 let e19_report () =
   sep "E19  serve: warm-cache requests vs cold model loads";
-  let xmi, snap = e19_model ~classes:1000 in
+  let big = e19_model ~classes:1000 and small = e19_model ~classes:300 in
   let events =
     String.concat ","
       (Workload.Gen_statechart.event_sequence ~seed:11 ~length:32 8)
@@ -1587,11 +1587,22 @@ let e19_report () =
     Printf.sprintf
       {|{"op":"simulate","model":"%s","rtl":true,"events":"%s"}|} path events
   in
-  let shapes = [ ("lint-1000c", lint_line); ("simulate-rtl", sim_line) ] in
+  let gen_line path =
+    Printf.sprintf {|{"op":"gen","model":"%s","lang":"vhdl"}|} path
+  in
+  let info_line path = Printf.sprintf {|{"op":"info","model":"%s"}|} path in
+  let shapes =
+    [
+      ("lint-1000c", big, lint_line);
+      ("simulate-rtl", big, sim_line);
+      ("gen-300c", small, gen_line);
+      ("info-1000c", big, info_line);
+    ]
+  in
   (* warm: timed right after the files were written, inside the racy
      window, so every request re-reads and re-hashes the model *)
   List.iter
-    (fun (shape, line_of) ->
+    (fun (shape, (xmi, snap), line_of) ->
       let t_cold_xmi = e19_cold (line_of xmi) in
       let t_cold_snap = e19_cold (line_of snap) in
       let t_warm = e19_warm (line_of xmi) in
@@ -1609,9 +1620,10 @@ let e19_report () =
     shapes;
   (* settled: the files have been quiet past the window, so warm hits
      are answered from the stat memo without opening the file *)
-  e19_settle [ xmi; snap ];
+  let files = [ fst big; snd big; fst small; snd small ] in
+  e19_settle files;
   List.iter
-    (fun (shape, line_of) ->
+    (fun (shape, (xmi, _snap), line_of) ->
       let t_settled = e19_warm (line_of xmi) in
       Printf.printf "%-14s settled warm %7.3f ms (%8.0f req/s)\n" shape
         (1e3 *. t_settled) (1. /. t_settled);
@@ -1619,8 +1631,7 @@ let e19_report () =
         (Printf.sprintf "e19.warm_settled_ms.%s" shape)
         (1e3 *. t_settled))
     shapes;
-  Sys.remove xmi;
-  Sys.remove snap
+  List.iter Sys.remove files
 
 let e19_tests () =
   let xmi, _snap = e19_model ~classes:200 in

@@ -109,6 +109,3 @@ let dedup ids =
 
 let provided_interfaces c =
   dedup (List.concat_map (fun p -> p.port_provided) c.cmp_ports)
-
-let required_interfaces c =
-  dedup (List.concat_map (fun p -> p.port_required) c.cmp_ports)

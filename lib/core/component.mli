@@ -76,5 +76,3 @@ val find_part : t -> string -> part option
 val provided_interfaces : t -> Ident.t list
 (** Union of interfaces provided by all ports (duplicates removed,
     first-seen order). *)
-
-val required_interfaces : t -> Ident.t list

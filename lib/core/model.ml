@@ -16,12 +16,13 @@ type element =
   | E_profile of Profile.t
 [@@deriving eq, show]
 
-(* [profs] and [apps_of] answer stereotype queries without a model
+(* [elems] lets reads walk the elements without probing [index];
+   [profs] and [apps_of] answer stereotype queries without a model
    scan.  Only the mutators below write them, eagerly, so a loaded model
    can be read from several domains at once. *)
 type t = {
   mutable model_name : string;
-  mutable order : Ident.t list;  (** reverse insertion order *)
+  mutable elems : element list;  (** reverse insertion order *)
   index : (Ident.t, element) Hashtbl.t;
   mutable profs : Profile.t list;  (** profile elements, element order *)
   mutable apps : Profile.application list;  (** reverse order *)
@@ -31,7 +32,7 @@ type t = {
 }
 
 let create ?(capacity = 64) name =
-  { model_name = name; order = []; index = Hashtbl.create capacity;
+  { model_name = name; elems = []; index = Hashtbl.create capacity;
     profs = []; apps = []; apps_of = Hashtbl.create 16; diags = [] }
 
 let name m = m.model_name
@@ -105,20 +106,22 @@ let add m e =
   Hashtbl.replace m.index id e;
   if Hashtbl.length m.index = before then
     invalid_arg (Printf.sprintf "Model.add: duplicate identifier %s" id);
-  m.order <- id :: m.order;
+  m.elems <- e :: m.elems;
   match e with
   | E_profile p -> m.profs <- m.profs @ [ p ]
   | _e -> ()
 
-let elements m =
-  let collect acc id =
-    match Hashtbl.find_opt m.index id with
-    | Some e -> e :: acc
-    | None -> acc
-  in
-  List.fold_left collect [] m.order
+let elements m = List.rev m.elems
 
-let project pick m = List.filter_map pick (elements m)
+(* [elems] is newest first, so prepending while folding from its head
+   yields insertion order without reversing the whole list. *)
+let project pick m =
+  List.fold_left
+    (fun acc e ->
+      match pick e with
+      | Some x -> x :: acc
+      | None -> acc)
+    [] m.elems
 
 let is_profile = function E_profile _ -> true | _e -> false
 
@@ -133,6 +136,9 @@ let replace m e =
   | None -> add m e
   | Some old ->
     Hashtbl.replace m.index id e;
+    (* [index] and [elems] hold the same values, so physical equality
+       finds the element's slot *)
+    m.elems <- List.map (fun x -> if x == old then e else x) m.elems;
     if is_profile old || is_profile e then reindex_profiles m
 
 let remove m id =
@@ -140,7 +146,7 @@ let remove m id =
   | None -> ()
   | Some old ->
     Hashtbl.remove m.index id;
-    m.order <- List.filter (fun i -> not (Ident.equal i id)) m.order;
+    m.elems <- List.filter (fun x -> x != old) m.elems;
     if is_profile old then reindex_profiles m
 
 let find m id = Hashtbl.find_opt m.index id
@@ -162,17 +168,9 @@ let state_machines m =
 let activities m =
   project (function E_activity a -> Some a | _e -> None) m
 
-let packages m = project (function E_package p -> Some p | _e -> None) m
-
-let interactions m =
-  project (function E_interaction i -> Some i | _e -> None) m
-
 let use_cases m = project (function E_use_case u -> Some u | _e -> None) m
 let profiles m = m.profs
 let instances m = project (function E_instance i -> Some i | _e -> None) m
-
-let associations m =
-  project (function E_association a -> Some a | _e -> None) m
 
 let find_classifier m id =
   match find m id with
@@ -245,7 +243,7 @@ let equal m1 m2 =
 let copy m =
   {
     model_name = m.model_name;
-    order = m.order;
+    elems = m.elems;
     index = Hashtbl.copy m.index;
     profs = m.profs;
     apps = m.apps;
@@ -320,12 +318,3 @@ let feature_index m =
   in
   iter scan m;
   tbl
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v 2>model %S (%d elements)" m.model_name (size m);
-  let pp_elem e =
-    Format.fprintf fmt "@,%s %s (%s)" (element_kind e) (element_name e)
-      (Ident.to_string (element_id e))
-  in
-  iter pp_elem m;
-  Format.fprintf fmt "@]"

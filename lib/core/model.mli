@@ -3,7 +3,13 @@
     A model owns every element, keyed by identifier, plus stereotype
     applications and diagrams.  The container is imperative (hash-indexed
     for O(1) lookup in large models) but preserves insertion order so
-    that serialization and code generation are deterministic. *)
+    that serialization and code generation are deterministic.
+
+    Next to the index it keeps the element list itself, which [add],
+    [replace] and [remove] update eagerly: {!elements}, {!iter},
+    {!fold} and the kind projections walk that list and do no hash
+    lookups, and a loaded model can be read from several domains at
+    once. *)
 
 type element =
   | E_classifier of Classifier.t
@@ -46,13 +52,16 @@ val add : t -> element -> unit
 
 val replace : t -> element -> unit
 (** Replace the element with the same identifier; adds if absent.
-    Insertion order of a replaced element is preserved. *)
+    Insertion order of a replaced element is preserved, which costs
+    O(number of elements): the element list is rebuilt around it. *)
 
 val remove : t -> Ident.t -> unit
+(** O(number of elements), like [replace]. *)
+
 val find : t -> Ident.t -> element option
 val mem : t -> Ident.t -> bool
 val elements : t -> element list
-(** All elements in insertion order. *)
+(** All elements in insertion order.  O(number of elements). *)
 
 val size : t -> int
 val iter : (element -> unit) -> t -> unit
@@ -62,12 +71,9 @@ val classifiers : t -> Classifier.t list
 val components : t -> Component.t list
 val state_machines : t -> Smachine.t list
 val activities : t -> Activityg.t list
-val packages : t -> Pkg.t list
-val interactions : t -> Interaction.t list
 val use_cases : t -> Usecase.t list
 val profiles : t -> Profile.t list
 val instances : t -> Instance.t list
-val associations : t -> Classifier.association list
 
 val find_classifier : t -> Ident.t -> Classifier.t option
 val find_component : t -> Ident.t -> Component.t option
@@ -107,6 +113,8 @@ val equal : t -> t -> bool
     order, same applications and diagrams. *)
 
 val copy : t -> t
+(** An independent model: later edits to either side never show in the
+    other.  Elements themselves are immutable and shared. *)
 
 val generalization_parents : t -> Ident.t -> Ident.t list
 (** Direct generalization targets of a classifier (empty for other
@@ -120,5 +128,3 @@ val feature_index : t -> (Ident.t, Profile.metaclass) Hashtbl.t
     ports, parts, connectors, states, transitions, activity nodes) keyed
     by identifier.  Built by one model scan per call; top-level elements
     are not included. *)
-
-val pp : Format.formatter -> t -> unit

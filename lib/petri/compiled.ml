@@ -72,7 +72,6 @@ let of_net (net : Net.t) =
 let net c = c.source
 let place_count c = Array.length c.place_ids
 let transition_count c = Array.length c.transition_ids
-let transition_id c i = c.transition_ids.(i)
 let transition_index c id = Hashtbl.find_opt c.transition_idx id
 let place_id c i = c.place_ids.(i)
 let place_index c id = Hashtbl.find_opt c.place_idx id

@@ -32,9 +32,6 @@ val net : t -> Net.t
 val place_count : t -> int
 val transition_count : t -> int
 
-val transition_id : t -> int -> string
-(** Dense index (in [Net.t.transitions] order) back to the string id. *)
-
 val transition_index : t -> string -> int option
 (** String id to dense index; [None] for unknown transitions. *)
 

@@ -1,3 +1,9 @@
+type rendered = {
+  out : string;
+  err : string;
+  exit : int;
+}
+
 type t = {
   model : Uml.Model.t;
   design : unit -> Mda.Generate.hw_result;
@@ -5,6 +11,7 @@ type t = {
   petri : Uml.Activityg.t -> Petri.Net.t * Petri.Marking.t * Petri.Compiled.t;
   lint_diags :
     key:string -> (unit -> Uml.Wfr.diagnostic list) -> Uml.Wfr.diagnostic list;
+  gen : lang:string -> (unit -> rendered) -> rendered;
 }
 
 (* One lock per entry, held across derivation: concurrent lint workers
@@ -14,6 +21,19 @@ type t = {
 let locked lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+(* A string-keyed memo under [lock]: the thunk runs on the first miss of
+   its key; a raising thunk stores nothing. *)
+let keyed_memo lock =
+  let memo = Hashtbl.create 2 in
+  fun key compute ->
+    locked lock (fun () ->
+        match Hashtbl.find_opt memo key with
+        | Some v -> v
+        | None ->
+          let v = compute () in
+          Hashtbl.add memo key v;
+          v)
 
 let compile_rtl sm =
   match Statechart.Flatten.flatten sm with
@@ -64,16 +84,7 @@ let of_model model =
           petri_memo := (act, r) :: !petri_memo;
           r)
   in
-  let lint_memo : (string, Uml.Wfr.diagnostic list) Hashtbl.t =
-    Hashtbl.create 2
-  in
-  let lint_diags ~key check =
-    locked lock (fun () ->
-        match Hashtbl.find_opt lint_memo key with
-        | Some diags -> diags
-        | None ->
-          let diags = check () in
-          Hashtbl.add lint_memo key diags;
-          diags)
-  in
-  { model; design; rtl; petri; lint_diags }
+  let lint_memo = keyed_memo lock and gen_memo = keyed_memo lock in
+  let lint_diags ~key check = lint_memo key check in
+  let gen ~lang render = gen_memo lang render in
+  { model; design; rtl; petri; lint_diags; gen }

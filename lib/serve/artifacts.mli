@@ -2,7 +2,8 @@
 
     This is the unit the serve cache holds: the first request that
     needs a derived artifact pays for it, every later request on the
-    same cache entry gets the memo.  The accessors are domain-safe (a
+    same cache entry gets the memo.  For [gen] the memo is the finished
+    answer, so a warm [gen] derives and renders nothing.  The accessors are domain-safe (a
     sharded lint request may touch one entry from several workers) and
     every memoized value is a pure function of the model, so memoization
     can never change output bytes — the property the serve-vs-CLI
@@ -12,6 +13,14 @@
     per-entry storage: [Asl.Compiled]'s process-global memo tables are
     warmed by the first engine construction and shared by every request
     (bounded LRU, see {!Asl.Compiled.set_memo_cap}). *)
+
+(** One op's captured result: its stdout and stderr bytes and its exit
+    code. *)
+type rendered = {
+  out : string;
+  err : string;
+  exit : int;
+}
 
 type t = private {
   model : Uml.Model.t;
@@ -36,6 +45,12 @@ type t = private {
           live metrics registry — must NOT flow through here; [analyze]
           keeps the uncached path for exactly that reason), and must not
           call this value's other accessors (the entry lock is held). *)
+  gen : lang:string -> (unit -> rendered) -> rendered;
+      (** Memoized [gen] output per target language: the rendered
+          streams and exit code, failures included.  Same contract as
+          [lint_diags]: the thunk is a pure function of [model] and
+          [lang], runs under the entry lock, and a thunk that raises
+          stores nothing. *)
 }
 
 val of_model : Uml.Model.t -> t

@@ -203,8 +203,7 @@ let info sink (art : Artifacts.t) =
 
 (* --- gen ------------------------------------------------------------ *)
 
-let gen sink ~lang (art : Artifacts.t) =
-  let m = art.Artifacts.model in
+let render_gen sink ~lang m =
   let plat =
     match lang with
     | "vhdl" -> Mda.Platform.asic_vhdl
@@ -226,6 +225,30 @@ let gen sink ~lang (art : Artifacts.t) =
           (Mda.Generate.loc contents) contents)
       artifacts;
     0
+
+(* The answer is a pure function of the model and the language, so the
+   entry memoizes it whole, [guarded]'s diagnostics included.  Output
+   made before an exception [guarded] does not catch still reaches the
+   sink, as it would uncached. *)
+let gen sink ~lang (art : Artifacts.t) =
+  let render () =
+    let out = Buffer.create 4096 and err = Buffer.create 64 in
+    let capture =
+      { s_out = Buffer.add_string out; s_err = Buffer.add_string err }
+    in
+    let m = art.Artifacts.model in
+    match guarded capture (fun () -> render_gen capture ~lang m) with
+    | exit ->
+      { Artifacts.out = Buffer.contents out; err = Buffer.contents err; exit }
+    | exception e ->
+      sink.s_out (Buffer.contents out);
+      sink.s_err (Buffer.contents err);
+      raise e
+  in
+  let r = art.Artifacts.gen ~lang render in
+  sink.s_out r.Artifacts.out;
+  sink.s_err r.Artifacts.err;
+  r.Artifacts.exit
 
 (* --- simulate --------------------------------------------------------- *)
 

@@ -78,6 +78,9 @@ val lint :
 val info : sink -> Artifacts.t -> int
 
 val gen : sink -> lang:string -> Artifacts.t -> int
+(** Answered through [art.gen]: the first call per language derives and
+    renders, later calls on the same artifacts replay the stored bytes
+    and exit code. *)
 
 val simulate :
   ?budget:Exec.Budget.t ->

@@ -101,7 +101,6 @@ let create ?interp ?(self_ = Asl.Value.V_null)
 let interp t = t.engine_interp
 let metrics t = t.e_metrics
 let status t = t.engine_status
-let active_ids t = t.config
 let now t = t.clock
 
 (* --- ASL bridging -------------------------------------------------- *)

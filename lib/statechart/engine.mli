@@ -60,7 +60,6 @@ val metrics : t -> Telemetry.Metrics.t
 
 val status : t -> status
 
-val active_ids : t -> Uml.Ident.Set.t
 val active_leaf_names : t -> string list
 (** Sorted names of the innermost active states. *)
 
