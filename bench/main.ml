@@ -1548,6 +1548,28 @@ let e19_warm line =
   e19_request daemon line;
   e18_time (fun () -> e19_request daemon line)
 
+(* Words one request allocates on a primed daemon, over a fixed count
+   of requests: the work column, which unlike the time does not move
+   with the host's load.  [minor] counts the minor heap; [total] adds
+   the blocks too large for it (over 256 words, such as a whole
+   generated answer), which go straight to the major heap.  The minor
+   count comes from [Gc.minor_words]: the one in [Gc.counters] moves
+   only at minor collections on OCaml 5, so it varies with their
+   timing. *)
+let e19_words line =
+  let daemon = Serve.Daemon.create () in
+  e19_request daemon line;
+  e19_request daemon line;
+  let n = 50 in
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do
+    e19_request daemon line
+  done;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let per x = x /. float_of_int n in
+  let minor = per (minor1 -. minor0) in
+  (minor, minor +. per (major1 -. major0 -. (promoted1 -. promoted0)))
+
 (* Sleep until every file's mtime and ctime predate the serve cache's
    racy window, so the next verification of their bytes makes the stat
    memo trusted. *)
@@ -1625,11 +1647,15 @@ let e19_report () =
   List.iter
     (fun (shape, (xmi, _snap), line_of) ->
       let t_settled = e19_warm (line_of xmi) in
-      Printf.printf "%-14s settled warm %7.3f ms (%8.0f req/s)\n" shape
-        (1e3 *. t_settled) (1. /. t_settled);
-      record_f
-        (Printf.sprintf "e19.warm_settled_ms.%s" shape)
-        (1e3 *. t_settled))
+      let minor, total = e19_words (line_of xmi) in
+      Printf.printf
+        "%-14s settled warm %7.3f ms (%8.0f req/s), words %7.0f minor, %7.0f \
+         total\n"
+        shape (1e3 *. t_settled) (1. /. t_settled) minor total;
+      let key fmt = Printf.sprintf fmt shape in
+      record_f (key "e19.warm_settled_ms.%s") (1e3 *. t_settled);
+      record_f (key "e19.settled_minor_words.%s") minor;
+      record_f (key "e19.settled_alloc_words.%s") total)
     shapes;
   List.iter Sys.remove files
 

@@ -3,11 +3,26 @@ open Hdl
 let sanitize = Hdl_text.sanitize
 let enum_literal = Hdl_text.enum_literal
 
-let type_string m ty =
+(* Each distinct enum type of the module, in order of first use, with
+   its type name: [<module>_state_t] for the first, [<module>_state<k>_t]
+   for the k-th (k >= 2). *)
+let enum_type_names m =
+  let name = sanitize m.Module_.mod_name in
+  List.fold_left
+    (fun acc lits -> if List.mem lits acc then acc else lits :: acc)
+    [] (Hdl_text.enum_types m)
+  |> List.rev
+  |> List.mapi (fun i lits ->
+         if i = 0 then (lits, name ^ "_state_t")
+         else (lits, Printf.sprintf "%s_state%d_t" name (i + 1)))
+
+let spell enums ty =
   match ty with
   | Htype.Bit -> "std_logic"
   | Htype.Unsigned w -> Printf.sprintf "unsigned(%d downto 0)" (w - 1)
-  | Htype.Enum _ -> sanitize m.Module_.mod_name ^ "_state_t"
+  | Htype.Enum lits -> List.assoc lits enums
+
+let type_string m ty = spell (enum_type_names m) ty
 
 let const_string ty v =
   match ty with
@@ -94,20 +109,21 @@ let syntax m =
     case_close = "end case;";
   }
 
-let port_line m (p : Module_.port) =
+let port_line enums (p : Module_.port) =
   let dir =
     match p.Module_.port_dir with
     | Module_.Input -> "in"
     | Module_.Output -> "out"
   in
   Printf.sprintf "    %s : %s %s" (sanitize p.Module_.port_name) dir
-    (type_string m p.Module_.port_type)
+    (spell enums p.Module_.port_type)
 
 let of_module m =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let syn = syntax m in
   let name = sanitize m.Module_.mod_name in
+  let enums = enum_type_names m in
   line "library ieee;";
   line "use ieee.std_logic_1164.all;";
   line "use ieee.numeric_std.all;";
@@ -118,17 +134,17 @@ let of_module m =
    | ports ->
      line "  port (";
      Buffer.add_string buf
-       (String.concat ";\n" (List.map (port_line m) ports));
+       (String.concat ";\n" (List.map (port_line enums) ports));
      line "";
      line "  );");
   line "end entity %s;" name;
   line "";
   line "architecture rtl of %s is" name;
   List.iter
-    (fun lits ->
-      line "  type %s_state_t is (%s);" name
+    (fun (lits, type_name) ->
+      line "  type %s is (%s);" type_name
         (String.concat ", " (List.map enum_literal lits)))
-    (List.sort_uniq compare (Hdl_text.enum_types m));
+    enums;
   List.iter
     (fun (s : Module_.signal) ->
       let init =
@@ -137,7 +153,7 @@ let of_module m =
         | None -> ""
       in
       line "  signal %s : %s%s;" (sanitize s.Module_.sig_name)
-        (type_string m s.Module_.sig_type)
+        (spell enums s.Module_.sig_type)
         init)
     m.Module_.mod_signals;
   line "begin";

@@ -5,8 +5,10 @@
     text. *)
 
 val type_string : Hdl.Module_.t -> Hdl.Htype.t -> string
-(** The VHDL spelling of a port or signal type of the module; an enum
-    is the module's [<name>_state_t]. *)
+(** The VHDL spelling of a port or signal type of the module.  Each
+    distinct enum type of the module has its own name, in order of
+    first use (ports, then signals): the first is [<name>_state_t], the
+    k-th (k >= 2) [<name>_state<k>_t]. *)
 
 val of_module : Hdl.Module_.t -> string
 val of_design : Hdl.Module_.design -> string

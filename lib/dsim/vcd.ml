@@ -1,8 +1,14 @@
 type t = {
   probe : Probe.t;
-  ids : (string * string * Hdl.Htype.t) list;  (** signal, vcd id, type *)
-  mutable last : (string * int) list;  (** last sampled values *)
-  mutable changes : (int * (string * int) list) list;  (** reverse order *)
+  names : string array;  (** signal per slot, declaration order *)
+  ids : string array;  (** vcd id per slot, as declared *)
+  widths : int array;  (** width per slot *)
+  shown : int array;
+      (** the slot whose id and width a change of this slot renders
+          with: the first slot of the same name *)
+  mutable last : int array option;  (** last sampled values *)
+  mutable changes : (int * (int * int) list) list;
+      (** (time, (slot, value) in slot order), reverse order *)
 }
 
 let vcd_id i =
@@ -16,29 +22,40 @@ let vcd_id i =
   build i ""
 
 let of_probe probe =
-  let ids =
-    List.mapi
-      (fun i (name, ty) -> (name, vcd_id i, ty))
-      probe.Probe.pr_signals
+  let signals = Array.of_list probe.Probe.pr_signals in
+  let first = Hashtbl.create (Array.length signals) in
+  let shown =
+    Array.mapi
+      (fun i (name, _ty) ->
+        match Hashtbl.find_opt first name with
+        | Some j -> j
+        | None ->
+          Hashtbl.add first name i;
+          i)
+      signals
   in
-  { probe; ids; last = []; changes = [] }
+  {
+    probe;
+    names = Array.map fst signals;
+    ids = Array.mapi (fun i _ -> vcd_id i) signals;
+    widths = Array.map (fun (_, ty) -> Hdl.Htype.width ty) signals;
+    shown;
+    last = None;
+    changes = [];
+  }
 
 let create sim = of_probe (Fast.probe sim)
 
 let sample t ~time =
-  let current =
-    List.map (fun (name, _, _) -> (name, t.probe.Probe.pr_get name)) t.ids
-  in
-  let changed =
-    List.filter
-      (fun (name, v) ->
-        match List.assoc_opt name t.last with
-        | Some old -> old <> v
-        | None -> true)
-      current
-  in
-  if changed <> [] then t.changes <- (time, changed) :: t.changes;
-  t.last <- current
+  let current = Array.map t.probe.Probe.pr_get t.names in
+  let changed = ref [] in
+  for i = Array.length current - 1 downto 0 do
+    match t.last with
+    | Some last when last.(i) = current.(i) -> ()
+    | Some _ | None -> changed := (i, current.(i)) :: !changed
+  done;
+  if !changed <> [] then t.changes <- (time, !changed) :: t.changes;
+  t.last <- Some current
 
 let binary_string width v =
   let buf = Bytes.make width '0' in
@@ -55,25 +72,23 @@ let render t =
   Buffer.add_string buf
     (Printf.sprintf "$scope module %s $end\n"
        t.probe.Probe.pr_module.Hdl.Module_.mod_name);
-  List.iter
-    (fun (name, id, ty) ->
-      let w = Hdl.Htype.width ty in
+  Array.iteri
+    (fun i name ->
       Buffer.add_string buf
-        (Printf.sprintf "$var wire %d %s %s $end\n" w id name))
-    t.ids;
+        (Printf.sprintf "$var wire %d %s %s $end\n" t.widths.(i) t.ids.(i)
+           name))
+    t.names;
   Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
   let emit (time, changes) =
     Buffer.add_string buf (Printf.sprintf "#%d\n" time);
     List.iter
-      (fun (name, v) ->
-        match List.find_opt (fun (n, _, _) -> n = name) t.ids with
-        | Some (_, id, ty) ->
-          let w = Hdl.Htype.width ty in
-          if w = 1 then Buffer.add_string buf (Printf.sprintf "%d%s\n" (v land 1) id)
-          else
-            Buffer.add_string buf
-              (Printf.sprintf "b%s %s\n" (binary_string w v) id)
-        | None -> ())
+      (fun (slot, v) ->
+        let s = t.shown.(slot) in
+        let id = t.ids.(s) and w = t.widths.(s) in
+        if w = 1 then Buffer.add_string buf (Printf.sprintf "%d%s\n" (v land 1) id)
+        else
+          Buffer.add_string buf
+            (Printf.sprintf "b%s %s\n" (binary_string w v) id))
       changes
   in
   List.iter emit (List.rev t.changes);

@@ -4,6 +4,12 @@ type rendered = {
   exit : int;
 }
 
+type answer = {
+  rendered : rendered;
+  lock : Mutex.t;  (* the owning entry's *)
+  mutable encoded : (Json.encoded * Json.encoded) option;
+}
+
 type t = {
   model : Uml.Model.t;
   design : unit -> Mda.Generate.hw_result;
@@ -11,7 +17,7 @@ type t = {
   petri : Uml.Activityg.t -> Petri.Net.t * Petri.Marking.t * Petri.Compiled.t;
   lint_diags :
     key:string -> (unit -> Uml.Wfr.diagnostic list) -> Uml.Wfr.diagnostic list;
-  gen : lang:string -> (unit -> rendered) -> rendered;
+  gen : lang:string -> (unit -> rendered) -> answer;
 }
 
 (* One lock per entry, held across derivation: concurrent lint workers
@@ -21,6 +27,17 @@ type t = {
 let locked lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let rendered a = a.rendered
+
+let encoded a =
+  locked a.lock (fun () ->
+      match a.encoded with
+      | Some e -> e
+      | None ->
+        let e = (Json.encode a.rendered.out, Json.encode a.rendered.err) in
+        a.encoded <- Some e;
+        e)
 
 (* A string-keyed memo under [lock]: the thunk runs on the first miss of
    its key; a raising thunk stores nothing. *)
@@ -86,5 +103,7 @@ let of_model model =
   in
   let lint_memo = keyed_memo lock and gen_memo = keyed_memo lock in
   let lint_diags ~key check = lint_memo key check in
-  let gen ~lang render = gen_memo lang render in
+  let gen ~lang render =
+    gen_memo lang (fun () -> { rendered = render (); lock; encoded = None })
+  in
   { model; design; rtl; petri; lint_diags; gen }

@@ -3,7 +3,9 @@
     This is the unit the serve cache holds: the first request that
     needs a derived artifact pays for it, every later request on the
     same cache entry gets the memo.  For [gen] the memo is the finished
-    answer, so a warm [gen] derives and renders nothing.  The accessors are domain-safe (a
+    answer, so a warm [gen] derives and renders nothing, and the daemon
+    splices the answer's stored JSON encoding into its response, so a
+    warm hit escapes nothing either.  The accessors are domain-safe (a
     sharded lint request may touch one entry from several workers) and
     every memoized value is a pure function of the model, so memoization
     can never change output bytes — the property the serve-vs-CLI
@@ -21,6 +23,19 @@ type rendered = {
   err : string;
   exit : int;
 }
+
+type answer
+(** A memoized answer: its {!rendered} streams, plus their JSON
+    encoding, made on first demand and kept. *)
+
+val rendered : answer -> rendered
+
+val encoded : answer -> Json.encoded * Json.encoded
+(** The answer's [out] and [err] as JSON string literals
+    ({!Json.encode}).  The first call encodes them under the owning
+    entry's lock and stores them in the entry; later calls return the
+    stored pair.  A caller that only prints the answer (the one-shot
+    CLI) never calls this and pays for no encoded copy. *)
 
 type t = private {
   model : Uml.Model.t;
@@ -45,12 +60,12 @@ type t = private {
           live metrics registry — must NOT flow through here; [analyze]
           keeps the uncached path for exactly that reason), and must not
           call this value's other accessors (the entry lock is held). *)
-  gen : lang:string -> (unit -> rendered) -> rendered;
-      (** Memoized [gen] output per target language: the rendered
-          streams and exit code, failures included.  Same contract as
-          [lint_diags]: the thunk is a pure function of [model] and
-          [lang], runs under the entry lock, and a thunk that raises
-          stores nothing. *)
+  gen : lang:string -> (unit -> rendered) -> answer;
+      (** Memoized [gen] answer per target language: the rendered
+          streams and exit code, failures included, with room for their
+          {!encoded} form.  Same contract as [lint_diags]: the thunk is
+          a pure function of [model] and [lang], runs under the entry
+          lock, and a thunk that raises stores nothing. *)
 }
 
 val of_model : Uml.Model.t -> t

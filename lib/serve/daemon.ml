@@ -157,8 +157,7 @@ type op_result = {
   oc_exit : int;
   oc_outcome : outcome;  (** [Completed], [Timeout] or [Resource_exhausted] *)
   oc_cache : (string * string * Cache.state) list;
-  oc_output : string;
-  oc_error : string;
+  oc_answer : Json.encoded * Json.encoded;  (** output and error *)
 }
 
 (* Run one decoded op with buffer sinks.  Model paths are pre-resolved
@@ -204,36 +203,44 @@ let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
         | Ok (art, _key, _state) -> Ok art
         | Error msg -> Error msg)
     in
-    Ops.guarded sink (fun () -> r.Op_spec.exec ~budget sink loader)
+    Ops.guarded_reply sink (fun () -> r.Op_spec.exec ~budget sink loader)
   in
-  let finish ?(outcome = Completed) exit_code =
+  (* A stored reply carries its own encoded streams; the sink buffers
+     are only read and escaped for ops that wrote through them. *)
+  let finish ?(outcome = Completed) reply =
+    let exit, answer =
+      match reply with
+      | Ops.Exit code ->
+        let encode b = Json.encode (Buffer.contents b) in
+        (code, (encode out, encode err))
+      | Ops.Stored a ->
+        ((Artifacts.rendered a).Artifacts.exit, Artifacts.encoded a)
+    in
     {
       oc_op = op;
-      oc_exit = exit_code;
+      oc_exit = exit;
       oc_outcome = outcome;
       oc_cache = !cache_info;
-      oc_output = Buffer.contents out;
-      oc_error = Buffer.contents err;
+      oc_answer = answer;
     }
   in
   match with_degradation t attempt with
-  | Ok exit_code -> finish exit_code
+  | Ok reply -> finish reply
   | Error msg ->
     Ops.errl sink msg;
-    finish ~outcome:Resource_exhausted 1
+    finish ~outcome:Resource_exhausted (Ops.Exit 1)
   | exception Exec.Budget.Expired msg ->
     Ops.errl sink msg;
-    finish ~outcome:Timeout 1
+    finish ~outcome:Timeout (Ops.Exit 1)
 
 (* --- response assembly ------------------------------------------------ *)
 
-let respond ~id fields =
-  let prefix =
-    match id with
-    | Some v -> [ ("id", v) ]
-    | None -> []
-  in
-  Json.to_string (Json.Obj (prefix @ fields))
+let with_id ~id fields =
+  match id with
+  | Some v -> ("id", v) :: fields
+  | None -> fields
+
+let respond ~id fields = Json.to_string (Json.Obj (with_id ~id fields))
 
 let code_field o =
   match code_name o with
@@ -259,29 +266,27 @@ let shed_response t ~depth =
 
 let drain_response t = refusal t Drained "daemon is shutting down"
 
+(* The op's streams go in already encoded, each with one copy. *)
 let outcome_response ~id oc =
-  respond ~id
-    ([
-       ("op", Json.Str oc.oc_op);
-       ("ok", Json.Bool (oc.oc_exit = 0));
-       ("exit", Json.Int oc.oc_exit);
-     ]
-    @ code_field oc.oc_outcome
-    @ [
-        ( "cache",
-          Json.List
-            (List.map
-               (fun (path, key, state) ->
-                 Json.Obj
-                   [
-                     ("path", Json.Str path);
-                     ("key", Json.Str key);
-                     ("state", Json.Str (Cache.state_name state));
-                   ])
-               oc.oc_cache) );
-        ("output", Json.Str oc.oc_output);
-        ("error", Json.Str oc.oc_error);
-      ])
+  let output, error = oc.oc_answer in
+  let cache (path, key, state) =
+    Json.Obj
+      [
+        ("path", Json.Str path);
+        ("key", Json.Str key);
+        ("state", Json.Str (Cache.state_name state));
+      ]
+  in
+  Json.splice
+    (with_id ~id
+       ([
+          ("op", Json.Str oc.oc_op);
+          ("ok", Json.Bool (oc.oc_exit = 0));
+          ("exit", Json.Int oc.oc_exit);
+        ]
+       @ code_field oc.oc_outcome
+       @ [ ("cache", Json.List (List.map cache oc.oc_cache)) ]))
+    [ ("output", output); ("error", error) ]
 
 (* Occupancy of both caches: what [health] reports, and the prefix of
    the blocks [stats] extends with its counters. *)

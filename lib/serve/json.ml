@@ -330,6 +330,33 @@ let to_string v =
   render buf v;
   Buffer.contents buf
 
+type encoded = string
+
+let encode s =
+  let buf = Buffer.create (String.length s + 2) in
+  escape_into buf s;
+  Buffer.contents buf
+
+(* The head renders as usual and stays open; then each encoded value is
+   blitted once, by [String.concat], into a result of exact size. *)
+let splice members tail =
+  let head = Buffer.create 256 in
+  render head (Obj members);
+  Buffer.truncate head (Buffer.length head - 1);
+  let first = ref (members = []) in
+  let pieces =
+    List.concat_map
+      (fun (k, v) ->
+        let key = Buffer.create (String.length k + 4) in
+        if not !first then Buffer.add_char key ',';
+        first := false;
+        escape_into key k;
+        Buffer.add_char key ':';
+        [ Buffer.contents key; v ])
+      tail
+  in
+  String.concat "" ((Buffer.contents head :: pieces) @ [ "}" ])
+
 (* --- accessors -------------------------------------------------------- *)
 
 let member key v =

@@ -33,6 +33,24 @@ val to_string : t -> string
     exponent; NaN/infinity render as [null] (JSON has no spelling for
     them). *)
 
+(** {1 Pre-encoded strings}
+
+    A response can carry a string that was escaped once and stored,
+    instead of escaping it again on every print. *)
+
+type encoded = private string
+(** A string printed as a JSON string literal, quotes included. *)
+
+val encode : string -> encoded
+(** [encode s] is [to_string (Str s)]: the same escaper, into a buffer
+    sized for [s]. *)
+
+val splice : (string * t) list -> (string * encoded) list -> string
+(** [splice members tail] is [to_string (Obj (members @ tail'))], where
+    [tail'] carries the strings the [tail] values encode.  Each encoded
+    value is copied once, into a result of exact size; none is scanned.
+    Keys must be unique across both lists. *)
+
 (** {1 Accessors} — shaped for request decoding. *)
 
 val member : string -> t -> t option

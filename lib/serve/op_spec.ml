@@ -2,7 +2,7 @@ open Cmdliner
 
 type run = {
   paths : string list;
-  exec : budget:Exec.Budget.t -> Ops.sink -> Ops.loader -> int;
+  exec : budget:Exec.Budget.t -> Ops.sink -> Ops.loader -> Ops.reply;
 }
 
 (* --- parameters ------------------------------------------------------- *)
@@ -147,7 +147,7 @@ let on_model path body =
     paths = [ path ];
     exec =
       (fun ~budget sink load ->
-        Ops.with_artifacts sink load path (body ~budget sink));
+        Ops.Exit (Ops.with_artifacts sink load path (body ~budget sink)));
   }
 
 (* Unknown rule selectors are refused before any model loads, so the
@@ -175,7 +175,9 @@ let table =
              paths = selected ~only ~disable paths;
              exec =
                (fun ~budget:_ sink load ->
-                 Ops.lint sink ~format ~only ~disable ~no_hdl ~jobs load paths);
+                 Ops.Exit
+                   (Ops.lint sink ~format ~only ~disable ~no_hdl ~jobs load
+                      paths));
            })
       $ models $ format $ only $ disable $ no_hdl $ jobs);
     op "info" "Summarize a model's contents."
@@ -183,7 +185,11 @@ let table =
       $ model);
     op "gen" "Run the PIM->PSM mapping and print the generated code."
       (const (fun path lang ->
-           on_model path (fun ~budget:_ sink -> Ops.gen sink ~lang))
+           {
+             paths = [ path ];
+             exec =
+               (fun ~budget:_ sink load -> Ops.gen_reply sink ~lang load path);
+           })
       $ model $ lang);
     op "simulate" ~budgeted:true
       "Execute a state machine of the model on an event sequence, either on \
@@ -214,8 +220,9 @@ let table =
              paths = selected ~only ~disable [ path ];
              exec =
                (fun ~budget sink load ->
-                 Ops.analyze ~budget sink ~metrics ~only ~disable ~jobs load
-                   path);
+                 Ops.Exit
+                   (Ops.analyze ~budget sink ~metrics ~only ~disable ~jobs load
+                      path));
            })
       $ model $ metrics $ only $ disable $ jobs);
     op "inject" ~budgeted:true
@@ -276,7 +283,9 @@ let rec cli_term : type a. a term -> a Term.t =
 let cmd t =
   let run r =
     Ops.guarded Ops.std_sink (fun () ->
-        r.exec ~budget:Exec.Budget.unlimited Ops.std_sink Ops.load_artifacts)
+        Ops.replay Ops.std_sink
+          (r.exec ~budget:Exec.Budget.unlimited Ops.std_sink
+             Ops.load_artifacts))
   in
   Cmd.v (Cmd.info t.name ~doc:t.doc) Term.(const run $ cli_term t.term)
 

@@ -14,8 +14,9 @@ type run = {
       (** models the daemon pre-resolves through its cache, in request
           order; empty when the op refuses to run before loading
           (unknown rule selectors) *)
-  exec : budget:Exec.Budget.t -> Ops.sink -> Ops.loader -> int;
-      (** the op body: writes through the sink, returns the exit code *)
+  exec : budget:Exec.Budget.t -> Ops.sink -> Ops.loader -> Ops.reply;
+      (** the op body: writes through the sink and answers the exit
+          code, or answers a stored reply ([gen]) *)
 }
 
 type t
@@ -35,7 +36,7 @@ val json_fields : t -> string list
 
 val cmd : t -> int Cmdliner.Cmd.t
 (** The CLI subcommand: runs the body on stdout/stderr under
-    {!Ops.guarded} with an unlimited budget. *)
+    {!Ops.guarded} with an unlimited budget, printing a stored reply. *)
 
 val format_term : Ops.format Cmdliner.Term.t
 (** The [--format] option, for the [rules] subcommand. *)

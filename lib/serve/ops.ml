@@ -11,27 +11,35 @@ let errl sink msg = sink.s_err (msg ^ "\n")
 (* Last-resort guard for every op body: downstream failures on
    adversarial models (simulation, execution, generation) become
    diagnostics, not crashes. *)
-let guarded sink f =
+let guard sink ~failed f =
   match f () with
-  | code -> code
-  | exception Xmi.Read.Import_error msg ->
+  | v -> v
+  | exception
+      ( Xmi.Read.Import_error msg
+      | Dsim.Netlist.Simulation_error msg
+      | Statechart.Engine.Model_error msg
+      | Sys_error msg
+      | Invalid_argument msg
+      | Failure msg ) ->
     errl sink msg;
-    1
-  | exception Dsim.Netlist.Simulation_error msg ->
-    errl sink msg;
-    1
-  | exception Statechart.Engine.Model_error msg ->
-    errl sink msg;
-    1
-  | exception Sys_error msg ->
-    errl sink msg;
-    1
-  | exception Invalid_argument msg ->
-    errl sink msg;
-    1
-  | exception Failure msg ->
-    errl sink msg;
-    1
+    failed
+
+let guarded sink f = guard sink ~failed:1 f
+
+type reply =
+  | Exit of int
+  | Stored of Artifacts.answer
+
+let guarded_reply sink f = guard sink ~failed:(Exit 1) f
+
+let replay sink reply =
+  match reply with
+  | Exit code -> code
+  | Stored a ->
+    let r = Artifacts.rendered a in
+    sink.s_out r.Artifacts.out;
+    sink.s_err r.Artifacts.err;
+    r.Artifacts.exit
 
 type format = [ `Text | `Json ]
 type loader = string -> (Artifacts.t, string) result
@@ -43,12 +51,14 @@ let load_artifacts path =
 
 (* Every model-consuming op funnels through this, so the load path and
    its diagnostics can never drift between subcommands. *)
-let with_artifacts sink (load : loader) path f =
+let loaded sink (load : loader) path ~failed f =
   match load path with
   | Error msg ->
     errl sink msg;
-    1
+    failed
   | Ok art -> f art
+
+let with_artifacts sink load path f = loaded sink load path ~failed:1 f
 
 (* Validate --jobs before running the body. *)
 let check_jobs sink jobs f =
@@ -230,7 +240,7 @@ let render_gen sink ~lang m =
    entry memoizes it whole, [guarded]'s diagnostics included.  Output
    made before an exception [guarded] does not catch still reaches the
    sink, as it would uncached. *)
-let gen sink ~lang (art : Artifacts.t) =
+let gen_answer sink ~lang (art : Artifacts.t) =
   let render () =
     let out = Buffer.create 4096 and err = Buffer.create 64 in
     let capture =
@@ -245,10 +255,13 @@ let gen sink ~lang (art : Artifacts.t) =
       sink.s_err (Buffer.contents err);
       raise e
   in
-  let r = art.Artifacts.gen ~lang render in
-  sink.s_out r.Artifacts.out;
-  sink.s_err r.Artifacts.err;
-  r.Artifacts.exit
+  art.Artifacts.gen ~lang render
+
+let gen sink ~lang art = replay sink (Stored (gen_answer sink ~lang art))
+
+let gen_reply sink ~lang load path =
+  loaded sink load path ~failed:(Exit 1) (fun art ->
+      Stored (gen_answer sink ~lang art))
 
 (* --- simulate --------------------------------------------------------- *)
 

@@ -30,6 +30,20 @@ val guarded : sink -> (unit -> int) -> int
     one-line diagnostics on the sink's error stream and exit code 1,
     never crashes. *)
 
+(** What an op body answers. *)
+type reply =
+  | Exit of int  (** the op wrote its streams through the sink *)
+  | Stored of Artifacts.answer
+      (** a memoized answer, written nowhere yet: the sink saw nothing *)
+
+val guarded_reply : sink -> (unit -> reply) -> reply
+(** {!guarded} for a body that answers a {!reply}; a caught failure
+    answers [Exit 1]. *)
+
+val replay : sink -> reply -> int
+(** Write a [Stored] answer's streams through the sink; the exit code
+    either way. *)
+
 type format = [ `Text | `Json ]
 
 type loader = string -> (Artifacts.t, string) result
@@ -81,6 +95,12 @@ val gen : sink -> lang:string -> Artifacts.t -> int
 (** Answered through [art.gen]: the first call per language derives and
     renders, later calls on the same artifacts replay the stored bytes
     and exit code. *)
+
+val gen_reply : sink -> lang:string -> loader -> string -> reply
+(** [gen] on the model at a path, as a reply: [Stored] with the memoized
+    answer, or the load diagnostic and [Exit 1].  Only output made
+    before an exception {!guarded} does not catch goes through the
+    sink. *)
 
 val simulate :
   ?budget:Exec.Budget.t ->

@@ -100,6 +100,44 @@ let emitters_tests =
         check Alcotest.bool "counter first" true
           (pos "entity counter" >= 0
           && pos "entity counter" < pos "entity top"));
+    tc "vhdl gives each distinct enum type its own name" (fun () ->
+        let open Hdl in
+        let mode = Htype.Enum [ "idle"; "run" ] in
+        let phase = Htype.Enum [ "a"; "b"; "c" ] in
+        let m =
+          Module_.make
+            ~ports:[ Module_.input "clk" Htype.Bit ]
+            ~signals:
+              [
+                Module_.signal "p1" phase;
+                Module_.signal ~init:0 "m0" mode;
+                Module_.signal ~init:1 "m1" mode;
+                Module_.signal ~init:2 "p2" phase;
+              ]
+            "two"
+        in
+        let text = Codegen.Vhdl.of_module m in
+        let count needle =
+          let n = String.length needle in
+          let rec go i acc =
+            if i + n > String.length text then acc
+            else go (i + 1) (if String.sub text i n = needle then acc + 1 else acc)
+          in
+          go 0 0
+        in
+        List.iter
+          (fun decl -> check Alcotest.int decl 1 (count decl))
+          [
+            "  type two_state_t is (S_a, S_b, S_c);\n";
+            "  type two_state2_t is (S_idle, S_run);\n";
+            "  signal p1 : two_state_t;\n";
+            "  signal m0 : two_state2_t := S_idle;\n";
+            "  signal m1 : two_state2_t := S_run;\n";
+            "  signal p2 : two_state_t := S_c;\n";
+          ];
+        check Alcotest.int "two type declarations" 2 (count "  type ");
+        check Alcotest.string "type_string agrees" "two_state2_t"
+          (Codegen.Vhdl.type_string m mode));
   ]
 
 (* --- FSM compiler --------------------------------------------------------- *)

@@ -142,6 +142,18 @@ let conflicting_writers_module seed =
       ]
     "conflict"
 
+(* The input ports random stimulus may drive: every input but the
+   clock. *)
+let driven_inputs m =
+  List.filter_map
+    (fun (p : Module_.port) ->
+      match p.Module_.port_dir with
+      | Module_.Input ->
+        if p.Module_.port_name = "clk" then None
+        else Some p.Module_.port_name
+      | Module_.Output -> None)
+    m.Module_.mod_ports
+
 (* Drive both engines with the identical random stimulus, asserting
    byte-equal snapshots after every step and monotone fast-engine
    counters throughout. *)
@@ -149,16 +161,7 @@ let differential_run seed m steps =
   let rng = Workload.Prng.create (seed lxor 0x5f5f) in
   let sim = Oracles.Sim.create m in
   let fast = Dsim.Fast.create m in
-  let inputs =
-    List.filter_map
-      (fun (p : Module_.port) ->
-        match p.Module_.port_dir with
-        | Module_.Input ->
-          if p.Module_.port_name = "clk" then None
-          else Some p.Module_.port_name
-        | Module_.Output -> None)
-      m.Module_.mod_ports
-  in
+  let inputs = driven_inputs m in
   let last = ref (0, 0, 0) in
   let monotone = ref true in
   if Oracles.Sim.snapshot sim <> Dsim.Fast.snapshot fast then
@@ -205,6 +208,34 @@ let qcheck_random_modules =
        ~name:"random modules: Fast snapshots byte-equal Sim"
        QCheck.(int_range 0 100_000)
        (fun seed -> differential_run seed (random_module seed) 30))
+
+(* The slot-indexed VCD writer in lockstep with the list-based one it
+   replaced ([Oracles.Vcd_ref]): both sample the same engine after every
+   random step (steps that change nothing included) and must render the
+   same dump. *)
+let qcheck_vcd_lockstep =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60
+       ~name:"random modules: Vcd renders byte-equal to the list-based writer"
+       QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let m = random_module seed in
+         let rng = Workload.Prng.create (seed lxor 0x7cd0) in
+         let fast = Dsim.Fast.create m in
+         let vcd = Dsim.Vcd.create fast in
+         let vref = Oracles.Vcd_ref.create fast in
+         let inputs = driven_inputs m in
+         for time = 0 to 30 do
+           (match Workload.Prng.int rng 3 with
+            | 0 ->
+              Dsim.Fast.set_input fast (Workload.Prng.pick rng inputs)
+                (Workload.Prng.int rng 65536)
+            | 1 -> Dsim.Fast.clock_edge fast "clk"
+            | _n -> ());
+           Dsim.Vcd.sample vcd ~time;
+           Oracles.Vcd_ref.sample vref ~time
+         done;
+         Dsim.Vcd.render vcd = Oracles.Vcd_ref.render vref))
 
 (* Compiled FSMs (Statechart.Flatten |> Codegen.Fsm_compile) driven by
    random event strobes must agree between the engines too — this is
@@ -510,6 +541,31 @@ let render_tests =
           (fun t -> Dsim.Vcd.sample vfast ~time:t);
         check Alcotest.string "vcd" (Dsim.Vcd.render vref)
           (Dsim.Vcd.render vfast));
+    tc "vcd renders a twice-declared signal like the list-based writer"
+      (fun () ->
+        (* both slots of [d] render with the first slot's id and width *)
+        let m =
+          Module_.make
+            ~ports:[ Module_.input "clk" Htype.Bit; Module_.input "a" Htype.Bit ]
+            ~signals:
+              [
+                Module_.signal ~init:1 "d" Htype.Bit;
+                Module_.signal ~init:2 "d" (Htype.Unsigned 3);
+              ]
+            ~processes:
+              [ Module_.comb_process ~name:"p_d" [ Stmt.Assign ("d", Expr.Ref "a") ] ]
+            "dup"
+        in
+        let fast = Dsim.Fast.create m in
+        let vcd = Dsim.Vcd.create fast and vref = Oracles.Vcd_ref.create fast in
+        List.iteri
+          (fun time a ->
+            Dsim.Fast.set_input fast "a" a;
+            Dsim.Vcd.sample vcd ~time;
+            Oracles.Vcd_ref.sample vref ~time)
+          [ 0; 1; 1; 0 ];
+        check Alcotest.string "vcd" (Oracles.Vcd_ref.render vref)
+          (Dsim.Vcd.render vcd));
     tc "timing diagrams are byte-identical across engines" (fun () ->
         let sim = Oracles.Sim.create (counter_module ()) in
         let tref =
@@ -590,6 +646,7 @@ let () =
           qcheck_random_modules;
           qcheck_conflicting_writers;
           qcheck_fsm_modules;
+          qcheck_vcd_lockstep;
         ] );
       ("engine", engine_tests);
       ("wide", wide_tests);

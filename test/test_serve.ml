@@ -161,6 +161,31 @@ let json_tests =
          (fun s ->
            Serve.Json.to_string (Serve.Json.Str s)
            = Oracles.Json_escape_ref.quoted s));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"splice = the printer over the whole object"
+         ~count:300
+         QCheck.(
+           triple bool
+             (string_gen_of_size Gen.(int_bound 200) Gen.char)
+             (string_gen_of_size Gen.(int_bound 200) Gen.char))
+         (fun (with_head, out, err) ->
+           let head =
+             if with_head then
+               [ ("op", Serve.Json.Str "gen\n"); ("exit", Serve.Json.Int 1) ]
+             else []
+           in
+           Serve.Json.splice head
+             [
+               ("output", Serve.Json.encode out);
+               ("err\"or", Serve.Json.encode err);
+             ]
+           = Serve.Json.to_string
+               (Serve.Json.Obj
+                  (head
+                  @ [
+                      ("output", Serve.Json.Str out);
+                      ("err\"or", Serve.Json.Str err);
+                    ]))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -657,6 +682,85 @@ let differential_tests =
                 (lang = "vhdl" || rstr "state" entry = "hit")
             | _other -> Alcotest.fail "expected one cache entry")
           [ "vhdl"; "verilog"; "vhdl" ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Encoded gen answers                                                *)
+
+let answer_tests =
+  [
+    tc "a stored answer encodes every byte value, cold and warm" (fun () ->
+        let bytes = String.init 256 Char.chr in
+        let art = Serve.Artifacts.of_model (Uml.Model.create "bytes") in
+        let raw =
+          { Serve.Artifacts.out = bytes ^ "out"; err = "err" ^ bytes; exit = 3 }
+        in
+        let expect a =
+          let out, err = Serve.Artifacts.encoded a in
+          check Alcotest.string "stdout" (Oracles.Json_escape_ref.quoted raw.out)
+            (out :> string);
+          check Alcotest.string "stderr" (Oracles.Json_escape_ref.quoted raw.err)
+            (err :> string)
+        in
+        let cold = art.Serve.Artifacts.gen ~lang:"vhdl" (fun () -> raw) in
+        expect cold;
+        let warm =
+          art.Serve.Artifacts.gen ~lang:"vhdl" (fun () ->
+              Alcotest.fail "a warm hit rendered again")
+        in
+        check Alcotest.bool "the warm hit is the stored answer" true (warm == cold);
+        expect warm;
+        check Alcotest.bool "the encoding is stored, not redone" true
+          (Serve.Artifacts.encoded warm == Serve.Artifacts.encoded cold));
+    tc "gen responses print as the plain printer would, cold and warm"
+      (fun () ->
+        let model = Lazy.force demo_model in
+        let d = Serve.Daemon.create () in
+        let line = req {|{"id":7,"op":"gen","model":%S,"lang":"vhdl"}|} model in
+        List.iter
+          (fun state ->
+            match Serve.Daemon.handle_line d line with
+            | Some r, _ -> (
+              match Serve.Json.parse r with
+              | Ok v ->
+                check Alcotest.string "state" state
+                  (match rmember "cache" v with
+                   | Some (Serve.Json.List [ entry ]) -> rstr "state" entry
+                   | _other -> "none");
+                check Alcotest.string "bytes" (Serve.Json.to_string v) r
+              | Error e -> Alcotest.failf "unparseable response: %s" e)
+            | None, _ -> Alcotest.fail "no response")
+          [ "miss"; "hit" ]);
+    tc "a failed render replays identical bytes on its second ask" (fun () ->
+        let no_fsm =
+          tiny_model "no_fsm" (Filename.concat tmp "serve_answer_no_fsm.xmi")
+        in
+        let d = Serve.Daemon.create () in
+        let line = req {|{"op":"gen","model":%S,"lang":"vhdl"}|} no_fsm in
+        let ask () =
+          match Serve.Daemon.handle_line d line with
+          | Some r, _ -> r
+          | None, _ -> Alcotest.fail "no response"
+        in
+        let cold = ask () in
+        let warm = ask () in
+        let v, _ = send d line in
+        check Alcotest.int "exit" 1 (rint "exit" v);
+        check Alcotest.bool "a diagnostic" true (rstr "error" v <> "");
+        (* the lines differ only in the reported cache state *)
+        let miss = {|"state":"miss"|} in
+        let i =
+          let rec find i =
+            if String.sub cold i (String.length miss) = miss then i
+            else find (i + 1)
+          in
+          find 0
+        in
+        check Alcotest.string "warm bytes"
+          (String.sub cold 0 i ^ {|"state":"hit"|}
+          ^ String.sub cold (i + String.length miss)
+              (String.length cold - i - String.length miss))
+          warm);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1163,6 +1267,7 @@ let () =
       ("cache", cache_tests);
       ("daemon", daemon_tests);
       ("differential", differential_tests);
+      ("answers", answer_tests);
       ("stat memo", memo_tests);
       ("op table", op_table_tests);
       ("metrics", metrics_tests);
