@@ -157,8 +157,14 @@ type op_result = {
   oc_exit : int;
   oc_outcome : outcome;  (** [Completed], [Timeout] or [Resource_exhausted] *)
   oc_cache : (string * string * Cache.state) list;
-  oc_answer : Json.encoded * Json.encoded;  (** output and error *)
+  oc_streams : streams;
 }
+
+(* An op's output and error: captured from the sink, or a stored
+   answer's encoded text. *)
+and streams =
+  | Captured of string * string
+  | Encoded of Json.encoded * Json.encoded
 
 (* Run one decoded op with buffer sinks.  Model paths are pre-resolved
    through the cache sequentially, in request order, before the body
@@ -205,23 +211,21 @@ let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
     in
     Ops.guarded_reply sink (fun () -> r.Op_spec.exec ~budget sink loader)
   in
-  (* A stored reply carries its own encoded streams; the sink buffers
-     are only read and escaped for ops that wrote through them. *)
   let finish ?(outcome = Completed) reply =
-    let exit, answer =
+    let exit, streams =
       match reply with
       | Ops.Exit code ->
-        let encode b = Json.encode (Buffer.contents b) in
-        (code, (encode out, encode err))
+        (code, Captured (Buffer.contents out, Buffer.contents err))
       | Ops.Stored a ->
-        ((Artifacts.rendered a).Artifacts.exit, Artifacts.encoded a)
+        let output, error = Artifacts.encoded a in
+        ((Artifacts.rendered a).Artifacts.exit, Encoded (output, error))
     in
     {
       oc_op = op;
       oc_exit = exit;
       oc_outcome = outcome;
       oc_cache = !cache_info;
-      oc_answer = answer;
+      oc_streams = streams;
     }
   in
   match with_degradation t attempt with
@@ -266,9 +270,9 @@ let shed_response t ~depth =
 
 let drain_response t = refusal t Drained "daemon is shutting down"
 
-(* The op's streams go in already encoded, each with one copy. *)
+(* Captured streams are escaped as the response prints; a stored
+   answer's encoded streams go in with one copy each. *)
 let outcome_response ~id oc =
-  let output, error = oc.oc_answer in
   let cache (path, key, state) =
     Json.Obj
       [
@@ -277,16 +281,23 @@ let outcome_response ~id oc =
         ("state", Json.Str (Cache.state_name state));
       ]
   in
-  Json.splice
-    (with_id ~id
-       ([
-          ("op", Json.Str oc.oc_op);
-          ("ok", Json.Bool (oc.oc_exit = 0));
-          ("exit", Json.Int oc.oc_exit);
-        ]
-       @ code_field oc.oc_outcome
-       @ [ ("cache", Json.List (List.map cache oc.oc_cache)) ]))
-    [ ("output", output); ("error", error) ]
+  let fields streams =
+    with_id ~id
+      ([
+         ("op", Json.Str oc.oc_op);
+         ("ok", Json.Bool (oc.oc_exit = 0));
+         ("exit", Json.Int oc.oc_exit);
+       ]
+      @ code_field oc.oc_outcome
+      @ (("cache", Json.List (List.map cache oc.oc_cache)) :: streams))
+  in
+  match oc.oc_streams with
+  | Captured (output, error) ->
+    Json.to_string
+      (Json.Obj
+         (fields [ ("output", Json.Str output); ("error", Json.Str error) ]))
+  | Encoded (output, error) ->
+    Json.splice (fields []) [ ("output", output); ("error", error) ]
 
 (* Occupancy of both caches: what [health] reports, and the prefix of
    the blocks [stats] extends with its counters. *)
