@@ -35,7 +35,9 @@ val encoded : answer -> Json.encoded * Json.encoded
     ({!Json.encode}).  The first call encodes them under the owning
     entry's lock and stores them in the entry; later calls return the
     stored pair.  A caller that only prints the answer (the one-shot
-    CLI) never calls this and pays for no encoded copy. *)
+    CLI) never calls this and pays for no encoded copy.  The stored
+    pair (up to 6x the raw text, for control bytes) is not charged to
+    the cache's byte budget ({!Cache}). *)
 
 type t = private {
   model : Uml.Model.t;

@@ -17,9 +17,13 @@
 
     Capacity is bounded twice: a maximum entry count and a byte budget,
     where an entry is charged its source-file size (the observable,
-    reproducible proxy for the retained graph).  Inserting past either
-    bound evicts least-recently-used entries; the newest entry is never
-    evicted, so a single oversized model still caches.
+    reproducible proxy for the retained graph).  The derivations an
+    entry memoizes are not charged: its [gen] answers and their JSON
+    encodings ({!Artifacts.encoded}) sit outside the byte budget,
+    bounded only by the entry count and the four target languages.
+    Inserting past either bound evicts least-recently-used entries; the
+    newest entry is never evicted, so a single oversized model still
+    caches.
 
     With a persist directory, every entry parsed from XMI is also
     written as [<key>.sumb]; a later process (or a later miss after

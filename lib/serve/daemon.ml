@@ -157,14 +157,8 @@ type op_result = {
   oc_exit : int;
   oc_outcome : outcome;  (** [Completed], [Timeout] or [Resource_exhausted] *)
   oc_cache : (string * string * Cache.state) list;
-  oc_streams : streams;
+  oc_answer : Json.encoded * Json.encoded;  (** output and error *)
 }
-
-(* An op's output and error: captured from the sink, or a stored
-   answer's encoded text. *)
-and streams =
-  | Captured of string * string
-  | Encoded of Json.encoded * Json.encoded
 
 (* Run one decoded op with buffer sinks.  Model paths are pre-resolved
    through the cache sequentially, in request order, before the body
@@ -211,21 +205,23 @@ let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
     in
     Ops.guarded_reply sink (fun () -> r.Op_spec.exec ~budget sink loader)
   in
+  (* A stored reply carries its own encoded streams; the sink buffers
+     are only read and escaped for ops that wrote through them. *)
   let finish ?(outcome = Completed) reply =
-    let exit, streams =
+    let exit, answer =
       match reply with
       | Ops.Exit code ->
-        (code, Captured (Buffer.contents out, Buffer.contents err))
+        let encode b = Json.encode (Buffer.contents b) in
+        (code, (encode out, encode err))
       | Ops.Stored a ->
-        let output, error = Artifacts.encoded a in
-        ((Artifacts.rendered a).Artifacts.exit, Encoded (output, error))
+        ((Artifacts.rendered a).Artifacts.exit, Artifacts.encoded a)
     in
     {
       oc_op = op;
       oc_exit = exit;
       oc_outcome = outcome;
       oc_cache = !cache_info;
-      oc_streams = streams;
+      oc_answer = answer;
     }
   in
   match with_degradation t attempt with
@@ -270,9 +266,9 @@ let shed_response t ~depth =
 
 let drain_response t = refusal t Drained "daemon is shutting down"
 
-(* Captured streams are escaped as the response prints; a stored
-   answer's encoded streams go in with one copy each. *)
+(* The op's streams go in already encoded, each with one copy. *)
 let outcome_response ~id oc =
+  let output, error = oc.oc_answer in
   let cache (path, key, state) =
     Json.Obj
       [
@@ -281,23 +277,16 @@ let outcome_response ~id oc =
         ("state", Json.Str (Cache.state_name state));
       ]
   in
-  let fields streams =
-    with_id ~id
-      ([
-         ("op", Json.Str oc.oc_op);
-         ("ok", Json.Bool (oc.oc_exit = 0));
-         ("exit", Json.Int oc.oc_exit);
-       ]
-      @ code_field oc.oc_outcome
-      @ (("cache", Json.List (List.map cache oc.oc_cache)) :: streams))
-  in
-  match oc.oc_streams with
-  | Captured (output, error) ->
-    Json.to_string
-      (Json.Obj
-         (fields [ ("output", Json.Str output); ("error", Json.Str error) ]))
-  | Encoded (output, error) ->
-    Json.splice (fields []) [ ("output", output); ("error", error) ]
+  Json.splice
+    (with_id ~id
+       ([
+          ("op", Json.Str oc.oc_op);
+          ("ok", Json.Bool (oc.oc_exit = 0));
+          ("exit", Json.Int oc.oc_exit);
+        ]
+       @ code_field oc.oc_outcome
+       @ [ ("cache", Json.List (List.map cache oc.oc_cache)) ]))
+    [ ("output", output); ("error", error) ]
 
 (* Occupancy of both caches: what [health] reports, and the prefix of
    the blocks [stats] extends with its counters. *)

@@ -293,6 +293,12 @@ let escape_into buf s =
   Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
 
+(* An object member up to its value: separator, key and colon. *)
+let add_key buf ~first k =
+  if not first then Buffer.add_char buf ',';
+  escape_into buf k;
+  Buffer.add_char buf ':'
+
 let rec render buf v =
   match v with
   | Null -> Buffer.add_string buf "null"
@@ -318,9 +324,7 @@ let rec render buf v =
     Buffer.add_char buf '{';
     List.iteri
       (fun i (k, item) ->
-        if i > 0 then Buffer.add_char buf ',';
-        escape_into buf k;
-        Buffer.add_char buf ':';
+        add_key buf ~first:(i = 0) k;
         render buf item)
       members;
     Buffer.add_char buf '}'
@@ -343,19 +347,15 @@ let splice members tail =
   let head = Buffer.create 256 in
   render head (Obj members);
   Buffer.truncate head (Buffer.length head - 1);
-  let first = ref (members = []) in
   let pieces =
-    List.concat_map
-      (fun (k, v) ->
+    List.mapi
+      (fun i (k, v) ->
         let key = Buffer.create (String.length k + 4) in
-        if not !first then Buffer.add_char key ',';
-        first := false;
-        escape_into key k;
-        Buffer.add_char key ':';
+        add_key key ~first:(i = 0 && members = []) k;
         [ Buffer.contents key; v ])
       tail
   in
-  String.concat "" ((Buffer.contents head :: pieces) @ [ "}" ])
+  String.concat "" ((Buffer.contents head :: List.concat pieces) @ [ "}" ])
 
 (* --- accessors -------------------------------------------------------- *)
 
