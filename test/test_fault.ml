@@ -548,8 +548,35 @@ let campaign_fixture seed faults =
     Fault.Campaign.run ?metrics ~rtl ~statechart:sc ~activity:aspec ~net:nspec
       ~label:"fixture" plan
 
+(* A hand-built report with every outcome, details that need escaping,
+   skipped faults and a coverage that is not a whole number. *)
+let pinned_report =
+  let open Fault in
+  let rtl = Plan.F_rtl (Plan.Bit_flip { fb_signal = "q"; fb_cycle = 3; fb_bit = 1 }) in
+  let sc = Plan.F_statechart (Plan.Spurious_event { sp_index = 2; sp_event = "go" }) in
+  let tok = Plan.F_token (Plan.Dup_token { dt_place = "p1"; dt_step = 4 }) in
+  let run i domain fault outcome =
+    { Campaign.run_index = i; run_domain = domain; run_fault = fault;
+      run_outcome = outcome }
+  in
+  {
+    Campaign.rp_label = "pin \"label\"";
+    rp_plan = { Plan.seed = 7; faults = [ rtl; sc; tok; tok ] };
+    rp_runs =
+      [
+        run 0 "rtl" rtl (Campaign.Detected "output \\ differs\n");
+        run 1 "statechart" sc Campaign.Silent;
+        run 2 "activity" tok Campaign.Masked;
+        run 2 "petri" tok (Campaign.Truncated "fuel\001");
+      ];
+    rp_skipped = [ (tok, "no net"); (rtl, "no rtl \"spec\"") ];
+  }
+
 let campaign_tests =
   [
+    tc "json digest of a hand-built report" (fun () ->
+        check Alcotest.string "md5" "1f81ca6f73fdc7070a24480ca41b985e"
+          (Digest.to_hex (Digest.string (Fault.Campaign.to_json pinned_report))));
     tc "same seed yields byte-identical text and json reports" (fun () ->
         let go = campaign_fixture 42 15 in
         let a = go () and b = go () in

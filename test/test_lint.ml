@@ -527,6 +527,20 @@ let report_tests =
              && (String.sub json i (String.length sub) = sub || find (i + 1))
            in
            find 0));
+    tc "rules json digest" (fun () ->
+        check Alcotest.string "md5" "06682e505bc9a44aab26d76fd6a76cb1"
+          (Digest.to_hex (Digest.string (Lint.Report.rules_to_json ()))));
+    tc "json digest without model, element-less diagnostic" (fun () ->
+        let d =
+          {
+            Wfr.diag_severity = Wfr.Warning;
+            diag_rule = "SC-03";
+            diag_element = None;
+            diag_message = "no \"element\" \\ here";
+          }
+        in
+        check Alcotest.string "md5" "641ebb01ac66f04f4dda3c8db53f838d"
+          (Digest.to_hex (Digest.string (Lint.Report.to_json [ d ]))));
   ]
 
 (* --- properties ------------------------------------------------------- *)
