@@ -23,29 +23,14 @@ let sep title =
    lexicographically, so the key set and order are byte-deterministic
    across runs (values of timing metrics naturally vary). *)
 
-let json_entries : (string * string) list ref = ref []
+let json_entries : (string * Sjson.Json.t) list ref = ref []
 let record key value = json_entries := (key, value) :: !json_entries
-let record_i key i = record key (string_of_int i)
-let record_b key b = record key (string_of_bool b)
+let record_i key i = record key (Sjson.Json.Int i)
+let record_b key b = record key (Sjson.Json.Bool b)
 
+(* rounded to six significant digits *)
 let record_f key v =
-  (* %.6g never produces NaN/inf here (all recorded values are finite),
-     and its exponent form (1e+06) is valid JSON *)
-  record key (Printf.sprintf "%.6g" v)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  record key (Sjson.Json.Float (float_of_string (Printf.sprintf "%.6g" v)))
 
 let write_json path =
   let entries =
@@ -54,14 +39,7 @@ let write_json path =
       !json_entries
   in
   let oc = open_out path in
-  output_string oc "{\n";
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  \"%s\": %s%s\n" (json_escape k) v
-        (if i < last then "," else ""))
-    entries;
-  output_string oc "}\n";
+  output_string oc (Sjson.Json.to_report entries);
   close_out oc;
   Printf.printf "\nwrote %d result keys to %s\n%!" (List.length entries) path
 

@@ -124,9 +124,26 @@ let of_module m =
   let syn = syntax m in
   let name = sanitize m.Module_.mod_name in
   let enums = enum_type_names m in
+  let declare_types () =
+    List.iter
+      (fun (lits, type_name) ->
+        line "  type %s is (%s);" type_name
+          (String.concat ", " (List.map enum_literal lits)))
+      enums
+  in
+  (* an entity names only types declared ahead of it: a package *)
+  let packaged =
+    Hdl_text.enum_types { m with Module_.mod_signals = [] } <> []
+  in
+  if packaged then begin
+    line "package %s_types is" name;
+    declare_types ();
+    line "end package %s_types;\n" name
+  end;
   line "library ieee;";
   line "use ieee.std_logic_1164.all;";
   line "use ieee.numeric_std.all;";
+  if packaged then line "use work.%s_types.all;" name;
   line "";
   line "entity %s is" name;
   (match m.Module_.mod_ports with
@@ -140,11 +157,7 @@ let of_module m =
   line "end entity %s;" name;
   line "";
   line "architecture rtl of %s is" name;
-  List.iter
-    (fun (lits, type_name) ->
-      line "  type %s is (%s);" type_name
-        (String.concat ", " (List.map enum_literal lits)))
-    enums;
+  if not packaged then declare_types ();
   List.iter
     (fun (s : Module_.signal) ->
       let init =

@@ -11,6 +11,10 @@ val type_string : Hdl.Module_.t -> Hdl.Htype.t -> string
     k-th (k >= 2) [<name>_state<k>_t]. *)
 
 val of_module : Hdl.Module_.t -> string
+(** The module's entity and rtl architecture.  The module's enum types
+    are declared in the architecture, or, when a port has one, in a
+    package [<name>_types] printed ahead of the entity, which uses it. *)
+
 val of_design : Hdl.Module_.design -> string
 (** All modules (dependencies first), each as entity + rtl
     architecture. *)

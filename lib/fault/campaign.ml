@@ -567,54 +567,37 @@ let to_text report =
     (100. *. coverage t);
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json report =
-  let b = Buffer.create 1024 in
   let t = totals report in
-  Printf.bprintf b "{\n  \"label\": \"%s\",\n  \"seed\": %d,\n"
-    (json_escape report.rp_label)
-    report.rp_plan.Plan.seed;
-  Printf.bprintf b "  \"runs\": [";
-  List.iteri
-    (fun i r ->
-      let detail =
-        match r.run_outcome with
-        | Detected what | Truncated what -> what
-        | Masked | Silent -> ""
-      in
-      Printf.bprintf b "%s\n    {\"index\": %d, \"domain\": \"%s\", \
-                        \"fault\": \"%s\", \"outcome\": \"%s\", \
-                        \"detail\": \"%s\"}"
-        (if i = 0 then "" else ",")
-        r.run_index (json_escape r.run_domain)
-        (json_escape (Plan.fault_to_string r.run_fault))
-        (outcome_counter_suffix r.run_outcome)
-        (json_escape detail))
-    report.rp_runs;
-  Printf.bprintf b "\n  ],\n  \"skipped\": [";
-  List.iteri
-    (fun i (f, reason) ->
-      Printf.bprintf b "%s\n    {\"fault\": \"%s\", \"reason\": \"%s\"}"
-        (if i = 0 then "" else ",")
-        (json_escape (Plan.fault_to_string f))
-        (json_escape reason))
-    report.rp_skipped;
-  Printf.bprintf b
-    "\n  ],\n  \"summary\": {\"injected\": %d, \"masked\": %d, \
-     \"detected\": %d, \"silent\": %d, \"truncated\": %d, \
-     \"coverage\": %.6g}\n}\n"
-    t.t_injected t.t_masked t.t_detected t.t_silent t.t_truncated (coverage t);
-  Buffer.contents b
+  let open Sjson.Json in
+  let fault f = Str (Plan.fault_to_string f) in
+  let run r =
+    let detail =
+      match r.run_outcome with
+      | Detected what | Truncated what -> what
+      | Masked | Silent -> ""
+    in
+    Obj
+      [
+        ("index", Int r.run_index); ("domain", Str r.run_domain);
+        ("fault", fault r.run_fault);
+        ("outcome", Str (outcome_counter_suffix r.run_outcome));
+        ("detail", Str detail);
+      ]
+  in
+  let skip (f, reason) = Obj [ ("fault", fault f); ("reason", Str reason) ] in
+  (* coverage keeps six significant digits *)
+  let coverage = float_of_string (Printf.sprintf "%.6g" (coverage t)) in
+  to_report
+    [
+      ("label", Str report.rp_label); ("seed", Int report.rp_plan.Plan.seed);
+      ("runs", List (List.map run report.rp_runs));
+      ("skipped", List (List.map skip report.rp_skipped));
+      ( "summary",
+        Obj
+          [
+            ("injected", Int t.t_injected); ("masked", Int t.t_masked);
+            ("detected", Int t.t_detected); ("silent", Int t.t_silent);
+            ("truncated", Int t.t_truncated); ("coverage", Float coverage);
+          ] );
+    ]

@@ -246,4 +246,6 @@ val to_text : report -> string
     summary counts and coverage. *)
 
 val to_json : report -> string
-(** The same content as a stable JSON object. *)
+(** The same content as a stable JSON object, [coverage] rounded to six
+    significant digits, printed by {!Sjson.Json.to_report}: the escaper
+    and layout every report shares. *)

@@ -1,4 +1,5 @@
 open Uml
+open Sjson
 
 let summary_line diags =
   Printf.sprintf "%d diagnostics (%d errors, %d warnings)"
@@ -20,44 +21,6 @@ let to_text ?model diags =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let json_diag (d : Wfr.diagnostic) =
-  let fields =
-    [
-      ("severity",
-       json_string
-         (match d.Wfr.diag_severity with
-          | Wfr.Error -> "error"
-          | Wfr.Warning -> "warning"));
-      ("rule", json_string d.Wfr.diag_rule);
-    ]
-    @ (match d.Wfr.diag_element with
-       | Some id -> [ ("element", json_string (Ident.to_string id)) ]
-       | None -> [])
-    @ [ ("message", json_string d.Wfr.diag_message) ]
-  in
-  "    {"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
-  ^ "}"
-
 (* --- rule table (socuml rules) ---------------------------------------- *)
 
 let severity_name s =
@@ -78,38 +41,33 @@ let rules_to_text () =
   Buffer.contents buf
 
 let rules_to_json () =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"rules\": [\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun (r : Rules.rule) ->
-            Printf.sprintf
-              "    {\"code\": %s, \"severity\": %s, \"summary\": %s}"
-              (json_string r.Rules.rule_code)
-              (json_string (severity_name r.Rules.rule_severity))
-              (json_string r.Rules.rule_summary))
-          Rules.all));
-  Buffer.add_string buf
-    (Printf.sprintf "\n  ],\n  \"count\": %d\n}\n" (List.length Rules.all));
-  Buffer.contents buf
+  let rule (r : Rules.rule) =
+    Json.Obj
+      [
+        ("code", Json.Str r.Rules.rule_code);
+        ("severity", Json.Str (severity_name r.Rules.rule_severity));
+        ("summary", Json.Str r.Rules.rule_summary);
+      ]
+  in
+  Json.to_report
+    [
+      ("rules", Json.List (List.map rule Rules.all));
+      ("count", Json.Int (List.length Rules.all));
+    ]
+
+let json_diag (d : Wfr.diagnostic) =
+  let element id = ("element", Json.Str (Ident.to_string id)) in
+  Json.Obj
+    (("severity", Json.Str (severity_name d.Wfr.diag_severity))
+     :: ("rule", Json.Str d.Wfr.diag_rule)
+     :: Option.to_list (Option.map element d.Wfr.diag_element)
+    @ [ ("message", Json.Str d.Wfr.diag_message) ])
 
 let to_json ?model diags =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  (match model with
-   | Some name ->
-     Buffer.add_string buf
-       (Printf.sprintf "  \"model\": %s,\n" (json_string name))
-   | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf "  \"errors\": %d,\n"
-       (List.length (Wfr.errors diags)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"warnings\": %d,\n"
-       (List.length (Wfr.warnings diags)));
-  Buffer.add_string buf "  \"diagnostics\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map json_diag diags));
-  if diags <> [] then Buffer.add_char buf '\n';
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  Json.to_report
+    (Option.to_list (Option.map (fun name -> ("model", Json.Str name)) model)
+    @ [
+        ("errors", Json.Int (List.length (Wfr.errors diags)));
+        ("warnings", Json.Int (List.length (Wfr.warnings diags)));
+        ("diagnostics", Json.List (List.map json_diag diags));
+      ])

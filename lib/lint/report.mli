@@ -16,10 +16,12 @@ val rules_to_text : unit -> string
 
 val rules_to_json : unit -> string
 (** The same table as a JSON object [{rules: [{code, severity,
-    summary}], count}]. *)
+    summary}], count}], printed by {!Sjson.Json.to_report}: one line per
+    member and one per rule. *)
 
 val to_json : ?model:string -> Uml.Wfr.diagnostic list -> string
 (** A JSON object with [model] (when given), [errors], [warnings] and a
-    [diagnostics] array of [{severity, rule, element, message}].  Hand
-    rolled — the toolchain ships no JSON library — with full string
-    escaping.  Ends with a newline. *)
+    [diagnostics] array of [{severity, rule, element, message}]
+    ([element] only when the diagnostic names one), printed by
+    {!Sjson.Json.to_report} — the escaper and layout every report
+    shares.  Ends with a newline. *)

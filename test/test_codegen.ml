@@ -138,6 +138,49 @@ let emitters_tests =
         check Alcotest.int "two type declarations" 2 (count "  type ");
         check Alcotest.string "type_string agrees" "two_state2_t"
           (Codegen.Vhdl.type_string m mode));
+    tc "vhdl declares enum types in a package when a port has one"
+      (fun () ->
+        let open Hdl in
+        let mode = Htype.Enum [ "idle"; "run" ] in
+        let phase = Htype.Enum [ "a"; "b" ] in
+        let m =
+          Module_.make
+            ~ports:
+              [ Module_.input "clk" Htype.Bit; Module_.output "mode" mode ]
+            ~signals:[ Module_.signal "ph" phase; Module_.signal "m" mode ]
+            "ctl"
+        in
+        let text = Codegen.Vhdl.of_module m in
+        let pos needle =
+          let n = String.length needle in
+          let rec go i =
+            if i + n > String.length text then -1
+            else if String.sub text i n = needle then i
+            else go (i + 1)
+          in
+          go 0
+        in
+        check Alcotest.bool "package first" true
+          (String.starts_with
+             ~prefix:
+               "package ctl_types is\n\
+               \  type ctl_state_t is (S_idle, S_run);\n\
+               \  type ctl_state2_t is (S_a, S_b);\n\
+                end package ctl_types;\n\n\
+                library ieee;\n"
+             text);
+        check Alcotest.bool "used right before the entity" true
+          (contains text "use work.ctl_types.all;\n\nentity ctl is");
+        check Alcotest.bool "port spelled with it" true
+          (contains text "    mode : out ctl_state_t");
+        check Alcotest.bool "no type in the architecture" false
+          (let arch = pos "architecture rtl" in
+           contains (String.sub text arch (String.length text - arch)) "type ");
+        check Alcotest.bool "no package without enum ports" false
+          (contains
+             (Codegen.Vhdl.of_module
+                (Module_.make ~signals:[ Module_.signal "m" mode ] "plain"))
+             "package"));
   ]
 
 (* --- FSM compiler --------------------------------------------------------- *)

@@ -879,6 +879,103 @@ let perturb_tests =
              [ "a"; "b" ]));
   ]
 
+(* Campaign and lint reports share one JSON printer: the same escapes,
+   and every string comes back through the parser. *)
+let json_tests =
+  let member path v =
+    List.fold_left
+      (fun v key -> Option.bind v (Sjson.Json.member key))
+      (Some v) path
+  in
+  let parse s =
+    match Sjson.Json.parse s with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "report does not parse: %s" e
+  in
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let raw = QCheck.(string_gen_of_size Gen.(int_bound 64) Gen.char) in
+  [
+    tc "tab and carriage return spell as in lint reports" (fun () ->
+        let name = "a\tb\rc" and spelled = {|"a\tb\rc"|} in
+        let campaign =
+          Fault.Campaign.to_json
+            { pinned_report with Fault.Campaign.rp_label = name }
+        in
+        let lint = Lint.Report.to_json ~model:name [] in
+        check Alcotest.bool "campaign" true (contains ~sub:spelled campaign);
+        check Alcotest.bool "lint" true (contains ~sub:spelled lint));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"campaign json gives back label, detail and reason bytes"
+         QCheck.(triple raw raw raw)
+         (fun (label, detail, reason) ->
+           let rtl =
+             Fault.Plan.F_rtl
+               (Fault.Plan.Stuck_at
+                  { sa_signal = "s"; sa_value = 1; sa_from = 0 })
+           in
+           let v =
+             parse
+               (Fault.Campaign.to_json
+                  {
+                    pinned_report with
+                    Fault.Campaign.rp_label = label;
+                    rp_runs =
+                      [
+                        {
+                          Fault.Campaign.run_index = 0;
+                          run_domain = "rtl";
+                          run_fault = rtl;
+                          run_outcome = Fault.Campaign.Detected detail;
+                        };
+                      ];
+                    rp_skipped = [ (rtl, reason) ];
+                  })
+           in
+           let first key =
+             match member [ key ] v with
+             | Some (Sjson.Json.List (item :: _)) -> item
+             | Some _ | None -> Alcotest.failf "no %s" key
+           in
+           member [ "label" ] v = Some (Sjson.Json.Str label)
+           && member [ "detail" ] (first "runs") = Some (Sjson.Json.Str detail)
+           && member [ "reason" ] (first "skipped")
+              = Some (Sjson.Json.Str reason)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"lint json gives back model, rule, element and message bytes"
+         QCheck.(quad raw raw raw raw)
+         (fun (model, rule, element, message) ->
+           let d =
+             {
+               Uml.Wfr.diag_severity = Uml.Wfr.Error;
+               diag_rule = rule;
+               diag_element = Some element;
+               diag_message = message;
+             }
+           in
+           let v = parse (Lint.Report.to_json ~model [ d ]) in
+           member [ "model" ] v = Some (Sjson.Json.Str model)
+           && member [ "diagnostics" ] v
+              = Some
+                  (Sjson.Json.List
+                     [
+                       Sjson.Json.Obj
+                         [
+                           ("severity", Sjson.Json.Str "error");
+                           ("rule", Sjson.Json.Str rule);
+                           ("element", Sjson.Json.Str element);
+                           ("message", Sjson.Json.Str message);
+                         ];
+                     ])));
+  ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -891,4 +988,5 @@ let () =
       ("campaign", campaign_tests @ reference_tests);
       ("classify", classify_tests);
       ("perturb", perturb_tests);
+      ("json", json_tests);
     ]

@@ -186,6 +186,53 @@ let json_tests =
                       ("output", Serve.Json.Str out);
                       ("err\"or", Serve.Json.Str err);
                     ]))));
+    tc "report layout: members and top-level list elements on lines"
+      (fun () ->
+        let open Serve.Json in
+        check Alcotest.string "no members" "{\n}\n" (to_report []);
+        check Alcotest.string "members"
+          "{\n\
+          \  \"a\": 1,\n\
+          \  \"l\": [\n\
+          \    {\"b\": [true, null], \"c\": {}},\n\
+          \    []\n\
+          \  ],\n\
+          \  \"e\": [\n\
+          \  ],\n\
+          \  \"o\": {\"k\": \"v\\t\", \"f\": 0.5}\n\
+           }\n"
+          (to_report
+             [
+               ("a", Int 1);
+               ( "l",
+                 List
+                   [
+                     Obj [ ("b", List [ Bool true; Null ]); ("c", Obj []) ];
+                     List [];
+                   ] );
+               ("e", List []);
+               ("o", Obj [ ("k", Str "v\t"); ("f", Float 0.5) ]);
+             ]));
+    tc "floats print in the shortest form that reads back" (fun () ->
+        let spell f = Serve.Json.to_string (Serve.Json.Float f) in
+        check Alcotest.string "15 digits" "0.1" (spell 0.1);
+        check Alcotest.string "16 digits" "0.3333333333333333"
+          (spell (1. /. 3.));
+        check Alcotest.string "17 digits" "0.30000000000000004"
+          (spell (0.1 +. 0.2));
+        check Alcotest.string "integral" "1234570" (spell 1234570.);
+        check Alcotest.string "large" "1e+20" (spell 1e20));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"finite floats read back equal" ~count:500
+         QCheck.float
+         (fun f ->
+           QCheck.assume (Float.is_finite f);
+           match
+             Serve.Json.parse (Serve.Json.to_string (Serve.Json.Float f))
+           with
+           | Ok (Serve.Json.Float g) -> g = f
+           | Ok (Serve.Json.Int n) -> float_of_int n = f
+           | Ok _ | Error _ -> false));
   ]
 
 (* ------------------------------------------------------------------ *)
