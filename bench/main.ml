@@ -28,7 +28,6 @@ let record key value = json_entries := (key, value) :: !json_entries
 let record_i key i = record key (Sjson.Json.Int i)
 let record_b key b = record key (Sjson.Json.Bool b)
 
-(* rounded to six significant digits *)
 let record_f key v =
   record key (Sjson.Json.Float (float_of_string (Printf.sprintf "%.6g" v)))
 

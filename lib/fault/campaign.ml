@@ -586,7 +586,6 @@ let to_json report =
       ]
   in
   let skip (f, reason) = Obj [ ("fault", fault f); ("reason", Str reason) ] in
-  (* coverage keeps six significant digits *)
   let coverage = float_of_string (Printf.sprintf "%.6g" (coverage t)) in
   to_report
     [

@@ -882,11 +882,7 @@ let perturb_tests =
 (* Campaign and lint reports share one JSON printer: the same escapes,
    and every string comes back through the parser. *)
 let json_tests =
-  let member path v =
-    List.fold_left
-      (fun v key -> Option.bind v (Sjson.Json.member key))
-      (Some v) path
-  in
+  let member = Sjson.Json.member in
   let parse s =
     match Sjson.Json.parse s with
     | Ok v -> v
@@ -939,13 +935,13 @@ let json_tests =
                   })
            in
            let first key =
-             match member [ key ] v with
+             match member key v with
              | Some (Sjson.Json.List (item :: _)) -> item
              | Some _ | None -> Alcotest.failf "no %s" key
            in
-           member [ "label" ] v = Some (Sjson.Json.Str label)
-           && member [ "detail" ] (first "runs") = Some (Sjson.Json.Str detail)
-           && member [ "reason" ] (first "skipped")
+           member "label" v = Some (Sjson.Json.Str label)
+           && member "detail" (first "runs") = Some (Sjson.Json.Str detail)
+           && member "reason" (first "skipped")
               = Some (Sjson.Json.Str reason)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:300
@@ -961,8 +957,8 @@ let json_tests =
              }
            in
            let v = parse (Lint.Report.to_json ~model [ d ]) in
-           member [ "model" ] v = Some (Sjson.Json.Str model)
-           && member [ "diagnostics" ] v
+           member "model" v = Some (Sjson.Json.Str model)
+           && member "diagnostics" v
               = Some
                   (Sjson.Json.List
                      [
