@@ -753,15 +753,16 @@ let errors ds = List.filter (fun d -> d.diag_severity = Error) ds
 let warnings ds = List.filter (fun d -> d.diag_severity = Warning) ds
 let is_valid m = errors (check m) = []
 
+let severity_name = function
+  | Error -> "error"
+  | Warning -> "warning"
+
 let to_string d =
-  let sev =
-    match d.diag_severity with
-    | Error -> "error"
-    | Warning -> "warning"
-  in
   let where =
     match d.diag_element with
     | Some id -> Printf.sprintf " [%s]" (Ident.to_string id)
     | None -> ""
   in
-  Printf.sprintf "%s(%s)%s: %s" sev d.diag_rule where d.diag_message
+  Printf.sprintf "%s(%s)%s: %s"
+    (severity_name d.diag_severity)
+    d.diag_rule where d.diag_message

@@ -16,6 +16,10 @@ val compare_severity : severity -> severity -> int
 val pp_severity : Format.formatter -> severity -> unit
 val show_severity : severity -> string
 
+val severity_name : severity -> string
+(** ["error"] or ["warning"]: the spelling of every text and JSON
+    report. *)
+
 type diagnostic = {
   diag_severity : severity;
   diag_rule : string;  (** stable rule identifier, e.g. ["SM-02"] *)

@@ -23,18 +23,13 @@ let to_text ?model diags =
 
 (* --- rule table (socuml rules) ---------------------------------------- *)
 
-let severity_name s =
-  match s with
-  | Wfr.Error -> "error"
-  | Wfr.Warning -> "warning"
-
 let rules_to_text () =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (r : Rules.rule) ->
       Buffer.add_string buf
         (Printf.sprintf "%-8s %-8s %s\n" r.Rules.rule_code
-           (severity_name r.Rules.rule_severity)
+           (Wfr.severity_name r.Rules.rule_severity)
            r.Rules.rule_summary))
     Rules.all;
   Buffer.add_string buf (Printf.sprintf "%d rules\n" (List.length Rules.all));
@@ -45,7 +40,7 @@ let rules_to_json () =
     Json.Obj
       [
         ("code", Json.Str r.Rules.rule_code);
-        ("severity", Json.Str (severity_name r.Rules.rule_severity));
+        ("severity", Json.Str (Wfr.severity_name r.Rules.rule_severity));
         ("summary", Json.Str r.Rules.rule_summary);
       ]
   in
@@ -58,7 +53,7 @@ let rules_to_json () =
 let json_diag (d : Wfr.diagnostic) =
   let element id = ("element", Json.Str (Ident.to_string id)) in
   Json.Obj
-    (("severity", Json.Str (severity_name d.Wfr.diag_severity))
+    (("severity", Json.Str (Wfr.severity_name d.Wfr.diag_severity))
      :: ("rule", Json.Str d.Wfr.diag_rule)
      :: Option.to_list (Option.map element d.Wfr.diag_element)
     @ [ ("message", Json.Str d.Wfr.diag_message) ])
