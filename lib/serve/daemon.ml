@@ -160,6 +160,8 @@ type op_result = {
   oc_answer : Json.encoded * Json.encoded;  (** output and error *)
 }
 
+let no_output = Json.encode ""
+
 (* Run one decoded op with buffer sinks.  Model paths are pre-resolved
    through the cache sequentially, in request order, before the body
    runs — so the reported cache states (and the hit/miss counters) are
@@ -173,14 +175,22 @@ type op_result = {
    before the budget ran out — deterministic under fuel budgets.  Each
    attempt instantiates the op afresh, metrics registry included. *)
 let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
-  let out = Buffer.create 1024 and err = Buffer.create 256 in
-  let sink =
-    { Ops.s_out = Buffer.add_string out; Ops.s_err = Buffer.add_string err }
+  (* Each stream is escaped as it is written, into an encoder made at
+     its first write: a [Stored] reply allocates none. *)
+  let out = ref None and err = ref None in
+  let write stream size s =
+    match !stream with
+    | Some e -> Json.add_piece e s
+    | None ->
+      let e = Json.encoder size in
+      stream := Some e;
+      Json.add_piece e s
   in
+  let sink = { Ops.s_out = write out 1024; Ops.s_err = write err 256 } in
   let cache_info = ref [] in
   let attempt () =
-    Buffer.clear out;
-    Buffer.clear err;
+    out := None;
+    err := None;
     cache_info := [];
     let budget = budget_of_spec t budget_spec in
     let r = make () in
@@ -205,14 +215,17 @@ let run_op t ~op ~budget_spec (make : unit -> Op_spec.run) =
     in
     Ops.guarded_reply sink (fun () -> r.Op_spec.exec ~budget sink loader)
   in
-  (* A stored reply carries its own encoded streams; the sink buffers
-     are only read and escaped for ops that wrote through them. *)
+  (* A stored reply carries its own encoded streams. *)
   let finish ?(outcome = Completed) reply =
     let exit, answer =
       match reply with
       | Ops.Exit code ->
-        let encode b = Json.encode (Buffer.contents b) in
-        (code, (encode out, encode err))
+        let encoded stream =
+          match !stream with
+          | Some e -> Json.encoded e
+          | None -> no_output
+        in
+        (code, (encoded out, encoded err))
       | Ops.Stored a ->
         ((Artifacts.rendered a).Artifacts.exit, Artifacts.encoded a)
     in

@@ -262,9 +262,10 @@ let add_escape buf c =
   | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
 
 (* Each run of bytes that needs no escape goes in with one
-   [add_substring]; response text is mostly such runs. *)
-let escape_into buf s =
-  Buffer.add_char buf '"';
+   [add_substring]; response text is mostly such runs.  The escape of a
+   byte does not depend on its neighbours, so a string escaped piece by
+   piece reads the same as escaped whole. *)
+let escape_body buf s =
   let start = ref 0 in
   for i = 0 to String.length s - 1 do
     match s.[i] with
@@ -274,7 +275,11 @@ let escape_into buf s =
       start := i + 1
     | _c -> ()
   done;
-  Buffer.add_substring buf s !start (String.length s - !start);
+  Buffer.add_substring buf s !start (String.length s - !start)
+
+let escape_into buf s =
+  Buffer.add_char buf '"';
+  escape_body buf s;
   Buffer.add_char buf '"'
 
 (* Separators of compact output, or with a space after each. *)
@@ -361,6 +366,19 @@ type encoded = string
 let encode s =
   let buf = Buffer.create (String.length s + 2) in
   escape_into buf s;
+  Buffer.contents buf
+
+type encoder = Buffer.t
+
+let encoder size =
+  let buf = Buffer.create size in
+  Buffer.add_char buf '"';
+  buf
+
+let add_piece = escape_body
+
+let encoded buf =
+  Buffer.add_char buf '"';
   Buffer.contents buf
 
 (* The head renders as usual and stays open; then each encoded value is

@@ -52,6 +52,20 @@ val encode : string -> encoded
 (** [encode s] is [to_string (Str s)]: the same escaper, into a buffer
     sized for [s]. *)
 
+type encoder
+(** A string literal under construction, escaped piece by piece as it is
+    written: a stream that arrives in pieces is encoded without first
+    being joined into one string. *)
+
+val encoder : int -> encoder
+(** An empty literal, with room for about this many bytes. *)
+
+val add_piece : encoder -> string -> unit
+
+val encoded : encoder -> encoded
+(** [encode] of every piece added, in order, joined; call it once, after
+    the last piece. *)
+
 val splice : (string * t) list -> (string * encoded) list -> string
 (** [splice members tail] is [to_string (Obj (members @ tail'))], where
     [tail'] carries the strings the [tail] values encode.  Each encoded

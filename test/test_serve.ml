@@ -162,6 +162,17 @@ let json_tests =
            Serve.Json.to_string (Serve.Json.Str s)
            = Oracles.Json_escape_ref.quoted s));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"a string escaped in pieces = escaped whole"
+         ~count:500
+         QCheck.(
+           list_of_size Gen.(int_bound 6)
+             (string_gen_of_size Gen.(int_bound 40) Gen.char))
+         (fun pieces ->
+           let e = Serve.Json.encoder 8 in
+           List.iter (Serve.Json.add_piece e) pieces;
+           (Serve.Json.encoded e :> string)
+           = Oracles.Json_escape_ref.quoted (String.concat "" pieces)));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"splice = the printer over the whole object"
          ~count:300
          QCheck.(
