@@ -1443,6 +1443,23 @@ let e18_time f =
   done;
   !best
 
+(* Words one call of [f] allocates, over [n] calls: the work column,
+   which unlike the time does not move with the host's load.  [minor]
+   counts the minor heap; [total] adds the blocks too large for it (over
+   256 words, such as a scanned document's index arrays), which go
+   straight to the major heap.  The minor count comes from
+   [Gc.minor_words]: the one in [Gc.counters] moves only at minor
+   collections on OCaml 5, so it varies with their timing. *)
+let words_per_call n f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let per x = x /. float_of_int n in
+  let minor = per (minor1 -. minor0) in
+  (minor, minor +. per (major1 -. major0 -. (promoted1 -. promoted0)))
+
 let e18_report () =
   sep "E18  snapshot load vs XMI import";
   List.iter
@@ -1450,17 +1467,20 @@ let e18_report () =
       let m = Workload.Gen_model.structural ~seed:3 ~classes in
       let xmi = Xmi.Write.to_string m in
       let snap = Snap.Write.to_string m in
-      let t_import =
-        e18_time (fun () -> ignore (Xmi.Read.model_of_string xmi))
-      in
-      (* the import split into its two layers: XML text to tree, tree to
-         model *)
-      let t_parse = e18_time (fun () -> ignore (Sxml.Parse.parse_string xmi)) in
-      let doc = Sxml.Parse.parse_string xmi in
-      let t_build = e18_time (fun () -> ignore (Xmi.Read.of_xml doc)) in
-      let t_load =
-        e18_time (fun () -> ignore (Snap.Read.model_of_string snap))
-      in
+      let import () = Xmi.Read.model_of_string xmi in
+      let t_import = e18_time import in
+      (* the import split into its two layers: XML text to offset index,
+         index to model *)
+      let scan () = Sxml.Index.scan xmi in
+      let t_scan = e18_time scan in
+      let ix = scan () in
+      let decode () = Xmi.Read.of_index ix in
+      let t_decode = e18_time decode in
+      let load () = Snap.Read.model_of_string snap in
+      let t_load = e18_time load in
+      let words f = words_per_call 10 f in
+      let w_import = words import and w_scan = words scan
+      and w_decode = words decode and w_load = words load in
       let t_export = e18_time (fun () -> ignore (Xmi.Write.to_string m)) in
       let t_pack = e18_time (fun () -> ignore (Snap.Write.to_string m)) in
       (* speed-of-light reference: [Marshal] is an unsafe C-level loader
@@ -1472,16 +1492,31 @@ let e18_report () =
       in
       let lossless = Uml.Model.equal m (Snap.Read.model_of_string snap) in
       Printf.printf
-        "%-6d classes: import %8.3f ms (parse %7.3f + build %7.3f) -> load \
+        "%-6d classes: import %8.3f ms (scan %7.3f + decode %7.3f) -> load \
          %8.3f ms (%6.1fx, marshal floor %6.3f ms), %7d -> %6d bytes, \
          lossless: %b\n"
-        classes (1e3 *. t_import) (1e3 *. t_parse) (1e3 *. t_build)
+        classes (1e3 *. t_import) (1e3 *. t_scan) (1e3 *. t_decode)
         (1e3 *. t_load) (t_import /. t_load) (1e3 *. t_marshal)
         (String.length xmi) (String.length snap) lossless;
+      Printf.printf
+        "%-6d classes: kwords minor/total: import %8.1f/%8.1f (scan \
+         %7.1f/%7.1f + decode %7.1f/%7.1f), load %7.1f/%7.1f\n"
+        classes (fst w_import /. 1e3) (snd w_import /. 1e3)
+        (fst w_scan /. 1e3) (snd w_scan /. 1e3) (fst w_decode /. 1e3)
+        (snd w_decode /. 1e3) (fst w_load /. 1e3) (snd w_load /. 1e3);
       let key fmt = Printf.sprintf fmt classes in
       record_f (key "e18.xmi_import_ms.classes%04d") (1e3 *. t_import);
-      record_f (key "e18.xmi_parse_ms.classes%04d") (1e3 *. t_parse);
-      record_f (key "e18.xmi_build_ms.classes%04d") (1e3 *. t_build);
+      record_f (key "e18.xmi_scan_ms.classes%04d") (1e3 *. t_scan);
+      record_f (key "e18.xmi_decode_ms.classes%04d") (1e3 *. t_decode);
+      List.iter
+        (fun (layer, (minor, total)) ->
+          let key what =
+            Printf.sprintf "e18.%s_%s_words.classes%04d" layer what classes
+          in
+          record_f (key "minor") minor;
+          record_f (key "alloc") total)
+        [ ("xmi_import", w_import); ("xmi_scan", w_scan);
+          ("xmi_decode", w_decode); ("snap_load", w_load) ];
       record_f (key "e18.snap_load_ms.classes%04d") (1e3 *. t_load);
       record_f (key "e18.load_speedup.classes%04d") (t_import /. t_load);
       record_f (key "e18.marshal_load_ms.classes%04d") (1e3 *. t_marshal);
@@ -1525,27 +1560,13 @@ let e19_warm line =
   e19_request daemon line;
   e18_time (fun () -> e19_request daemon line)
 
-(* Words one request allocates on a primed daemon, over a fixed count
-   of requests: the work column, which unlike the time does not move
-   with the host's load.  [minor] counts the minor heap; [total] adds
-   the blocks too large for it (over 256 words, such as a whole
-   generated answer), which go straight to the major heap.  The minor
-   count comes from [Gc.minor_words]: the one in [Gc.counters] moves
-   only at minor collections on OCaml 5, so it varies with their
-   timing. *)
+(* Words one request allocates on a primed daemon (see
+   [words_per_call]; a whole generated answer is a major-heap block). *)
 let e19_words line =
   let daemon = Serve.Daemon.create () in
   e19_request daemon line;
   e19_request daemon line;
-  let n = 50 in
-  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-  for _ = 1 to n do
-    e19_request daemon line
-  done;
-  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
-  let per x = x /. float_of_int n in
-  let minor = per (minor1 -. minor0) in
-  (minor, minor +. per (major1 -. major0 -. (promoted1 -. promoted0)))
+  words_per_call 50 (fun () -> e19_request daemon line)
 
 (* Sleep until every file's mtime and ctime predate the serve cache's
    racy window, so the next verification of their bytes makes the stat

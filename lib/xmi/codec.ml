@@ -1,8 +1,12 @@
 (* The XML interpreter: compiles each {!Schema} node once into an encoder
    that adds attributes and children to the element under construction,
-   and a decoder that reads the value back out of an element. *)
+   and a decoder that reads the value back out of an element of a
+   scanned document.  Decoders compare tags, names and discriminators
+   in place and slice a string out of the input only to keep it or to
+   report it. *)
 
 open Schema
+module Ix = Sxml.Index
 
 (* [Schema.fields] borrows the list syntax; here it means lists *)
 type 'a list = 'a Stdlib.List.t = [] | ( :: ) of 'a * 'a list
@@ -15,7 +19,7 @@ type out = {
   mutable children : Sxml.Doc.t list;
 }
 
-type 'a codec = { enc : out -> 'a -> unit; dec : Sxml.Doc.element -> 'a }
+type 'a codec = { enc : out -> 'a -> unit; dec : Ix.t -> Ix.node -> 'a }
 type 'a case_enc = E : ('a, 'p) case * (out -> 'p -> unit) -> 'a case_enc
 type memo = M : 'a Type.Id.t * 'a codec ref -> memo
 
@@ -38,68 +42,97 @@ let each tag enc =
   let add o x = add_child o (element tag enc x) in
   fun o l -> List.iter (add o) l
 
+let opt_value ix e n =
+  match Ix.find_attr ix e n with
+  | -1 -> None
+  | a -> Some (Ix.value ix a)
+
 let opt_string n =
-  { enc = (fun o -> Option.iter (add_attr o n));
-    dec = (fun e -> Sxml.Doc.attr e n) }
+  { enc = (fun o -> Option.iter (add_attr o n)); dec = (fun ix e -> opt_value ix e n) }
 
-let get_attr e name =
-  match Sxml.Doc.attr e name with
-  | Some v -> v
-  | None -> decode_error "element <%s> missing attribute %s" e.Sxml.Doc.tag name
+(* The attribute [name] of [e]. *)
+let required ix e name =
+  match Ix.find_attr ix e name with
+  | -1 ->
+    decode_error "element <%s> missing attribute %s" (Ix.tag ix e) name
+  | a -> a
 
-let string n = { enc = (fun o -> add_attr o n); dec = (fun e -> get_attr e n) }
+let get_attr ix e name = Ix.value ix (required ix e name)
 
-let xmi_type e =
-  match Sxml.Doc.attr e "xmi:type" with
-  | Some t when String.length t > 4 && String.sub t 0 4 = "uml:" ->
-    String.sub t 4 (String.length t - 4)
-  | Some t -> t
-  | None -> decode_error "<%s> missing xmi:type" e.Sxml.Doc.tag
+let string n =
+  { enc = (fun o -> add_attr o n); dec = (fun ix e -> get_attr ix e n) }
 
-let enum_of_text en s =
-  let rec go i =
-    if i >= Array.length en.all then decode_error "unknown %s %s" en.xml_what s
-    else
-      let v = Array.unsafe_get en.all i in
-      if String.equal (en.spell v) s then v else go (i + 1)
-  in
-  go 0
+(* The [xmi:type] attribute of [e], and where its text starts: past a
+   ["uml:"] prefix when something follows it. *)
+let xmi_type ix e =
+  match Ix.find_attr ix e "xmi:type" with
+  | -1 -> decode_error "<%s> missing xmi:type" (Ix.tag ix e)
+  | a -> a
+
+let type_from ix a =
+  if Ix.value_length ix a > 4 && Ix.value_has_prefix ix a "uml:" then 4 else 0
+
+(* Decoders keyed by text, as a table that [Hashtbl.replace] would
+   build from the pairs: the last decoder of a repeated key wins. *)
+let table pairs =
+  let keys = ref [] and decs = Hashtbl.create 16 in
+  List.iter
+    (fun (k, d) ->
+      if not (Hashtbl.mem decs k) then keys := k :: !keys;
+      Hashtbl.replace decs k d)
+    pairs;
+  let keys = Array.of_list (List.rev !keys) in
+  (keys, Array.map (Hashtbl.find decs) keys)
+
+(* The enum value spelled by attribute [a] from byte [from] on. *)
+let enum_at en =
+  let spells = Array.map en.spell en.all in
+  fun ix a ~from ->
+    match Ix.match_value ix a ~from spells with
+    | -1 -> decode_error "unknown %s %s" en.xml_what (Ix.value_from ix a ~from)
+    | i -> Array.unsafe_get en.all i
 
 let not_a_value () = invalid_arg "Xmi.Codec: not an attribute value"
 
-(* A scalar's attribute text, and its parser for attribute [name]:
-   [required] attributes report a bad integer without echoing it. *)
+(* A scalar's attribute text, and its parser for attribute [name],
+   which reads the attribute at hand: [required] attributes report a bad
+   integer without echoing it. *)
 let rec text :
-    type a. a t -> name:string -> required:bool -> (a -> string) * (string -> a)
-    =
+    type a.
+    a t -> name:string -> required:bool ->
+    (a -> string) * (Ix.t -> Ix.attr -> a) =
  fun ty ~name ~required ->
   match ty with
-  | Str -> (Fun.id, Fun.id)
+  | Str -> (Fun.id, Ix.value)
   (* identifiers are strings *)
-  | Ident -> (Fun.id, Fun.id)
+  | Ident -> (Fun.id, Ix.value)
   | Int ->
     ( string_of_int,
-      fun s ->
-        match int_of_string_opt s with
+      fun ix a ->
+        match Ix.int_value ix a with
         | Some i -> i
         | None when required -> decode_error "bad integer attribute %s" name
-        | None -> decode_error "bad integer attribute %s=%s" name s )
+        | None -> decode_error "bad integer attribute %s=%s" name (Ix.value ix a)
+    )
   | Bool ->
     ( string_of_bool,
-      fun s ->
-        match bool_of_string_opt s with
-        | Some b -> b
-        | None -> decode_error "bad boolean attribute %s=%s" name s )
+      fun ix a ->
+        if Ix.value_is ix a "true" then true
+        else if Ix.value_is ix a "false" then false
+        else decode_error "bad boolean attribute %s=%s" name (Ix.value ix a) )
   | Float ->
     ( Meta.float_text,
-      fun s ->
+      fun ix a ->
+        let s = Ix.value ix a in
         match float_of_string_opt s with
         | Some r -> r
         | None -> decode_error "bad real attribute %s=%s" name s )
-  | Enum en -> (en.spell, enum_of_text en)
+  | Enum en ->
+    let read = enum_at en in
+    (en.spell, fun ix a -> read ix a ~from:0)
   | Custom c ->
     let print, parse = text c.xml ~name ~required in
-    ((fun v -> print (c.to_xml v)), fun s -> c.of_xml (parse s))
+    ((fun v -> print (c.to_xml v)), fun ix a -> c.of_xml (parse ix a))
   | Opt _ | List _ | Record _ | Variant _ | Rec _ -> not_a_value ()
 
 (* every [xmi:type] spelling a value of this schema can carry *)
@@ -130,33 +163,66 @@ let by_case (v : _ variant) encs =
     let Type.Equal = same c.key c'.key in
     f o p
 
-(* Case decoders keyed by discriminator text. *)
-let dispatch cases unknown key =
-  let table = Hashtbl.create 16 in
-  List.iter (fun (k, d) -> Hashtbl.replace table k d) cases;
-  fun e ->
-    let k = key e in
-    match Hashtbl.find table k with
-    | d -> d e
-    | exception Not_found -> raise (Decode_error (Printf.sprintf unknown k))
+(* Case decoders keyed by discriminator text: the value of an
+   attribute (from [~from] on) or the tag. *)
+let dispatch cases unknown by =
+  let keys, decs = table cases in
+  let case ix e i = (Array.unsafe_get decs i) ix e in
+  match by with
+  | By_xmi_type ->
+    fun ix e ->
+      let a = xmi_type ix e in
+      let from = type_from ix a in
+      (match Ix.match_value ix a ~from keys with
+       | -1 ->
+         raise
+           (Decode_error (Printf.sprintf unknown (Ix.value_from ix a ~from)))
+       | i -> case ix e i)
+  | By_attr name ->
+    fun ix e ->
+      let a = required ix e name in
+      (match Ix.match_value ix a ~from:0 keys with
+       | -1 -> raise (Decode_error (Printf.sprintf unknown (Ix.value ix a)))
+       | i -> case ix e i)
+  | By_tag | Kind_pair _ -> (
+    fun ix e ->
+      match Ix.match_tag ix e keys with
+      | -1 -> raise (Decode_error (Printf.sprintf unknown (Ix.tag ix e)))
+      | i -> case ix e i)
+
+(* Items decoded from [c] and its later siblings that [next] reaches, in
+   document order. *)
+let rec items dec next ix c =
+  if c < 0 then []
+  else
+    let x = dec ix c in
+    x :: items dec next ix (next ix c)
+
+(* The same, leaving out the items that decode to [None]. *)
+let rec some_items dec next ix c =
+  if c < 0 then []
+  else
+    match dec ix c with
+    | Some x -> x :: some_items dec next ix (next ix c)
+    | None -> some_items dec next ix (next ix c)
+
+(* A field's decoder failed: its position, and the defect. *)
+exception Failed_field of int * exn
 
 (* What a value writes into, and reads from, its own element. *)
 let rec content : type a. a t -> a codec = function
   | Record (R r) ->
     (* each field is compiled once, when the decoder asks for it *)
     let n = List.length (field_list r.fields) in
-    let encs = Array.make n (fun _ _ -> ()) and checks = Array.make n ignore in
-    (* the position of the field whose decoder raised last *)
-    let failed = ref 0 in
+    let encs = Array.make n (fun _ _ -> ())
+    and checks = Array.make n (fun _ _ -> ()) in
     let on i f =
       let { enc; dec } = field f and get = f.get in
       encs.(i) <- (fun o r -> enc o (get r));
-      checks.(i) <- (fun e -> ignore (dec e));
-      fun e ->
-        try dec e
-        with Decode_error _ as exn ->
-          failed := i;
-          raise exn
+      checks.(i) <- (fun ix e -> ignore (dec ix e));
+      fun (ix, e) ->
+        try dec ix e
+        with Decode_error _ as exn -> raise (Failed_field (i, exn))
     in
     let decode = decode_in_order { on } r.fields r.make in
     let order =
@@ -172,29 +238,29 @@ let rec content : type a. a t -> a codec = function
        decoded twice. *)
     { enc = (fun o v -> List.iter (fun enc -> enc o v) encs);
       dec =
-        (fun e ->
-          try decode e
-          with Decode_error _ as exn ->
-            for i = n - 1 downto !failed + 1 do
-              checks.(i) e
+        (fun ix e ->
+          try decode (ix, e)
+          with Failed_field (failed, exn) ->
+            for i = n - 1 downto failed + 1 do
+              checks.(i) ix e
             done;
             raise exn) }
   | Variant v -> variant v
   | Custom c ->
     let k = content c.xml in
     { enc = (fun o v -> k.enc o (c.to_xml v));
-      dec = (fun e -> c.of_xml (k.dec e)) }
+      dec = (fun ix e -> c.of_xml (k.dec ix e)) }
   | Rec r -> (
     let uid = Type.Id.uid r.fix_key in
     match Hashtbl.find_opt memo uid with
     | Some (M (k, f)) ->
       let Type.Equal = same k r.fix_key in
-      { enc = (fun o v -> !f.enc o v); dec = (fun e -> !f.dec e) }
+      { enc = (fun o v -> !f.enc o v); dec = (fun ix e -> !f.dec ix e) }
     | None ->
-      let f = ref { enc = (fun _ _ -> ()); dec = (fun _ -> assert false) } in
+      let f = ref { enc = (fun _ _ -> ()); dec = (fun _ _ -> assert false) } in
       Hashtbl.add memo uid (M (r.fix_key, f));
       f := content (Lazy.force r.body);
-      { enc = (fun o v -> !f.enc o v); dec = (fun e -> !f.dec e) })
+      { enc = (fun o v -> !f.enc o v); dec = (fun ix e -> !f.dec ix e) })
   | Str | Ident | Int | Bool | Float | Enum _ | Opt _ | List _ ->
     invalid_arg "Xmi.Codec: a scalar or list needs a placement"
 
@@ -211,8 +277,8 @@ and variant : type a. a variant -> a codec =
           match constant c.payload with
           | Some u ->
             let x = c.inj u in
-            fun _ -> x
-          | None -> fun e -> c.inj (payload.dec e)
+            fun _ _ -> x
+          | None -> fun ix e -> c.inj (payload.dec ix e)
         in
         let spelling = Option.value c.spelling ~default:"" in
         let enc =
@@ -238,14 +304,8 @@ and variant : type a. a variant -> a codec =
         (List.map (fun s -> (s, dec)) spellings, E (c, enc)))
       v.cases
   in
-  let key =
-    match v.by with
-    | By_xmi_type -> xmi_type
-    | By_attr a -> fun e -> get_attr e a
-    | By_tag | Kind_pair _ -> fun e -> e.Sxml.Doc.tag
-  in
   { enc = by_case v (List.map snd cases);
-    dec = dispatch (List.concat_map fst cases) v.unknown key }
+    dec = dispatch (List.concat_map fst cases) v.unknown v.by }
 
 (* [fooKind] + [foo]: the encoder, then the decoder of an optional value
    ([None] when [fooKind] is absent and no case is written as absence)
@@ -253,32 +313,35 @@ and variant : type a. a variant -> a codec =
 and kind_pair : type a.
     string -> (string -> string -> string) -> a variant ->
     (out -> a -> unit)
-    * (Sxml.Doc.element -> a option)
-    * (Sxml.Doc.element -> a) =
+    * (Ix.t -> Ix.node -> a option)
+    * (Ix.t -> Ix.node -> a) =
  fun prefix missing v ->
   let kind = prefix ^ "Kind" in
-  let absent = ref None and table = Hashtbl.create 8 in
+  let absent = ref None and cases = ref [] in
   let enc (Any c) =
     match (c.spelling, constant c.payload) with
     | None, _ ->
       let x = Option.map c.inj (constant c.payload) in
-      absent := Option.map (fun x _ -> x) x;
+      absent := Option.map (fun x _ _ -> x) x;
       E (c, fun _ _ -> ())
     | Some s, Some u ->
       let x = c.inj u in
-      Hashtbl.replace table s (fun _ _ -> x);
+      cases := (s, fun _ _ _ -> x) :: !cases;
       E (c, fun o _ -> add_attr o kind s)
     | Some s, None ->
       let print, parse = text c.payload ~name:prefix ~required:true in
-      Hashtbl.replace table s (fun e k ->
-          let p =
-            match Sxml.Doc.attr e prefix with
-            | Some p -> p
-            | None -> raise (Decode_error (missing prefix k))
-          in
-          match parse p with
-          | x -> c.inj x
-          | exception Decode_error _ -> decode_error "bad %s literal %s" k p);
+      let dec ix e k =
+        let a =
+          match Ix.find_attr ix e prefix with
+          | -1 -> raise (Decode_error (missing prefix k))
+          | a -> a
+        in
+        match parse ix a with
+        | x -> c.inj x
+        | exception Decode_error _ ->
+          decode_error "bad %s literal %s" k (Ix.value ix a)
+      in
+      cases := (s, dec) :: !cases;
       E
         ( c,
           fun o p ->
@@ -286,20 +349,22 @@ and kind_pair : type a.
             add_attr o prefix (print p) )
   in
   let enc = by_case v (List.map enc v.cases) and absent = !absent in
-  let find e k =
-    match Hashtbl.find table k with
-    | d -> d e k
-    | exception Not_found -> raise (Decode_error (Printf.sprintf v.unknown k))
+  let keys, decs = table (List.rev !cases) in
+  (* the case the [fooKind] attribute names *)
+  let find ix e a =
+    match Ix.match_value ix a ~from:0 keys with
+    | -1 -> raise (Decode_error (Printf.sprintf v.unknown (Ix.value ix a)))
+    | i -> (Array.unsafe_get decs i) ix e (Array.unsafe_get keys i)
   in
-  let opt e =
-    match Sxml.Doc.attr e kind with
-    | Some k -> Some (find e k)
-    | None -> Option.map (fun d -> d e) absent
-  and req e =
-    match (Sxml.Doc.attr e kind, absent) with
-    | Some k, _ -> find e k
-    | None, Some d -> d e
-    | None, None -> decode_error "%s without %s" e.Sxml.Doc.tag prefix
+  let opt ix e =
+    match Ix.find_attr ix e kind with
+    | -1 -> Option.map (fun d -> d ix e) absent
+    | a -> Some (find ix e a)
+  and req ix e =
+    match (Ix.find_attr ix e kind, absent) with
+    | -1, Some d -> d ix e
+    | -1, None -> decode_error "%s without %s" (Ix.tag ix e) prefix
+    | a, _ -> find ix e a
   in
   (enc, opt, req)
 
@@ -309,7 +374,7 @@ and place : type a. place -> a t -> default:a option -> omit:bool -> a codec =
   | _, Custom c ->
     let k = place at c.xml ~default:None ~omit:false in
     { enc = (fun o v -> k.enc o (c.to_xml v));
-      dec = (fun e -> c.of_xml (k.dec e)) }
+      dec = (fun ix e -> c.of_xml (k.dec ix e)) }
   | Attr n, Variant ({ by = Kind_pair missing; _ } as v) ->
     let enc, _, dec = kind_pair n missing v in
     { enc; dec }
@@ -324,7 +389,11 @@ and place : type a. place -> a t -> default:a option -> omit:bool -> a codec =
   | Attr n, Opt s ->
     let print, parse = text s ~name:n ~required:false in
     { enc = (fun o -> Option.iter (fun x -> add_attr o n (print x)));
-      dec = (fun e -> Option.map parse (Sxml.Doc.attr e n)) }
+      dec =
+        (fun ix e ->
+          match Ix.find_attr ix e n with
+          | -1 -> None
+          | a -> Some (parse ix a)) }
   | Attr n, _ -> (
     let print, parse = text ty ~name:n ~required:(Option.is_none default) in
     match default with
@@ -332,46 +401,61 @@ and place : type a. place -> a t -> default:a option -> omit:bool -> a codec =
       { enc =
           (fun o v -> if not (omit && v = d) then add_attr o n (print v));
         dec =
-          (fun e ->
-            match Sxml.Doc.attr e n with
-            | Some s -> parse s
-            | None -> d) }
+          (fun ix e ->
+            match Ix.find_attr ix e n with
+            | -1 -> d
+            | a -> parse ix a) }
     | None ->
       { enc = (fun o v -> add_attr o n (print v));
-        dec = (fun e -> parse (get_attr e n)) })
+        dec = (fun ix e -> parse ix (required ix e n)) })
   | Xmi_type, Enum en ->
+    let read = enum_at en in
     { enc = (fun o v -> o.xtype <- Some (en.spell v));
-      dec = (fun e -> enum_of_text en (xmi_type e)) }
+      dec =
+        (fun ix e ->
+          let a = xmi_type ix e in
+          read ix a ~from:(type_from ix a)) }
   | (Xmi_type | Inline), _ -> content ty
   | Each (tag, Attr n), List (Variant ({ by = Kind_pair missing; _ } as v)) ->
     (* a list item that carries no value is skipped *)
     let enc, dec, _ = kind_pair n missing v in
+    let next ix c = Ix.next_tagged ix c tag in
     { enc = each tag enc;
-      dec = (fun e -> List.filter_map dec (Sxml.Doc.find_children e tag)) }
+      dec = (fun ix e -> some_items dec next ix (Ix.find_child ix e tag)) }
   | Each (tag, inner), List a ->
     let item = place inner a ~default:None ~omit:false in
+    let next ix c = Ix.next_tagged ix c tag in
     { enc = each tag item.enc;
-      dec = (fun e -> List.map item.dec (Sxml.Doc.find_children e tag)) }
+      dec = (fun ix e -> items item.dec next ix (Ix.find_child ix e tag)) }
   | Child tag, _ ->
     let k = content ty in
     { enc = (fun o v -> add_child o (element tag k.enc v));
       dec =
-        (fun e ->
-          match Sxml.Doc.find_child e tag with
-          | Some c -> k.dec c
-          | None -> decode_error "%s without %s" e.Sxml.Doc.tag tag) }
+        (fun ix e ->
+          match Ix.find_child ix e tag with
+          | -1 -> decode_error "%s without %s" (Ix.tag ix e) tag
+          | c -> k.dec ix c) }
   | Tagged strict, List a ->
     let item = content a in
-    let children e = Sxml.Doc.child_elements e in
-    let children =
-      if strict then children
+    let dec =
+      if strict then fun ix e -> items item.dec Ix.next_element ix (Ix.first_element ix e)
       else
-        let tags = tags_of a in
-        fun e ->
-          List.filter (fun c -> List.mem c.Sxml.Doc.tag tags) (children e)
+        let tags = Array.of_list (tags_of a) in
+        let rec next ix c =
+          match Ix.next_element ix c with
+          | -1 -> -1
+          | c when Ix.match_tag ix c tags >= 0 -> c
+          | c -> next ix c
+        in
+        let first ix e =
+          match Ix.first_element ix e with
+          | -1 -> -1
+          | c when Ix.match_tag ix c tags >= 0 -> c
+          | c -> next ix c
+        in
+        fun ix e -> items item.dec next ix (first ix e)
     in
-    { enc = (fun o l -> List.iter (item.enc o) l);
-      dec = (fun e -> List.map item.dec (children e)) }
+    { enc = (fun o l -> List.iter (item.enc o) l); dec }
   | (Each _ | Tagged _), _ -> invalid_arg "Xmi.Codec: not a list"
 
 and tags_of : type a. a t -> string list = function
