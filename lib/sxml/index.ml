@@ -6,15 +6,28 @@ exception Error of {
 
 let max_depth = 1024
 
-(* Node [n] owns [nodes.(n * node_width) ..] : the start and stop of its
-   tag (text: of its run, or [- slot - 1] when decoded), its attribute
-   slots [lo, hi) (text: [-1]), its first child and its next sibling
-   ([-1] for none).  Attribute [a] owns [attrs.(a * attr_width) ..] :
-   the start and stop of its name and of its value (or [- slot - 1]
-   when decoded).  Nodes are numbered in document order, the root
-   first. *)
-let node_width = 6
-let attr_width = 4
+(* Node [n] owns [nodes.(n * node_width) ..]: its tag's span ([- slot -
+   1] for a text node, whose text is always in [decoded]), its first
+   attribute, its first child and its next sibling ([-1] for none).
+   Nodes are numbered in document order, the root first, and so are
+   attributes: a node's attributes run up to the next node's first.
+   Attribute [a] owns [attrs.(a * attr_width) ..]: its name's span, and
+   its value's span or, when decoded, [- slot - 1].  A span packs an
+   offset and a length in one int, the length in the low [name_bits]
+   or [value_bits] bits; a longer span saturates them, and its end is
+   found again from the input: a name's at the first byte that cannot
+   be in a name, a value's at the next quote like the opening one.
+   Small arrays keep the index cheap to allocate and to collect. *)
+let node_width = 4
+let attr_width = 2
+let name_bits = 8
+let value_bits = 24
+
+(* Offsets must fit above the value length bits. *)
+let max_input = 1 lsl (Sys.int_size - 1 - value_bits)
+let pack bits start len =
+  let mask = (1 lsl bits) - 1 in
+  (start lsl bits) lor if len < mask then len else mask
 
 type node = int
 type attr = int
@@ -22,9 +35,11 @@ type attr = int
 type t = {
   input : string;
   nodes : int array;
+  n_nodes : int;
   attrs : int array;
+  n_attrs : int;
   decoded : string array;
-      (** values and text that held references or CDATA *)
+      (** text, and values that held references or CDATA *)
 }
 
 (* The scanner works on byte offsets into [input].  Line and column are
@@ -69,31 +84,30 @@ let grow st a need fill =
   if need <= Array.length a then a
   else begin
     let rest = need * (st.len - st.pos) / (st.pos + 1) in
-    let b = Array.make (need + max (need / 2) (rest + (rest / 8))) fill in
+    let b = Array.make (need + Int.max (need / 2) (rest + (rest / 8))) fill in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
 
-(* A new childless node; returns its number. *)
-let add_node st start stop lo hi =
+(* A new childless node whose attributes start at [lo]; returns its
+   number. *)
+let add_node st start lo =
   let n = st.n_nodes in
   let i = n * node_width in
   st.nodes <- grow st st.nodes (i + node_width) 0;
   let a = st.nodes in
   Array.unsafe_set a i start;
-  Array.unsafe_set a (i + 1) stop;
-  Array.unsafe_set a (i + 2) lo;
-  Array.unsafe_set a (i + 3) hi;
-  Array.unsafe_set a (i + 4) (-1);
-  Array.unsafe_set a (i + 5) (-1);
+  Array.unsafe_set a (i + 1) lo;
+  Array.unsafe_set a (i + 2) (-1);
+  Array.unsafe_set a (i + 3) (-1);
   st.n_nodes <- n + 1;
   n
 
 (* Hang [child] under [parent] after [last] (its previous child, or
    [-1]); returns [child], the new last child. *)
 let link st parent last child =
-  if last < 0 then st.nodes.((parent * node_width) + 4) <- child
-  else st.nodes.((last * node_width) + 5) <- child;
+  if last < 0 then st.nodes.((parent * node_width) + 2) <- child
+  else st.nodes.((last * node_width) + 3) <- child;
   child
 
 let add_decoded st s =
@@ -212,43 +226,34 @@ let rec quoted_end input len quote i =
     let c = String.unsafe_get input i in
     if c = quote || c = '&' then i else quoted_end input len quote (i + 1)
 
-(* Record [input.[start..stop)], appended to whatever [buf] holds, at
-   [a.(i)] and [a.(i + 1)], leaving [buf] empty: a span when there was
-   no reference or CDATA, else a decoded slot. *)
-let take st a i start stop =
-  if Buffer.length st.buf = 0 then begin
-    a.(i) <- start;
-    a.(i + 1) <- stop
-  end
-  else begin
-    Buffer.add_substring st.buf st.input start (stop - start);
-    let s = Buffer.contents st.buf in
-    Buffer.clear st.buf;
-    a.(i) <- add_decoded st s;
-    a.(i + 1) <- 0
-  end
-
-(* The value of the attribute whose slot begins at [attrs.(i)]. *)
-let rec read_value st quote i =
-  let start = st.pos in
+(* The rest of an attribute value from [start], where the value began
+   at [first]: its span, or its decoded slot when [buf] holds the part
+   before a reference.  [buf] is left empty. *)
+let rec read_value st quote first start =
   st.pos <- quoted_end st.input st.len quote start;
   if st.pos >= st.len then fail st "unterminated attribute value"
   else if String.unsafe_get st.input st.pos = quote then begin
     st.pos <- st.pos + 1;
-    take st st.attrs (i + 2) start (st.pos - 1)
+    if Buffer.length st.buf = 0 then pack value_bits first (st.pos - 1 - first)
+    else begin
+      Buffer.add_substring st.buf st.input start (st.pos - 1 - start);
+      let s = Buffer.contents st.buf in
+      Buffer.clear st.buf;
+      add_decoded st s
+    end
   end
   else begin
     Buffer.add_substring st.buf st.input start (st.pos - start);
     st.pos <- st.pos + 1;
     decode_entity st st.buf;
-    read_value st quote i
+    read_value st quote first st.pos
   end
 
-let read_quoted st i =
+let read_quoted st =
   let quote = if st.pos < st.len then st.input.[st.pos] else '\000' in
   if quote <> '"' && quote <> '\'' then fail st "expected quoted value";
   st.pos <- st.pos + 1;
-  read_value st quote i
+  read_value st quote st.pos st.pos
 
 (* Skip past the next [terminator], starting [skip] bytes on. *)
 let skip_through st ~skip terminator message =
@@ -296,39 +301,40 @@ let rec text_end input len i =
 (* Close the pending text node of [parent], whose unbuffered tail is
    [input.[start..stop)]; returns the new last child.  Whitespace-only
    text is dropped unless [keep_whitespace], without being copied. *)
+let add_text st parent last s =
+  link st parent last (add_node st (add_decoded st s) st.n_attrs)
+
 let flush_text st parent last start stop =
   if Buffer.length st.buf = 0 then
     if stop = start then last
     else if (not st.keep_whitespace) && blank st.input start stop then last
-    else link st parent last (add_node st start stop (-1) (-1))
+    else add_text st parent last (String.sub st.input start (stop - start))
   else begin
     Buffer.add_substring st.buf st.input start (stop - start);
     let s = Buffer.contents st.buf in
     Buffer.clear st.buf;
     if (not st.keep_whitespace) && blank s 0 (String.length s) then last
-    else link st parent last (add_node st (add_decoded st s) 0 (-1) (-1))
+    else add_text st parent last s
   end
 
 let rec read_attrs st =
   skip_spaces st;
   if not (at st '/' || at st '>') then begin
     let start = scan_name st in
-    let a = st.n_attrs in
-    let i = a * attr_width in
-    st.attrs <- grow st st.attrs (i + attr_width) 0;
-    st.attrs.(i) <- start;
-    st.attrs.(i + 1) <- st.pos;
+    let name = pack name_bits start (st.pos - start) in
     skip_spaces st;
     if not (at st '=') then fail st "expected '=' after attribute name";
     st.pos <- st.pos + 1;
     skip_spaces st;
-    read_quoted st i;
+    let value = read_quoted st in
+    let a = st.n_attrs in
+    let i = a * attr_width in
+    st.attrs <- grow st st.attrs (i + attr_width) 0;
+    Array.unsafe_set st.attrs i name;
+    Array.unsafe_set st.attrs (i + 1) value;
     st.n_attrs <- a + 1;
     read_attrs st
   end
-
-let span_equal input start stop s =
-  stop - start = String.length s && matches input start s 0
 
 let slice input start stop = String.sub input start (stop - start)
 
@@ -351,7 +357,7 @@ let rec parse_element st depth =
   let stop = st.pos in
   let lo = st.n_attrs in
   read_attrs st;
-  let n = add_node st start stop lo st.n_attrs in
+  let n = add_node st (pack name_bits start (stop - start)) lo in
   if at st '/' then begin
     st.pos <- st.pos + 1;
     if not (at st '>') then fail st "expected '>' after '/'";
@@ -447,104 +453,130 @@ let scan ?(keep_whitespace = false) input =
       n_decoded = 0;
     }
   in
+  if len >= max_input then fail st "document too large to index";
   skip_misc st;
   if not (at st '<') then fail st "expected root element";
   ignore (parse_element st 1 : node);
   skip_misc st;
   if st.pos < st.len then fail st "trailing content after root element";
-  { input; nodes = st.nodes; attrs = st.attrs; decoded = st.decoded }
+  {
+    input;
+    nodes = st.nodes;
+    n_nodes = st.n_nodes;
+    attrs = st.attrs;
+    n_attrs = st.n_attrs;
+    decoded = st.decoded;
+  }
 
 (* --- reading ------------------------------------------------------------- *)
 
 let root = 0
 let field (ix : t) n k = Array.unsafe_get ix.nodes ((n * node_width) + k)
-let is_element (ix : t) n = field ix n 2 >= 0
-let tag_is (ix : t) n s = span_equal ix.input (field ix n 0) (field ix n 1) s
-let tag (ix : t) n = slice ix.input (field ix n 0) (field ix n 1)
+let attr_field (ix : t) a k = Array.unsafe_get ix.attrs ((a * attr_width) + k)
+let name_mask = (1 lsl name_bits) - 1
+let value_mask = (1 lsl value_bits) - 1
 
-let text (ix : t) n =
-  let start = field ix n 0 in
-  if start < 0 then ix.decoded.(-start - 1)
-  else slice ix.input start (field ix n 1)
+(* The start and the length of the name spanned by [p]. *)
+let name_start p = p lsr name_bits
 
-let first_child (ix : t) n = field ix n 4
-let next_sibling (ix : t) n = field ix n 5
+let name_length input p =
+  let n = p land name_mask in
+  if n < name_mask then n
+  else name_end input (String.length input) (name_start p) - name_start p
 
-let rec element_from (ix : t) c =
+let name_is input p s =
+  let n = p land name_mask and len = String.length s in
+  (if n < name_mask then n = len else name_length input p = len)
+  && matches input (name_start p) s 0
+
+let name_of input p = String.sub input (name_start p) (name_length input p)
+let is_element ix n = field ix n 0 >= 0
+let tag (ix : t) n = name_of ix.input (field ix n 0)
+let tag_is (ix : t) n s = name_is ix.input (field ix n 0) s
+
+let rec match_name input p keys i =
+  if i >= Array.length keys then -1
+  else if name_is input p (Array.unsafe_get keys i) then i
+  else match_name input p keys (i + 1)
+
+let match_tag (ix : t) n keys = match_name ix.input (field ix n 0) keys 0
+let text (ix : t) n = ix.decoded.(-field ix n 0 - 1)
+let first_child ix n = field ix n 2
+let next_sibling ix n = field ix n 3
+
+let rec element_from ix c =
   if c < 0 || is_element ix c then c else element_from ix (next_sibling ix c)
 
-let first_element (ix : t) n = element_from ix (first_child ix n)
-let next_element (ix : t) c = element_from ix (next_sibling ix c)
+let first_element ix n = element_from ix (first_child ix n)
+let next_element ix c = element_from ix (next_sibling ix c)
 
-let rec tagged_from (ix : t) c s =
+let rec tagged_from ix c s =
   if c < 0 || (is_element ix c && tag_is ix c s) then c
   else tagged_from ix (next_sibling ix c) s
 
-let find_child (ix : t) n s = tagged_from ix (first_child ix n) s
-let next_tagged (ix : t) c s = tagged_from ix (next_sibling ix c) s
+let find_child ix n s = tagged_from ix (first_child ix n) s
+let next_tagged ix c s = tagged_from ix (next_sibling ix c) s
+
+(* Node [n]'s attributes end where the next node's begin. *)
+let attr_stop (ix : t) n =
+  if n + 1 < ix.n_nodes then field ix (n + 1) 1 else ix.n_attrs
+
+let rec attr_from (ix : t) a stop name =
+  if a >= stop then -1
+  else if name_is ix.input (attr_field ix a 0) name then a
+  else attr_from ix (a + 1) stop name
+
+let find_attr ix n name = attr_from ix (field ix n 1) (attr_stop ix n) name
+let attrs ix n = List.init (attr_stop ix n - field ix n 1) (( + ) (field ix n 1))
+let attr_name (ix : t) a = name_of ix.input (attr_field ix a 0)
+
+(* A plain value spanned by [v] ends [value_stop input v]. *)
+let value_stop input v =
+  let start = v lsr value_bits and n = v land value_mask in
+  if n < value_mask then start + n
+  else String.index_from input start (String.unsafe_get input (start - 1))
 
 let rec match_span input start stop keys i =
   if i >= Array.length keys then -1
-  else if span_equal input start stop (Array.unsafe_get keys i) then i
-  else match_span input start stop keys (i + 1)
-
-let match_tag (ix : t) n keys = match_span ix.input (field ix n 0) (field ix n 1) keys 0
-
-let attr_field (ix : t) a k = Array.unsafe_get ix.attrs ((a * attr_width) + k)
-
-let rec attr_from (ix : t) a hi name =
-  if a >= hi then -1
-  else if span_equal ix.input (attr_field ix a 0) (attr_field ix a 1) name then
-    a
-  else attr_from ix (a + 1) hi name
-
-let find_attr (ix : t) n name = attr_from ix (field ix n 2) (field ix n 3) name
-
-let attrs (ix : t) n =
-  List.init
-    (field ix n 3 - field ix n 2)
-    (fun k -> field ix n 2 + k)
-
-let attr_name (ix : t) a = slice ix.input (attr_field ix a 0) (attr_field ix a 1)
-
-(* A value as a span [start, stop) of [source]. *)
-let value_source (ix : t) a =
-  let start = attr_field ix a 2 in
-  if start < 0 then ix.decoded.(-start - 1) else ix.input
-
-let value_start (ix : t) a =
-  let start = attr_field ix a 2 in
-  if start < 0 then 0 else start
-
-let value_stop (ix : t) a =
-  let start = attr_field ix a 2 in
-  if start < 0 then String.length ix.decoded.(-start - 1)
-  else attr_field ix a 3
-
-let value_length (ix : t) a = value_stop ix a - value_start ix a
+  else
+    let k = Array.unsafe_get keys i in
+    if stop - start = String.length k && matches input start k 0 then i
+    else match_span input start stop keys (i + 1)
 
 let value_from (ix : t) a ~from =
-  let start = value_start ix a + from in
-  slice (value_source ix a) start (value_stop ix a)
+  let v = attr_field ix a 1 in
+  if v < 0 then
+    let s = ix.decoded.(-v - 1) in
+    slice s from (String.length s)
+  else slice ix.input ((v lsr value_bits) + from) (value_stop ix.input v)
 
 let value (ix : t) a =
-  let start = attr_field ix a 2 in
-  if start < 0 then ix.decoded.(-start - 1)
-  else slice ix.input start (attr_field ix a 3)
+  let v = attr_field ix a 1 in
+  if v < 0 then ix.decoded.(-v - 1)
+  else slice ix.input (v lsr value_bits) (value_stop ix.input v)
 
-let value_is (ix : t) a s =
-  span_equal (value_source ix a) (value_start ix a) (value_stop ix a) s
-
-let value_has_prefix (ix : t) a s =
-  value_length ix a >= String.length s
-  && matches (value_source ix a) (value_start ix a) s 0
+let value_length (ix : t) a =
+  let v = attr_field ix a 1 in
+  if v < 0 then String.length ix.decoded.(-v - 1)
+  else value_stop ix.input v - (v lsr value_bits)
 
 let match_value (ix : t) a ~from keys =
-  match_span (value_source ix a) (value_start ix a + from) (value_stop ix a)
-    keys 0
+  let v = attr_field ix a 1 in
+  if v < 0 then
+    let s = ix.decoded.(-v - 1) in
+    match_span s from (String.length s) keys 0
+  else
+    match_span ix.input ((v lsr value_bits) + from) (value_stop ix.input v)
+      keys 0
 
-(* At most 18 decimal digits cannot overflow; anything else takes the
-   general parser, so the accepted spellings are [int_of_string]'s. *)
+let value_has_prefix (ix : t) a s =
+  let v = attr_field ix a 1 in
+  if v < 0 then String.starts_with ~prefix:s ix.decoded.(-v - 1)
+  else
+    let start = v lsr value_bits in
+    value_stop ix.input v - start >= String.length s
+    && matches ix.input start s 0
+
 let rec digits s i stop acc =
   if i >= stop then acc
   else
@@ -552,14 +584,24 @@ let rec digits s i stop acc =
     | '0' .. '9' as c -> digits s (i + 1) stop ((10 * acc) + Char.code c - 48)
     | _ -> -1
 
-let int_value (ix : t) a =
-  let s = value_source ix a
-  and start = value_start ix a
-  and stop = value_stop ix a in
+(* [s.[start..stop)] as an optional minus and at most 18 decimal digits,
+   which cannot overflow. *)
+let decimal s start stop =
   let neg = start < stop && String.unsafe_get s start = '-' in
   let first = if neg then start + 1 else start in
+  if first < stop && stop - first <= 18 then
+    match digits s first stop 0 with
+    | -1 -> None
+    | n -> Some (if neg then -n else n)
+  else None
+
+(* Plain decimals are read in place; anything else takes the general
+   parser, so the accepted spellings are [int_of_string]'s. *)
+let int_value (ix : t) a =
+  let v = attr_field ix a 1 in
   match
-    if first < stop && stop - first <= 18 then digits s first stop 0 else -1
+    if v < 0 then None
+    else decimal ix.input (v lsr value_bits) (value_stop ix.input v)
   with
-  | -1 -> int_of_string_opt (value ix a)
-  | n -> Some (if neg then -n else n)
+  | Some _ as n -> n
+  | None -> int_of_string_opt (value ix a)

@@ -11,7 +11,7 @@
 
     Nodes and attributes are numbered in document order, the root node
     being [0]; a negative number means none.  Readers allocate only the
-    strings and lists they return.  An index is immutable once built and
+    strings, options and lists they return.  An index is immutable once built and
     may be read from several domains. *)
 
 exception Error of {
@@ -87,7 +87,6 @@ val value_from : t -> attr -> from:int -> string
 (** The value from byte [from] on. *)
 
 val value_length : t -> attr -> int
-val value_is : t -> attr -> string -> bool
 val value_has_prefix : t -> attr -> string -> bool
 
 val match_value : t -> attr -> from:int -> string array -> int

@@ -1,26 +1,24 @@
 (** XML parser.
 
-    Handwritten recursive-descent parser for the XML subset produced by
-    {!Doc.to_string} and common XMI exporters: prolog, comments, CDATA,
-    DOCTYPE (skipped), elements, attributes (single or double quoted),
-    character and entity references.
+    Handwritten parser for the XML subset produced by {!Doc.to_string}
+    and common XMI exporters: prolog, comments, CDATA, DOCTYPE (skipped),
+    elements, attributes (single or double quoted), character and entity
+    references.
 
-    It scans byte offsets: names, plain attribute values and text runs
-    are sliced out of the input with one copy each, and whitespace
-    between elements is tested in place and dropped without allocating.
-    Error positions are computed only when an error is raised. *)
+    {!parse_string} is {!Index.scan}, the one scanner, plus a tree
+    builder over the index it returns: the grammar, the checks and every
+    {!Error} are the scanner's.  Callers that only read the document,
+    such as XMI import, use the index directly and build no tree. *)
 
 exception Error of {
   line : int;
   column : int;
   message : string;
 }
+(** The scanner's {!Index.Error}. *)
 
 val max_depth : int
-(** Deepest element nesting accepted (1024 levels, the root being level
-    1).  A document nested deeper is rejected with an {!Error} at the
-    first element beyond the limit, so hostile input cannot make the
-    parse cost grow faster than its size. *)
+(** {!Index.max_depth}: 1024 levels. *)
 
 val parse_string : ?keep_whitespace:bool -> string -> Doc.t
 (** Parse a complete document and return the root element.

@@ -92,6 +92,9 @@ let enum_at en =
     | -1 -> decode_error "unknown %s %s" en.xml_what (Ix.value_from ix a ~from)
     | i -> Array.unsafe_get en.all i
 
+(* [bool_of_string]'s spellings, by position *)
+let booleans = [| "true"; "false" |]
+
 let not_a_value () = invalid_arg "Xmi.Codec: not an attribute value"
 
 (* A scalar's attribute text, and its parser for attribute [name],
@@ -117,9 +120,10 @@ let rec text :
   | Bool ->
     ( string_of_bool,
       fun ix a ->
-        if Ix.value_is ix a "true" then true
-        else if Ix.value_is ix a "false" then false
-        else decode_error "bad boolean attribute %s=%s" name (Ix.value ix a) )
+        match Ix.match_value ix a ~from:0 booleans with
+        | 0 -> true
+        | 1 -> false
+        | _ -> decode_error "bad boolean attribute %s=%s" name (Ix.value ix a) )
   | Float ->
     ( Meta.float_text,
       fun ix a ->

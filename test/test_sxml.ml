@@ -420,6 +420,93 @@ let differential_tests =
              [ false; true ]));
   ]
 
+(* The index read directly: lookups that XMI import relies on, and the
+   spans whose lengths no longer fit beside their offsets. *)
+let index_tests =
+  let ix = Sxml.Index.scan in
+  [
+    tc "children by tag, first attribute of a name" (fun () ->
+        let i =
+          ix "<r a='1' a='2' ab='3'><x/><y k='v'/>text<x n='2'/></r>"
+        in
+        let r = Sxml.Index.root in
+        check Alcotest.string "first of two" "1"
+          (Sxml.Index.value i (Sxml.Index.find_attr i r "a"));
+        check Alcotest.string "longer name" "3"
+          (Sxml.Index.value i (Sxml.Index.find_attr i r "ab"));
+        check Alcotest.int "absent" (-1) (Sxml.Index.find_attr i r "b");
+        let x = Sxml.Index.find_child i r "x" in
+        let x' = Sxml.Index.next_tagged i x "x" in
+        check Alcotest.string "second x" "2"
+          (Sxml.Index.value i (Sxml.Index.find_attr i x' "n"));
+        check Alcotest.int "no third" (-1) (Sxml.Index.next_tagged i x' "x");
+        check Alcotest.int "no prefix match" (-1)
+          (Sxml.Index.find_child i r "");
+        check Alcotest.int "tag among keys" 1
+          (Sxml.Index.match_tag i (Sxml.Index.next_element i x)
+             [| "x"; "y" |]));
+    tc "decoded values compare and slice like plain ones" (fun () ->
+        let i = ix "<r t='uml:Cl&#97;ss' u=\"uml:Class\" n='-&#52;2'/>" in
+        let r = Sxml.Index.root in
+        List.iter
+          (fun name ->
+            let a = Sxml.Index.find_attr i r name in
+            check Alcotest.bool "prefix" true
+              (Sxml.Index.value_has_prefix i a "uml:");
+            check Alcotest.int "match from" 0
+              (Sxml.Index.match_value i a ~from:4 [| "Class"; "uml:Class" |]);
+            check Alcotest.string "rest" "Class"
+              (Sxml.Index.value_from i a ~from:4))
+          [ "t"; "u" ];
+        check Alcotest.(option int) "decoded int" (Some (-42))
+          (Sxml.Index.int_value i (Sxml.Index.find_attr i r "n")));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"int_value = int_of_string_opt" ~count:1000
+         QCheck.(
+           oneof
+             [
+               map string_of_int int;
+               string_gen_of_size Gen.(int_bound 22)
+                 (Gen.oneofl
+                    [ '0'; '1'; '9'; '-'; '+'; 'x'; '_'; ' '; 'e'; 'b' ]);
+             ])
+         (fun v ->
+           let i = ix ("<r v=\"" ^ v ^ "\"/>") in
+           Sxml.Index.int_value i (Sxml.Index.find_attr i Sxml.Index.root "v")
+           = int_of_string_opt v));
+    tc "names of 255 bytes and more" (fun () ->
+        List.iter
+          (fun n ->
+            let name = String.make n 'n' in
+            let doc =
+              Sxml.Doc.element ~attrs:[ (name, "v"); (name ^ "x", "w") ] name
+                [ Sxml.Doc.element name [] ]
+            in
+            let src = Sxml.Doc.to_string doc in
+            check Alcotest.bool "tree" true
+              (Sxml.Doc.equal doc (Sxml.Parse.parse_string src));
+            let i = ix src in
+            let r = Sxml.Index.root in
+            check Alcotest.bool "tag" true (Sxml.Index.tag_is i r name);
+            check Alcotest.bool "not a longer tag" false
+              (Sxml.Index.tag_is i r (name ^ "n"));
+            check Alcotest.string "attribute" "w"
+              (Sxml.Index.value i (Sxml.Index.find_attr i r (name ^ "x")));
+            check Alcotest.int "child" 1 (Sxml.Index.find_child i r name))
+          [ 254; 255; 256; 300 ]);
+    tc "values of 2^24 bytes and more" (fun () ->
+        List.iter
+          (fun n ->
+            let v = String.make n 'v' in
+            let i = ix ("<r a='" ^ v ^ "' b='1'/>") in
+            let a = Sxml.Index.find_attr i Sxml.Index.root "a" in
+            check Alcotest.int "length" n (Sxml.Index.value_length i a);
+            check Alcotest.bool "value" true (Sxml.Index.value i a = v);
+            check Alcotest.string "next" "1"
+              (Sxml.Index.value i (Sxml.Index.find_attr i Sxml.Index.root "b")))
+          [ (1 lsl 24) - 2; (1 lsl 24) - 1; (1 lsl 24) + 3 ]);
+  ]
+
 let () =
   Alcotest.run "sxml"
     [
@@ -428,4 +515,5 @@ let () =
       ("positions", position_tests);
       ("roundtrip", roundtrip_tests);
       ("reference", differential_tests);
+      ("index", index_tests);
     ]
