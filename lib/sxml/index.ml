@@ -23,8 +23,9 @@ let attr_width = 2
 let name_bits = 8
 let value_bits = 24
 
-(* Offsets must fit above the value length bits. *)
+(* Offsets must fit above the value length bits: 256 GiB. *)
 let max_input = 1 lsl (Sys.int_size - 1 - value_bits)
+
 let pack bits start len =
   let mask = (1 lsl bits) - 1 in
   (start lsl bits) lor if len < mask then len else mask
@@ -44,9 +45,12 @@ type t = {
 
 (* The scanner works on byte offsets into [input].  Line and column are
    derived from the offset only when an error is raised, so the hot
-   paths carry no position bookkeeping.  Text and attribute values that
-   contain no reference or CDATA are recorded as spans of [input];
-   [buf] collects the rest and is empty between text nodes. *)
+   paths carry no position bookkeeping.  Attribute values that contain
+   no reference are recorded as spans of [input], and whitespace between
+   elements is tested in place and dropped; text that is kept is copied
+   (XMI carries its data in attributes).  [buf] collects the parts of a
+   value or text around references and CDATA, and is empty between
+   them. *)
 type state = {
   input : string;
   len : int;
@@ -384,38 +388,40 @@ and parse_content st n tag tag_stop depth last =
     decode_entity st st.buf;
     parse_content st n tag tag_stop depth last
   end
-  else if looking_at st "<![CDATA[" then begin
-    Buffer.add_substring st.buf st.input start (st.pos - start);
-    read_cdata st;
-    parse_content st n tag tag_stop depth last
-  end
-  else begin
-    let last = flush_text st n last start st.pos in
-    if looking_at st "<!--" then begin
-      skip_comment st;
+  else
+    (* at '<': the byte after it tells what follows *)
+    let next =
+      if st.pos + 1 < st.len then String.unsafe_get st.input (st.pos + 1)
+      else '\000'
+    in
+    if next = '!' && looking_at st "<![CDATA[" then begin
+      Buffer.add_substring st.buf st.input start (st.pos - start);
+      read_cdata st;
       parse_content st n tag tag_stop depth last
     end
-    else if looking_at st "</" then begin
-      st.pos <- st.pos + 2;
-      let name = scan_name st in
-      if not (same_name st.input name st.pos tag tag_stop) then
-        fail st
-          (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)"
-             (slice st.input name st.pos)
-             (slice st.input tag tag_stop));
-      skip_spaces st;
-      if not (at st '>') then fail st "expected '>' in closing tag";
-      st.pos <- st.pos + 1
-    end
-    else if looking_at st "<?" then begin
-      skip_pi st;
-      parse_content st n tag tag_stop depth last
-    end
-    else begin
-      let child = parse_element st (depth + 1) in
-      parse_content st n tag tag_stop depth (link st n last child)
-    end
-  end
+    else
+      let last = flush_text st n last start st.pos in
+      match next with
+      | '!' when looking_at st "<!--" ->
+        skip_comment st;
+        parse_content st n tag tag_stop depth last
+      | '/' ->
+        st.pos <- st.pos + 2;
+        let name = scan_name st in
+        if not (same_name st.input name st.pos tag tag_stop) then
+          fail st
+            (Printf.sprintf "mismatched closing tag </%s> (expected </%s>)"
+               (slice st.input name st.pos)
+               (slice st.input tag tag_stop));
+        skip_spaces st;
+        if not (at st '>') then fail st "expected '>' in closing tag";
+        st.pos <- st.pos + 1
+      | '?' ->
+        skip_pi st;
+        parse_content st n tag tag_stop depth last
+      | _ ->
+        let child = parse_element st (depth + 1) in
+        parse_content st n tag tag_stop depth (link st n last child)
 
 let rec skip_misc st =
   skip_spaces st;

@@ -2,12 +2,12 @@
 
     One pass over the input checks the document (the grammar of
     {!Parse}) and records, in int arrays, each element's tag span,
-    attribute slots, first child and next sibling, and each attribute's
-    name and value spans.  Values and text that hold character or
-    entity references or CDATA are decoded once, during the scan, into
-    a side table; everything else stays a span of the input until it is
-    read.  No tree is built: {!Parse.parse_string} builds one from the
-    index, and XMI import decodes from the index directly.
+    first attribute, first child and next sibling, and each attribute's
+    name and value spans.  Values that hold character or entity
+    references, and text nodes, are decoded once, during the scan, into
+    a side table; every other value stays a span of the input until it
+    is read.  No tree is built: {!Parse.parse_string} builds one from
+    the index, and XMI import decodes from the index directly.
 
     Nodes and attributes are numbered in document order, the root node
     being [0]; a negative number means none.  Readers allocate only the

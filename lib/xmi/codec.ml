@@ -42,14 +42,6 @@ let each tag enc =
   let add o x = add_child o (element tag enc x) in
   fun o l -> List.iter (add o) l
 
-let opt_value ix e n =
-  match Ix.find_attr ix e n with
-  | -1 -> None
-  | a -> Some (Ix.value ix a)
-
-let opt_string n =
-  { enc = (fun o -> Option.iter (add_attr o n)); dec = (fun ix e -> opt_value ix e n) }
-
 (* The attribute [name] of [e]. *)
 let required ix e name =
   match Ix.find_attr ix e name with
@@ -58,9 +50,6 @@ let required ix e name =
   | a -> a
 
 let get_attr ix e name = Ix.value ix (required ix e name)
-
-let string n =
-  { enc = (fun o -> add_attr o n); dec = (fun ix e -> get_attr ix e n) }
 
 (* The [xmi:type] attribute of [e], and where its text starts: past a
    ["uml:"] prefix when something follows it. *)
@@ -168,31 +157,25 @@ let by_case (v : _ variant) encs =
     f o p
 
 (* Case decoders keyed by discriminator text: the value of an
-   attribute (from [~from] on) or the tag. *)
+   attribute (from the byte [from] gives on) or the tag. *)
 let dispatch cases unknown by =
   let keys, decs = table cases in
-  let case ix e i = (Array.unsafe_get decs i) ix e in
+  let by_value attr from ix e =
+    let a = attr ix e in
+    let from = from ix a in
+    match Ix.match_value ix a ~from keys with
+    | -1 ->
+      raise (Decode_error (Printf.sprintf unknown (Ix.value_from ix a ~from)))
+    | i -> (Array.unsafe_get decs i) ix e
+  in
   match by with
-  | By_xmi_type ->
-    fun ix e ->
-      let a = xmi_type ix e in
-      let from = type_from ix a in
-      (match Ix.match_value ix a ~from keys with
-       | -1 ->
-         raise
-           (Decode_error (Printf.sprintf unknown (Ix.value_from ix a ~from)))
-       | i -> case ix e i)
-  | By_attr name ->
-    fun ix e ->
-      let a = required ix e name in
-      (match Ix.match_value ix a ~from:0 keys with
-       | -1 -> raise (Decode_error (Printf.sprintf unknown (Ix.value ix a)))
-       | i -> case ix e i)
+  | By_xmi_type -> by_value xmi_type type_from
+  | By_attr name -> by_value (fun ix e -> required ix e name) (fun _ _ -> 0)
   | By_tag | Kind_pair _ -> (
     fun ix e ->
       match Ix.match_tag ix e keys with
       | -1 -> raise (Decode_error (Printf.sprintf unknown (Ix.tag ix e)))
-      | i -> case ix e i)
+      | i -> (Array.unsafe_get decs i) ix e)
 
 (* Items decoded from [c] and its later siblings that [next] reaches, in
    document order. *)
@@ -362,7 +345,10 @@ and kind_pair : type a.
   in
   let opt ix e =
     match Ix.find_attr ix e kind with
-    | -1 -> Option.map (fun d -> d ix e) absent
+    | -1 -> (
+      match absent with
+      | Some d -> Some (d ix e)
+      | None -> None)
     | a -> Some (find ix e a)
   and req ix e =
     match (Ix.find_attr ix e kind, absent) with
@@ -385,11 +371,6 @@ and place : type a. place -> a t -> default:a option -> omit:bool -> a codec =
   | Attr n, Opt (Variant ({ by = Kind_pair missing; _ } as v)) ->
     let enc, dec, _ = kind_pair n missing v in
     { enc = (fun o -> Option.iter (enc o)); dec }
-  (* the attribute is the value (identifiers are strings) *)
-  | Attr n, Opt Str -> opt_string n
-  | Attr n, Opt Ident -> opt_string n
-  | Attr n, Str when Option.is_none default -> string n
-  | Attr n, Ident when Option.is_none default -> string n
   | Attr n, Opt s ->
     let print, parse = text s ~name:n ~required:false in
     { enc = (fun o -> Option.iter (fun x -> add_attr o n (print x)));
