@@ -140,27 +140,25 @@ let rec search input len s from =
   else if matches input from s 0 then from
   else search input len s (from + 1)
 
-let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
-
+(* The byte classes are matched in each loop rather than called: these
+   loops see every byte of the input. *)
 let rec skip_spaces_from input len i =
-  if i < len && is_space (String.unsafe_get input i) then
-    skip_spaces_from input len (i + 1)
-  else i
+  if i >= len then i
+  else
+    match String.unsafe_get input i with
+    | ' ' | '\t' | '\n' | '\r' -> skip_spaces_from input len (i + 1)
+    | _ -> i
 
 let skip_spaces st = st.pos <- skip_spaces_from st.input st.len st.pos
-
-let rec blank input i stop =
-  i >= stop
-  || (is_space (String.unsafe_get input i) && blank input (i + 1) stop)
-
-let is_name_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | ':' -> true
-  | _ -> false
+let blank input i stop = skip_spaces_from input stop i >= stop
 
 let rec name_end input len i =
-  if i < len && is_name_char (String.unsafe_get input i) then
-    name_end input len (i + 1)
-  else i
+  if i >= len then i
+  else
+    match String.unsafe_get input i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | ':' ->
+      name_end input len (i + 1)
+    | _ -> i
 
 (* Move past a name, which starts at the returned offset and stops at
    the new [pos]. *)
@@ -490,10 +488,14 @@ let name_length input p =
   if n < name_mask then n
   else name_end input (String.length input) (name_start p) - name_start p
 
+(* Names are compared on their length, then their first byte, before
+   the rest: lookups meet many names of another length or initial. *)
 let name_is input p s =
   let n = p land name_mask and len = String.length s in
   (if n < name_mask then n = len else name_length input p = len)
-  && matches input (name_start p) s 0
+  && len > 0
+  && String.unsafe_get input (name_start p) = String.unsafe_get s 0
+  && matches input (name_start p) s 1
 
 let name_of input p = String.sub input (name_start p) (name_length input p)
 let is_element ix n = field ix n 0 >= 0
