@@ -422,25 +422,16 @@ and place : type a. place -> a t -> default:a option -> omit:bool -> a codec =
           | c -> k.dec ix c) }
   | Tagged strict, List a ->
     let item = content a in
-    let dec =
-      if strict then fun ix e -> items item.dec Ix.next_element ix (Ix.first_element ix e)
-      else
-        let tags = Array.of_list (tags_of a) in
-        let rec next ix c =
-          match Ix.next_element ix c with
-          | -1 -> -1
-          | c when Ix.match_tag ix c tags >= 0 -> c
-          | c -> next ix c
-        in
-        let first ix e =
-          match Ix.first_element ix e with
-          | -1 -> -1
-          | c when Ix.match_tag ix c tags >= 0 -> c
-          | c -> next ix c
-        in
-        fun ix e -> items item.dec next ix (first ix e)
+    let tags = if strict then [||] else Array.of_list (tags_of a) in
+    (* the first item among child element [c] and its later siblings *)
+    let rec from ix c =
+      if c < 0 || strict || Ix.match_tag ix c tags >= 0 then c
+      else from ix (Ix.next_element ix c)
     in
-    { enc = (fun o l -> List.iter (item.enc o) l); dec }
+    let next ix c = from ix (Ix.next_element ix c) in
+    { enc = (fun o l -> List.iter (item.enc o) l);
+      dec = (fun ix e -> items item.dec next ix (from ix (Ix.first_element ix e)))
+    }
   | (Each _ | Tagged _), _ -> invalid_arg "Xmi.Codec: not a list"
 
 and tags_of : type a. a t -> string list = function
