@@ -584,32 +584,3 @@ let value_has_prefix (ix : t) a s =
     let start = v lsr value_bits in
     value_stop ix.input v - start >= String.length s
     && matches ix.input start s 0
-
-let rec digits s i stop acc =
-  if i >= stop then acc
-  else
-    match String.unsafe_get s i with
-    | '0' .. '9' as c -> digits s (i + 1) stop ((10 * acc) + Char.code c - 48)
-    | _ -> -1
-
-(* [s.[start..stop)] as an optional minus and at most 18 decimal digits,
-   which cannot overflow. *)
-let decimal s start stop =
-  let neg = start < stop && String.unsafe_get s start = '-' in
-  let first = if neg then start + 1 else start in
-  if first < stop && stop - first <= 18 then
-    match digits s first stop 0 with
-    | -1 -> None
-    | n -> Some (if neg then -n else n)
-  else None
-
-(* Plain decimals are read in place; anything else takes the general
-   parser, so the accepted spellings are [int_of_string]'s. *)
-let int_value (ix : t) a =
-  let v = attr_field ix a 1 in
-  match
-    if v < 0 then None
-    else decimal ix.input (v lsr value_bits) (value_stop ix.input v)
-  with
-  | Some _ as n -> n
-  | None -> int_of_string_opt (value ix a)

@@ -91,7 +91,3 @@ val value_has_prefix : t -> attr -> string -> bool
 
 val match_value : t -> attr -> from:int -> string array -> int
 (** Position in the array of the value from byte [from] on, or [-1]. *)
-
-val int_value : t -> attr -> int option
-(** [int_of_string_opt (value ix a)]; plain decimals are read in
-    place. *)

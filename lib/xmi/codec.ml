@@ -101,7 +101,7 @@ let rec text :
   | Int ->
     ( string_of_int,
       fun ix a ->
-        match Ix.int_value ix a with
+        match int_of_string_opt (Ix.value ix a) with
         | Some i -> i
         | None when required -> decode_error "bad integer attribute %s" name
         | None -> decode_error "bad integer attribute %s=%s" name (Ix.value ix a)

@@ -446,7 +446,7 @@ let index_tests =
           (Sxml.Index.match_tag i (Sxml.Index.next_element i x)
              [| "x"; "y" |]));
     tc "decoded values compare and slice like plain ones" (fun () ->
-        let i = ix "<r t='uml:Cl&#97;ss' u=\"uml:Class\" n='-&#52;2'/>" in
+        let i = ix "<r t='uml:Cl&#97;ss' u=\"uml:Class\"/>" in
         let r = Sxml.Index.root in
         List.iter
           (fun name ->
@@ -457,23 +457,7 @@ let index_tests =
               (Sxml.Index.match_value i a ~from:4 [| "Class"; "uml:Class" |]);
             check Alcotest.string "rest" "Class"
               (Sxml.Index.value_from i a ~from:4))
-          [ "t"; "u" ];
-        check Alcotest.(option int) "decoded int" (Some (-42))
-          (Sxml.Index.int_value i (Sxml.Index.find_attr i r "n")));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"int_value = int_of_string_opt" ~count:1000
-         QCheck.(
-           oneof
-             [
-               map string_of_int int;
-               string_gen_of_size Gen.(int_bound 22)
-                 (Gen.oneofl
-                    [ '0'; '1'; '9'; '-'; '+'; 'x'; '_'; ' '; 'e'; 'b' ]);
-             ])
-         (fun v ->
-           let i = ix ("<r v=\"" ^ v ^ "\"/>") in
-           Sxml.Index.int_value i (Sxml.Index.find_attr i Sxml.Index.root "v")
-           = int_of_string_opt v));
+          [ "t"; "u" ]);
     tc "names of 255 bytes and more" (fun () ->
         List.iter
           (fun n ->
