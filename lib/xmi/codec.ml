@@ -42,7 +42,7 @@ let each tag enc =
   let add o x = add_child o (element tag enc x) in
   fun o l -> List.iter (add o) l
 
-(* The attribute [name] of [e]. *)
+(* The attribute [name] of [e], which must be there. *)
 let required ix e name =
   match Ix.find_attr ix e name with
   | -1 ->
@@ -101,11 +101,11 @@ let rec text :
   | Int ->
     ( string_of_int,
       fun ix a ->
-        match int_of_string_opt (Ix.value ix a) with
+        let s = Ix.value ix a in
+        match int_of_string_opt s with
         | Some i -> i
         | None when required -> decode_error "bad integer attribute %s" name
-        | None -> decode_error "bad integer attribute %s=%s" name (Ix.value ix a)
-    )
+        | None -> decode_error "bad integer attribute %s=%s" name s )
   | Bool ->
     ( string_of_bool,
       fun ix a ->
