@@ -221,7 +221,7 @@ let hostile_tests =
             (Fixtures.outcome Xmi.Read.model_of_string data)))
     Fixtures.hostile_xmi Fixtures.hostile_xmi_expected
 
-(* Differential property: the index-free tree reader in
+(* Differential property: the tree-based reader kept in
    [Oracles.Xmi_read_ref] against [Xmi.Read], on XMI-level mutations of
    generated models.  Each case applies one to three edits to the
    document tree (drop an attribute, junk a value, rename a tag, drop or
