@@ -316,11 +316,11 @@ let selector_tests =
    end the loop cleanly.  (In-process protocol coverage lives in
    test_serve.ml; this drives the real subprocess over a pipe.) *)
 let serve_tests =
-  let run_serve requests =
+  let run_serve ?(final_newline = true) requests =
     let req =
       write_file
         (Filename.concat tmp "socuml_cli_serve.req")
-        (String.concat "\n" requests ^ "\n")
+        (String.concat "\n" requests ^ if final_newline then "\n" else "")
     in
     let out = Filename.concat tmp "socuml_cli_serve.out" in
     let code =
@@ -405,6 +405,33 @@ let serve_tests =
           check Alcotest.bool "next request served" true
             (contains served {|"exit":0|})
         | _ -> Alcotest.failf "want 3 responses, got %d" (List.length lines));
+    (* EOF ends an unterminated last line; it is answered like any
+       other line, exactly once. *)
+    tc "a last request without a newline is answered once" (fun () ->
+        let code, lines =
+          run_serve ~final_newline:false
+            [ {|{"op":"health"}|}; {|{"op":"stats"}|} ]
+        in
+        check Alcotest.int "daemon exit" 0 code;
+        match lines with
+        | [ _health; stats ] ->
+          check Alcotest.bool "stats answered, counting both lines" true
+            (String.starts_with ~prefix:{|{"op":"stats","ok":true,"exit":0,"requests":2,|}
+               stats)
+        | _ -> Alcotest.failf "want 2 responses, got %d" (List.length lines));
+    tc "an oversized last line without a newline is answered once"
+      (fun () ->
+        let code, lines =
+          run_serve ~final_newline:false
+            [ {|{"op":"health"}|}; String.make (1024 * 1024 + 1) 'a' ]
+        in
+        check Alcotest.int "daemon exit" 0 code;
+        match lines with
+        | [ _health; refused ] ->
+          check Alcotest.string "oversized refusal"
+            {|{"ok":false,"error":"request line exceeds 1048576 bytes"}|}
+            refused
+        | _ -> Alcotest.failf "want 2 responses, got %d" (List.length lines));
   ]
 
 (* ------------------------------------------------------------------ *)

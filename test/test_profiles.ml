@@ -435,6 +435,25 @@ let validate_tests =
           check Alcotest.string "text" text (hex (validate `Text m));
           check Alcotest.string "json" json (hex (validate `Json m))))
     validate_models
+  @ [
+      (* the text report read in full: one line per diagnostic, then
+         the summary with the model name *)
+      tc "text report with one error and one warning" (fun () ->
+          Ident.reset_counter ();
+          let m = Model.create "pinned" in
+          ignore
+            (classifier m ~attributes:[ "x"; "x" ] ~operations:[ "f"; "f" ]
+               "Dup");
+          check Alcotest.string "text"
+            "exit 1\n\
+             error(NS-01) [cl000005]: duplicate attribute name x in \
+             classifier Dup\n\
+             warning(NS-02) [cl000005]: overloaded operation name f in \
+             classifier Dup\n\
+             2 diagnostics (1 errors, 1 warnings) in pinned\n\
+             --- stderr\n"
+            (validate `Text m));
+    ]
 
 let () =
   Alcotest.run "profiles"
