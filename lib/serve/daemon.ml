@@ -32,7 +32,6 @@ type t = {
   deadline_ms : int option;
   max_queue : int;
   stop_requested : bool Atomic.t;
-  mutable requests : int;
   ledger : (outcome, int) Hashtbl.t;  (** lines per outcome *)
   mutable degradations : int;
 }
@@ -51,7 +50,6 @@ let create ?max_entries ?max_bytes ?persist_dir ?deadline_ms
     deadline_ms;
     max_queue;
     stop_requested = Atomic.make false;
-    requests = 0;
     ledger = Hashtbl.create 8;
     degradations = 0;
   }
@@ -59,9 +57,10 @@ let create ?max_entries ?max_bytes ?persist_dir ?deadline_ms
 (* Ledger rule: every counter update happens before the response line
    is rendered, so a [stats] response reports a ledger that includes
    itself and always reconciles: [requests] is the sum of the outcome
-   counters. *)
+   counters, and is computed as exactly that. *)
 let count t o = Option.value (Hashtbl.find_opt t.ledger o) ~default:0
 let record t o = Hashtbl.replace t.ledger o (count t o + 1)
+let requests t = Hashtbl.fold (fun _ n acc -> acc + n) t.ledger 0
 let ledger_entry t o = (ledger_key o, Json.Int (count t o))
 
 let request_stop t = Atomic.set t.stop_requested true
@@ -268,7 +267,6 @@ let protocol_error t ~id msg =
    overload, drained at shutdown.  Counted as requests (one response
    per line, always) under their own ledger columns. *)
 let refusal t o msg =
-  t.requests <- t.requests + 1;
   record t o;
   respond ~id:None
     (("ok", Json.Bool false) :: code_field o @ [ ("error", Json.Str msg) ])
@@ -326,7 +324,7 @@ let stats_response t ~id =
       ("op", Json.Str "stats");
       ("ok", Json.Bool true);
       ("exit", Json.Int 0);
-      ("requests", Json.Int t.requests);
+      ("requests", Json.Int (requests t));
       ledger_entry t Protocol_error;
       ( "serve",
         Json.Obj
@@ -369,7 +367,7 @@ let health_response t ~id =
       ("ok", Json.Bool true);
       ("exit", Json.Int 0);
       ("protocol", Json.Int protocol_version);
-      ("uptime_requests", Json.Int t.requests);
+      ("uptime_requests", Json.Int (requests t));
       ( "deadline_ms",
         Json.Int (Option.value t.deadline_ms ~default:0) );
       ("max_queue", Json.Int t.max_queue);
@@ -411,18 +409,15 @@ let dispatch t ~id members ~op =
       Ok (outcome_response ~id oc, true))
 
 let handle_line t line =
-  if String.length line > max_line_bytes then begin
-    t.requests <- t.requests + 1;
+  if String.length line > max_line_bytes then
     ( Some
         (protocol_error t ~id:None
            (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)),
       true )
-  end
   else
     let trimmed = String.trim line in
     if trimmed = "" then (None, true)
     else begin
-      t.requests <- t.requests + 1;
       match Json.parse trimmed with
       | Error e ->
         (Some (protocol_error t ~id:None ("invalid request: " ^ e)), true)
@@ -479,17 +474,19 @@ let reader_create fd =
     r_lines = Queue.create ();
   }
 
+(* End the current line: at a newline, or at EOF after an unterminated
+   last line. *)
+let finish_line r =
+  if r.r_discarding then begin
+    r.r_discarding <- false;
+    Queue.push L_oversized r.r_lines
+  end
+  else begin
+    Queue.push (L_line (Buffer.contents r.r_acc)) r.r_lines;
+    Buffer.clear r.r_acc
+  end
+
 let reader_feed r bytes n =
-  let finish_line () =
-    if r.r_discarding then begin
-      r.r_discarding <- false;
-      Queue.push L_oversized r.r_lines
-    end
-    else begin
-      Queue.push (L_line (Buffer.contents r.r_acc)) r.r_lines;
-      Buffer.clear r.r_acc
-    end
-  in
   let i = ref 0 in
   while !i < n do
     match Bytes.index_from_opt bytes !i '\n' with
@@ -501,7 +498,7 @@ let reader_feed r bytes n =
           Buffer.clear r.r_acc
         end
       end;
-      finish_line ();
+      finish_line r;
       i := j + 1
     | Some _ | None ->
       if not r.r_discarding then begin
@@ -534,16 +531,7 @@ let reader_fill r ~blocking =
       | 0 ->
         r.r_eof <- true;
         (* a final unterminated line still counts as a line *)
-        if Buffer.length r.r_acc > 0 || r.r_discarding then begin
-          if r.r_discarding then begin
-            r.r_discarding <- false;
-            Queue.push L_oversized r.r_lines
-          end
-          else begin
-            Queue.push (L_line (Buffer.contents r.r_acc)) r.r_lines;
-            Buffer.clear r.r_acc
-          end
-        end
+        if Buffer.length r.r_acc > 0 || r.r_discarding then finish_line r
       | n -> reader_feed r r.r_chunk n
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
