@@ -4,9 +4,12 @@
     Both renderers are deterministic: identical diagnostics produce
     byte-identical output. *)
 
+val summary_line : Uml.Wfr.diagnostic list -> string
+(** ["N diagnostics (E errors, W warnings)"], without a newline. *)
+
 val to_text : ?model:string -> Uml.Wfr.diagnostic list -> string
-(** One {!Uml.Wfr.to_string} line per diagnostic, then a summary line
-    ["N diagnostics (E errors, W warnings)"].  Ends with a newline. *)
+(** One {!Uml.Wfr.to_string} line per diagnostic, then the
+    {!summary_line}.  Ends with a newline. *)
 
 val rules_to_text : unit -> string
 (** The registered rule table ([socuml rules]): one

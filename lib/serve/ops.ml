@@ -118,11 +118,7 @@ let validate sink ~format (art : Artifacts.t) =
    | `Json -> sink.s_out (Lint.Report.to_json ~model:(Uml.Model.name m) all)
    | `Text ->
      List.iter (fun d -> outf sink "%s\n" (Uml.Wfr.to_string d)) all;
-     outf sink "%d diagnostics (%d errors, %d warnings) in %s\n"
-       (List.length all)
-       (List.length (Uml.Wfr.errors all))
-       (List.length (Uml.Wfr.warnings all))
-       (Uml.Model.name m));
+     outf sink "%s in %s\n" (Lint.Report.summary_line all) (Uml.Model.name m));
   if Uml.Wfr.errors all = [] then 0 else 1
 
 (* --- lint ----------------------------------------------------------- *)
