@@ -1,189 +1,60 @@
-(* Work-stealing pool over raw [Domain]s — stdlib only, so the sealed
+(* Per-batch fan-out over raw [Domain]s — stdlib only, so the sealed
    container can build it without domainslib.  Scheduling and the
    determinism contract are documented in pool.mli; the
    accumulate-then-merge rule callers must follow is in DESIGN.md. *)
 
-type batch = {
-  b_n : int;
-  b_chunk : int;
-  b_f : int -> unit;
-  b_next : int Atomic.t array;  (** per-participant claim cursor *)
-  b_stop : int array;  (** per-participant block end, exclusive *)
-  b_done : int Atomic.t;  (** tasks completed so far *)
-  b_exn : (int * exn) option ref;  (** lowest-index failure, under the lock *)
-}
-
-type t = {
-  p_jobs : int;
-  p_lock : Mutex.t;
-  p_work : Condition.t;  (** workers wait here for a batch or shutdown *)
-  p_idle : Condition.t;  (** the caller waits here for batch completion *)
-  mutable p_batch : (int * batch) option;  (** generation-tagged batch *)
-  mutable p_gen : int;
-  mutable p_down : bool;
-  mutable p_workers : unit Domain.t list;
-}
+type t = int  (** the clamped job count *)
 
 let max_jobs = 64
 
-(* --- batch execution --------------------------------------------------- *)
-
-let record_exn pool b i e =
-  Mutex.lock pool.p_lock;
-  (match !(b.b_exn) with
-   | Some (j, _) when j <= i -> ()
-   | Some _ | None -> b.b_exn := Some (i, e));
-  Mutex.unlock pool.p_lock
-
-let run_range pool b lo hi =
-  for i = lo to hi - 1 do
-    try b.b_f i with e -> record_exn pool b i e
-  done;
-  if Atomic.fetch_and_add b.b_done (hi - lo) + (hi - lo) = b.b_n then begin
-    (* last tasks of the batch: wake the caller if it is waiting *)
-    Mutex.lock pool.p_lock;
-    Condition.broadcast pool.p_idle;
-    Mutex.unlock pool.p_lock
-  end
-
-(* Claim a chunk from participant [v]'s block; [None] when drained.  A
-   failed claim leaves the cursor past the stop, so [v] stops looking
-   like a victim immediately. *)
-let claim b v =
-  let i = Atomic.fetch_and_add b.b_next.(v) b.b_chunk in
-  if i < b.b_stop.(v) then Some (i, min b.b_stop.(v) (i + b.b_chunk))
-  else None
-
-(* The participant with the most unclaimed work, if any. *)
-let best_victim b self =
-  let best = ref (-1) in
-  let best_left = ref 0 in
-  Array.iteri
-    (fun v cursor ->
-      if v <> self then begin
-        let left = b.b_stop.(v) - Atomic.get cursor in
-        if left > !best_left then begin
-          best := v;
-          best_left := left
-        end
-      end)
-    b.b_next;
-  if !best < 0 then None else Some !best
-
-let participate pool b self =
-  let rec own () =
-    match claim b self with
-    | Some (lo, hi) ->
-      run_range pool b lo hi;
-      own ()
-    | None -> steal ()
-  and steal () =
-    match best_victim b self with
-    | None -> ()
-    | Some v ->
-      (match claim b v with
-       | Some (lo, hi) -> run_range pool b lo hi
-       | None -> ());
-      steal ()
-  in
-  own ()
-
-(* --- worker domains ---------------------------------------------------- *)
-
-let worker pool self =
-  let last_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock pool.p_lock;
-    let rec await () =
-      if pool.p_down then None
-      else
-        match pool.p_batch with
-        | Some (g, b) when g <> !last_gen ->
-          last_gen := g;
-          Some b
-        | Some _ | None ->
-          Condition.wait pool.p_work pool.p_lock;
-          await ()
-    in
-    let job = await () in
-    Mutex.unlock pool.p_lock;
-    match job with
-    | None -> running := false
-    | Some b -> participate pool b self
-  done
-
-(* --- public API -------------------------------------------------------- *)
-
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let jobs = min jobs max_jobs in
-  let pool =
-    {
-      p_jobs = jobs;
-      p_lock = Mutex.create ();
-      p_work = Condition.create ();
-      p_idle = Condition.create ();
-      p_batch = None;
-      p_gen = 0;
-      p_down = false;
-      p_workers = [];
-    }
-  in
-  pool.p_workers <-
-    List.init (jobs - 1) (fun w -> Domain.spawn (fun () -> worker pool (w + 1)));
-  pool
+  min jobs max_jobs
 
-let jobs pool = pool.p_jobs
+let jobs pool = pool
 
-let parallel_for ?(chunk = 1) pool ~n f =
-  if chunk < 1 then invalid_arg "Pool.parallel_for: chunk must be >= 1";
-  if n > 0 then begin
-    if pool.p_jobs = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let k = pool.p_jobs in
-      let b =
-        {
-          b_n = n;
-          b_chunk = chunk;
-          b_f = f;
-          b_next = Array.init k (fun p -> Atomic.make (p * n / k));
-          b_stop = Array.init k (fun p -> (p + 1) * n / k);
-          b_done = Atomic.make 0;
-          b_exn = ref None;
-        }
-      in
-      Mutex.lock pool.p_lock;
-      if pool.p_down then begin
-        Mutex.unlock pool.p_lock;
-        invalid_arg "Pool.parallel_for: pool already shut down"
-      end;
-      pool.p_gen <- pool.p_gen + 1;
-      pool.p_batch <- Some (pool.p_gen, b);
-      Condition.broadcast pool.p_work;
-      Mutex.unlock pool.p_lock;
-      participate pool b 0;
-      Mutex.lock pool.p_lock;
-      while Atomic.get b.b_done < n do
-        Condition.wait pool.p_idle pool.p_lock
-      done;
-      pool.p_batch <- None;
-      Mutex.unlock pool.p_lock;
-      match !(b.b_exn) with
-      | Some (_i, e) -> raise e
-      | None -> ()
-    end
+(* The earlier of two failures by task index. *)
+let lowest a b =
+  match (a, b) with
+  | Some (i, _), Some (j, _) when j < i -> b
+  | None, _ -> b
+  | Some _, _ -> a
+
+let parallel_for pool ~n f =
+  if pool = 1 || n <= 1 then
+    for i = 0 to n - 1 do
+      f i
+    done
+  else begin
+    let next = Atomic.make 0 in
+    (* Claim indices until the batch is drained; every task is attempted.
+       One participant's claims ascend, so its first failure is its
+       lowest-index one. *)
+    let rec participate failed =
+      let i = Atomic.fetch_and_add next 1 in
+      if i >= n then failed
+      else
+        match f i with
+        | () -> participate failed
+        | exception e ->
+          participate (if Option.is_none failed then Some (i, e) else failed)
+    in
+    let helpers =
+      List.init (min pool n - 1) (fun _ ->
+          Domain.spawn (fun () -> participate None))
+    in
+    let mine = participate None in
+    match List.fold_left lowest mine (List.map Domain.join helpers) with
+    | Some (_i, e) -> raise e
+    | None -> ()
   end
 
-let map_array ?chunk pool f xs =
+let map_array pool f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    parallel_for ?chunk pool ~n (fun i -> out.(i) <- Some (f xs.(i)));
+    parallel_for pool ~n (fun i -> out.(i) <- Some (f xs.(i)));
     Array.map
       (function
         | Some y -> y
@@ -191,18 +62,6 @@ let map_array ?chunk pool f xs =
       out
   end
 
-let map_list ?chunk pool f xs =
-  Array.to_list (map_array ?chunk pool f (Array.of_list xs))
+let map_list pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
 
-let shutdown pool =
-  Mutex.lock pool.p_lock;
-  pool.p_down <- true;
-  Condition.broadcast pool.p_work;
-  let workers = pool.p_workers in
-  pool.p_workers <- [];
-  Mutex.unlock pool.p_lock;
-  List.iter Domain.join workers
-
-let with_pool ~jobs f =
-  let pool = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+let with_pool ~jobs f = f (create ~jobs)

@@ -1,9 +1,9 @@
-(* Differential tests for the work-stealing domain pool (Exec.Pool):
-   [--jobs] is a pure throughput knob, so every parallel fan-out in the
-   repo (fault campaigns, multi-model lint) must produce byte-identical
-   reports and metrics registries at every job count.  Pool unit tests
-   cover scheduling (order preservation, stealing under skew, chunked
-   claims) and the lowest-index exception rule. *)
+(* Differential tests for the domain pool (Exec.Pool): [--jobs] is a
+   pure throughput knob, so every parallel fan-out in the repo (fault
+   campaigns, multi-model lint) must produce byte-identical reports and
+   metrics registries at every job count.  Pool unit tests cover
+   scheduling (order preservation, exactly-once runs under skew and with
+   more jobs than tasks) and the lowest-index exception rule. *)
 
 open Hdl
 
@@ -21,11 +21,7 @@ let pool_tests =
         | exception Invalid_argument _ -> ());
     tc "create clamps to max_jobs" (fun () ->
         let pool = Exec.Pool.create ~jobs:(Exec.Pool.max_jobs + 37) in
-        Fun.protect
-          ~finally:(fun () -> Exec.Pool.shutdown pool)
-          (fun () ->
-            check Alcotest.int "clamped" Exec.Pool.max_jobs
-              (Exec.Pool.jobs pool)));
+        check Alcotest.int "clamped" Exec.Pool.max_jobs (Exec.Pool.jobs pool));
     tc "jobs 1 runs inline in index order" (fun () ->
         Exec.Pool.with_pool ~jobs:1 (fun pool ->
             let seen = ref [] in
@@ -45,9 +41,9 @@ let pool_tests =
             check Alcotest.(list int) "empty" []
               (Exec.Pool.map_list pool (fun i -> i * i) [])));
     tc "skewed task sizes: every task runs exactly once" (fun () ->
-        (* The first contiguous block is heavy, the rest trivial —
-           idle participants must steal into the slow block rather
-           than wait on it. *)
+        (* The first quarter of the indices is heavy, the rest trivial:
+           participants claim from one shared cursor at different
+           speeds, and still no task is skipped or run twice. *)
         Exec.Pool.with_pool ~jobs:4 (fun pool ->
             let n = 64 in
             let runs = Array.make n 0 in
@@ -74,16 +70,18 @@ let pool_tests =
                 done;
                 check Alcotest.int (Printf.sprintf "task %d" i) !acc v)
               out));
-    tc "chunked claims still cover every index" (fun () ->
-        Exec.Pool.with_pool ~jobs:4 (fun pool ->
-            let n = 103 in
-            let runs = Array.make n 0 in
-            Exec.Pool.parallel_for ~chunk:7 pool ~n (fun i ->
-                runs.(i) <- runs.(i) + 1);
-            Array.iteri
-              (fun i r ->
-                if r <> 1 then Alcotest.failf "task %d ran %d times" i r)
-              runs));
+    tc "more jobs than tasks: each runs once, results in order" (fun () ->
+        Exec.Pool.with_pool ~jobs:8 (fun pool ->
+            let runs = Array.make 3 0 in
+            let out =
+              Exec.Pool.map_list pool
+                (fun i ->
+                  runs.(i) <- runs.(i) + 1;
+                  10 * i)
+                [ 0; 1; 2 ]
+            in
+            check Alcotest.(list int) "in order" [ 0; 10; 20 ] out;
+            check Alcotest.(array int) "once each" [| 1; 1; 1 |] runs));
     tc "lowest-index exception wins; pool stays usable" (fun () ->
         Exec.Pool.with_pool ~jobs:4 (fun pool ->
             (match
@@ -100,16 +98,58 @@ let pool_tests =
                 if r <> 1 then
                   Alcotest.failf "task %d ran %d times after exception" i r)
               runs));
-    tc "with_pool returns the callback value; shutdown is idempotent" (fun () ->
-        check Alcotest.int "value" 42 (Exec.Pool.with_pool ~jobs:2 (fun _ -> 42));
-        let pool = Exec.Pool.create ~jobs:2 in
-        Exec.Pool.shutdown pool;
-        Exec.Pool.shutdown pool);
+    tc "with_pool returns the callback value" (fun () ->
+        check Alcotest.int "value" 42 (Exec.Pool.with_pool ~jobs:2 (fun _ -> 42)));
     tc "n = 0 is a no-op" (fun () ->
         Exec.Pool.with_pool ~jobs:4 (fun pool ->
             Exec.Pool.parallel_for pool ~n:0 (fun _ ->
                 Alcotest.fail "task ran")));
   ]
+
+(* Any subset of tasks may raise: the caller sees the lowest raising
+   index.  Off the inline path every task is attempted exactly once;
+   the inline path ([jobs = 1], or a single task) stops at the first
+   raise like a [for] loop. *)
+let qcheck_lowest_exception =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:50
+       ~name:"lowest-index exception at jobs 1/2/4/8, each task tried once"
+       QCheck.(pair (int_range 0 100_000) (int_range 1 64))
+       (fun (seed, n) ->
+         let rng = Workload.Prng.create seed in
+         let raises = Array.init n (fun _ -> Workload.Prng.int rng 4 = 0) in
+         let lowest =
+           let rec go i =
+             if i = n then None else if raises.(i) then Some i else go (i + 1)
+           in
+           go 0
+         in
+         List.for_all
+           (fun jobs ->
+             let tries = Array.init n (fun _ -> Atomic.make 0) in
+             let surfaced =
+               match
+                 Exec.Pool.with_pool ~jobs (fun pool ->
+                     Exec.Pool.parallel_for pool ~n (fun i ->
+                         Atomic.incr tries.(i);
+                         if raises.(i) then raise (Failure (string_of_int i))))
+               with
+               | () -> None
+               | exception Failure m -> Some (int_of_string m)
+             in
+             let inline = jobs = 1 || n = 1 in
+             surfaced = lowest
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun i t ->
+                       let want =
+                         match lowest with
+                         | Some l when inline && i > l -> 0
+                         | Some _ | None -> 1
+                       in
+                       Atomic.get t = want)
+                     tries))
+           [ 1; 2; 4; 8 ]))
 
 let qcheck_map_determinism =
   QCheck_alcotest.to_alcotest
@@ -393,7 +433,7 @@ let budget_tests =
 let () =
   Alcotest.run "parallel"
     [
-      ("pool", pool_tests @ [ qcheck_map_determinism ]);
+      ("pool", pool_tests @ [ qcheck_lowest_exception; qcheck_map_determinism ]);
       ("campaign", campaign_pool_tests @ [ qcheck_campaign_differential ]);
       ("budget", budget_tests);
     ]
