@@ -1290,7 +1290,7 @@ let e16_time f =
   !best
 
 let e16_report () =
-  sep "E16  multicore scaling (work-stealing pool, byte-identical output)";
+  sep "E16  multicore scaling (shared-cursor pool, byte-identical output)";
   let flat = e10_flat 8 in
   let spec = e15_spec flat in
   let plan = e15_plan flat 24 in
@@ -1321,8 +1321,7 @@ let e16_report () =
     [ 2; 4; 8 ]
 
 let e16_tests () =
-  (* process-lifetime pool: bechamel stages the same closure many
-     times, so the pool must outlive this function *)
+  (* every staged run spawns and joins its own domains *)
   let pool = Exec.Pool.create ~jobs:4 in
   let flat = e10_flat 4 in
   let spec = e15_spec flat in

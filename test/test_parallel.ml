@@ -137,18 +137,15 @@ let qcheck_lowest_exception =
                | () -> None
                | exception Failure m -> Some (int_of_string m)
              in
-             let inline = jobs = 1 || n = 1 in
+             let want i =
+               match lowest with
+               | Some l when (jobs = 1 || n = 1) && i > l -> 0
+               | Some _ | None -> 1
+             in
              surfaced = lowest
-             && Array.for_all Fun.id
-                  (Array.mapi
-                     (fun i t ->
-                       let want =
-                         match lowest with
-                         | Some l when inline && i > l -> 0
-                         | Some _ | None -> 1
-                       in
-                       Atomic.get t = want)
-                     tries))
+             && List.for_all
+                  (fun i -> Atomic.get tries.(i) = want i)
+                  (List.init n Fun.id))
            [ 1; 2; 4; 8 ]))
 
 let qcheck_map_determinism =
