@@ -117,7 +117,7 @@ let qcheck_lowest_exception =
        QCheck.(pair (int_range 0 100_000) (int_range 1 64))
        (fun (seed, n) ->
          let rng = Workload.Prng.create seed in
-         let raises = Array.init n (fun _ -> Workload.Prng.int rng 4 = 0) in
+         let raises = Array.init n (fun _ -> Workload.Prng.int rng 5 = 0) in
          let lowest =
            let rec go i =
              if i = n then None else if raises.(i) then Some i else go (i + 1)
