@@ -25,8 +25,6 @@ type class_info = {
 val no_classes : class_info
 (** Oracle for model-free programs: no classes, no attributes. *)
 
-val ty_name : ty -> string
-
 val check_program :
   ?self_class:string ->
   ?env:(string * ty) list ->

@@ -69,8 +69,6 @@ val empty : int -> t
 val fault_to_string : fault -> string
 (** One line, e.g. ["rtl bit-flip signal=state cycle=3 bit=1"]. *)
 
-val fault_of_string : string -> (fault, string) result
-
 val to_string : t -> string
 (** Header line [fault-plan seed=N] followed by one fault per line. *)
 

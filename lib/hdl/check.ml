@@ -2,10 +2,6 @@ type severity =
   | Error
   | Warning
 
-(* Handwritten (no ppx): [open! Ppx_deriving_runtime] would shadow the
-   [Error] constructor with [result]'s. *)
-let equal_severity (a : severity) (b : severity) = a = b
-
 let severity_name = function
   | Error -> "error"
   | Warning -> "warning"
@@ -15,8 +11,6 @@ type diagnostic = {
   diag_code : string;
   diag_message : string;
 }
-
-let equal_diagnostic (a : diagnostic) (b : diagnostic) = a = b
 
 let to_string d =
   Printf.sprintf "%s(%s): %s"

@@ -24,7 +24,6 @@ type severity =
   | Error
   | Warning
 
-val equal_severity : severity -> severity -> bool
 val severity_name : severity -> string
 
 type diagnostic = {
@@ -33,7 +32,6 @@ type diagnostic = {
   diag_message : string;
 }
 
-val equal_diagnostic : diagnostic -> diagnostic -> bool
 val to_string : diagnostic -> string
 (** ["error(HDL-05): signal s driven by multiple processes ..."] *)
 

@@ -58,10 +58,6 @@ val with_artifacts : sink -> loader -> string -> (Artifacts.t -> int) -> int
     and return 1 — the shared funnel keeping load errors identical
     across subcommands. *)
 
-val with_jobs : sink -> int -> (Exec.Pool.t -> int) -> int
-(** Validate [--jobs] and run the body with a pool (no worker domains
-    when [jobs = 1]). *)
-
 val selection_of :
   only:string list ->
   disable:string list ->

@@ -20,9 +20,6 @@ exception Decode_error of string
 
 val decode_error : ('a, unit, string, 'b) format4 -> 'a
 
-val add_varint : Buffer.t -> int -> unit
-(** Unsigned LEB128.  @raise Invalid_argument on negative input. *)
-
 (** Encoder: primitives append to an internal body buffer; {!Enc.str}
     interns.  {!Enc.contents} assembles header + table + body. *)
 module Enc : sig

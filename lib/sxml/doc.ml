@@ -51,68 +51,79 @@ let text_content e =
   List.iter add e.children;
   Buffer.contents buf
 
+let entity = function
+  | '&' -> "&amp;"
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '"' -> "&quot;"
+  | '\'' -> "&apos;"
+  | _ -> ""
+
+(* Escapes [s] from [i] into [buf], each run of plain bytes (from [from])
+   in one copy; no closure, so printing allocates nothing per value. *)
+let rec add_escaped_from buf s from i =
+  if i = String.length s then Buffer.add_substring buf s from (i - from)
+  else
+    match entity (String.unsafe_get s i) with
+    | "" -> add_escaped_from buf s from (i + 1)
+    | e ->
+      Buffer.add_substring buf s from (i - from);
+      Buffer.add_string buf e;
+      add_escaped_from buf s (i + 1) (i + 1)
+
+let add_escaped buf s = add_escaped_from buf s 0 0
+
 let escape s =
   let buf = Buffer.create (String.length s) in
-  let add = function
-    | '&' -> Buffer.add_string buf "&amp;"
-    | '<' -> Buffer.add_string buf "&lt;"
-    | '>' -> Buffer.add_string buf "&gt;"
-    | '"' -> Buffer.add_string buf "&quot;"
-    | '\'' -> Buffer.add_string buf "&apos;"
-    | c -> Buffer.add_char buf c
-  in
-  String.iter add s;
+  add_escaped buf s;
   Buffer.contents buf
 
-let add_attrs buf attrs =
-  let add (k, v) =
+let rec add_attrs buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
     Buffer.add_char buf ' ';
     Buffer.add_string buf k;
     Buffer.add_string buf "=\"";
-    Buffer.add_string buf (escape v);
-    Buffer.add_char buf '"'
-  in
-  List.iter add attrs
+    add_escaped buf v;
+    Buffer.add_char buf '"';
+    add_attrs buf rest
+
+let add_indent buf level = for _ = 1 to level do Buffer.add_string buf "  " done
+let is_text = function Text _ -> true | Element _ -> false
 
 let rec add_node buf ~indent ~level node =
-  let pad () =
-    if indent then begin
-      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * level) ' ')
-    end
-  in
   match node with
   | Text s ->
     (* no padding: keep text adjacent so content round-trips *)
-    Buffer.add_string buf (escape s)
+    add_escaped buf s
   | Element e ->
-    pad ();
+    if indent then begin
+      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+      add_indent buf level
+    end;
     Buffer.add_char buf '<';
     Buffer.add_string buf e.tag;
     add_attrs buf e.attrs;
     if e.children = [] then Buffer.add_string buf "/>"
     else begin
       Buffer.add_char buf '>';
-      let has_text =
-        List.exists
-          (function
-            | Text _ -> true
-            | Element _ -> false)
-          e.children
-      in
       (* mixed content is serialized inline to preserve text exactly *)
-      let child_indent = indent && not has_text in
-      List.iter
-        (fun c -> add_node buf ~indent:child_indent ~level:(level + 1) c)
-        e.children;
+      let child_indent = indent && not (List.exists is_text e.children) in
+      add_children buf ~indent:child_indent ~level:(level + 1) e.children;
       if child_indent then begin
         Buffer.add_char buf '\n';
-        Buffer.add_string buf (String.make (2 * level) ' ')
+        add_indent buf level
       end;
       Buffer.add_string buf "</";
       Buffer.add_string buf e.tag;
       Buffer.add_char buf '>'
     end
+
+and add_children buf ~indent ~level = function
+  | [] -> ()
+  | c :: rest ->
+    add_node buf ~indent ~level c;
+    add_children buf ~indent ~level rest
 
 let to_buffer ?(indent = true) buf node = add_node buf ~indent ~level:0 node
 

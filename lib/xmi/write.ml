@@ -20,7 +20,11 @@ let to_xml m =
         (all "diagram" Codec.diagram_codec (Uml.Model.diagrams m));
     ]
 
-let to_string m = Sxml.Doc.to_string (to_xml m) ^ "\n"
+let to_string m =
+  let buf = Buffer.create 1024 in
+  Sxml.Doc.to_buffer buf (to_xml m);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
 
 let write_file m path =
   let oc = open_out path in
