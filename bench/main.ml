@@ -470,7 +470,27 @@ let e8_report () =
         s.minor_words;
       record_f (Printf.sprintf "e8.events_per_s.depth%d" depth) rate;
       record_words "e8.dispatch" (Printf.sprintf ".depth%d" depth) s)
-    [ 1; 2; 3; 4; 5 ]
+    [ 1; 2; 3; 4; 5 ];
+  (* the same loop over a flat machine whose every event runs two
+     guards and one looping effect: the ASL tier's share of dispatch *)
+  let sm = Workload.Gen_statechart.asl_heavy ~seed:17 ~states:12 ~events:6 in
+  let events = Workload.Gen_statechart.event_sequence ~seed:8 ~length:2000 6 in
+  let engine = Statechart.Engine.create sm in
+  Statechart.Engine.start engine;
+  let _, s =
+    measure_long (fun () ->
+        List.iter
+          (fun name ->
+            Statechart.Engine.dispatch engine (Statechart.Event.make name))
+          events)
+  in
+  let rate = float_of_int (List.length events) /. s.seconds in
+  Printf.printf "asl 12x6: %7.0f events/s (%d transitions), %8.0f minor words per run\n"
+    rate
+    (List.length (Uml.Smachine.all_transitions sm))
+    s.minor_words;
+  record_f "e8.events_per_s.asl12" rate;
+  record_words "e8.dispatch" ".asl12" s
 
 (* ------------------------------------------------------------------ *)
 (* E9: code generation throughput and determinism                      *)
