@@ -841,7 +841,9 @@ let e13_report () =
   in
   let memoized () =
     for i = 1 to iters do
-      ignore (Asl.Interp.eval_guard ~params:(params i) interp guard_src)
+      ignore
+        (Asl.Interp.eval_guard_compiled ~params:(params i) interp
+           (Asl.Compiled.guard guard_src))
     done
   in
   let _, base = measure_long baseline in

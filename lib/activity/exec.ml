@@ -6,7 +6,7 @@ module SM = Map.Make (String)
 type arc = {
   a_slot : int;
   a_weight : int;
-  a_guard : string option;
+  a_guard : Asl.Compiled.guard option;
 }
 
 type shape =
@@ -17,11 +17,14 @@ type shape =
   | S_flow_final
   | S_accept of string  (** event name *)
   | S_object of int option  (** buffer capacity *)
-  | S_plain  (** actions, calls, sends, forks and joins *)
+  | S_action of Asl.Compiled.program  (** an action with an ASL body *)
+  | S_plain  (** other actions, calls, sends, forks and joins *)
 
 (* Everything about a node that does not change while the engine runs,
    built once at [create]: its edges in activity order, their places
-   interned to slots, and its labels. *)
+   interned to slots, its labels, and its guards and body compiled
+   through the memo (parse errors stay captured until the behavior
+   actually evaluates). *)
 type template = {
   tp_node : Activityg.node;
   tp_label : string;
@@ -60,30 +63,6 @@ type t = {
   m_token_moves : Telemetry.Metrics.counter;
 }
 
-(* Parse all edge guards and action bodies once at engine construction;
-   firing then runs on the memoized compiled forms (parse errors stay
-   captured until the behavior actually evaluates). *)
-let precompile_behaviors (act : Activityg.t) =
-  let opt compile = function
-    | None -> ()
-    | Some src -> ignore (compile src)
-  in
-  List.iter
-    (fun (e : Activityg.edge) -> opt Asl.Compiled.guard e.Activityg.ed_guard)
-    act.Activityg.ac_edges;
-  List.iter
-    (fun n ->
-      match n with
-      | Activityg.Action a -> opt Asl.Compiled.program a.Activityg.act_body
-      | Activityg.Call_behavior _ | Activityg.Send_signal _
-      | Activityg.Accept_event _ | Activityg.Object_node _
-      | Activityg.Initial_node _ | Activityg.Activity_final _
-      | Activityg.Flow_final _ | Activityg.Fork_node _
-      | Activityg.Join_node _ | Activityg.Decision_node _
-      | Activityg.Merge_node _ ->
-        ())
-    act.Activityg.ac_nodes
-
 (* Places are interned by name, in the translated net's place order
    (edges, then start places, then done), so two edges whose places
    share a name share a slot, exactly as they share a map key. *)
@@ -121,7 +100,7 @@ let template_of_node (act : Activityg.t) slot_of n =
     {
       a_slot = slot_of (Translate.place_of_edge e.ed_id);
       a_weight = e.ed_weight;
-      a_guard = e.ed_guard;
+      a_guard = Option.map Asl.Compiled.guard e.ed_guard;
     }
   in
   let ins = incoming act id in
@@ -138,7 +117,8 @@ let template_of_node (act : Activityg.t) slot_of n =
     | Flow_final _ -> S_flow_final
     | Accept_event ev -> S_accept ev.ev_event
     | Object_node o -> S_object o.on_upper_bound
-    | Action _ | Call_behavior _ | Send_signal _ | Fork_node _ | Join_node _
+    | Action { act_body = Some src; _ } -> S_action (Asl.Compiled.program src)
+    | Action { act_body = None; _ } | Call_behavior _ | Send_signal _ | Fork_node _ | Join_node _
       ->
       S_plain
   in
@@ -153,7 +133,6 @@ let template_of_node (act : Activityg.t) slot_of n =
 
 let create ?interp ?(self_ = Asl.Value.V_null)
     ?(metrics = Telemetry.Metrics.null) act =
-  precompile_behaviors act;
   let exec_interp =
     match interp with
     | Some i -> i
@@ -175,7 +154,7 @@ let create ?interp ?(self_ = Asl.Value.V_null)
       match tp.tp_shape with
       | S_initial sp -> slots.(sp) <- slots.(sp) + 1
       | S_decision _ | S_merge _ | S_final | S_flow_final | S_accept _
-      | S_object _ | S_plain ->
+      | S_object _ | S_action _ | S_plain ->
         ())
     templates;
   {
@@ -221,11 +200,8 @@ let offer_event t name = t.pending_events <- t.pending_events @ [ name ]
 
 let guard_passes t = function
   | None -> true
-  | Some src -> (
-    match
-      Asl.Interp.eval_guard_compiled ~self_:t.self_ t.exec_interp
-        (Asl.Compiled.guard src)
-    with
+  | Some g -> (
+    match Asl.Interp.eval_guard_compiled ~self_:t.self_ t.exec_interp g with
     | b -> b
     | exception Asl.Interp.Runtime_error _ -> false)
 
@@ -279,7 +255,7 @@ let firings_of_template t tp acc =
     in
     if has_ins && in_ok t tp && capacity_ok then firing tp :: acc
     else acc
-  | S_final | S_flow_final | S_plain ->
+  | S_final | S_flow_final | S_action _ | S_plain ->
     if has_ins && in_ok t tp then firing tp :: acc else acc
 
 let all_firings t =
@@ -292,24 +268,22 @@ let all_firings t =
 let enabled_firings t = List.map (fun f -> f.fr_label) (all_firings t)
 let stuck t = (not t.done_) && all_firings t = []
 
-let run_node_behavior t n =
+let run_action t prog =
+  match Asl.Interp.run_compiled ~self_:t.self_ t.exec_interp prog with
+  | _result ->
+    let sent = Asl.Interp.drain_signals t.exec_interp in
+    List.iter (fun s -> t.signals <- s.Asl.Interp.sig_name :: t.signals) sent
+  | exception Asl.Interp.Runtime_error _ -> ()
+
+let run_node_behavior t tp =
   let open Activityg in
-  match n with
-  | Action a -> (
-    match a.act_body with
-    | None -> ()
-    | Some src -> (
-      match
-        Asl.Interp.run_compiled ~self_:t.self_ t.exec_interp
-          (Asl.Compiled.program src)
-      with
-      | _result ->
-        let sent = Asl.Interp.drain_signals t.exec_interp in
-        List.iter
-          (fun s -> t.signals <- s.Asl.Interp.sig_name :: t.signals)
-          sent
-      | exception Asl.Interp.Runtime_error _ -> ()))
-  | Send_signal ev -> t.signals <- ev.ev_event :: t.signals
+  match tp.tp_shape, tp.tp_node with
+  | S_action prog, _node -> run_action t prog
+  | ( ( S_initial _ | S_decision _ | S_merge _ | S_final | S_flow_final
+      | S_accept _ | S_object _ | S_plain ),
+      node ) -> (
+    match node with
+    | Send_signal ev -> t.signals <- ev.ev_event :: t.signals
   | Accept_event ev ->
     if t.gating then begin
       (* consume one pending instance *)
@@ -320,10 +294,10 @@ let run_node_behavior t n =
       in
       t.pending_events <- remove t.pending_events
     end
-  | Call_behavior _ | Object_node _ | Initial_node _ | Activity_final _
-  | Flow_final _ | Fork_node _ | Join_node _ | Decision_node _
-  | Merge_node _ ->
-    ()
+  | Action _ | Call_behavior _ | Object_node _ | Initial_node _
+  | Activity_final _ | Flow_final _ | Fork_node _ | Join_node _
+  | Decision_node _ | Merge_node _ ->
+    ())
 
 let apply_firing t f =
   let tp = f.fr_tp in
@@ -334,7 +308,8 @@ let apply_firing t f =
     | S_decision _ | S_final -> (tp.tp_in_weight, 1)
     | S_merge _ -> (tp.tp_ins.(f.fr_branch).a_weight, fan_out)
     | S_flow_final -> (tp.tp_in_weight, 0)
-    | S_accept _ | S_object _ | S_plain -> (tp.tp_in_weight, fan_out)
+    | S_accept _ | S_object _ | S_action _ | S_plain ->
+      (tp.tp_in_weight, fan_out)
   in
   Telemetry.Metrics.incr t.m_firings;
   Telemetry.Metrics.incr ~by:(consumed + produced) t.m_token_moves;
@@ -351,16 +326,17 @@ let apply_firing t f =
    | S_initial sp -> t.slots.(sp) <- t.slots.(sp) - 1
    | S_merge _ -> take tp.tp_ins.(f.fr_branch)
    | S_decision _ | S_final | S_flow_final | S_accept _ | S_object _
-   | S_plain ->
+   | S_action _ | S_plain ->
      Array.iter take tp.tp_ins);
-  run_node_behavior t tp.tp_node;
+  run_node_behavior t tp;
   match tp.tp_shape with
   | S_decision _ -> put tp.tp_outs.(f.fr_branch).a_slot
   | S_final ->
     put t.done_slot;
     t.done_ <- true
   | S_flow_final -> ()
-  | S_initial _ | S_merge _ | S_accept _ | S_object _ | S_plain ->
+  | S_initial _ | S_merge _ | S_accept _ | S_object _ | S_action _
+  | S_plain ->
     Array.iter (fun a -> put a.a_slot) tp.tp_outs
 
 let fire t label =

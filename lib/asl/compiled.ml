@@ -4,8 +4,17 @@
    the next miss — compiled values are pure functions of the source
    text — so a long-running daemon can hold the tables at a fixed
    size without changing any result. *)
-type guard = (Ast.expr, string) result
-type program = (Ast.program, string) result
+(* The parse outcome, and the slot-resolved closures of a parsed text,
+   built on first use: lint reads only the AST, engines only the code.
+   Resolution is a pure function of the AST, so two domains racing on
+   the first use build equal handles and either may win the cell. *)
+type ('ast, 'code) compiled = {
+  c_ast : ('ast, string) result;
+  c_code : 'code option Atomic.t;
+}
+
+type guard = (Ast.expr, Resolve.guard) compiled
+type program = (Ast.program, Resolve.program) compiled
 
 type 'a entry = {
   e_value : 'a;
@@ -54,12 +63,15 @@ let evict_lru table =
   | None -> ()
 
 let capture parse src =
-  match parse src with
-  | ast -> Ok ast
-  | exception exn -> (
-    match Parser.error_message exn with
-    | Some m -> Error m
-    | None -> raise exn)
+  let c_ast =
+    match parse src with
+    | ast -> Ok ast
+    | exception exn -> (
+      match Parser.error_message exn with
+      | Some m -> Error m
+      | None -> raise exn)
+  in
+  { c_ast; c_code = Atomic.make None }
 
 let memoize table parse src =
   let found =
@@ -92,10 +104,27 @@ let memoize table parse src =
           done;
           c)
 
+let of_ast ast = { c_ast = Ok ast; c_code = Atomic.make None }
+let of_guard = of_ast
+let of_program = of_ast
 let guard src = memoize guards Parser.parse_expression src
 let program src = memoize programs Parser.parse_program src
-let guard_result c = c
-let program_result c = c
+let guard_result c = c.c_ast
+let program_result c = c.c_ast
+
+let code resolve c =
+  match c.c_ast with
+  | Error m -> raise (Resolve.Runtime_error m)
+  | Ok ast -> (
+    match Atomic.get c.c_code with
+    | Some h -> h
+    | None ->
+      let h = resolve ast in
+      Atomic.set c.c_code (Some h);
+      h)
+
+let guard_code c = code Resolve.guard c
+let program_code c = code Resolve.program c
 
 type stats = {
   st_guards : int;

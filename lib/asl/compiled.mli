@@ -7,12 +7,17 @@
     source text, so the statechart and activity engines can dispatch
     events without ever touching the parser again.
 
+    Next to the AST each entry keeps the slot-resolved handle of
+    {!Resolve}, built the first time an engine asks for it: engines take
+    one handle per behavior when they are created and never come back
+    to this table while they run.
+
     Parse errors are captured inside the compiled value rather than
     raised here: a behavior that never runs must not fail at
     compile/warm-up time, exactly as the parse-per-eval scheme only
-    surfaced errors on evaluation.  {!Interp.eval_guard_compiled} and
-    {!Interp.run_compiled} raise [Interp.Runtime_error] when handed a
-    captured error.
+    surfaced errors on evaluation.  {!guard_code}, {!program_code} and
+    the {!Interp} functions that run compiled values raise
+    [Interp.Runtime_error] when handed a captured error.
 
     Both memo tables are bounded LRU caches (default cap 4096 entries
     each, see {!set_memo_cap}): a long-running process — notably the
@@ -34,10 +39,23 @@ val guard : string -> guard
 val program : string -> program
 (** Memoized [Parser.parse_program]. *)
 
+val of_guard : Ast.expr -> guard
+(** A compiled value for an expression no source text stands for;
+    nothing is memoized. *)
+
+val of_program : Ast.program -> program
+
 val guard_result : guard -> (Ast.expr, string) result
 (** The parse outcome; [Error] carries the rendered parse error. *)
 
 val program_result : program -> (Ast.program, string) result
+
+val guard_code : guard -> Resolve.guard
+(** The resolved handle, built on the first call and shared after.
+    @raise Resolve.Runtime_error with the parse error's text when the
+    source did not parse. *)
+
+val program_code : program -> Resolve.program
 
 (** Lifetime statistics of the memo tables (monotonic counters are
     process-global, never reset by eviction or {!clear_memo}). *)

@@ -17,14 +17,44 @@ exception Model_error of string
 
 let model_error fmt = Printf.ksprintf (fun m -> raise (Model_error m)) fmt
 
+(* The compiled behaviors of one transition or state, taken from the
+   memo at [create]; the record they came from is kept to tell apart
+   two elements that share an id. *)
+type tr_code = {
+  tc_tr : Smachine.transition;
+  tc_guard : Asl.Compiled.guard option;
+  tc_effect : Asl.Compiled.program option;
+}
+
+type st_code = {
+  sc_state : Smachine.state;
+  sc_entry : Asl.Compiled.program option;
+  sc_exit : Asl.Compiled.program option;
+  sc_do : Asl.Compiled.program option;
+}
+
+type vertex_code = {
+  vc_state : st_code option;  (** [None] when the vertex has no behavior *)
+  vc_out : tr_code list;  (** outgoing transitions, {!Topology.outgoing} order *)
+}
+
 type timer = {
   tm_due : int;
   tm_state : Ident.t;
-  tm_transition : Smachine.transition;
+  tm_code : tr_code;
+}
+
+(* A processed event as [trace] reports it, with the configuration
+   kept as the set it was: names are derived only when asked for. *)
+type step = {
+  sp_event : Event.t;
+  sp_fired : Ident.t list;
+  sp_config : Ident.Set.t;
 }
 
 type t = {
   topo : Topology.t;
+  codes : (Ident.t, vertex_code) Hashtbl.t;
   engine_interp : Asl.Interp.t;
   self_ : Asl.Value.t;
   mutable config : Ident.Set.t;
@@ -36,7 +66,7 @@ type t = {
   mutable clock : int;
   mutable timers : timer list;  (** sorted by due time *)
   mutable completion_sent : Ident.Set.t;
-  mutable steps : step_record list;  (** reverse order *)
+  mutable steps : step list;  (** reverse order *)
   e_metrics : Telemetry.Metrics.t;
   m_dispatched : Telemetry.Metrics.counter;
   m_fired : Telemetry.Metrics.counter;
@@ -44,30 +74,46 @@ type t = {
   g_queue : Telemetry.Metrics.gauge;
 }
 
-(* Parse every behavior string of the machine exactly once, at engine
-   construction: dispatch then runs entirely on the memoized compiled
-   forms.  Parse errors are captured, not raised — a guard that never
-   fires must not fail at [create], matching the historical
-   parse-per-dispatch semantics. *)
-let precompile_behaviors sm =
-  let opt compile = function
-    | None -> ()
-    | Some src -> ignore (compile src)
-  in
-  List.iter
-    (fun (tr : Smachine.transition) ->
-      opt Asl.Compiled.guard tr.Smachine.tr_guard;
-      opt Asl.Compiled.program tr.Smachine.tr_effect)
-    (Smachine.all_transitions sm);
+(* Every behavior string of the machine goes through the memo exactly
+   once, at engine construction: dispatch then runs the compiled
+   handles and never hashes a source text again.  Parse errors are
+   captured, not raised — a guard that never fires must not fail at
+   [create], matching the historical parse-per-dispatch semantics. *)
+let tr_code (tr : Smachine.transition) =
+  {
+    tc_tr = tr;
+    tc_guard = Option.map Asl.Compiled.guard tr.Smachine.tr_guard;
+    tc_effect = Option.map Asl.Compiled.program tr.Smachine.tr_effect;
+  }
+
+let st_code (s : Smachine.state) =
+  {
+    sc_state = s;
+    sc_entry = Option.map Asl.Compiled.program s.Smachine.st_entry;
+    sc_exit = Option.map Asl.Compiled.program s.Smachine.st_exit;
+    sc_do = Option.map Asl.Compiled.program s.Smachine.st_do;
+  }
+
+let compile_behaviors topo sm =
+  let vertices = Smachine.all_vertices sm in
+  let codes = Hashtbl.create (List.length vertices) in
   List.iter
     (fun v ->
-      match v with
-      | Smachine.State s ->
-        opt Asl.Compiled.program s.Smachine.st_entry;
-        opt Asl.Compiled.program s.Smachine.st_exit;
-        opt Asl.Compiled.program s.Smachine.st_do
-      | Smachine.Pseudo _ | Smachine.Final _ -> ())
-    (Smachine.all_vertices sm)
+      let id = Smachine.vertex_id v in
+      let vc_state =
+        match v with
+        | Smachine.State
+            (( { Smachine.st_entry = Some _; _ } | { st_exit = Some _; _ }
+             | { st_do = Some _; _ } ) as s) ->
+          Some (st_code s)
+        | Smachine.State _ | Smachine.Pseudo _ | Smachine.Final _ -> None
+      in
+      match vc_state, Topology.outgoing topo id with
+      | None, [] -> ()
+      | (None | Some _), out ->
+        Hashtbl.add codes id { vc_state; vc_out = List.map tr_code out })
+    vertices;
+  codes
 
 let create ?interp ?(self_ = Asl.Value.V_null)
     ?(metrics = Telemetry.Metrics.null) sm =
@@ -76,9 +122,10 @@ let create ?interp ?(self_ = Asl.Value.V_null)
     | Some i -> i
     | None -> Asl.Interp.create ~metrics (Asl.Store.create ())
   in
-  precompile_behaviors sm;
+  let topo = Topology.build sm in
   {
-    topo = Topology.build sm;
+    topo;
+    codes = compile_behaviors topo sm;
     engine_interp;
     self_;
     config = Ident.Set.empty;
@@ -105,53 +152,88 @@ let now t = t.clock
 
 (* --- ASL bridging -------------------------------------------------- *)
 
-let event_params (ev : Event.t) =
-  ("event", Asl.Value.V_string ev.Event.name)
-  :: List.mapi (fun i v -> (Printf.sprintf "e%d" (i + 1), v)) ev.Event.args
+let outgoing t id =
+  match Hashtbl.find_opt t.codes id with
+  | Some vc -> vc.vc_out
+  | None -> List.map tr_code (Topology.outgoing t.topo id)
 
-let guard_passes t ev = function
-  | None -> true
-  | Some src -> (
+(* A transition's codes sit with its source; one that is not there
+   (its record was shadowed by another element with the same id) goes
+   back to the memo. *)
+let code_of_tr t (tr : Smachine.transition) =
+  let rec find = function
+    | c :: rest -> if c.tc_tr == tr then c else find rest
+    | [] -> tr_code tr
+  in
+  find (outgoing t tr.Smachine.tr_source)
+
+let code_of_state t (s : Smachine.state) =
+  match Hashtbl.find_opt t.codes s.Smachine.st_id with
+  | Some { vc_state = Some c; _ } when c.sc_state == s -> c
+  | Some _ | None -> st_code s
+
+let guard_passes t (ev : Event.t) c =
+  match c.tc_tr.Smachine.tr_guard, c.tc_guard with
+  | Some src, Some g -> (
     match
-      Asl.Interp.eval_guard_compiled ~self_:t.self_ ~params:(event_params ev)
-        t.engine_interp (Asl.Compiled.guard src)
+      Asl.Interp.eval_guard_event ~self_:t.self_ t.engine_interp g
+        ~event:ev.Event.name ~args:ev.Event.args
     with
     | b -> b
     | exception Asl.Interp.Runtime_error m ->
       model_error "guard %S failed: %s" src m)
+  | (Some _ | None), _ -> true
 
-let run_behavior t ev = function
+let run_code t (ev : Event.t) src prog =
+  match
+    Asl.Interp.run_event ~self_:t.self_ t.engine_interp prog
+      ~event:ev.Event.name ~args:ev.Event.args
+  with
+  | _result -> ()
+  | exception Asl.Interp.Runtime_error m ->
+    model_error "behavior %S failed: %s" src m
+
+let run_effect t ev c =
+  match c.tc_tr.Smachine.tr_effect, c.tc_effect with
+  | Some src, Some prog -> run_code t ev src prog
+  | (Some _ | None), _ -> ()
+
+(* [behavior] and [code] pick the same entry, exit or do behavior. *)
+let run_state_behavior t ev (s : Smachine.state) behavior code =
+  match behavior s with
   | None -> ()
   | Some src -> (
-    match
-      Asl.Interp.run_compiled ~self_:t.self_ ~params:(event_params ev)
-        t.engine_interp (Asl.Compiled.program src)
-    with
-    | _result -> ()
-    | exception Asl.Interp.Runtime_error m ->
-      model_error "behavior %S failed: %s" src m)
+    match code (code_of_state t s) with
+    | Some prog -> run_code t ev src prog
+    | None -> ())
 
 (* --- configuration queries ----------------------------------------- *)
 
 let is_active t id = Ident.Set.mem id t.config
 
-let active_descendants t id =
+let descendants_in t config id =
   Ident.Set.filter
     (fun v -> List.exists (Ident.equal id) (Topology.ancestor_states t.topo v))
-    t.config
+    config
 
-let active_leaves t =
+let active_descendants t id = descendants_in t t.config id
+
+let leaves_of t config =
   Ident.Set.filter
-    (fun v -> Ident.Set.is_empty (active_descendants t v))
-    t.config
+    (fun v -> Ident.Set.is_empty (descendants_in t config v))
+    config
 
-let active_leaf_names t =
+let active_leaves t = leaves_of t t.config
+
+let leaf_names t config =
   let names =
     List.map
       (fun id -> Smachine.vertex_name (Topology.vertex t.topo id))
-      (Ident.Set.elements (active_leaves t))
+      (Ident.Set.elements (leaves_of t config))
   in
   List.sort String.compare names
+
+let active_leaf_names t = leaf_names t t.config
 
 let qualified_name t id =
   let ancestors = Topology.ancestor_states t.topo id in
@@ -190,22 +272,22 @@ let active_child_of_region t region_id =
 (* --- timers --------------------------------------------------------- *)
 
 let schedule_timers t state_id =
-  let add tr =
+  let add c =
     List.iter
       (fun trigger ->
         match trigger with
         | Smachine.Time_trigger d ->
           let timer =
-            { tm_due = t.clock + d; tm_state = state_id; tm_transition = tr }
+            { tm_due = t.clock + d; tm_state = state_id; tm_code = c }
           in
           t.timers <-
             List.sort (fun a b -> compare a.tm_due b.tm_due) (timer :: t.timers)
         | Smachine.Signal_trigger _ | Smachine.Any_trigger
         | Smachine.Completion ->
           ())
-      tr.Smachine.tr_triggers
+      c.tc_tr.Smachine.tr_triggers
   in
-  List.iter add (Topology.outgoing t.topo state_id)
+  List.iter add (outgoing t state_id)
 
 let cancel_timers t state_id =
   t.timers <-
@@ -264,7 +346,9 @@ let exit_subtree t ev root =
   List.iter
     (fun id ->
       (match Topology.vertex t.topo id with
-       | Smachine.State s -> run_behavior t ev s.Smachine.st_exit
+       | Smachine.State s -> run_state_behavior t ev s
+             (fun s -> s.Smachine.st_exit)
+             (fun c -> c.sc_exit)
        | Smachine.Pseudo _ | Smachine.Final _ -> ());
       cancel_timers t id;
       t.config <- Ident.Set.remove id t.config;
@@ -279,10 +363,14 @@ let activate t ev id =
     t.config <- Ident.Set.add id t.config;
     match Topology.vertex t.topo id with
     | Smachine.State s ->
-      run_behavior t ev s.Smachine.st_entry;
+      run_state_behavior t ev s
+        (fun s -> s.Smachine.st_entry)
+        (fun c -> c.sc_entry);
       (* do-activities run to completion on entry (they are ASL
          programs, not processes); the state then counts as completed *)
-      run_behavior t ev s.Smachine.st_do;
+      run_state_behavior t ev s
+        (fun s -> s.Smachine.st_do)
+        (fun c -> c.sc_do);
       schedule_timers t id
     | Smachine.Final _ -> ()
     | Smachine.Pseudo _ -> model_error "pseudostate activated as state"
@@ -299,11 +387,11 @@ let rec default_enter_region t ev planned (r : Smachine.region) =
   match Topology.initial_of_region r with
   | None -> ()
   | Some init -> (
-    match Topology.outgoing t.topo init.Smachine.ps_id with
+    match outgoing t init.Smachine.ps_id with
     | [] -> model_error "initial pseudostate without outgoing transition"
-    | tr :: _rest ->
-      run_behavior t ev tr.Smachine.tr_effect;
-      enter_target t ev planned tr.Smachine.tr_target)
+    | c :: _rest ->
+      run_effect t ev c;
+      enter_target t ev planned c.tc_tr.Smachine.tr_target)
 
 and default_enter_state_regions t ev planned (s : Smachine.state) =
   List.iter
@@ -355,35 +443,32 @@ and enter_pseudostate t ev planned (p : Smachine.pseudostate) =
   | Smachine.Terminate -> t.engine_status <- Terminated
   | Smachine.Junction | Smachine.Choice | Smachine.Entry_point
   | Smachine.Exit_point | Smachine.Initial -> (
-    let branches = Topology.outgoing t.topo p.Smachine.ps_id in
-    let enabled =
-      List.find_opt (fun tr -> guard_passes t ev tr.Smachine.tr_guard) branches
-    in
+    let branches = outgoing t p.Smachine.ps_id in
+    let enabled = List.find_opt (fun c -> guard_passes t ev c) branches in
     match enabled with
     | None ->
       model_error "no enabled branch at pseudostate %s" p.Smachine.ps_name
-    | Some tr ->
-      run_behavior t ev tr.Smachine.tr_effect;
-      enter_target t ev planned tr.Smachine.tr_target)
+    | Some c ->
+      run_effect t ev c;
+      enter_target t ev planned c.tc_tr.Smachine.tr_target)
   | Smachine.Fork ->
-    let branches = Topology.outgoing t.topo p.Smachine.ps_id in
-    let targets = List.map (fun tr -> tr.Smachine.tr_target) branches in
+    let branches = outgoing t p.Smachine.ps_id in
+    let targets = List.map (fun c -> c.tc_tr.Smachine.tr_target) branches in
     let planned =
       List.fold_left (fun s tgt -> Ident.Set.add tgt s) planned targets
     in
     List.iter
-      (fun tr ->
-        run_behavior t ev tr.Smachine.tr_effect;
-        enter_target t ev
-          (Ident.Set.remove tr.Smachine.tr_target planned)
-          tr.Smachine.tr_target)
+      (fun c ->
+        let target = c.tc_tr.Smachine.tr_target in
+        run_effect t ev c;
+        enter_target t ev (Ident.Set.remove target planned) target)
       branches
   | Smachine.Join -> (
-    match Topology.outgoing t.topo p.Smachine.ps_id with
+    match outgoing t p.Smachine.ps_id with
     | [] -> model_error "join without outgoing transition"
-    | tr :: _rest ->
-      run_behavior t ev tr.Smachine.tr_effect;
-      enter_target t ev planned tr.Smachine.tr_target)
+    | c :: _rest ->
+      run_effect t ev c;
+      enter_target t ev planned c.tc_tr.Smachine.tr_target)
   | Smachine.Shallow_history -> (
     let rid = Topology.region_of_vertex t.topo p.Smachine.ps_id in
     match Hashtbl.find_opt t.shallow_store rid with
@@ -402,10 +487,10 @@ and enter_pseudostate t ev planned (p : Smachine.pseudostate) =
     | Some _ | None -> history_default t ev planned p rid)
 
 and history_default t ev planned (p : Smachine.pseudostate) rid =
-  match Topology.outgoing t.topo p.Smachine.ps_id with
-  | tr :: _rest ->
-    run_behavior t ev tr.Smachine.tr_effect;
-    enter_target t ev planned tr.Smachine.tr_target
+  match outgoing t p.Smachine.ps_id with
+  | c :: _rest ->
+    run_effect t ev c;
+    enter_target t ev planned c.tc_tr.Smachine.tr_target
   | [] -> default_enter_region t ev planned (Topology.region t.topo rid)
 
 and check_terminate t target_id =
@@ -504,7 +589,8 @@ let join_ready t join_id =
     (fun tr -> is_active t tr.Smachine.tr_source)
     (Topology.incoming t.topo join_id)
 
-let transition_triggered t ev (tr : Smachine.transition) =
+let transition_triggered t ev c =
+  let tr = c.tc_tr in
   let trigger_match =
     match ev with
     | None -> tr.Smachine.tr_triggers = []  (* completion transition *)
@@ -517,7 +603,7 @@ let transition_triggered t ev (tr : Smachine.transition) =
     | Some e -> e
     | None -> Event.make Event.completion_name
   in
-  guard_passes t ev_for_guard tr.Smachine.tr_guard
+  guard_passes t ev_for_guard c
   &&
   match Topology.vertex_opt t.topo tr.Smachine.tr_target with
   | Some (Smachine.Pseudo p) when p.Smachine.ps_kind = Smachine.Join ->
@@ -533,17 +619,17 @@ let enabled_transitions t ev =
         match Topology.vertex t.topo id with
         | Smachine.State _ ->
           List.fold_left
-            (fun acc tr ->
-              if transition_triggered t (Some ev) tr then tr :: acc else acc)
-            acc (Topology.outgoing t.topo id)
+            (fun acc c ->
+              if transition_triggered t (Some ev) c then c :: acc else acc)
+            acc (outgoing t id)
         | Smachine.Pseudo _ | Smachine.Final _ -> acc)
       t.config []
   in
   List.sort
     (fun a b ->
       compare
-        (Topology.depth t.topo b.Smachine.tr_source)
-        (Topology.depth t.topo a.Smachine.tr_source))
+        (Topology.depth t.topo b.tc_tr.Smachine.tr_source)
+        (Topology.depth t.topo a.tc_tr.Smachine.tr_source))
     candidates
 
 (* Greedy maximal non-conflicting selection (inner priority). *)
@@ -552,7 +638,8 @@ let select_firing_set t candidates =
     Ident.Set.is_empty (Ident.Set.inter chosen_exit (exit_set t tr))
     || Smachine.equal_transition_kind tr.Smachine.tr_kind Smachine.Internal
   in
-  let pick (chosen, chosen_exit) tr =
+  let pick (chosen, chosen_exit) c =
+    let tr = c.tc_tr in
     let ex = exit_set t tr in
     let internal =
       Smachine.equal_transition_kind tr.Smachine.tr_kind Smachine.Internal
@@ -565,7 +652,7 @@ let select_firing_set t candidates =
       source_surviving
       && (internal || conflict_free chosen_exit tr)
       && (internal || not (Ident.Set.is_empty ex) || is_active t tr.Smachine.tr_source)
-    then (tr :: chosen, Ident.Set.union chosen_exit ex)
+    then (c :: chosen, Ident.Set.union chosen_exit ex)
     else (chosen, chosen_exit)
   in
   let chosen, _ = List.fold_left pick ([], Ident.Set.empty) candidates in
@@ -582,10 +669,11 @@ let exit_scope_now t ev tr =
     | Some child -> exit_subtree t ev child
     | None -> ())
 
-let fire_transition t ev (tr : Smachine.transition) =
+let fire_transition t ev c =
+  let tr = c.tc_tr in
   Telemetry.Metrics.incr t.m_fired;
   match tr.Smachine.tr_kind with
-  | Smachine.Internal -> run_behavior t ev tr.Smachine.tr_effect
+  | Smachine.Internal -> run_effect t ev c
   | Smachine.External | Smachine.Local ->
     (* join compound: exit every source region of the join *)
     let join_sources =
@@ -604,9 +692,9 @@ let fire_transition t ev (tr : Smachine.transition) =
     List.iter
       (fun in_tr ->
         exit_scope_now t ev in_tr;
-        run_behavior t ev in_tr.Smachine.tr_effect)
+        run_effect t ev (code_of_tr t in_tr))
       join_sources;
-    run_behavior t ev tr.Smachine.tr_effect;
+    run_effect t ev c;
     if t.engine_status = Running then
       enter_target t ev Ident.Set.empty tr.Smachine.tr_target
 
@@ -643,15 +731,15 @@ let completion_step t =
           else
             let trs =
               List.filter
-                (fun tr ->
-                  tr.Smachine.tr_triggers = []
+                (fun c ->
+                  c.tc_tr.Smachine.tr_triggers = []
                   || List.exists
                        (fun trg -> trg = Smachine.Completion)
-                       tr.Smachine.tr_triggers)
-                (Topology.outgoing t.topo id)
+                       c.tc_tr.Smachine.tr_triggers)
+                (outgoing t id)
             in
             let enabled =
-              List.find_opt (fun tr -> transition_triggered t None tr) trs
+              List.find_opt (fun c -> transition_triggered t None c) trs
             in
             (match enabled with
              | Some tr -> Some (id, tr)
@@ -673,22 +761,21 @@ let rec completion_cascade t fired budget =
   else
     match completion_step t with
     | None -> List.rev fired
-    | Some tr ->
-      completion_cascade t (tr.Smachine.tr_id :: fired) (budget - 1)
+    | Some c ->
+      completion_cascade t (c.tc_tr.Smachine.tr_id :: fired) (budget - 1)
 
 (* --- run-to-completion step ----------------------------------------- *)
 
 let record_step t ev fired =
   if Telemetry.Metrics.live t.e_metrics then
-    Telemetry.Metrics.event t.e_metrics ~scope:"statechart" "step"
-      [
-        ("event", Telemetry.Metrics.F_str ev.Event.name);
-        ("fired", Telemetry.Metrics.F_int (List.length fired));
-        ("status", Telemetry.Metrics.F_str (show_status t.engine_status));
-      ];
-  t.steps <-
-    { sr_event = ev; sr_fired = fired; sr_config = active_leaf_names t }
-    :: t.steps
+    Telemetry.Metrics.event_lazy t.e_metrics ~scope:"statechart" "step"
+      (fun () ->
+        [
+          ("event", Telemetry.Metrics.F_str ev.Event.name);
+          ("fired", Telemetry.Metrics.F_int (List.length fired));
+          ("status", Telemetry.Metrics.F_str (show_status t.engine_status));
+        ]);
+  t.steps <- { sp_event = ev; sp_fired = fired; sp_config = t.config } :: t.steps
 
 let is_deferrable t ev =
   Ident.Set.exists
@@ -716,7 +803,7 @@ let rtc t ev =
       if t.engine_status = Running then completion_cascade t [] 1000 else []
     in
     record_step t ev
-      (List.map (fun tr -> tr.Smachine.tr_id) firing @ completion_fired);
+      (List.map (fun c -> c.tc_tr.Smachine.tr_id) firing @ completion_fired);
     (* configuration changed: recall deferred events *)
     let recalled = List.rev t.deferred in
     t.deferred <- [];
@@ -775,16 +862,15 @@ let advance_time t dt =
       t.timers <- rest;
       if
         is_active t tm.tm_state
-        && guard_passes t (Event.make Event.time_name)
-             tm.tm_transition.Smachine.tr_guard
+        && guard_passes t (Event.make Event.time_name) tm.tm_code
       then begin
-        fire_transition t (Event.make Event.time_name) tm.tm_transition;
+        fire_transition t (Event.make Event.time_name) tm.tm_code;
         let completion_fired =
           if t.engine_status = Running then completion_cascade t [] 1000
           else []
         in
         record_step t (Event.make Event.time_name)
-          (tm.tm_transition.Smachine.tr_id :: completion_fired);
+          (tm.tm_code.tc_tr.Smachine.tr_id :: completion_fired);
         let _count = run_to_quiescence t in
         ()
       end;
@@ -794,4 +880,12 @@ let advance_time t dt =
   loop ();
   t.clock <- target
 
-let trace t = List.rev t.steps
+let trace t =
+  List.rev_map
+    (fun sp ->
+      {
+        sr_event = sp.sp_event;
+        sr_fired = sp.sp_fired;
+        sr_config = leaf_names t sp.sp_config;
+      })
+    t.steps

@@ -128,6 +128,18 @@ let event t ~scope name fields =
     Ring.push t.sink e
   end
 
+(* The same sequence number, clock tick and ring accounting as
+   [event]; the fields are built only when the ring keeps the event. *)
+let event_lazy t ~scope name fields =
+  if t.on then begin
+    if Ring.capacity t.sink = 0 then begin
+      ignore (Clock.ticks t.clock);
+      t.seq <- t.seq + 1;
+      Ring.add_dropped t.sink 1
+    end
+    else event t ~scope name (fields ())
+  end
+
 let events t = Ring.to_list t.sink
 let events_dropped t = Ring.dropped t.sink
 

@@ -73,6 +73,12 @@ val event : t -> scope:string -> string -> (string * field) list -> unit
 (** Append a structured event to the ring (dropped when full or when
     the registry is disabled). *)
 
+val event_lazy :
+  t -> scope:string -> string -> (unit -> (string * field) list) -> unit
+(** {!event} with the fields built only when the ring keeps the event:
+    a ring of capacity 0 still advances the sequence number, reads the
+    clock once and counts the event dropped, exactly as {!event}. *)
+
 val events : t -> event list
 (** Retained events, oldest first. *)
 

@@ -101,8 +101,9 @@ let parse_methods m methods =
           match op.Classifier.op_body with
           | None -> ()
           | Some src -> (
-            match Asl.Parser.parse_program src with
-            | prog ->
+            let prog = Asl.Compiled.program src in
+            match Asl.Compiled.program_result prog with
+            | Ok _ast ->
               let params =
                 List.filter_map
                   (fun (p : Classifier.parameter) ->
@@ -113,13 +114,10 @@ let parse_methods m methods =
               in
               Hashtbl.replace methods
                 (cl.Classifier.cl_name, op.Classifier.op_name)
-                (Asl.Interp.Body (params, prog))
-            | exception exn -> (
-              match Asl.Parser.error_message exn with
-              | Some msg ->
-                err "operation %s.%s: %s" cl.Classifier.cl_name
-                  op.Classifier.op_name msg
-              | None -> raise exn)))
+                (Asl.Interp.Body (Asl.Interp.body params prog))
+            | Error msg ->
+              err "operation %s.%s: %s" cl.Classifier.cl_name
+                op.Classifier.op_name msg))
         cl.Classifier.cl_operations)
     (Model.classifiers m)
 

@@ -213,7 +213,7 @@ let typecheck_tests =
 let run_int ?fuel ?resolve ?self_ ?params src =
   let store = Asl.Store.create () in
   let interp = Asl.Interp.create ?fuel ?resolve store in
-  Asl.Interp.run_source ?self_ ?params interp src
+  Asl.Interp.run_compiled ?self_ ?params interp (Asl.Compiled.program src)
 
 let interp_tests =
   [
@@ -258,7 +258,8 @@ let interp_tests =
     tc "print collects output" (fun () ->
         let store = Asl.Store.create () in
         let interp = Asl.Interp.create store in
-        let _r = Asl.Interp.run_source interp "print(1); print(\"two\");" in
+        let _r = Asl.Interp.run_compiled interp
+            (Asl.Compiled.program "print(1); print(\"two\");") in
         check (Alcotest.list Alcotest.string) "lines" [ "1"; "two" ]
           (Asl.Interp.output interp));
     tc "objects: new, attrs, delete" (fun () ->
@@ -269,13 +270,15 @@ let interp_tests =
             store
         in
         let r =
-          Asl.Interp.run_source interp
-            "var c := new Counter; c.x := 41; c.x := c.x + 1; return c.x;"
+          Asl.Interp.run_compiled interp
+            (Asl.Compiled.program
+               "var c := new Counter; c.x := 41; c.x := c.x + 1; return c.x;")
         in
         check Alcotest.bool "42" true (r = Some (Asl.Value.V_int 42));
         check Alcotest.int "live" 1 (Asl.Store.live_count store);
         let _r2 =
-          Asl.Interp.run_source interp "var d := new Counter; delete d;"
+          Asl.Interp.run_compiled interp
+            (Asl.Compiled.program "var d := new Counter; delete d;")
         in
         check Alcotest.int "still one" 1 (Asl.Store.live_count store));
     tc "deleted object access raises" (fun () ->
@@ -290,7 +293,8 @@ let interp_tests =
           | "K", "double" ->
             Some
               (Asl.Interp.Body
-                 ([ "n" ], Asl.Parser.parse_program "return n * 2;"))
+                 (Asl.Interp.body [ "n" ]
+                    (Asl.Compiled.program "return n * 2;")))
           | _other -> None
         in
         check Alcotest.bool "84" true
@@ -301,7 +305,8 @@ let interp_tests =
           match cl, op with
           | "K", "loop" ->
             Some
-              (Asl.Interp.Body ([], Asl.Parser.parse_program "self.loop();"))
+              (Asl.Interp.Body
+                 (Asl.Interp.body [] (Asl.Compiled.program "self.loop();")))
           | _other -> None
         in
         match run_int ~fuel:20_000 ~resolve "var k := new K; k.loop();" with
@@ -315,7 +320,8 @@ let interp_tests =
         let store = Asl.Store.create () in
         let interp = Asl.Interp.create store in
         let _r =
-          Asl.Interp.run_source interp "send go(1); send stop() to null;"
+          Asl.Interp.run_compiled interp
+            (Asl.Compiled.program "send go(1); send stop() to null;")
         in
         match Asl.Interp.drain_signals interp with
         | [ s1; s2 ] ->
@@ -328,11 +334,13 @@ let interp_tests =
         let store = Asl.Store.create () in
         let interp = Asl.Interp.create store in
         check Alcotest.bool "true" true
-          (Asl.Interp.eval_guard ~params:[ ("x", Asl.Value.V_int 5) ] interp
-             "x > 3");
+          (Asl.Interp.eval_guard_compiled
+             ~params:[ ("x", Asl.Value.V_int 5) ]
+             interp (Asl.Compiled.guard "x > 3"));
         check Alcotest.bool "false" false
-          (Asl.Interp.eval_guard ~params:[ ("x", Asl.Value.V_int 2) ] interp
-             "x > 3"));
+          (Asl.Interp.eval_guard_compiled
+             ~params:[ ("x", Asl.Value.V_int 2) ]
+             interp (Asl.Compiled.guard "x > 3")));
     tc "params are visible" (fun () ->
         check Alcotest.bool "sum" true
           (run_int
@@ -394,6 +402,304 @@ let property_tests =
            | exception Asl.Lexer.Lex_error _ -> true));
   ]
 
+
+(* --- reference differential ---------------------------------------------- *)
+
+(* [Oracles.Asl_interp_ref] is the tree walker the slot-resolved
+   closures replaced.  Both run the same body on stores and registries
+   of their own; everything a run can show must match: the result or
+   the error text, the signals, the [print] lines, every object of the
+   store, and the [asl.*] counters.  Runs at truncated fuel pin the
+   point where fuel runs out, since the counters and store effects
+   read at that error are those of the step it stopped at. *)
+
+module Ref = Oracles.Asl_interp_ref
+
+type outcome =
+  | Returned of Asl.Value.t option
+  | Failed of string
+
+let outcome f =
+  match f () with
+  | v -> Returned v
+  | exception Asl.Interp.Runtime_error m -> Failed m
+
+let show_outcome = function
+  | Returned None -> "returned nothing"
+  | Returned (Some v) -> "returned " ^ Asl.Value.show v
+  | Failed m -> "failed: " ^ m
+
+let counter_names = [ "asl.statements"; "asl.store_reads"; "asl.store_writes" ]
+
+let counters reg =
+  List.map
+    (fun n -> Telemetry.Metrics.counter_value (Telemetry.Metrics.counter reg n))
+    counter_names
+
+(* Object references are allocated from 1 up; a program allocates far
+   fewer objects than the probe reaches within the fuel it gets. *)
+let store_contents store =
+  ( Asl.Store.live_count store,
+    List.init 512 (fun i ->
+        let r = i + 1 in
+        (Asl.Store.class_of store r, Asl.Store.attrs store r)) )
+
+(* The class the object programs run against: [K] with one attribute
+   and the [bump] operation of test_xuml's models. *)
+let bump_src = "self.x := self.x + d; return self.x;"
+let k_defaults _class = [ ("x", Asl.Value.V_int 5) ]
+
+let compiled_methods cl op =
+  match cl, op with
+  | "K", "bump" ->
+    Some
+      (Asl.Interp.Body
+         (Asl.Interp.body [ "d" ] (Asl.Compiled.program bump_src)))
+  | _cl, _op -> None
+
+let ref_methods cl op =
+  match cl, op with
+  | "K", "bump" -> Some (Ref.Body ([ "d" ], Asl.Parser.parse_program bump_src))
+  | _cl, _op -> None
+
+(* One run on each side, [compiled] and [reference] given the
+   interpreter and [self]; [None] when they agree, else what differs. *)
+let differ ?(methods = (compiled_methods, ref_methods)) ~what ~fuel compiled
+    reference =
+  let c_methods, r_methods = methods in
+  let c_store = Asl.Store.create () and r_store = Asl.Store.create () in
+  let c_reg = Telemetry.Metrics.create () and r_reg = Telemetry.Metrics.create () in
+  let c =
+    Asl.Interp.create ~fuel ~resolve:c_methods ~attr_defaults:k_defaults
+      ~metrics:c_reg c_store
+  in
+  let r =
+    Ref.create ~fuel ~resolve:r_methods ~attr_defaults:k_defaults
+      ~metrics:r_reg r_store
+  in
+  let self_ store =
+    Asl.Value.V_obj (Asl.Store.alloc store ~class_name:"K" ~attrs:(k_defaults "K"))
+  in
+  let c_out = outcome (fun () -> compiled c (self_ c_store)) in
+  let r_out = outcome (fun () -> reference r (self_ r_store)) in
+  let same_effects =
+    ( Asl.Interp.drain_signals c,
+      Asl.Interp.output c,
+      store_contents c_store,
+      counters c_reg )
+    = (Ref.drain_signals r, Ref.output r, store_contents r_store, counters r_reg)
+  in
+  if c_out = r_out && same_effects then None
+  else
+    Some
+      (Printf.sprintf "%s at fuel %d: compiled %s, reference %s%s" what fuel
+         (show_outcome c_out) (show_outcome r_out)
+         (if c_out = r_out then " (other effects differ)" else ""))
+
+let check_agree = function
+  | None -> ()
+  | Some m -> Alcotest.fail m
+
+(* Programs name the engine's event parameters too, so the slots the
+   resolver binds for [event] and [e1].. are read and written. *)
+let pool = [ "a"; "b"; "c"; "d"; "e1"; "e2"; "event" ]
+
+type binding =
+  | Named of (string * Asl.Value.t) list
+  | Event of string * Asl.Value.t list
+
+(* The names the statechart engine gave event arguments before they
+   had slots. *)
+let event_params event args =
+  ("event", Asl.Value.V_string event)
+  :: List.mapi (fun i v -> (Printf.sprintf "e%d" (i + 1), v)) args
+
+let gen_program_case =
+  let open QCheck.Gen in
+  let value = map (fun n -> Asl.Value.V_int n) (int_range (-8) 8) in
+  let binding =
+    frequency
+      [
+        ( 1,
+          map
+            (fun l -> Named l)
+            (list_size (int_bound 4)
+               (pair (oneofl (pool @ [ "e3"; "p"; "zz" ])) value)) );
+        ( 1,
+          map2
+            (fun ev args -> Event (ev, args))
+            (oneofl [ "ev0"; "go" ])
+            (list_size (int_bound 3) value) );
+      ]
+  in
+  quad (int_bound 0x3FFFFFFF) bool binding
+    (frequency [ (3, int_bound 400); (1, return 20_000) ])
+
+let show_binding = function
+  | Named params ->
+    String.concat "; "
+      (List.map (fun (n, v) -> n ^ "=" ^ Asl.Value.show v) params)
+  | Event (ev, args) ->
+    Printf.sprintf "event %s(%s)" ev
+      (String.concat ", " (List.map Asl.Value.show args))
+
+let print_program_case (seed, objects, binding, fuel) =
+  let prog =
+    Workload.Gen_asl.program ~objects (Workload.Prng.create seed) ~pool
+  in
+  Printf.sprintf "%s\nbinding: %s, fuel %d" (Asl.Ast.show_program prog)
+    (show_binding binding) fuel
+
+(* The effects and guards of the ASL-heavy machine, run with the
+   statechart engine's bindings: [event] and [e1].. on the compiled side
+   through the slots found at resolution, by name on the reference. *)
+let asl_heavy_behaviors seed =
+  let sm = Workload.Gen_statechart.asl_heavy ~seed ~states:12 ~events:6 in
+  List.concat_map
+    (fun (tr : Uml.Smachine.transition) ->
+      List.filter_map Fun.id
+        [
+          Option.map (fun g -> `Guard g) tr.Uml.Smachine.tr_guard;
+          Option.map (fun e -> `Effect e) tr.Uml.Smachine.tr_effect;
+        ])
+    (Uml.Smachine.all_transitions sm)
+
+let event_case = ("ev3", [ Asl.Value.V_int 4; Asl.Value.V_string "s" ])
+
+let behavior_differs ~fuel behavior =
+  let event, args = event_case in
+  let params = event_params event args in
+  match behavior with
+  | `Guard src ->
+    differ ~what:src ~fuel
+      (fun c self_ ->
+        Some
+          (Asl.Value.V_bool
+             (Asl.Interp.eval_guard_event ~self_ c (Asl.Compiled.guard src)
+                ~event ~args)))
+      (fun r self_ ->
+        Some (Asl.Value.V_bool (Ref.eval_guard ~self_ ~params r src)))
+  | `Effect src ->
+    differ ~what:src ~fuel
+      (fun c self_ ->
+        Asl.Interp.run_event ~self_ c (Asl.Compiled.program src) ~event ~args)
+      (fun r self_ -> Ref.run_source ~self_ ~params r src)
+
+(* The operation bodies of test_xuml's models, called through a
+   driver: argument passing, [return] out of a body and method fuel. *)
+let xuml_operations =
+  [
+    ([ "d" ], bump_src);
+    ([], "return 42;");
+    ([], "print(\"hello\");");
+    ([], "return self.x >= 0;");
+    ([], "return self.x < 100;");
+  ]
+
+let call_differs ~fuel (params, body) =
+  let methods_c cl op =
+    match cl, op with
+    | "K", "op" ->
+      Some (Asl.Interp.Body (Asl.Interp.body params (Asl.Compiled.program body)))
+    | cl, op -> compiled_methods cl op
+  and methods_r cl op =
+    match cl, op with
+    | "K", "op" -> Some (Ref.Body (params, Asl.Parser.parse_program body))
+    | cl, op -> ref_methods cl op
+  in
+  let driver =
+    Printf.sprintf "var k := new K; var v := k.op(%s); return v;"
+      (String.concat ", " (List.map (fun _ -> "3") params))
+  in
+  differ ~methods:(methods_c, methods_r) ~what:body ~fuel
+    (fun c _self -> Asl.Interp.run_compiled c (Asl.Compiled.program driver))
+    (fun r _self -> Ref.run_source r driver)
+
+(* Orders a random program rarely pins: arguments before the receiver
+   and left to right, operands left to right, the failing name of two
+   unbound ones, a short circuit skipping a side effect. *)
+let order_sources =
+  [
+    "return min(self.bump(1), self.x);";
+    "return max(self.x, self.bump(2));";
+    "send s(self.bump(1), self.x, self.bump(1)); return self.x;";
+    "var k := new K; return k.bump(self.bump(4));";
+    "return self.bump(1) - self.bump(1) * 10;";
+    "return min(u, w);";
+    "return u + w;";
+    "return false and self.bump(1) > 0;";
+    "return true or self.bump(1) > 0;";
+    "for i := self.bump(1) to self.bump(1) + 2 do print(i); end; return i;";
+    "var j := 0; while self.bump(1) < 9 do j := j + 1; end; return j;";
+    "print(to_string(self.bump(1)) & \"/\" & self.x); return abs(0 - self.x);";
+  ]
+
+let source_differs ~fuel src =
+  differ ~what:src ~fuel
+    (fun c self_ -> Asl.Interp.run_compiled ~self_ c (Asl.Compiled.program src))
+    (fun r self_ -> Ref.run_source ~self_ r src)
+
+let reference_tests =
+  [
+    tc "compiled = tree walker on evaluation orders" (fun () ->
+        List.iter
+          (fun src ->
+            for fuel = 0 to 120 do
+              check_agree (source_differs ~fuel src)
+            done)
+          order_sources);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"compiled = tree walker on seeded programs"
+         ~count:2000
+         (QCheck.make ~print:print_program_case gen_program_case)
+         (fun (seed, objects, binding, fuel) ->
+           let prog =
+             Workload.Gen_asl.program ~objects (Workload.Prng.create seed) ~pool
+           in
+           let compiled = Asl.Compiled.of_program prog in
+           let run_compiled, params =
+             match binding with
+             | Named params ->
+               ( (fun c self_ -> Asl.Interp.run_compiled ~self_ ~params c compiled),
+                 params )
+             | Event (event, args) ->
+               ( (fun c self_ ->
+                   Asl.Interp.run_event ~self_ c compiled ~event ~args),
+                 event_params event args )
+           in
+           match
+             differ ~what:"program" ~fuel run_compiled (fun r self_ ->
+                 Ref.run ~self_ ~params r prog)
+           with
+           | None -> true
+           | Some m -> QCheck.Test.fail_report m));
+    tc "compiled = tree walker on asl_heavy guards and effects" (fun () ->
+        List.iter
+          (fun seed ->
+            List.iteri
+              (fun i behavior ->
+                (* full fuel, and cut at spread points of the run *)
+                List.iter
+                  (fun fuel -> check_agree (behavior_differs ~fuel behavior))
+                  [ 1_000_000; i mod 17; 40 + (i * 7 mod 200); 150 + (i * 13 mod 160) ])
+              (asl_heavy_behaviors seed))
+          [ 1; 2 ]);
+    tc "fuel runs out at the same step of an asl_heavy effect" (fun () ->
+        match asl_heavy_behaviors 1 with
+        | _guard :: effect :: _rest ->
+          for fuel = 0 to 400 do
+            check_agree (behavior_differs ~fuel effect)
+          done
+        | _short -> Alcotest.fail "asl_heavy has guarded effects");
+    tc "compiled = tree walker on test_xuml's operations" (fun () ->
+        List.iter
+          (fun op ->
+            for fuel = 0 to 60 do
+              check_agree (call_differs ~fuel op)
+            done)
+          xuml_operations);
+  ]
+
 let () =
   Alcotest.run "asl"
     [
@@ -402,4 +708,5 @@ let () =
       ("typecheck", typecheck_tests);
       ("interp", interp_tests);
       ("properties", property_tests);
+      ("reference", reference_tests);
     ]

@@ -467,8 +467,9 @@ let asl_tests =
                (if conj then "and" else "or")
                a b
            in
+           let reference = Oracles.Asl_interp_ref.create (Asl.Store.create ()) in
            let interp = Asl.Interp.create (Asl.Store.create ()) in
-           Asl.Interp.eval_guard interp src
+           Oracles.Asl_interp_ref.eval_guard reference src
            = Asl.Interp.eval_guard_compiled interp (Asl.Compiled.guard src)));
   ]
 

@@ -440,81 +440,13 @@ let integration_tests =
 
 (* --- properties -------------------------------------------------------- *)
 
-(* Random ASL programs over a tiny variable pool: the analysis must be
+(* Random ASL programs over a tiny variable pool (the seeded generator
+   of [Workload.Gen_asl], QCheck drawing the seed): the analysis must be
    total (never raise) and deterministic (same result on every run). *)
 let gen_program_over pool =
-  let open QCheck.Gen in
-  let var = oneofl pool in
-  let gen_expr =
-    fix
-      (fun self depth ->
-        if depth = 0 then
-          oneof
-            [ map (fun n -> Asl.Ast.Int_lit n) (int_range (-8) 8);
-              map (fun x -> Asl.Ast.Var x) var;
-              map (fun b -> Asl.Ast.Bool_lit b) bool ]
-        else
-          frequency
-            [
-              (2, map (fun n -> Asl.Ast.Int_lit n) (int_range (-8) 8));
-              (2, map (fun x -> Asl.Ast.Var x) var);
-              ( 3,
-                map3
-                  (fun op a b -> Asl.Ast.Binop (op, a, b))
-                  (oneofl
-                     [ Asl.Ast.Add; Asl.Ast.Sub; Asl.Ast.Mul; Asl.Ast.Div;
-                       Asl.Ast.Lt; Asl.Ast.Le; Asl.Ast.Eq; Asl.Ast.And;
-                       Asl.Ast.Or ])
-                  (self (depth - 1))
-                  (self (depth - 1)) );
-              ( 1,
-                map (fun a -> Asl.Ast.Unop (Asl.Ast.Not, a)) (self (depth - 1))
-              );
-            ])
-      2
-  in
-  let gen_stmt =
-    fix
-      (fun self depth ->
-        let leaf =
-          oneof
-            [
-              return Asl.Ast.Skip;
-              map2 (fun x e -> Asl.Ast.Var_decl (x, e)) var gen_expr;
-              map2
-                (fun x e -> Asl.Ast.Assign (Asl.Ast.L_var x, e))
-                var gen_expr;
-              map (fun e -> Asl.Ast.Return (Some e)) gen_expr;
-              return (Asl.Ast.Return None);
-              map (fun e -> Asl.Ast.Send ("sig", [ e ], None)) gen_expr;
-            ]
-        in
-        if depth = 0 then leaf
-        else
-          frequency
-            [
-              (4, leaf);
-              ( 1,
-                map3
-                  (fun c t e -> Asl.Ast.If (c, t, e))
-                  gen_expr
-                  (list_size (int_bound 3) (self (depth - 1)))
-                  (list_size (int_bound 3) (self (depth - 1))) );
-              ( 1,
-                map2
-                  (fun c b -> Asl.Ast.While (c, b))
-                  gen_expr
-                  (list_size (int_bound 3) (self (depth - 1))) );
-              ( 1,
-                map3
-                  (fun x (lo, hi) b -> Asl.Ast.For (x, lo, hi, b))
-                  var
-                  (pair gen_expr gen_expr)
-                  (list_size (int_bound 3) (self (depth - 1))) );
-            ])
-      2
-  in
-  QCheck.Gen.list_size (int_bound 8) gen_stmt
+  QCheck.Gen.map
+    (fun seed -> Workload.Gen_asl.program (Workload.Prng.create seed) ~pool)
+    (QCheck.Gen.int_bound 0x3FFFFFFF)
 
 let gen_program = gen_program_over [ "a"; "b"; "c" ]
 
