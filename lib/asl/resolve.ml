@@ -60,7 +60,7 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
    for it before a value leaves its slot. *)
 let unbound = Value.V_string (String.make 1 '?')
 
-let tick c =
+let[@inline] tick c =
   if c.fuel <= 0 then
     raise (Runtime_error "out of fuel (non-terminating model behavior?)");
   c.fuel <- c.fuel - 1
@@ -246,7 +246,7 @@ let rec expr sc (e : Ast.expr) : frame -> Value.t =
       let c = fr.ctx in
       tick c;
       let r = as_obj c (obj fr) in
-      Telemetry.Metrics.incr c.m_reads;
+      if Telemetry.Metrics.live c.metrics then Telemetry.Metrics.incr c.m_reads;
       match Store.get_attr c.store r attr with
       | Some v -> v
       | None -> fail "object has no attribute %s" attr)
@@ -365,6 +365,12 @@ and invoke c self_value name arg_values =
        | Some v -> v
        | None -> Value.V_null))
 
+(* Every statement costs one unit of fuel and counts once. *)
+let[@inline] enter fr =
+  let c = fr.ctx in
+  tick c;
+  if Telemetry.Metrics.live c.metrics then Telemetry.Metrics.incr c.m_stmts
+
 let rec block sc stmts =
   match List.map (stmt sc) stmts with
   | [] -> fun _fr -> ()
@@ -381,11 +387,6 @@ let rec block sc stmts =
       done
 
 and stmt sc (s : Ast.stmt) : frame -> unit =
-  let enter fr =
-    let c = fr.ctx in
-    tick c;
-    Telemetry.Metrics.incr c.m_stmts
-  in
   match s with
   | Ast.Skip -> enter
   | Ast.Var_decl (name, e) | Ast.Assign (Ast.L_var name, e) ->
@@ -402,7 +403,7 @@ and stmt sc (s : Ast.stmt) : frame -> unit =
       let c = fr.ctx in
       let r = as_obj c (obj fr) in
       let v = value fr in
-      Telemetry.Metrics.incr c.m_writes;
+      if Telemetry.Metrics.live c.metrics then Telemetry.Metrics.incr c.m_writes;
       if not (Store.set_attr c.store r attr v) then
         fail "attribute write on deleted object"
   | Ast.Expr_stmt e ->
