@@ -4,6 +4,7 @@
    the next miss — compiled values are pure functions of the source
    text — so a long-running daemon can hold the tables at a fixed
    size without changing any result. *)
+
 (* The parse outcome, and the slot-resolved closures of a parsed text,
    built on first use: lint reads only the AST, engines only the code.
    Resolution is a pure function of the AST, so two domains racing on
@@ -104,9 +105,7 @@ let memoize table parse src =
           done;
           c)
 
-let of_ast ast = { c_ast = Ok ast; c_code = Atomic.make None }
-let of_guard = of_ast
-let of_program = of_ast
+let of_program ast = { c_ast = Ok ast; c_code = Atomic.make None }
 let guard src = memoize guards Parser.parse_expression src
 let program src = memoize programs Parser.parse_program src
 let guard_result c = c.c_ast

@@ -39,11 +39,9 @@ val guard : string -> guard
 val program : string -> program
 (** Memoized [Parser.parse_program]. *)
 
-val of_guard : Ast.expr -> guard
-(** A compiled value for an expression no source text stands for;
-    nothing is memoized. *)
-
 val of_program : Ast.program -> program
+(** A compiled value for a program no source text stands for; nothing
+    is memoized. *)
 
 val guard_result : guard -> (Ast.expr, string) result
 (** The parse outcome; [Error] carries the rendered parse error. *)

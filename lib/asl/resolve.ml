@@ -110,18 +110,9 @@ let value_eq v1 v2 =
 
 let binop op v1 v2 =
   match op with
-  | Ast.Add -> (
-    match v1, v2 with
-    | Value.V_int a, Value.V_int b -> Value.V_int (a + b)
-    | v1, v2 -> num2 "+" v1 v2 ( + ) ( +. ))
-  | Ast.Sub -> (
-    match v1, v2 with
-    | Value.V_int a, Value.V_int b -> Value.V_int (a - b)
-    | v1, v2 -> num2 "-" v1 v2 ( - ) ( -. ))
-  | Ast.Mul -> (
-    match v1, v2 with
-    | Value.V_int a, Value.V_int b -> Value.V_int (a * b)
-    | v1, v2 -> num2 "*" v1 v2 ( * ) ( *. ))
+  | Ast.Add -> num2 "+" v1 v2 ( + ) ( +. )
+  | Ast.Sub -> num2 "-" v1 v2 ( - ) ( -. )
+  | Ast.Mul -> num2 "*" v1 v2 ( * ) ( *. )
   | Ast.Div -> (
     match v1, v2 with
     | _any, Value.V_int 0 -> fail "division by zero"

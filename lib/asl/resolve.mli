@@ -2,16 +2,17 @@
 
     [program] and [guard] walk a parsed body once.  Every name the body
     mentions ([var] declarations, assignments, reads, [for] variables)
-    gets one frame slot, by the flat-frame rule the tree walker used: a
-    name declared anywhere in a body is one variable for the whole run,
-    visible after the block that declared it.  Each node then becomes a
-    closure over its slots, so a run reads and writes an array, never a
-    table of names.
+    gets one frame slot, by the flat-frame rule: a name declared
+    anywhere in a body is one variable for the whole run, visible after
+    the block that declared it.  Each node then becomes a closure over
+    its slots, so a run reads and writes an array, never a table of
+    names.
 
-    The closures keep the tree walker's accounting step for step: one
-    unit of fuel per evaluated expression node, statement, [while] test
-    and [for] iteration; [asl.statements], [asl.store_reads] and
-    [asl.store_writes] counted where it counted them; and the same
+    The closures account for a run node by node as the reference tree
+    walker ([test/oracles/asl_interp_ref.ml]) does: one unit of fuel
+    per evaluated expression node, statement, [while] test and [for]
+    iteration; [asl.statements], [asl.store_reads] and
+    [asl.store_writes] counted at the same steps; the same
     {!Runtime_error} text raised at the same point.
 
     Handles are immutable and frames are built per run, so one handle
