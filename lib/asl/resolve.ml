@@ -161,27 +161,24 @@ let event_arg_index name =
     else None
   else None
 
+(* Slot [i] is the [i]-th name met. *)
 let finish sc code =
   let names = Array.of_list (List.rev sc.order) in
-  let index_of name =
-    match Hashtbl.find_opt sc.table name with
-    | Some i -> i
-    | None -> -1
-  in
-  let args =
-    List.sort compare
-      (List.filter_map
-         (fun name ->
-           match event_arg_index name with
-           | Some i -> Some (i, Hashtbl.find sc.table name)
-           | None -> None)
-         (Array.to_list names))
-  in
+  let args = ref [] in
+  Array.iteri
+    (fun slot name ->
+      match event_arg_index name with
+      | Some i -> args := (i, slot) :: !args
+      | None -> ())
+    names;
   {
     h_size = Array.length names;
     h_names = names;
-    h_event = index_of "event";
-    h_args = args;
+    h_event =
+      (match Hashtbl.find_opt sc.table "event" with
+       | Some slot -> slot
+       | None -> -1);
+    h_args = List.sort compare !args;
     h_code = code;
   }
 

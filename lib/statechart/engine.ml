@@ -346,9 +346,10 @@ let exit_subtree t ev root =
   List.iter
     (fun id ->
       (match Topology.vertex t.topo id with
-       | Smachine.State s -> run_state_behavior t ev s
-             (fun s -> s.Smachine.st_exit)
-             (fun c -> c.sc_exit)
+       | Smachine.State s ->
+         run_state_behavior t ev s
+           (fun s -> s.Smachine.st_exit)
+           (fun c -> c.sc_exit)
        | Smachine.Pseudo _ | Smachine.Final _ -> ());
       cancel_timers t id;
       t.config <- Ident.Set.remove id t.config;

@@ -402,7 +402,6 @@ let property_tests =
            | exception Asl.Lexer.Lex_error _ -> true));
   ]
 
-
 (* --- reference differential ---------------------------------------------- *)
 
 (* [Oracles.Asl_interp_ref] is the tree walker the slot-resolved
@@ -436,8 +435,9 @@ let counters reg =
     (fun n -> Telemetry.Metrics.counter_value (Telemetry.Metrics.counter reg n))
     counter_names
 
-(* Object references are allocated from 1 up; a program allocates far
-   fewer objects than the probe reaches within the fuel it gets. *)
+(* Object references are allocated from 1 up.  The first 512 are
+   compared object by object (dead ones read as absent); past them only
+   the live count is. *)
 let store_contents store =
   ( Asl.Store.live_count store,
     List.init 512 (fun i ->
