@@ -8,9 +8,9 @@
     events without ever touching the parser again.
 
     Next to the AST each entry keeps the slot-resolved handle of
-    {!Resolve}, built the first time an engine asks for it: engines take
-    one handle per behavior when they are created and never come back
-    to this table while they run.
+    {!Resolve}, built the first time the entry runs: engines take one
+    entry per behavior when they are created and never come back to
+    this table while they run.
 
     Parse errors are captured inside the compiled value rather than
     raised here: a behavior that never runs must not fail at
