@@ -94,25 +94,43 @@ let st_code (s : Smachine.state) =
     sc_do = Option.map Asl.Compiled.program s.Smachine.st_do;
   }
 
+let rec region_behaves (r : Smachine.region) =
+  List.exists
+    (fun (tr : Smachine.transition) ->
+      tr.Smachine.tr_guard <> None || tr.Smachine.tr_effect <> None)
+    r.Smachine.rg_transitions
+  || List.exists
+       (function
+         | Smachine.State s ->
+           s.Smachine.st_entry <> None || s.Smachine.st_exit <> None
+           || s.Smachine.st_do <> None
+           || List.exists region_behaves s.Smachine.st_regions
+         | Smachine.Pseudo _ | Smachine.Final _ -> false)
+       r.Smachine.rg_vertices
+
+let behaving_state = function
+  | Smachine.State
+      (( { Smachine.st_entry = Some _; _ } | { st_exit = Some _; _ }
+       | { st_do = Some _; _ } ) as s) ->
+    Some s
+  | Smachine.State _ | Smachine.Pseudo _ | Smachine.Final _ -> None
+
+(* Records of a vertex with no behavior need no memo entry; a machine
+   with no behavior at all gets them on first visit (see [outgoing]),
+   so its [create] builds no table entry. *)
 let compile_behaviors topo sm =
   let vertices = Smachine.all_vertices sm in
   let codes = Hashtbl.create (List.length vertices) in
-  List.iter
-    (fun v ->
-      let id = Smachine.vertex_id v in
-      let vc_state =
-        match v with
-        | Smachine.State
-            (( { Smachine.st_entry = Some _; _ } | { st_exit = Some _; _ }
-             | { st_do = Some _; _ } ) as s) ->
-          Some (st_code s)
-        | Smachine.State _ | Smachine.Pseudo _ | Smachine.Final _ -> None
-      in
-      match vc_state, Topology.outgoing topo id with
-      | None, [] -> ()
-      | (None | Some _), out ->
-        Hashtbl.add codes id { vc_state; vc_out = List.map tr_code out })
-    vertices;
+  if List.exists region_behaves sm.Smachine.sm_regions then
+    List.iter
+      (fun v ->
+        let id = Smachine.vertex_id v in
+        match behaving_state v, Topology.outgoing topo id with
+        | None, [] -> ()
+        | s, out ->
+          Hashtbl.add codes id
+            { vc_state = Option.map st_code s; vc_out = List.map tr_code out })
+      vertices;
   codes
 
 let create ?interp ?(self_ = Asl.Value.V_null)
@@ -155,7 +173,15 @@ let now t = t.clock
 let outgoing t id =
   match Hashtbl.find_opt t.codes id with
   | Some vc -> vc.vc_out
-  | None -> List.map tr_code (Topology.outgoing t.topo id)
+  | None -> (
+    (* a vertex [compile_behaviors] skipped has no behavior: its records
+       take nothing from the memo *)
+    match Topology.outgoing t.topo id with
+    | [] -> []
+    | out ->
+      let vc_out = List.map tr_code out in
+      Hashtbl.add t.codes id { vc_state = None; vc_out };
+      vc_out)
 
 (* A transition's codes sit with its source; one that is not there
    (its record was shadowed by another element with the same id) goes
