@@ -585,8 +585,9 @@ let behavior_differs ~fuel behavior =
         Asl.Interp.run_event ~self_ c (Asl.Compiled.program src) ~event ~args)
       (fun r self_ -> Ref.run_source ~self_ ~params r src)
 
-(* The operation bodies of test_xuml's models, called through a
-   driver: argument passing, [return] out of a body and method fuel. *)
+(* The operation bodies of test_xuml's models, each called from a
+   small program: argument passing, [return] out of a body and method
+   fuel. *)
 let xuml_operations =
   [
     ([ "d" ], bump_src);
@@ -607,13 +608,13 @@ let call_differs ~fuel (params, body) =
     | "K", "op" -> Some (Ref.Body (params, Asl.Parser.parse_program body))
     | cl, op -> ref_methods cl op
   in
-  let driver =
+  let caller =
     Printf.sprintf "var k := new K; var v := k.op(%s); return v;"
       (String.concat ", " (List.map (fun _ -> "3") params))
   in
   differ ~methods:(methods_c, methods_r) ~what:body ~fuel
-    (fun c _self -> Asl.Interp.run_compiled c (Asl.Compiled.program driver))
-    (fun r _self -> Ref.run_source r driver)
+    (fun c _self -> Asl.Interp.run_compiled c (Asl.Compiled.program caller))
+    (fun r _self -> Ref.run_source r caller)
 
 (* Orders a random program rarely pins: arguments before the receiver
    and left to right, operands left to right, the failing name of two
