@@ -159,6 +159,182 @@ let dataflow_mode () =
     exit 1
   end
 
+(* --- ASL defect showcase (`--asl`) -------------------------------- *)
+
+(* One model putting the ASL rules (ASL-01..03) and the ASL dataflow
+   rules (DF-01..04) on every behavior site kind that carries them:
+   transition guard and effect, state entry/exit/do, operation body,
+   action body and edge guard.  The report is followed by the C the
+   model generates (two operation bodies come out as "not translated"
+   stubs) and by the RTL compiler's answers on three small machines, so the
+   golden pins every text the ASL front end feeds to lint and
+   codegen. *)
+
+(* does not parse *)
+let bad_parse = "x := ;"
+
+(* ASL-02 (y unbound after the branch; int + bool), DF-01 (y),
+   DF-02 (w overwritten), DF-03 (code after return) *)
+let bad_program param =
+  Printf.sprintf
+    "if %s > 0 then y := 1; end; w := y + true; w := 0; return; x := 1;"
+    param
+
+let asl_defect_model () =
+  Ident.reset_counter ();
+  let m = Model.create "asl_defects" in
+  let ret = Classifier.parameter ~direction:Classifier.Return "r" Dtype.Integer in
+  let ctl =
+    Classifier.make "Ctl"
+      ~attributes:[ Classifier.property "count" Dtype.Integer ]
+      ~operations:
+        [
+          Classifier.operation "tick" ~params:[ ret ]
+            ~body:"self.count := self.count + 1; return self.count;";
+          Classifier.operation "peek" ~is_query:true ~params:[ ret ]
+            ~body:"return self.count;";
+          Classifier.operation "broken" ~body:bad_parse;
+          Classifier.operation "mixed"
+            ~params:[ Classifier.parameter "n" Dtype.Integer; ret ]
+            ~body:(bad_program "n");
+          Classifier.operation "greet" ~body:"print(\"a\" & \"b\");";
+        ]
+  in
+  Model.add m (Model.E_classifier ctl);
+  let ctx = ctl.Classifier.cl_id in
+  let a =
+    Smachine.simple_state ~entry:bad_parse ~exit_:(bad_program "e1")
+      ~do_:bad_parse "A"
+  in
+  let b =
+    Smachine.simple_state ~entry:(bad_program "e2") ~exit_:bad_parse
+      ~do_:(bad_program "e3") "B"
+  in
+  let init = Smachine.pseudostate Smachine.Initial in
+  let go = [ Smachine.Signal_trigger "go" ] in
+  let tick = [ Smachine.Signal_trigger "tick" ] in
+  let a_id = a.Smachine.st_id and b_id = b.Smachine.st_id in
+  let region =
+    Smachine.region
+      [ Smachine.Pseudo init; Smachine.State a; Smachine.State b ]
+      [
+        Smachine.transition ~source:init.Smachine.ps_id ~target:a_id ();
+        Smachine.transition ~triggers:go ~guard:"e1 >"
+          ~effect:(bad_program "e1") ~source:a_id ~target:b_id ();
+        Smachine.transition ~triggers:go ~guard:"e1 + 1" ~effect:bad_parse
+          ~source:b_id ~target:a_id ();
+        Smachine.transition ~triggers:tick ~guard:"self.tick() > 0"
+          ~source:a_id ~target:b_id ();
+        Smachine.transition ~triggers:tick ~guard:"1 > 2" ~source:b_id
+          ~target:a_id ();
+      ]
+  in
+  Model.add m
+    (Model.E_state_machine (Smachine.make ~context:ctx "AslDefects" [ region ]));
+  (* [collect] reads [blocks] on the path that skips [fill] *)
+  let start = Activityg.initial () in
+  let split = Activityg.decision "split" in
+  let fill = Activityg.action ~body:"blocks := 64;" "fill" in
+  let collect = Activityg.action ~body:"limit := blocks + 1;" "collect" in
+  let broken = Activityg.action ~body:bad_parse "broken" in
+  let mixed = Activityg.action ~body:(bad_program "1") "mixed" in
+  let stop = Activityg.activity_final () in
+  let e ?guard a b =
+    Activityg.edge ?guard ~source:(Activityg.node_id a)
+      ~target:(Activityg.node_id b) ()
+  in
+  Model.add m
+    (Model.E_activity
+       (Activityg.make ~context:ctx "AslFlow"
+          [ start; split; fill; collect; broken; mixed; stop ]
+          [
+            e start split;
+            e ~guard:"x >" split fill;
+            e ~guard:"1 + 2" split collect;
+            e ~guard:"self.tick() > 0" fill collect;
+            e ~guard:"2 > 1" collect broken;
+            e ~guard:"blocks > 0" collect mixed;
+            e broken stop;
+            e mixed stop;
+          ]));
+  m
+
+(* The RTL compiler reads guards and effects too; flattening refuses
+   do-activities, so it gets one-state machines of its own. *)
+let rtl_probe (name, guard, effect) =
+  let s = Smachine.simple_state "S" in
+  let init = Smachine.pseudostate Smachine.Initial in
+  let sm =
+    Smachine.make name
+      [
+        Smachine.region
+          [ Smachine.Pseudo init; Smachine.State s ]
+          [
+            Smachine.transition ~source:init.Smachine.ps_id
+              ~target:s.Smachine.st_id ();
+            Smachine.transition
+              ~triggers:[ Smachine.Signal_trigger "go" ]
+              ~guard ~effect ~source:s.Smachine.st_id
+              ~target:s.Smachine.st_id ();
+          ];
+      ]
+  in
+  match Statechart.Flatten.flatten sm with
+  | Error msg -> Printf.printf "fsm_compile %s: flatten error: %s\n" name msg
+  | Ok flat -> (
+    match Codegen.Fsm_compile.compile flat with
+    | Ok md -> print_string (Codegen.Verilog.of_module md)
+    | Error msg -> Printf.printf "fsm_compile %s: %s\n" name msg)
+
+let asl_mode () =
+  let m = asl_defect_model () in
+  let diags = Lint.Check.check_model m in
+  print_string (Lint.Report.to_text ~model:"asl_defects" diags);
+  let c = Codegen.Cgen.of_model m in
+  print_string c;
+  List.iter rtl_probe
+    [ ("rtl_guard", "x >", "x := 1;"); ("rtl_effect", "1 < 3", bad_parse);
+      ("rtl_ok", "x < 3", "x := x + 1;") ];
+  let starts_with prefix s =
+    String.length s >= String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
+  in
+  List.iter
+    (fun (code, site) ->
+      if
+        not
+          (List.exists
+             (fun (d : Wfr.diagnostic) ->
+               d.Wfr.diag_rule = code && starts_with site d.Wfr.diag_message)
+             diags)
+      then complain "expected rule %s on a %s" code site)
+    (List.concat_map
+       (fun site ->
+         List.map (fun code -> (code, site))
+           [ "ASL-01"; "ASL-02"; "DF-01"; "DF-02"; "DF-03" ])
+       [ "transition effect"; "state entry behavior"; "state exit behavior";
+         "state do behavior"; "body of Ctl."; "body of action " ]
+    @ List.concat_map
+        (fun site ->
+          List.map (fun code -> (code, site)) [ "ASL-01"; "ASL-02"; "DF-04" ])
+        [ "transition guard"; "edge guard" ]
+    @ [ ("ASL-03", "transition guard"); ("DF-01", "edge guard") ]);
+  let stubs = ref 0 in
+  String.split_on_char '\n' c
+  |> List.iter (fun line ->
+         let needle = "body not translated" in
+         let n = String.length needle in
+         let found = ref false in
+         for i = 0 to String.length line - n do
+           if (not !found) && String.sub line i n = needle then found := true
+         done;
+         if !found then incr stubs);
+  if !stubs < 2 then complain "expected two untranslated operation stubs";
+  if !failures > 0 then begin
+    Printf.eprintf "lint-demo: %d failure(s)\n" !failures;
+    exit 1
+  end
+
 let default_mode () =
   let m, design = demo_model () in
   let diags = Lint.Check.check ~design m in
@@ -193,4 +369,5 @@ let default_mode () =
 
 let () =
   if Array.exists (fun a -> a = "--dataflow") Sys.argv then dataflow_mode ()
+  else if Array.exists (fun a -> a = "--asl") Sys.argv then asl_mode ()
   else default_mode ()
