@@ -282,13 +282,7 @@ let check_expression ?self_class ?env info e =
   let t = infer ctx e in
   result_of ctx t
 
-let check_guard ?self_class ?env info src =
-  match Parser.parse_expression src with
-  | exception exn -> (
-    match Parser.error_message exn with
-    | Some m -> Error [ m ]
-    | None -> raise exn)
-  | e -> (
-    let ctx = make_ctx ?self_class ?env info in
-    check_bool ctx "guard" e;
-    result_of ctx ())
+let check_guard ?self_class ?env info e =
+  let ctx = make_ctx ?self_class ?env info in
+  check_bool ctx "guard" e;
+  result_of ctx ()

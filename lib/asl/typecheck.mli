@@ -44,6 +44,6 @@ val check_guard :
   ?self_class:string ->
   ?env:(string * ty) list ->
   class_info ->
-  string ->
+  Ast.expr ->
   (unit, string list) result
-(** Parse and check a guard: its type must be [T_bool]. *)
+(** Check a guard: its type must be [T_bool]. *)

@@ -40,54 +40,6 @@ let default_value (ty : Dtype.t) (v : Vspec.t option) =
 
 (* --- expression translation ------------------------------------------ *)
 
-(* Variables' classes for method-call receivers are resolved with the
-   ASL typechecker against the model. *)
-let class_info_of_model m : Asl.Typecheck.class_info =
-  let find_class name =
-    List.find_opt
-      (fun c -> c.Classifier.cl_name = name)
-      (Model.classifiers m)
-  in
-  let ty_of_dtype (d : Dtype.t) : Asl.Typecheck.ty =
-    match d with
-    | Dtype.Boolean -> Asl.Typecheck.T_bool
-    | Dtype.Integer | Dtype.Unlimited_natural -> Asl.Typecheck.T_int
-    | Dtype.Real -> Asl.Typecheck.T_real
-    | Dtype.String_type -> Asl.Typecheck.T_string
-    | Dtype.Void -> Asl.Typecheck.T_void
-    | Dtype.Ref id -> (
-      match Model.find_classifier m id with
-      | Some cl -> Asl.Typecheck.T_obj (Some cl.Classifier.cl_name)
-      | None -> Asl.Typecheck.T_obj None)
-  in
-  {
-    Asl.Typecheck.class_exists = (fun n -> find_class n <> None);
-    attr_type =
-      (fun cname aname ->
-        match find_class cname with
-        | None -> None
-        | Some cl ->
-          Option.map
-            (fun (p : Classifier.property) -> ty_of_dtype p.Classifier.prop_type)
-            (Classifier.find_attribute cl aname));
-    op_signature =
-      (fun cname oname ->
-        match find_class cname with
-        | None -> None
-        | Some cl -> (
-          match Classifier.find_operation cl oname with
-          | None -> None
-          | Some op ->
-            let params =
-              List.filter_map
-                (fun (p : Classifier.parameter) ->
-                  if p.Classifier.param_direction = Classifier.Return then None
-                  else Some (ty_of_dtype p.Classifier.param_type))
-                op.Classifier.op_params
-            in
-            Some (params, ty_of_dtype (Classifier.result_type op))));
-  }
-
 exception Untranslatable of string
 
 let untranslatable fmt =
@@ -278,12 +230,9 @@ let operation_fn m info (cl : Classifier.t) (op : Classifier.operation) =
     match op.Classifier.op_body with
     | None -> [ "  /* no body modeled */" ]
     | Some src -> (
-      match Asl.Parser.parse_program src with
-      | exception exn -> (
-        match Asl.Parser.error_message exn with
-        | Some msg -> [ Printf.sprintf "  /* body not translated: %s */" msg ]
-        | None -> raise exn)
-      | prog -> (
+      match Asl.Compiled.program_result (Asl.Compiled.program src) with
+      | Error msg -> [ Printf.sprintf "  /* body not translated: %s */" msg ]
+      | Ok prog -> (
         let env =
           { info; self_class = Some class_name; var_classes = [] }
         in
@@ -295,7 +244,7 @@ let operation_fn m info (cl : Classifier.t) (op : Classifier.operation) =
   String.concat "\n" ((signature m cl op ^ " {") :: body_lines) ^ "\n}\n"
 
 let of_model m =
-  let info = class_info_of_model m in
+  let info = Asl.Sites.class_info_of_model m in
   let classes =
     List.filter
       (fun c ->

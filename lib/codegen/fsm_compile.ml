@@ -47,12 +47,9 @@ let rec compile_expr vars (e : Asl.Ast.expr) : Expr.t =
 
 let compile_effect vars src : Stmt.t list =
   let prog =
-    match Asl.Parser.parse_program src with
-    | p -> p
-    | exception exn -> (
-      match Asl.Parser.error_message exn with
-      | Some m -> fail "effect does not parse: %s" m
-      | None -> raise exn)
+    match Asl.Compiled.program_result (Asl.Compiled.program src) with
+    | Ok p -> p
+    | Error m -> fail "effect does not parse: %s" m
   in
   List.map
     (fun (s : Asl.Ast.stmt) ->
@@ -67,12 +64,9 @@ let compile_effect vars src : Stmt.t list =
     prog
 
 let compile_guard vars src : Expr.t =
-  match Asl.Parser.parse_expression src with
-  | e -> compile_expr vars e
-  | exception exn -> (
-    match Asl.Parser.error_message exn with
-    | Some m -> fail "guard does not parse: %s" m
-    | None -> raise exn)
+  match Asl.Compiled.guard_result (Asl.Compiled.guard src) with
+  | Ok e -> compile_expr vars e
+  | Error m -> fail "guard does not parse: %s" m
 
 (* Variables assigned in any effect = output registers. *)
 let effect_variables (flat : Statechart.Flatten.t) =
@@ -82,15 +76,15 @@ let effect_variables (flat : Statechart.Flatten.t) =
     (fun (tr : Statechart.Flatten.flat_transition) ->
       List.iter
         (fun src ->
-          match Asl.Parser.parse_program src with
-          | prog ->
+          match Asl.Compiled.program_result (Asl.Compiled.program src) with
+          | Ok prog ->
             List.iter
               (fun (s : Asl.Ast.stmt) ->
                 match s with
                 | Asl.Ast.Assign (Asl.Ast.L_var name, _) -> add name
                 | _other -> ())
               prog
-          | exception _exn -> ())
+          | Error _ -> ())
         tr.Statechart.Flatten.ft_effects)
     flat.Statechart.Flatten.fm_transitions;
   List.rev !vars

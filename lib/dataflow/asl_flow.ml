@@ -1,13 +1,6 @@
 open Uml
 module SSet = Set.Make (String)
 
-(* The statechart engine's guard/effect environment: event parameters
-   e1..e9 and the triggering signal name.  Mirrors the lint layer's
-   [Model_info.guard_env] (this library sits below [lint], so the
-   names are repeated here). *)
-let machine_env =
-  [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "event" ]
-
 let parse_program src = Asl.Compiled.program_result (Asl.Compiled.program src)
 let parse_guard src = Asl.Compiled.guard_result (Asl.Compiled.guard src)
 
@@ -44,15 +37,15 @@ let report_cfg ~ctx ~assigned ~extra_defs ~liveout ~element ~what acc cfg =
       :: acc)
     acc r.Absint.res_unreachable
 
-let check_program ~ctx ~assigned ~element ~what acc src =
-  match parse_program src with
+let check_program ~ctx ~assigned ~element ~what acc parsed =
+  match parsed with
   | Error _ -> acc (* ASL-01 territory *)
   | Ok prog ->
     report_cfg ~ctx ~assigned ~extra_defs:[] ~liveout:Absint.Live_none
       ~element ~what acc (Cfg.of_program prog)
 
-let check_guard ~ctx ~element ~what acc src =
-  match parse_guard src with
+let check_guard ~ctx ~element ~what acc parsed =
+  match parsed with
   | Error _ -> acc
   | Ok ast -> (
     Telemetry.Metrics.incr ctx.c_guard;
@@ -63,65 +56,16 @@ let check_guard ~ctx ~element ~what acc src =
       :: acc
     | None -> acc)
 
-(* --- state machines ---------------------------------------------------- *)
+(* --- state machines and operation bodies ------------------------------ *)
 
-let check_machine ~ctx (sm : Smachine.t) acc =
-  let acc =
-    List.fold_left
-      (fun acc (tr : Smachine.transition) ->
-        let acc =
-          match tr.Smachine.tr_guard with
-          | None -> acc
-          | Some src ->
-            check_guard ~ctx ~element:tr.Smachine.tr_id
-              ~what:"transition guard" acc src
-        in
-        match tr.Smachine.tr_effect with
-        | None -> acc
-        | Some src ->
-          check_program ~ctx ~assigned:machine_env ~element:tr.Smachine.tr_id
-            ~what:"transition effect" acc src)
-      acc
-      (Smachine.all_transitions sm)
-  in
-  List.fold_left
-    (fun acc v ->
-      match v with
-      | Smachine.Pseudo _ | Smachine.Final _ -> acc
-      | Smachine.State st ->
-        let go what src acc =
-          match src with
-          | None -> acc
-          | Some src ->
-            check_program ~ctx ~assigned:machine_env
-              ~element:st.Smachine.st_id ~what acc src
-        in
-        go "state entry behavior" st.Smachine.st_entry acc
-        |> go "state exit behavior" st.Smachine.st_exit
-        |> go "state do behavior" st.Smachine.st_do)
-    acc (Smachine.all_vertices sm)
-
-(* --- operation bodies -------------------------------------------------- *)
-
-let check_classifier ~ctx (cl : Classifier.t) acc =
-  List.fold_left
-    (fun acc (op : Classifier.operation) ->
-      match op.Classifier.op_body with
-      | None -> acc
-      | Some src ->
-        let params =
-          List.filter_map
-            (fun (p : Classifier.parameter) ->
-              if p.Classifier.param_direction = Classifier.Return then None
-              else Some p.Classifier.param_name)
-            op.Classifier.op_params
-        in
-        check_program ~ctx ~assigned:params ~element:op.Classifier.op_id
-          ~what:
-            (Printf.sprintf "body of %s.%s" cl.Classifier.cl_name
-               op.Classifier.op_name)
-          acc src)
-    acc cl.Classifier.cl_operations
+let check_site ~ctx acc (s : Asl.Sites.site) =
+  let element = s.Asl.Sites.site_element and what = s.Asl.Sites.site_what in
+  match s.Asl.Sites.site_body with
+  | Asl.Sites.Guard parsed -> check_guard ~ctx ~element ~what acc parsed
+  | Asl.Sites.Program parsed ->
+    check_program ~ctx
+      ~assigned:(List.map fst s.Asl.Sites.site_env)
+      ~element ~what acc parsed
 
 (* --- activities -------------------------------------------------------- *)
 
@@ -233,11 +177,12 @@ let check_activity ~ctx (ac : Activityg.t) acc =
       match e.Activityg.ed_guard with
       | None -> acc
       | Some src -> (
+        let parsed = parse_guard src in
         let acc =
           check_guard ~ctx ~element:e.Activityg.ed_id ~what:"edge guard" acc
-            src
+            parsed
         in
-        match parse_guard src with
+        match parsed with
         | Error _ -> acc
         | Ok ast ->
           let av = avail e.Activityg.ed_source in
@@ -263,19 +208,9 @@ let check ?(metrics = Telemetry.Metrics.null) m =
   in
   let acc =
     List.fold_left
-      (fun acc sm -> check_machine ~ctx sm acc)
-      []
-      (Model.state_machines m)
-  in
-  let acc =
-    List.fold_left
-      (fun acc cl -> check_classifier ~ctx cl acc)
-      acc (Model.classifiers m)
-  in
-  let acc =
-    List.fold_left
       (fun acc ac -> check_activity ~ctx ac acc)
-      acc (Model.activities m)
+      (Asl.Sites.fold (check_site ~ctx) [] m)
+      (Model.activities m)
   in
   let out = Finding.dedup acc in
   Telemetry.Metrics.incr

@@ -3,12 +3,9 @@ open Uml
 (* Diagnostics accumulate in reverse; the driver sorts the final list,
    so only per-behavior determinism matters here. *)
 
-let parse_failure ~element ~what exn acc =
-  match Asl.Parser.error_message exn with
-  | Some msg ->
-    Model_info.diagf ~code:"ASL-01" ~element "%s does not parse: %s" what msg
-    :: acc
-  | None -> raise exn
+let parse_failure ~element ~what msg acc =
+  Model_info.diagf ~code:"ASL-01" ~element "%s does not parse: %s" what msg
+  :: acc
 
 let type_errors ~element ~what msgs acc =
   List.fold_left
@@ -70,104 +67,39 @@ let rec first_effect m info ~self_class ~env (e : Asl.Ast.expr) =
 
 (* --- per-behavior checks --------------------------------------------- *)
 
-let check_guard_src m info ~self_class ~element ~what src acc =
-  match Asl.Parser.parse_expression src with
-  | exception exn -> parse_failure ~element ~what exn acc
-  | ast -> (
-    let acc =
-      match
-        Asl.Typecheck.check_guard ?self_class ~env:Model_info.guard_env info
-          src
-      with
-      | Ok () -> acc
-      | Error msgs -> type_errors ~element ~what msgs acc
-    in
-    match
-      first_effect m info ~self_class ~env:Model_info.guard_env ast
-    with
-    | None -> acc
-    | Some eff ->
-      Model_info.diagf ~code:"ASL-03" ~element "%s %s" what eff :: acc)
+let check_guard info ~self_class ~env ~element ~what parsed acc =
+  match parsed with
+  | Error msg -> parse_failure ~element ~what msg acc
+  | Ok ast -> (
+    match Asl.Typecheck.check_guard ?self_class ~env info ast with
+    | Ok () -> acc
+    | Error msgs -> type_errors ~element ~what msgs acc)
 
-let check_program_src info ~env ~self_class ~element ~what src acc =
-  match Asl.Parser.parse_program src with
-  | exception exn -> (parse_failure ~element ~what exn acc, None)
-  | prog -> (
+let check_program info ~env ~self_class ~element ~what parsed acc =
+  match parsed with
+  | Error msg -> parse_failure ~element ~what msg acc
+  | Ok prog -> (
     match Asl.Typecheck.check_program ?self_class ~env info prog with
-    | Ok () -> (acc, Some prog)
-    | Error msgs -> (type_errors ~element ~what msgs acc, Some prog))
+    | Ok () -> acc
+    | Error msgs -> type_errors ~element ~what msgs acc)
 
-let check_opt f src acc =
-  match src with
-  | None -> acc
-  | Some src -> f src acc
+(* --- state machines and operation bodies ------------------------------ *)
 
-(* --- state machines --------------------------------------------------- *)
-
-let check_state_machine m info (sm : Smachine.t) acc =
-  let self_class = Model_info.self_class m sm.Smachine.sm_context in
-  let env = Model_info.guard_env in
-  let acc =
-    List.fold_left
-      (fun acc (tr : Smachine.transition) ->
-        let element = tr.Smachine.tr_id in
-        let acc =
-          check_opt
-            (check_guard_src m info ~self_class ~element
-               ~what:"transition guard")
-            tr.Smachine.tr_guard acc
-        in
-        check_opt
-          (fun src acc ->
-            fst
-              (check_program_src info ~env ~self_class ~element
-                 ~what:"transition effect" src acc))
-          tr.Smachine.tr_effect acc)
-      acc
-      (Smachine.all_transitions sm)
-  in
-  List.fold_left
-    (fun acc v ->
-      match v with
-      | Smachine.Pseudo _ | Smachine.Final _ -> acc
-      | Smachine.State st ->
-        let element = st.Smachine.st_id in
-        let prog what src acc =
-          fst (check_program_src info ~env ~self_class ~element ~what src acc)
-        in
-        check_opt (prog "state entry behavior") st.Smachine.st_entry acc
-        |> check_opt (prog "state exit behavior") st.Smachine.st_exit
-        |> check_opt (prog "state do behavior") st.Smachine.st_do)
-    acc
-    (Smachine.all_vertices sm)
-
-(* --- operation bodies -------------------------------------------------- *)
-
-let check_classifier m info (cl : Classifier.t) acc =
-  let self_class = Some cl.Classifier.cl_name in
-  List.fold_left
-    (fun acc (op : Classifier.operation) ->
-      match op.Classifier.op_body with
+let check_site m info acc (s : Asl.Sites.site) =
+  let self_class = s.Asl.Sites.site_self and env = s.Asl.Sites.site_env in
+  let element = s.Asl.Sites.site_element and what = s.Asl.Sites.site_what in
+  match s.Asl.Sites.site_body with
+  | Asl.Sites.Program parsed ->
+    check_program info ~env ~self_class ~element ~what parsed acc
+  | Asl.Sites.Guard parsed -> (
+    let acc = check_guard info ~self_class ~env ~element ~what parsed acc in
+    match parsed with
+    | Error _ -> acc
+    | Ok ast -> (
+      match first_effect m info ~self_class ~env ast with
       | None -> acc
-      | Some src ->
-        let env =
-          List.filter_map
-            (fun (p : Classifier.parameter) ->
-              if p.Classifier.param_direction = Classifier.Return then None
-              else
-                Some
-                  ( p.Classifier.param_name,
-                    Model_info.ty_of_dtype m p.Classifier.param_type ))
-            op.Classifier.op_params
-        in
-        let what =
-          Printf.sprintf "body of %s.%s" cl.Classifier.cl_name
-            op.Classifier.op_name
-        in
-        fst
-          (check_program_src info ~env ~self_class
-             ~element:op.Classifier.op_id ~what src acc))
-    acc cl.Classifier.cl_operations
+      | Some eff ->
+        Model_info.diagf ~code:"ASL-03" ~element "%s %s" what eff :: acc))
 
 (* --- activities -------------------------------------------------------- *)
 
@@ -191,7 +123,7 @@ let program_bindings info ~self_class ~env prog =
     env prog
 
 let check_activity m info (ac : Activityg.t) acc =
-  let self_class = Model_info.self_class m ac.Activityg.ac_context in
+  let self_class = Asl.Sites.self_class m ac.Activityg.ac_context in
   (* Action bodies run against one shared interpreter store, in token
      order; checking in node order with threaded bindings approximates
      that. *)
@@ -207,14 +139,17 @@ let check_activity m info (ac : Activityg.t) acc =
               Printf.sprintf "body of action %s"
                 a.Activityg.act_head.Activityg.nd_name
             in
-            let acc, prog =
-              check_program_src info ~env ~self_class
-                ~element:a.Activityg.act_head.Activityg.nd_id ~what src acc
+            let parsed =
+              Asl.Compiled.program_result (Asl.Compiled.program src)
+            in
+            let acc =
+              check_program info ~env ~self_class
+                ~element:a.Activityg.act_head.Activityg.nd_id ~what parsed acc
             in
             let env =
-              match prog with
-              | None -> env
-              | Some prog -> program_bindings info ~self_class ~env prog
+              match parsed with
+              | Error _ -> env
+              | Ok prog -> program_bindings info ~self_class ~env prog
             in
             (acc, env))
         | Activityg.Call_behavior _ | Activityg.Send_signal _
@@ -230,32 +165,16 @@ let check_activity m info (ac : Activityg.t) acc =
     (fun acc (e : Activityg.edge) ->
       match e.Activityg.ed_guard with
       | None -> acc
-      | Some src -> (
-        match Asl.Parser.parse_expression src with
-        | exception exn ->
-          parse_failure ~element:e.Activityg.ed_id ~what:"edge guard" exn acc
-        | _ast -> (
-          match
-            Asl.Typecheck.check_guard ?self_class ~env info src
-          with
-          | Ok () -> acc
-          | Error msgs ->
-            type_errors ~element:e.Activityg.ed_id ~what:"edge guard" msgs acc
-          )))
+      | Some src ->
+        check_guard info ~self_class ~env ~element:e.Activityg.ed_id
+          ~what:"edge guard"
+          (Asl.Compiled.guard_result (Asl.Compiled.guard src))
+          acc)
     acc ac.Activityg.ac_edges
 
 let check m =
-  let info = Model_info.class_info_of_model m in
-  let acc =
-    List.fold_left
-      (fun acc sm -> check_state_machine m info sm acc)
-      []
-      (Model.state_machines m)
-  in
-  let acc =
-    List.fold_left (fun acc cl -> check_classifier m info cl acc) acc
-      (Model.classifiers m)
-  in
+  let info = Asl.Sites.class_info_of_model m in
   List.fold_left
     (fun acc ac -> check_activity m info ac acc)
-    acc (Model.activities m)
+    (Asl.Sites.fold (check_site m info) [] m)
+    (Model.activities m)

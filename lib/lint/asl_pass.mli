@@ -10,7 +10,7 @@
     side effect: [new], [print], or a non-query operation call).
 
     Guards and statechart behaviors are checked in the environment the
-    statechart engine provides ({!Model_info.guard_env}); activity
+    statechart engine provides ({!Asl.Sites.event_env}); activity
     action bodies are checked in node order with top-level variable
     bindings threaded from earlier actions, matching the engine's shared
     interpreter store. *)

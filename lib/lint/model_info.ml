@@ -1,64 +1,5 @@
 open Uml
 
-let ty_of_dtype m (d : Dtype.t) : Asl.Typecheck.ty =
-  match d with
-  | Dtype.Boolean -> Asl.Typecheck.T_bool
-  | Dtype.Integer | Dtype.Unlimited_natural -> Asl.Typecheck.T_int
-  | Dtype.Real -> Asl.Typecheck.T_real
-  | Dtype.String_type -> Asl.Typecheck.T_string
-  | Dtype.Void -> Asl.Typecheck.T_void
-  | Dtype.Ref id -> (
-    match Model.find_classifier m id with
-    | Some cl -> Asl.Typecheck.T_obj (Some cl.Classifier.cl_name)
-    | None -> Asl.Typecheck.T_obj None)
-
-(* Mirrors the oracle the code generator and interpreter use, so lint
-   agrees with them about what resolves. *)
-let class_info_of_model m : Asl.Typecheck.class_info =
-  let find_class name =
-    List.find_opt (fun c -> c.Classifier.cl_name = name) (Model.classifiers m)
-  in
-  let ty_of_dtype = ty_of_dtype m in
-  {
-    Asl.Typecheck.class_exists = (fun n -> find_class n <> None);
-    attr_type =
-      (fun cname aname ->
-        match find_class cname with
-        | None -> None
-        | Some cl ->
-          Option.map
-            (fun (p : Classifier.property) -> ty_of_dtype p.Classifier.prop_type)
-            (Classifier.find_attribute cl aname));
-    op_signature =
-      (fun cname oname ->
-        match find_class cname with
-        | None -> None
-        | Some cl -> (
-          match Classifier.find_operation cl oname with
-          | None -> None
-          | Some op ->
-            let params =
-              List.filter_map
-                (fun (p : Classifier.parameter) ->
-                  if p.Classifier.param_direction = Classifier.Return then None
-                  else Some (ty_of_dtype p.Classifier.param_type))
-                op.Classifier.op_params
-            in
-            Some (params, ty_of_dtype (Classifier.result_type op))));
-  }
-
-let self_class m context =
-  match context with
-  | None -> None
-  | Some id ->
-    Option.map
-      (fun cl -> cl.Classifier.cl_name)
-      (Model.find_classifier m id)
-
-let guard_env =
-  List.init 9 (fun i -> (Printf.sprintf "e%d" (i + 1), Asl.Typecheck.T_int))
-  @ [ ("event", Asl.Typecheck.T_string) ]
-
 let severity_of code =
   match Rules.find code with
   | Some ru -> ru.Rules.rule_severity

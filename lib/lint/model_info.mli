@@ -1,24 +1,6 @@
-(** Shared helpers for the lint passes: the ASL class-info oracle over a
-    model, owning-classifier resolution for behaviors, and diagnostic
-    constructors that pull severities from the {!Rules} registry. *)
-
-val ty_of_dtype : Uml.Model.t -> Uml.Dtype.t -> Asl.Typecheck.ty
-(** ASL view of a UML type reference ([Ref] resolved to its class
-    name when the classifier exists). *)
-
-val class_info_of_model : Uml.Model.t -> Asl.Typecheck.class_info
-(** Attribute/operation oracle backed by the model's classifiers, as the
-    code generator and interpreter resolve them. *)
-
-val self_class : Uml.Model.t -> Uml.Ident.t option -> string option
-(** Name of the classifier behind a behavior's context reference
-    ([sm_context] / [ac_context]), when it resolves. *)
-
-val guard_env : (string * Asl.Typecheck.ty) list
-(** The identifier environment the statechart engine provides to guards
-    and effects: event parameters [e1] … [e9] as integers and [event] as
-    the triggering signal name.  An approximation — parameters are
-    integers in every workload and example model. *)
+(** Diagnostic constructors for the lint passes, pulling severities
+    from the {!Rules} registry.  The ASL view of a model that the
+    passes share with the code generator is {!Asl.Sites}. *)
 
 val diag :
   code:string -> ?element:Uml.Ident.t -> string -> Uml.Wfr.diagnostic

@@ -185,10 +185,11 @@ let typecheck_tests =
         check Alcotest.bool "ok" true (ok_program "var r := 1.5 + 2;"));
     tc "guard must be boolean" (fun () ->
         check Alcotest.bool "bad" true
-          (Asl.Typecheck.check_guard Asl.Typecheck.no_classes "1 + 2"
+          (Asl.Typecheck.check_guard Asl.Typecheck.no_classes (parse_e "1 + 2")
           <> Ok ());
         check Alcotest.bool "good" true
-          (Asl.Typecheck.check_guard Asl.Typecheck.no_classes "1 < 2" = Ok ()));
+          (Asl.Typecheck.check_guard Asl.Typecheck.no_classes (parse_e "1 < 2")
+          = Ok ()));
     tc "unknown class in new" (fun () ->
         check Alcotest.bool "err" true (errors_of "var c := new Ghost;" <> []));
     tc "concat needs a string operand" (fun () ->
