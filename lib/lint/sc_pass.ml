@@ -1,47 +1,13 @@
 open Uml
 
-(* --- per-machine indexes ---------------------------------------------- *)
+module Topology = Statechart.Topology
 
-type index = {
-  vertices : (Ident.t, Smachine.vertex) Hashtbl.t;
-  parent_state : (Ident.t, Ident.t) Hashtbl.t;
-      (* vertex -> enclosing composite state *)
-  outgoing : (Ident.t, Smachine.transition list) Hashtbl.t;
-}
-
-let build_index (sm : Smachine.t) =
-  let idx =
-    {
-      vertices = Hashtbl.create 64;
-      parent_state = Hashtbl.create 64;
-      outgoing = Hashtbl.create 64;
-    }
-  in
-  let rec add_region ~parent (r : Smachine.region) =
-    List.iter
-      (fun v ->
-        let id = Smachine.vertex_id v in
-        Hashtbl.replace idx.vertices id v;
-        (match parent with
-         | Some p -> Hashtbl.replace idx.parent_state id p
-         | None -> ());
-        match v with
-        | Smachine.State st ->
-          List.iter
-            (add_region ~parent:(Some st.Smachine.st_id))
-            st.Smachine.st_regions
-        | Smachine.Pseudo _ | Smachine.Final _ -> ())
-      r.Smachine.rg_vertices
-  in
-  List.iter (add_region ~parent:None) sm.Smachine.sm_regions;
-  List.iter
-    (fun (t : Smachine.transition) ->
-      let prev =
-        Option.value ~default:[] (Hashtbl.find_opt idx.outgoing t.Smachine.tr_source)
-      in
-      Hashtbl.replace idx.outgoing t.Smachine.tr_source (prev @ [ t ]))
-    (Smachine.all_transitions sm);
-  idx
+(* Enclosing composite state of a vertex; [None] at top level and for
+   identifiers foreign to the machine. *)
+let parent_state topo id =
+  match Topology.vertex_opt topo id with
+  | None -> None
+  | Some _ -> Topology.state_of_region topo (Topology.region_of_vertex topo id)
 
 let region_initials (r : Smachine.region) =
   List.filter_map
@@ -54,7 +20,7 @@ let region_initials (r : Smachine.region) =
 
 (* --- SC-01: reachability --------------------------------------------- *)
 
-let check_reachability idx (sm : Smachine.t) acc =
+let check_reachability topo (sm : Smachine.t) acc =
   let seeds = List.concat_map region_initials sm.Smachine.sm_regions in
   if seeds = [] then acc (* entry is external; nothing to anchor on *)
   else begin
@@ -63,11 +29,11 @@ let check_reachability idx (sm : Smachine.t) acc =
       if not (Hashtbl.mem marked id) then begin
         Hashtbl.replace marked id ();
         (* a marked vertex implies its enclosing states are active *)
-        (match Hashtbl.find_opt idx.parent_state id with
+        (match parent_state topo id with
          | Some p -> mark p
          | None -> ());
         (* default entry of a composite state enters its region initials *)
-        (match Hashtbl.find_opt idx.vertices id with
+        (match Topology.vertex_opt topo id with
          | Some (Smachine.State st) ->
            List.iter
              (fun r -> List.iter mark (region_initials r))
@@ -75,7 +41,7 @@ let check_reachability idx (sm : Smachine.t) acc =
          | Some (Smachine.Pseudo _) | Some (Smachine.Final _) | None -> ());
         List.iter
           (fun (t : Smachine.transition) -> mark t.Smachine.tr_target)
-          (Option.value ~default:[] (Hashtbl.find_opt idx.outgoing id))
+          (Topology.outgoing topo id)
       end
     in
     List.iter mark seeds;
@@ -83,7 +49,7 @@ let check_reachability idx (sm : Smachine.t) acc =
        caller goes through [Check.apply], whose [Model_info.sort] is a
        total order on (rule, element, message) — table internals never
        reach user-visible ordering *)
-    Hashtbl.fold
+    Topology.fold_vertices
       (fun id v acc ->
         match v with
         | Smachine.State st when not (Hashtbl.mem marked id) ->
@@ -92,12 +58,12 @@ let check_reachability idx (sm : Smachine.t) acc =
             st.Smachine.st_name sm.Smachine.sm_name
           :: acc
         | Smachine.State _ | Smachine.Pseudo _ | Smachine.Final _ -> acc)
-      idx.vertices acc
+      topo acc
   end
 
 (* --- SC-02: transient pseudostates must reach a stable vertex -------- *)
 
-let check_stabilization idx (sm : Smachine.t) acc =
+let check_stabilization topo (sm : Smachine.t) acc =
   (* Memoized: can this vertex, crossing only pseudostates, reach a
      state or final?  History restores a state and terminate halts the
      machine; both count as settled. *)
@@ -110,7 +76,7 @@ let check_stabilization idx (sm : Smachine.t) acc =
       else
         let visited = Ident.Set.add id visited in
         let b =
-          match Hashtbl.find_opt idx.vertices id with
+          match Topology.vertex_opt topo id with
           | Some (Smachine.State _) | Some (Smachine.Final _) | None -> true
           | Some (Smachine.Pseudo p) -> (
             match p.Smachine.ps_kind with
@@ -123,19 +89,18 @@ let check_stabilization idx (sm : Smachine.t) acc =
               List.exists
                 (fun (t : Smachine.transition) ->
                   stabilizes visited t.Smachine.tr_target)
-                (Option.value ~default:[]
-                   (Hashtbl.find_opt idx.outgoing id)))
+                (Topology.outgoing topo id))
         in
         Hashtbl.replace memo id b;
         b
   in
   (* audited: hash-order fold, neutralized by [Model_info.sort] in
      [Check.apply] (see the SC-01 pass) *)
-  Hashtbl.fold
+  Topology.fold_vertices
     (fun id v acc ->
       match v with
       | Smachine.Pseudo p
-        when Hashtbl.find_opt idx.outgoing id <> None
+        when Topology.outgoing topo id <> []
              && not (stabilizes Ident.Set.empty id) ->
         Model_info.diagf ~code:"SC-02" ~element:id
           "pseudostate %s of %s cannot reach a stable state (paths stay \
@@ -145,7 +110,7 @@ let check_stabilization idx (sm : Smachine.t) acc =
           sm.Smachine.sm_name
         :: acc
       | Smachine.Pseudo _ | Smachine.State _ | Smachine.Final _ -> acc)
-    idx.vertices acc
+    topo acc
 
 (* --- SC-03: nondeterministic transitions ------------------------------ *)
 
@@ -180,17 +145,15 @@ let trigger_name = function
   | Smachine.Any_trigger -> "any"
   | Smachine.Completion -> "completion"
 
-let check_nondeterminism idx (_sm : Smachine.t) acc =
+let check_nondeterminism topo acc =
   (* audited: hash-order fold, neutralized by [Model_info.sort] in
      [Check.apply] (see the SC-01 pass) *)
-  Hashtbl.fold
+  Topology.fold_vertices
     (fun id v acc ->
       match v with
       | Smachine.Pseudo _ | Smachine.Final _ -> acc
       | Smachine.State st ->
-        let ts =
-          Option.value ~default:[] (Hashtbl.find_opt idx.outgoing id)
-        in
+        let ts = Topology.outgoing topo id in
         let rec pairs acc = function
           | [] -> acc
           | (t1 : Smachine.transition) :: rest ->
@@ -220,7 +183,7 @@ let check_nondeterminism idx (_sm : Smachine.t) acc =
             pairs acc rest
         in
         pairs acc ts)
-    idx.vertices acc
+    topo acc
 
 (* --- SC-04: regions with states but no initial ------------------------ *)
 
@@ -248,10 +211,10 @@ let check_region_initials (sm : Smachine.t) acc =
 let check m =
   List.fold_left
     (fun acc sm ->
-      let idx = build_index sm in
-      check_reachability idx sm acc
-      |> (fun acc -> check_stabilization idx sm acc)
-      |> (fun acc -> check_nondeterminism idx sm acc)
+      let topo = Topology.build sm in
+      check_reachability topo sm acc
+      |> (fun acc -> check_stabilization topo sm acc)
+      |> check_nondeterminism topo
       |> check_region_initials sm)
     []
     (Model.state_machines m)

@@ -10,13 +10,15 @@ type t = {
   incoming_tbl : (Ident.t, Smachine.transition list) Hashtbl.t;
 }
 
+(* Lists are built newest first and put in model order once [build]
+   has pushed everything. *)
 let push tbl key v =
   let current =
     match Hashtbl.find_opt tbl key with
     | Some l -> l
     | None -> []
   in
-  Hashtbl.replace tbl key (current @ [ v ])
+  Hashtbl.replace tbl key (v :: current)
 
 let build tm =
   let t =
@@ -50,11 +52,14 @@ let build tm =
       r.Smachine.rg_vertices
   in
   List.iter (scan_region None) tm.Smachine.sm_regions;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) t.outgoing_tbl;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) t.incoming_tbl;
   t
 
 let machine t = t.tm
 let vertex t id = Hashtbl.find t.vertices id
 let vertex_opt t id = Hashtbl.find_opt t.vertices id
+let fold_vertices f t acc = Hashtbl.fold f t.vertices acc
 let region_of_vertex t id = Hashtbl.find t.region_of_vertex_tbl id
 let state_of_region t id = Hashtbl.find t.state_of_region_tbl id
 let region t id = Hashtbl.find t.regions id

@@ -14,6 +14,9 @@ val vertex : t -> Ident.t -> Smachine.vertex
 
 val vertex_opt : t -> Ident.t -> Smachine.vertex option
 
+val fold_vertices : (Ident.t -> Smachine.vertex -> 'a -> 'a) -> t -> 'a -> 'a
+(** Every vertex of the machine once, in no specified order. *)
+
 val region_of_vertex : t -> Ident.t -> Ident.t
 (** Owning region of a vertex. *)
 
