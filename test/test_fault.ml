@@ -104,13 +104,15 @@ let rtl_spec_of_module seed m =
       m.Module_.mod_ports
   in
   let cycles = 12 in
+  (* the generator's low bits alternate, so a value is the top 16 of
+     its 30 state bits: odd values reach the 1-bit inputs too *)
   let stimulus =
     List.init cycles (fun c ->
         ( c,
           List.filter_map
             (fun name ->
               if Workload.Prng.bool rng then
-                Some (name, Workload.Prng.int rng 65536)
+                Some (name, Workload.Prng.int rng (1 lsl 30) lsr 14)
               else None)
             inputs ))
   in
