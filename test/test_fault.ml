@@ -2,8 +2,9 @@
    engine family (a campaign with no faults reproduces the golden
    artifacts byte-for-byte), plan serialization round-trips, same-seed
    reports are byte-identical, the RTL and statechart runs equal the
-   projection of the recording oracle's trace, and the outcome
-   classifiers behave on hand-built cases. *)
+   projection of the recording oracle's trace, the outcome classifiers
+   behave on hand-built cases, and every subset of the four specs
+   reports as pinned. *)
 
 open Hdl
 
@@ -834,6 +835,227 @@ let classify_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Domain subsets: one plan with a fault of every kind, run against
+   each of the 16 subsets of the four specs.  The text report, the JSON
+   report and the metrics report (with every retained event) are
+   pinned by MD5, recorded before the campaign's domains shared one
+   table; the no-spec row is also spelled out, so the three skip
+   reasons read here verbatim.  Every fixture names its own element
+   ids, so the pins do not move with the process-wide id counter. *)
+
+(* Idle -ev0-> Busy -ev1-> Idle, Busy -ev0-> Busy, Idle -ev1-> final:
+   an extra [ev1] at Idle ends the machine early. *)
+let subset_machine () =
+  let open Uml.Smachine in
+  let init = pseudostate ~id:"sm_init" Initial in
+  let idle = simple_state ~id:"sm_idle" "Idle" in
+  let busy = simple_state ~id:"sm_busy" "Busy" in
+  let fin = final ~id:"sm_final" () in
+  let on id ev source target =
+    transition ~id ~triggers:[ Signal_trigger ev ] ~source ~target ()
+  in
+  make ~id:"sm_pins" "pins"
+    [
+      region ~id:"sm_region"
+        [ Pseudo init; State idle; State busy; Final fin ]
+        [
+          transition ~id:"sm_t0" ~source:"sm_init" ~target:"sm_idle" ();
+          on "sm_t1" "ev0" "sm_idle" "sm_busy";
+          on "sm_t2" "ev1" "sm_busy" "sm_idle";
+          on "sm_t3" "ev0" "sm_busy" "sm_busy";
+          on "sm_t4" "ev1" "sm_idle" "sm_final";
+        ];
+    ]
+
+(* initial, fork into [a] and [b], join, a seeded choice between [c]
+   and [d], merge, final *)
+let subset_activity () =
+  let open Uml.Activityg in
+  let edge id source target = edge ~id ~source ~target () in
+  make ~id:"ac_pins" "pins"
+    [
+      initial ~id:"n_init" (); fork ~id:"n_fork" "fork";
+      action ~id:"n_a" "a"; action ~id:"n_b" "b"; join ~id:"n_join" "join";
+      decision ~id:"n_dec" "dec"; action ~id:"n_c" "c"; action ~id:"n_d" "d";
+      merge ~id:"n_merge" "merge"; activity_final ~id:"n_final" ();
+    ]
+    [
+      edge "e01" "n_init" "n_fork"; edge "e02" "n_fork" "n_a";
+      edge "e03" "n_fork" "n_b"; edge "e04" "n_a" "n_join";
+      edge "e05" "n_b" "n_join"; edge "e06" "n_join" "n_dec";
+      edge "e07" "n_dec" "n_c"; edge "e08" "n_dec" "n_d";
+      edge "e09" "n_c" "n_merge"; edge "e10" "n_d" "n_merge";
+      edge "e11" "n_merge" "n_final";
+    ]
+
+let every_kind_plan =
+  {
+    Fault.Plan.seed = 5;
+    faults =
+      [
+        Fault.Plan.F_rtl
+          (Fault.Plan.Bit_flip { fb_signal = "cnt"; fb_cycle = 3; fb_bit = 3 });
+        Fault.Plan.F_rtl
+          (Fault.Plan.Stuck_at { sa_signal = "cnt"; sa_value = 0; sa_from = 2 });
+        Fault.Plan.F_statechart (Fault.Plan.Drop_event { de_index = 1 });
+        Fault.Plan.F_statechart (Fault.Plan.Dup_event { du_index = 0 });
+        Fault.Plan.F_statechart
+          (Fault.Plan.Spurious_event { sp_index = 2; sp_event = "ev1" });
+        Fault.Plan.F_token
+          (Fault.Plan.Lose_token { lt_place = "p_e02"; lt_step = 1 });
+        Fault.Plan.F_token
+          (Fault.Plan.Dup_token { dt_place = "p_e06"; dt_step = 3 });
+      ];
+  }
+
+(* Spec membership by bit: rtl, statechart, activity, petri. *)
+let subset_report mask =
+  let act = subset_activity () in
+  let has bit spec = if mask land (1 lsl bit) <> 0 then Some spec else None in
+  let rtl = has 0 (counter_spec ()) in
+  let statechart =
+    has 1
+      {
+        Fault.Campaign.ss_machine = subset_machine ();
+        ss_events = [ "ev0"; "ev1"; "ev0"; "ev0"; "ev1" ];
+        ss_budget = 1000;
+      }
+  in
+  let activity =
+    has 2
+      { Fault.Campaign.ac_activity = act; ac_choice_seed = 4; ac_max_steps = 200 }
+  in
+  let net =
+    has 3
+      (let net, m0 = Activity.Translate.to_petri act in
+       {
+         Fault.Campaign.np_net = net;
+         np_marking = m0;
+         np_choice_seed = 4;
+         np_max_steps = 200;
+       })
+  in
+  let reg = Telemetry.Metrics.create () in
+  let r =
+    Fault.Campaign.run ~metrics:reg ?rtl ?statechart ?activity ?net
+      ~label:"subset" every_kind_plan
+  in
+  let metrics =
+    Telemetry.Metrics.report reg
+    ^ String.concat "\n"
+        (List.map Telemetry.Metrics.render_event (Telemetry.Metrics.events reg))
+  in
+  (Fault.Campaign.to_text r, Fault.Campaign.to_json r, metrics)
+
+let subset_name mask =
+  match
+    List.filteri
+      (fun bit _ -> mask land (1 lsl bit) <> 0)
+      [ "rtl"; "statechart"; "activity"; "petri" ]
+  with
+  | [] -> "none"
+  | names -> String.concat "+" names
+
+(* mask, then the MD5 of the text, JSON and metrics reports *)
+let subset_pins =
+  [
+    ( 0,
+      "3416118b8406bc244739681440befd8a",
+      "a6d1b6acb3937875262b9bfc158ddd3e",
+      "2497a2866f6fe53fb2a1f1a8fe68138b" );
+    ( 1,
+      "0bb57cb8adcf42e85ecf649b68e5e32d",
+      "3a224d8f739646c503de1640a886bf05",
+      "3900d925f81305440aaf76cf8e52fdfa" );
+    ( 2,
+      "a5e8ee41036eb138eabde0c1ba507747",
+      "7ce62b439717e4b99b19936a855dbc31",
+      "4d5c22fb2db726b243c44aa4e185418f" );
+    ( 3,
+      "ee7a97f8d03a10e9c4b0bd6580b291df",
+      "23310bcf51e1e3ca8a453f7ea82628ac",
+      "68eb37a66c9651ba07e0ad9ff128e231" );
+    ( 4,
+      "5001adc85fbc42c39cdee8816bf85e41",
+      "36c258a8e76e62e620e7757222fc1eac",
+      "5e0b7aaca5dbe38b27f2735d0b3027c7" );
+    ( 5,
+      "29c3b2734a036da767b9550e5e33dd9c",
+      "3ab43fb2600be22c809ba5e9ac57e645",
+      "583dbb07267b3eb0afcda7354996678d" );
+    ( 6,
+      "699832a37ef0600bb714702cad590c81",
+      "d14428980c7a01f54bfd2a1d5c6957b7",
+      "39fdfcfbe5b518712edcf921a08753ed" );
+    ( 7,
+      "be22693b48c8ad209dfcf08f793a001b",
+      "19fd5f76e4a885d4b816154a7db63494",
+      "c8f561e8dfd0c819106e855e180d0753" );
+    ( 8,
+      "17562b341f0032086688e93ea0e52030",
+      "ab086f41cf79faea5a3941e0c370e4ee",
+      "93411f193781d59a528f0357dd895918" );
+    ( 9,
+      "c454a79c13e29b3623727c087a081e8d",
+      "8d39f90653e1788cdc95ea856f7dd9b4",
+      "9bd4fff5b89e5c44052f6befeefbc972" );
+    ( 10,
+      "71aabbcf40347c226654a636a6db63d9",
+      "37a71e67c91e2d8c8556b3debff18854",
+      "685f16756df4202b8f5fde2454f13fc6" );
+    ( 11,
+      "64734daaa56a10117a8e240c2cb93bf8",
+      "4ca73c06990167b0cdc2815b42612775",
+      "1050e24b3d15616ecc3b590e5d7c27b7" );
+    ( 12,
+      "dc79372fac7cc2a2847f002e6d6349b0",
+      "fafc2801a0423ae94a974bc2dd38092e",
+      "29432080eb1dc2bff63c5496113911d7" );
+    ( 13,
+      "d869108d83ffcb69f4d882f04adb7c65",
+      "f52ff827792686f21d527606f4e55585",
+      "640f132ff6e95b59921f8cb9c7bb00bb" );
+    ( 14,
+      "1da362451626c7612dc5d53911964e4d",
+      "3e969843c0701ccd3c0996ff338a137e",
+      "fae0eef5238baa8d8e1053b835369692" );
+    ( 15,
+      "7db3c7fb1ce804e1d9d358c56b830613",
+      "14fde683a6934ec7bde20f51b3a6c0fe",
+      "4a600de4e5c50350c27482089177e749" );
+  ]
+
+let subset_tests =
+  tc "no spec: every fault skipped with its domain's reason" (fun () ->
+      let text, _, _ = subset_report 0 in
+      check Alcotest.string "text"
+        "fault campaign: subset (seed 5, 7 faults planned)\n\
+        \  skip   rtl bit-flip signal=cnt cycle=3 bit=3 (no rtl domain in \
+         this campaign)\n\
+        \  skip   rtl stuck-at signal=cnt value=0 from=2 (no rtl domain in \
+         this campaign)\n\
+        \  skip   sc drop index=1 (no statechart domain in this campaign)\n\
+        \  skip   sc dup index=0 (no statechart domain in this campaign)\n\
+        \  skip   sc spurious index=2 event=ev1 (no statechart domain in \
+         this campaign)\n\
+        \  skip   tok lose place=p_e02 step=1 (no token domain in this \
+         campaign)\n\
+        \  skip   tok dup place=p_e06 step=3 (no token domain in this \
+         campaign)\n\
+         summary: injected=0 masked=0 detected=0 silent=0 truncated=0\n\
+         coverage: 100.0% of non-masked faults detected\n"
+        text)
+  :: List.map
+       (fun (mask, text_md5, json_md5, metrics_md5) ->
+         tc ("reports over " ^ subset_name mask) (fun () ->
+             let text, json, metrics = subset_report mask in
+             let md5 s = Digest.to_hex (Digest.string s) in
+             check Alcotest.string "text" text_md5 (md5 text);
+             check Alcotest.string "json" json_md5 (md5 json);
+             check Alcotest.string "metrics" metrics_md5 (md5 metrics)))
+       subset_pins
+
+(* ------------------------------------------------------------------ *)
 (* Event-stream perturbation unit behavior *)
 
 let perturb_tests =
@@ -985,6 +1207,7 @@ let () =
         ] );
       ("campaign", campaign_tests @ reference_tests);
       ("classify", classify_tests);
+      ("subsets", subset_tests);
       ("perturb", perturb_tests);
       ("json", json_tests);
     ]
