@@ -44,7 +44,7 @@ let lower spec =
   | nl -> Ok nl
   | exception Dsim.Netlist.Simulation_error msg -> Error msg
 
-let rtl_exec ~metrics ~budget spec netlist faults =
+let rtl_exec spec netlist ~metrics ~budget faults =
   let final = ref [] in
   let error =
     match netlist with
@@ -78,7 +78,7 @@ let rtl_exec ~metrics ~budget spec netlist faults =
 
 let rtl_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
-  rtl_exec ~metrics ~budget spec (lower spec) faults
+  rtl_exec spec (lower spec) ~metrics ~budget faults
 
 let classify_rtl ~golden injected =
   match injected.rr_error with
@@ -194,36 +194,46 @@ type act_run = {
   ar_stop : string;
 }
 
-let inject_tokens adjust step faults =
-  List.iter
-    (fun f ->
-      match f with
-      | Plan.Lose_token { lt_place; lt_step } ->
-        if lt_step = step then adjust lt_place (-1)
-      | Plan.Dup_token { dt_place; dt_step } ->
-        if dt_step = step then adjust dt_place 1)
-    faults
+(* The seeded step loop of both token backends: check the budget, apply
+   the token faults due at this step, stop at the step bound, else fire
+   one seeded pick among [enabled ()], listed in the backend's order. *)
+let token_steps ~budget ~seed ~max_steps ~adjust ~enabled ~fire faults =
+  let rng = Workload.Prng.create seed in
+  let rec loop step =
+    Exec.Budget.check budget;
+    List.iter
+      (function
+        | Plan.Lose_token { lt_place; lt_step } ->
+          if lt_step = step then adjust lt_place (-1)
+        | Plan.Dup_token { dt_place; dt_step } ->
+          if dt_step = step then adjust dt_place 1)
+      faults;
+    if step >= max_steps then `Exhausted
+    else
+      match enabled () with
+      | [] -> `Idle
+      | choices -> (
+        match fire (Workload.Prng.pick rng choices) with
+        | Ok () -> loop (step + 1)
+        | Error e -> `Failed e)
+  in
+  loop 0
 
 let act_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
   let exec = Activity.Exec.create ~metrics spec.ac_activity in
-  let rng = Workload.Prng.create spec.ac_choice_seed in
-  let rec loop step =
-    Exec.Budget.check budget;
-    inject_tokens (Activity.Exec.adjust_tokens exec) step faults;
-    if step >= spec.ac_max_steps then "exhausted"
-    else
-      match Activity.Exec.enabled_firings exec with
-      | [] -> if Activity.Exec.finished exec then "completed" else "stuck"
-      | labels -> (
-        match Activity.Exec.fire exec (Workload.Prng.pick rng labels) with
-        | Ok () -> loop (step + 1)
-        | Error msg ->
-          (* unreachable: the label was just enabled; surface it rather
-             than loop *)
-          Printf.sprintf "internal: %s" msg)
+  let stop =
+    match
+      token_steps ~budget ~seed:spec.ac_choice_seed ~max_steps:spec.ac_max_steps
+        ~adjust:(Activity.Exec.adjust_tokens exec)
+        ~enabled:(fun () -> Activity.Exec.enabled_firings exec)
+        ~fire:(Activity.Exec.fire exec) faults
+    with
+    | `Exhausted -> "exhausted"
+    | `Idle -> if Activity.Exec.finished exec then "completed" else "stuck"
+    (* unreachable: the label was just enabled *)
+    | `Failed msg -> Printf.sprintf "internal: %s" msg
   in
-  let stop = loop 0 in
   { ar_tokens = Activity.Exec.tokens exec; ar_stop = stop }
 
 let classify_act ~golden injected =
@@ -250,32 +260,18 @@ type net_run = {
   nr_truncated : bool;
 }
 
-(* A net spec compiled once per campaign and shared read-only by every
-   run, on any domain: the compiled net, and the initial marking split
-   into slots and a residue of places the net does not know. *)
-type net_ctx = {
-  nx_spec : net_spec;
-  nx_compiled : Petri.Compiled.t;
-  nx_m0 : Petri.Compiled.marking;
-  nx_residue : Petri.Marking.t;
-}
-
-let net_ctx spec =
+(* The net compiled once per campaign, and its initial marking split
+   into slots and a residue of places the net does not know: read-only,
+   shared by every run on any domain. *)
+let compile_net spec =
   let c = Petri.Compiled.of_net spec.np_net in
   let m0, residue = Petri.Compiled.split c spec.np_marking in
-  {
-    nx_spec = spec;
-    nx_compiled = c;
-    nx_m0 = m0;
-    nx_residue = Petri.Marking.of_list residue;
-  }
+  (c, m0, Petri.Marking.of_list residue)
 
-let net_run_ctx ~metrics ~budget ctx faults =
-  let spec = ctx.nx_spec and c = ctx.nx_compiled in
+let net_exec spec (c, m0, residue) ~metrics ~budget faults =
   let fired_counter = Telemetry.Metrics.counter metrics "petri.fired" in
-  let rng = Workload.Prng.create spec.np_choice_seed in
-  let marking = ref ctx.nx_m0 in
-  let residue = ref ctx.nx_residue in
+  let marking = ref m0 in
+  let residue = ref residue in
   (* a lost token is a no-op on an empty place *)
   let adjust place delta =
     match Petri.Compiled.place_index c place with
@@ -286,42 +282,34 @@ let net_run_ctx ~metrics ~budget ctx faults =
       if delta > 0 || Petri.Marking.tokens !residue place > 0 then
         residue := Petri.Marking.add !residue place delta
   in
-  let nt = Petri.Compiled.transition_count c in
-  (* [(deadlocked, truncated)] *)
-  let rec loop step =
-    Exec.Budget.check budget;
-    inject_tokens adjust step faults;
-    if step >= spec.np_max_steps then (false, true)
-    else
-      (* enabled transitions in net order, so [pick] chooses as it did
-         over [Marking.enabled_transitions] *)
-      let enabled = ref [] in
-      for ti = nt - 1 downto 0 do
-        if Petri.Compiled.enabled c !marking ti then enabled := ti :: !enabled
-      done;
-      match !enabled with
-      | [] -> (true, false)
-      | enabled -> (
-        let ti = Workload.Prng.pick rng enabled in
-        match Petri.Compiled.fire c !marking ti with
-        | None -> (true, false)
-        | Some m' ->
-          Telemetry.Metrics.incr fired_counter;
-          marking := m';
-          loop (step + 1))
+  (* enabled transitions in net order, so [pick] chooses as it did over
+     [Marking.enabled_transitions] *)
+  let transitions = List.init (Petri.Compiled.transition_count c) Fun.id in
+  let fire ti =
+    match Petri.Compiled.fire c !marking ti with
+    | None -> Error ()
+    | Some m' ->
+      Telemetry.Metrics.incr fired_counter;
+      marking := m';
+      Ok ()
   in
-  let deadlocked, truncated = loop 0 in
+  let stop =
+    token_steps ~budget ~seed:spec.np_choice_seed ~max_steps:spec.np_max_steps
+      ~adjust
+      ~enabled:(fun () -> List.filter (Petri.Compiled.enabled c !marking) transitions)
+      ~fire faults
+  in
   {
     nr_final =
       Petri.Marking.to_list
         (Petri.Compiled.export c (Petri.Marking.to_list !residue) !marking);
-    nr_deadlocked = deadlocked;
-    nr_truncated = truncated;
+    nr_deadlocked = stop <> `Exhausted;
+    nr_truncated = stop = `Exhausted;
   }
 
 let net_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
-  net_run_ctx ~metrics ~budget (net_ctx spec) faults
+  net_exec spec (compile_net spec) ~metrics ~budget faults
 
 let classify_net_with invariants ~golden injected =
   if injected.nr_truncated then Truncated "step budget exhausted"
@@ -374,19 +362,55 @@ let outcome_counter_suffix = function
   | Silent -> "silent"
   | Truncated _ -> "truncated"
 
-(* One planned fault's worth of work: the runs it produced (domain and
-   outcome, execution order) or the reason it was skipped.  Everything a
-   task touches — engines, PRNGs, the metrics registry it is handed — is
-   task-local, so faults can execute on any domain in any order. *)
-type fault_result =
-  | FR_runs of (string * outcome) list
-  | FR_skipped of string
+(* One engine family of a campaign, built once by [run] on the caller's
+   domain: the golden run already done and the read-only context (the
+   lowered netlist, or the compiled net with its split marking and
+   P-invariants) are bound in [dm_take], which answers a fault of the
+   family's kind with the run that classifies it, any other with
+   [None].  A resumed run would keep its checkpoints here too. *)
+type domain = {
+  dm_name : string;
+  dm_take :
+    Plan.fault ->
+    (metrics:Telemetry.Metrics.t -> budget:Exec.Budget.t -> outcome) option;
+}
 
-let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
-    fault =
+(* [select] picks the family's faults; [exec] runs the engine over the
+   bound context, [[]] being the golden run. *)
+let domain ~metrics ~budget name select exec classify =
+  let golden = exec ~metrics ~budget [] in
+  let take fault =
+    Option.map
+      (fun f ~metrics ~budget -> classify ~golden (exec ~metrics ~budget [ f ]))
+      (select fault)
+  in
+  { dm_name = name; dm_take = take }
+
+let rtl_fault = function
+  | Plan.F_rtl f -> Some f
+  | Plan.F_statechart _ | Plan.F_token _ -> None
+
+let sc_fault = function
+  | Plan.F_statechart f -> Some f
+  | Plan.F_rtl _ | Plan.F_token _ -> None
+
+let token_fault = function
+  | Plan.F_token f -> Some f
+  | Plan.F_rtl _ | Plan.F_statechart _ -> None
+
+let skip_reason = function
+  | Plan.F_rtl _ -> "no rtl domain in this campaign"
+  | Plan.F_statechart _ -> "no statechart domain in this campaign"
+  | Plan.F_token _ -> "no token domain in this campaign"
+
+(* One planned fault's worth of work: its runs in table order, [[]]
+   when no domain takes it.  Everything a task touches — engines, PRNGs,
+   the metrics registry it is handed — is task-local, so faults can
+   execute on any domain in any order. *)
+let exec_fault ~metrics ~budget domains index fault =
   Exec.Budget.check budget;
   let m_injected = Telemetry.Metrics.counter metrics "fault.injected" in
-  let note domain outcome acc =
+  let note d outcome =
     Telemetry.Metrics.incr m_injected;
     Telemetry.Metrics.incr
       (Telemetry.Metrics.counter metrics
@@ -394,54 +418,23 @@ let exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act ~golden_net
     if Telemetry.Metrics.live metrics then
       Telemetry.Metrics.event metrics ~scope:"fault" "injected"
         [
-          ("domain", Telemetry.Metrics.F_str domain);
+          ("domain", Telemetry.Metrics.F_str d.dm_name);
           ("fault", Telemetry.Metrics.F_str (Plan.fault_to_string fault));
           ( "outcome",
             Telemetry.Metrics.F_str (outcome_counter_suffix outcome) );
         ];
-    (domain, outcome) :: acc
+    { run_index = index; run_domain = d.dm_name; run_fault = fault;
+      run_outcome = outcome }
   in
-  match fault with
-  | Plan.F_rtl f -> (
-    match golden_rtl with
-    | None -> FR_skipped "no rtl domain in this campaign"
-    | Some (spec, netlist, golden) ->
-      let outcome =
-        Telemetry.Metrics.span metrics "fault/run" (fun () ->
-            classify_rtl ~golden
-              (rtl_exec ~metrics ~budget spec netlist [ f ]))
-      in
-      FR_runs (List.rev (note "rtl" outcome [])))
-  | Plan.F_statechart f -> (
-    match golden_sc with
-    | None -> FR_skipped "no statechart domain in this campaign"
-    | Some (spec, golden) ->
-      let outcome =
-        Telemetry.Metrics.span metrics "fault/run" (fun () ->
-            classify_sc ~golden (sc_run ~metrics ~budget spec [ f ]))
-      in
-      FR_runs (List.rev (note "statechart" outcome [])))
-  | Plan.F_token f ->
-    let acc = ref [] in
-    (match golden_act with
-     | None -> ()
-     | Some (spec, golden) ->
-       let outcome =
-         Telemetry.Metrics.span metrics "fault/run" (fun () ->
-             classify_act ~golden (act_run ~metrics ~budget spec [ f ]))
-       in
-       acc := note "activity" outcome !acc);
-    (match golden_net with
-     | None -> ()
-     | Some (ctx, invariants, golden) ->
-       let outcome =
-         Telemetry.Metrics.span metrics "fault/run" (fun () ->
-             classify_net_with invariants ~golden
-               (net_run_ctx ~metrics ~budget ctx [ f ]))
-       in
-       acc := note "petri" outcome !acc);
-    if !acc = [] then FR_skipped "no token domain in this campaign"
-    else FR_runs (List.rev !acc)
+  List.filter_map
+    (fun d ->
+      Option.map
+        (fun exec ->
+          note d
+            (Telemetry.Metrics.span metrics "fault/run" (fun () ->
+                 exec ~metrics ~budget)))
+        (d.dm_take fault))
+    domains
 
 let run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) ?pool ?rtl ?statechart ?activity ?net
@@ -450,36 +443,43 @@ let run ?(metrics = Telemetry.Metrics.null)
   let (_ : Telemetry.Metrics.counter) =
     Telemetry.Metrics.counter metrics "fault.injected"
   in
-  (* golden runs: once per supplied spec, before any injection, always
-     on the caller's domain and registry; the module is lowered here,
-     once, and every run starts from that netlist *)
-  let golden_rtl =
+  (* the domain table: each family compiles and runs its golden once,
+     before any injection, on the caller's domain and registry; bound
+     one by one, so the goldens run in table order *)
+  let domain name = domain ~metrics ~budget name in
+  let rtl =
     Option.map
-      (fun s ->
-        let netlist = lower s in
-        (s, netlist, rtl_exec ~metrics ~budget s netlist []))
+      (fun spec -> domain "rtl" rtl_fault (rtl_exec spec (lower spec)) classify_rtl)
       rtl
   in
-  let golden_sc =
-    Option.map (fun s -> (s, sc_run ~metrics ~budget s [])) statechart
-  in
-  let golden_act =
-    Option.map (fun s -> (s, act_run ~metrics ~budget s [])) activity
-  in
-  let faults = Array.of_list plan.Plan.faults in
-  (* the net compiled and its P-invariants computed once, here on the
-     caller's domain, before any sharding *)
-  let golden_net =
+  let statechart =
     Option.map
-      (fun s ->
-        let ctx = net_ctx s in
-        ( ctx,
-          Petri.Invariant.p_invariants s.np_net,
-          net_run_ctx ~metrics ~budget ctx [] ))
+      (fun spec ->
+        domain "statechart" sc_fault
+          (fun ~metrics ~budget -> sc_run ~metrics ~budget spec)
+          classify_sc)
+      statechart
+  in
+  let activity =
+    Option.map
+      (fun spec ->
+        domain "activity" token_fault
+          (fun ~metrics ~budget -> act_run ~metrics ~budget spec)
+          classify_act)
+      activity
+  in
+  let net =
+    Option.map
+      (fun spec ->
+        domain "petri" token_fault
+          (net_exec spec (compile_net spec))
+          (classify_net_with (Petri.Invariant.p_invariants spec.np_net)))
       net
   in
+  let domains = List.filter_map Fun.id [ rtl; statechart; activity; net ] in
+  let faults = Array.of_list plan.Plan.faults in
   let n = Array.length faults in
-  let results = Array.make n (FR_skipped "") in
+  let results = Array.make n [] in
   (match pool with
    | Some p when Exec.Pool.jobs p > 1 && n > 0 ->
      (* one metrics fork per fault, merged back in plan order, so the
@@ -488,37 +488,21 @@ let run ?(metrics = Telemetry.Metrics.null)
      let forks = Array.init n (fun _ -> Telemetry.Metrics.fork metrics) in
      Exec.Pool.parallel_for p ~n (fun i ->
          results.(i) <-
-           exec_fault ~metrics:forks.(i) ~budget ~golden_rtl ~golden_sc
-             ~golden_act ~golden_net faults.(i));
+           exec_fault ~metrics:forks.(i) ~budget domains i faults.(i));
      Array.iter
        (fun child -> Telemetry.Metrics.merge_into ~into:metrics child)
        forks
    | Some _ | None ->
      for i = 0 to n - 1 do
-       results.(i) <-
-         exec_fault ~metrics ~budget ~golden_rtl ~golden_sc ~golden_act
-           ~golden_net faults.(i)
+       results.(i) <- exec_fault ~metrics ~budget domains i faults.(i)
      done);
-  let runs = ref [] in
-  let skipped = ref [] in
-  Array.iteri
-    (fun index result ->
-      match result with
-      | FR_skipped reason -> skipped := (faults.(index), reason) :: !skipped
-      | FR_runs domain_outcomes ->
-        List.iter
-          (fun (domain, outcome) ->
-            runs :=
-              { run_index = index; run_domain = domain;
-                run_fault = faults.(index); run_outcome = outcome }
-              :: !runs)
-          domain_outcomes)
-    results;
   {
     rp_label = label;
     rp_plan = plan;
-    rp_runs = List.rev !runs;
-    rp_skipped = List.rev !skipped;
+    rp_runs = List.concat (Array.to_list results);
+    rp_skipped =
+      List.filteri (fun i _ -> results.(i) = []) plan.Plan.faults
+      |> List.map (fun f -> (f, skip_reason f));
   }
 
 let totals report =
