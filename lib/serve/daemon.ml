@@ -408,12 +408,15 @@ let dispatch t ~id members ~op =
       record t oc.oc_outcome;
       Ok (outcome_response ~id oc, true))
 
+(* The answer to a line past [max_line_bytes], whether it arrived whole
+   or the reader dropped it while streaming ([L_oversized] below). *)
+let oversized_response t =
+  protocol_error t ~id:None
+    (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)
+
 let handle_line t line =
   if String.length line > max_line_bytes then
-    ( Some
-        (protocol_error t ~id:None
-           (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)),
-      true )
+    (Some (oversized_response t), true)
   else
     let trimmed = String.trim line in
     if trimmed = "" then (None, true)
@@ -489,26 +492,20 @@ let finish_line r =
 let reader_feed r bytes n =
   let i = ref 0 in
   while !i < n do
-    match Bytes.index_from_opt bytes !i '\n' with
-    | Some j when j < n ->
-      if not r.r_discarding then begin
-        Buffer.add_subbytes r.r_acc bytes !i (j - !i);
-        if Buffer.length r.r_acc > max_line_bytes then begin
-          r.r_discarding <- true;
-          Buffer.clear r.r_acc
-        end
-      end;
-      finish_line r;
-      i := j + 1
-    | Some _ | None ->
-      if not r.r_discarding then begin
-        Buffer.add_subbytes r.r_acc bytes !i (n - !i);
-        if Buffer.length r.r_acc > max_line_bytes then begin
-          r.r_discarding <- true;
-          Buffer.clear r.r_acc
-        end
-      end;
-      i := n
+    let stop, eol =
+      match Bytes.index_from_opt bytes !i '\n' with
+      | Some j when j < n -> (j, true)
+      | Some _ | None -> (n, false)
+    in
+    if not r.r_discarding then begin
+      Buffer.add_subbytes r.r_acc bytes !i (stop - !i);
+      if Buffer.length r.r_acc > max_line_bytes then begin
+        r.r_discarding <- true;
+        Buffer.clear r.r_acc
+      end
+    end;
+    if eol then finish_line r;
+    i := stop + 1
   done
 
 (* One read(2).  [blocking = false] polls with select first and reads
@@ -536,8 +533,6 @@ let reader_fill r ~blocking =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* --- the loop --------------------------------------------------------- *)
-
-let oversized_line = String.make (max_line_bytes + 1) 'x'
 
 (* The serve loop over a raw fd pair.  One request is processed at a
    time; between requests every already-available input line is pulled
@@ -586,14 +581,9 @@ let serve_fd t in_fd emit =
     else begin
       let continue =
         match Queue.pop pending with
-        | L_oversized -> (
-          (* re-enter the protocol path so oversized lines are counted
-             and answered exactly like a buffered oversized line *)
-          match handle_line t oversized_line with
-          | Some resp, cont ->
-            emit resp;
-            cont
-          | None, cont -> cont)
+        | L_oversized ->
+          emit (oversized_response t);
+          true
         | L_line line -> (
           match handle_line t line with
           | Some resp, cont ->
