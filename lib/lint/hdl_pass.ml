@@ -1,12 +1,7 @@
+(* Lift netlist diagnostics into lint diagnostics: the registry owns the
+   severity, [Hdl.Check] owns the analysis. *)
+
 let lift (d : Hdl.Check.diagnostic) =
-  {
-    Uml.Wfr.diag_severity =
-      (match d.Hdl.Check.diag_severity with
-       | Hdl.Check.Error -> Uml.Wfr.Error
-       | Hdl.Check.Warning -> Uml.Wfr.Warning);
-    diag_rule = d.Hdl.Check.diag_code;
-    diag_element = None;
-    diag_message = d.Hdl.Check.diag_message;
-  }
+  Model_info.diag ~code:d.Hdl.Check.diag_code d.Hdl.Check.diag_message
 
 let check_design design = List.map lift (Hdl.Check.check_design design)

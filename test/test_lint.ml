@@ -413,22 +413,30 @@ let comp_tests =
 
 (* --- HDL pass --------------------------------------------------------- *)
 
+(* [q] reads [floating], which nothing drives (HDL-10). *)
+let undriven_design () =
+  Hdl.Module_.design ~top:"m"
+    [
+      Hdl.Module_.make
+        ~ports:[ Hdl.Module_.output "q" Hdl.Htype.Bit ]
+        ~signals:[ Hdl.Module_.signal "floating" Hdl.Htype.Bit ]
+        ~processes:
+          [
+            Hdl.Module_.comb_process ~name:"p"
+              [ Hdl.Stmt.Assign ("q", Hdl.Expr.Ref "floating") ];
+          ]
+        "m";
+    ]
+
+(* [idle] is neither read nor driven (HDL-11). *)
+let idle_design () =
+  Hdl.Module_.design ~top:"m"
+    [ Hdl.Module_.make ~signals:[ Hdl.Module_.signal "idle" Hdl.Htype.Bit ] "m" ]
+
 let hdl_tests =
   [
     tc "undriven signal lifts to HDL-10" (fun () ->
-        let m =
-          Hdl.Module_.make
-            ~ports:[ Hdl.Module_.output "q" Hdl.Htype.Bit ]
-            ~signals:[ Hdl.Module_.signal "floating" Hdl.Htype.Bit ]
-            ~processes:
-              [
-                Hdl.Module_.comb_process ~name:"p"
-                  [ Hdl.Stmt.Assign ("q", Hdl.Expr.Ref "floating") ];
-              ]
-            "m"
-        in
-        let d = Hdl.Module_.design ~top:"m" [ m ] in
-        let diags = Lint.Check.check_design d in
+        let diags = Lint.Check.check_design (undriven_design ()) in
         check Alcotest.bool "HDL-10" true (has_code "HDL-10" diags);
         check Alcotest.bool "is error" true
           (List.exists
@@ -437,17 +445,31 @@ let hdl_tests =
                && dg.Wfr.diag_severity = Wfr.Error)
              diags));
     tc "selection filters the HDL pass" (fun () ->
-        let m =
-          Hdl.Module_.make
-            ~signals:[ Hdl.Module_.signal "idle" Hdl.Htype.Bit ]
-            "m"
-        in
-        let d = Hdl.Module_.design ~top:"m" [ m ] in
+        let d = idle_design () in
         let sel = Lint.Rules.selection_of_strings ~disabled:[ "HDL-11" ] () in
         check (Alcotest.list Alcotest.string) "filtered" []
           (codes (Lint.Check.check_design ~selection:sel d));
         check Alcotest.bool "present by default" true
           (has_code "HDL-11" (Lint.Check.check_design d)));
+    tc "HDL severities come from the rule registry" (fun () ->
+        let designs = [ undriven_design (); idle_design () ] in
+        let hdl =
+          List.filter
+            (fun d -> String.starts_with ~prefix:"HDL-" d.Wfr.diag_rule)
+            (List.concat_map Lint.Check.check_design designs)
+        in
+        check
+          Alcotest.(list string)
+          "codes seen" [ "HDL-10"; "HDL-11" ] (codes hdl);
+        List.iter
+          (fun d ->
+            match Lint.Rules.find d.Wfr.diag_rule with
+            | Some r ->
+              check Alcotest.bool
+                (d.Wfr.diag_rule ^ " has its registry severity") true
+                (r.Lint.Rules.rule_severity = d.Wfr.diag_severity)
+            | None -> Alcotest.failf "%s is not registered" d.Wfr.diag_rule)
+          hdl);
   ]
 
 (* --- acceptance: one defect per layer --------------------------------- *)
