@@ -19,9 +19,7 @@ let in_params (op : Classifier.operation) =
     op.Classifier.op_params
 
 let class_info_of_model m : Typecheck.class_info =
-  let find_class name =
-    List.find_opt (fun c -> c.Classifier.cl_name = name) (Model.classifiers m)
-  in
+  let find_class = Model.classifier_named m in
   let ty_of_dtype = ty_of_dtype m in
   {
     Typecheck.class_exists = (fun n -> find_class n <> None);

@@ -52,11 +52,7 @@ let rec first_effect m info ~self_class ~env (e : Asl.Ast.expr) =
         match receiver_class info ~self_class ~env recv with
         | None -> None
         | Some cname -> (
-          match
-            List.find_opt
-              (fun c -> c.Classifier.cl_name = cname)
-              (Model.classifiers m)
-          with
+          match Model.classifier_named m cname with
           | None -> None
           | Some cl -> (
             match Classifier.find_operation cl name with

@@ -31,11 +31,7 @@ let invariant_names m class_name =
           (fun (seen, acc) parent -> collect seen acc parent)
           (seen, acc) cl.Classifier.cl_generals
   in
-  match
-    List.find_opt
-      (fun c -> c.Classifier.cl_name = class_name)
-      (Model.classifiers m)
-  with
+  match Model.classifier_named m class_name with
   | None -> []
   | Some cl ->
     let _, acc = collect Ident.Set.empty [] cl.Classifier.cl_id in

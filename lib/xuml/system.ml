@@ -22,9 +22,6 @@ let store t = t.sys_store
 
 (* --- class metadata -------------------------------------------------- *)
 
-let class_named m name =
-  List.find_opt (fun c -> c.Classifier.cl_name = name) (Model.classifiers m)
-
 (* attributes including inherited ones; subclass declarations win *)
 let all_attributes m (cl : Classifier.t) =
   let rec collect seen acc cl =
@@ -63,7 +60,7 @@ let default_of_type = function
   | Dtype.Ref _ | Dtype.Void -> Asl.Value.V_null
 
 let attr_defaults_of m class_name =
-  match class_named m class_name with
+  match Model.classifier_named m class_name with
   | None -> []
   | Some cl ->
     List.map
@@ -131,7 +128,7 @@ let create sys_model =
     | None -> (
       (* inherited implementation: the body is registered under the
          class that declares it *)
-      match class_named sys_model class_name with
+      match Model.classifier_named sys_model class_name with
       | None -> None
       | Some cl -> (
         match find_method sys_model Ident.Set.empty cl op_name with
@@ -199,7 +196,7 @@ let machine_of_class t (cl : Classifier.t) =
   List.find_map (Model.find_state_machine t.sys_model) cl.Classifier.cl_behaviors
 
 let instantiate t class_name =
-  match class_named t.sys_model class_name with
+  match Model.classifier_named t.sys_model class_name with
   | None -> err "unknown class %s" class_name
   | Some cl ->
     let attrs = attr_defaults_of t.sys_model class_name in
