@@ -293,11 +293,12 @@ let net_exec spec (c, m0, residue) ~metrics ~budget faults =
       marking := m';
       Ok ()
   in
+  let enabled () =
+    List.filter (Petri.Compiled.enabled c !marking) transitions
+  in
   let stop =
     token_steps ~budget ~seed:spec.np_choice_seed ~max_steps:spec.np_max_steps
-      ~adjust
-      ~enabled:(fun () -> List.filter (Petri.Compiled.enabled c !marking) transitions)
-      ~fire faults
+      ~adjust ~enabled ~fire faults
   in
   {
     nr_final =
@@ -449,7 +450,8 @@ let run ?(metrics = Telemetry.Metrics.null)
   let domain name = domain ~metrics ~budget name in
   let rtl =
     Option.map
-      (fun spec -> domain "rtl" rtl_fault (rtl_exec spec (lower spec)) classify_rtl)
+      (fun spec ->
+        domain "rtl" rtl_fault (rtl_exec spec (lower spec)) classify_rtl)
       rtl
   in
   let statechart =

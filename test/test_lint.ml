@@ -431,7 +431,9 @@ let undriven_design () =
 (* [idle] is neither read nor driven (HDL-11). *)
 let idle_design () =
   Hdl.Module_.design ~top:"m"
-    [ Hdl.Module_.make ~signals:[ Hdl.Module_.signal "idle" Hdl.Htype.Bit ] "m" ]
+    [
+      Hdl.Module_.make ~signals:[ Hdl.Module_.signal "idle" Hdl.Htype.Bit ] "m";
+    ]
 
 let hdl_tests =
   [
