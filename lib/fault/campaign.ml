@@ -194,9 +194,8 @@ type act_run = {
   ar_stop : string;
 }
 
-(* The seeded step loop of both token backends: check the budget, apply
-   the token faults due at this step, stop at the step bound, else fire
-   one seeded pick among [enabled ()], listed in the backend's order. *)
+(* The seeded step loop of both token backends; [enabled ()] lists the
+   choices in the backend's own order, which the pick depends on. *)
 let token_steps ~budget ~seed ~max_steps ~adjust ~enabled ~fire faults =
   let rng = Workload.Prng.create seed in
   let rec loop step =
@@ -282,9 +281,6 @@ let net_exec spec (c, m0, residue) ~metrics ~budget faults =
       if delta > 0 || Petri.Marking.tokens !residue place > 0 then
         residue := Petri.Marking.add !residue place delta
   in
-  (* enabled transitions in net order, so [pick] chooses as it did over
-     [Marking.enabled_transitions] *)
-  let transitions = List.init (Petri.Compiled.transition_count c) Fun.id in
   let fire ti =
     match Petri.Compiled.fire c !marking ti with
     | None -> Error ()
@@ -293,12 +289,13 @@ let net_exec spec (c, m0, residue) ~metrics ~budget faults =
       marking := m';
       Ok ()
   in
-  let enabled () =
-    List.filter (Petri.Compiled.enabled c !marking) transitions
-  in
+  (* enabled transitions in net order, so [pick] chooses as it did over
+     [Marking.enabled_transitions] *)
+  let all = List.init (Petri.Compiled.transition_count c) Fun.id in
   let stop =
     token_steps ~budget ~seed:spec.np_choice_seed ~max_steps:spec.np_max_steps
-      ~adjust ~enabled ~fire faults
+      ~adjust ~fire faults
+      ~enabled:(fun () -> List.filter (Petri.Compiled.enabled c !marking) all)
   in
   {
     nr_final =
@@ -368,7 +365,7 @@ let outcome_counter_suffix = function
    lowered netlist, or the compiled net with its split marking and
    P-invariants) are bound in [dm_take], which answers a fault of the
    family's kind with the run that classifies it, any other with
-   [None].  A resumed run would keep its checkpoints here too. *)
+   [None]. *)
 type domain = {
   dm_name : string;
   dm_take :
