@@ -194,45 +194,36 @@ type act_run = {
   ar_stop : string;
 }
 
-(* The seeded step loop of both token backends; [enabled ()] lists the
-   choices in the backend's own order, which the pick depends on. *)
-let token_steps ~budget ~seed ~max_steps ~adjust ~enabled ~fire faults =
-  let rng = Workload.Prng.create seed in
-  let rec loop step =
-    Exec.Budget.check budget;
-    List.iter
-      (function
-        | Plan.Lose_token { lt_place; lt_step } ->
-          if lt_step = step then adjust lt_place (-1)
-        | Plan.Dup_token { dt_place; dt_step } ->
-          if dt_step = step then adjust dt_place 1)
-      faults;
-    if step >= max_steps then `Exhausted
-    else
-      match enabled () with
-      | [] -> `Idle
-      | choices -> (
-        match fire (Workload.Prng.pick rng choices) with
-        | Ok () -> loop (step + 1)
-        | Error e -> `Failed e)
-  in
-  loop 0
+let inject_tokens adjust step faults =
+  List.iter
+    (fun f ->
+      match f with
+      | Plan.Lose_token { lt_place; lt_step } ->
+        if lt_step = step then adjust lt_place (-1)
+      | Plan.Dup_token { dt_place; dt_step } ->
+        if dt_step = step then adjust dt_place 1)
+    faults
 
 let act_run ?(metrics = Telemetry.Metrics.null)
     ?(budget = Exec.Budget.unlimited) spec faults =
   let exec = Activity.Exec.create ~metrics spec.ac_activity in
-  let stop =
-    match
-      token_steps ~budget ~seed:spec.ac_choice_seed ~max_steps:spec.ac_max_steps
-        ~adjust:(Activity.Exec.adjust_tokens exec)
-        ~enabled:(fun () -> Activity.Exec.enabled_firings exec)
-        ~fire:(Activity.Exec.fire exec) faults
-    with
-    | `Exhausted -> "exhausted"
-    | `Idle -> if Activity.Exec.finished exec then "completed" else "stuck"
-    (* unreachable: the label was just enabled *)
-    | `Failed msg -> Printf.sprintf "internal: %s" msg
+  let rng = Workload.Prng.create spec.ac_choice_seed in
+  let rec loop step =
+    Exec.Budget.check budget;
+    inject_tokens (Activity.Exec.adjust_tokens exec) step faults;
+    if step >= spec.ac_max_steps then "exhausted"
+    else
+      match Activity.Exec.enabled_firings exec with
+      | [] -> if Activity.Exec.finished exec then "completed" else "stuck"
+      | labels -> (
+        match Activity.Exec.fire exec (Workload.Prng.pick rng labels) with
+        | Ok () -> loop (step + 1)
+        | Error msg ->
+          (* unreachable: the label was just enabled; surface it rather
+             than loop *)
+          Printf.sprintf "internal: %s" msg)
   in
+  let stop = loop 0 in
   { ar_tokens = Activity.Exec.tokens exec; ar_stop = stop }
 
 let classify_act ~golden injected =
@@ -269,6 +260,7 @@ let compile_net spec =
 
 let net_exec spec (c, m0, residue) ~metrics ~budget faults =
   let fired_counter = Telemetry.Metrics.counter metrics "petri.fired" in
+  let rng = Workload.Prng.create spec.np_choice_seed in
   let marking = ref m0 in
   let residue = ref residue in
   (* a lost token is a no-op on an empty place *)
@@ -281,28 +273,37 @@ let net_exec spec (c, m0, residue) ~metrics ~budget faults =
       if delta > 0 || Petri.Marking.tokens !residue place > 0 then
         residue := Petri.Marking.add !residue place delta
   in
-  let fire ti =
-    match Petri.Compiled.fire c !marking ti with
-    | None -> Error ()
-    | Some m' ->
-      Telemetry.Metrics.incr fired_counter;
-      marking := m';
-      Ok ()
+  let nt = Petri.Compiled.transition_count c in
+  (* [(deadlocked, truncated)] *)
+  let rec loop step =
+    Exec.Budget.check budget;
+    inject_tokens adjust step faults;
+    if step >= spec.np_max_steps then (false, true)
+    else
+      (* enabled transitions in net order, so [pick] chooses as it did
+         over [Marking.enabled_transitions] *)
+      let enabled = ref [] in
+      for ti = nt - 1 downto 0 do
+        if Petri.Compiled.enabled c !marking ti then enabled := ti :: !enabled
+      done;
+      match !enabled with
+      | [] -> (true, false)
+      | enabled -> (
+        let ti = Workload.Prng.pick rng enabled in
+        match Petri.Compiled.fire c !marking ti with
+        | None -> (true, false)
+        | Some m' ->
+          Telemetry.Metrics.incr fired_counter;
+          marking := m';
+          loop (step + 1))
   in
-  (* enabled transitions in net order, so [pick] chooses as it did over
-     [Marking.enabled_transitions] *)
-  let all = List.init (Petri.Compiled.transition_count c) Fun.id in
-  let stop =
-    token_steps ~budget ~seed:spec.np_choice_seed ~max_steps:spec.np_max_steps
-      ~adjust ~fire faults
-      ~enabled:(fun () -> List.filter (Petri.Compiled.enabled c !marking) all)
-  in
+  let deadlocked, truncated = loop 0 in
   {
     nr_final =
       Petri.Marking.to_list
         (Petri.Compiled.export c (Petri.Marking.to_list !residue) !marking);
-    nr_deadlocked = stop <> `Exhausted;
-    nr_truncated = stop = `Exhausted;
+    nr_deadlocked = deadlocked;
+    nr_truncated = truncated;
   }
 
 let net_run ?(metrics = Telemetry.Metrics.null)
